@@ -369,7 +369,10 @@ def _cone_prescreen(
     α = asin(r/d) is fully outside the cone when β > θ/2 + α; comparing
     cosines via cos(θ/2 + α) = cos(θ/2)·cosα − sin(θ/2)·sinα avoids any
     transcendental.  A sphere containing the camera (d ≤ r) can never be
-    culled — that covers the camera-inside-block visibility rule.
+    culled — that covers the camera-inside-block visibility rule.  Nor can
+    one where ``d·‖axis‖`` falls below the ``_EPS`` clamp (a camera within
+    ~1e-12 of the centroid): there the clamped cos β comes out too small
+    to be conservative, so the exact test decides.
     """
     delta = centers[None, :, :] - pos[:, None, :]  # (C, M, 3)
     d = np.sqrt(np.einsum("cmk,cmk->cm", delta, delta))
@@ -377,10 +380,10 @@ def _cone_prescreen(
     sin_a = np.minimum(1.0, radii[None, :] / np.maximum(d, _EPS))
     cos_a = np.sqrt(np.maximum(0.0, 1.0 - sin_a * sin_a))
     cone_cos = cos_half * cos_a - sin_half * sin_a
-    cos_beta = np.einsum("cmk,ck->cm", delta, axis) / np.maximum(
-        d * an[:, None], _EPS
-    )
-    return contains | (cos_beta >= cone_cos - _CULL_SLACK)
+    norm = d * an[:, None]
+    clamped = norm < _EPS
+    cos_beta = np.einsum("cmk,ck->cm", delta, axis) / np.maximum(norm, _EPS)
+    return contains | clamped | (cos_beta >= cone_cos - _CULL_SLACK)
 
 
 def _culled_ids_batch(

@@ -7,7 +7,7 @@ shared cold store, and charges peer transfers on a per-link network cost
 model (:class:`NetworkLink` / :class:`NetworkFabric`) using the same
 sim-clock ledger as the storage devices.  :class:`ShardedHierarchy`
 implements the :class:`~repro.storage.hierarchy.MemoryHierarchy`
-fetch/prefetch surface, so it drops into the existing engines, the
+fetch/prefetch surface, so it drops into the replay engine, the
 sessions scheduler, and the bench/serve harnesses unchanged — and at
 K=1 it delegates wholesale to a single-box hierarchy, which the
 shard-equivalence suite pins bit-for-bit against ``run_baseline``.

@@ -23,8 +23,9 @@ shard-equivalence suite pins bit-for-bit against ``run_baseline``.
 Accounting invariants (pinned by ``tests/cluster``):
 
 * every per-block charge is ``node_time + link_time`` accumulated as a
-  flat left fold, so scalar and batched engines stay result-identical
-  for any K, and attribution invariant A extends to the new
+  flat left fold, so ``fetch_many`` stays result-identical to a
+  per-block ``fetch`` loop for any K, and attribution invariant A
+  extends to the new
   ``peer_transfer:{link}`` component;
 * ``bytes_moved`` decomposes exactly into local + ghost + peer +
   cold-fallback bytes, and the peer share equals the per-link byte
@@ -249,7 +250,7 @@ class ShardedHierarchy:
     def aggregate_trace(self) -> bool:
         if self._solo is not None:
             return self._solo.aggregate_trace
-        return False  # sharded fetches are scalar per block: always per-event
+        return False  # sharded fetches run per block: always per-event
 
     @aggregate_trace.setter
     def aggregate_trace(self, value: bool) -> None:
@@ -464,8 +465,8 @@ class ShardedHierarchy:
             self.tracer.record("xfer", step, link.name, key, nbytes, net_t)
         if ghost is not None:
             ghost.admit(key, step, min_free_step=min_free_step, agg=None, tenant=tenant)
-        # Flat left fold: node time then link time, so scalar and batched
-        # engines accumulate identically and attribution replays exactly.
+        # Flat left fold: node time then link time, so batched and per-block
+        # fetches accumulate identically and attribution replays exactly.
         total = r.time_s + net_t
         return FetchResult(key, total, r.source, fastest_hit=r.fastest_hit)
 

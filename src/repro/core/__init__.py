@@ -3,9 +3,10 @@
 :class:`AppAwareOptimizer` implements Algorithm 1 — importance preload,
 constrained-LRU demand fetching, and table-driven prefetch overlapped with
 rendering — on top of the substrates (volume blocks, storage hierarchy,
-camera prediction, importance tables).  :mod:`repro.core.pipeline` replays
-camera paths under any policy and produces comparable
-:class:`~repro.core.metrics.RunResult` records.
+camera prediction, importance tables).  :mod:`repro.core.pipeline` builds
+the replay inputs (visible sets, demand traces); the drivers that replay
+them under any policy live in :mod:`repro.runtime` and are re-exported
+here, producing comparable :class:`~repro.core.metrics.RunResult` records.
 """
 
 from repro.core.metrics import StepMetrics, RunResult
@@ -20,9 +21,6 @@ from repro.core.interactive import (
     render_quality_series,
 )
 
-# Canonical drivers live in repro.runtime; the package-level names resolve
-# there so `from repro.core import run_baseline` stays warning-free.  The
-# module paths (repro.core.pipeline.run_baseline, ...) are deprecation shims.
 from repro.runtime.config import OptimizerConfig
 from repro.runtime.drivers import (
     AppAwareOptimizer,

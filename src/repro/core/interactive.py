@@ -13,25 +13,20 @@ budget runs out, the rest stay missing for that frame.  The result records
 per-step *coverage* (fraction of visible blocks resident at render time)
 and the resident visible sets, which :func:`render_quality_series` turns
 into PSNR-vs-full-data numbers with the real ray-caster.  The
-:class:`BudgetedStep`/:class:`BudgetedResult` records stay here; the
-``run_budgeted`` in this module is a deprecation shim.
+:class:`BudgetedStep`/:class:`BudgetedResult` records live here.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.pipeline import PipelineContext
 from repro.render.image import psnr
-from repro.storage.hierarchy import MemoryHierarchy
-from repro.tables.importance_table import ImportanceTable
-from repro.tables.visible_table import VisibleTable
 
-__all__ = ["BudgetedStep", "BudgetedResult", "run_budgeted", "render_quality_series"]
+__all__ = ["BudgetedStep", "BudgetedResult", "render_quality_series"]
 
 
 @dataclass(frozen=True)
@@ -86,53 +81,6 @@ class BudgetedResult:
     def degraded_frames(self) -> int:
         """Frames that rendered without at least one dropped block."""
         return sum(1 for s in self.steps if s.n_dropped)
-
-
-def run_budgeted(
-    context: PipelineContext,
-    hierarchy: MemoryHierarchy,
-    io_budget_s: float,
-    importance: Optional[ImportanceTable] = None,
-    visible_table: Optional[VisibleTable] = None,
-    sigma: float = float("-inf"),
-    preload: bool = False,
-    name: str = "budgeted",
-    tracer=None,
-    registry=None,
-    profiler=None,
-    engine: str = "batched",
-    ctx=None,
-) -> BudgetedResult:
-    """Deprecated shim: the driver moved to :func:`repro.runtime.run_budgeted`.
-
-    Delegates unchanged (results are pinned identical by the runtime
-    equivalence suite).  For the shared ``tracer``/``registry``/``profiler``
-    and ``engine="batched"|"scalar"`` semantics see the
-    :mod:`repro.runtime.engine` reference.
-    """
-    warnings.warn(
-        "repro.core.interactive.run_budgeted is deprecated; "
-        "use repro.runtime.run_budgeted",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime.drivers import run_budgeted as _impl
-
-    return _impl(
-        context,
-        hierarchy,
-        io_budget_s,
-        importance=importance,
-        visible_table=visible_table,
-        sigma=sigma,
-        preload=preload,
-        name=name,
-        tracer=tracer,
-        registry=registry,
-        profiler=profiler,
-        engine=engine,
-        ctx=ctx,
-    )
 
 
 def render_quality_series(

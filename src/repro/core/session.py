@@ -102,10 +102,8 @@ class OutOfCoreSession:
         i = self._step
         ids = visible_blocks(position, self.grid, self.view_angle_deg)
 
-        io = 0.0
         misses_before = self.hierarchy.fastest.stats.misses
-        for b in ids:
-            io += self.hierarchy.fetch(int(b), i, min_free_step=i).time_s
+        io = self.hierarchy.fetch_many(ids, i, min_free_step=i).time_s
         n_misses = self.hierarchy.fastest.stats.misses - misses_before
 
         lookup_time = 0.0
@@ -118,17 +116,10 @@ class OutOfCoreSession:
                 candidates = self.importance_table.filter_and_rank(predicted, self.sigma)
             else:
                 candidates = predicted
-            cap = self.hierarchy.fastest.capacity
-            for b in candidates:
-                if n_prefetched >= cap:
-                    break
-                b = int(b)
-                if self.hierarchy.contains_fast(b):
-                    continue
-                prefetch_time += self.hierarchy.fetch(
-                    b, i, prefetch=True, min_free_step=i
-                ).time_s
-                n_prefetched += 1
+            issued, prefetch_time = self.hierarchy.prefetch_many(
+                candidates, i, min_free_step=i, max_fetch=self.hierarchy.fastest.capacity
+            )
+            n_prefetched = len(issued)
 
         self._sync_payloads()
         self.history.append(

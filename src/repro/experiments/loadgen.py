@@ -128,7 +128,6 @@ def make_session_specs(config: LoadGenConfig) -> List[SessionSpec]:
 def run_load(
     config: Optional[LoadGenConfig] = None,
     ctx: Optional[RunContext] = None,
-    engine: str = "batched",
     attribution: bool = False,
     tracer_capacity: int = 500_000,
 ) -> dict:
@@ -164,7 +163,6 @@ def run_load(
         view_angle_deg=setup.view_angle_deg,
         render_model=setup.render_model,
         ctx=ctx,
-        engine=engine,
         partition="equal" if config.partition == "equal" else None,
         attribution=attribution,
     )
@@ -179,7 +177,6 @@ def run_load(
 def serve_matrix_spec(
     config: Optional[LoadGenConfig] = None,
     label: str = "serve",
-    engine: str = "batched",
     attribution: bool = True,
 ) -> MatrixSpec:
     """One serving scenario as a single-cell matrix spec.
@@ -206,7 +203,6 @@ def serve_matrix_spec(
             "policy": config.policy,
             "seed": config.seed,
             "sessions": config.n_sessions,
-            "engine": engine,
         },
         setup={
             "mix": tuple(config.mix),

@@ -2,7 +2,7 @@
 
 One TOML/JSON spec describes a whole study: a cartesian grid of axes over
 :class:`~repro.runtime.config.RunConfig` fields (dataset/scale × workload
-× policy × engine × fault profile × shards × sessions × ...), optional
+× policy × fault profile × shards × sessions × ...), optional
 constraints that prune cells, repeats with derived per-repeat seeds, and
 which figures/report sections to render.  ``run_matrix`` expands the spec
 into validated ``RunConfig`` cells, executes them (serially or over
@@ -717,11 +717,10 @@ def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, objec
     ctx = RunContext(tracer=tracer, registry=MetricsRegistry(), fault_injector=injector)
     t0 = time.perf_counter()
     if config.policy == "app-aware":
-        result = setup.optimizer().run(context, hierarchy, engine=config.engine, ctx=ctx)
+        result = setup.optimizer().run(context, hierarchy, ctx=ctx)
     else:
-        result = run_baseline(context, hierarchy, engine=config.engine, ctx=ctx)
+        result = run_baseline(context, hierarchy, ctx=ctx)
     run: Dict[str, object] = {
-        "engine": config.engine,
         "wall_s": time.perf_counter() - t0,  # informational; never compared
         "summary": result.summary(),
         "hierarchy_stats": result.hierarchy_stats.as_dict(),
@@ -784,10 +783,7 @@ def _bench_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object
     )
     path_name = "orbit" if config.workload == "spherical" else "zoom"
     path = _paths(bench_config, setup.view_angle_deg)[path_name]
-    return _run_one(
-        setup, path, config.policy, bench_config,
-        engine=config.engine, cell_index=cell.index,
-    )
+    return _run_one(setup, path, config.policy, bench_config, cell_index=cell.index)
 
 
 def _serve_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object]:
@@ -813,12 +809,10 @@ def _serve_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object
     t0 = time.perf_counter()
     doc = run_load(
         load_config,
-        engine=config.engine,
         attribution=bool(extras.get("attribution", True)),
         tracer_capacity=int(extras.get("tracer_capacity", 500_000)),
     )
     return {
-        "engine": config.engine,
         "wall_s": time.perf_counter() - t0,  # informational; never compared
         "serve_config": doc["config"],
         "workloads": doc["workloads"],

@@ -7,8 +7,8 @@ of ``(seed, device, block, step, attempt, channel)`` through a counter
 based hash (splitmix64), so
 
 - two runs with the same seed draw identical faults,
-- the scalar and batched replay engines (which issue the same reads in
-  the same order) see identical faults, and
+- ``fetch_many`` and a per-block ``fetch`` loop (which issue the same
+  reads in the same order) see identical faults, and
 - concurrent readers (thread-pool fetchers) draw race-free: no shared
   RNG stream exists to contend on.
 
@@ -51,7 +51,7 @@ def unit_draw(seed: int, *parts: int) -> float:
 
     Counter-based (stateless): the value depends only on the arguments,
     never on call order — the property the fault model's determinism and
-    engine-equivalence guarantees rest on.
+    batched-vs-per-block equivalence guarantees rest on.
     """
     x = seed & _M64
     for p in parts:

@@ -10,9 +10,7 @@ of the machine; wall-clock phase timings (and the per-run ``wall_s`` /
 suite ``suite_wall_s`` fields) ride along for human inspection but are
 never compared.
 
-Cells run on the batched replay engine with exact per-block trace
-emission (``engine="scalar"`` replays the per-block compatibility path —
-every simulated metric is identical by construction); eviction forensics
+Cells replay with exact per-block trace emission; eviction forensics
 (:class:`~repro.storage.forensics.EvictionLineage`) and the per-frame
 latency attribution of :mod:`repro.obs.attribution` ride along in each
 run's informational ``attribution`` section.  ``workers > 1``
@@ -34,7 +32,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.camera.path import spherical_path, zoom_path
-from repro.runtime.config import REPLAY_ENGINES
 from repro.runtime.drivers import run_baseline
 from repro.experiments.gating import (
     WALL_THRESHOLD_FACTOR,
@@ -174,7 +171,6 @@ def _run_one(
     path,
     policy: str,
     config: BenchConfig,
-    engine: str = "batched",
     profiler: Optional[PhaseProfiler] = None,
     cell_index: int = 0,
 ) -> Dict[str, object]:
@@ -186,9 +182,9 @@ def _run_one(
         profiler = PhaseProfiler(tracer=tracer)
     context = setup.context(path)
     hierarchy = setup.hierarchy("lru" if policy == "app-aware" else policy)
-    # Per-block trace emission on both engines: the attribution section
-    # replays the engine's exact per-fetch time folds from the event
-    # stream, which an aggregated (count > 1) roll-up cannot support.
+    # Per-block trace emission: the attribution section replays the
+    # engine's exact per-fetch time folds from the event stream, which an
+    # aggregated (count > 1) roll-up cannot support.
     hierarchy.aggregate_trace = False
     lineage = EvictionLineage()
     hierarchy.set_forensics(lineage)
@@ -200,13 +196,11 @@ def _run_one(
     with profiler.span("replay"):
         if policy == "app-aware":
             result = setup.optimizer().run(
-                context, hierarchy, tracer=tracer, registry=registry,
-                profiler=profiler, engine=engine,
+                context, hierarchy, tracer=tracer, registry=registry, profiler=profiler
             )
         else:
             result = run_baseline(
-                context, hierarchy, tracer=tracer, registry=registry,
-                profiler=profiler, engine=engine,
+                context, hierarchy, tracer=tracer, registry=registry, profiler=profiler
             )
 
     summary = aggregate(tracer.events())
@@ -217,7 +211,6 @@ def _run_one(
         registry.get("prefetch_useful_total"), registry.get("prefetch_demand_window_total")
     )
     run: Dict[str, object] = {
-        "engine": engine,
         "wall_s": time.perf_counter() - t0,  # informational; never compared
         "summary": result.summary(),
         "hierarchy_stats": result.hierarchy_stats.as_dict(),
@@ -281,7 +274,7 @@ def _run_one(
     return run
 
 
-def bench_matrix_spec(config: BenchConfig, engine: str = "batched") -> MatrixSpec:
+def bench_matrix_spec(config: BenchConfig) -> MatrixSpec:
     """The bench suite as a matrix spec.
 
     Expanding this spec reproduces :data:`BENCH_CELLS` exactly — same
@@ -300,7 +293,6 @@ def bench_matrix_spec(config: BenchConfig, engine: str = "batched") -> MatrixSpe
             "cache_ratio": config.cache_ratio,
             "seed": config.seed,
             "degrees": (config.degrees_per_step, config.degrees_per_step),
-            "engine": engine,
             "faults": config.faults,
             "fault_seed": config.fault_seed,
         },
@@ -331,7 +323,6 @@ def run_bench(
     quick: bool = False,
     progress=None,
     workers: int = 1,
-    engine: str = "batched",
     profile_path: Optional[PathLike] = None,
     faults: Optional[str] = None,
     fault_seed: Optional[int] = None,
@@ -341,11 +332,9 @@ def run_bench(
     ``progress`` is an optional ``str -> None`` callback (the CLI passes
     ``print``) invoked before each phase.  ``workers > 1`` runs the four
     cells in that many worker processes (capped at the cell count); every
-    simulated metric is identical to a serial run.  ``engine`` selects the
-    replay fast path (``"batched"``, the default) or the per-block
-    ``"scalar"`` compatibility path.  ``profile_path``, when given,
-    re-runs the :data:`PROFILE_CELL` with a span timeline kept and writes
-    a Chrome-trace JSON there.
+    simulated metric is identical to a serial run.  ``profile_path``, when
+    given, re-runs the :data:`PROFILE_CELL` with a span timeline kept and
+    writes a Chrome-trace JSON there.
 
     ``faults``/``fault_seed`` (when not None) override the config's fault
     profile: each cell then runs with a seeded
@@ -366,8 +355,6 @@ def run_bench(
         raise ValueError(
             f"unknown fault profile {config.faults!r}; expected one of {FAULT_PROFILES}"
         )
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {REPLAY_ENGINES}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     notify = progress if progress is not None else (lambda msg: None)
@@ -375,7 +362,7 @@ def run_bench(
 
     # The suite is a committed matrix spec; expanding it reproduces the
     # pinned BENCH_CELLS keys, order, and per-cell seed derivation.
-    spec = bench_matrix_spec(config, engine=engine)
+    spec = bench_matrix_spec(config)
     cells = expand_cells(spec)
 
     suite_profiler = PhaseProfiler()
@@ -425,7 +412,6 @@ def run_bench(
                     cache_ratio=config.cache_ratio,
                     seed=config.seed,
                 ),
-                engine=engine,
                 attribution=True,
             )
         multi_tenant = {
@@ -438,7 +424,6 @@ def run_bench(
         "schema_version": BENCH_SCHEMA_VERSION,
         "label": label,
         "quick": quick,
-        "engine": engine,
         "workers": n_workers,
         "config": asdict(config),
         "runs": runs,
@@ -456,7 +441,6 @@ def run_bench(
             _paths(config, setup.view_angle_deg)[path_name],
             policy,
             config,
-            engine=engine,
             profiler=run_profiler,
             cell_index=BENCH_CELLS.index((path_name, policy)),
         )

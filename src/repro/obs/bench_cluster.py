@@ -33,7 +33,6 @@ from typing import Dict, Optional
 
 from repro.experiments.matrix import MatrixSpec, expand_cells, run_matrix_cell
 from repro.obs.bench import BENCH_SCHEMA_VERSION
-from repro.runtime.config import REPLAY_ENGINES
 
 __all__ = ["ClusterConfig", "cluster_matrix_spec", "ledger_reconciles", "run_cluster"]
 
@@ -86,7 +85,7 @@ def ledger_reconciles(hierarchy) -> bool:
     )
 
 
-def cluster_matrix_spec(config: ClusterConfig, engine: str = "batched") -> MatrixSpec:
+def cluster_matrix_spec(config: ClusterConfig) -> MatrixSpec:
     """The cluster tier as a matrix spec.
 
     Two axes — shard count and fault profile — with the fault-free K1
@@ -112,7 +111,6 @@ def cluster_matrix_spec(config: ClusterConfig, engine: str = "batched") -> Matri
             "degrees": (config.degrees_per_step, config.degrees_per_step),
             "distance": 2.5,
             "policy": "lru",
-            "engine": engine,
             "fault_seed": config.fault_seed,
             "shard_map": config.strategy,
         },
@@ -149,7 +147,6 @@ def run_cluster(
     label: str = "cluster",
     quick: bool = False,
     progress=None,
-    engine: str = "batched",
 ) -> Dict[str, object]:
     """Run the cluster tier; returns the JSON-ready snapshot document.
 
@@ -161,8 +158,6 @@ def run_cluster(
     """
     if config is None:
         config = ClusterConfig.smoke() if quick else ClusterConfig()
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {REPLAY_ENGINES}")
     notify = progress if progress is not None else (lambda msg: None)
     t0 = time.perf_counter()
 
@@ -175,7 +170,7 @@ def run_cluster(
     # single-setup loop.  The per-cell run dicts are reshaped to the
     # tier's historical layout (n_nodes/faults scalars, no nested ledger)
     # so committed baselines stay byte-identical.
-    spec = cluster_matrix_spec(config, engine=engine)
+    spec = cluster_matrix_spec(config)
     runs: Dict[str, Dict[str, object]] = {}
     cluster_section = None
     for cell in expand_cells(spec):
@@ -199,7 +194,6 @@ def run_cluster(
         "tier": "cluster",
         "label": label,
         "quick": quick,
-        "engine": engine,
         "config": asdict(config),
         "cluster": cluster_section,
         "runs": runs,

@@ -44,7 +44,6 @@ from repro.obs.bench import BENCH_SCHEMA_VERSION, PROFILE_CELL, _paths
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import PhaseProfiler
 from repro.parallel.preprocess import build_visible_table_parallel
-from repro.runtime.config import REPLAY_ENGINES
 from repro.runtime.drivers import run_baseline
 from repro.tables.builder import build_importance_table, build_visible_table
 from repro.trace import Tracer
@@ -93,7 +92,6 @@ def _run_cell(
     context: PipelineContext,
     policy: str,
     config: FullscaleConfig,
-    engine: str,
     profiler: Optional[PhaseProfiler] = None,
 ) -> Dict[str, object]:
     """One lightweight (path, policy) cell: summary + wall timings only."""
@@ -109,17 +107,14 @@ def _run_cell(
     with profiler.span("replay"):
         if policy == "app-aware":
             result = setup.optimizer().run(
-                context, hierarchy, tracer=tracer, registry=registry,
-                profiler=profiler, engine=engine,
+                context, hierarchy, tracer=tracer, registry=registry, profiler=profiler
             )
         else:
             result = run_baseline(
-                context, hierarchy, tracer=tracer, registry=registry,
-                profiler=profiler, engine=engine,
+                context, hierarchy, tracer=tracer, registry=registry, profiler=profiler
             )
     wall = time.perf_counter() - t0
     return {
-        "engine": engine,
         "wall_s": wall,
         "per_step_wall_s": wall / max(1, config.steps),
         "summary": result.summary(),
@@ -128,7 +123,7 @@ def _run_cell(
     }
 
 
-def fullscale_matrix_spec(config: FullscaleConfig, engine: str = "batched") -> MatrixSpec:
+def fullscale_matrix_spec(config: FullscaleConfig) -> MatrixSpec:
     """The fullscale tier's cell grid as a matrix spec.
 
     The same 2×2 (workload × policy) grid as the default bench tier at
@@ -149,7 +144,6 @@ def fullscale_matrix_spec(config: FullscaleConfig, engine: str = "batched") -> M
             "cache_ratio": config.cache_ratio,
             "seed": config.seed,
             "degrees": (config.degrees_per_step, config.degrees_per_step),
-            "engine": engine,
         },
         axes={
             "workload": ("spherical", "zoom"),
@@ -215,9 +209,7 @@ def _fullscale_cell(cell: MatrixCell, extras) -> Dict[str, object]:
         _CELL_CONTEXTS[ckey] = PipelineContext.create(
             path, setup.grid, setup.render_model, kernel=fconfig.kernel
         )
-    return _run_cell(
-        setup, _CELL_CONTEXTS[ckey], run_config.policy, fconfig, run_config.engine
-    )
+    return _run_cell(setup, _CELL_CONTEXTS[ckey], run_config.policy, fconfig)
 
 
 register_cell_runner("fullscale-cell", _fullscale_cell)
@@ -229,7 +221,6 @@ def run_fullscale(
     quick: bool = False,
     progress=None,
     workers: int = 1,
-    engine: str = "batched",
     profile_path=None,
 ) -> Dict[str, object]:
     """Run the fullscale tier; returns the JSON-ready snapshot document.
@@ -242,8 +233,6 @@ def run_fullscale(
     """
     if config is None:
         config = FullscaleConfig.smoke() if quick else FullscaleConfig()
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {REPLAY_ENGINES}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     notify = progress if progress is not None else (lambda msg: None)
@@ -293,7 +282,7 @@ def run_fullscale(
     paths = _paths(config, setup.view_angle_deg)
     contexts: Dict[str, PipelineContext] = {}
     runs: Dict[str, Dict[str, object]] = {}
-    for cell in expand_cells(fullscale_matrix_spec(config, engine=engine)):
+    for cell in expand_cells(fullscale_matrix_spec(config)):
         path_name = "orbit" if cell.config.workload == "spherical" else "zoom"
         if path_name not in contexts:
             notify(f"visible sets: {path_name} path ({config.steps} steps)")
@@ -302,9 +291,7 @@ def run_fullscale(
                 kernel=config.kernel,
             )
         notify(f"run: {cell.key}")
-        runs[cell.key] = _run_cell(
-            setup, contexts[path_name], cell.config.policy, config, engine
-        )
+        runs[cell.key] = _run_cell(setup, contexts[path_name], cell.config.policy, config)
 
     vtable = setup.visible_table
     sizes = vtable.entry_sizes()
@@ -313,7 +300,6 @@ def run_fullscale(
         "tier": "fullscale",
         "label": label,
         "quick": quick,
-        "engine": engine,
         "workers": int(workers),
         "config": asdict(config),
         "fullscale": {
@@ -335,10 +321,7 @@ def run_fullscale(
         notify(f"profile: re-running {PROFILE_CELL} with span timeline")
         path_name, policy = PROFILE_CELL.split("/")
         run_profiler = PhaseProfiler(keep_timeline=True)
-        _run_cell(
-            setup, contexts[path_name], policy, config, engine,
-            profiler=run_profiler,
-        )
+        _run_cell(setup, contexts[path_name], policy, config, profiler=run_profiler)
         out = run_profiler.write_chrome_trace(profile_path)
         doc["profile"] = {"cell": PROFILE_CELL, "path": str(out)}
     return doc

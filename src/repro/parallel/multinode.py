@@ -106,9 +106,7 @@ def run_multinode(
         frame = 0.0
         for node in range(n_nodes):
             mine = ids[owners == node]
-            io = 0.0
-            for b in mine:
-                io += hierarchies[node].fetch(int(b), i, min_free_step=i).time_s
+            io = hierarchies[node].fetch_many(mine, i, min_free_step=i).time_s
             render = context.render_model.render_time(len(mine))
             node_time = io + render
             result.node_busy_s[node] += node_time

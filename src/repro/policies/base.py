@@ -7,11 +7,11 @@ evictions.  When the cache is full it asks :meth:`choose_victim`, passing an
 victim's last-used time must be ``< i`` (i.e. not touched at the current
 view point) is enforced uniformly across all policies.
 
-Batch hooks (:meth:`on_hit_many` / :meth:`on_insert_many`) let the batched
-replay engine notify a whole array of keys in one call; the defaults loop
-over the scalar hooks *in array order*, so a policy that only implements
-the scalar interface sees exactly the per-key call sequence the scalar
-engine would have produced.  Policies that can rank victims from dense
+Batch hooks (:meth:`on_hit_many` / :meth:`on_insert_many`) let the
+hierarchy's batched calls notify a whole array of keys in one call; the
+defaults loop over the scalar hooks *in array order*, so a policy that
+only implements the scalar interface sees exactly the per-key call
+sequence a per-block ``fetch`` loop would have produced.  Policies that can rank victims from dense
 per-key state (LRU) additionally set ``supports_masked_victim`` and
 implement :meth:`choose_victim_masked`, which receives a boolean
 evictability mask indexed by key instead of a predicate.

@@ -3,7 +3,7 @@
 Array-native: recency is a dense ``int64`` sequence array indexed by block
 id (``-1`` = not tracked), bumped from a monotone clock on every insert and
 hit.  The least-recent tracked key is the argmin of the sequence values —
-no per-access ``OrderedDict`` churn, and the batched replay engine can
+no per-access ``OrderedDict`` churn, and the hierarchy's batched calls can
 refresh a whole hit array with one fancy-indexed assignment
 (:meth:`on_hit_many`) and pick victims via a masked argmin
 (:meth:`choose_victim_masked`).
@@ -31,7 +31,7 @@ class LRUPolicy(ReplacementPolicy):
 
     ``choose_victim`` visits keys in ascending recency and returns the first
     evictable one; :meth:`choose_victim_masked` computes the same answer as
-    a single masked argmin, which is how the batched engine calls it.
+    a single masked argmin, which is how the batched fetch path calls it.
     """
 
     name = "lru"

@@ -6,7 +6,7 @@ in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/interactive.py``,
 :class:`SimulationEngine`:
 
 - :class:`RunConfig` — frozen, schema-validated description of a run
-  (dataset/workload/policy/prefetcher/engine/faults/budget), round-
+  (dataset/workload/policy/prefetcher/faults/budget), round-
   trippable through ``to_dict``/``from_dict`` and buildable from the CLI;
 - :class:`RunContext` — the cross-cutting services (tracer, metrics
   registry, profiler, fault injector, sim clock, rng) that previously
@@ -15,8 +15,7 @@ in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/interactive.py``,
   (demand fetch → render → overlap prefetch → budget enforcement →
   bookkeeping) as an ordered stage recipe;
 - :mod:`~repro.runtime.drivers` — the five historical drivers, each now a
-  ~20-line recipe; the old import paths delegate here via deprecation
-  shims;
+  ~20-line recipe;
 - :mod:`~repro.runtime.registries` — stage/prefetcher/workload/policy
   registries, so new behaviours are registered rather than threaded;
 - :mod:`~repro.runtime.sessions` — the event-driven multi-tenant session
@@ -30,7 +29,6 @@ See ``DESIGN.md`` ("The runtime engine") for the architecture diagram and
 from repro.runtime.config import (
     CLI_FIELD_MAP,
     CLI_ONLY_FLAGS,
-    REPLAY_ENGINES,
     RUN_CONFIG_SCHEMA,
     OptimizerConfig,
     RunConfig,
@@ -86,7 +84,6 @@ __all__ = [
     "RUN_CONFIG_SCHEMA",
     "CLI_FIELD_MAP",
     "CLI_ONLY_FLAGS",
-    "REPLAY_ENGINES",
     "SimulationEngine",
     "Collector",
     "StepMetricsCollector",

@@ -1,16 +1,9 @@
 """Canonical replay drivers, expressed as :class:`SimulationEngine` recipes.
 
-Each function here is the *authoritative* implementation of a replay mode;
-the historical import paths (``repro.core.pipeline.run_baseline``,
-``repro.prefetch.driver.run_with_prefetcher``,
-``repro.core.interactive.run_budgeted``, ``repro.core.temporal.run_temporal``
-and ``repro.core.optimizer.AppAwareOptimizer``) are deprecation shims that
-delegate here.  A driver builds a stage list + collector and hands them to
-the engine — the loop itself lives in exactly one place now.
-
-For the ``engine="batched"|"scalar"`` semantics shared by every driver see
-:mod:`repro.runtime.engine` (the module docstring is the single reference;
-the per-driver boilerplate that used to repeat it is gone).
+Each function here is the implementation of a replay mode; the package
+namespaces (``repro.core``, ``repro.prefetch``, ``repro``) re-export them.
+A driver builds a stage list + collector and hands them to the engine —
+the loop itself lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -70,7 +63,6 @@ def run_baseline(
     tracer=None,
     registry=None,
     profiler=None,
-    engine: str = "batched",
     ctx: Optional[RunContext] = None,
 ) -> "RunResult":
     """Replay the path with a conventional policy (FIFO/LRU/ARC/...).
@@ -83,9 +75,8 @@ def run_baseline(
     (victims must not have been used at the current step) to the baseline
     too — an ablation knob; the paper's baselines run unprotected.
 
-    ``tracer``/``registry``/``profiler`` and ``engine`` behave as described
-    in :mod:`repro.runtime` (see :class:`~repro.runtime.context.RunContext`
-    and the :mod:`repro.runtime.engine` reference).
+    ``tracer``/``registry``/``profiler`` behave as described in
+    :mod:`repro.runtime` (see :class:`~repro.runtime.context.RunContext`).
     """
     policy_name = hierarchy.fastest.policy.name
     collector = StepMetricsCollector(
@@ -101,7 +92,7 @@ def run_baseline(
         RenderStage(),
     ]
     ctx = _resolve_ctx(ctx, tracer, registry, profiler)
-    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx, engine=engine).run()
+    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
 
 
 def run_with_prefetcher(
@@ -115,7 +106,6 @@ def run_with_prefetcher(
     tracer=None,
     registry=None,
     profiler=None,
-    engine: str = "batched",
     ctx: Optional[RunContext] = None,
 ) -> "RunResult":
     """Replay ``context.path`` using ``prefetcher`` for predictions.
@@ -133,8 +123,8 @@ def run_with_prefetcher(
     queue depth and precision/recall counters (a prefetch at step *i* is
     *useful* when the block is demanded at step *i + 1*).
 
-    ``tracer``/``registry``/``profiler`` and ``engine`` behave as described
-    in the :mod:`repro.runtime.engine` reference.
+    ``tracer``/``registry``/``profiler`` behave as described in
+    :class:`~repro.runtime.context.RunContext`.
     """
     collector = StepMetricsCollector(
         name=name or f"prefetch-{prefetcher.name}",
@@ -153,7 +143,7 @@ def run_with_prefetcher(
         StrategyPrefetchStage(prefetcher, max_prefetch_per_step=max_prefetch_per_step),
     ]
     ctx = _resolve_ctx(ctx, tracer, registry, profiler)
-    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx, engine=engine).run()
+    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
 
 
 def run_budgeted(
@@ -168,7 +158,6 @@ def run_budgeted(
     tracer=None,
     registry=None,
     profiler=None,
-    engine: str = "batched",
     ctx: Optional[RunContext] = None,
 ) -> "BudgetedResult":
     """Replay with a per-step demand-I/O deadline.
@@ -185,9 +174,9 @@ def run_budgeted(
 
     On top of the hierarchy's fetch metrics, ``registry`` records a
     per-step ``frame_coverage`` histogram and a ``frame_time_seconds``
-    histogram.  ``tracer``/``profiler`` and ``engine`` behave as described
-    in the :mod:`repro.runtime.engine` reference (the budget cut-off keeps
-    the miss loop sequential on either engine).
+    histogram.  ``tracer``/``profiler`` behave as described in
+    :class:`~repro.runtime.context.RunContext`.  The budget cut-off keeps
+    the miss loop sequential (one ``fetch`` per missing block).
     """
     check_positive("io_budget_s", io_budget_s)
     collector = BudgetedCollector(name=name, io_budget_s=io_budget_s)
@@ -199,7 +188,7 @@ def run_budgeted(
         stages.append(BudgetedPrefetchStage(visible_table, importance=importance, sigma=sigma))
     stages.append(RenderStage(count="rendered", span=False))
     ctx = _resolve_ctx(ctx, tracer, registry, profiler)
-    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx, engine=engine).run()
+    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
 
 
 def run_temporal(
@@ -270,9 +259,7 @@ def run_temporal(
                 remap, visible_table, importance=importance, sigma=sigma, lookup_cost=lookup_cost
             )
         )
-    return SimulationEngine(
-        context, hierarchy, stages, collector, ctx=ctx or RunContext(), engine="scalar"
-    ).run()
+    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
 
 
 class AppAwareOptimizer:
@@ -320,7 +307,6 @@ class AppAwareOptimizer:
         tracer=None,
         registry=None,
         profiler=None,
-        engine: str = "batched",
         ctx: Optional[RunContext] = None,
     ) -> "RunResult":
         """Replay ``context.path`` with Algorithm 1 on ``hierarchy``.
@@ -328,8 +314,8 @@ class AppAwareOptimizer:
         ``registry`` additionally records prefetch queue depth and
         precision/recall counters (a prefetch at step *i* counts as
         *useful* when the block is demanded at step *i + 1*).
-        ``tracer``/``profiler`` and ``engine`` behave as described in the
-        :mod:`repro.runtime.engine` reference.
+        ``tracer``/``profiler`` behave as described in
+        :class:`~repro.runtime.context.RunContext`.
         """
         cfg = self.config
         sigma_state = SigmaState(self.sigma, cfg.sigma_percentile)
@@ -364,6 +350,4 @@ class AppAwareOptimizer:
         if cfg.adaptive_sigma and cfg.prefetch:
             stages.append(AdaptiveSigmaStage(sigma_state, self.importance_table, cfg))
         ctx = _resolve_ctx(ctx, tracer, registry, profiler)
-        return SimulationEngine(
-            context, hierarchy, stages, collector, ctx=ctx, engine=engine
-        ).run()
+        return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()

@@ -8,17 +8,11 @@ up into the run's result type.  A legacy driver is now a *recipe* — a
 particular stage list plus collector — built by
 :mod:`repro.runtime.drivers`.
 
-Engine variants (see :data:`repro.runtime.config.REPLAY_ENGINES`):
-
-- ``"batched"`` (default) — stages drive the hierarchy through the
-  vectorized ``fetch_many``/``prefetch_many`` fast paths, one call per
-  step;
-- ``"scalar"`` — stages issue one ``fetch`` per block, the compatibility
-  path.
-
-Both produce identical results: simulated clocks, cache stats, byte
-ledger, and trace stream are pinned against each other (and against
-frozen copies of the pre-runtime drivers) by the equivalence suite.
+Stages drive the hierarchy through the vectorized
+``fetch_many``/``prefetch_many`` calls, one per step.  Simulated clocks,
+cache stats, byte ledger, and trace stream are pinned against frozen
+copies of the pre-runtime drivers (per-block and batched) by the
+equivalence suite.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.metrics import RunResult, StepMetrics
-from repro.runtime.config import REPLAY_ENGINES
 from repro.runtime.context import RunContext
 from repro.runtime.stages import Frame, Stage
 
@@ -87,8 +80,9 @@ class SimulationEngine:
     ctx:
         Cross-cutting services (tracer/metrics/profiler/faults/clock/rng);
         ``None`` builds a default (null services, adopt the hierarchy's).
-    engine:
-        ``"batched"`` or ``"scalar"`` — see the module docstring.
+    tenant:
+        Tenant label stamped on every fetch the stages issue (quota
+        accounting in a shared hierarchy); None outside multi-tenant runs.
     """
 
     def __init__(
@@ -98,20 +92,13 @@ class SimulationEngine:
         stages: Sequence[Stage],
         collector: Collector,
         ctx: Optional[RunContext] = None,
-        engine: str = "batched",
         tenant: Optional[str] = None,
     ) -> None:
-        if engine not in REPLAY_ENGINES:
-            raise ValueError(f"engine must be one of {REPLAY_ENGINES}, got {engine!r}")
         self.context = context
         self.hierarchy = hierarchy
         self.stages: List[Stage] = list(stages)
         self.collector = collector
         self.ctx = (ctx if ctx is not None else RunContext()).bind(hierarchy)
-        self.engine = engine
-        self.batched = engine == "batched"
-        #: Tenant label stamped on every fetch the stages issue (quota
-        #: accounting in a shared hierarchy); None outside multi-tenant runs.
         self.tenant = tenant
 
     def run(self):
@@ -130,7 +117,7 @@ class SimulationEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = [getattr(s, "name", type(s).__name__) for s in self.stages]
-        return f"SimulationEngine(engine={self.engine!r}, stages={names})"
+        return f"SimulationEngine(stages={names})"
 
 
 def movement_extras(engine) -> Dict[str, float]:

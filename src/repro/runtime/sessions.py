@@ -173,7 +173,6 @@ def run_sessions(
     view_angle_deg: float = 10.0,
     render_model=None,
     ctx: Optional[RunContext] = None,
-    engine: str = "batched",
     partition: "Union[None, str, Mapping[str, float]]" = None,
     protect_current_step: bool = False,
     attribution: bool = False,
@@ -194,8 +193,6 @@ def run_sessions(
     ctx:
         The shared :class:`RunContext`; its registry/tracer see every
         session (the ``frame_time_seconds`` histogram pools all tenants).
-    engine:
-        ``"batched"`` or ``"scalar"`` replay fast path, as in the drivers.
     partition:
         ``None`` — no quotas (free-for-all sharing); ``"equal"`` — each
         distinct tenant gets ``1/n`` of every level; or a mapping tenant
@@ -256,7 +253,7 @@ def run_sessions(
             RenderStage(),
         ]
         sim = SimulationEngine(
-            context, hierarchy, stages, collector, ctx=ctx, engine=engine,
+            context, hierarchy, stages, collector, ctx=ctx,
             tenant=spec.tenant_label if quotas else None,
         )
         states.append(_SessionState(spec=spec, engine=sim))

@@ -116,9 +116,8 @@ class DemandFetchStage(Stage):
     """Bring every visible block to fast memory (Alg. 1 lines 8-19).
 
     ``protect=True`` applies the paper's eviction constraint: victims must
-    not have been used at the current step (``min_free_step = i``).
-    Batched engines issue one ``fetch_many`` per step; scalar engines one
-    ``fetch`` per block — identical results, different constant factors.
+    not have been used at the current step (``min_free_step = i``).  One
+    ``fetch_many`` per step.
     """
 
     name = "demand-fetch"
@@ -133,24 +132,11 @@ class DemandFetchStage(Stage):
         fast_misses_before = fastest.stats.misses
         tenant = getattr(engine, "tenant", None)
         with engine.ctx.profiler.span("fetch"):
-            if engine.batched:
-                res = hierarchy.fetch_many(
-                    frame.ids, frame.step, min_free_step=min_free, tenant=tenant
-                )
-                frame.io_time_s = res.time_s
-                frame.n_dropped = res.n_dropped
-            else:
-                io = 0.0
-                dropped = 0
-                for b in frame.ids:
-                    r = hierarchy.fetch(
-                        int(b), frame.step, min_free_step=min_free, tenant=tenant
-                    )
-                    io += r.time_s
-                    if r.dropped:
-                        dropped += 1
-                frame.io_time_s = io
-                frame.n_dropped = dropped
+            res = hierarchy.fetch_many(
+                frame.ids, frame.step, min_free_step=min_free, tenant=tenant
+            )
+        frame.io_time_s = res.time_s
+        frame.n_dropped = res.n_dropped
         frame.n_fast_misses = fastest.stats.misses - fast_misses_before
 
 
@@ -175,48 +161,26 @@ class BudgetedFetchStage(Stage):
         fastest = hierarchy.fastest
         importance = self.importance
         i = frame.step
-        ids = frame.ids
-        if engine.batched:
-            ids_arr = np.ascontiguousarray(ids, dtype=np.int64)
-            mask = fastest.contains_many(ids_arr)
-            resident = ids_arr[mask]
-            missing_arr = ids_arr[~mask]
-            if importance is not None and missing_arr.size:
-                missing_arr = missing_arr[
-                    np.argsort(-importance.scores[missing_arr], kind="stable")
-                ]
-            missing = missing_arr.tolist()
-            rendered = resident.tolist()
-        else:
-            ids_int = [int(b) for b in ids]
-            resident = [b for b in ids_int if hierarchy.contains_fast(b)]
-            resident_set = set(resident)
-            missing = [b for b in ids_int if b not in resident_set]
-            if importance is not None and missing:
-                order = np.argsort(-importance.scores[np.asarray(missing)], kind="stable")
-                missing = [missing[k] for k in order]
-            rendered = list(resident)
+        ids_arr = np.ascontiguousarray(frame.ids, dtype=np.int64)
+        mask = fastest.contains_many(ids_arr)
+        resident = ids_arr[mask]
+        missing = ids_arr[~mask]
+        if importance is not None and missing.size:
+            missing = missing[np.argsort(-importance.scores[missing], kind="stable")]
+        rendered = resident.tolist()
 
         miss_time = 0.0
         step_dropped = 0
         with engine.ctx.profiler.span("fetch"):
             # Hits: account + touch; free wrt the budget.
-            if engine.batched:
-                res = hierarchy.fetch_many(resident, i, min_free_step=i)
-                hit_time = res.time_s
-                if res.n_dropped:  # resident copy unreadable, nothing served
-                    step_dropped += res.n_dropped
-                    gone = set(res.dropped_ids)
-                    rendered = [b for b in rendered if b not in gone]
-            else:
-                hit_time = 0.0
-                for b in resident:
-                    r = hierarchy.fetch(b, i, min_free_step=i)
-                    hit_time += r.time_s
-                    if r.dropped:
-                        step_dropped += 1
-                        rendered.remove(b)
-            for b in missing:
+            res = hierarchy.fetch_many(resident, i, min_free_step=i)
+            hit_time = res.time_s
+            if res.n_dropped:  # resident copy unreadable, nothing served
+                step_dropped += res.n_dropped
+                gone = set(res.dropped_ids)
+                rendered = [b for b in rendered if b not in gone]
+            # Misses stay per block: the budget cut-off is order-dependent.
+            for b in missing.tolist():
                 r = hierarchy.fetch(b, i, min_free_step=i)
                 miss_time += r.time_s
                 if r.dropped:
@@ -294,8 +258,7 @@ class _OverlapPrefetchBase(Stage):
         self.max_prefetch_per_step = max_prefetch_per_step
         self.dedupe = dedupe
         self._cap = 0
-        self._issued_prev: "set[int]" = set()  # scalar engine
-        self._issued_prev_arr = np.empty(0, dtype=np.int64)  # batched engine
+        self._issued_prev = np.empty(0, dtype=np.int64)
         self._queue_gauge = None
         self._issued_counter = None
         self._useful_counter = None
@@ -307,8 +270,7 @@ class _OverlapPrefetchBase(Stage):
         self._issued_counter = registry.counter("prefetch_evaluated_total")
         self._useful_counter = registry.counter("prefetch_useful_total")
         self._demanded_counter = registry.counter("prefetch_demand_window_total")
-        self._issued_prev = set()
-        self._issued_prev_arr = np.empty(0, dtype=np.int64)
+        self._issued_prev = np.empty(0, dtype=np.int64)
         cap = self.max_prefetch_per_step
         self._cap = cap if cap is not None else engine.hierarchy.fastest.capacity
 
@@ -318,59 +280,27 @@ class _OverlapPrefetchBase(Stage):
         if not engine.ctx.registry.enabled:
             return
         ids = frame.ids
-        if engine.batched:
-            if self._issued_prev_arr.size:
-                self._issued_counter.inc(self._issued_prev_arr.size)
-                # Set membership beats np.isin at visible-set sizes.
-                demand_now = set(np.asarray(ids).tolist())
-                self._useful_counter.inc(
-                    sum(1 for b in self._issued_prev_arr.tolist() if b in demand_now)
-                )
-            self._issued_prev_arr = np.empty(0, dtype=np.int64)
-        else:
-            demand_now = {int(b) for b in ids}
-            if self._issued_prev:
-                self._issued_counter.inc(len(self._issued_prev))
-                self._useful_counter.inc(len(self._issued_prev & demand_now))
-            self._issued_prev = set()
+        if self._issued_prev.size:
+            self._issued_counter.inc(self._issued_prev.size)
+            # Set membership beats np.isin at visible-set sizes.
+            demand_now = set(np.asarray(ids).tolist())
+            self._useful_counter.inc(
+                sum(1 for b in self._issued_prev.tolist() if b in demand_now)
+            )
+        self._issued_prev = np.empty(0, dtype=np.int64)
         if frame.step > 0:
             self._demanded_counter.inc(len(ids))
 
     def _issue(self, engine, frame: Frame, candidates) -> None:
-        """The capped prefetch loop; fills prefetch_time_s/n_prefetched."""
-        hierarchy = engine.hierarchy
-        registry = engine.ctx.registry
+        """The capped prefetch call; fills prefetch_time_s/n_prefetched."""
         i = frame.step
-        if engine.batched:
-            issued, prefetch_time = hierarchy.prefetch_many(
-                candidates, i, min_free_step=i, max_fetch=self._cap, dedupe=self.dedupe
-            )
-            n_prefetched = len(issued)
-            if registry.enabled:
-                self._issued_prev_arr = np.asarray(issued, dtype=np.int64)
-        else:
-            prefetch_time = 0.0
-            n_prefetched = 0
-            # With dedupe, a predictor may repeat ids; fetch each at most once.
-            attempted: Optional[set] = set() if self.dedupe else None
-            for b in candidates:
-                if n_prefetched >= self._cap:
-                    break
-                b = int(b)
-                if attempted is not None:
-                    if b in attempted or hierarchy.contains_fast(b):
-                        continue
-                    attempted.add(b)
-                elif hierarchy.contains_fast(b):
-                    continue
-                prefetch_time += hierarchy.fetch(
-                    b, i, prefetch=True, min_free_step=i
-                ).time_s
-                n_prefetched += 1
-                if registry.enabled:
-                    self._issued_prev.add(b)
+        issued, prefetch_time = engine.hierarchy.prefetch_many(
+            candidates, i, min_free_step=i, max_fetch=self._cap, dedupe=self.dedupe
+        )
+        if engine.ctx.registry.enabled:
+            self._issued_prev = np.asarray(issued, dtype=np.int64)
         frame.prefetch_time_s = prefetch_time
-        frame.n_prefetched = n_prefetched
+        frame.n_prefetched = len(issued)
 
 
 class StrategyPrefetchStage(_OverlapPrefetchBase):
@@ -415,12 +345,9 @@ class _BatchedTableLookupMixin:
     The per-point results are bit-identical to single-frame
     :meth:`VisibleTable.lookup` calls (same tree, same metric), and the
     simulated lookup cost is still charged per frame — so the ledger is
-    byte-stable whether ``batch_lookups`` is on or off (tested).  Stages
-    mix this in and call :meth:`_predicted` instead of ``lookup``.
+    byte-identical to the per-frame seed drivers (tested).  Stages mix
+    this in and call :meth:`_predicted` instead of ``lookup``.
     """
-
-    #: Flip to False to fall back to one KD-tree query per frame.
-    batch_lookups = True
 
     _path_keys: Optional[np.ndarray] = None
 
@@ -429,9 +356,6 @@ class _BatchedTableLookupMixin:
 
     def _predicted(self, engine, step: int) -> np.ndarray:
         table = self.visible_table
-        if not self.batch_lookups:
-            _, predicted = table.lookup(engine.context.path.positions[step])
-            return predicted
         if self._path_keys is None:
             self._path_keys, _ = table.nearest_entries(engine.context.path.positions)
         return table.entry(int(self._path_keys[step]))
@@ -529,7 +453,7 @@ class BudgetedPrefetchStage(_BatchedTableLookupMixin, Stage):
 
     Candidates are sliced to the fastest level's capacity *before* the
     resident skip (skipped candidates still consume queue slots — the
-    historical scalar semantics), and the prefetch time is never charged
+    seed driver's semantics), and the prefetch time is never charged
     against the frame budget.
     """
 
@@ -545,29 +469,18 @@ class BudgetedPrefetchStage(_BatchedTableLookupMixin, Stage):
 
     def step(self, engine, frame: Frame) -> None:
         hierarchy = engine.hierarchy
-        fastest = hierarchy.fastest
         i = frame.step
-        prefetch_time = 0.0
         with engine.ctx.profiler.span("prefetch"):
             predicted = self._predicted(engine, i)
             if self.importance is not None:
                 candidates = self.importance.filter_and_rank(predicted, self.sigma)
             else:
                 candidates = predicted
-            # Slice *before* the resident skip (scalar semantics:
-            # skipped candidates still consume queue slots).
-            if engine.batched:
-                _, prefetch_time = hierarchy.prefetch_many(
-                    candidates[: fastest.capacity], i, min_free_step=i
-                )
-            else:
-                for b in candidates[: fastest.capacity]:
-                    b = int(b)
-                    if hierarchy.contains_fast(b):
-                        continue
-                    prefetch_time += hierarchy.fetch(
-                        b, i, prefetch=True, min_free_step=i
-                    ).time_s
+            # Slice *before* the resident skip: skipped candidates still
+            # consume queue slots.
+            _, prefetch_time = hierarchy.prefetch_many(
+                candidates[: hierarchy.fastest.capacity], i, min_free_step=i
+            )
         frame.prefetch_time_s = prefetch_time
 
 
@@ -624,7 +537,6 @@ class TemporalPrefetchStage(_BatchedTableLookupMixin, Stage):
         if self.visible_table is None:
             return
         hierarchy = engine.hierarchy
-        fastest = hierarchy.fastest
         series = self.remap.series
         n_spatial = engine.context.grid.n_blocks
         i = frame.step
@@ -639,15 +551,8 @@ class TemporalPrefetchStage(_BatchedTableLookupMixin, Stage):
                 candidates = self.importance.filter_and_rank(shifted, self.sigma)
             else:
                 candidates = np.asarray(predicted, dtype=np.int64) + t_next * n_spatial
-            prefetch_time = 0.0
-            n_prefetched = 0
-            for b in candidates:
-                if n_prefetched >= fastest.capacity:
-                    break
-                b = int(b)
-                if hierarchy.contains_fast(b):
-                    continue
-                prefetch_time += hierarchy.fetch(b, i, prefetch=True, min_free_step=i).time_s
-                n_prefetched += 1
+            issued, prefetch_time = hierarchy.prefetch_many(
+                candidates, i, min_free_step=i, max_fetch=hierarchy.fastest.capacity
+            )
         frame.prefetch_time_s = prefetch_time
-        frame.n_prefetched = n_prefetched
+        frame.n_prefetched = len(issued)

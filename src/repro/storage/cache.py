@@ -246,7 +246,7 @@ class CacheLevel:
         (the caller still gets the data, it just is not cached) — this is
         the safe degradation when the working set exceeds capacity.
 
-        ``agg`` is the batched engine's trace-aggregation accumulator:
+        ``agg`` is the batched calls' trace-aggregation accumulator:
         when given, evict/bypass events are counted into it per
         (kind, level) instead of recorded individually.
 

@@ -221,7 +221,7 @@ class MemoryHierarchy:
     ) -> None:
         """Install a :class:`~repro.faults.injector.FaultInjector` (or None).
 
-        With an injector installed, every read — scalar and batched, demand
+        With an injector installed, every read — per-block and batched, demand
         and prefetch — routes through the resilient path: per-attempt fault
         draws, bounded retries with deterministic sim-clock exponential
         backoff (``retry_policy``, default :class:`~repro.faults.resilience.
@@ -667,7 +667,7 @@ class MemoryHierarchy:
         """Batched fetch under fault injection: the scalar resilient path
         per id, with the same left-fold time accumulation as the fast
         path.  Fault draws are pure functions of (seed, device, key, step,
-        attempt), so this is deterministic and engine-independent."""
+        attempt), so this is deterministic and batching-independent."""
         n = ids.size
         times = np.zeros(n, dtype=np.float64)
         n_fast = 0
@@ -691,7 +691,7 @@ class MemoryHierarchy:
         dedupe: bool,
         tenant: Optional[str] = None,
     ) -> "tuple[List[int], float]":
-        """Prefetch under fault injection: the drivers' scalar loop
+        """Prefetch under fault injection: the per-block prefetch loop
         semantics (cap before skip, optional dedupe, live fastest-level
         residency) over the resilient fetch.  A dropped prefetch still
         counts as issued — the prediction was acted on, it just failed."""
@@ -1019,15 +1019,15 @@ class MemoryHierarchy:
         """Issue prefetches for ``candidates`` in order; returns
         ``(issued ids, total prefetch time)``.
 
-        Replicates the drivers' scalar prefetch loop exactly: candidates
-        already resident in the fastest level are skipped against *live*
-        residency (an earlier prefetch in the same batch may have evicted
-        a later candidate), at most ``max_fetch`` fetches are issued
-        (None = unlimited; the cap check precedes the skip checks, as in
-        the scalar loops), and ``dedupe=True`` fetches each candidate id
-        at most once (the attempted-set semantics of
-        ``run_with_prefetcher`` — note a duplicate of a *skipped* resident
-        candidate may still be fetched later if it was evicted in between).
+        Replicates a per-block ``fetch(..., prefetch=True)`` loop exactly:
+        candidates already resident in the fastest level are skipped
+        against *live* residency (an earlier prefetch in the same batch may
+        have evicted a later candidate), at most ``max_fetch`` fetches are
+        issued (None = unlimited; the cap check precedes the skip checks),
+        and ``dedupe=True`` fetches each candidate id at most once (the
+        attempted-set semantics of ``run_with_prefetcher`` — note a
+        duplicate of a *skipped* resident candidate may still be fetched
+        later if it was evicted in between).
 
         Vectorization mirrors :meth:`fetch_many`: the initial residency
         mask partitions the candidates; runs of hinted-resident candidates

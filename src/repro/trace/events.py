@@ -103,8 +103,8 @@ class TraceEvent:
         ``"replay/fetch"`` — links trace events to wall-clock phases.
     count:
         Number of per-block actions this event stands for.  ``1`` in exact
-        mode (one event per action); the batched engine's aggregated mode
-        folds a step's hits/fetches/prefetches per (step, level, kind) into
+        mode (one event per action); the aggregated mode of ``fetch_many``/
+        ``prefetch_many`` (``hierarchy.aggregate_trace``) folds a step's hits/fetches/prefetches per (step, level, kind) into
         one event with ``count > 1``, ``nbytes``/``time_s`` summed, and
         ``key = -1`` — the byte ledger is unchanged because aggregation
         only re-buckets the same totals.

@@ -62,7 +62,7 @@ class Tracer:
         """Append one event; overwrites the oldest once the ring is full.
 
         ``count > 1`` marks an aggregated event standing for that many
-        per-block actions (batched engine's per-step roll-up).
+        per-block actions (the batched calls' per-step roll-up).
         ``age_steps``/``origin`` carry eviction provenance on ``re_miss``
         events and keep their defaults everywhere else.
         """

@@ -6,16 +6,18 @@ dense kernel's elementwise arithmetic on the survivors, so every output —
 masks, sorted id lists, and the CSR table build downstream — must be
 byte-identical across ``kernel=`` values.  Hypothesis sweeps random grids,
 angles, and camera placements, including the adversarial ones: cameras
-inside blocks, at the centroid (degenerate view axis), grazing the cone
-boundary, and ``include_center=False``.
+inside blocks, at or within 1e-15…1e-6 of the centroid (degenerate view
+axis) and of block faces, grazing the cone boundary, and
+``include_center=False``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.camera.frustum import (
+    _DENSE_TEMPS,
     AUTO_CULL_MIN_BLOCKS,
     broadcast_position_chunk,
     resolve_kernel,
@@ -61,6 +63,34 @@ angles = st.floats(1.0, 170.0)
 coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
+#: Camera offsets 1e-15…1e-6 from an anchor, four per decade.
+NEAR_OFFSETS = 10.0 ** np.linspace(-15.0, -6.0, 37)
+
+
+@st.composite
+def near_degenerate_cameras(draw):
+    """A grid and cameras 1e-15…1e-6 away from the volume centroid (where
+    the view axis ``-pos`` nearly vanishes) or from a block face, along one
+    drawn direction: ``(grid, (len(NEAR_OFFSETS), 3) positions)``."""
+    g = draw(grids)
+    # Grid-symmetric directions put block corners exactly on the view axis,
+    # which is where a wrongly culled block shows.
+    lattice = st.tuples(*[st.integers(-1, 1)] * 3)
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    direction = np.array(draw(st.one_of(lattice, st.tuples(unit, unit, unit))), dtype=float)
+    norm = np.linalg.norm(direction)
+    direction = direction / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+    anchor = np.zeros(3)  # the centroid
+    if draw(st.booleans()):
+        lo, hi = g.bounds()
+        bid = draw(st.integers(0, g.n_blocks - 1))
+        frac = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+        anchor = lo[bid] + frac * (hi[bid] - lo[bid])
+        axis = draw(st.integers(0, 2))
+        anchor[axis] = (lo if draw(st.booleans()) else hi)[bid, axis]  # on a face plane
+    return g, anchor + NEAR_OFFSETS[:, None] * direction
+
+
 class TestDenseCulledEquivalence:
     @given(grids, angles, st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -73,6 +103,7 @@ class TestDenseCulledEquivalence:
         _assert_all_kernels_equal(np.array(points), g, angle, False)
 
     @given(grids, angles, st.floats(-0.99, 0.99), st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
+    @example(BlockGrid((16, 16, 16), (4, 4, 4)), 1.0, 0.0, 0.0, 1e-12)
     @settings(max_examples=40, deadline=None)
     def test_camera_inside_volume(self, g, angle, x, y, z):
         """Cameras inside the volume: the inside-AABB rule must survive the
@@ -82,6 +113,15 @@ class TestDenseCulledEquivalence:
         dense = _assert_all_kernels_equal(pos, g, angle, True)
         for bid in g.blocks_containing(pos):
             assert dense[0, bid]
+
+    @given(near_degenerate_cameras(), angles, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_camera_near_centroid_or_face(self, cameras, angle, include_center):
+        """Near the centroid ``d·‖axis‖`` can fall below the prescreen's
+        clamp; the prescreen must then keep the block for the exact test
+        instead of culling it."""
+        g, positions = cameras
+        _assert_all_kernels_equal(positions, g, angle, include_center)
 
     def test_camera_at_centroid_degenerate_axis(self, grid):
         """At the exact centroid the view axis is the zero vector: the cone
@@ -103,11 +143,15 @@ class TestDenseCulledEquivalence:
     @given(angles)
     @settings(max_examples=20, deadline=None)
     def test_chunked_culled_consistent(self, angle):
-        g = BlockGrid((32, 32, 32), (4, 4, 4))
+        """Both chunk boundaries of the culled kernel: 65 positions cross
+        its 64-position prescreen chunk, and a budget of seven (position,
+        block) pairs splits the exact-test slabs."""
+        g = BlockGrid((16, 16, 16), (4, 4, 4))  # 64 blocks
         rng = np.random.default_rng(3)
-        positions = rng.uniform(-3, 3, size=(13, 3))
+        positions = rng.uniform(-3, 3, size=(65, 3))
+        seven_pairs = 7 * 9 * 3 * 8 * _DENSE_TEMPS
         for kernel in CULLED:
-            tiny = visible_ids_batch(positions, g, angle, kernel=kernel, chunk_bytes=1)
+            tiny = visible_ids_batch(positions, g, angle, kernel=kernel, chunk_bytes=seven_pairs)
             big = visible_ids_batch(positions, g, angle, kernel=kernel)
             for a, b in zip(tiny, big):
                 assert np.array_equal(a, b)

@@ -12,9 +12,10 @@ exactly one link — checked with integer ``==``, no tolerance:
   to the ``peer_transfer:{link}`` component, and invariant **B** (exact
   ``Fraction`` partition) still holds with the new component present.
 
-The full chaos x cluster sweep (every cluster fault profile x both
-engines x all strategies) is marked ``slow``; a representative core runs
-in tier 1.
+Each law is checked on the runtime's batched replay (``"batched"``) and
+on the seed driver's per-block ``fetch`` loop (``"scalar"``).  The full
+chaos x cluster sweep (every cluster fault profile x both replays x all
+strategies) is marked ``slow``; a representative core runs in tier 1.
 """
 
 from fractions import Fraction
@@ -40,8 +41,10 @@ from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
 
+from tests.runtime._seed_drivers import seed_run_baseline
+
 VIEW = 10.0
-ENGINES = ("batched", "scalar")
+REPLAYS = ("batched", "scalar")
 N_NODES = 4
 FAULT_SEED = 7
 
@@ -68,10 +71,13 @@ def _sharded(grid, profile, strategy="slab", ghost_ratio=0.1):
     return h
 
 
-def _run(context, grid, profile, engine, strategy="slab"):
+def _run(context, grid, profile, replay, strategy="slab"):
     tracer = Tracer()
     h = _sharded(grid, profile, strategy=strategy)
-    result = run_baseline(context, h, tracer=tracer, engine=engine)
+    if replay == "scalar":
+        result = seed_run_baseline(context, h, tracer=tracer, engine="scalar")
+    else:
+        result = run_baseline(context, h, tracer=tracer)
     return h, tracer, result
 
 
@@ -103,11 +109,11 @@ def _assert_partition_exact(report):
 
 
 class TestByteConservation:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("replay", REPLAYS)
     @pytest.mark.parametrize("profile", ("none", "link-partition"))
-    def test_split_sums_to_bytes_moved(self, net_setup, profile, engine):
+    def test_split_sums_to_bytes_moved(self, net_setup, profile, replay):
         grid, context = net_setup
-        h, tracer, _ = _run(context, grid, profile, engine)
+        h, tracer, _ = _run(context, grid, profile, replay)
         _assert_bytes_conserved(h, tracer)
 
     def test_partition_forces_cold_fallbacks(self, net_setup):
@@ -151,11 +157,11 @@ class TestByteConservation:
 
 
 class TestAttributionInvariants:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("replay", REPLAYS)
     @pytest.mark.parametrize("profile", ("none", "link-partition"))
-    def test_invariant_a_extends_to_peer_transfer(self, net_setup, profile, engine):
+    def test_invariant_a_extends_to_peer_transfer(self, net_setup, profile, replay):
         grid, context = net_setup
-        _, tracer, result = _run(context, grid, profile, engine)
+        _, tracer, result = _run(context, grid, profile, replay)
         report = attribute_run(
             tracer.events(), result.steps, drop_stats=tracer.drop_stats()
         )
@@ -197,16 +203,16 @@ class TestAttributionInvariants:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("replay", REPLAYS)
 @pytest.mark.parametrize("profile", CLUSTER_FAULT_PROFILES)
 @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
 class TestChaosClusterSweep:
-    """Every cluster fault profile x engine x strategy conserves bytes and
+    """Every cluster fault profile x replay x strategy conserves bytes and
     reconciles attribution bit-for-bit."""
 
-    def test_conservation_and_attribution(self, net_setup, profile, engine, strategy):
+    def test_conservation_and_attribution(self, net_setup, profile, replay, strategy):
         grid, context = net_setup
-        h, tracer, result = _run(context, grid, profile, engine, strategy=strategy)
+        h, tracer, result = _run(context, grid, profile, replay, strategy=strategy)
         _assert_bytes_conserved(h, tracer)
         report = attribute_run(
             tracer.events(), result.steps, drop_stats=tracer.drop_stats()

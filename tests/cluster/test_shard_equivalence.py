@@ -3,7 +3,7 @@
 The cluster layer's contract with everything built before it: at K=1 the
 sharded facade delegates wholesale to a
 :func:`~repro.storage.hierarchy.make_standard_hierarchy` node, so every
-driver, engine, and fault regime must produce a **bit-for-bit** identical
+driver and fault regime must produce a **bit-for-bit** identical
 observable surface to a plain single-box run — the same matrix the PR 5
 runtime refactor was pinned by:
 
@@ -14,12 +14,15 @@ runtime refactor was pinned by:
 - the **metrics registry snapshot**;
 - the **profiler sim totals**.
 
-Swept over both engines x fault-free/chaos, for the baseline driver, a
-prefetcher driver (covering ``prefetch_many`` delegation), and the
-app-aware optimizer (covering ``preload``/``fetch_many``/tenant paths).
+Swept over fault-free/chaos x two replays — the runtime drivers
+(``"batched"``: ``fetch_many``/``prefetch_many`` delegation) and the seed
+drivers' per-block loop (``"scalar"``: ``fetch`` delegation) — for the
+baseline driver, a prefetcher driver, and the app-aware optimizer
+(covering ``preload`` and the tenant paths).
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,8 +48,15 @@ from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
 
+from tests.runtime._seed_drivers import (
+    SeedAppAwareOptimizer,
+    SeedOptimizerConfig,
+    seed_run_baseline,
+    seed_run_with_prefetcher,
+)
+
 VIEW = 10.0
-ENGINES = ("batched", "scalar")
+REPLAYS = ("batched", "scalar")
 FAULTS = ("none", "chaos")
 FAULT_SEED = 7
 
@@ -150,46 +160,55 @@ def _hierarchies_equal(sharded, single):
     assert sharded.fastest.capacity == single.fastest.capacity
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+def _baseline(replay):
+    return partial(seed_run_baseline, engine="scalar") if replay == "scalar" else run_baseline
+
+
+def _with_prefetcher(replay):
+    if replay == "scalar":
+        return partial(seed_run_with_prefetcher, engine="scalar")
+    return run_with_prefetcher
+
+
+def _optimizer(replay, vtable, itable):
+    if replay == "scalar":
+        seed = SeedAppAwareOptimizer(vtable, itable, SeedOptimizerConfig())
+        return partial(seed.run, engine="scalar")
+    return AppAwareOptimizer(vtable, itable, OptimizerConfig()).run
+
+
+@pytest.mark.parametrize("replay", REPLAYS)
 @pytest.mark.parametrize("faults", FAULTS)
 class TestShardEquivalence:
-    def test_baseline(self, shard_setup, engine, faults):
+    def test_baseline(self, shard_setup, replay, faults):
         grid, context, _vt, _it = shard_setup
         go, wo = Obs(), Obs()
         sharded = _sharded_k1(grid, faults)
         single = _single_box(grid, faults)
-        got = run_baseline(context, sharded, engine=engine, **go.kwargs())
-        want = run_baseline(context, single, engine=engine, **wo.kwargs())
+        got = _baseline(replay)(context, sharded, **go.kwargs())
+        want = _baseline(replay)(context, single, **wo.kwargs())
         _run_results_equal(got, want)
         _surfaces_equal(go, wo)
         _hierarchies_equal(sharded, single)
 
-    def test_prefetcher_markov(self, shard_setup, engine, faults):
+    def test_prefetcher_markov(self, shard_setup, replay, faults):
         grid, context, _vt, _it = shard_setup
         go, wo = Obs(), Obs()
         sharded = _sharded_k1(grid, faults)
         single = _single_box(grid, faults)
-        got = run_with_prefetcher(
-            context, sharded, MarkovPrefetcher(), engine=engine, **go.kwargs()
-        )
-        want = run_with_prefetcher(
-            context, single, MarkovPrefetcher(), engine=engine, **wo.kwargs()
-        )
+        got = _with_prefetcher(replay)(context, sharded, MarkovPrefetcher(), **go.kwargs())
+        want = _with_prefetcher(replay)(context, single, MarkovPrefetcher(), **wo.kwargs())
         _run_results_equal(got, want)
         _surfaces_equal(go, wo)
         _hierarchies_equal(sharded, single)
 
-    def test_optimizer(self, shard_setup, engine, faults):
+    def test_optimizer(self, shard_setup, replay, faults):
         grid, context, vtable, itable = shard_setup
         go, wo = Obs(), Obs()
         sharded = _sharded_k1(grid, faults)
         single = _single_box(grid, faults)
-        got = AppAwareOptimizer(vtable, itable, OptimizerConfig()).run(
-            context, sharded, engine=engine, **go.kwargs()
-        )
-        want = AppAwareOptimizer(vtable, itable, OptimizerConfig()).run(
-            context, single, engine=engine, **wo.kwargs()
-        )
+        got = _optimizer(replay, vtable, itable)(context, sharded, **go.kwargs())
+        want = _optimizer(replay, vtable, itable)(context, single, **wo.kwargs())
         _run_results_equal(got, want)
         _surfaces_equal(go, wo)
         _hierarchies_equal(sharded, single)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.camera.path import spherical_path
+from repro.camera.path import random_path, spherical_path, zoom_path
 from repro.camera.sampling import SamplingConfig
+from repro.core.pipeline import PipelineContext
 from repro.core.session import OutOfCoreSession
+from repro.runtime import AppAwareOptimizer
 from repro.storage.hierarchy import make_standard_hierarchy
 from repro.tables.builder import build_importance_table, build_visible_table
 from repro.volume.blocks import BlockGrid
@@ -115,3 +117,51 @@ class TestSessionModes:
             session.view(pos)
         prefetched = sum(s.n_prefetched for s in session.history)
         assert prefetched > 0
+
+
+#: Four camera paths for the Algorithm 1 equivalence pin.
+PATHS = {
+    "orbit": lambda: spherical_path(
+        n_positions=15, degrees_per_step=15.0, distance=2.5, view_angle_deg=VIEW, seed=2
+    ),
+    "random": lambda: random_path(
+        n_positions=15, degree_change=(5.0, 10.0), distance=2.5,
+        view_angle_deg=VIEW, seed=3,
+    ),
+    "zoom": lambda: zoom_path(
+        n_positions=15, degrees_per_step=6.0, distance_range=(2.0, 3.0),
+        view_angle_deg=VIEW, seed=4,
+    ),
+    "fast-orbit": lambda: spherical_path(
+        n_positions=15, degrees_per_step=30.0, distance=2.5, view_angle_deg=VIEW, seed=5
+    ),
+}
+
+
+class TestMatchesOptimizer:
+    @pytest.mark.parametrize("cache_ratio", (0.25, 0.5))
+    @pytest.mark.parametrize("path_name", sorted(PATHS))
+    def test_view_steps_equal_app_aware_run(self, parts, path_name, cache_ratio):
+        """Viewing a path one position at a time is Algorithm 1: the same
+        per-step times, prefetch counts, misses and hierarchy stats as
+        ``AppAwareOptimizer().run`` on the same path and hierarchy."""
+        _, grid, store, vtable, itable, _ = parts
+        path = PATHS[path_name]()
+
+        def hierarchy():
+            return make_standard_hierarchy(
+                grid.n_blocks, grid.uniform_block_nbytes(), cache_ratio=cache_ratio
+            )
+
+        session = OutOfCoreSession(store, vtable, itable, hierarchy(), VIEW)
+        for pos in path.positions:
+            session.view(pos)
+        want = AppAwareOptimizer(vtable, itable).run(
+            PipelineContext.create(path, grid), hierarchy()
+        )
+        fields = ("step", "n_visible", "n_fast_misses", "n_prefetched",
+                  "io_time_s", "lookup_time_s", "prefetch_time_s")
+        got_rows = [tuple(getattr(s, f) for f in fields) for s in session.history]
+        want_rows = [tuple(getattr(s, f) for f in fields) for s in want.steps]
+        assert got_rows == want_rows
+        assert session.stats() == want.hierarchy_stats

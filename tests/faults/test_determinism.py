@@ -1,4 +1,8 @@
-"""Seed determinism and fault-free byte-identity at the driver level."""
+"""Seed determinism and fault-free byte-identity at the driver level.
+
+``"batched"`` runs the runtime driver; ``"scalar"`` the seed driver's
+per-block loop (one ``hierarchy.fetch`` per block) as the reference.
+"""
 
 import pytest
 
@@ -9,6 +13,8 @@ from repro.experiments.runner import compare_policies, fresh_hierarchy
 from repro.faults import FaultInjector, FaultPlan
 from repro.trace import Tracer
 from repro.volume.blocks import BlockGrid
+
+from tests.runtime._seed_drivers import seed_run_baseline
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +27,17 @@ def small_context():
     return grid, PipelineContext.create(path, grid)
 
 
-def _faulty_run(grid, context, profile, seed, engine):
+def _baseline(context, hierarchy, replay, **kwargs):
+    if replay == "scalar":
+        return seed_run_baseline(context, hierarchy, engine="scalar", **kwargs)
+    return run_baseline(context, hierarchy, **kwargs)
+
+
+def _faulty_run(grid, context, profile, seed, replay):
     h = fresh_hierarchy(grid)
     h.set_fault_injector(FaultInjector(FaultPlan.from_profile(profile, seed=seed)))
     tracer = Tracer()
-    result = run_baseline(context, h, tracer=tracer, engine=engine)
+    result = _baseline(context, h, replay, tracer=tracer)
     events = [
         (ev.kind, ev.step, ev.level, ev.key, ev.nbytes, ev.time_s)
         for ev in tracer.events()
@@ -34,11 +46,11 @@ def _faulty_run(grid, context, profile, seed, engine):
 
 
 class TestSeedDeterminism:
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_identical_runs_same_seed(self, small_context, engine):
+    @pytest.mark.parametrize("replay", ["scalar", "batched"])
+    def test_identical_runs_same_seed(self, small_context, replay):
         grid, context = small_context
-        a, ev_a = _faulty_run(grid, context, "lossy", 11, engine)
-        b, ev_b = _faulty_run(grid, context, "lossy", 11, engine)
+        a, ev_a = _faulty_run(grid, context, "lossy", 11, replay)
+        b, ev_b = _faulty_run(grid, context, "lossy", 11, replay)
         assert a.steps == b.steps
         assert a.hierarchy_stats == b.hierarchy_stats
         assert a.extras == b.extras
@@ -60,11 +72,11 @@ class TestSeedDeterminism:
 
 
 class TestFaultFreeByteIdentity:
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_null_plan_matches_no_injector(self, small_context, engine):
+    @pytest.mark.parametrize("replay", ["scalar", "batched"])
+    def test_null_plan_matches_no_injector(self, small_context, replay):
         grid, context = small_context
-        plain = run_baseline(context, fresh_hierarchy(grid), engine=engine)
-        wrapped, _ = _faulty_run(grid, context, "none", 0, engine)
+        plain = _baseline(context, fresh_hierarchy(grid), replay)
+        wrapped, _ = _faulty_run(grid, context, "none", 0, replay)
         # Identical replay: clocks, stats, ledger — byte for byte.
         assert wrapped.steps == plain.steps
         assert wrapped.hierarchy_stats == plain.hierarchy_stats

@@ -3,8 +3,10 @@
 The two invariants pinned here (see :mod:`repro.obs.attribution`):
 
 - **A (fold fidelity)**: the reconstructed per-channel totals equal the
-  engine's time ledger bit-for-bit (`==` on floats, no tolerance) — on
-  both engines, fault-free and under the chaos fault profile;
+  engine's time ledger bit-for-bit (`==` on floats, no tolerance) — for
+  the runtime's batched calls and for a per-block ``fetch`` loop (the
+  seed drivers' scalar mode), fault-free and under the chaos fault
+  profile;
 - **B (exact partition)**: each frame's component values, summed as
   ``fractions.Fraction``, equal the channel total exactly.
 """
@@ -22,6 +24,7 @@ from repro.obs.attribution import (
     attribute_run,
 )
 from repro.runtime import run_baseline, run_with_prefetcher
+from repro.runtime.stages import Stage
 from repro.prefetch.strategies import MarkovPrefetcher
 from repro.storage.hierarchy import make_standard_hierarchy
 from repro.trace import TraceEvent, Tracer
@@ -29,8 +32,12 @@ from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
 
+from tests.runtime._seed_drivers import seed_run_baseline, seed_run_with_prefetcher
+
 VIEW = 10.0
-ENGINES = ("batched", "scalar")
+#: "batched": the runtime drivers; "scalar": the seed drivers' per-block
+#: loop (one ``hierarchy.fetch`` per block).
+REPLAYS = ("batched", "scalar")
 FAULTS = ("none", "chaos")
 
 
@@ -57,16 +64,31 @@ def _hierarchy(grid, faults):
     return h
 
 
-def _run(context, grid, engine, faults, prefetch=False):
+def _run(context, grid, replay, faults, prefetch=False):
     tracer = Tracer()
     hierarchy = _hierarchy(grid, faults)
-    if prefetch:
-        result = run_with_prefetcher(
-            context, hierarchy, MarkovPrefetcher(), tracer=tracer, engine=engine
-        )
+    if replay == "scalar":
+        if prefetch:
+            result = seed_run_with_prefetcher(
+                context, hierarchy, MarkovPrefetcher(), tracer=tracer, engine="scalar"
+            )
+        else:
+            result = seed_run_baseline(context, hierarchy, tracer=tracer, engine="scalar")
+    elif prefetch:
+        result = run_with_prefetcher(context, hierarchy, MarkovPrefetcher(), tracer=tracer)
     else:
-        result = run_baseline(context, hierarchy, tracer=tracer, engine=engine)
+        result = run_baseline(context, hierarchy, tracer=tracer)
     return tracer, result
+
+
+class _PerBlockFetchStage(Stage):
+    """A custom demand stage: one ``hierarchy.fetch`` per visible block."""
+
+    def step(self, engine, frame):
+        for b in frame.ids.tolist():
+            r = engine.hierarchy.fetch(b, frame.step, min_free_step=frame.step)
+            frame.io_time_s += r.time_s
+            frame.n_dropped += int(r.dropped)
 
 
 def _assert_partition_exact(report):
@@ -89,11 +111,11 @@ def _assert_partition_exact(report):
 
 
 class TestExactReconciliation:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("replay", REPLAYS)
     @pytest.mark.parametrize("faults", FAULTS)
-    def test_baseline_reconciles_bit_for_bit(self, attr_context, engine, faults):
+    def test_baseline_reconciles_bit_for_bit(self, attr_context, replay, faults):
         grid, context = attr_context
-        tracer, result = _run(context, grid, engine, faults)
+        tracer, result = _run(context, grid, replay, faults)
         report = attribute_run(
             tracer.events(), result.steps, drop_stats=tracer.drop_stats()
         )
@@ -108,12 +130,12 @@ class TestExactReconciliation:
             )
         _assert_partition_exact(report)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_chaos_components_sum_to_ledger(self, attr_context, engine):
+    @pytest.mark.parametrize("replay", REPLAYS)
+    def test_chaos_components_sum_to_ledger(self, attr_context, replay):
         """Satellite: hit + miss + retry + fault shares sum exactly to the
-        per-step ledger under the chaos profile, on both engines."""
+        per-step ledger under the chaos profile, batched or per block."""
         grid, context = attr_context
-        tracer, result = _run(context, grid, engine, "chaos")
+        tracer, result = _run(context, grid, replay, "chaos")
         report = attribute_run(tracer.events(), result.steps)
         assert report.reconciled is True
         _assert_partition_exact(report)
@@ -124,11 +146,11 @@ class TestExactReconciliation:
         # chaos with seed 7 injects faults on this trace
         assert {"fault_penalty", "retry_backoff"} & all_comps
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("replay", REPLAYS)
     @pytest.mark.parametrize("faults", FAULTS)
-    def test_prefetch_channel_reconciles(self, attr_context, engine, faults):
+    def test_prefetch_channel_reconciles(self, attr_context, replay, faults):
         grid, context = attr_context
-        tracer, result = _run(context, grid, engine, faults, prefetch=True)
+        tracer, result = _run(context, grid, replay, faults, prefetch=True)
         report = attribute_run(tracer.events(), result.steps)
         assert report.reconciled is True
         assert report.totals["prefetch_time_s"] > 0.0
@@ -210,8 +232,8 @@ class TestOrphanGroups:
 
 
 class TestAttributionCollector:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_wraps_engine_collector(self, attr_context, engine):
+    @pytest.mark.parametrize("replay", REPLAYS)
+    def test_wraps_engine_collector(self, attr_context, replay):
         from repro.runtime.engine import (
             SimulationEngine,
             StepMetricsCollector,
@@ -227,10 +249,9 @@ class TestAttributionCollector:
         )
         collector = AttributionCollector(inner)
         ctx = RunContext(tracer=Tracer())
+        fetch = DemandFetchStage() if replay == "batched" else _PerBlockFetchStage()
         result = SimulationEngine(
-            context, _hierarchy(grid, "none"),
-            [DemandFetchStage(), RenderStage()],
-            collector, ctx=ctx, engine=engine,
+            context, _hierarchy(grid, "none"), [fetch, RenderStage()], collector, ctx=ctx
         ).run()
         assert collector.report is not None
         assert collector.report.reconciled is True
@@ -254,7 +275,7 @@ class TestAttributionCollector:
         SimulationEngine(
             context, _hierarchy(grid, "none"),
             [DemandFetchStage(), RenderStage()],
-            collector, engine="batched",
+            collector,
         ).run()
         assert collector.report.incomplete
 

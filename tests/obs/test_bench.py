@@ -2,9 +2,13 @@
 
 import copy
 import json
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments.runner import ExperimentSetup
+from repro.obs import bench
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     BenchConfig,
@@ -14,6 +18,12 @@ from repro.obs.bench import (
     load_bench,
     run_bench,
     write_bench,
+)
+
+from tests.runtime._seed_drivers import (
+    SeedAppAwareOptimizer,
+    SeedOptimizerConfig,
+    seed_run_baseline,
 )
 
 _TINY = BenchConfig(blocks=27, scale=0.03, steps=4, n_directions=8, n_distances=1)
@@ -30,6 +40,20 @@ def _sim_only(doc):
         run["phases"].pop("wall")
         run.pop("wall_s")
     return d
+
+
+def _seed_scalar_optimizer(setup, config=None):
+    seed = SeedAppAwareOptimizer(
+        setup.visible_table, setup.importance_table, SeedOptimizerConfig()
+    )
+    return SimpleNamespace(run=partial(seed.run, engine="scalar"))
+
+
+def _per_block_cells(monkeypatch):
+    """Replay every suite cell through the seed drivers' per-block loop
+    (one ``hierarchy.fetch`` per block) instead of the runtime recipes."""
+    monkeypatch.setattr(bench, "run_baseline", partial(seed_run_baseline, engine="scalar"))
+    monkeypatch.setattr(ExperimentSetup, "optimizer", _seed_scalar_optimizer)
 
 
 @pytest.fixture(scope="module")
@@ -89,35 +113,23 @@ class TestRunBench:
         assert json.dumps(_sim_only(doc), sort_keys=True) == \
             json.dumps(_sim_only(again), sort_keys=True)
 
-    def test_batched_engine_is_default(self, doc):
-        assert doc["engine"] == "batched"
-        assert all(run["engine"] == "batched" for run in doc["runs"].values())
-
     def test_wall_clock_fields_present(self, doc):
         assert doc["suite_wall_s"] > 0
         assert doc["workers"] == 1
         assert all(run["wall_s"] > 0 for run in doc["runs"].values())
 
-    def test_scalar_engine_sim_identical(self, doc):
-        scalar = run_bench(config=_TINY, label="test", engine="scalar")
+    def test_scalar_engine_sim_identical(self, doc, monkeypatch):
+        _per_block_cells(monkeypatch)
+        scalar = run_bench(config=_TINY, label="test")
         a, b = _sim_only(doc), _sim_only(scalar)
-        # Engine, trace *counts* (aggregated vs per-block events), and
-        # histogram sum/mean (observe_many associates value*n, a last-bit
+        # Histogram sum/mean (observe_many associates value*n, a last-bit
         # float difference) legitimately differ; everything else must not.
         for d in (a, b):
-            d.pop("engine")
             for run in d["runs"].values():
-                run.pop("engine")
-                for key in ("n_recorded", "n_retained"):
-                    run["trace"].pop(key)
                 for hist in run["metrics"]["histograms"].values():
                     hist.pop("sum")
                     hist.pop("mean")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            run_bench(config=_TINY, engine="warp")
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -249,11 +261,9 @@ class TestFaultedBench:
         assert json.dumps(_sim_only(faulty), sort_keys=True) == \
             json.dumps(_sim_only(again), sort_keys=True)
 
-    def test_engines_identical_under_faults(self, faulty):
-        scalar = run_bench(
-            config=_TINY, label="chaos", faults="lossy", fault_seed=7,
-            engine="scalar",
-        )
+    def test_engines_identical_under_faults(self, faulty, monkeypatch):
+        _per_block_cells(monkeypatch)
+        scalar = run_bench(config=_TINY, label="chaos", faults="lossy", fault_seed=7)
         for key, run in faulty["runs"].items():
             assert scalar["runs"][key]["faults"] == run["faults"]
             assert scalar["runs"][key]["summary"] == run["summary"]

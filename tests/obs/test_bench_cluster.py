@@ -62,7 +62,3 @@ class TestClusterTier:
         for run in list(a["runs"].values()) + list(b["runs"].values()):
             run.pop("wall_s", None)
         assert a == b
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            run_cluster(config=TINY, engine="vectorized")

@@ -8,6 +8,8 @@ from repro.core.pipeline import PipelineContext
 from repro.importance.entropy import block_entropies
 from repro.parallel.distribution import partition_by_importance, partition_spatial
 from repro.parallel.multinode import run_multinode
+from repro.runtime import run_baseline
+from repro.storage.hierarchy import make_standard_hierarchy
 from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
@@ -30,6 +32,19 @@ class TestRunMultinode:
         assert result.n_nodes == 1
         assert result.parallel_efficiency == pytest.approx(1.0)
         assert len(result.frame_times_s) == len(context.visible_sets)
+        # Exactly the serial protected baseline, frame by frame.
+        for cache_ratio in (0.25, 0.5):
+            one = run_multinode(
+                context, np.zeros(grid.n_blocks, dtype=np.int64), 1, cache_ratio=cache_ratio
+            )
+            serial = run_baseline(
+                context,
+                make_standard_hierarchy(
+                    grid.n_blocks, grid.uniform_block_nbytes(), cache_ratio=cache_ratio
+                ),
+                protect_current_step=True,
+            )
+            assert one.frame_times_s == [s.step_total_serial_s for s in serial.steps]
 
     def test_frame_time_is_max_over_nodes(self, context):
         """With all blocks owned by node 0 of 2, node 1 idles and the frame

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.metrics import RunResult, StepMetrics
 from repro.core.interactive import BudgetedResult, BudgetedStep
-from repro.core.pipeline import PipelineContext, _resolve_engine
+from repro.core.pipeline import PipelineContext
 from repro.obs.profiler import resolve_profiler
 from repro.prefetch.base import Prefetcher
 from repro.storage.hierarchy import MemoryHierarchy
@@ -27,6 +27,16 @@ from repro.tables.visible_table import LookupCostModel, VisibleTable
 from repro.utils.validation import check_positive
 from repro.volume.blocks import BlockGrid
 from repro.volume.timeseries import TimeVaryingVolume
+
+#: Replay fast-path choices of the seed drivers' ``engine`` argument.
+REPLAY_ENGINES = ("batched", "scalar")
+
+
+def _resolve_engine(engine: str) -> bool:
+    """Validate ``engine`` and return True for the batched fast path."""
+    if engine not in REPLAY_ENGINES:
+        raise ValueError(f"engine must be one of {REPLAY_ENGINES}, got {engine!r}")
+    return engine == "batched"
 
 
 def seed_run_baseline(

@@ -4,11 +4,12 @@ The table-driven stages and :class:`TableLookupPrefetcher` batch their
 KD-tree queries over the whole camera path (one ``nearest_entries`` /
 ``prime`` call) instead of querying per frame.  That is a wall-clock
 optimization only: every run result — per-step ``lookup_time_s`` charges,
-byte ledgers, trace stream, metrics — must be byte-identical to the
-per-frame fallback, because ``LookupCostModel.query_time_many`` charges
-exactly ``n_queries * query_time`` and the batched answers are the same
-KD indices.  Each test runs the same driver with ``batch_lookups``
-monkeypatched off (and priming suppressed) and requires exact equality.
+byte ledgers, trace stream, metrics — must be byte-identical to per-frame
+lookups, because ``LookupCostModel.query_time_many`` charges exactly
+``n_queries * query_time`` and the batched answers are the same KD
+indices.  Each test replays the runtime driver against the seed driver
+of :mod:`tests.runtime._seed_drivers`, which queries the table once per
+frame and never primes the prefetcher, in both of the seed's modes.
 """
 
 import numpy as np
@@ -25,13 +26,18 @@ from repro.runtime import (
     run_budgeted,
     run_with_prefetcher,
 )
-from repro.runtime.stages import _BatchedTableLookupMixin
 from repro.storage.hierarchy import make_standard_hierarchy
 from repro.tables.builder import build_importance_table, build_visible_table
 from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
 
+from tests.runtime._seed_drivers import (
+    SeedAppAwareOptimizer,
+    SeedOptimizerConfig,
+    seed_run_budgeted,
+    seed_run_with_prefetcher,
+)
 from tests.runtime.test_equivalence import Obs, _run_results_equal, _steps_equal, _surfaces_equal
 
 VIEW = 10.0
@@ -60,61 +66,52 @@ def _hierarchy(grid):
     )
 
 
-def _unbatched(monkeypatch):
-    """Force the per-frame fallback everywhere batching happens."""
-    monkeypatch.setattr(_BatchedTableLookupMixin, "batch_lookups", False)
-    monkeypatch.setattr(TableLookupPrefetcher, "prime", Prefetcher.prime)
-
-
-@pytest.mark.parametrize("engine", ("batched", "scalar"))
+@pytest.mark.parametrize("seed_mode", ("batched", "scalar"))
 class TestBatchedLedgerEquality:
-    def test_optimizer(self, setup, engine, monkeypatch):
+    def test_optimizer(self, setup, seed_mode):
         grid, context, vtable, itable = setup
         batched_obs, frame_obs = Obs(), Obs()
         batched = AppAwareOptimizer(vtable, itable, OptimizerConfig()).run(
-            context, _hierarchy(grid), engine=engine, **batched_obs.kwargs()
+            context, _hierarchy(grid), **batched_obs.kwargs()
         )
-        _unbatched(monkeypatch)
-        per_frame = AppAwareOptimizer(vtable, itable, OptimizerConfig()).run(
-            context, _hierarchy(grid), engine=engine, **frame_obs.kwargs()
+        per_frame = SeedAppAwareOptimizer(vtable, itable, SeedOptimizerConfig()).run(
+            context, _hierarchy(grid), engine=seed_mode, **frame_obs.kwargs()
         )
         _run_results_equal(batched, per_frame)
-        _surfaces_equal(batched_obs, frame_obs)
+        _surfaces_equal(batched_obs, frame_obs, seed_mode)
         assert any(s.lookup_time_s > 0 for s in batched.steps)
 
-    def test_table_prefetcher(self, setup, engine, monkeypatch):
+    def test_table_prefetcher(self, setup, seed_mode):
         grid, context, vtable, itable = setup
 
-        def run(obs):
-            return run_with_prefetcher(
-                context,
-                _hierarchy(grid),
-                TableLookupPrefetcher(vtable, importance=itable, sigma=float("-inf")),
-                engine=engine,
-                **obs.kwargs(),
-            )
+        def prefetcher():
+            return TableLookupPrefetcher(vtable, importance=itable, sigma=float("-inf"))
 
         batched_obs, frame_obs = Obs(), Obs()
-        batched = run(batched_obs)
-        _unbatched(monkeypatch)
-        per_frame = run(frame_obs)
+        batched = run_with_prefetcher(
+            context, _hierarchy(grid), prefetcher(), **batched_obs.kwargs()
+        )
+        per_frame = seed_run_with_prefetcher(
+            context, _hierarchy(grid), prefetcher(), engine=seed_mode, **frame_obs.kwargs()
+        )
         _run_results_equal(batched, per_frame)
-        _surfaces_equal(batched_obs, frame_obs)
+        _surfaces_equal(batched_obs, frame_obs, seed_mode)
 
-    def test_budgeted(self, setup, engine, monkeypatch):
+    def test_budgeted(self, setup, seed_mode):
         grid, context, vtable, itable = setup
         kw = dict(
             io_budget_s=0.02, importance=itable, visible_table=vtable,
-            sigma=float("-inf"), preload=True, engine=engine,
+            sigma=float("-inf"), preload=True,
         )
         batched_obs, frame_obs = Obs(), Obs()
         batched = run_budgeted(context, _hierarchy(grid), **kw, **batched_obs.kwargs())
-        _unbatched(monkeypatch)
-        per_frame = run_budgeted(context, _hierarchy(grid), **kw, **frame_obs.kwargs())
+        per_frame = seed_run_budgeted(
+            context, _hierarchy(grid), **kw, engine=seed_mode, **frame_obs.kwargs()
+        )
         assert batched.name == per_frame.name
         assert batched.io_budget_s == per_frame.io_budget_s
         _steps_equal(batched.steps, per_frame.steps)
-        _surfaces_equal(batched_obs, frame_obs)
+        _surfaces_equal(batched_obs, frame_obs, seed_mode)
 
 
 class TestPrimedPrefetcher:

@@ -25,7 +25,7 @@ class TestValidation:
             {"policies": ["lru"]},  # list, not tuple
             {"prefetcher": "psychic"},
             {"workload": "teleport"},
-            {"engine": "quantum"},
+            {"shard_map": "hexagonal"},
             {"faults": "meteor-strike"},
             {"dataset": "no_such_dataset"},
             {"blocks": 0},
@@ -62,7 +62,7 @@ class TestRoundTrip:
         cfg = RunConfig(
             dataset="3d_ball", blocks=64, workload="zoom", steps=9,
             degrees=(1.0, 2.0), policies=("lru", "arc"), belady=True,
-            engine="scalar", faults="chaos", fault_seed=5, io_budget_s=0.25,
+            faults="chaos", fault_seed=5, io_budget_s=0.25,
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -89,7 +89,7 @@ class TestFromCli:
                 "--seed", "4", "--path-type", "zoom", "--steps", "9",
                 "--degrees", "1", "2", "--distance", "3.0",
                 "--cache-ratio", "0.25", "--policies", "lru", "arc",
-                "--belady", "--no-app-aware", "--engine", "scalar",
+                "--belady", "--no-app-aware",
                 "--faults", "chaos", "--fault-seed", "5",
             ]
         )
@@ -98,16 +98,14 @@ class TestFromCli:
             dataset="3d_ball", blocks=64, seed=4, workload="zoom", steps=9,
             degrees=(1.0, 2.0), distance=3.0, cache_ratio=0.25,
             policies=("lru", "arc"), belady=True, app_aware=False,
-            engine="scalar", faults="chaos", fault_seed=5,
+            faults="chaos", fault_seed=5,
         )
 
     def test_bench_flags_map_onto_fields(self):
         args = build_parser().parse_args(
-            ["bench", "--engine", "scalar", "--faults", "flaky-hdd",
-             "--fault-seed", "2"]
+            ["bench", "--faults", "flaky-hdd", "--fault-seed", "2"]
         )
         cfg = RunConfig.from_cli(args, command="bench")
-        assert cfg.engine == "scalar"
         assert cfg.faults == "flaky-hdd"
         assert cfg.fault_seed == 2
 

@@ -14,6 +14,8 @@ from repro.storage.cache import CacheLevel
 from repro.storage.device import DRAM, HDD, SSD
 from repro.storage.hierarchy import MemoryHierarchy, make_standard_hierarchy
 
+from tests.runtime._seed_drivers import seed_run_baseline
+
 VIEW = 10.0
 
 
@@ -185,18 +187,18 @@ class TestSingleSessionEquivalence:
         assert scheduled.extras == baseline.extras
 
     def test_one_session_scalar_engine_matches(self, small_grid):
+        """...and the per-block seed loop (one ``fetch`` per block)."""
         spec = SessionSpec(session_id="solo", steps=6, seed=5)
         path = WORKLOADS.create(
             "spherical", steps=6, degrees=(5.0, 10.0), distance=2.5,
             view_angle_deg=VIEW, seed=5,
         )
-        baseline = run_baseline(
+        baseline = seed_run_baseline(
             PipelineContext.create(path, small_grid), _hierarchy(small_grid),
             name="solo", engine="scalar",
         )
         scheduled = run_sessions(
             [spec], _hierarchy(small_grid), small_grid, view_angle_deg=VIEW,
-            engine="scalar",
         ).runs["solo"]
         assert scheduled.steps == baseline.steps
         assert scheduled.hierarchy_stats == baseline.hierarchy_stats

@@ -1,5 +1,5 @@
-"""Property tests: the batched replay fast path is result-identical to the
-scalar one.
+"""Property tests: the batched hierarchy calls are result-identical to
+per-block ``fetch`` loops.
 
 The contract under test is the tentpole exactness claim: for every policy,
 capacity split, block-size model, and access pattern, ``fetch_many`` /
@@ -26,6 +26,12 @@ from repro.storage.device import DRAM, HDD, SSD
 from repro.storage.hierarchy import MemoryHierarchy
 from repro.trace import Tracer
 from repro.volume.blocks import BlockGrid
+
+from tests.runtime._seed_drivers import (
+    seed_run_baseline,
+    seed_run_budgeted,
+    seed_run_with_prefetcher,
+)
 
 # "random" draws victims from its own RNG; the two twin instances would
 # need lock-step seeding to compare, so it is exercised elsewhere.
@@ -296,26 +302,30 @@ def small_context():
 
 
 class TestDriverEngineEquivalence:
+    """The runtime drivers against the per-block seed drivers (one
+    ``hierarchy.fetch`` per block, ``engine="scalar"``)."""
+
     def test_run_baseline(self, small_context):
         grid, context = small_context
-        a = run_baseline(context, fresh_hierarchy(grid), engine="scalar")
-        b = run_baseline(context, fresh_hierarchy(grid), engine="batched")
+        a = seed_run_baseline(context, fresh_hierarchy(grid), engine="scalar")
+        b = run_baseline(context, fresh_hierarchy(grid))
         assert a.steps == b.steps
         assert a.hierarchy_stats == b.hierarchy_stats
         assert a.extras == b.extras
 
     def test_run_with_prefetcher(self, small_context):
         grid, context = small_context
-        results = []
-        for engine in ("scalar", "batched"):
-            prefetcher = MotionExtrapolationPrefetcher(grid, context.path.view_angle_deg)
-            results.append(
-                run_with_prefetcher(
-                    context, fresh_hierarchy(grid), prefetcher,
-                    max_prefetch_per_step=8, engine=engine,
-                )
-            )
-        a, b = results
+
+        def prefetcher():
+            return MotionExtrapolationPrefetcher(grid, context.path.view_angle_deg)
+
+        a = seed_run_with_prefetcher(
+            context, fresh_hierarchy(grid), prefetcher(),
+            max_prefetch_per_step=8, engine="scalar",
+        )
+        b = run_with_prefetcher(
+            context, fresh_hierarchy(grid), prefetcher(), max_prefetch_per_step=8
+        )
         assert a.steps == b.steps
         assert a.hierarchy_stats == b.hierarchy_stats
         assert a.extras == b.extras
@@ -323,8 +333,8 @@ class TestDriverEngineEquivalence:
     def test_run_budgeted(self, small_context):
         grid, context = small_context
         ha, hb = fresh_hierarchy(grid), fresh_hierarchy(grid)
-        a = run_budgeted(context, ha, io_budget_s=5e-4, engine="scalar")
-        b = run_budgeted(context, hb, io_budget_s=5e-4, engine="batched")
+        a = seed_run_budgeted(context, ha, io_budget_s=5e-4, engine="scalar")
+        b = run_budgeted(context, hb, io_budget_s=5e-4)
         # BudgetedStep carries a numpy rendered_ids field, so dataclass ==
         # is ambiguous; compare field-wise instead.
         assert len(a.steps) == len(b.steps)

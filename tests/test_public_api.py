@@ -52,6 +52,23 @@ class TestPublicAPI:
         for r in results.values():
             assert 0.0 <= r.total_miss_rate <= 1.0
 
+    def test_package_level_names_resolve_to_runtime(self):
+        """The package namespaces re-export the one set of drivers; the
+        old per-module driver paths are gone."""
+        import repro.core
+        import repro.prefetch
+        import repro.runtime
+
+        for name in ("run_baseline", "run_budgeted", "run_temporal", "AppAwareOptimizer"):
+            assert getattr(repro, name) is getattr(repro.runtime, name)
+            assert getattr(repro.core, name) is getattr(repro.runtime, name)
+        assert repro.prefetch.run_with_prefetcher is repro.runtime.run_with_prefetcher
+        for module in ("repro.core.temporal", "repro.core.optimizer", "repro.prefetch.driver"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        assert not hasattr(importlib.import_module("repro.core.pipeline"), "run_baseline")
+        assert not hasattr(importlib.import_module("repro.core.interactive"), "run_budgeted")
+
     def test_experiments_cli_help(self, capsys):
         from repro.experiments.__main__ import main
 
