@@ -62,6 +62,17 @@ class ARCPolicy(ReplacementPolicy):
             raise KeyError(f"hit on untracked key {key}")
         self._t2[key] = None
 
+    def on_hit_many(self, keys, step: int) -> None:
+        # CASE I per key, without a policy call each: a T2 hit is a
+        # move_to_end, which raises KeyError for an untracked key too.
+        t1, t2 = self._t1, self._t2
+        for key in keys.tolist():
+            if key in t1:
+                del t1[key]
+                t2[key] = None
+            else:
+                t2.move_to_end(key)
+
     def on_insert(self, key: int, step: int) -> None:
         c = self._require_capacity()
         if key in self._t1 or key in self._t2:

@@ -7,14 +7,15 @@ evictions.  When the cache is full it asks :meth:`choose_victim`, passing an
 victim's last-used time must be ``< i`` (i.e. not touched at the current
 view point) is enforced uniformly across all policies.
 
-Batch hooks (:meth:`on_hit_many` / :meth:`on_insert_many`) let the
-hierarchy's batched calls notify a whole array of keys in one call; the
-defaults loop over the scalar hooks *in array order*, so a policy that
-only implements the scalar interface sees exactly the per-key call
-sequence a per-block ``fetch`` loop would have produced.  Policies that can rank victims from dense
-per-key state (LRU) additionally set ``supports_masked_victim`` and
-implement :meth:`choose_victim_masked`, which receives a boolean
-evictability mask indexed by key instead of a predicate.
+Batch hooks (:meth:`on_hit_many`, :meth:`on_insert_many`,
+:meth:`on_access_many`, ...) let the hierarchy's batched calls notify a
+whole array of keys in one call; the defaults loop over the scalar hooks
+*in array order*, so a policy that only implements the scalar interface
+sees exactly the per-key call sequence a per-block ``fetch`` loop would
+have produced.  Policies that can rank victims from dense per-key state
+(LRU, FIFO) additionally set ``supports_masked_victim`` and implement
+:meth:`choose_victim_masked`, which receives a boolean evictability mask
+indexed by key instead of a predicate.
 """
 
 from __future__ import annotations
@@ -84,18 +85,31 @@ class ReplacementPolicy(abc.ABC):
 
     def on_hit_many(self, keys: "np.ndarray", step: int) -> None:
         """Batch form of :meth:`on_hit`; keys accessed in array order."""
-        for k in keys:
-            self.on_hit(int(k), step)
+        for k in keys.tolist():
+            self.on_hit(k, step)
 
     def on_insert_many(self, keys: "np.ndarray", step: int) -> None:
         """Batch form of :meth:`on_insert`; keys inserted in array order."""
-        for k in keys:
-            self.on_insert(int(k), step)
+        for k in keys.tolist():
+            self.on_insert(k, step)
 
     def on_evict_many(self, keys: "np.ndarray") -> None:
         """Batch form of :meth:`on_evict`; keys evicted in array order."""
-        for k in keys:
-            self.on_evict(int(k))
+        for k in keys.tolist():
+            self.on_evict(k)
+
+    def on_access_many(self, keys: "np.ndarray", inserted: "np.ndarray", step: int) -> None:
+        """Interleaved hits and inserts in array order.
+
+        ``inserted[i]`` marks ``keys[i]`` as an :meth:`on_insert`, otherwise
+        it is an :meth:`on_hit` — one frame's accesses to a cache level, as
+        ``CacheLevel.access_many`` applies them after planning the frame.
+        """
+        for k, ins in zip(keys.tolist(), inserted.tolist()):
+            if ins:
+                self.on_insert(k, step)
+            else:
+                self.on_hit(k, step)
 
     def choose_victim_masked(self, evictable_mask: "np.ndarray") -> Optional[int]:
         """Pick a victim given a dense boolean evictability mask.
@@ -114,9 +128,17 @@ class ReplacementPolicy(abc.ABC):
     #: True when :meth:`victim_order` can enumerate the full eviction order
     #: up-front from a mask — i.e. victim choice has no side effects and
     #: depends only on per-key state that accesses *between* evictions can
-    #: invalidate but never reorder (LRU).  Lets the cache amortise victim
-    #: selection over a whole step (see ``CacheLevel._pop_victim``).
+    #: invalidate but never reorder (LRU, FIFO).  Lets the cache amortise
+    #: victim selection over a whole step (see ``CacheLevel._pop_victim``)
+    #: and plan a whole frame's evictions (``CacheLevel.access_many``).
     supports_victim_order: bool = False
+
+    #: With ``supports_victim_order``: True when :meth:`on_hit` moves the key
+    #: behind every entry of an already-built victim order (LRU), False when
+    #: :meth:`on_hit` changes nothing (FIFO).  ``CacheLevel.access_many``
+    #: reads it to decide whether a block hit earlier in a frame is still
+    #: the next victim of an unconstrained queue.
+    hits_reorder_victims: bool = True
 
     def victim_order(self, evictable_mask: "np.ndarray") -> "np.ndarray":
         """Candidate keys in eviction order (``supports_victim_order`` only)."""

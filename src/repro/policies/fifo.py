@@ -1,47 +1,36 @@
-"""First-In-First-Out replacement (paper baseline, §V)."""
+"""First-In-First-Out replacement (paper baseline, §V).
+
+Array-native: FIFO is :class:`~repro.policies.lru.LRUPolicy` whose hits
+never tick, so ``_seq`` holds each tracked key's insertion tick and
+victims, masked victims and the cache's amortised victim queue all come
+from the same sorted tick array.
+"""
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional
+import numpy as np
 
-from repro.policies.base import EvictablePredicate, ReplacementPolicy, always_evictable
+from repro.policies.lru import LRUPolicy
 
 __all__ = ["FIFOPolicy"]
 
 
-class FIFOPolicy(ReplacementPolicy):
+class FIFOPolicy(LRUPolicy):
     """Evict in insertion order; hits do not refresh a block's position."""
 
     name = "fifo"
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
-
-    def reset(self) -> None:
-        self._order.clear()
+    hits_reorder_victims = False
 
     def on_hit(self, key: int, step: int) -> None:
         # FIFO ignores recency by definition.
         pass
 
-    def on_insert(self, key: int, step: int) -> None:
-        if key in self._order:
-            raise KeyError(f"key {key} already tracked")
-        self._order[key] = None
+    def on_hit_many(self, keys: np.ndarray, step: int) -> None:
+        pass
 
-    def on_evict(self, key: int) -> None:
-        del self._order[key]
-
-    def choose_victim(self, evictable: EvictablePredicate = always_evictable) -> Optional[int]:
-        for key in self._order:
-            if evictable(key):
-                return key
-        return None
-
-    def __len__(self) -> int:
-        return len(self._order)
+    def on_access_many(self, keys: np.ndarray, inserted: np.ndarray, step: int) -> None:
+        self.on_insert_many(keys[inserted], step)
 
     def insertion_order(self) -> "list[int]":
         """Keys from oldest to newest insertion (testing/diagnostics)."""
-        return list(self._order)
+        return self.recency_order()

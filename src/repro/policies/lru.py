@@ -10,7 +10,8 @@ refresh a whole hit array with one fancy-indexed assignment
 
 Recency order is identical to the classic ``OrderedDict`` formulation:
 ``move_to_end`` ⇔ assigning the next clock tick, and scanning from the
-front ⇔ ascending sequence order.
+front ⇔ ascending sequence order.  :class:`~repro.policies.fifo.FIFOPolicy`
+is this class with hits that do not tick.
 """
 
 from __future__ import annotations
@@ -95,6 +96,17 @@ class LRUPolicy(ReplacementPolicy):
         self._seq[keys] = np.arange(self._clock, self._clock + n, dtype=np.int64)
         self._clock += n
         self._n += n
+
+    def on_access_many(self, keys: np.ndarray, inserted: np.ndarray, step: int) -> None:
+        n = len(keys)
+        if n == 0:
+            return
+        self._ensure(int(keys.max()))
+        if ((self._seq[keys] == _NOT_TRACKED) != inserted).any():
+            raise KeyError("on_access_many: hit on an untracked key or insert of a tracked one")
+        self._seq[keys] = np.arange(self._clock, self._clock + n, dtype=np.int64)
+        self._clock += n
+        self._n += int(np.count_nonzero(inserted))
 
     def on_evict_many(self, keys: np.ndarray) -> None:
         n = len(keys)

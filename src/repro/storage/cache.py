@@ -13,10 +13,15 @@ up.  Membership is one array load, whole visible sets partition with one
 fancy-indexed read (:meth:`contains_many`), and the evictable-candidate
 set under ``min_free_step`` is a single vectorized compare, which policies
 that implement ``choose_victim_masked`` consume directly.
+
+A frame reaches a level as one :meth:`CacheLevel.access_many` call (touch
+the resident keys, admit the rest); for victim-queue policies it plans the
+frame's evictions in one pass and writes them as arrays.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -397,13 +402,10 @@ class CacheLevel:
         if min_free_step is None:
             while True:
                 if self._vq_epoch != ("*", None):
-                    order = policy.victim_order(self._resident)
-                    if order.size == 0:
+                    self._build_queue(("*", None))
+                    if not len(self._vq):
+                        self._vq_epoch = None
                         return None
-                    self._vq = order
-                    self._vq_pos = 0
-                    self._vq_token = policy.victim_order_token()
-                    self._vq_epoch = ("*", None)
                 queue = self._vq
                 pos = self._vq_pos
                 end = len(queue)
@@ -418,9 +420,7 @@ class CacheLevel:
                 self._vq_epoch = None  # every entry moved since build: rebuild
         epoch = (step, min_free_step)
         if self._vq_epoch != epoch:
-            self._vq = policy.victim_order(self.evictable_mask(min_free_step))
-            self._vq_pos = 0
-            self._vq_epoch = epoch
+            self._build_queue(epoch)
         queue = self._vq
         pos = self._vq_pos
         end = len(queue)
@@ -435,153 +435,236 @@ class CacheLevel:
         self._vq_pos = pos
         return None
 
-    def admit_many_absent(
+    def access_many(
         self,
         keys: np.ndarray,
         step: int,
         min_free_step: Optional[int] = None,
+        touch: bool = True,
         agg: Optional[dict] = None,
+        limit: Optional[int] = None,
         tenant: Optional[str] = None,
-    ) -> None:
-        """Admit an array of unique *non-resident* keys, in array order.
+    ) -> np.ndarray:
+        """One frame's accesses: touch the resident ``keys``, admit the rest.
 
-        Vectorized equivalent of calling :meth:`admit` per key — same
-        inserts, same victims in the same order, same bypasses: free slots
-        go to the leading keys, then one victim-queue entry per key while
-        candidates last; keys beyond that fall back to scalar
-        :meth:`admit` (which bypasses, or rebuilds the unconstrained
-        queue).  Requires ``policy.supports_victim_order``; the victim
-        choices are batch-safe because nothing else touches this level
-        between the admissions (see :meth:`_pop_victim` for why accesses
-        *between* victim picks cannot reorder the queue).
+        Exactly ``for k in keys: touch(k) if k in self else admit(k)`` over
+        *unique* ``keys`` in array order — same residency, ``last_used``,
+        stats, policy order, victim queue and registry/``agg`` counts.
+        ``touch=False`` leaves hits alone (a prefetch); ``limit`` stops
+        right after that many admissions (inserts or bypasses).  Returns
+        the hit mask of the processed keys ``keys[:len(hit)]``: a key an
+        earlier admission evicted is a miss.
 
-        Bookkeeping (stats, registry counters/occupancy, ``agg`` counts)
-        is grouped but total-identical to the scalar calls.
+        Victim-queue policies (``supports_victim_order``) on a level with
+        no tenant quotas, forensics or per-event tracer plan the frame's
+        evictions in one pass (:meth:`_access_planned`); everything else
+        runs the scalar calls live (:meth:`_access_live`).
         """
-        m = int(keys.size)
-        if m == 0:
-            return
-        if self._tenant_id(tenant) >= 0:
-            # Tenant-labelled bulk admits take the scalar reference path:
-            # quota accounting is per-victim and the owner-restricted
-            # candidate mask changes after every eviction, so there is no
-            # batch-safe victim window to exploit.
-            for key in keys.tolist():
-                self.admit(key, step, min_free_step=min_free_step, agg=agg, tenant=tenant)
-            return
-        if m <= 2:
-            # Vectorization overhead beats the win at this size; the scalar
-            # path is the reference semantics anyway.
-            for key in keys.tolist():
-                self.admit(key, step, min_free_step=min_free_step, agg=agg)
-            return
-        try:
-            resident_in = self._resident[keys]
-        except IndexError:
-            self.ensure_ids(int(keys.max()))
-            resident_in = self._resident[keys]
-        if resident_in.any():
-            raise KeyError(f"{self.name}: admit_many_absent got a resident key")
-        policy = self.policy
-        free = self.capacity - self._n_resident
-        k1 = min(free, m) if free > 0 else 0
-        r = 0
-        victims = None
-        if k1 < m:
-            # Build/reuse the victim queue exactly as _pop_victim would,
-            # then take the next (m - k1) valid entries — validated in a
-            # window that grows toward the tail end, not the whole tail.
-            if min_free_step is None:
-                if self._vq_epoch != ("*", None):
-                    self._vq = policy.victim_order(self._resident)
-                    self._vq_pos = 0
-                    self._vq_token = policy.victim_order_token()
-                    self._vq_epoch = ("*", None)
+        if keys.size == 0 or (limit is not None and limit <= 0):
+            return np.zeros(0, dtype=bool)
+        self.ensure_ids(int(keys.max()))
+        if (
+            self.policy.supports_victim_order
+            and (min_free_step is None or min_free_step <= step)
+            and self._owner is None
+            and self.forensics is None
+            and (agg is not None or not self.tracer.enabled)
+        ):
+            return self._access_planned(keys, step, min_free_step, touch, agg, limit)
+        return self._access_live(keys, step, min_free_step, touch, agg, limit, tenant)
+
+    def _access_live(self, keys, step, min_free_step, touch, agg, limit, tenant) -> np.ndarray:
+        """:meth:`access_many` as scalar calls: ``touch_many`` per run of
+        hits, one :meth:`admit` per miss, residency re-read after each."""
+        m = keys.size
+        resident = self._resident
+        hit = resident[keys]
+        initial_misses = iter(np.flatnonzero(~hit).tolist() + [m])
+        miss = next(initial_misses)
+        pos = n_admits = 0
+        while pos < m:
+            if pos < miss:
+                run = keys[pos:miss]
+                live = resident[run]
+                k = run.size if live.all() else int(np.argmin(live))
+                if touch and k:
+                    self.touch_many(run[:k], step)
+                pos += k
+                if pos == miss:
+                    continue
+                hit[pos] = False  # evicted by an admission earlier in this frame
             else:
-                epoch = (step, min_free_step)
-                if self._vq_epoch != epoch:
-                    self._vq = policy.victim_order(self.evictable_mask(min_free_step))
-                    self._vq_pos = 0
-                    self._vq_epoch = epoch
-            queue = self._vq
-            end = len(queue)
-            pos = self._vq_pos
-            need = m - k1
-            taken: list = []
-            taken_pos: list = []  # absolute queue positions (forensics rank)
-            while pos < end and r < need:
-                hi = min(end, pos + max(2 * (need - r), 8))
-                window = queue[pos:hi]
-                if min_free_step is None:
-                    valid = policy.victim_still_ordered_many(window, self._vq_token)
+                miss = next(initial_misses)
+            self.admit(int(keys[pos]), step, min_free_step, agg, tenant)
+            pos += 1
+            n_admits += 1
+            if n_admits == limit:
+                return hit[:pos]
+        return hit
+
+    def _access_planned(self, keys, step, min_free_step, touch, agg, limit) -> np.ndarray:
+        """:meth:`access_many` for victim-queue policies: plan, then write.
+
+        Misses take the free slots first, then victim-queue entries exactly
+        as :meth:`_pop_victim` consumes them.  An entry is skipped when it
+        was no candidate at the start of the frame, or when this frame
+        touched it before the pop (under a constraint, where a touch sets
+        ``last_used = step``, or under a policy whose hits reorder); a
+        victim the frame accesses later turns that access into a miss.
+        An unconstrained queue that needs a (re)build — it ran dry, or
+        holds another epoch — is built from live state, so the frame up
+        to that miss is written first.  Each written segment applies its
+        evictions, inserts, ``last_used`` and policy order as array writes.
+        """
+        policy = self.policy
+        m = keys.size
+        f = min_free_step
+        epoch = ("*", None) if f is None else (step, f)
+        skip_touched = touch and (f is not None or policy.hits_reorder_victims)
+        hit = np.empty(m, dtype=bool)
+        where = None  # frame position of each block id, built at the first pop
+        n_admits = start = 0
+        while True:
+            hit[start:] = self._resident[keys[start:]]
+            misses = (np.flatnonzero(~hit[start:]) + start).tolist()
+            free = self.capacity - self._n_resident
+            inserted: list = []
+            victims: list = []
+            n_bypass = 0
+            entries = None
+            end = m
+            i = 0
+            while i < len(misses):  # ascending frame positions
+                p = misses[i]
+                i += 1
+                hit[p] = False
+                if free:
+                    free -= 1
+                    inserted.append(p)
                 else:
-                    valid = self._resident[window] & (
-                        self._last_used[window] < min_free_step
-                    )
-                idx = np.flatnonzero(valid)
-                take = min(need - r, int(idx.size))
-                if take:
-                    taken.append(window[idx[:take]])
-                    taken_pos.append(pos + idx[:take])
-                    r += take
-                    # Entries skipped over as invalid are consumed for good,
-                    # exactly like the scalar pops would discard them.
-                    pos += int(idx[take - 1]) + 1
-                else:
-                    pos = hi
-            self._vq_pos = pos
-            if r:
-                victims = taken[0] if len(taken) == 1 else np.concatenate(taken)
+                    if entries is None:  # the segment's first pop
+                        stale = self._vq_epoch != epoch
+                        if stale and f is None and p > start:
+                            end = p  # an unconstrained build reads the state at p
+                            break
+                        if where is None:
+                            where = np.full(len(self._resident), -1, dtype=np.int64)
+                            where[keys] = np.arange(m)
+                        if stale:
+                            self._build_queue(epoch)
+                            if skip_touched and p > start:
+                                # Blocks touched before this pop already
+                                # left the live candidate set.
+                                seen = where[self._vq]
+                                self._vq = self._vq[(seen < start) | (seen >= p)]
+                        entries = self._queue_candidates(f, where)
+                    victim = None
+                    for qpos, key, at in entries:
+                        if not (skip_touched and start <= at < p):
+                            victim = key
+                            break
+                    if victim is None:
+                        self._vq_pos = len(self._vq)
+                        if f is None:
+                            self._vq_epoch = None  # ran dry: rebuild from the state at p
+                            if len(self._vq):
+                                end = p
+                                break
+                        n_bypass += 1  # nothing evictable
+                    else:
+                        self._vq_pos = qpos
+                        victims.append(victim)
+                        inserted.append(p)
+                        if at > p:
+                            bisect.insort(misses, at, lo=i)  # evicted before its access
+                n_admits += 1
+                if n_admits == limit:
+                    end = p + 1
+                    break
+            self._write_segment(
+                keys, start, end, hit, inserted, victims, n_bypass, step, touch, agg
+            )
+            if end == m or n_admits == limit:
+                return hit[:end]
+            start = end
+
+    def _build_queue(self, epoch: tuple) -> None:
+        """Build the victim queue of ``epoch`` from the current state: every
+        resident for ``("*", None)``, else the candidates under the epoch's
+        ``min_free_step``."""
+        policy = self.policy
+        if epoch[1] is None:
+            order = policy.victim_order(self._resident)
+            self._vq_token = policy.victim_order_token()
+        else:
+            order = policy.victim_order(self.evictable_mask(epoch[1]))
+        self._vq, self._vq_pos, self._vq_epoch = order, 0, epoch
+
+    def _queue_candidates(self, min_free_step, where):
+        """Victim-queue entries from ``_vq_pos`` on that are candidates in
+        the current state, as ``(queue position after it, key, frame
+        position)``; validated in windows that double toward the tail."""
+        queue = self._vq
+        pos = self._vq_pos
+        width = 16
+        while pos < len(queue):
+            window = queue[pos: pos + width]
+            if min_free_step is None:
+                ok = self.policy.victim_still_ordered_many(window, self._vq_token)
+            else:
+                ok = self._resident[window] & (self._last_used[window] < min_free_step)
+            idx = np.flatnonzero(ok)
+            cand = window[idx]
+            yield from zip((idx + pos + 1).tolist(), cand.tolist(), where[cand].tolist())
+            pos += window.size
+            width *= 2
+
+    def _write_segment(
+        self, keys, start, end, hit, inserted, victims, n_bypass, step, touch, agg
+    ) -> None:
+        """Apply one planned segment ``keys[start:end]`` as array writes."""
+        policy = self.policy
+        seg = keys[start:end]
+        ins = np.zeros(seg.size, dtype=bool)
+        ins[np.asarray(inserted, dtype=np.int64) - start] = True
+        touched = hit[start:end] if touch else np.zeros(seg.size, dtype=bool)
+        if touch:
+            self._last_used[seg[touched]] = step
+        r = len(victims)
         if r:
-            if self.forensics is not None:
-                ranks = (
-                    taken_pos[0] if len(taken_pos) == 1 else np.concatenate(taken_pos)
-                ).tolist()
-                owners = (
-                    self._owner[victims].tolist() if self._owner is not None else None
-                )
-                names = self._tenant_names
-                for j, vkey in enumerate(victims.tolist()):
-                    tname = names[owners[j]] if owners is not None and owners[j] >= 0 else ""
-                    self.forensics.record_eviction(
-                        vkey, self.name, step, self.policy.name, tname, int(ranks[j])
-                    )
-            if self._owner is not None:
-                owned = self._owner[victims]
-                owned = owned[owned >= 0]
-                if owned.size:
-                    np.subtract.at(self._tenant_used, owned, 1)
-                    self._owner[victims] = -1
-            self._resident[victims] = False
-            self._last_used[victims] = _NEVER_USED
+            gone = np.asarray(victims, dtype=np.int64)
+            self._resident[gone] = False
+            self._last_used[gone] = _NEVER_USED
             self._n_resident -= r
-            policy.on_evict_many(victims)
+            policy.on_evict_many(gone)
             self.stats.evictions += r
             if self.registry.enabled:
                 self._evictions.inc(r)
             if agg is not None:
-                acc = agg.setdefault(("evict", self.name), [0, 0, 0.0])
-                acc[0] += r
-            elif self.tracer.enabled:
-                for key in victims.tolist():
-                    self.tracer.record("evict", step, self.name, key)
-        n_ins = k1 + r
-        if n_ins:
-            ins = keys[:n_ins]
-            self._resident[ins] = True
-            self._last_used[ins] = step
-            self._n_resident += n_ins
-            policy.on_insert_many(ins, step)
-            self.stats.inserts += n_ins
+                agg.setdefault(("evict", self.name), [0, 0, 0.0])[0] += r
+        k = len(inserted)
+        if k:
+            new = seg[ins]
+            self._resident[new] = True
+            self._last_used[new] = step
+            self._n_resident += k
+            self.stats.inserts += k
             if self.registry.enabled:
-                # n_ins insert-sets plus r evict-sets, ending at the live
-                # occupancy (the walk never exceeds it — evict dips recover).
-                self._occupancy.set_n(self._n_resident, n_ins + r)
-        if n_ins < m:
-            # Queue exhausted: scalar admits bypass (constrained) or
-            # rebuild over the freshly inserted keys (unconstrained).
-            for key in keys[n_ins:].tolist():
-                self.admit(key, step, min_free_step=min_free_step, agg=agg)
+                # k insert-sets plus r evict-sets ending at the live occupancy,
+                # which every evict dip recovers to: the walk never exceeds it.
+                self._occupancy.set_n(self._n_resident, k + r)
+        accessed = touched | ins
+        if accessed.any():
+            policy.on_access_many(seg[accessed], ins[accessed], step)
+            epoch = self._vq_epoch
+            if epoch is not None and epoch[1] is not None and step < epoch[1]:
+                self._vq_epoch = None  # as touch/admit: another epoch's order is stale
+        if n_bypass:
+            self.stats.bypasses += n_bypass
+            if self.registry.enabled:
+                self._bypasses.inc(n_bypass)
+            if agg is not None:
+                agg.setdefault(("bypass", self.name), [0, 0, 0.0])[0] += n_bypass
 
     def _evictable_predicate(self, min_free_step: Optional[int]):
         if min_free_step is None:

@@ -4,7 +4,9 @@ Levels are ordered fastest-first (DRAM, SSD, ...) above a backing device
 (HDD) that always holds the whole dataset.  A fetch searches top-down;
 on a hit at level *j* the block is copied into every faster level (the
 paper's HDD → SSD → DRAM movement, §V-A), charged at level *j*'s device
-read cost — the slowest medium on the critical path.
+read cost — the slowest medium on the critical path.  The batched calls
+run that path level by level: each level accesses, in one call, the ids
+the level above missed.
 """
 
 from __future__ import annotations
@@ -656,256 +658,7 @@ class MemoryHierarchy:
                 level.admit(key, step, min_free_step=min_free_step, agg=None, tenant=tenant)
         return FetchResult(key, total_t, source_name, fastest_hit=False)
 
-    def _fetch_many_resilient(
-        self,
-        ids: np.ndarray,
-        step: int,
-        prefetch: bool,
-        min_free_step: Optional[int],
-        tenant: Optional[str] = None,
-    ) -> BatchFetchResult:
-        """Batched fetch under fault injection: the scalar resilient path
-        per id, with the same left-fold time accumulation as the fast
-        path.  Fault draws are pure functions of (seed, device, key, step,
-        attempt), so this is deterministic and batching-independent."""
-        n = ids.size
-        times = np.zeros(n, dtype=np.float64)
-        n_fast = 0
-        dropped: List[int] = []
-        for p, key in enumerate(ids.tolist()):
-            r = self._fetch_one_resilient(key, step, prefetch, min_free_step, tenant)
-            times[p] = r.time_s
-            if r.fastest_hit:
-                n_fast += 1
-            if r.dropped:
-                dropped.append(key)
-        total = float(np.add.accumulate(times)[-1]) if n > 1 else float(times[0])
-        return BatchFetchResult(n, n_fast, total, len(dropped), tuple(dropped))
-
-    def _prefetch_many_resilient(
-        self,
-        arr: np.ndarray,
-        step: int,
-        min_free_step: Optional[int],
-        max_fetch: Optional[int],
-        dedupe: bool,
-        tenant: Optional[str] = None,
-    ) -> "tuple[List[int], float]":
-        """Prefetch under fault injection: the per-block prefetch loop
-        semantics (cap before skip, optional dedupe, live fastest-level
-        residency) over the resilient fetch.  A dropped prefetch still
-        counts as issued — the prediction was acted on, it just failed."""
-        issued: List[int] = []
-        total_time = 0.0
-        attempted = set() if dedupe else None
-        fast = self.levels[0]
-        for key in arr.tolist():
-            if max_fetch is not None and len(issued) >= max_fetch:
-                break
-            if attempted is not None and key in attempted:
-                continue
-            resident = fast._resident
-            if key < len(resident) and resident[key]:
-                continue
-            if attempted is not None:
-                attempted.add(key)
-            total_time += self._fetch_one_resilient(
-                key, step, True, min_free_step, tenant
-            ).time_s
-            issued.append(key)
-        return issued, total_time
-
     # -- the batched read path -------------------------------------------------
-
-    def _serve_fast_hits(
-        self,
-        run: np.ndarray,
-        step: int,
-        prefetch: bool,
-        latency_scale: float,
-        agg: "Optional[dict]",
-    ):
-        """Bulk-process a verified run of fastest-level hits.
-
-        Returns the per-block charged times — a scalar (uniform block
-        size: every block charges the same) or an array; either broadcasts
-        into the caller's ``times`` slice.  Values are identical to what a
-        scalar fetch would charge.
-        """
-        fast = self.levels[0]
-        n = run.size
-        if prefetch:
-            fast.stats.prefetch_hits += n
-        else:
-            fast.stats.hits += n
-            fast.touch_many(run, step)
-        nb = self._uniform_nbytes
-        uniform = nb is not None
-        if uniform:
-            nbs = None
-            time_s = self._read_time(0, nb, latency_scale)
-            times = None
-            total_nb = nb * n
-        else:
-            dev = self.level_devices[0]
-            nbs = [int(self._block_nbytes(int(k))) for k in run]
-            times = np.array([dev.read_time(b, latency_scale) for b in nbs])
-            time_s = 0.0
-            total_nb = sum(nbs)
-        fast.stats.bytes_read += total_nb
-        if self.registry.enabled:
-            demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = self._fetch_metrics[fast.name]
-            hist = prefetch_h if prefetch else demand_h
-            if uniform:
-                hist.observe_many(time_s, n)
-            else:
-                for t in times.tolist():
-                    hist.observe(t)
-            (prefetch_c if prefetch else demand_c).inc(n)
-            bytes_c.inc(total_nb)
-        kind = "prefetch" if prefetch else "hit"
-        if agg is not None:
-            acc = agg.setdefault((kind, fast.name), [0, 0, 0.0])
-            acc[0] += n
-            acc[1] += total_nb
-            # Repeated scalar adds keep the accumulation order (and hence
-            # the float result) identical to per-event aggregation.
-            t = acc[2]
-            if uniform:
-                for _ in range(n):
-                    t += time_s
-            else:
-                for v in times.tolist():
-                    t += v
-            acc[2] = t
-        elif self.tracer.enabled:
-            if uniform:
-                for k_ in run.tolist():
-                    self.tracer.record(kind, step, fast.name, k_, nb, time_s)
-            else:
-                for k_, nb_, t_ in zip(run.tolist(), nbs, times.tolist()):
-                    self.tracer.record(kind, step, fast.name, k_, nb_, t_)
-        return time_s if uniform else times
-
-    def _fetch_miss_run(
-        self,
-        run: np.ndarray,
-        step: int,
-        prefetch: bool,
-        min_free_step: Optional[int],
-        agg: "Optional[dict]",
-        latency_scale: float,
-        times: np.ndarray,
-        pos: int,
-        tenant: Optional[str] = None,
-    ) -> None:
-        """Bulk-process a run of fastest-level misses (uniform block size).
-
-        Bookkeeping that commutes across the run — miss/hit/byte counters,
-        fetch histograms, backing totals, aggregated movement events — is
-        grouped per serving source and flushed once after the run; recency
-        touches and admissions, whose interleaving is observable through
-        victim choice, stay per-key in scalar order.  The serving source
-        is probed against *live* residency per key (an admission can evict
-        a later run member from an intermediate level).  Requires unique
-        ids (a fastest-level miss cannot turn resident mid-run) and an
-        aggregated-or-disabled tracer (per-event emission order is not
-        preserved).
-        """
-        levels = self.levels
-        fast = levels[0]
-        lowers = levels[1:]
-        n_lowers = len(lowers)
-        nb = self._uniform_nbytes
-        n = run.size
-        if prefetch:
-            fast.stats.prefetch_misses += n
-        else:
-            fast.stats.misses += n
-        t_src = [self._read_time(j + 1, nb, latency_scale) for j in range(n_lowers)]
-        t_back = self._read_time(-1, nb, latency_scale)
-        counts = [0] * (n_lowers + 1)  # keys per serving source; [-1] = backing
-        # Admissions into the fastest level are order-independent of the
-        # per-key work below (no fast-level probe or touch happens inside a
-        # miss run), so they can go through the bulk path in one call.
-        batch_fast = fast.policy.supports_victim_order
-        note_re_miss = not prefetch and self.forensics is not None
-        i = pos
-        for key in run.tolist():
-            if note_re_miss:
-                self._note_re_miss(key, step)
-            found = -1
-            for j in range(n_lowers):
-                if lowers[j]._resident[key]:
-                    found = j
-                    break
-            if found < 0:
-                counts[-1] += 1
-                times[i] = t_back
-                for level in lowers:
-                    level.admit(key, step, min_free_step=min_free_step, agg=agg, tenant=tenant)
-            else:
-                counts[found] += 1
-                if not prefetch:
-                    lowers[found].touch(key, step)
-                times[i] = t_src[found]
-                for level in lowers[:found]:
-                    level.admit(key, step, min_free_step=min_free_step, agg=agg, tenant=tenant)
-            if not batch_fast:
-                fast.admit(key, step, min_free_step=min_free_step, agg=agg, tenant=tenant)
-            i += 1
-        if batch_fast:
-            fast.admit_many_absent(
-                run, step, min_free_step=min_free_step, agg=agg, tenant=tenant
-            )
-        # -- grouped flushes (order-independent bookkeeping) -------------------
-        n_back = counts[-1]
-        if n_back:
-            self.backing_reads += n_back
-            self.backing_bytes += n_back * nb
-        served_below = n_back  # keys served strictly deeper than lowers[j]
-        for j in range(n_lowers - 1, -1, -1):
-            lower = lowers[j]
-            if served_below:  # each of those missed this level on the way down
-                if prefetch:
-                    lower.stats.prefetch_misses += served_below
-                else:
-                    lower.stats.misses += served_below
-            c = counts[j]
-            if c:
-                if prefetch:
-                    lower.stats.prefetch_hits += c
-                else:
-                    lower.stats.hits += c
-                lower.stats.bytes_read += c * nb
-            served_below += c
-        kind = "prefetch" if prefetch else "fetch"
-        record = self.registry.enabled
-        for j in range(n_lowers + 1):
-            c = counts[j]
-            if not c:
-                continue
-            if j < n_lowers:
-                source_name, t = lowers[j].name, t_src[j]
-            else:
-                source_name, t = self.backing.name, t_back
-            if record:
-                demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = (
-                    self._fetch_metrics[source_name]
-                )
-                (prefetch_h if prefetch else demand_h).observe_many(t, c)
-                (prefetch_c if prefetch else demand_c).inc(c)
-                bytes_c.inc(c * nb)
-            if agg is not None:
-                acc = agg.setdefault((kind, source_name), [0, 0, 0.0])
-                acc[0] += c
-                acc[1] += c * nb
-                # Repeated adds of the per-source constant reproduce the
-                # per-event accumulation bit-for-bit.
-                tt = acc[2]
-                for _ in range(c):
-                    tt += t
-                acc[2] = tt
 
     def fetch_many(
         self,
@@ -917,16 +670,13 @@ class MemoryHierarchy:
     ) -> BatchFetchResult:
         """Fetch a whole id array; result-identical to scalar :meth:`fetch`.
 
-        ``ids`` must be *unique* (a visible set is — ids come from
-        ``np.flatnonzero``).  The fastest level's residency mask partitions
-        the array into hit runs and misses in one vectorized pass; the mask
-        is a *hint* — an admit during a miss can evict a later batch member
-        from the fastest level (``min_free_step`` only protects blocks
-        already touched this step), so every tentative hit run is
-        re-verified against live residency and demoted to the scalar miss
-        path where stale.  Uniqueness guarantees the opposite staleness
-        (absent at partition time, resident later) cannot happen: only
-        batch members are admitted, each at its own position.
+        Unique ids of uniform-size blocks, with no fault injector,
+        forensics or per-event tracer, take the level cascade
+        (:meth:`_cascade`): the fastest level accesses every id in one
+        :meth:`CacheLevel.access_many`, each slower level the misses of
+        the level above, and the charged times, stats, registry metrics
+        and aggregated trace counts are booked once per call.  Any other
+        call runs the per-block reference loop (:meth:`_fetch_each`).
 
         The total ``time_s`` is accumulated with a sequential left fold
         (``np.add.accumulate``), so it is bit-identical to the scalar
@@ -936,76 +686,14 @@ class MemoryHierarchy:
         n = ids.size
         if n == 0:
             return BatchFetchResult(0, 0, 0.0)
-        if self.fault_injector is not None:
-            return self._fetch_many_resilient(ids, step, prefetch, min_free_step, tenant)
-        mx = int(ids.max())
-        for level in self.levels:
-            level.ensure_ids(mx)
-        fast = self.levels[0]
-        hint = fast._resident[ids]
-        latency_scale = self.prefetch_latency_factor if prefetch else 1.0
-        times = np.zeros(n, dtype=np.float64)
-        agg: "Optional[dict]" = {} if (self.aggregate_trace and self.tracer.enabled) else None
-        # Miss runs can be bulk-processed when block size is uniform and the
-        # tracer is aggregated (or off): per-event emission order is the only
-        # thing the grouped path does not preserve.
-        batch_miss = self._uniform_nbytes is not None and (
-            agg is not None or not self.tracer.enabled
-        )
-        rec: "Optional[dict]" = (
-            {} if (self.registry.enabled and self._uniform_nbytes is not None) else None
-        )
-        n_fast_hits = 0
-        # Hints can only go stale through a fastest-level eviction, so while
-        # the eviction counter still reads its partition-time value every
-        # hinted hit run is provably live and needs no re-verification.
-        ev0 = fast.stats.evictions
-        if n == 1:
-            bounds = np.array([0, 1])
-        else:
-            change = np.flatnonzero(hint[1:] != hint[:-1])
-            bounds = np.concatenate(([0], change + 1, [n]))
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if hint[a]:
-                if fast.stats.evictions == ev0:
-                    times[a:b] = self._serve_fast_hits(
-                        ids[a:b], step, prefetch, latency_scale, agg
-                    )
-                    n_fast_hits += b - a
-                    continue
-                pos = a
-                seg = ids[a:b]
-                while seg.size:
-                    live = fast._resident[seg]
-                    k = int(seg.size) if live.all() else int(np.argmin(live))
-                    if k:
-                        times[pos: pos + k] = self._serve_fast_hits(
-                            seg[:k], step, prefetch, latency_scale, agg
-                        )
-                        n_fast_hits += k
-                    if k < seg.size:  # stale hint: evicted mid-batch
-                        times[pos + k] = self._fetch_one(
-                            int(seg[k]), step, prefetch, min_free_step, agg, rec, tenant
-                        ).time_s
-                    seg = seg[k + 1:]
-                    pos += k + 1
-            elif batch_miss:
-                self._fetch_miss_run(
-                    ids[a:b], step, prefetch, min_free_step, agg, latency_scale, times, a,
-                    tenant,
-                )
-            else:
-                for p, key in enumerate(ids[a:b].tolist(), start=a):
-                    result = self._fetch_one(
-                        key, step, prefetch, min_free_step, agg, rec, tenant
-                    )
-                    times[p] = result.time_s
-                    if result.fastest_hit:  # unreachable for unique ids; stay exact anyway
-                        n_fast_hits += 1
-        total = float(np.add.accumulate(times)[-1]) if n > 1 else float(times[0])
-        self._flush_agg(agg, step)
-        self._flush_rec(rec, prefetch)
-        return BatchFetchResult(n, n_fast_hits, total)
+        if self._cascades(ids):
+            _, times, n_fast = self._cascade(ids, step, prefetch, min_free_step, tenant)
+            return BatchFetchResult(n, n_fast, _fold(times))
+        results = self._fetch_each(ids, step, prefetch, min_free_step, tenant)[1]
+        times = np.array([r.time_s for r in results])
+        dropped = tuple(r.key for r in results if r.dropped)
+        n_fast = sum(r.fastest_hit for r in results)
+        return BatchFetchResult(n, n_fast, _fold(times), len(dropped), dropped)
 
     def prefetch_many(
         self,
@@ -1029,122 +717,168 @@ class MemoryHierarchy:
         duplicate of a *skipped* resident candidate may still be fetched
         later if it was evicted in between).
 
-        Vectorization mirrors :meth:`fetch_many`: the initial residency
-        mask partitions the candidates; runs of hinted-resident candidates
-        are skipped wholesale once a fancy-indexed probe confirms they are
-        all still resident (skips mutate nothing, so skipping past the
-        cap is unobservable — the cap only gates *fetches*); stale
-        entries and hinted-miss candidates go through the scalar per-block
-        checks.  A hinted-miss candidate can still turn resident mid-batch
-        when the candidate list has duplicates (the first copy was
-        fetched), so the live ``in fast`` probe stays.
+        Under the same conditions as :meth:`fetch_many` (unique candidates,
+        so ``dedupe`` is moot) the fastest level's ``access_many`` with
+        ``touch=False`` and ``limit=max_fetch`` picks the issued ids — its
+        misses — and the slower levels serve them as a cascade.
         """
         arr = np.ascontiguousarray(candidates, dtype=np.int64)
-        n = arr.size
-        issued: List[int] = []
-        total_time = 0.0
-        if n == 0:
-            return issued, total_time
-        if self.fault_injector is not None:
-            return self._prefetch_many_resilient(
-                arr, step, min_free_step, max_fetch, dedupe, tenant
+        if arr.size == 0:
+            return [], 0.0
+        if self._cascades(arr):
+            issued, times, _ = self._cascade(
+                arr, step, True, min_free_step, tenant, skip_fast=True, limit=max_fetch
             )
-        mx = int(arr.max())
-        for level in self.levels:
-            level.ensure_ids(mx)
-        fast = self.levels[0]
-        hint = fast._resident[arr]
-        latency_scale = self.prefetch_latency_factor
-        agg: "Optional[dict]" = {} if (self.aggregate_trace and self.tracer.enabled) else None
-        rec: "Optional[dict]" = (
-            {} if (self.registry.enabled and self._uniform_nbytes is not None) else None
+            return issued.tolist(), _fold(times)
+        issued, results = self._fetch_each(
+            arr, step, True, min_free_step, tenant, skip_fast=True, limit=max_fetch,
+            dedupe=dedupe,
         )
-        attempted = set() if dedupe else None
-        if n == 1:
-            bounds = [0, 1]
-        else:
-            change = np.flatnonzero(hint[1:] != hint[:-1])
-            bounds = np.concatenate(([0], change + 1, [n])).tolist()
-        # With unique candidates a hinted miss can never turn resident
-        # mid-batch (only batch members are admitted), so whole miss runs
-        # can go through the bulk path — same conditions as fetch_many,
-        # and dedupe/live-residency checks trivially pass.  Uniqueness is
-        # one sort, computed lazily the first time a run is worth batching.
-        unique: Optional[bool] = True if n == 1 else None
-        batch_ok = self._uniform_nbytes is not None and (
-            agg is not None or not self.tracer.enabled
+        return issued, _fold(np.array([r.time_s for r in results]))
+
+    def _cascades(self, ids: np.ndarray) -> bool:
+        """Can ``ids`` take the level cascade?  Everything the cascade
+        books in bulk must commute: uniform block sizes, no fault draws,
+        no forensics lineage, no per-event trace — and unique ids."""
+        return (
+            self.fault_injector is None
+            and self.forensics is None
+            and self._uniform_nbytes is not None
+            and (self.aggregate_trace or not self.tracer.enabled)
+            and _unique(ids)
         )
-        capped = False
-        # As in fetch_many: hints only go stale via a fastest-level eviction.
-        ev0 = fast.stats.evictions
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if capped:
+
+    def _cascade(
+        self,
+        ids: np.ndarray,
+        step: int,
+        prefetch: bool,
+        min_free_step: Optional[int],
+        tenant: Optional[str],
+        skip_fast: bool = False,
+        limit: Optional[int] = None,
+    ) -> "tuple[np.ndarray, np.ndarray, int]":
+        """Serve unique ``ids`` down the levels; returns the served ids,
+        their charged times and the fastest-level hits among them.
+
+        Each level accesses the ids the level above missed, in id order
+        (levels are independent, so level by level equals key by key),
+        touching hits on demand reads only; then stats, registry metrics
+        and aggregated trace counts are booked once.  ``skip_fast`` is the
+        prefetch: ids resident in the fastest level are skipped, not
+        served, and ``limit`` caps the fastest level's misses.
+        """
+        levels = self.levels
+        n_lv = len(levels)
+        agg: "Optional[dict]" = {} if self.tracer.enabled else None
+        hit = levels[0].access_many(
+            ids, step, min_free_step, not prefetch, agg, limit, tenant
+        )
+        if skip_fast:
+            ids = ids[: hit.size][~hit]
+            hit = np.zeros(ids.size, dtype=bool)
+        src = np.where(hit, 0, n_lv)  # n_lv = the backing store
+        pos = np.flatnonzero(~hit)
+        for j in range(1, n_lv):
+            if not pos.size:
                 break
-            if hint[a]:
-                if fast.stats.evictions == ev0:
-                    continue  # whole run provably still resident: skip it
-                seg = arr[a:b]
-                while seg.size:
-                    live = fast._resident[seg]
-                    k = int(seg.size) if live.all() else int(np.argmin(live))
-                    # seg[:k] still resident: skipped, no state change.
-                    if k == seg.size:
-                        break
-                    key = int(seg[k])  # stale hint: evicted mid-batch
-                    if max_fetch is not None and len(issued) >= max_fetch:
-                        capped = True
-                        break
-                    if attempted is None or key not in attempted:
-                        if attempted is not None:
-                            attempted.add(key)
-                        total_time += self._fetch_one(
-                            key, step, True, min_free_step, agg, rec, tenant
-                        ).time_s
-                        issued.append(key)
-                    seg = seg[k + 1:]
-            elif batch_ok and b - a >= 4 and (
-                unique
-                if unique is not None
-                else (unique := bool(np.unique(arr).size == n))
-            ):
-                run = arr[a:b]
-                if max_fetch is not None:
-                    left = max_fetch - len(issued)
-                    if left <= 0:
-                        capped = True
-                        break
-                    if left < run.size:
-                        run = run[:left]  # the cap cut; next check trips it
-                tbuf = np.empty(run.size, dtype=np.float64)
-                self._fetch_miss_run(
-                    run, step, True, min_free_step, agg, latency_scale, tbuf, 0, tenant
-                )
-                # Scalar-order left fold, bit-identical to `total_time +=`.
-                for t in tbuf.tolist():
-                    total_time += t
-                issued.extend(run.tolist())
+            hit = levels[j].access_many(
+                ids[pos], step, min_free_step, not prefetch, agg, None, tenant
+            )
+            src[pos[hit]] = j
+            pos = pos[~hit]
+        nb = self._uniform_nbytes
+        scale = self.prefetch_latency_factor if prefetch else 1.0
+        t_src = [self._read_time(j, nb, scale) for j in range(n_lv)]
+        t_src.append(self._read_time(-1, nb, scale))
+        counts = np.bincount(src, minlength=n_lv + 1).tolist()
+        below = counts[n_lv]  # ids served deeper than the level being booked
+        self.backing_reads += below
+        self.backing_bytes += below * nb
+        for j in range(n_lv - 1, -1, -1):
+            stats = levels[j].stats
+            if prefetch:
+                stats.prefetch_hits += counts[j]
+                stats.prefetch_misses += below
             else:
-                # Live probe via the residency array directly; binding it is
-                # safe because every candidate id is covered by the upfront
-                # ensure_ids, so no admit in this batch can regrow it.
-                fast_resident = fast._resident
-                for key in arr[a:b].tolist():
-                    if max_fetch is not None and len(issued) >= max_fetch:
-                        capped = True
-                        break
-                    if attempted is not None and key in attempted:
-                        continue
-                    if fast_resident[key]:
-                        continue
-                    if attempted is not None:
-                        attempted.add(key)
-                    total_time += self._fetch_one(
-                        key, step, True, min_free_step, agg, rec, tenant
-                    ).time_s
-                    issued.append(key)
+                stats.hits += counts[j]
+                stats.misses += below
+            stats.bytes_read += counts[j] * nb
+            below += counts[j]
+        record = self.registry.enabled
+        names = [lv.name for lv in levels] + [self.backing.name]
+        for j, c in enumerate(counts):
+            if not c:
+                continue
+            if record:
+                demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = (
+                    self._fetch_metrics[names[j]]
+                )
+                (prefetch_h if prefetch else demand_h).observe_many(t_src[j], c)
+                (prefetch_c if prefetch else demand_c).inc(c)
+                bytes_c.inc(c * nb)
+            if agg is not None:
+                kind = "prefetch" if prefetch else ("hit" if j == 0 else "fetch")
+                # The left fold of c equal times is what c per-event adds give.
+                agg[(kind, names[j])] = [c, c * nb, _fold(np.full(c, t_src[j]))]
         self._flush_agg(agg, step)
-        self._flush_rec(rec, True)
-        return issued, total_time
+        return ids, np.asarray(t_src)[src], counts[0]
+
+    def _fetch_each(
+        self,
+        ids: np.ndarray,
+        step: int,
+        prefetch: bool,
+        min_free_step: Optional[int],
+        tenant: Optional[str],
+        skip_fast: bool = False,
+        limit: Optional[int] = None,
+        dedupe: bool = False,
+    ) -> "tuple[List[int], List[FetchResult]]":
+        """The per-block reference loop: one :meth:`_fetch_one` (or
+        :meth:`_fetch_one_resilient` under faults) per id, in id order;
+        returns the fetched ids and their results.
+
+        ``skip_fast`` is the prefetch loop: candidates resident in the
+        fastest level are skipped, at most ``limit`` are fetched (checked
+        before the skips) and ``dedupe`` fetches each id at most once.  A
+        dropped prefetch still counts as fetched: the prediction was acted
+        on, it just failed.  Movement events aggregate when the tracer
+        does, and registry fetch metrics are grouped per (source, time)
+        for uniform blocks.
+        """
+        faulted = self.fault_injector is not None
+        agg: "Optional[dict]" = (
+            {} if self.aggregate_trace and self.tracer.enabled and not faulted else None
+        )
+        rec: "Optional[dict]" = (
+            {}
+            if self.registry.enabled and self._uniform_nbytes is not None and not faulted
+            else None
+        )
+        fast = self.levels[0]
+        attempted = set() if dedupe else None
+        fetched: List[int] = []
+        results: List[FetchResult] = []
+        for key in ids.tolist():
+            if skip_fast:
+                if limit is not None and len(fetched) >= limit:
+                    break
+                if attempted is not None and key in attempted:
+                    continue
+                if key in fast:
+                    continue
+                if attempted is not None:
+                    attempted.add(key)
+            if faulted:
+                r = self._fetch_one_resilient(key, step, prefetch, min_free_step, tenant)
+            else:
+                r = self._fetch_one(key, step, prefetch, min_free_step, agg, rec, tenant)
+            fetched.append(key)
+            results.append(r)
+        self._flush_agg(agg, step)
+        self._flush_rec(rec, prefetch)
+        return fetched, results
 
     def _flush_agg(self, agg: "Optional[dict]", step: int) -> None:
         """Emit one aggregated trace event per accumulated (kind, source)."""
@@ -1235,3 +969,16 @@ def make_standard_hierarchy(
     return MemoryHierarchy(
         levels, list(devices), backing, block_nbytes, tracer=tracer, registry=registry
     )
+
+
+def _unique(ids: np.ndarray) -> bool:
+    """No repeated id (one compare for a sorted set, else one sort)."""
+    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+        return True
+    ordered = np.sort(ids)
+    return bool((ordered[1:] != ordered[:-1]).all())
+
+
+def _fold(times: np.ndarray) -> float:
+    """Sequential left-fold sum, bit-identical to ``total += t`` per entry."""
+    return float(np.add.accumulate(times)[-1]) if times.size else 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.camera.path import random_path, spherical_path
 from repro.camera.sampling import SamplingConfig
@@ -15,6 +16,11 @@ from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
 
 TEST_VIEW_ANGLE = 10.0
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run (no
+# random seed, no example database), and a failure prints the blob that
+# reproduces it with `@reproduce_failure`.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
 
 
 @pytest.fixture(scope="session")

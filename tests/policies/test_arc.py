@@ -1,5 +1,6 @@
 """Tests for the ARC policy."""
 
+import numpy as np
 import pytest
 
 from repro.policies.arc import ARCPolicy
@@ -49,6 +50,23 @@ class TestARCBasics:
         arc.on_insert(1, 0)
         with pytest.raises(KeyError):
             arc.on_insert(1, 1)
+
+    def test_hit_many_is_per_key_case_one(self, arc):
+        ref = ARCPolicy()
+        ref.set_capacity(4)
+        for p in (arc, ref):
+            for k in (1, 2, 3):
+                p.on_insert(k, 0)
+            p.on_hit(2, 1)
+        arc.on_hit_many(np.array([3, 2, 1]), 2)
+        for k in (3, 2, 1):
+            ref.on_hit(k, 2)
+        assert list(arc._t1) == list(ref._t1) and list(arc._t2) == list(ref._t2)
+
+    def test_hit_many_untracked_rejected(self, arc):
+        arc.on_insert(1, 0)
+        with pytest.raises(KeyError):
+            arc.on_hit_many(np.array([1, 9]), 1)
 
 
 class TestARCGhosts:

@@ -1,8 +1,12 @@
 """Tests for FIFOPolicy."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.policies.fifo import FIFOPolicy
+from tests.policies._fifo_reference import FIFOPolicy as ReferenceFIFO
 
 
 @pytest.fixture()
@@ -54,3 +58,65 @@ class TestFIFO:
         p.on_insert(1, 0)
         p.reset()
         assert len(p) == 0
+
+
+# The array-native FIFO against the OrderedDict implementation it replaced.
+
+N_KEYS = 12
+
+_op = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, N_KEYS - 1)),
+    st.tuples(st.just("hit"), st.integers(0, N_KEYS - 1)),
+    st.tuples(st.just("evict"), st.integers(0, N_KEYS - 1)),
+    st.tuples(st.just("access"), st.lists(st.integers(0, N_KEYS - 1), unique=True)),
+    st.tuples(st.just("victim"), st.sets(st.integers(0, N_KEYS - 1))),
+    st.tuples(st.just("masked"), st.sets(st.integers(0, N_KEYS - 1))),
+    st.tuples(st.just("order"), st.sets(st.integers(0, N_KEYS - 1))),
+)
+
+
+@given(ops=st.lists(_op, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_matches_ordered_dict_reference(ops):
+    """Random hook sequences: every answer and the insertion order agree.
+
+    Hits and inserts go only to tracked/untracked keys (the cache's
+    contract); ``access`` splits its keys by tracking the same way.
+    """
+    ref, fifo = ReferenceFIFO(), FIFOPolicy()
+    tracked: set = set()
+    for op, arg in ops:
+        if op == "insert" and arg not in tracked:
+            ref.on_insert(arg, 0)
+            fifo.on_insert(arg, 0)
+            tracked.add(arg)
+        elif op == "hit" and arg in tracked:
+            ref.on_hit(arg, 0)
+            fifo.on_hit(arg, 0)
+        elif op == "evict" and arg in tracked:
+            ref.on_evict(arg)
+            fifo.on_evict(arg)
+            tracked.discard(arg)
+        elif op == "access":
+            keys = np.array(arg, dtype=np.int64)
+            inserted = np.array([k not in tracked for k in arg], dtype=bool)
+            ref.on_access_many(keys, inserted, 0)
+            fifo.on_access_many(keys, inserted, 0)
+            tracked.update(arg)
+        elif op == "victim":
+            assert fifo.choose_victim(arg.__contains__) == ref.choose_victim(arg.__contains__)
+        elif op in ("masked", "order"):
+            mask = np.zeros(N_KEYS, dtype=bool)
+            mask[list(arg)] = True
+            if op == "masked":
+                assert fifo.choose_victim_masked(mask) == ref.choose_victim_masked(mask)
+            else:
+                want = [k for k in ref.insertion_order() if mask[k]]
+                assert fifo.victim_order(mask).tolist() == want
+        assert fifo.insertion_order() == ref.insertion_order()
+        assert len(fifo) == len(ref)
+    for key in tracked:  # the error contract matches too
+        with pytest.raises(KeyError):
+            ref.on_insert(key, 0)
+        with pytest.raises(KeyError):
+            fifo.on_insert(key, 0)

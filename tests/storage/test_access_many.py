@@ -1,0 +1,225 @@
+"""Edge cases of ``CacheLevel.access_many`` against the per-key loop.
+
+``access_many(keys, ...)`` must equal ``for k in keys: touch(k) if k in
+level else admit(k)`` — residency, ``last_used``, ``CacheStats``, the
+policy's internal order and the victim queue left to consume — including
+the frames where the planned sweep for victim-queue policies (LRU, FIFO)
+could go wrong: a victim the frame accesses later, a FIFO block hit
+earlier in the frame, an unconstrained queue running dry, a constrained
+frame with nothing evictable, free slots before the first eviction, and a
+prefetch limit that cuts the frame — each entered with and without a
+victim queue already built.  Every frame also runs on the live-loop
+policies.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.policies.registry import make_policy
+from repro.storage.cache import CacheLevel
+
+POLICIES = ["lru", "fifo", "arc", "mru", "lfu", "clock"]
+QUEUE_POLICIES = ["lru", "fifo"]
+
+
+def _level(policy, capacity, residents=()):
+    """A level whose ``residents`` were admitted in order at step 0."""
+    level = CacheLevel("dram", capacity, make_policy(policy), n_blocks=16)
+    for key in residents:
+        level.admit(key, 0)
+    return level
+
+
+def _per_key(level, keys, step, min_free_step=None, touch=True, limit=None):
+    """The reference: one touch or admit per key, stopping after ``limit`` admits."""
+    hit = []
+    for key in keys:
+        if limit is not None and hit.count(False) >= limit:
+            break
+        if key in level:
+            if touch:
+                level.touch(key, step)
+            hit.append(True)
+        else:
+            level.admit(key, step, min_free_step=min_free_step)
+            hit.append(False)
+    return hit
+
+
+def _order(level):
+    policy = level.policy
+    if hasattr(policy, "recency_order"):
+        return policy.recency_order()
+    if hasattr(policy, "list_sizes"):
+        return (policy.list_sizes(), policy.p, list(policy._t1), list(policy._t2))
+    return None
+
+
+def _queue(level):
+    """The victim queue still to be consumed, with what it was built for."""
+    if level._vq_epoch is None:
+        return None
+    token = level._vq_token if level._vq_epoch[1] is None else None
+    return level._vq_epoch, token, level._vq[level._vq_pos:].tolist()
+
+
+def _assert_same(a, b):
+    ra, rb = np.flatnonzero(a._resident), np.flatnonzero(b._resident)
+    np.testing.assert_array_equal(ra, rb)
+    np.testing.assert_array_equal(a._last_used[ra], b._last_used[rb])
+    assert a.stats == b.stats
+    assert _order(a) == _order(b)
+    assert _queue(a) == _queue(b)
+    a.check_invariants()
+    b.check_invariants()
+
+
+def _check(policy, capacity, residents, keys, step=1, min_free_step=None, touch=True,
+           limit=None, warm=False):
+    """Run one frame both ways and compare; then compare a follow-up frame
+    (which consumes whatever victim queue the first frame left behind).
+    ``warm`` first admits block 15 per key at the frame's step, so a full
+    level enters the frame with its victim queue already built.
+    Returns the hit mask, the residents and the stats after the frame."""
+    a = _level(policy, capacity, residents)
+    b = _level(policy, capacity, residents)
+    if warm:
+        for level in (a, b):
+            level.admit(15, step, min_free_step=min_free_step)
+    want = _per_key(a, keys, step, min_free_step, touch, limit)
+    got = b.access_many(
+        np.array(keys, dtype=np.int64), step, min_free_step, touch, None, limit
+    )
+    assert got.tolist() == want
+    _assert_same(a, b)
+    after = np.flatnonzero(b._resident).tolist(), copy.copy(b.stats)
+    follow = [k for k in range(12) if k not in keys][:4] + list(keys)[:2]
+    _per_key(a, follow, step, min_free_step)
+    b.access_many(np.array(follow, dtype=np.int64), step, min_free_step)
+    _assert_same(a, b)
+    return (got.tolist(),) + after
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("min_free_step", [None, 1])
+@pytest.mark.parametrize("warm", [False, True])
+class TestFrames:
+    def test_early_miss_evicts_a_later_hit(self, policy, min_free_step, warm):
+        # The frame's miss evicts the next queued block, which the frame
+        # then misses on too (cold: 1 then 2; warm, 1 already gone: 2 then 3).
+        keys = [5, 2] if warm else [5, 1]
+        hit, resident, _ = _check(policy, 3, [1, 2, 3], keys, min_free_step=min_free_step,
+                                  warm=warm)
+        if policy in QUEUE_POLICIES:
+            assert hit == [False, False]
+            assert resident == ([2, 5, 15] if warm else [1, 3, 5])
+
+    def test_hit_then_eviction_in_one_frame(self, policy, min_free_step, warm):
+        # The frame hits the next queued block, then misses.
+        keys = [2, 5] if warm else [1, 5]
+        hit, resident, _ = _check(policy, 3, [1, 2, 3], keys, min_free_step=min_free_step,
+                                  warm=warm)
+        assert hit == [True, False]
+        if policy == "fifo" and min_free_step is None:
+            # Hits do not protect under FIFO: the hit block goes.
+            assert resident == ([3, 5, 15] if warm else [2, 3, 5])
+        elif policy in QUEUE_POLICIES:
+            assert resident == ([2, 5, 15] if warm else [1, 3, 5])
+
+    def test_free_slots_fill_before_the_first_eviction(self, policy, min_free_step, warm):
+        hit, resident, stats = _check(policy, 4, [1, 2], [3, 4, 5], min_free_step=min_free_step,
+                                      warm=warm)
+        assert hit == [False, False, False]
+        assert stats.evictions == (2 if warm else 1)
+        if policy in QUEUE_POLICIES:
+            assert resident == ([3, 4, 5, 15] if warm else [2, 3, 4, 5])
+
+    def test_prefetch_limit_cuts_mid_frame(self, policy, min_free_step, warm):
+        hit, _, _ = _check(policy, 3, [1, 2, 3], [1, 4, 2, 5, 6], touch=False, limit=2,
+                           min_free_step=min_free_step, warm=warm)
+        assert hit.count(False) == 2
+        assert len(hit) < 5
+
+    def test_more_misses_than_capacity(self, policy, min_free_step, warm):
+        _check(policy, 2, [1, 2], [3, 4, 5, 6, 1, 7], min_free_step=min_free_step, warm=warm)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("warm", [False, True])
+class TestQueueEnds:
+    def test_unconstrained_queue_runs_dry_mid_frame(self, policy, warm):
+        # The queue holds the two residents; the third miss finds it empty
+        # and rebuilds over the blocks this frame inserted.
+        hit, resident, stats = _check(policy, 2, [1, 2], [3, 4, 5], warm=warm)
+        assert hit == [False, False, False]
+        assert stats.evictions == (4 if warm else 3)
+        if policy in QUEUE_POLICIES:
+            assert resident == [4, 5]
+
+    def test_constrained_frame_bypasses_when_all_touched(self, policy, warm):
+        keys = [2, 15, 3, 4] if warm else [1, 2, 3, 4]
+        hit, resident, stats = _check(policy, 2, [1, 2], keys, min_free_step=1, warm=warm)
+        assert stats.bypasses == 2
+        if policy in QUEUE_POLICIES or not warm:
+            assert hit == [True, True, False, False]
+            assert resident == sorted(keys[:2])
+
+
+@pytest.mark.parametrize("policy", QUEUE_POLICIES)
+def test_victim_queue_shared_across_calls_of_one_step(policy):
+    """Two constrained calls at one step share one queue epoch: the second
+    call resumes where the first stopped, skipping blocks it touched."""
+    a = _level(policy, 4, [1, 2, 3, 4])
+    b = _level(policy, 4, [1, 2, 3, 4])
+    for keys in ([5, 2], [6, 1, 7]):
+        want = _per_key(a, keys, 1, 1)
+        got = b.access_many(np.array(keys, dtype=np.int64), 1, 1)
+        assert got.tolist() == want
+        _assert_same(a, b)
+
+
+@pytest.mark.parametrize("policy", QUEUE_POLICIES)
+def test_earlier_step_drops_a_later_epochs_queue(policy):
+    """A frame at an earlier step than the queue's epoch leaves no queue
+    behind, as a touch or an insert at that step does."""
+    a = _level(policy, 3, [1, 2, 3])
+    b = _level(policy, 3, [1, 2, 3])
+    for level in (a, b):
+        level.admit(4, 5, min_free_step=5)  # builds the queue of epoch (5, 5)
+    want = _per_key(a, [2], 2, 2)
+    got = b.access_many(np.array([2], dtype=np.int64), 2, 2)
+    assert got.tolist() == want
+    assert b._vq_epoch is None
+    _assert_same(a, b)
+
+
+_frame = st.tuples(
+    st.lists(st.integers(0, 11), unique=True, max_size=12),  # keys
+    st.booleans(),  # constrained (min_free_step = step)
+    st.booleans(),  # touch
+    st.one_of(st.none(), st.integers(0, 6)),  # limit
+)
+
+
+@given(
+    policy=st.sampled_from(POLICIES),
+    capacity=st.integers(1, 6),
+    residents=st.lists(st.integers(0, 11), unique=True, max_size=6),
+    frames=st.lists(_frame, min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_frame_sequences_match_the_per_key_loop(policy, capacity, residents, frames):
+    """Random frame sequences: each frame starts from whatever queue the
+    previous ones left, so cold, warm, dry and stale queues all occur."""
+    a = _level(policy, capacity, residents)
+    b = _level(policy, capacity, residents)
+    for step, (keys, constrained, touch, limit) in enumerate(frames, start=1):
+        mfs = step if constrained else None
+        want = _per_key(a, keys, step, mfs, touch, limit)
+        got = b.access_many(np.array(keys, dtype=np.int64), step, mfs, touch, None, limit)
+        assert got.tolist() == want
+        _assert_same(a, b)

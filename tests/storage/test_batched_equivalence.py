@@ -47,7 +47,7 @@ def _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, block_nbytes):
 
 
 def _assert_same_state(a: MemoryHierarchy, b: MemoryHierarchy) -> None:
-    """Stats, residency, recency, and byte ledger all agree."""
+    """Stats, residency, recency, policy order, and byte ledger all agree."""
     assert a.backing_reads == b.backing_reads
     assert a.backing_bytes == b.backing_bytes
     assert a.stats() == b.stats()
@@ -56,6 +56,13 @@ def _assert_same_state(a: MemoryHierarchy, b: MemoryHierarchy) -> None:
         rb = np.flatnonzero(lb._resident)
         np.testing.assert_array_equal(ra, rb)
         np.testing.assert_array_equal(la._last_used[ra], lb._last_used[rb])
+        # Internal order drift fails here, not only through a later victim.
+        pa, pb = la.policy, lb.policy
+        for order in ("recency_order", "insertion_order", "list_sizes"):
+            if hasattr(pa, order):
+                assert getattr(pa, order)() == getattr(pb, order)(), order
+        if hasattr(pa, "p"):
+            assert pa.p == pb.p
         la.check_invariants()
         lb.check_invariants()
 
@@ -78,9 +85,17 @@ def replay_cases(draw):
     cap_fast = draw(st.integers(1, max(1, n_blocks // 2)))
     cap_slow = draw(st.integers(cap_fast, n_blocks))
     n_steps = draw(st.integers(1, 6))
+    ids = st.integers(0, n_blocks - 1)
+    # Visible sets are sorted and unique; lists with repeats (and in any
+    # order) must match the per-block loop too.
     steps = [
         np.array(
-            sorted(draw(st.sets(st.integers(0, n_blocks - 1), max_size=n_blocks))),
+            draw(
+                st.one_of(
+                    st.sets(ids, max_size=n_blocks).map(sorted),
+                    st.lists(ids, max_size=2 * n_blocks),
+                )
+            ),
             dtype=np.int64,
         )
         for _ in range(n_steps)
@@ -127,6 +142,20 @@ class TestFetchManyEquivalence:
             io = sum(a.fetch(k, i).time_s for k in ids.tolist())
             assert b.fetch_many(ids, i).time_s == io
         _assert_same_state(a, b)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_repeated_ids_match_the_per_block_loop(policy):
+    """A repeated id is a hit the second time, charged as one."""
+    a = _make_hierarchy(policy, 16, 8, 16, 256)
+    b = _make_hierarchy(policy, 16, 8, 16, 256)
+    ids = np.array([3, 5, 5, 7, 9], dtype=np.int64)
+    io = 0.0
+    for k in ids.tolist():
+        io += a.fetch(k, 0).time_s
+    res = b.fetch_many(ids, 0)
+    assert (res.time_s, res.n_fastest_hits) == (io, 1)
+    _assert_same_state(a, b)
 
 
 def _scalar_prefetch(h, candidates, step, cap, dedupe):
