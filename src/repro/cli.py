@@ -123,11 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the pinned regression suite (BENCH_<label>.json) or compare snapshots",
     )
     ben.add_argument("--tier", choices=("default", "fullscale", "cluster"), default="default",
-                     help="default: the pinned simulated-clock suite; fullscale: "
-                          "paper-scale geometry with wall-clock/RSS metrics "
-                          "(ratcheting raw-speed tier)")
+                     help="which bundled spec runs — default: the pinned "
+                          "simulated-clock suite (bench); cluster: the sharded "
+                          "replay (cluster); fullscale: paper-scale geometry with "
+                          "wall-clock/RSS metrics (fullscale)")
     ben.add_argument("--quick", action="store_true",
-                     help="CI-smoke variant: same suite shape, a fraction of the work")
+                     help="CI-smoke variant (bench-quick, cluster-smoke, "
+                          "fullscale-smoke): same suite shape, a fraction of the work")
     ben.add_argument("--label", default="local",
                      help="snapshot label: writes BENCH_<label>.json")
     ben.add_argument("--out", type=Path, default=Path("."),
@@ -139,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "write a Chrome-trace JSON there")
     _add_fault_args(ben)
     ben.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-                     help="compare two snapshots instead of running the suite")
+                     help="compare two bench snapshots of one tier instead of "
+                          "running the suite")
     ben.add_argument("--threshold", type=float, default=0.10,
                      help="relative regression threshold for --compare (default 0.10)")
     ben.add_argument("--warn-only", action="store_true",
@@ -544,37 +547,46 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.obs.bench import (
-        compare_bench,
-        format_comparison,
-        load_bench,
-        run_bench,
-        write_bench,
+def _compare(old_path, new_path, kinds, args) -> int:
+    """The one snapshot gate behind ``bench --compare``, ``serve-sim
+    --compare`` and ``matrix compare``: exit 2 on an unreadable snapshot or
+    one of another kind, 1 on a regression (unless ``--warn-only``)."""
+    from repro.experiments.gating import (
+        compare_snapshots,
+        count_regressions,
+        format_gate_rows,
+        load_snapshot,
     )
 
+    try:
+        old = load_snapshot(old_path, kinds)
+        new = load_snapshot(new_path, kinds)
+        rows = compare_snapshots(old, new, threshold=args.threshold)
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}")
+        return 2
+    print(f"comparing {old_path} -> {new_path}, threshold {args.threshold:.0%}")
+    print(format_gate_rows(rows, verbose=args.verbose))
+    n_regressions = count_regressions(rows)
+    if n_regressions and args.warn_only:
+        print(f"warn-only: {n_regressions} regression(s) ignored")
+        return 0
+    return 1 if n_regressions else 0
+
+
+def _cmd_bench(args) -> int:
+    from repro.experiments.gating import BENCH_KINDS, write_snapshot
+    from repro.obs.bench import run_bench, tier_spec
+
     if args.compare is not None:
-        old_path, new_path = args.compare
-        try:
-            old, new = load_bench(old_path), load_bench(new_path)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}")
-            return 2
-        rows = compare_bench(old, new, threshold=args.threshold)
-        print(f"comparing {old_path} ({old['label']}) -> {new_path} ({new['label']}), "
-              f"threshold {args.threshold:.0%}")
-        print(format_comparison(rows, verbose=args.verbose))
-        n_regressions = sum(1 for r in rows if r["status"] == "regression")
-        if n_regressions and args.warn_only:
-            print(f"warn-only: {n_regressions} regression(s) ignored")
-            return 0
-        return 1 if n_regressions else 0
+        return _compare(*args.compare, BENCH_KINDS, args)
 
     try:
         config = RunConfig.from_cli(args, command="bench")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    spec = tier_spec(args.tier, args.quick)
     if args.tier == "cluster":
         from repro.obs.bench_cluster import run_cluster
 
@@ -583,12 +595,8 @@ def _cmd_bench(args) -> int:
                   "(the scenario pins its own link-partition fault profile)",
                   file=sys.stderr)
             return 2
-        doc = run_cluster(
-            label=args.label,
-            quick=args.quick,
-            progress=print,
-        )
-        path = write_bench(doc, args.out)
+        doc = run_cluster(spec, label=args.label, quick=args.quick, progress=print)
+        path = write_snapshot(doc, args.out)
         cl = doc["cluster"]
         print(f"wrote {path} ({len(doc['runs'])} runs, tier cluster, "
               f"{cl['n_nodes']} nodes, map {cl['shard_map']['strategy']}, "
@@ -599,7 +607,11 @@ def _cmd_bench(args) -> int:
               f"{cl['peer_transfers']} transfers, "
               f"cold fallback {cl['split_bytes']['cold'] / 1e6:.2f} MB "
               f"({cl['link_fallbacks']} severed-link fallbacks)")
-        assert cl["ledger_reconciles"], "per-link ledger failed to reconcile"
+        if not cl["ledger_reconciles"]:
+            print("error: the cluster network ledger failed to reconcile "
+                  "(bytes moved != local + ghost + peer + cold, or peer bytes "
+                  "!= the per-link sum)", file=sys.stderr)
+            return 1
         return 0
     if args.tier == "fullscale":
         from repro.obs.bench_fullscale import run_fullscale
@@ -609,13 +621,14 @@ def _cmd_bench(args) -> int:
                   "(wall-clock numbers would measure the injector)", file=sys.stderr)
             return 2
         doc = run_fullscale(
+            spec,
             label=args.label,
             quick=args.quick,
             progress=print,
             workers=args.workers,
             profile_path=args.profile,
         )
-        path = write_bench(doc, args.out)
+        path = write_snapshot(doc, args.out)
         fs = doc["fullscale"]
         print(f"wrote {path} ({len(doc['runs'])} runs, tier fullscale, "
               f"kernel {fs['kernel']}, {fs['n_blocks']} blocks, "
@@ -632,6 +645,7 @@ def _cmd_bench(args) -> int:
             print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
         return 0
     doc = run_bench(
+        spec,
         label=args.label,
         quick=args.quick,
         progress=print,
@@ -640,7 +654,7 @@ def _cmd_bench(args) -> int:
         faults=config.faults,
         fault_seed=config.fault_seed,
     )
-    path = write_bench(doc, args.out)
+    path = write_snapshot(doc, args.out)
     n_runs = len(doc["runs"])
     dropped = sum(r["trace"]["n_dropped"] for r in doc["runs"].values())
     print(f"wrote {path} ({n_runs} runs, "
@@ -657,30 +671,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve_sim(args) -> int:
-    from repro.experiments.loadgen import (
-        LoadGenConfig,
-        compare_serve,
-        format_serve_comparison,
-        load_serve,
-        run_load,
-        write_serve,
-    )
+    from repro.experiments.gating import write_snapshot
+    from repro.experiments.loadgen import LoadGenConfig, run_load
 
     if args.compare is not None:
-        old_path, new_path = args.compare
-        try:
-            old, new = load_serve(old_path), load_serve(new_path)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}")
-            return 2
-        rows = compare_serve(old, new, threshold=args.threshold)
-        print(f"comparing {old_path} -> {new_path}, threshold {args.threshold:.0%}")
-        print(format_serve_comparison(rows, verbose=args.verbose))
-        n_regressions = sum(1 for r in rows if r["status"] == "regressed")
-        if n_regressions and args.warn_only:
-            print(f"warn-only: {n_regressions} regression(s) ignored")
-            return 0
-        return 1 if n_regressions else 0
+        return _compare(*args.compare, ("serve",), args)
 
     try:
         config = LoadGenConfig(
@@ -699,7 +694,7 @@ def _cmd_serve_sim(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = run_load(config, attribution=True)
-    path = write_serve(doc, args.label, args.out)
+    path = write_snapshot(doc, args.out, label=args.label)
     mt = doc["multi_tenant"]
     frames = mt["frame_times"]
     print(f"wrote {path} ({mt['n_sessions']} sessions, partition {args.partition}, "
@@ -718,39 +713,18 @@ def _cmd_serve_sim(args) -> int:
 def _cmd_matrix(args) -> int:
     import dataclasses
 
-    from repro.experiments.matrix import (
-        compare_matrix,
-        format_matrix_comparison,
-        load_matrix,
-        load_spec,
-        run_matrix,
-        write_matrix,
-    )
+    from repro.experiments.gating import load_snapshot, write_snapshot
+    from repro.experiments.matrix import load_spec, run_matrix
 
     if args.matrix_command == "compare":
-        try:
-            old, new = load_matrix(args.old), load_matrix(args.new)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}")
-            return 2
-        rows = compare_matrix(old, new, threshold=args.threshold)
-        print(f"comparing {args.old} ({old['label']}) -> {args.new} "
-              f"({new['label']}), threshold {args.threshold:.0%}")
-        print(format_matrix_comparison(rows, verbose=args.verbose))
-        n_regressions = sum(1 for r in rows if r["status"] == "regression")
-        if n_regressions and args.warn_only:
-            print(f"warn-only: {n_regressions} regression(s) ignored")
-            return 0
-        return 1 if n_regressions else 0
+        return _compare(args.old, args.new, ("matrix",), args)
 
     if args.matrix_command == "report":
-        import json
-
         from repro.experiments.matrix_report import write_matrix_report
 
         try:
-            doc = load_matrix(args.doc)
-        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+            doc = load_snapshot(args.doc, ("matrix",))
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         path = write_matrix_report(doc, args.out, title=args.title)
@@ -765,7 +739,7 @@ def _cmd_matrix(args) -> int:
     if args.label is not None:
         spec = dataclasses.replace(spec, label=args.label)
     doc = run_matrix(spec, workers=args.workers, progress=print)
-    path = write_matrix(doc, args.out)
+    path = write_snapshot(doc, args.out)
     print(f"wrote {path} ({doc['n_cells']} cells, runner {doc['runner']}, "
           f"{doc['workers']} worker(s), schema v{doc['schema_version']}, "
           f"suite {doc['suite_wall_s']:.2f}s wall)")

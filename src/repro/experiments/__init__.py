@@ -14,6 +14,7 @@ Run from the command line::
 from repro.experiments.gating import (
     GateRule,
     compare_metric_sets,
+    compare_snapshots,
     flatten_run_summary,
 )
 from repro.experiments.loadgen import (
@@ -24,7 +25,6 @@ from repro.experiments.loadgen import (
 from repro.experiments.matrix import (
     MatrixSpec,
     bundled_spec_names,
-    compare_matrix,
     expand_cells,
     load_spec,
     run_matrix,
@@ -46,13 +46,13 @@ __all__ = [
     "compare_policies",
     "GateRule",
     "compare_metric_sets",
+    "compare_snapshots",
     "flatten_run_summary",
     "LoadGenConfig",
     "make_session_specs",
     "run_load",
     "MatrixSpec",
     "bundled_spec_names",
-    "compare_matrix",
     "expand_cells",
     "load_spec",
     "run_matrix",

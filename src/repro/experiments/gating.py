@@ -1,59 +1,78 @@
-"""Shared snapshot-comparison (gating) machinery.
+"""The one snapshot gate.
 
-Every snapshot family in the repo — ``BENCH_*.json`` (three tiers),
-``SERVE_*.json``, and ``MATRIX_*.json`` — gates CI the same way: flatten
-the simulated-clock metrics of two snapshots to ``{name: value}``, then
-diff each metric against a per-direction threshold.  The flattening and
-threshold logic used to be hand-rolled three times (``obs/bench.py``,
-the cluster branch of its ``comparable_metrics``, and
-``experiments/loadgen.py``); this module is the single implementation
-they all call now.
+Every snapshot in the repo — ``BENCH_*.json`` (three bench tiers),
+``SERVE_*.json`` and ``MATRIX_*.json`` — is written, loaded and compared
+here, and CI gates all of them the same way: flatten the metrics of two
+snapshots of one *kind* to ``{name: (value, rule)}``, then diff each
+metric against a per-direction threshold.
 
 The vocabulary:
 
 - a :class:`GateRule` says how one metric gates — its good *direction*,
-  its comparison *mode* (relative change, strict-zero relative change,
-  absolute increase, absolute drop), and a threshold *scale* (wall-clock
-  metrics gate at a widened threshold);
+  its comparison *mode* (relative change, absolute increase, absolute
+  drop), and a threshold *scale* (wall-clock metrics gate at a widened
+  threshold);
 - a *metric set* is ``{name: (value, GateRule)}``;
 - :func:`compare_metric_sets` diffs two metric sets into rows with the
   canonical statuses ``"regression"`` / ``"improved"`` / ``"ok"`` /
   ``"missing"`` (metrics missing on either side never regress).
 
-The flatteners (:func:`flatten_run_summary`,
-:func:`flatten_multi_tenant`, :func:`flatten_cluster_section`) turn the
-recurring snapshot sections into metric sets; the legacy comparison
-entry points (``compare_bench``, ``compare_serve``) are thin wrappers
-that translate the canonical rows back into their historical row shapes
-so committed baselines and existing CI invocations keep gating with
-bit-identical verdicts.
+A snapshot's kind (:func:`snapshot_kind`) is its bench tier (``bench``,
+``cluster``, ``fullscale``), ``serve`` or ``matrix``; each kind has one
+flattener built from the section flatteners (:func:`flatten_run_summary`,
+:func:`flatten_multi_tenant`, :func:`flatten_cluster_section`).
+:func:`write_snapshot` / :func:`load_snapshot` are the one writer and
+loader, :func:`compare_snapshots` refuses two different kinds, and
+:func:`format_gate_rows` prints the rows of every kind.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from pathlib import Path
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 __all__ = [
+    "BENCH_SCHEMA_VERSION",
+    "SERVE_SCHEMA_VERSION",
+    "MATRIX_SCHEMA_VERSION",
+    "BENCH_KINDS",
     "GateRule",
     "MetricSet",
     "WALL_THRESHOLD_FACTOR",
     "SUMMARY_METRIC_DIRECTIONS",
     "DERIVED_METRIC_DIRECTIONS",
-    "is_wall_metric",
     "compare_metric_sets",
     "count_regressions",
     "format_gate_rows",
     "flatten_run_summary",
     "flatten_multi_tenant",
     "flatten_cluster_section",
+    "snapshot_kind",
+    "flatten_snapshot",
+    "compare_snapshots",
+    "write_snapshot",
+    "load_snapshot",
 ]
+
+#: Bump one of these when that snapshot layout changes incompatibly.
+BENCH_SCHEMA_VERSION = 1
+SERVE_SCHEMA_VERSION = 1
+MATRIX_SCHEMA_VERSION = 1
+
+#: The kinds of a ``BENCH_*.json`` snapshot: its ``tier`` (no ``tier``
+#: key is the default ``bench`` tier).
+BENCH_KINDS = ("bench", "cluster", "fullscale")
 
 #: Wall-clock/RSS metrics are machine-noisy; they gate at
 #: ``threshold * WALL_THRESHOLD_FACTOR`` so same-machine CI catches
-#: multi-x slowdowns without flaking on scheduler jitter.  (Canonical
-#: home; ``repro.obs.bench`` re-exports it for compatibility.)
+#: multi-x slowdowns without flaking on scheduler jitter.
 WALL_THRESHOLD_FACTOR = 4.0
+
+PathLike = Union[str, Path]
 
 #: run ``summary`` metric -> good direction ("lower" = increases regress).
 SUMMARY_METRIC_DIRECTIONS = {
@@ -71,11 +90,6 @@ DERIVED_METRIC_DIRECTIONS = {
 }
 
 
-def is_wall_metric(name: str) -> bool:
-    """Wall-clock/RSS metric names gate at the widened threshold."""
-    return name.endswith("wall_s") or name.endswith("_rss_bytes")
-
-
 @dataclass(frozen=True)
 class GateRule:
     """How one metric gates.
@@ -84,10 +98,10 @@ class GateRule:
         ``"lower"`` (increases are bad) or ``"higher"``.
     ``mode``
         - ``"relative"`` — change relative to ``max(|old|, abs_floor)``;
-          regresses past ``threshold * scale`` in the bad direction.
-        - ``"relative_strict_zero"`` — like ``"relative"``, but an old
-          value of exactly 0 tolerates no increase at all (the serve
-          gate's rule: a metric that was clean must stay clean).
+          regresses past ``threshold * scale`` in the bad direction.  A
+          metric that was exactly 0 divides by ``abs_floor`` (1e-12), so
+          a move off 0 in the bad direction regresses unless it is below
+          ``threshold * scale * abs_floor``.
         - ``"absolute_increase"`` — any increase regresses, threshold
           ignored (cross-tenant evictions).
         - ``"absolute_drop"`` — a drop of more than ``threshold * scale``
@@ -104,9 +118,7 @@ class GateRule:
     def __post_init__(self) -> None:
         if self.direction not in ("lower", "higher"):
             raise ValueError(f"direction must be 'lower'/'higher', got {self.direction!r}")
-        if self.mode not in (
-            "relative", "relative_strict_zero", "absolute_increase", "absolute_drop",
-        ):
+        if self.mode not in ("relative", "absolute_increase", "absolute_drop"):
             raise ValueError(f"unknown gate mode {self.mode!r}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
@@ -131,13 +143,6 @@ def _compare_one(
         drop = old_value - new_value if rule.direction == "higher" else new_value - old_value
         bad = drop > limit
         good = drop < 0
-    elif rule.mode == "relative_strict_zero" and old_value == 0.0:
-        worse = new_value > 0.0 if rule.direction == "lower" else new_value < 0.0
-        change = float("inf") if new_value > 0.0 else (
-            float("-inf") if new_value < 0.0 else 0.0
-        )
-        bad = worse
-        good = False
     else:
         denom = max(abs(old_value), abs_floor)
         change = (new_value - old_value) / denom
@@ -262,42 +267,31 @@ def flatten_run_summary(
 
 
 def flatten_multi_tenant(
-    mt: Mapping[str, object],
-    prefix: str = "multi_tenant",
-    strict_zero: bool = False,
-    relative: bool = False,
+    mt: Mapping[str, object], prefix: str = "multi_tenant"
 ) -> MetricSet:
-    """Flatten a ``multi_tenant`` section (bench suite or serve snapshot).
+    """Flatten a ``multi_tenant`` section (bench suite, serve snapshot or
+    serve matrix cell) — one rule everywhere.
 
-    Per-tenant and pooled frame-time percentiles, makespan, the Jain
-    fairness index (absolute-drop gate), and cross-tenant evictions
-    (absolute-increase gate).  ``strict_zero=True`` applies the serve
-    gate's zero rule: a percentile that was exactly 0 must stay 0.
-    ``relative=True`` gates fairness/cross-evictions relatively instead
-    of absolutely — the bench tier's historical semantics.
+    Per-tenant and pooled frame-time percentiles and the makespan gate
+    relatively; the Jain fairness index regresses on an absolute drop of
+    more than the threshold; cross-tenant evictions regress on any
+    increase.
     """
-    mode = "relative_strict_zero" if strict_zero else "relative"
     frames = mt["frame_times"]
     out: MetricSet = {
         f"{prefix}.fairness_jain": (
-            float(frames["fairness_jain"]),
-            GateRule("higher") if relative else GateRule("higher", mode="absolute_drop"),
+            float(frames["fairness_jain"]), GateRule("higher", mode="absolute_drop"),
         ),
         f"{prefix}.cross_evictions": (
-            float(mt["cross_evictions"]),
-            GateRule("lower") if relative else GateRule("lower", mode="absolute_increase"),
+            float(mt["cross_evictions"]), GateRule("lower", mode="absolute_increase"),
         ),
-        f"{prefix}.makespan_s": (float(mt["makespan_s"]), GateRule("lower", mode=mode)),
+        f"{prefix}.makespan_s": (float(mt["makespan_s"]), GateRule("lower")),
     }
     for pct in ("p50", "p95", "p99"):
-        out[f"{prefix}.pooled.{pct}"] = (
-            float(frames["pooled"][pct]), GateRule("lower", mode=mode),
-        )
+        out[f"{prefix}.pooled.{pct}"] = (float(frames["pooled"][pct]), GateRule("lower"))
     for tenant, row in sorted(frames["per_tenant"].items()):
         for pct in ("p50", "p95", "p99"):
-            out[f"{prefix}.{tenant}.{pct}"] = (
-                float(row[pct]), GateRule("lower", mode=mode),
-            )
+            out[f"{prefix}.{tenant}.{pct}"] = (float(row[pct]), GateRule("lower"))
     return out
 
 
@@ -328,3 +322,163 @@ def flatten_cluster_section(
             if isinstance(value, (int, float)):
                 out[f"{prefix}.link.{link}.{field}"] = (float(value), GateRule("lower"))
     return out
+
+
+# -- snapshots ----------------------------------------------------------------
+
+#: Wall-clock/RSS metrics of a fullscale-tier ``fullscale`` section.
+_FULLSCALE_WALL_METRICS = ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes")
+
+
+def _flatten_runs(doc: Mapping[str, Any], wall_metrics: Tuple[str, ...] = ()) -> MetricSet:
+    out: MetricSet = {}
+    for key, run in sorted(doc["runs"].items()):
+        out.update(flatten_run_summary(run, key, wall_metrics=wall_metrics))
+    return out
+
+
+def _flatten_bench(doc: Mapping[str, Any]) -> MetricSet:
+    """Default tier: the run cells plus the multi-tenant scenario (absent
+    from pre-multi-tenant snapshots, whose rows then report missing)."""
+    out = _flatten_runs(doc)
+    if doc.get("multi_tenant"):
+        out.update(flatten_multi_tenant(doc["multi_tenant"]))
+    return out
+
+
+def _flatten_cluster(doc: Mapping[str, Any]) -> MetricSet:
+    """Cluster tier: the run cells plus the partition cell's network ledger."""
+    return {**flatten_cluster_section(doc.get("cluster", {})), **_flatten_runs(doc)}
+
+
+def _flatten_fullscale(doc: Mapping[str, Any]) -> MetricSet:
+    """Fullscale tier: the run cells plus its wall-clock/RSS metrics, all
+    of those at the widened wall threshold."""
+    out: MetricSet = {}
+    section = doc.get("fullscale", {})
+    for name in _FULLSCALE_WALL_METRICS:
+        value = section.get(name)
+        if isinstance(value, (int, float)):
+            out[f"fullscale.{name}"] = (
+                float(value), GateRule("lower", scale=WALL_THRESHOLD_FACTOR),
+            )
+    out.update(_flatten_runs(doc, wall_metrics=("wall_s", "per_step_wall_s")))
+    return out
+
+
+def _flatten_serve(doc: Mapping[str, Any]) -> MetricSet:
+    return flatten_multi_tenant(doc["multi_tenant"])
+
+
+def _flatten_matrix(doc: Mapping[str, Any]) -> MetricSet:
+    """Per cell: the run summary, the multi-tenant section of serve cells
+    and the network ledger of sharded cells; never a wall-clock field."""
+    out: MetricSet = {}
+    for key, cell in sorted(doc["cells"].items()):
+        out.update(flatten_run_summary(cell, key))
+        if "multi_tenant" in cell:
+            out.update(flatten_multi_tenant(cell["multi_tenant"], prefix=f"{key}.multi_tenant"))
+        if "cluster" in cell:
+            out.update(flatten_cluster_section(cell["cluster"], prefix=f"{key}.cluster"))
+    return out
+
+
+class _Kind(NamedTuple):
+    prefix: str  # file name: <prefix>_<label>.json
+    schema_version: int
+    flatten: Callable[[Mapping[str, Any]], MetricSet]
+
+
+_KINDS: Dict[str, _Kind] = {
+    "bench": _Kind("BENCH", BENCH_SCHEMA_VERSION, _flatten_bench),
+    "cluster": _Kind("BENCH", BENCH_SCHEMA_VERSION, _flatten_cluster),
+    "fullscale": _Kind("BENCH", BENCH_SCHEMA_VERSION, _flatten_fullscale),
+    "serve": _Kind("SERVE", SERVE_SCHEMA_VERSION, _flatten_serve),
+    "matrix": _Kind("MATRIX", MATRIX_SCHEMA_VERSION, _flatten_matrix),
+}
+
+
+def snapshot_kind(doc: Any) -> str:
+    """A snapshot's kind: its bench tier (:data:`BENCH_KINDS`), ``serve``
+    or ``matrix``, read from the document's own layout."""
+    if not isinstance(doc, Mapping):
+        raise ValueError("a snapshot is a JSON object")
+    if doc.get("kind") == "matrix":
+        return "matrix"
+    if "runs" in doc:
+        tier = doc.get("tier", "bench")
+        if tier not in BENCH_KINDS:
+            raise ValueError(f"unknown bench tier {tier!r}; known: {BENCH_KINDS}")
+        return tier
+    if "multi_tenant" in doc:
+        return "serve"
+    raise ValueError(
+        "not a snapshot: no 'runs' (bench tier), 'multi_tenant' (serve) "
+        "or kind 'matrix'"
+    )
+
+
+def flatten_snapshot(doc: Mapping[str, Any]) -> MetricSet:
+    """The gating metric set of a snapshot, by its kind's flattener."""
+    return _KINDS[snapshot_kind(doc)].flatten(doc)
+
+
+def compare_snapshots(
+    old: Mapping[str, Any],
+    new: Mapping[str, Any],
+    threshold: float = 0.10,
+    abs_floor: float = 1e-12,
+) -> List[Dict[str, object]]:
+    """Diff two snapshots of one kind into canonical gate rows.
+
+    Raises :class:`ValueError` naming both kinds when they differ: the
+    metric names of two kinds never line up, so such a diff would be all
+    ``missing`` rows and pass vacuously.
+    """
+    old_kind, new_kind = snapshot_kind(old), snapshot_kind(new)
+    if old_kind != new_kind:
+        raise ValueError(f"cannot compare a {old_kind} snapshot with a {new_kind} snapshot")
+    flatten = _KINDS[old_kind].flatten
+    return compare_metric_sets(
+        flatten(old), flatten(new), threshold=threshold, abs_floor=abs_floor
+    )
+
+
+def write_snapshot(
+    doc: Mapping[str, Any], out_dir: PathLike = ".", label: Optional[str] = None
+) -> Path:
+    """Write ``<BENCH|SERVE|MATRIX>_<label>.json`` under ``out_dir``
+    (created if missing); returns the path.
+
+    ``label`` defaults to the document's own (serve snapshots carry none);
+    a ``/`` in it becomes ``-`` so the file lands in ``out_dir``.
+    """
+    kind = snapshot_kind(doc)
+    if label is None:
+        label = doc.get("label")
+        if label is None:
+            raise ValueError(f"a {kind} snapshot carries no label; pass one")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{_KINDS[kind].prefix}_{str(label).replace('/', '-')}.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def load_snapshot(path: PathLike, kinds: Optional[Sequence[str]] = None) -> Dict[str, Any]:
+    """Read a snapshot, checking its kind (one of ``kinds`` when given)
+    and the schema version that kind supports."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        kind = snapshot_kind(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if kinds is not None and kind not in kinds:
+        raise ValueError(
+            f"{path} is a {kind} snapshot, not a {' or '.join(kinds)} snapshot"
+        )
+    version = doc.get("schema_version")
+    supported = _KINDS[kind].schema_version
+    if version != supported:
+        raise ValueError(f"{path}: schema_version {version!r} != supported {supported}")
+    return doc

@@ -6,8 +6,10 @@ exponential inter-arrival times — and drives them through the
 result is a schema-versioned ``SERVE_<label>.json`` snapshot whose
 numbers are all *simulated* (frame-time percentiles per tenant, fairness,
 quota ledger, byte ledger), so two machines produce byte-identical
-snapshots and CI can gate on per-tenant p99 frame time the same way the
-bench gate works.
+snapshots and CI gates them through the one snapshot gate
+(:mod:`repro.experiments.gating`) the bench tiers use.  The committed
+``SERVE_baseline.json`` scenario is also the bundled ``serve-baseline``
+matrix spec (``serve`` runner).
 
 Everything is derived from ``LoadGenConfig.seed`` through a
 :class:`numpy.random.SeedSequence` tree: child 0 draws the workload mix
@@ -18,15 +20,12 @@ path — so adding a session never reshuffles the existing ones.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.experiments.gating import GateRule, MetricSet, compare_metric_sets
-from repro.experiments.matrix import MatrixSpec
+from repro.experiments.gating import SERVE_SCHEMA_VERSION
 from repro.experiments.runner import ExperimentSetup, fresh_hierarchy
 from repro.runtime.context import RunContext
 from repro.runtime.sessions import SessionSpec, run_sessions
@@ -36,14 +35,7 @@ __all__ = [
     "LoadGenConfig",
     "make_session_specs",
     "run_load",
-    "serve_matrix_spec",
-    "write_serve",
-    "load_serve",
-    "compare_serve",
-    "format_serve_comparison",
 ]
-
-SERVE_SCHEMA_VERSION = 1
 
 #: workload mix entry -> runtime workload name ("orbit" is the paper's
 #: spherical great-circle path).
@@ -172,165 +164,3 @@ def run_load(
         "workloads": {s.session_id: s.workload for s in specs},
         "multi_tenant": result.as_dict(),
     }
-
-
-def serve_matrix_spec(
-    config: Optional[LoadGenConfig] = None,
-    label: str = "serve",
-    attribution: bool = True,
-) -> MatrixSpec:
-    """One serving scenario as a single-cell matrix spec.
-
-    The ``RunConfig`` fields carry everything a session stream shares with
-    a replay cell (``sessions`` is the tenant count); the serve-only knobs
-    (mix weights, arrival process, partition, attribution) ride in
-    ``[setup]``.  The committed ``specs/serve-baseline.toml`` pins the
-    ``SERVE_baseline.json`` scenario this way, and axes over ``sessions``
-    / ``policy`` / ``cache_ratio`` turn it into a serving study.
-    """
-    config = config if config is not None else LoadGenConfig()
-    return MatrixSpec(
-        label=label,
-        runner="serve",
-        base={
-            "dataset": config.dataset,
-            "blocks": config.blocks,
-            "scale": config.scale,
-            "steps": config.steps,
-            "degrees": tuple(config.degrees),
-            "distance": config.distance,
-            "cache_ratio": config.cache_ratio,
-            "policy": config.policy,
-            "seed": config.seed,
-            "sessions": config.n_sessions,
-        },
-        setup={
-            "mix": tuple(config.mix),
-            "arrival_rate_hz": config.arrival_rate_hz,
-            "partition": config.partition,
-            "attribution": attribution,
-        },
-    )
-
-
-def write_serve(doc: dict, label: str, out_dir: "str | Path" = ".") -> Path:
-    """Write ``SERVE_<label>.json``; returns the path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"SERVE_{label}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_serve(path: Path) -> dict:
-    """Read a serve snapshot, checking the schema version."""
-    doc = json.loads(Path(path).read_text())
-    version = doc.get("schema_version")
-    if version != SERVE_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: serve schema version {version} != supported {SERVE_SCHEMA_VERSION}"
-        )
-    return doc
-
-
-def _serve_metric_set(doc: dict) -> MetricSet:
-    """The serve gate as a gating metric set (serve-historical names).
-
-    Makespan and frame-time percentiles gate with the strict-zero relative
-    rule (a metric that was clean must stay clean), cross-tenant evictions
-    with the absolute-increase rule, and the Jain fairness index with the
-    absolute-drop rule — the serve gate's historical semantics, now
-    expressed on the shared :mod:`repro.experiments.gating` vocabulary.
-    """
-    mt = doc["multi_tenant"]
-    frames = mt["frame_times"]
-    strict = GateRule("lower", mode="relative_strict_zero")
-    out: MetricSet = {
-        "makespan_s": (float(mt["makespan_s"]), strict),
-        "cross_evictions": (
-            float(mt["cross_evictions"]), GateRule("lower", mode="absolute_increase"),
-        ),
-        "pooled/p99": (float(frames["pooled"]["p99"]), strict),
-        "fairness_jain": (
-            float(frames["fairness_jain"]), GateRule("higher", mode="absolute_drop"),
-        ),
-    }
-    for tenant, summary in sorted(frames["per_tenant"].items()):
-        for q in ("p50", "p95", "p99"):
-            out[f"{tenant}/{q}"] = (float(summary[q]), strict)
-    return out
-
-
-def comparable_serve_metrics(doc: dict) -> Dict[str, float]:
-    """Flatten the gateable (simulated) metrics of a serve snapshot.
-
-    Per-tenant p50/p95/p99 frame times, the pooled p99, the makespan, and
-    the cross-eviction count — all lower-is-better; the fairness index is
-    gated separately (higher is better).
-    """
-    return {
-        name: value
-        for name, (value, _rule) in _serve_metric_set(doc).items()
-        if name != "fairness_jain"
-    }
-
-
-def compare_serve(
-    old_doc: dict, new_doc: dict, threshold: float = 0.25
-) -> List[dict]:
-    """Compare two serve snapshots; per-tenant p99s regress past ``threshold``.
-
-    Returns rows like the bench comparison: metrics missing on either
-    side report ``"missing"`` and never regress (so a committed baseline
-    stays valid when new tenants/metrics appear).  The fairness index is
-    gated downward: a drop of more than ``threshold`` (absolute) is a
-    regression.  The diff itself runs on
-    :func:`repro.experiments.gating.compare_metric_sets`; this wrapper
-    translates the canonical rows back to the serve gate's historical
-    shape (``ratio`` column, ``regressed``/``ok`` statuses, fairness
-    last) so committed baselines keep gating with identical verdicts.
-    """
-    canonical = compare_metric_sets(
-        _serve_metric_set(old_doc), _serve_metric_set(new_doc), threshold=threshold
-    )
-    rows: List[dict] = []
-    fairness: Optional[dict] = None
-    for row in canonical:
-        if row["status"] == "missing":
-            translated = {"metric": row["metric"], "status": "missing"}
-        else:
-            translated = {
-                "metric": row["metric"],
-                "old": row["old"],
-                "new": row["new"],
-                "ratio": row["change"],
-                "status": "regressed" if row["status"] == "regression" else "ok",
-            }
-        if row["metric"] == "fairness_jain":
-            fairness = translated
-        else:
-            rows.append(translated)
-    if fairness is not None:
-        rows.append(fairness)
-    return rows
-
-
-def format_serve_comparison(rows: List[dict], verbose: bool = False) -> str:
-    """Human-readable comparison table (regressions always shown)."""
-    lines = []
-    shown = rows if verbose else [r for r in rows if r["status"] != "ok"]
-    regressed = [r for r in rows if r["status"] == "regressed"]
-    for r in shown:
-        if r["status"] == "missing":
-            lines.append(f"  {r['metric']:<28} missing on one side")
-        else:
-            lines.append(
-                f"  {r['metric']:<28} {r['old']:.6g} -> {r['new']:.6g} "
-                f"({r['ratio']:+.1%}) {r['status']}"
-            )
-    header = (
-        f"{len(regressed)} regressed / {len(rows)} compared"
-        if regressed
-        else f"ok: {len(rows)} metrics within threshold"
-    )
-    return "\n".join([header] + lines)

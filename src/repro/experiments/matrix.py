@@ -22,9 +22,10 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     in declaration order (first axis varies slowest).
 ``[setup]``
     Non-``RunConfig`` extras the cell runner understands (sampling shape
-    ``n_directions``/``n_distances``, ``tracer_capacity``, cluster
-    ``ghost_ratio``/``force_sharded``, serve ``mix``/``arrival_rate_hz``/
-    ``partition``/``attribution``).
+    ``n_directions``/``n_distances``, visibility ``kernel`` of the replay
+    contexts, ``tracer_capacity``, cluster ``ghost_ratio``/
+    ``force_sharded``, serve ``mix``/``arrival_rate_hz``/``partition``/
+    ``attribution``).
 ``[labels.<axis>]``
     ``str(value)`` → display label used in cell keys; an empty label drops
     the segment (so a fault axis only names its faulted cells).
@@ -38,20 +39,24 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     ``title``, ``bench_snapshots`` (committed ``BENCH_*``/``SERVE_*``
     files to chart as trends).
 
-Three cell runners ship built in (``register_cell_runner`` adds more):
+Two cell runners ship built in (``register_cell_runner`` adds more):
 
 - ``replay`` — one baseline-or-app-aware replay per cell on a fresh (or
   sharded) hierarchy, with fault injection; the general-purpose runner.
-- ``bench-cell`` — the exact instrumented cell of ``repro bench``
-  (``repro.obs.bench._run_one``), so the bench suite is a committed spec.
 - ``serve`` — one multi-tenant serving scenario per cell
   (:func:`repro.experiments.loadgen.run_load`), ``sessions``-axis aware.
 
+The bench tiers register two more: ``bench-cell`` (the instrumented cell
+of :mod:`repro.obs.bench`) and ``fullscale-cell`` (the wall-clock cell of
+:mod:`repro.obs.bench_fullscale`).  Every runner reads only its cell's
+``RunConfig`` and the ``[setup]`` extras; the replay-shaped ones build
+their setup (``setup_for``) and replay context (``_context_for``) through
+the shared per-process caches, so every bench tier is a bundled spec.
+
 Seeds: each cell's config seed defaults to the spec seed; repeat ``r > 0``
 replaces it with ``derive_seed(seed, r)``.  Single-box fault profiles draw
-from ``derive_seed(fault_seed, cell.index)`` (the bench tier's historical
-per-cell derivation); cluster profiles use the raw ``fault_seed``,
-matching the cluster tier.  Everything is a pure function of the spec, so
+from ``derive_seed(fault_seed, cell.index)`` (as the ``bench-cell``
+runner does); cluster profiles use the raw ``fault_seed``.  Everything is a pure function of the spec, so
 serial and ``--workers N`` runs produce byte-identical snapshots.
 """
 
@@ -63,15 +68,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
-from repro.experiments.gating import (
-    compare_metric_sets,
-    flatten_cluster_section,
-    flatten_multi_tenant,
-    flatten_run_summary,
-    format_gate_rows,
-)
+from repro.experiments.gating import MATRIX_SCHEMA_VERSION
 from repro.runtime.config import RUN_CONFIG_SCHEMA, RunConfig
 from repro.utils.rng import derive_seed
 
@@ -88,16 +87,8 @@ __all__ = [
     "run_matrix_cell",
     "execute_cells",
     "run_matrix",
-    "write_matrix",
-    "load_matrix",
-    "comparable_matrix_metrics",
-    "compare_matrix",
-    "format_matrix_comparison",
     "setup_for",
 ]
-
-#: Bump when the MATRIX_*.json layout changes incompatibly.
-MATRIX_SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
 
@@ -334,8 +325,9 @@ _MATRIX_KEYS = ("label", "runner", "repeats", "seed", "key_prefix", "key_joiner"
 
 #: Modules that register additional cell runners on import; loaded lazily
 #: before runner-name validation/lookup so bundled specs that use them
-#: (e.g. ``fullscale-cell``) work standalone through ``repro matrix run``.
-_RUNNER_MODULES = ("repro.obs.bench_fullscale",)
+#: (``bench-cell``, ``fullscale-cell``) work standalone through
+#: ``repro matrix run``.
+_RUNNER_MODULES = ("repro.obs.bench", "repro.obs.bench_fullscale")
 
 
 def _ensure_runner_plugins() -> None:
@@ -633,16 +625,21 @@ def setup_for(config: RunConfig, extras: Mapping[str, Any]):
 
 def _context_for(setup, config: RunConfig, extras: Mapping[str, Any]):
     """The (cached) replay context — visible sets are computed once per
-    unique (setup, workload) pair, like the legacy tiers' shared contexts."""
+    unique (setup, workload, ``[setup] kernel``) triple and shared by every
+    cell replaying that path."""
+    kernel = str(extras.get("kernel", "auto"))
     key = _setup_key(config, extras) + (
         config.workload, config.steps, config.degrees, config.distance,
-        config.trace_file,
+        config.trace_file, kernel,
     )
     if key not in _CONTEXT_CACHE:
+        from repro.core.pipeline import PipelineContext
         from repro.runtime.registries import make_workload
 
         path = make_workload(config, setup.view_angle_deg)
-        _CONTEXT_CACHE[key] = setup.context(path)
+        _CONTEXT_CACHE[key] = PipelineContext.create(
+            path, setup.grid, setup.render_model, kernel=kernel
+        )
     return _CONTEXT_CACHE[key]
 
 
@@ -753,39 +750,6 @@ def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, objec
     return run
 
 
-def _bench_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object]:
-    """The exact instrumented cell of ``repro bench`` (forensics,
-    attribution, regret, phase spans — see ``repro.obs.bench._run_one``)."""
-    from repro.obs.bench import BenchConfig, _paths, _run_one
-
-    config = cell.config
-    bench_config = BenchConfig(
-        dataset=config.dataset,
-        blocks=config.blocks,
-        scale=config.scale if config.scale is not None else 0.08,
-        steps=config.steps,
-        cache_ratio=config.cache_ratio,
-        seed=config.seed,
-        n_directions=int(extras.get("n_directions", 64)),
-        n_distances=int(extras.get("n_distances", 2)),
-        degrees_per_step=config.degrees[0],
-        tracer_capacity=int(extras.get("tracer_capacity", 500_000)),
-        faults=config.faults,
-        fault_seed=config.fault_seed,
-    )
-    setup = setup_for(
-        config,
-        {
-            **extras,
-            "n_directions": bench_config.n_directions,
-            "n_distances": bench_config.n_distances,
-        },
-    )
-    path_name = "orbit" if config.workload == "spherical" else "zoom"
-    path = _paths(bench_config, setup.view_angle_deg)[path_name]
-    return _run_one(setup, path, config.policy, bench_config, cell_index=cell.index)
-
-
 def _serve_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object]:
     """One multi-tenant serving scenario per cell (``sessions`` axis)."""
     from repro.experiments.loadgen import LoadGenConfig, run_load
@@ -821,7 +785,6 @@ def _serve_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object
 
 
 register_cell_runner("replay", _replay_cell)
-register_cell_runner("bench-cell", _bench_cell)
 register_cell_runner("serve", _serve_cell)
 
 
@@ -919,69 +882,3 @@ def run_matrix(
         "suite_wall_s": time.perf_counter() - t0,  # informational; never compared
     }
     return doc
-
-
-# ---------------------------------------------------------------------------
-# snapshot I/O and comparison
-
-
-def write_matrix(doc: Dict[str, object], out_dir: PathLike = ".") -> Path:
-    """Write ``MATRIX_<label>.json`` under ``out_dir``; returns the path."""
-    label = str(doc["label"]).replace("/", "-")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"MATRIX_{label}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def load_matrix(path: PathLike) -> Dict[str, object]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") != "matrix":
-        raise ValueError(f"{path}: not a matrix snapshot (kind={doc.get('kind')!r})")
-    version = doc.get("schema_version")
-    if version != MATRIX_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} != supported {MATRIX_SCHEMA_VERSION}"
-        )
-    return doc
-
-
-def comparable_matrix_metrics(doc: Dict[str, object]):
-    """Flatten a matrix snapshot into a gating metric set.
-
-    Per cell: the shared run-summary metrics (summary, derived ratios,
-    histogram percentiles, trace drops), the multi-tenant section of serve
-    cells, and the cluster ledger of sharded cells.  Wall-clock fields are
-    never included — matrix comparisons are machine-independent.
-    """
-    out = {}
-    for key, cell in sorted(doc["cells"].items()):
-        out.update(flatten_run_summary(cell, key))
-        if "multi_tenant" in cell:
-            out.update(
-                flatten_multi_tenant(cell["multi_tenant"], prefix=f"{key}.multi_tenant")
-            )
-        if "cluster" in cell:
-            out.update(flatten_cluster_section(cell["cluster"], prefix=f"{key}.cluster"))
-    return out
-
-
-def compare_matrix(
-    old: Dict[str, object],
-    new: Dict[str, object],
-    threshold: float = 0.10,
-    abs_floor: float = 1e-12,
-) -> List[Dict[str, object]]:
-    """Diff two matrix snapshots (canonical gating rows; see
-    :func:`repro.experiments.gating.compare_metric_sets`)."""
-    return compare_metric_sets(
-        comparable_matrix_metrics(old),
-        comparable_matrix_metrics(new),
-        threshold=threshold,
-        abs_floor=abs_floor,
-    )
-
-
-def format_matrix_comparison(rows: List[Dict[str, object]], verbose: bool = False) -> str:
-    return format_gate_rows(rows, verbose=verbose)

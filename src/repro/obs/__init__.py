@@ -10,9 +10,9 @@ component defaults to a shared no-op so unmetered runs stay byte-identical):
   simulated clock (:class:`PhaseProfiler` / :data:`NULL_PROFILER`), and
   span ids stamped onto trace events;
 - :mod:`repro.obs.bench` — the pinned ``repro bench`` suite emitting
-  schema-versioned ``BENCH_<label>.json`` snapshots and the threshold
-  comparison behind ``repro bench --compare``.  (Imported lazily — see
-  the module — to keep this package import-light for the storage layer.)
+  schema-versioned ``BENCH_<label>.json`` snapshots (compared by the one
+  gate in :mod:`repro.experiments.gating`).  (Imported lazily — see the
+  module — to keep this package import-light for the storage layer.)
 
 :mod:`repro.obs.fairness` adds the multi-tenant summaries (Jain fairness
 index, per-tenant frame-time tails) the session scheduler reports.

@@ -9,11 +9,16 @@ ledger, and the shard map's locality score — all *simulated*-clock
 quantities, byte-identical across machines, so the comparison gates
 bit-exactly like the default tier.
 
-Three cells share one orbit context:
+The tier is the bundled ``cluster`` spec (``cluster-smoke`` for
+``--quick``), run by the ``replay`` runner.  Two axes — shard count and
+fault profile — with the fault-free K1 combination of the partition
+profile pruned by a constraint give three cells that share one orbit
+context:
 
-- ``orbit/K1`` — a one-node sharded hierarchy, which delegates wholesale
-  to the single-box :class:`~repro.storage.hierarchy.MemoryHierarchy`
-  (the shard-equivalence suite pins this bit-for-bit);
+- ``orbit/K1`` — a one-node sharded hierarchy (``[setup] force_sharded``),
+  which delegates wholesale to the single-box
+  :class:`~repro.storage.hierarchy.MemoryHierarchy` (the
+  shard-equivalence suite pins this bit-for-bit);
 - ``orbit/K4`` — four slab-sharded nodes, fault-free;
 - ``orbit/K4-partition`` — the same four nodes with the home node's
   first peer link partitioned, exercising the cold-store fallback path.
@@ -28,41 +33,12 @@ The ``cluster`` section is the partition cell's
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
+from repro.experiments.gating import BENCH_SCHEMA_VERSION
 from repro.experiments.matrix import MatrixSpec, expand_cells, run_matrix_cell
-from repro.obs.bench import BENCH_SCHEMA_VERSION
 
-__all__ = ["ClusterConfig", "cluster_matrix_spec", "ledger_reconciles", "run_cluster"]
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Pinned parameters of the cluster tier (recorded into the snapshot)."""
-
-    dataset: str = "3d_ball"
-    blocks: int = 256
-    scale: float = 0.08
-    steps: int = 40
-    cache_ratio: float = 0.5
-    seed: int = 0
-    n_directions: int = 32
-    n_distances: int = 1
-    degrees_per_step: float = 5.0
-    tracer_capacity: int = 500_000
-    n_nodes: int = 4
-    strategy: str = "slab"
-    ghost_ratio: float = 0.05
-    #: Cluster fault profile of the partition cell
-    #: (see :data:`repro.cluster.CLUSTER_FAULT_PROFILES`).
-    faults: str = "link-partition"
-    fault_seed: int = 0
-
-    @classmethod
-    def smoke(cls) -> "ClusterConfig":
-        """The CI `cluster-smoke` variant: same shape, a fraction of the work."""
-        return cls(blocks=64, scale=0.04, steps=12, n_directions=16)
+__all__ = ["ledger_reconciles", "run_cluster"]
 
 
 def ledger_reconciles(hierarchy) -> bool:
@@ -85,96 +61,43 @@ def ledger_reconciles(hierarchy) -> bool:
     )
 
 
-def cluster_matrix_spec(config: ClusterConfig) -> MatrixSpec:
-    """The cluster tier as a matrix spec.
-
-    Two axes — shard count and fault profile — with the fault-free K1
-    combination of the partition profile pruned by a constraint, expand
-    to the tier's three pinned cells in run order (``orbit/K1``,
-    ``orbit/K<n>``, ``orbit/K<n>/partition``); all three share one orbit
-    context through the replay runner's caches, exactly like the legacy
-    single-setup loop.  ``force_sharded`` keeps the K1 cell on a one-node
-    :class:`~repro.cluster.ShardedHierarchy` (the shard-equivalence
-    surface) instead of the plain single-box hierarchy.
-    """
-    return MatrixSpec(
-        label="cluster",
-        runner="replay",
-        base={
-            "dataset": config.dataset,
-            "blocks": config.blocks,
-            "scale": config.scale,
-            "steps": config.steps,
-            "cache_ratio": config.cache_ratio,
-            "seed": config.seed,
-            "workload": "spherical",
-            "degrees": (config.degrees_per_step, config.degrees_per_step),
-            "distance": 2.5,
-            "policy": "lru",
-            "fault_seed": config.fault_seed,
-            "shard_map": config.strategy,
-        },
-        axes={
-            "shards": (1, config.n_nodes),
-            "faults": ("none", config.faults),
-        },
-        constraints=({"shards": 1, "faults": config.faults},),
-        labels={
-            "shards": {"1": "K1", str(config.n_nodes): f"K{config.n_nodes}"},
-            "faults": {"none": "", config.faults: "partition"},
-        },
-        key_prefix="orbit",
-        setup={
-            "n_directions": config.n_directions,
-            "n_distances": config.n_distances,
-            "tracer_capacity": config.tracer_capacity,
-            "ghost_ratio": config.ghost_ratio,
-            "force_sharded": True,
-        },
-        figures=(
-            {
-                "x": "shards",
-                "metric": "total_miss_rate",
-                "group_by": "faults",
-                "title": "miss rate vs shard count",
-            },
-        ),
-    )
-
-
 def run_cluster(
-    config: Optional[ClusterConfig] = None,
+    spec: Optional[MatrixSpec] = None,
     label: str = "cluster",
     quick: bool = False,
     progress=None,
 ) -> Dict[str, object]:
     """Run the cluster tier; returns the JSON-ready snapshot document.
 
-    The document shares the bench schema (``write_bench``/``load_bench``/
-    ``compare_bench`` all apply) and adds ``"tier": "cluster"`` plus a
-    ``cluster`` section — the partition cell's
-    :meth:`~repro.cluster.ShardedHierarchy.cluster_ledger` with the
-    ``ledger_reconciles`` conservation bit the CI smoke job asserts.
+    ``spec`` defaults to the bundled ``cluster`` spec (``cluster-smoke``
+    when ``quick``).  The document shares the bench schema and adds
+    ``"tier": "cluster"`` plus a ``cluster`` section — the last faulted
+    cell's :meth:`~repro.cluster.ShardedHierarchy.cluster_ledger` with the
+    ``ledger_reconciles`` conservation bit the CI smoke job asserts.  The
+    per-cell run dicts keep the tier's layout (``n_nodes``/``faults``
+    scalars, no nested ledger, ``-partition`` keys).
     """
-    if config is None:
-        config = ClusterConfig.smoke() if quick else ClusterConfig()
+    if spec is None:
+        from repro.obs.bench import tier_spec
+
+        spec = tier_spec("cluster", quick)
     notify = progress if progress is not None else (lambda msg: None)
     t0 = time.perf_counter()
-
+    cells = expand_cells(spec)
+    if all(cell.config.faults == "none" for cell in cells):
+        raise ValueError(
+            f"cluster spec {spec.label!r} has no faulted cell to take the "
+            f"cluster ledger from"
+        )
+    config = cells[-1].config
     notify(
         f"setup: {config.dataset}, ~{config.blocks} blocks, {config.steps} steps, "
-        f"{config.n_nodes} nodes ({config.strategy})"
+        f"{config.shards} nodes ({config.shard_map})"
     )
-    # The tier is a committed matrix spec; the replay runner's caches give
-    # the three cells one shared setup + orbit context, like the legacy
-    # single-setup loop.  The per-cell run dicts are reshaped to the
-    # tier's historical layout (n_nodes/faults scalars, no nested ledger)
-    # so committed baselines stay byte-identical.
-    spec = cluster_matrix_spec(config)
     runs: Dict[str, Dict[str, object]] = {}
-    cluster_section = None
-    for cell in expand_cells(spec):
-        faults = cell.axes["faults"]
+    cluster_section: Dict[str, object] = {}
+    for cell in cells:
+        faults = cell.config.faults
         key = cell.key.replace("/partition", "-partition")
         notify(f"run: {key}")
         run = run_matrix_cell(cell, spec)
@@ -184,17 +107,14 @@ def run_cluster(
         run["faults"] = faults
         runs[key] = run
         if faults != "none":
-            cluster_section = ledger
-            cluster_section["ledger_reconciles"] = run["ledger_reconciles"]
-
-    assert cluster_section is not None
+            cluster_section = {**ledger, "ledger_reconciles": run["ledger_reconciles"]}
 
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "tier": "cluster",
         "label": label,
         "quick": quick,
-        "config": asdict(config),
+        "spec": spec.to_dict(),
         "cluster": cluster_section,
         "runs": runs,
         "suite_wall_s": time.perf_counter() - t0,

@@ -352,7 +352,7 @@ CLI_FIELD_MAP: Dict[str, str] = {
 #: bench flag is covered by CLI_FIELD_MAP or this table (no orphans).
 CLI_ONLY_FLAGS: Dict[str, str] = {
     "command": "subcommand dispatch, not a run parameter",
-    "tier": "bench tier selection (default sim-clock suite vs fullscale wall-clock)",
+    "tier": "bench tier selection (which bundled spec runs)",
     "quick": "suite sizing of `repro bench` (same shape, less work)",
     "label": "snapshot file naming (BENCH_<label>.json)",
     "out": "output directory/file selection",

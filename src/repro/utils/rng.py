@@ -22,8 +22,9 @@ def derive_seed(base: int, *indices: int) -> int:
     ``SeedSequence``-mixes ``(base, *indices)`` into one 63-bit integer, so
     suites that fan out over cells/repeats give every position statistically
     independent draws while staying reproducible from a single base seed.
-    ``derive_seed(base, i)`` is the bench tier's historical per-cell fault
-    seed (``derive_fault_seed`` delegates here).
+    ``derive_seed(base, i)`` is the per-cell fault seed of cell ``i`` of a
+    faulted bench or matrix suite, so no two cells replay one fault
+    schedule.
     """
     ss = np.random.SeedSequence([base & (2**63 - 1), *indices])
     return int(ss.generate_state(1, np.uint64)[0] & (2**63 - 1))

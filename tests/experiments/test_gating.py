@@ -1,15 +1,13 @@
-"""Tests for the shared comparison/gating vocabulary.
+"""Tests for the one snapshot gate.
 
-The bench tier, the serve gate, and the matrix runner all compare
-snapshots through this one module; the pinning tests here assert the
-verdicts on the committed baselines stay identical through the shared
-path (satellite of the matrix refactor: three near-identical
-comparable_metrics/compare implementations collapsed into one).
+The bench tiers, the serve snapshots, and the matrix runner all write,
+load and compare snapshots through this one module; the pinning tests
+here assert the verdicts on the committed baselines through
+``compare_snapshots``.
 """
 
 import copy
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -18,11 +16,16 @@ from repro.experiments.gating import (
     GateRule,
     WALL_THRESHOLD_FACTOR,
     compare_metric_sets,
+    compare_snapshots,
     count_regressions,
     flatten_cluster_section,
     flatten_multi_tenant,
     flatten_run_summary,
+    flatten_snapshot,
     format_gate_rows,
+    load_snapshot,
+    snapshot_kind,
+    write_snapshot,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -77,10 +80,12 @@ class TestCompareMetricSets:
         assert compare_metric_sets(old, {"m": (0.3, rule)}, threshold=0.2)[0]["status"] == "regression"
 
     def test_strict_zero_mode(self):
-        rule = GateRule("lower", mode="relative_strict_zero")
+        # A metric that was exactly 0 must stay 0: the relative mode divides
+        # by abs_floor (1e-12), so any move off 0 regresses.
+        rule = GateRule("lower")
         old = {"m": (0.0, rule)}
         row = compare_metric_sets(old, {"m": (0.001, rule)})[0]
-        assert row["status"] == "regression" and math.isinf(row["change"])
+        assert row["status"] == "regression" and row["change"] > 1e6
         assert compare_metric_sets(old, {"m": (0.0, rule)})[0]["status"] == "ok"
 
     def test_missing_metrics_reported_both_ways(self):
@@ -117,11 +122,14 @@ class TestFlatteners:
 
     def test_multi_tenant_on_committed_serve(self):
         mt = _load("SERVE_baseline.json")["multi_tenant"]
-        metrics = flatten_multi_tenant(mt, strict_zero=True)
-        assert "multi_tenant.fairness_jain" in metrics
-        assert metrics["multi_tenant.fairness_jain"][1].mode == "absolute_drop"
-        relative = flatten_multi_tenant(mt, relative=True)
-        assert relative["multi_tenant.fairness_jain"][1].mode == "relative"
+        metrics = flatten_multi_tenant(mt)
+        modes = {name: rule.mode for name, (_value, rule) in metrics.items()}
+        assert modes.pop("multi_tenant.fairness_jain") == "absolute_drop"
+        assert modes.pop("multi_tenant.cross_evictions") == "absolute_increase"
+        # percentiles and makespan: relative, everywhere
+        assert modes and set(modes.values()) == {"relative"}
+        assert {"multi_tenant.makespan_s", "multi_tenant.pooled.p50",
+                "multi_tenant.pooled.p95", "multi_tenant.pooled.p99"} <= set(modes)
 
     def test_cluster_section_on_committed_snapshot(self):
         section = _load("BENCH_cluster.json")["cluster"]
@@ -131,91 +139,159 @@ class TestFlatteners:
 
 
 class TestBenchVerdictPinning:
-    """compare_bench on the committed baseline through the shared gate."""
+    """The default bench tier's committed baseline through compare_snapshots."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
         return _load("BENCH_baseline.json")
 
     def test_self_compare_all_ok(self, baseline):
-        from repro.obs.bench import compare_bench
-
-        rows = compare_bench(baseline, baseline)
+        rows = compare_snapshots(baseline, baseline)
         assert rows and all(r["status"] == "ok" for r in rows)
-        # legacy row vocabulary preserved: rel_change, not change
-        assert all("rel_change" in r for r in rows)
+        # canonical row vocabulary
+        assert all("change" in r for r in rows)
 
     def test_perturbed_miss_rate_regresses(self, baseline):
-        from repro.obs.bench import compare_bench
-
         worse = copy.deepcopy(baseline)
         worse["runs"]["orbit/lru"]["summary"]["total_miss_rate"] *= 1.5
-        rows = compare_bench(baseline, worse)
+        rows = compare_snapshots(baseline, worse)
         bad = [r for r in rows if r["status"] == "regression"]
         assert [r["metric"] for r in bad] == ["orbit/lru.total_miss_rate"]
 
     def test_improvement_reported(self, baseline):
-        from repro.obs.bench import compare_bench
-
         better = copy.deepcopy(baseline)
         better["runs"]["orbit/lru"]["summary"]["io_time_s"] *= 0.5
-        rows = compare_bench(baseline, better)
+        rows = compare_snapshots(baseline, better)
         assert any(
             r["metric"] == "orbit/lru.io_time_s" and r["status"] == "improved"
             for r in rows
         )
 
     def test_cluster_tier_self_compare(self):
-        from repro.obs.bench import compare_bench
-
         doc = _load("BENCH_cluster.json")
-        rows = compare_bench(doc, doc)
+        rows = compare_snapshots(doc, doc)
         assert all(r["status"] == "ok" for r in rows)
         assert any(r["metric"].startswith("cluster.") for r in rows)
 
+    def test_multi_tenant_fairness_and_cross_evictions_are_absolute(self, baseline):
+        # Fairness regresses on an absolute drop past the threshold: 0.08
+        # off ~0.66 is a 12 % relative drop but passes a 0.10 gate.  Cross-
+        # tenant evictions regress on any increase, even 2 on top of 50.
+        old = copy.deepcopy(baseline)
+        old["multi_tenant"]["cross_evictions"] = 50
+        new = copy.deepcopy(old)
+        new["multi_tenant"]["cross_evictions"] = 52
+        new["multi_tenant"]["frame_times"]["fairness_jain"] -= 0.08
+        rows = {r["metric"]: r["status"] for r in compare_snapshots(old, new)}
+        assert rows["multi_tenant.fairness_jain"] == "ok"
+        assert rows["multi_tenant.cross_evictions"] == "regression"
+        new["multi_tenant"]["frame_times"]["fairness_jain"] -= 0.05
+        rows = {r["metric"]: r["status"] for r in compare_snapshots(old, new)}
+        assert rows["multi_tenant.fairness_jain"] == "regression"
+
 
 class TestServeVerdictPinning:
-    """compare_serve on the committed baseline through the shared gate."""
+    """The committed serve baseline through compare_snapshots."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
         return _load("SERVE_baseline.json")
 
     def test_self_compare_all_ok(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
-        rows = compare_serve(baseline, baseline)
+        rows = compare_snapshots(baseline, baseline)
         assert rows and all(r["status"] == "ok" for r in rows)
-        # legacy vocabulary: ratio key, fairness row last
-        assert all("ratio" in r for r in rows)
-        assert rows[-1]["metric"] == "fairness_jain"
+        # canonical vocabulary, multi_tenant.* names, pooled p50/p95/p99
+        assert all("change" in r for r in rows)
+        names = {r["metric"] for r in rows}
+        assert all(name.startswith("multi_tenant.") for name in names)
+        assert {"multi_tenant.pooled.p50", "multi_tenant.pooled.p95",
+                "multi_tenant.pooled.p99", "multi_tenant.fairness_jain"} <= names
 
     def test_cross_evictions_gate_is_absolute(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
         worse = copy.deepcopy(baseline)
         worse["multi_tenant"]["cross_evictions"] += 1
-        rows = compare_serve(baseline, worse)
+        rows = compare_snapshots(baseline, worse)
         assert any(
-            r["metric"] == "cross_evictions" and r["status"] == "regressed"
+            r["metric"] == "multi_tenant.cross_evictions" and r["status"] == "regression"
             for r in rows
         )
 
     def test_fairness_drop_regresses(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
         worse = copy.deepcopy(baseline)
         worse["multi_tenant"]["frame_times"]["fairness_jain"] -= 0.3
-        rows = compare_serve(baseline, worse, threshold=0.25)
-        fairness = [r for r in rows if r["metric"] == "fairness_jain"]
-        assert fairness and fairness[0]["status"] == "regressed"
+        rows = compare_snapshots(baseline, worse, threshold=0.25)
+        fairness = [r for r in rows if r["metric"] == "multi_tenant.fairness_jain"]
+        assert fairness and fairness[0]["status"] == "regression"
 
     def test_missing_tenant_rows_are_schema_only(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
         fewer = copy.deepcopy(baseline)
         per_tenant = fewer["multi_tenant"]["frame_times"]["per_tenant"]
-        per_tenant.pop(sorted(per_tenant)[0])
-        rows = compare_serve(baseline, fewer)
-        missing = [r for r in rows if r["status"].startswith("missing")]
-        assert missing and all(set(r) == {"metric", "status"} for r in missing)
+        dropped = sorted(per_tenant)[0]
+        per_tenant.pop(dropped)
+        rows = compare_snapshots(baseline, fewer)
+        missing = [r for r in rows if r["status"] == "missing"]
+        assert missing and all(
+            r["metric"].startswith(f"multi_tenant.{dropped}.") and r["new"] is None
+            for r in missing
+        )
+        assert count_regressions(rows) == 0
+
+
+#: Every committed snapshot and its kind.
+COMMITTED_SNAPSHOTS = {
+    "BENCH_baseline.json": "bench",
+    "BENCH_cluster.json": "cluster",
+    "BENCH_fullscale.json": "fullscale",
+    "BENCH_fullscale-smoke.json": "fullscale",
+    "SERVE_baseline.json": "serve",
+    "MATRIX_smoke.json": "matrix",
+}
+
+
+class TestOneGate:
+    @pytest.mark.parametrize("name", sorted(COMMITTED_SNAPSHOTS))
+    def test_committed_snapshot_loads_and_compares_clean(self, name):
+        doc = load_snapshot(REPO_ROOT / name)
+        assert snapshot_kind(doc) == COMMITTED_SNAPSHOTS[name]
+        rows = compare_snapshots(doc, doc)
+        assert rows and all(r["status"] == "ok" for r in rows)
+        assert "0 regression(s)" in format_gate_rows(rows)
+
+    def test_two_kinds_are_refused_naming_both(self):
+        with pytest.raises(ValueError, match="a serve snapshot with a bench snapshot"):
+            compare_snapshots(_load("SERVE_baseline.json"), _load("BENCH_baseline.json"))
+        with pytest.raises(ValueError, match="a cluster snapshot with a fullscale snapshot"):
+            compare_snapshots(_load("BENCH_cluster.json"), _load("BENCH_fullscale.json"))
+
+    def test_loader_checks_the_expected_kind(self):
+        with pytest.raises(ValueError, match="is a bench snapshot, not a serve snapshot"):
+            load_snapshot(REPO_ROOT / "BENCH_baseline.json", ("serve",))
+        assert load_snapshot(REPO_ROOT / "MATRIX_smoke.json", ("matrix",))["kind"] == "matrix"
+
+    def test_unknown_documents_rejected(self, tmp_path):
+        for bad in ({"schema_version": 1}, [1, 2], {"runs": {}, "tier": "mega"}):
+            with pytest.raises(ValueError):
+                snapshot_kind(bad)
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"kind": "bench"}))
+        with pytest.raises(ValueError, match="not a snapshot"):
+            load_snapshot(path)
+
+    def test_writer_creates_the_directory_and_sanitises_the_label(self, tmp_path):
+        serve = _load("SERVE_baseline.json")
+        path = write_snapshot(serve, tmp_path / "new" / "dir", label="a/b")
+        assert path == tmp_path / "new" / "dir" / "SERVE_a-b.json"
+        assert load_snapshot(path) == serve
+        with pytest.raises(ValueError, match="no label"):
+            write_snapshot(serve, tmp_path)
+        matrix = _load("MATRIX_smoke.json")
+        assert write_snapshot(matrix, tmp_path).name == "MATRIX_smoke.json"
+
+    def test_flatteners_per_kind(self):
+        fullscale = flatten_snapshot(_load("BENCH_fullscale-smoke.json"))
+        assert fullscale["fullscale.table_build_wall_s"][1].scale == WALL_THRESHOLD_FACTOR
+        assert fullscale["orbit/lru.wall_s"][1].scale == WALL_THRESHOLD_FACTOR
+        bench = flatten_snapshot(_load("BENCH_baseline.json"))
+        assert not any("wall" in name for name in bench)
+        matrix = flatten_snapshot(_load("MATRIX_smoke.json"))
+        assert "orbit/lru.total_miss_rate" in matrix

@@ -4,16 +4,14 @@ import json
 
 import pytest
 
-from repro.experiments.loadgen import (
-    LoadGenConfig,
-    compare_serve,
-    comparable_serve_metrics,
-    format_serve_comparison,
-    load_serve,
-    make_session_specs,
-    run_load,
-    write_serve,
+from repro.experiments.gating import (
+    compare_snapshots,
+    flatten_snapshot,
+    format_gate_rows,
+    load_snapshot,
+    write_snapshot,
 )
+from repro.experiments.loadgen import LoadGenConfig, make_session_specs, run_load
 
 SMALL = LoadGenConfig(n_sessions=4, steps=5, blocks=64, scale=0.04, seed=3)
 
@@ -95,18 +93,18 @@ class TestRunLoad:
         assert doc["multi_tenant"]["quotas"] == {}
 
     def test_roundtrip_and_compare_clean(self, doc, tmp_path):
-        path = write_serve(doc, "t", tmp_path)
+        path = write_snapshot(doc, tmp_path, label="t")
         assert path.name == "SERVE_t.json"
-        loaded = load_serve(path)
-        rows = compare_serve(loaded, doc)
+        loaded = load_snapshot(path, ("serve",))
+        rows = compare_snapshots(loaded, doc)
         assert all(r["status"] == "ok" for r in rows)
-        assert "ok:" in format_serve_comparison(rows)
+        assert "0 regression(s)" in format_gate_rows(rows)
 
-    def test_load_rejects_wrong_schema(self, tmp_path):
+    def test_load_rejects_wrong_schema(self, doc, tmp_path):
         bad = tmp_path / "SERVE_bad.json"
-        bad.write_text(json.dumps({"schema_version": 99}))
-        with pytest.raises(ValueError, match="schema version"):
-            load_serve(bad)
+        bad.write_text(json.dumps(dict(doc, schema_version=99)))
+        with pytest.raises(ValueError, match="schema_version 99"):
+            load_snapshot(bad)
 
 
 class TestCompareServe:
@@ -131,34 +129,36 @@ class TestCompareServe:
         }
 
     def test_regression_on_p99_blowup(self):
-        rows = compare_serve(self._doc(), self._doc(p99_scale=2.0), threshold=0.25)
-        regressed = {r["metric"] for r in rows if r["status"] == "regressed"}
-        assert "a/p99" in regressed and "pooled/p99" in regressed
+        rows = compare_snapshots(self._doc(), self._doc(p99_scale=2.0), threshold=0.25)
+        regressed = {r["metric"] for r in rows if r["status"] == "regression"}
+        assert "multi_tenant.a.p99" in regressed and "multi_tenant.pooled.p99" in regressed
 
     def test_within_threshold_ok(self):
-        rows = compare_serve(self._doc(), self._doc(p99_scale=1.1), threshold=0.25)
+        rows = compare_snapshots(self._doc(), self._doc(p99_scale=1.1), threshold=0.25)
         assert all(r["status"] == "ok" for r in rows)
 
     def test_fairness_drop_regresses(self):
-        rows = compare_serve(self._doc(fairness=0.95), self._doc(fairness=0.5),
-                             threshold=0.25)
-        fairness_row = next(r for r in rows if r["metric"] == "fairness_jain")
-        assert fairness_row["status"] == "regressed"
+        rows = compare_snapshots(self._doc(fairness=0.95), self._doc(fairness=0.5),
+                                 threshold=0.25)
+        fairness_row = next(r for r in rows if r["metric"] == "multi_tenant.fairness_jain")
+        assert fairness_row["status"] == "regression"
 
     def test_new_tenant_is_missing_not_regressed(self):
-        rows = compare_serve(
+        rows = compare_snapshots(
             self._doc(tenants=("a",)), self._doc(tenants=("a", "b")), threshold=0.25
         )
-        b_rows = [r for r in rows if r["metric"].startswith("b/")]
+        b_rows = [r for r in rows if r["metric"].startswith("multi_tenant.b.")]
         assert b_rows and all(r["status"] == "missing" for r in b_rows)
 
     def test_cross_evictions_increase_regresses(self):
         new = self._doc()
         new["multi_tenant"]["cross_evictions"] = 3
-        rows = compare_serve(self._doc(), new)
-        row = next(r for r in rows if r["metric"] == "cross_evictions")
-        assert row["status"] == "regressed"
+        rows = compare_snapshots(self._doc(), new)
+        row = next(r for r in rows if r["metric"] == "multi_tenant.cross_evictions")
+        assert row["status"] == "regression"
 
-    def test_comparable_metrics_flat(self):
-        m = comparable_serve_metrics(self._doc())
-        assert {"makespan_s", "cross_evictions", "pooled/p99", "a/p50"} <= set(m)
+    def test_flattened_metrics_take_multi_tenant_names(self):
+        m = flatten_snapshot(self._doc())
+        assert {"multi_tenant.makespan_s", "multi_tenant.cross_evictions",
+                "multi_tenant.pooled.p50", "multi_tenant.pooled.p95",
+                "multi_tenant.pooled.p99", "multi_tenant.a.p50"} <= set(m)

@@ -5,23 +5,28 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import matrix
+from repro.experiments.gating import (
+    compare_snapshots,
+    flatten_snapshot,
+    load_snapshot,
+    write_snapshot,
+)
 from repro.experiments.matrix import (
     CELL_RUNNERS,
     MatrixSpec,
     bundled_spec_names,
-    compare_matrix,
-    comparable_matrix_metrics,
     expand_cells,
     expand_grid,
     execute_cells,
-    load_matrix,
     load_spec,
     parse_toml_subset,
     register_cell_runner,
     run_matrix,
+    run_matrix_cell,
     spec_from_dict,
-    write_matrix,
 )
+from repro.obs.bench import TIER_SPECS, tier_spec
 from repro.utils.rng import derive_seed
 
 try:
@@ -150,8 +155,8 @@ class TestLoadSpec:
             assert name in str(err.value)
 
     def test_bundled_names_cover_committed_tiers(self):
-        assert {"smoke", "bench", "bench-quick", "serve-baseline",
-                "cluster-smoke", "fullscale-smoke"} <= set(bundled_spec_names())
+        assert {"smoke", "bench", "bench-quick", "serve-baseline", "cluster",
+                "cluster-smoke", "fullscale", "fullscale-smoke"} <= set(bundled_spec_names())
 
     def test_json_spec_path(self, tmp_path):
         path = tmp_path / "tiny.json"
@@ -160,34 +165,41 @@ class TestLoadSpec:
 
 
 class TestSpecPinning:
-    """The committed TOMLs ARE the legacy tiers — pinned against builders."""
+    """Each bench tier is its bundled spec — the one spelling of the tier."""
+
+    def test_every_bundled_spec_loads_and_expands(self):
+        for name in bundled_spec_names():
+            spec = load_spec(name)
+            assert spec.runner in CELL_RUNNERS, name
+            assert expand_cells(spec), name
 
     def test_bench_specs(self):
-        from repro.obs.bench import BenchConfig, bench_matrix_spec
+        # every --tier/--quick pair resolves to a bundled spec
+        from repro.cli import build_parser
 
-        assert load_spec("bench").to_dict() == bench_matrix_spec(BenchConfig()).to_dict()
-        assert (load_spec("bench-quick").to_dict()
-                == bench_matrix_spec(BenchConfig.quick()).to_dict())
+        for tier, names in TIER_SPECS.items():
+            assert build_parser().parse_args(["bench", "--tier", tier]).tier == tier
+            for quick, name in zip((False, True), names):
+                assert name in bundled_spec_names()
+                assert tier_spec(tier, quick).to_dict() == load_spec(name).to_dict()
+        assert tier_spec("default", quick=True).runner == "bench-cell"
+        assert tier_spec("cluster").runner == "replay"
+        assert tier_spec("fullscale").runner == "fullscale-cell"
 
     def test_serve_baseline_spec(self):
-        from repro.experiments.loadgen import LoadGenConfig, serve_matrix_spec
-
-        built = serve_matrix_spec(
-            LoadGenConfig(blocks=128, scale=0.06, steps=16), label="serve-baseline"
-        )
-        assert load_spec("serve-baseline").to_dict() == built.to_dict()
+        spec = load_spec("serve-baseline")
+        assert spec.runner == "serve"
+        assert [c.key for c in expand_cells(spec)] == ["serve-baseline"]
 
     def test_cluster_smoke_spec(self):
-        from repro.obs.bench_cluster import ClusterConfig, cluster_matrix_spec
-
-        assert (load_spec("cluster-smoke").to_dict()
-                == cluster_matrix_spec(ClusterConfig.smoke()).to_dict())
+        full, smoke = load_spec("cluster"), load_spec("cluster-smoke")
+        assert [c.key for c in expand_cells(full)] == [c.key for c in expand_cells(smoke)]
+        assert full.setup.keys() == smoke.setup.keys()
 
     def test_fullscale_smoke_spec(self):
-        from repro.obs.bench_fullscale import FullscaleConfig, fullscale_matrix_spec
-
-        assert (load_spec("fullscale-smoke").to_dict()
-                == fullscale_matrix_spec(FullscaleConfig.smoke()).to_dict())
+        full, smoke = load_spec("fullscale"), load_spec("fullscale-smoke")
+        assert [c.key for c in expand_cells(full)] == [c.key for c in expand_cells(smoke)]
+        assert full.setup["kernel"] == smoke.setup["kernel"] == "culled"
 
 
 class TestExpandGrid:
@@ -283,6 +295,34 @@ class TestRunners:
         spec = load_spec("fullscale-smoke")
         assert spec.runner == "fullscale-cell"
 
+    @pytest.mark.parametrize("runner", ["replay", "bench-cell", "fullscale-cell"])
+    def test_one_sampling_default_for_every_runner(self, runner, monkeypatch):
+        # A spec without [setup] n_directions/n_distances: every runner
+        # builds T_visible from the same sample grid (_sampling_shape's).
+        from repro.experiments.runner import ExperimentSetup
+
+        class Built(Exception):
+            pass
+
+        seen = []
+
+        def capture(cls, *args, sampling=None, **kwargs):
+            seen.append((sampling.n_directions, sampling.n_distances))
+            raise Built
+
+        monkeypatch.setattr(ExperimentSetup, "for_dataset", classmethod(capture))
+        monkeypatch.setattr(matrix, "_SETUP_CACHE", {})
+        load_spec("fullscale-smoke")  # registers the plugin runners
+        spec = MatrixSpec(
+            label="no-sampling",
+            runner=runner,
+            base={"dataset": "3d_ball", "blocks": 27, "scale": 0.03, "steps": 2,
+                  "workload": "spherical", "policy": "lru"},
+        )
+        with pytest.raises(Built):
+            run_matrix_cell(expand_cells(spec)[0], spec)
+        assert seen == [matrix._sampling_shape({})]
+
     def test_unknown_runner_rejected(self):
         cells = expand_cells(TINY_SPEC)
         with pytest.raises(KeyError, match="unknown cell runner 'nope'"):
@@ -310,32 +350,32 @@ class TestRunMatrix:
         assert "summary" in cell and "hierarchy_stats" in cell
 
     def test_write_load_round_trip(self, tiny_doc, tmp_path):
-        path = write_matrix(tiny_doc, tmp_path)
+        path = write_snapshot(tiny_doc, tmp_path)
         assert path.name == "MATRIX_tiny.json"
-        loaded = load_matrix(path)
+        loaded = load_snapshot(path, ("matrix",))
         assert loaded["cells"].keys() == tiny_doc["cells"].keys()
 
     def test_load_rejects_wrong_kind_and_version(self, tmp_path):
         bad = tmp_path / "x.json"
-        bad.write_text(json.dumps({"kind": "bench"}))
-        with pytest.raises(ValueError, match="not a matrix snapshot"):
-            load_matrix(bad)
+        bad.write_text(json.dumps({"schema_version": 1, "runs": {}}))
+        with pytest.raises(ValueError, match="is a bench snapshot, not a matrix snapshot"):
+            load_snapshot(bad, ("matrix",))
         bad.write_text(json.dumps({"kind": "matrix", "schema_version": 99}))
         with pytest.raises(ValueError, match="schema_version 99"):
-            load_matrix(bad)
+            load_snapshot(bad, ("matrix",))
 
     def test_self_compare_all_ok(self, tiny_doc):
-        rows = compare_matrix(tiny_doc, tiny_doc)
+        rows = compare_snapshots(tiny_doc, tiny_doc)
         assert rows and all(r["status"] == "ok" for r in rows)
 
-    def test_comparable_metrics_skip_wall_clock(self, tiny_doc):
-        names = comparable_matrix_metrics(tiny_doc)
+    def test_flattened_metrics_skip_wall_clock(self, tiny_doc):
+        names = flatten_snapshot(tiny_doc)
         assert names
         assert not any("wall" in n for n in names)
 
     def test_parallel_equals_serial(self, tiny_doc):
         parallel = run_matrix(TINY_SPEC, workers=2)
-        assert all(r["status"] == "ok" for r in compare_matrix(tiny_doc, parallel))
+        assert all(r["status"] == "ok" for r in compare_snapshots(tiny_doc, parallel))
         for key, cell in tiny_doc["cells"].items():
             assert parallel["cells"][key]["summary"] == cell["summary"]
 
@@ -344,14 +384,14 @@ class TestCommittedSmokeDocument:
     """MATRIX_smoke.json is the CI gate baseline — regenerate and compare."""
 
     def test_committed_smoke_regenerates_identically(self):
-        committed = load_matrix(REPO_ROOT / "MATRIX_smoke.json")
+        committed = load_snapshot(REPO_ROOT / "MATRIX_smoke.json", ("matrix",))
         fresh = run_matrix(load_spec("smoke"))
-        rows = compare_matrix(committed, fresh)
+        rows = compare_snapshots(committed, fresh)
         bad = [r for r in rows if r["status"] not in ("ok", "improved")]
         assert not bad, bad
         # bit-level: every compared metric is exactly equal, not just in-threshold
-        old_metrics = comparable_matrix_metrics(committed)
-        new_metrics = comparable_matrix_metrics(fresh)
+        old_metrics = flatten_snapshot(committed)
+        new_metrics = flatten_snapshot(fresh)
         assert {k: v for k, (v, _) in old_metrics.items()} == {
             k: v for k, (v, _) in new_metrics.items()
         }

@@ -3,9 +3,10 @@
 The acceptance bar of the matrix refactor: driving the committed
 ``bench-quick`` and ``serve-baseline`` specs through the *matrix* runner
 reproduces the simulated-metric sections of the committed
-``BENCH_baseline.json`` and ``SERVE_baseline.json`` bit-identically —
-the tiers and the matrix are one machine, not two implementations that
-happen to agree today.
+``BENCH_baseline.json`` and ``SERVE_baseline.json`` bit-identically, and
+the cluster tier run from its ``cluster-smoke`` spec reproduces
+``BENCH_cluster.json`` — the tiers and the matrix are one machine, not
+two implementations that happen to agree today.
 
 Wall-clock fields (``wall_s``, ``events_per_s``, the ``phases`` span
 table) are machine-dependent by design and stripped before comparison;
@@ -77,11 +78,11 @@ class TestServeRegeneration:
 
 class TestClusterRegeneration:
     def test_legacy_wrapper_still_regenerates_committed_snapshot(self):
-        from repro.obs.bench_cluster import ClusterConfig, run_cluster
+        from repro.obs.bench_cluster import run_cluster
 
         committed = json.loads((REPO_ROOT / "BENCH_cluster.json").read_text())
         fresh = run_cluster(
-            ClusterConfig(**committed["config"]),
+            load_spec("cluster-smoke"),
             label=committed["label"],
             quick=committed["quick"],
         )

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.matrix import load_matrix, load_spec, run_matrix
+from repro.experiments.gating import load_snapshot
+from repro.experiments.matrix import load_spec, run_matrix
 from repro.experiments.matrix_report import render_matrix_report, write_matrix_report
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -12,7 +13,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(scope="module")
 def smoke_doc():
-    return load_matrix(REPO_ROOT / "MATRIX_smoke.json")
+    return load_snapshot(REPO_ROOT / "MATRIX_smoke.json")
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ class TestFaultAndTenantSections:
     def test_tenant_tables_for_serve_cells(self):
         # A serve-style cell (multi_tenant section) renders fairness tables;
         # synthesize one cell to keep this test fast.
-        doc = load_matrix(REPO_ROOT / "MATRIX_smoke.json")
+        doc = load_snapshot(REPO_ROOT / "MATRIX_smoke.json")
         import copy
         import json
 

@@ -2,23 +2,23 @@
 
 import copy
 import json
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments.gating import (
+    compare_snapshots,
+    flatten_snapshot,
+    format_gate_rows,
+    load_snapshot,
+    write_snapshot,
+)
+from repro.experiments.matrix import load_spec
 from repro.experiments.runner import ExperimentSetup
 from repro.obs import bench
-from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchConfig,
-    comparable_metrics,
-    compare_bench,
-    format_comparison,
-    load_bench,
-    run_bench,
-    write_bench,
-)
+from repro.obs.bench import BENCH_SCHEMA_VERSION, run_bench
 
 from tests.runtime._seed_drivers import (
     SeedAppAwareOptimizer,
@@ -26,7 +26,12 @@ from tests.runtime._seed_drivers import (
     seed_run_baseline,
 )
 
-_TINY = BenchConfig(blocks=27, scale=0.03, steps=4, n_directions=8, n_distances=1)
+_QUICK = load_spec("bench-quick")
+_TINY = replace(
+    _QUICK,
+    base={**_QUICK.base, "blocks": 27, "scale": 0.03, "steps": 4},
+    setup={**_QUICK.setup, "n_directions": 8},
+)
 
 
 def _sim_only(doc):
@@ -58,14 +63,14 @@ def _per_block_cells(monkeypatch):
 
 @pytest.fixture(scope="module")
 def doc():
-    return run_bench(config=_TINY, label="test")
+    return run_bench(_TINY, label="test")
 
 
 class TestRunBench:
     def test_document_shape(self, doc):
         assert doc["schema_version"] == BENCH_SCHEMA_VERSION
         assert doc["label"] == "test"
-        assert doc["config"]["blocks"] == 27
+        assert doc["spec"]["base"]["blocks"] == 27
         assert set(doc["runs"]) == {
             "orbit/lru",
             "orbit/app-aware",
@@ -109,7 +114,7 @@ class TestRunBench:
         assert "io" in run["sim"] and "render" in run["sim"]
 
     def test_deterministic(self, doc):
-        again = run_bench(config=_TINY, label="test")
+        again = run_bench(_TINY, label="test")
         assert json.dumps(_sim_only(doc), sort_keys=True) == \
             json.dumps(_sim_only(again), sort_keys=True)
 
@@ -120,7 +125,7 @@ class TestRunBench:
 
     def test_scalar_engine_sim_identical(self, doc, monkeypatch):
         _per_block_cells(monkeypatch)
-        scalar = run_bench(config=_TINY, label="test")
+        scalar = run_bench(_TINY, label="test")
         a, b = _sim_only(doc), _sim_only(scalar)
         # Histogram sum/mean (observe_many associates value*n, a last-bit
         # float difference) legitimately differ; everything else must not.
@@ -133,19 +138,19 @@ class TestRunBench:
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            run_bench(config=_TINY, workers=0)
+            run_bench(_TINY, workers=0)
 
 
 class TestParallelAndProfile:
     def test_workers_match_serial(self, doc):
-        parallel = run_bench(config=_TINY, label="test", workers=2)
+        parallel = run_bench(_TINY, label="test", workers=2)
         assert parallel["workers"] == 2
         a, b = _sim_only(doc), _sim_only(parallel)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_profile_writes_chrome_trace(self, tmp_path):
         out = tmp_path / "profile.json"
-        d = run_bench(config=_TINY, label="test", profile_path=out)
+        d = run_bench(_TINY, label="test", profile_path=out)
         assert d["profile"]["cell"] == "orbit/app-aware"
         trace = json.loads(out.read_text(encoding="utf-8"))
         events = trace["traceEvents"]
@@ -156,30 +161,34 @@ class TestParallelAndProfile:
 
 class TestWriteLoad:
     def test_round_trip(self, doc, tmp_path):
-        path = write_bench(doc, tmp_path)
+        path = write_snapshot(doc, tmp_path)
         assert path.name == "BENCH_test.json"
-        assert load_bench(path)["runs"].keys() == doc["runs"].keys()
+        assert load_snapshot(path)["runs"].keys() == doc["runs"].keys()
 
     def test_label_sanitised(self, doc, tmp_path):
         doc2 = dict(doc, label="a/b")
-        assert write_bench(doc2, tmp_path).name == "BENCH_a-b.json"
+        assert write_snapshot(doc2, tmp_path).name == "BENCH_a-b.json"
 
     def test_schema_version_mismatch_rejected(self, doc, tmp_path):
         bad = dict(doc, schema_version=BENCH_SCHEMA_VERSION + 1)
         path = tmp_path / "BENCH_bad.json"
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(ValueError, match="schema_version"):
-            load_bench(path)
+            load_snapshot(path)
+
+    def test_records_the_spec_it_ran(self, doc):
+        assert doc["spec"] == _TINY.to_dict()
+        assert "config" not in doc
 
 
 class TestCompare:
     def test_self_compare_is_clean(self, doc):
-        rows = compare_bench(doc, doc)
+        rows = compare_snapshots(doc, doc)
         assert rows
         assert all(r["status"] == "ok" for r in rows)
 
     def test_only_sim_metrics_compared(self, doc):
-        names = comparable_metrics(doc).keys()
+        names = flatten_snapshot(doc).keys()
         assert not any("wall" in n for n in names)
         assert any(".total_time_s" in n for n in names)
         assert any("fetch_latency_seconds" in n and ".p95" in n for n in names)
@@ -187,14 +196,14 @@ class TestCompare:
     def test_regression_detected(self, doc):
         worse = copy.deepcopy(doc)
         worse["runs"]["orbit/lru"]["summary"]["total_time_s"] *= 1.5
-        rows = compare_bench(doc, worse, threshold=0.10)
+        rows = compare_snapshots(doc, worse, threshold=0.10)
         bad = [r for r in rows if r["status"] == "regression"]
         assert [r["metric"] for r in bad] == ["orbit/lru.total_time_s"]
 
     def test_improvement_not_a_regression(self, doc):
         better = copy.deepcopy(doc)
         better["runs"]["orbit/lru"]["summary"]["total_time_s"] *= 0.5
-        rows = compare_bench(doc, better, threshold=0.10)
+        rows = compare_snapshots(doc, better, threshold=0.10)
         row = next(r for r in rows if r["metric"] == "orbit/lru.total_time_s")
         assert row["status"] == "improved"
 
@@ -203,7 +212,7 @@ class TestCompare:
         base["runs"]["orbit/app-aware"]["derived"]["prefetch_precision"] = 0.8
         worse = copy.deepcopy(base)
         worse["runs"]["orbit/app-aware"]["derived"]["prefetch_precision"] = 0.4
-        rows = compare_bench(base, worse, threshold=0.10)
+        rows = compare_snapshots(base, worse, threshold=0.10)
         row = next(
             r for r in rows if r["metric"] == "orbit/app-aware.prefetch_precision"
         )
@@ -212,33 +221,39 @@ class TestCompare:
     def test_missing_metric_reported_not_regressed(self, doc):
         partial = copy.deepcopy(doc)
         del partial["runs"]["orbit/lru"]["summary"]["total_time_s"]
-        rows = compare_bench(doc, partial)
+        rows = compare_snapshots(doc, partial)
         row = next(r for r in rows if r["metric"] == "orbit/lru.total_time_s")
         assert row["status"] == "missing"
         assert not any(r["status"] == "regression" for r in rows)
 
     def test_bad_threshold_rejected(self, doc):
         with pytest.raises(ValueError):
-            compare_bench(doc, doc, threshold=-0.1)
+            compare_snapshots(doc, doc, threshold=-0.1)
 
-    def test_format_comparison(self, doc):
+    def test_format_gate_rows(self, doc):
         worse = copy.deepcopy(doc)
         worse["runs"]["orbit/lru"]["summary"]["total_time_s"] *= 1.5
-        text = format_comparison(compare_bench(doc, worse))
+        text = format_gate_rows(compare_snapshots(doc, worse))
         assert "orbit/lru.total_time_s" in text
         assert "1 regression(s)" in text
-        verbose = format_comparison(compare_bench(doc, doc), verbose=True)
+        verbose = format_gate_rows(compare_snapshots(doc, doc), verbose=True)
         assert "0 regression(s)" in verbose
+
+    def test_multi_tenant_gates_one_way(self, doc):
+        metrics = flatten_snapshot(doc)
+        assert metrics["multi_tenant.fairness_jain"][1].mode == "absolute_drop"
+        assert metrics["multi_tenant.cross_evictions"][1].mode == "absolute_increase"
+        assert metrics["multi_tenant.pooled.p50"][1].mode == "relative"
 
 
 class TestFaultedBench:
     @pytest.fixture(scope="class")
     def faulty(self):
-        return run_bench(config=_TINY, label="chaos", faults="lossy", fault_seed=7)
+        return run_bench(_TINY, label="chaos", faults="lossy", fault_seed=7)
 
     def test_runs_gain_a_faults_section(self, faulty):
-        assert faulty["config"]["faults"] == "lossy"
-        assert faulty["config"]["fault_seed"] == 7
+        assert faulty["spec"]["base"]["faults"] == "lossy"
+        assert faulty["spec"]["base"]["fault_seed"] == 7
         for run in faulty["runs"].values():
             section = run["faults"]
             assert section["profile"] == "lossy"
@@ -253,21 +268,21 @@ class TestFaultedBench:
         )
 
     def test_fault_free_doc_has_no_faults_section(self, doc):
-        assert doc["config"]["faults"] == "none"
+        assert doc["spec"]["base"]["faults"] == "none"
         assert all("faults" not in run for run in doc["runs"].values())
 
     def test_faulted_bench_deterministic(self, faulty):
-        again = run_bench(config=_TINY, label="chaos", faults="lossy", fault_seed=7)
+        again = run_bench(_TINY, label="chaos", faults="lossy", fault_seed=7)
         assert json.dumps(_sim_only(faulty), sort_keys=True) == \
             json.dumps(_sim_only(again), sort_keys=True)
 
     def test_engines_identical_under_faults(self, faulty, monkeypatch):
         _per_block_cells(monkeypatch)
-        scalar = run_bench(config=_TINY, label="chaos", faults="lossy", fault_seed=7)
+        scalar = run_bench(_TINY, label="chaos", faults="lossy", fault_seed=7)
         for key, run in faulty["runs"].items():
             assert scalar["runs"][key]["faults"] == run["faults"]
             assert scalar["runs"][key]["summary"] == run["summary"]
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown fault profile"):
-            run_bench(config=_TINY, faults="gremlins")
+            run_bench(_TINY, faults="gremlins")

@@ -1,31 +1,35 @@
 """The fullscale wall-clock bench tier: schema, comparison gating, CLI.
 
-A tiny ``FullscaleConfig`` keeps the suite fast; the real tier runs at
-``scale=0.5``/~16k blocks via ``repro bench --tier fullscale``.  What
-matters here is the contract: the snapshot shares the bench schema, the
-wall-clock metrics join the comparable set *only* on fullscale-tier
-documents, and ``compare_bench`` judges them at the widened
-``WALL_THRESHOLD_FACTOR`` so same-machine CI catches multi-x slowdowns
-without flaking on scheduler noise.
+A tiny variant of the bundled ``fullscale-smoke`` spec keeps the suite
+fast; the real tier runs at ``scale=0.5``/~16k blocks via ``repro bench
+--tier fullscale``.  What matters here is the contract: the snapshot
+shares the bench schema, the wall-clock metrics join the comparable set
+*only* on fullscale-tier documents, and the gate judges them at the
+widened ``WALL_THRESHOLD_FACTOR`` so same-machine CI catches multi-x
+slowdowns without flaking on scheduler noise.
 """
 
 import copy
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.bench import (
+from repro.experiments.gating import (
     WALL_THRESHOLD_FACTOR,
-    comparable_metrics,
-    compare_bench,
-    load_bench,
-    write_bench,
+    compare_snapshots,
+    flatten_snapshot,
+    load_snapshot,
+    write_snapshot,
 )
-from repro.obs.bench_fullscale import FullscaleConfig, run_fullscale
+from repro.experiments.matrix import load_spec
+from repro.obs.bench_fullscale import run_fullscale
 
-_TINY = FullscaleConfig(
-    blocks=256, scale=0.08, steps=12, n_directions=16, n_distances=1,
-    tracer_capacity=50_000,
+_SMOKE = load_spec("fullscale-smoke")
+_TINY = replace(
+    _SMOKE,
+    base={**_SMOKE.base, "blocks": 256, "scale": 0.08, "steps": 12},
+    setup={**_SMOKE.setup, "n_directions": 16, "tracer_capacity": 50_000},
 )
 
 WALL_METRICS = ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes")
@@ -33,7 +37,7 @@ WALL_METRICS = ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes")
 
 @pytest.fixture(scope="module")
 def doc():
-    return run_fullscale(config=_TINY, label="fullscale-test")
+    return run_fullscale(_TINY, label="fullscale-test")
 
 
 class TestRunFullscale:
@@ -55,7 +59,7 @@ class TestRunFullscale:
     def test_runs_record_wall_and_sim(self, doc):
         for key, run in doc["runs"].items():
             assert run["wall_s"] > 0, key
-            assert run["per_step_wall_s"] == run["wall_s"] / _TINY.steps
+            assert run["per_step_wall_s"] == run["wall_s"] / _TINY.base["steps"]
             assert run["summary"]["total_time_s"] > 0
             assert "hierarchy_stats" in run
 
@@ -66,56 +70,54 @@ class TestRunFullscale:
             assert app <= lru
 
     def test_round_trip(self, doc, tmp_path):
-        path = write_bench(doc, tmp_path)
+        path = write_snapshot(doc, tmp_path)
         assert path.name == "BENCH_fullscale-test.json"
-        assert load_bench(path) == doc
+        assert load_snapshot(path) == doc
 
     def test_profile_writes_chrome_trace(self, tmp_path):
         out = tmp_path / "fs_profile.json"
-        d = run_fullscale(
-            config=_TINY, label="p", profile_path=out,
-        )
+        d = run_fullscale(_TINY, label="p", profile_path=out)
         assert d["profile"]["path"] == str(out)
         assert out.exists()
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError):
-            run_fullscale(config=_TINY, workers=0)
+            run_fullscale(_TINY, workers=0)
 
 
 class TestFullscaleComparison:
     def test_wall_metrics_comparable_only_on_fullscale_tier(self, doc):
-        names = comparable_metrics(doc).keys()
+        names = flatten_snapshot(doc).keys()
         for metric in WALL_METRICS:
             assert f"fullscale.{metric}" in names
         assert "orbit/lru.wall_s" in names
         default_tier = copy.deepcopy(doc)
         default_tier.pop("tier")
-        default_names = comparable_metrics(default_tier).keys()
+        default_names = flatten_snapshot(default_tier).keys()
         assert not any("wall" in n or "rss" in n for n in default_names)
 
     def test_self_compare_is_clean(self, doc):
-        rows = compare_bench(doc, doc)
+        rows = compare_snapshots(doc, doc)
         assert rows
         assert all(r["status"] == "ok" for r in rows)
 
     def test_wall_regression_needs_widened_threshold(self, doc):
         tolerated = copy.deepcopy(doc)
         tolerated["fullscale"]["table_build_wall_s"] *= 1 + 0.25 * WALL_THRESHOLD_FACTOR * 0.9
-        rows = compare_bench(doc, tolerated, threshold=0.25)
+        rows = compare_snapshots(doc, tolerated, threshold=0.25)
         row = next(r for r in rows if r["metric"] == "fullscale.table_build_wall_s")
         assert row["status"] == "ok"
 
         flagged = copy.deepcopy(doc)
         flagged["fullscale"]["table_build_wall_s"] *= 1 + 0.25 * WALL_THRESHOLD_FACTOR * 1.5
-        rows = compare_bench(doc, flagged, threshold=0.25)
+        rows = compare_snapshots(doc, flagged, threshold=0.25)
         row = next(r for r in rows if r["metric"] == "fullscale.table_build_wall_s")
         assert row["status"] == "regression"
 
     def test_sim_metrics_keep_tight_threshold(self, doc):
         worse = copy.deepcopy(doc)
         worse["runs"]["orbit/lru"]["summary"]["total_time_s"] *= 1.5
-        rows = compare_bench(doc, worse, threshold=0.10)
+        rows = compare_snapshots(doc, worse, threshold=0.10)
         bad = [r["metric"] for r in rows if r["status"] == "regression"]
         assert bad == ["orbit/lru.total_time_s"]
 
@@ -123,7 +125,7 @@ class TestFullscaleComparison:
         noisy = copy.deepcopy(doc)
         noisy["runs"]["orbit/lru"]["wall_s"] *= 1.3
         noisy["runs"]["orbit/lru"]["per_step_wall_s"] *= 1.3
-        rows = compare_bench(doc, noisy, threshold=0.10)
+        rows = compare_snapshots(doc, noisy, threshold=0.10)
         for r in rows:
             if r["metric"].endswith("wall_s"):
                 assert r["status"] == "ok", r["metric"]

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -188,9 +192,56 @@ class TestBench:
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "BENCH_chaos.json").read_text())
-        assert doc["config"]["faults"] == "flaky-hdd"
+        assert doc["spec"]["base"]["faults"] == "flaky-hdd"
+        assert doc["spec"]["base"]["fault_seed"] == 42
         assert all("faults" in run for run in doc["runs"].values())
         assert "faults[" in capsys.readouterr().out
+
+    def test_out_directory_is_created(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.obs import bench
+
+        committed = json.loads((REPO_ROOT / "BENCH_baseline.json").read_text())
+        monkeypatch.setattr(
+            bench, "run_bench", lambda *args, **kwargs: dict(committed, label=kwargs["label"])
+        )
+        out = tmp_path / "new" / "dir"
+        assert main(["bench", "--quick", "--label", "x", "--out", str(out)]) == 0
+        assert (out / "BENCH_x.json").is_file()
+
+    def test_cluster_ledger_mismatch_exits_one(self, tmp_path, monkeypatch, capsys):
+        from repro.obs import bench_cluster
+
+        monkeypatch.setattr(bench_cluster, "ledger_reconciles", lambda hierarchy: False)
+        rc = main([
+            "bench", "--tier", "cluster", "--quick", "--label", "c", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "ledger failed to reconcile" in capsys.readouterr().err
+        assert (tmp_path / "BENCH_c.json").is_file()
+
+
+class TestCrossKindCompare:
+    """Every compare spelling refuses a snapshot of another kind with exit 2
+    and a message naming both kinds."""
+
+    def test_bench_compare_refuses_a_serve_snapshot(self, capsys):
+        rc = main(["bench", "--compare", str(REPO_ROOT / "SERVE_baseline.json"),
+                   str(REPO_ROOT / "BENCH_baseline.json")])
+        assert rc == 2
+        assert "is a serve snapshot, not a bench" in capsys.readouterr().out
+
+    def test_serve_compare_refuses_bench_snapshots(self, capsys):
+        bench = str(REPO_ROOT / "BENCH_baseline.json")
+        assert main(["serve-sim", "--compare", bench, bench]) == 2
+        assert "is a bench snapshot, not a serve snapshot" in capsys.readouterr().out
+
+    def test_matrix_compare_refuses_a_serve_snapshot(self, capsys):
+        rc = main(["matrix", "compare", str(REPO_ROOT / "MATRIX_smoke.json"),
+                   str(REPO_ROOT / "SERVE_baseline.json")])
+        assert rc == 2
+        assert "is a serve snapshot, not a matrix snapshot" in capsys.readouterr().out
 
 
 class TestRender:
@@ -234,12 +285,16 @@ class TestServeSim:
         main(self._FAST + ["--label", "a", "--out", str(tmp_path)])
         snap = str(tmp_path / "SERVE_a.json")
         assert main(["serve-sim", "--compare", snap, snap]) == 0
-        assert "ok:" in capsys.readouterr().out
+        assert "0 regression(s)" in capsys.readouterr().out
 
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["serve-sim", "--compare", missing, missing]) == 2
         assert "error:" in capsys.readouterr().out
+
+    def test_label_with_a_slash_is_sanitised(self, tmp_path):
+        assert main(self._FAST + ["--label", "a/b", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "SERVE_a-b.json").is_file()
 
     def test_partition_none(self, tmp_path):
         import json
