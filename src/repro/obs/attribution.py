@@ -21,14 +21,18 @@ group totals.  ``reconciled`` is then a float ``==`` against the
 ledger, not a tolerance check.
 
 **Invariant B (exact partition).**  Component shares are telescoping
-marginals in :class:`fractions.Fraction` (binary floats are dyadic
-rationals, so every marginal is exact): each event's share is
-``F(inner_after) − F(inner_before)``, each group's share of the channel
-total is ``F(outer_after) − F(outer_before)``, and the rounding *dust*
-between a group's outer marginal and the sum of its inner marginals is
-assigned to the group's dominant component (the closing movement's,
-else the fault penalty).  The components therefore sum to the channel
-total **exactly** — asserted by the test suite, no epsilon anywhere.
+marginals, exact because every finite binary float is an integer
+multiple of 2⁻¹⁰⁷⁴ (the smallest subnormal): the partition runs in
+Python integers of that unit, ``U(x) = x · 2¹⁰⁷⁴``.  Each event's share
+is ``U(inner_after) − U(inner_before)``, each group's share of the
+channel total is ``U(outer_after) − U(outer_before)``, and the rounding
+*dust* between a group's outer marginal and the sum of its inner
+marginals is assigned to the group's dominant component (the closing
+movement's, else the fault penalty).  The components therefore sum to
+the channel total **exactly** — asserted by the test suite, no epsilon
+anywhere.  A share becomes a :class:`fractions.Fraction` only where a
+report stores it, so the API and its JSON floats are those of a
+``Fraction`` partition.
 
 A fetch *group* is the maximal event run charged to one block fetch:
 zero or more ``fault``/``retry`` events followed by the closing
@@ -70,7 +74,19 @@ __all__ = [
 ATTRIBUTION_SCHEMA_VERSION = 1
 
 _MOVEMENT = frozenset(MOVEMENT_KINDS)
-_ZERO = Fraction(0)
+#: Kinds whose group dust goes to their own component (else fault penalty).
+_DUST_TO_LAST = _MOVEMENT | {"xfer"}
+_UNIT = 1 << 1074  # 2**1074 units per second: every finite float is whole
+
+
+def _units(x: float) -> int:
+    """``x`` as an exact integer count of 2⁻¹⁰⁷⁴ units."""
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
+
+
+def _fractions(units: Dict[str, int]) -> Dict[str, Fraction]:
+    return {k: Fraction(v, _UNIT) for k, v in units.items()}
 
 
 def _component_of(event: TraceEvent) -> str:
@@ -299,38 +315,35 @@ def _resolve_orphans(
 
 def _fold_channel(
     groups: Iterable[List[TraceEvent]],
-) -> Tuple[float, Dict[str, Fraction]]:
+) -> Tuple[float, Dict[str, int]]:
     """Invariants A and B for one channel.
 
     Inner float fold per group (emission order), outer float fold over
     group totals — reproducing the engine's accumulation bit-for-bit —
-    plus the exact ``Fraction`` marginal partition with per-group dust
+    plus the exact marginal partition in 2⁻¹⁰⁷⁴ units with per-group dust
     assigned to the closing movement's component (fault penalty for
     orphans).
     """
     total = 0.0
-    comps: Dict[str, Fraction] = {}
+    total_u = 0
+    comps: Dict[str, int] = {}
     for g in groups:
         inner = 0.0
-        marginals: List[Tuple[str, Fraction]] = []
+        inner_u = 0
         for e in g:
-            before = inner
             inner = inner + e.time_s
-            marginals.append((_component_of(e), Fraction(inner) - Fraction(before)))
-        outer_before = total
+            after = _units(inner)
+            comp = _component_of(e)
+            comps[comp] = comps.get(comp, 0) + (after - inner_u)
+            inner_u = after
         total = total + inner
-        group_share = Fraction(total) - Fraction(outer_before)
-        dust = group_share - Fraction(inner)
-        for comp, m in marginals:
-            comps[comp] = comps.get(comp, _ZERO) + m
+        after = _units(total)
+        dust = after - total_u - inner_u
+        total_u = after
         if dust:
             last = g[-1]
-            comp = (
-                _component_of(last)
-                if (last.kind in _MOVEMENT or last.kind == "xfer")
-                else "fault_penalty"
-            )
-            comps[comp] = comps.get(comp, _ZERO) + dust
+            comp = _component_of(last) if last.kind in _DUST_TO_LAST else "fault_penalty"
+            comps[comp] = comps.get(comp, 0) + dust
     return total, comps
 
 
@@ -338,8 +351,11 @@ def _attribute_one(
     step: int,
     events: Sequence[TraceEvent],
     ledger: Optional[Tuple[float, float, float, float]],
-) -> Tuple[FrameAttribution, Dict[str, Fraction], Dict[str, Fraction]]:
-    """Attribute one step; ledger is ``(io, lookup, prefetch, render)``."""
+) -> Tuple[FrameAttribution, Dict[str, int], Dict[str, int]]:
+    """Attribute one step; ledger is ``(io, lookup, prefetch, render)``.
+
+    Also returns the frame's demand and prefetch shares in 2⁻¹⁰⁷⁴ units.
+    """
     groups, render_events, n_re_miss, n_degraded, degraded_extra = _parse_groups(events)
     resolved, all_hinted = _resolve_orphans(groups)
     exact = all_hinted and all(
@@ -368,8 +384,8 @@ def _attribute_one(
         lookup_time_s=lookup,
         prefetch_time_s=pf_total,
         render_time_s=render_total,
-        components=dict(demand),
-        prefetch_components=dict(prefetch),
+        components=_fractions(demand),
+        prefetch_components=_fractions(prefetch),
         overlap_saving_s=min(pf_total, render_total),
         n_re_miss=n_re_miss,
         n_degraded=n_degraded,
@@ -406,44 +422,45 @@ def attribute_frames(
 
     The session scheduler uses this directly (it slices the shared
     tracer per frame); :func:`attribute_run` is the flat-stream wrapper.
-    ``incomplete`` forces the flag on (e.g. events dropped mid-window);
-    it is also derived from ``drop_stats["n_dropped"]``.
+    ``incomplete`` is the caller's verdict that some frame's events were
+    overwritten before it sliced them; ``drop_stats`` is recorded as is.
     """
     frames: List[FrameAttribution] = []
-    demand_tot: Dict[str, Fraction] = {}
-    prefetch_tot: Dict[str, Fraction] = {}
-    io = lookup = prefetch = render = saving = _ZERO
+    demand_tot: Dict[str, int] = {}
+    prefetch_tot: Dict[str, int] = {}
+    io = lookup = prefetch = render = saving = 0
     n_re_miss = n_degraded = 0
     degraded_extra = 0.0
     for step, events, ledger in rows:
-        frame, demand_f, prefetch_f = _attribute_one(step, events, ledger)
+        frame, demand_u, prefetch_u = _attribute_one(step, events, ledger)
         frames.append(frame)
-        for k, v in demand_f.items():
-            demand_tot[k] = demand_tot.get(k, _ZERO) + v
-        for k, v in prefetch_f.items():
-            prefetch_tot[k] = prefetch_tot.get(k, _ZERO) + v
-        io += Fraction(frame.io_time_s)
-        lookup += Fraction(frame.lookup_time_s)
-        prefetch += Fraction(frame.prefetch_time_s)
-        render += Fraction(frame.render_time_s)
-        saving += Fraction(frame.overlap_saving_s)
+        for k, v in demand_u.items():
+            demand_tot[k] = demand_tot.get(k, 0) + v
+        for k, v in prefetch_u.items():
+            prefetch_tot[k] = prefetch_tot.get(k, 0) + v
+        io += _units(frame.io_time_s)
+        lookup += _units(frame.lookup_time_s)
+        prefetch += _units(frame.prefetch_time_s)
+        render += _units(frame.render_time_s)
+        saving += _units(frame.overlap_saving_s)
         n_re_miss += frame.n_re_miss
         n_degraded += frame.n_degraded
         degraded_extra += frame.degraded_extra_s
     checkable = [f.reconciled for f in frames if f.reconciled is not None]
-    if incomplete or (drop_stats is not None and drop_stats.get("n_dropped", 0) > 0):
-        incomplete = True
     return AttributionReport(
         frames=frames,
-        demand_components=demand_tot,
-        prefetch_components=prefetch_tot,
+        demand_components=_fractions(demand_tot),
+        prefetch_components=_fractions(prefetch_tot),
         totals={
-            "io_time_s": float(io),
-            "lookup_time_s": float(lookup),
-            "prefetch_time_s": float(prefetch),
-            "render_time_s": float(render),
-            "frame_time_s": float(io + lookup + render),
-            "overlap_saving_s": float(saving),
+            name: float(Fraction(units, _UNIT))
+            for name, units in (
+                ("io_time_s", io),
+                ("lookup_time_s", lookup),
+                ("prefetch_time_s", prefetch),
+                ("render_time_s", render),
+                ("frame_time_s", io + lookup + render),
+                ("overlap_saving_s", saving),
+            )
         },
         n_re_miss=n_re_miss,
         n_degraded=n_degraded,
@@ -466,7 +483,9 @@ def attribute_run(
     rows (or their ``as_dict`` forms, as found in bench snapshots) —
     they supply the per-step time ledger the folds reconcile against
     and the untraced ``lookup_time_s``.  Events with ``step < 0``
-    (preload) carry no charged frame time and are skipped.
+    (preload) carry no charged frame time and are skipped.  A flat
+    stream has no per-frame window to check, so any drop in
+    ``drop_stats`` marks the report ``incomplete``.
     """
     by_step: Dict[int, List[TraceEvent]] = {}
     for e in events:
@@ -480,7 +499,11 @@ def attribute_run(
             ledgers[key] = _ledger_tuple(row)
     all_steps = sorted(set(by_step) | set(ledgers))
     rows = [(s, by_step.get(s, ()), ledgers.get(s)) for s in all_steps]
-    return attribute_frames(rows, drop_stats=drop_stats)
+    return attribute_frames(
+        rows,
+        drop_stats=drop_stats,
+        incomplete=drop_stats is not None and drop_stats.get("n_dropped", 0) > 0,
+    )
 
 
 # -- engine integration --------------------------------------------------------
@@ -502,19 +525,21 @@ class AttributionCollector(Collector):
         self.report: Optional[AttributionReport] = None
         self._rows: List[Tuple[int, Sequence[TraceEvent], Tuple[float, float, float, float]]] = []
         self._seq = 0
-        self._dropped0 = 0
+        self._incomplete = False
 
     def start(self, engine) -> None:
         self.inner.start(engine)
         tracer = engine.ctx.tracer
         self._rows = []
         self._seq = tracer.n_recorded
-        self._dropped0 = tracer.n_dropped
+        self._incomplete = not tracer.enabled
 
     def collect(self, engine, frame) -> None:
         self.inner.collect(engine, frame)
         tracer = engine.ctx.tracer
         events = [e for e in tracer.events_since(self._seq) if e.step == frame.step]
+        # The ring overwrote part of this frame's window before the slice.
+        self._incomplete |= tracer.n_dropped > self._seq
         self._seq = tracer.n_recorded
         self._rows.append(
             (
@@ -533,8 +558,6 @@ class AttributionCollector(Collector):
         result = self.inner.finish(engine)
         tracer = engine.ctx.tracer
         self.report = attribute_frames(
-            self._rows,
-            drop_stats=tracer.drop_stats(),
-            incomplete=(tracer.n_dropped > self._dropped0) or not tracer.enabled,
+            self._rows, drop_stats=tracer.drop_stats(), incomplete=self._incomplete
         )
         return result

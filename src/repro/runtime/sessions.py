@@ -267,9 +267,10 @@ def run_sessions(
         state.clock_s = float(state.spec.arrival_s)
         heapq.heappush(heap, (state.clock_s, idx))
 
-    # Per-tenant (step, events, ledger) rows for the attribution reports.
+    # Per-tenant (step, events, ledger) rows for the attribution reports,
+    # and whether the ring overwrote any of a tenant's frame windows.
     attr_rows: Dict[str, list] = {t: [] for t in tenants} if attribution else {}
-    attr_dropped0 = ctx.tracer.n_dropped if attribution else 0
+    attr_incomplete: Dict[str, bool] = dict.fromkeys(attr_rows, False)
 
     end_times: Dict[str, float] = {}
     while heap:
@@ -289,8 +290,11 @@ def run_sessions(
             stage.step(sim, frame)
         sim.collector.collect(sim, frame)
         if attribution:
+            label = state.spec.tenant_label
             events = [e for e in ctx.tracer.events_since(seq0) if e.step == i]
-            attr_rows[state.spec.tenant_label].append(
+            if ctx.tracer.n_dropped > seq0:
+                attr_incomplete[label] = True
+            attr_rows[label].append(
                 (
                     i,
                     events,
@@ -319,10 +323,11 @@ def run_sessions(
     stats.fairness()  # publish the tenant_fairness_jain gauge
     reports: Optional[Dict[str, AttributionReport]] = None
     if attribution:
-        incomplete = ctx.tracer.n_dropped > attr_dropped0
         reports = {
             label: attribute_frames(
-                rows, drop_stats=ctx.tracer.drop_stats(), incomplete=incomplete
+                rows,
+                drop_stats=ctx.tracer.drop_stats(),
+                incomplete=attr_incomplete[label],
             )
             for label, rows in attr_rows.items()
         }

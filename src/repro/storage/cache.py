@@ -128,6 +128,7 @@ class CacheLevel:
         Quotas must each be >= 1 and sum to at most ``capacity``.  Blocks
         already resident when quotas are installed stay unowned.
         """
+        self._vq_epoch = None  # queued owner filters name the old partition
         if not quotas:
             self._tenant_index = None
             self._tenant_names = ()
@@ -260,97 +261,41 @@ class CacheLevel:
         tenant, victims are restricted to the tenant's own blocks (at
         quota) or own-plus-unowned blocks (under quota), and the insert
         bypasses when no such victim exists.  With quotas disabled, or
-        ``tenant=None``, the legacy path is taken unchanged.
+        ``tenant=None``, victims are unrestricted and the block stays
+        unowned.
+
+        Victim-queue policies pop victims from the amortised queue
+        (:meth:`_pop_victim`), restricted to the tenant's owner filter; a
+        ``min_free_step`` past ``step`` and every other policy rank a
+        fresh candidate mask (or predicate) per victim.
         """
         tid = self._tenant_id(tenant)
-        if tid >= 0:
-            return self._admit_tenant(key, step, tid, min_free_step, agg)
         self.ensure_ids(key)
         if self._resident[key]:
             raise KeyError(f"{self.name}: block {key} already resident")
-        if self._n_resident >= self.capacity:
-            # One victim frees one slot, but loop for safety with
-            # pathological policies.
-            use_queue = self.policy.supports_victim_order and (
-                min_free_step is None or min_free_step <= step
-            )
-            while self._n_resident >= self.capacity:
-                vrank = -1
-                if use_queue:
-                    victim = self._pop_victim(step, min_free_step)
-                    if victim is not None:
-                        vrank = self._vq_pos - 1
-                elif self.policy.supports_masked_victim:
-                    victim = self.policy.choose_victim_masked(
-                        self.evictable_mask(min_free_step)
-                    )
-                else:
-                    victim = self.policy.choose_victim(
-                        self._evictable_predicate(min_free_step)
-                    )
-                if victim is None:
-                    self.stats.bypasses += 1
-                    if self.registry.enabled:
-                        self._bypasses.inc()
-                    if agg is not None:
-                        acc = agg.setdefault(("bypass", self.name), [0, 0, 0.0])
-                        acc[0] += 1
-                    elif self.tracer.enabled:
-                        self.tracer.record("bypass", step, self.name, key)
-                    return False
-                self.evict(victim, step=step, agg=agg, rank=vrank)
-        self._resident[key] = True
-        self._last_used[key] = step
-        self._n_resident += 1
-        self.policy.on_insert(key, step)
-        epoch = self._vq_epoch
-        if epoch is not None and epoch[1] is not None and step < epoch[1]:
-            self._vq_epoch = None  # insert is immediately evictable: not queued
-        self.stats.inserts += 1
-        if self.registry.enabled:
-            self._occupancy.set(self._n_resident)
-        return True
-
-    def _admit_tenant(
-        self,
-        key: int,
-        step: int,
-        tid: int,
-        min_free_step: Optional[int],
-        agg: Optional[dict],
-    ) -> bool:
-        """Quota-constrained admission for tenant ``tid``.
-
-        Victim selection goes through ``choose_victim_masked`` (or the
-        predicate fallback) on an owner-restricted candidate mask rather
-        than the amortised victim queue: the queue is policy-global and
-        cannot express per-tenant constraints.  Evicting here only
-        *shrinks* the global candidate set, which scalar queue pops
-        re-validate against live state, so interleaved untenanted admits
-        stay correct.
-        """
-        self.ensure_ids(key)
-        if self._resident[key]:
-            raise KeyError(f"{self.name}: block {key} already resident")
-        owner = self._owner
         used = self._tenant_used
-        quota = int(self._tenant_quota[tid])
-        while self._n_resident >= self.capacity or used[tid] >= quota:
-            at_quota = used[tid] >= quota
-            if self.policy.supports_masked_victim:
-                allowed = self.evictable_mask(min_free_step) & (owner == tid)
-                if not at_quota:
-                    allowed |= self.evictable_mask(min_free_step) & (owner == -1)
-                victim = self.policy.choose_victim_masked(allowed)
+        quota = int(self._tenant_quota[tid]) if tid >= 0 else 0
+        use_queue = self.policy.supports_victim_order and (
+            min_free_step is None or min_free_step <= step
+        )
+        # One victim frees one slot (and one quota unit), but loop for
+        # safety with pathological policies.
+        while self._n_resident >= self.capacity or (tid >= 0 and used[tid] >= quota):
+            # The owners a victim may have: its own at quota, else own or none.
+            owners = None if tid < 0 else ((tid,) if used[tid] >= quota else (tid, -1))
+            vrank = -1
+            if use_queue:
+                victim = self._pop_victim(step, min_free_step, owners)
+                if victim is not None and owners is None:
+                    vrank = self._vq_pos - 1
+            elif self.policy.supports_masked_victim:
+                victim = self.policy.choose_victim_masked(
+                    self._candidate_mask(min_free_step, owners)
+                )
             else:
-                base = self._evictable_predicate(min_free_step)
-                if at_quota:
-                    def pred(k, base=base, owner=owner):
-                        return owner[k] == tid and base(k)
-                else:
-                    def pred(k, base=base, owner=owner):
-                        return owner[k] in (tid, -1) and base(k)
-                victim = self.policy.choose_victim(pred)
+                victim = self.policy.choose_victim(
+                    self._evictable_predicate(min_free_step, owners)
+                )
             if victim is None:
                 self.stats.bypasses += 1
                 if self.registry.enabled:
@@ -361,22 +306,25 @@ class CacheLevel:
                 elif self.tracer.enabled:
                     self.tracer.record("bypass", step, self.name, key)
                 return False
-            self.evict(victim, step=step, agg=agg, by=tid)
+            self.evict(victim, step=step, agg=agg, by=None if tid < 0 else tid, rank=vrank)
         self._resident[key] = True
         self._last_used[key] = step
         self._n_resident += 1
-        owner[key] = tid
-        used[tid] += 1
+        if tid >= 0:
+            self._owner[key] = tid
+            used[tid] += 1
         self.policy.on_insert(key, step)
         epoch = self._vq_epoch
         if epoch is not None and epoch[1] is not None and step < epoch[1]:
-            self._vq_epoch = None
+            self._vq_epoch = None  # insert is immediately evictable: not queued
         self.stats.inserts += 1
         if self.registry.enabled:
             self._occupancy.set(self._n_resident)
         return True
 
-    def _pop_victim(self, step: int, min_free_step: Optional[int]) -> Optional[int]:
+    def _pop_victim(
+        self, step: int, min_free_step: Optional[int], owners: Optional[tuple] = None
+    ) -> Optional[int]:
         """Next victim from the amortised eviction queue.
 
         The policy's full eviction order over the *current* candidates is
@@ -384,13 +332,18 @@ class CacheLevel:
         re-validated against live state, so the result is exactly what a
         fresh ``choose_victim_masked`` would return.
 
+        ``owners`` restricts a tenant admission's victims to those owner
+        indices — ``(tenant,)`` at quota, ``(tenant, -1)`` (own or unowned)
+        under quota: the queue then holds only such blocks, is kept for
+        that filter alone, and every pop also checks the owner.
+
         With a ``min_free_step`` constraint the queue lives for one
-        ``(step, min_free_step)`` epoch: later accesses within it can only
-        *shrink* the candidate set (a touch sets ``last_used = step >=
-        min_free_step``; an insert is never an immediate candidate), and
-        mutations that could grow or reorder it invalidate the epoch at
-        the mutation site.  Validation is ``resident & last_used <
-        min_free_step``.
+        ``(step, min_free_step, owners)`` epoch: later accesses within it
+        can only *shrink* the candidate set (a touch sets ``last_used =
+        step >= min_free_step``; an insert is never an immediate
+        candidate), and mutations that could grow or reorder it
+        invalidate the epoch at the mutation site.  Validation is
+        ``resident & last_used < min_free_step``.
 
         Unconstrained (``min_free_step is None``), candidates never leave
         the set, but a touch *reorders* — it makes the key more recent
@@ -399,10 +352,12 @@ class CacheLevel:
         survives across steps and is rebuilt only when exhausted.
         """
         policy = self.policy
+        owner = self._owner
         if min_free_step is None:
+            epoch = ("*", None, owners)
             while True:
-                if self._vq_epoch != ("*", None):
-                    self._build_queue(("*", None))
+                if self._vq_epoch != epoch:
+                    self._build_queue(epoch)
                     if not len(self._vq):
                         self._vq_epoch = None
                         return None
@@ -413,12 +368,14 @@ class CacheLevel:
                 while pos < end:
                     key = int(queue[pos])
                     pos += 1
-                    if policy.victim_still_ordered(key, token):
+                    if policy.victim_still_ordered(key, token) and (
+                        owners is None or owner[key] in owners
+                    ):
                         self._vq_pos = pos
                         return key
                 self._vq_pos = pos
                 self._vq_epoch = None  # every entry moved since build: rebuild
-        epoch = (step, min_free_step)
+        epoch = (step, min_free_step, owners)
         if self._vq_epoch != epoch:
             self._build_queue(epoch)
         queue = self._vq
@@ -429,7 +386,11 @@ class CacheLevel:
         while pos < end:
             key = int(queue[pos])
             pos += 1
-            if resident[key] and last_used[key] < min_free_step:
+            if (
+                resident[key]
+                and last_used[key] < min_free_step
+                and (owners is None or owner[key] in owners)
+            ):
                 self._vq_pos = pos
                 return key
         self._vq_pos = pos
@@ -519,7 +480,7 @@ class CacheLevel:
         policy = self.policy
         m = keys.size
         f = min_free_step
-        epoch = ("*", None) if f is None else (step, f)
+        epoch = ("*", None, None) if f is None else (step, f, None)
         skip_touched = touch and (f is not None or policy.hits_reorder_victims)
         hit = np.empty(m, dtype=bool)
         where = None  # frame position of each block id, built at the first pop
@@ -589,16 +550,26 @@ class CacheLevel:
             start = end
 
     def _build_queue(self, epoch: tuple) -> None:
-        """Build the victim queue of ``epoch`` from the current state: every
-        resident for ``("*", None)``, else the candidates under the epoch's
-        ``min_free_step``."""
+        """Build the victim queue of ``epoch`` — ``(step or "*",
+        min_free_step, owners)`` — from the current state: every candidate
+        under the epoch's ``min_free_step`` (every resident when None) that
+        passes its owner filter."""
         policy = self.policy
+        order = policy.victim_order(self._candidate_mask(epoch[1], epoch[2]))
         if epoch[1] is None:
-            order = policy.victim_order(self._resident)
             self._vq_token = policy.victim_order_token()
-        else:
-            order = policy.victim_order(self.evictable_mask(epoch[1]))
         self._vq, self._vq_pos, self._vq_epoch = order, 0, epoch
+
+    def _candidate_mask(self, min_free_step: Optional[int], owners: Optional[tuple]):
+        """Evictable residents, restricted to the ``owners`` indices when
+        given (see :meth:`_pop_victim`)."""
+        mask = self.evictable_mask(min_free_step)
+        if owners is None:
+            return mask
+        allowed = self._owner == owners[0]
+        if len(owners) > 1:
+            allowed |= self._owner == -1
+        return mask & allowed
 
     def _queue_candidates(self, min_free_step, where):
         """Victim-queue entries from ``_vq_pos`` on that are candidates in
@@ -666,11 +637,18 @@ class CacheLevel:
             if agg is not None:
                 agg.setdefault(("bypass", self.name), [0, 0, 0.0])[0] += n_bypass
 
-    def _evictable_predicate(self, min_free_step: Optional[int]):
-        if min_free_step is None:
-            return lambda key: True
+    def _evictable_predicate(self, min_free_step: Optional[int], owners: Optional[tuple]):
+        """Per-key form of :meth:`_candidate_mask` for policies that rank
+        victims by predicate."""
         last_used = self._last_used
-        return lambda key: last_used[key] < min_free_step
+        if owners is None:
+            if min_free_step is None:
+                return lambda key: True
+            return lambda key: last_used[key] < min_free_step
+        owner = self._owner
+        if min_free_step is None:
+            return lambda key: owner[key] in owners
+        return lambda key: owner[key] in owners and last_used[key] < min_free_step
 
     def evict(
         self,

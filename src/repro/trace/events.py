@@ -46,8 +46,7 @@ exactly (a property the test suite pins).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 __all__ = ["EVENT_KINDS", "MOVEMENT_KINDS", "FAULT_KINDS", "TraceEvent"]
 
@@ -75,9 +74,11 @@ MOVEMENT_KINDS: Tuple[str, ...] = ("fetch", "hit", "prefetch")
 FAULT_KINDS: Tuple[str, ...] = ("fault", "retry", "degraded")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One observable action on the simulated I/O path.
+
+    An immutable named tuple: the tracer builds one per recorded action,
+    and a tuple is the cheapest immutable record Python can construct.
 
     Parameters
     ----------
@@ -130,7 +131,8 @@ class TraceEvent:
     origin: str = ""
 
     def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        """The fields by name, in declaration order."""
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "TraceEvent":

@@ -22,6 +22,9 @@ from repro.trace.events import EVENT_KINDS, TraceEvent
 __all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
 
 _KINDS = frozenset(EVENT_KINDS)
+# The named tuple's own constructor parses keyword arguments and defaults;
+# ``_make`` from a positional tuple is the cheap form for every field.
+_make_event = TraceEvent._make
 
 
 class Tracer:
@@ -68,18 +71,20 @@ class Tracer:
         """
         if kind not in _KINDS:
             raise ValueError(f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}")
-        event = TraceEvent(
-            self._total,
-            kind,
-            step,
-            level,
-            key,
-            nbytes,
-            time_s,
-            self.current_span,
-            count,
-            age_steps,
-            origin,
+        event = _make_event(
+            (
+                self._total,
+                kind,
+                step,
+                level,
+                key,
+                nbytes,
+                time_s,
+                self.current_span,
+                count,
+                age_steps,
+                origin,
+            )
         )
         self._total += 1
         if len(self._ring) < self.capacity:

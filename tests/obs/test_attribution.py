@@ -14,10 +14,13 @@ The two invariants pinned here (see :mod:`repro.obs.attribution`):
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.camera.path import random_path
 from repro.core.pipeline import PipelineContext
 from repro.faults import FaultInjector, FaultPlan
+from repro.obs import attribution
 from repro.obs.attribution import (
     AttributionCollector,
     attribute_frames,
@@ -32,6 +35,7 @@ from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
 
+from tests.obs import _fraction_fold_reference
 from tests.runtime._seed_drivers import seed_run_baseline, seed_run_with_prefetcher
 
 VIEW = 10.0
@@ -164,6 +168,77 @@ class TestExactReconciliation:
             assert f.overlap_saving_s == min(f.prefetch_time_s, f.render_time_s)
 
 
+# Times from the smallest subnormal to 1e3, with the values rounding
+# turns on most: exact zeros, powers of two and decimal fractions.
+_times = st.one_of(
+    st.floats(min_value=0.0, max_value=1e3, allow_subnormal=True),
+    st.sampled_from([0.0, 5e-324, 1e-300, 2.0**-60, 1e-6, 0.1, 0.3, 1.0, 1e3]),
+)
+_levels = st.sampled_from(["dram", "ssd", "hdd", "n1-n2"])
+_penalties = st.lists(
+    st.tuples(st.sampled_from(["fault", "retry"]), _times), min_size=1, max_size=3
+)
+
+
+@st.composite
+def _groups(draw):
+    """One channel's fetch groups: fault-free movements, fault/retry runs
+    closed by a movement, movements with an ``xfer`` tail, and orphans
+    (a dropped block's penalties, or an unmatched ``xfer``)."""
+    groups = []
+    for shape in draw(
+        st.lists(st.sampled_from(["plain", "faulted", "xfer", "orphan", "lone_xfer"]),
+                 max_size=12)
+    ):
+        events = []
+        if shape in ("faulted", "orphan"):
+            events += [(kind, "hdd", t) for kind, t in draw(_penalties)]
+        if shape in ("plain", "faulted", "xfer"):
+            kind = draw(st.sampled_from(["hit", "fetch", "prefetch"]))
+            events.append((kind, draw(_levels), draw(_times)))
+        if shape in ("xfer", "lone_xfer"):
+            events.append(("xfer", draw(_levels), draw(_times)))
+        groups.append(
+            [TraceEvent(i, kind, 0, level, 5, 0, t) for i, (kind, level, t) in enumerate(events)]
+        )
+    return groups
+
+
+def _has_dust(groups):
+    total = 0.0
+    for g in groups:
+        inner = 0.0
+        for e in g:
+            inner = inner + e.time_s
+        before, total = total, total + inner
+        if Fraction(total) - Fraction(before) != Fraction(inner):
+            return True
+    return False
+
+
+class TestIntegerPartition:
+    def test_matches_the_fraction_fold(self):
+        """Invariant B in integers of 2**-1074 equals the ``Fraction``
+        fold: the same float total, the same component ``Fraction``s in
+        the same order, and a sum equal to the total exactly — on drawn
+        channels that include ones whose groups leave rounding dust."""
+        dusty = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(_groups())
+        def check(groups):
+            total, units = attribution._fold_channel(groups)
+            ref_total, ref = _fraction_fold_reference._fold_channel(groups)
+            assert total == ref_total
+            comps = attribution._fractions(units)
+            assert list(comps.items()) == list(ref.items())
+            assert sum(comps.values(), Fraction(0)) == Fraction(total)
+            dusty.append(_has_dust(groups))
+
+        check()
+        assert any(dusty)
+
+
 class TestIncompleteAndInexact:
     def test_tiny_ring_marks_incomplete(self, attr_context):
         grid, context = attr_context
@@ -176,6 +251,41 @@ class TestIncompleteAndInexact:
         assert report.incomplete
         assert report.drop_stats["n_dropped"] == tracer.n_dropped
         assert report.as_dict()["incomplete"] is True
+
+    def test_collector_ring_holding_every_frame_is_complete(self, attr_context):
+        """A ring that wraps between frames but holds each frame's events
+        when the collector slices them loses nothing."""
+        grid, context = attr_context
+        full = Tracer()
+        run_baseline(context, _hierarchy(grid, "none"), tracer=full)
+        per_frame = max(sum(e.step == s for e in full.events()) for s in range(10))
+        tracer = Tracer(capacity=per_frame + 1)
+        report = self._collect(context, grid, tracer)
+        assert tracer.n_dropped > 0
+        assert report.incomplete is False
+        assert report.reconciled is True
+        tiny = Tracer(capacity=per_frame // 2)
+        assert self._collect(context, grid, tiny).incomplete is True
+
+    @staticmethod
+    def _collect(context, grid, tracer):
+        from repro.runtime.context import RunContext
+        from repro.runtime.engine import (
+            SimulationEngine,
+            StepMetricsCollector,
+            movement_extras,
+        )
+        from repro.runtime.stages import DemandFetchStage, RenderStage
+
+        collector = AttributionCollector(StepMetricsCollector(
+            name="ring-test", policy="lru", overlap_prefetch=False,
+            observe="serial", charge=("io", "render"), extras_fn=movement_extras,
+        ))
+        SimulationEngine(
+            context, _hierarchy(grid, "none"), [DemandFetchStage(), RenderStage()],
+            collector, ctx=RunContext(tracer=tracer),
+        ).run()
+        return collector.report
 
     def test_aggregated_events_clear_exact(self):
         events = [
@@ -302,6 +412,40 @@ class TestSessionsAttribution:
             _assert_partition_exact(rep)
         doc = result.as_dict()
         assert doc["attribution"]["tenants"]["alice"]["reconciled"] is True
+
+    def _two_sessions(self, small_grid, tracer):
+        from repro.experiments.runner import fresh_hierarchy
+        from repro.runtime import SessionSpec, run_sessions
+        from repro.runtime.context import RunContext
+
+        specs = [
+            SessionSpec(session_id="alice", workload="spherical", steps=6, seed=1),
+            SessionSpec(session_id="bob", workload="zoom", steps=6, seed=2,
+                        arrival_s=0.5),
+        ]
+        return run_sessions(
+            specs, fresh_hierarchy(small_grid), small_grid, partition="equal",
+            ctx=RunContext(tracer=tracer), attribution=True,
+        ).attribution
+
+    def test_ring_that_wraps_between_frames_is_complete(self, small_grid):
+        """Each frame is sliced before the ring overwrites it, so a ring
+        half the run's size drops events yet loses none of any frame."""
+        full = Tracer()
+        self._two_sessions(small_grid, full)
+        half = Tracer(capacity=full.n_recorded // 2)
+        reports = self._two_sessions(small_grid, half)
+        assert half.n_dropped > 0
+        for rep in reports.values():
+            assert rep.incomplete is False
+            assert rep.reconciled is True
+            assert rep.drop_stats["n_dropped"] == half.n_dropped
+
+    def test_ring_smaller_than_a_frame_is_incomplete(self, small_grid):
+        reports = self._two_sessions(small_grid, Tracer(capacity=8))
+        for rep in reports.values():
+            assert rep.incomplete is True
+            assert rep.as_dict()["incomplete"] is True
 
     def test_attribution_requires_enabled_tracer(self, small_grid):
         from repro.experiments.runner import fresh_hierarchy

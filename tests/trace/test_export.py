@@ -46,6 +46,59 @@ class TestJsonl:
         e = TraceEvent(0, "fetch", 1, "hdd", 2, 1024, 0.5)
         assert TraceEvent.from_dict(e.as_dict()) == e
 
+    def test_fixed_events_write_pinned_lines(self, tmp_path):
+        path = write_jsonl(_PINNED_EVENTS, tmp_path / "t.jsonl")
+        assert path.read_text().splitlines() == _PINNED_LINES
+        assert read_jsonl(path) == _PINNED_EVENTS
+
+
+#: Events covering every field, defaults and float edge cases, with the
+#: JSONL lines the frozen-dataclass ``TraceEvent`` wrote for them.
+_PINNED_EVENTS = [
+    TraceEvent(0, "fetch", 0, "hdd", 7, 4096, 0.1),
+    TraceEvent(1, "hit", 0, "dram", 3, 4096, 5e-324, span="replay/fetch"),
+    TraceEvent(2, "prefetch", 1, "ssd", -1, 16384, 1e3, span="replay/prefetch", count=4),
+    TraceEvent(3, "re_miss", 2, "dram", 9, 0, 0.0, age_steps=2, origin="lru:alice"),
+    TraceEvent(4, "render", 2, "", -1, 0, 0.30000000000000004),
+]
+_PINNED_LINES = [
+    '{"seq":0,"kind":"fetch","step":0,"level":"hdd","key":7,"nbytes":4096,"time_s":0.1,'
+    '"span":"","count":1,"age_steps":-1,"origin":""}',
+    '{"seq":1,"kind":"hit","step":0,"level":"dram","key":3,"nbytes":4096,"time_s":5e-324,'
+    '"span":"replay/fetch","count":1,"age_steps":-1,"origin":""}',
+    '{"seq":2,"kind":"prefetch","step":1,"level":"ssd","key":-1,"nbytes":16384,'
+    '"time_s":1000.0,"span":"replay/prefetch","count":4,"age_steps":-1,"origin":""}',
+    '{"seq":3,"kind":"re_miss","step":2,"level":"dram","key":9,"nbytes":0,"time_s":0.0,'
+    '"span":"","count":1,"age_steps":2,"origin":"lru:alice"}',
+    '{"seq":4,"kind":"render","step":2,"level":"","key":-1,"nbytes":0,'
+    '"time_s":0.30000000000000004,"span":"","count":1,"age_steps":-1,"origin":""}',
+]
+
+
+class TestTraceEventTuple:
+    def test_fields_are_read_only(self):
+        e = TraceEvent(0, "fetch", 1, "hdd", 2, 1024, 0.5)
+        with pytest.raises(AttributeError):
+            e.kind = "hit"
+        with pytest.raises(AttributeError):
+            e.extra = 1
+
+    def test_as_dict_has_eleven_fields_in_order_with_defaults(self):
+        d = TraceEvent(0, "fetch", 1, "hdd", 2, 1024, 0.5).as_dict()
+        assert list(d) == [
+            "seq", "kind", "step", "level", "key", "nbytes", "time_s",
+            "span", "count", "age_steps", "origin",
+        ]
+        assert d == {
+            "seq": 0, "kind": "fetch", "step": 1, "level": "hdd", "key": 2,
+            "nbytes": 1024, "time_s": 0.5, "span": "", "count": 1,
+            "age_steps": -1, "origin": "",
+        }
+
+    @pytest.mark.parametrize("e", _PINNED_EVENTS)
+    def test_from_dict_inverts_as_dict(self, e):
+        assert TraceEvent.from_dict(e.as_dict()) == e
+
 
 class TestChromeTrace:
     def test_structure(self):
