@@ -631,8 +631,7 @@ def _cmd_bench(args) -> int:
         path = write_snapshot(doc, args.out)
         fs = doc["fullscale"]
         print(f"wrote {path} ({len(doc['runs'])} runs, tier fullscale, "
-              f"kernel {fs['kernel']}, {fs['n_blocks']} blocks, "
-              f"schema v{doc['schema_version']})")
+              f"{fs['n_blocks']} blocks, schema v{doc['schema_version']})")
         print(f"table build {fs['table_build_wall_s']:.2f}s wall "
               f"({fs['n_samples']} samples, mean set {fs['mean_set_size']:.1f}); "
               f"importance {fs['importance_wall_s']:.2f}s; "

@@ -29,17 +29,14 @@ def compute_visible_sets(
     path: CameraPath,
     grid: BlockGrid,
     include_center: bool = True,
-    kernel: str = "auto",
 ) -> List[np.ndarray]:
     """Ground-truth visible block ids per view point (ascending id order).
 
     One batched visibility evaluation over all path positions — this is
     the geometry the renderer needs at each step, independent of caching.
-    ``kernel`` selects the Eq. 1 evaluation strategy (all bit-identical;
-    ``"auto"`` culls hierarchically at large block counts).
     """
     return visible_ids_batch(
-        path.positions, grid, path.view_angle_deg, include_center, kernel=kernel
+        path.positions, grid, path.view_angle_deg, include_center
     )
 
 
@@ -82,12 +79,11 @@ class PipelineContext:
         grid: BlockGrid,
         render_model: Optional[RenderCostModel] = None,
         include_center: bool = True,
-        kernel: str = "auto",
     ) -> "PipelineContext":
         return cls(
             path=path,
             grid=grid,
-            visible_sets=compute_visible_sets(path, grid, include_center, kernel=kernel),
+            visible_sets=compute_visible_sets(path, grid, include_center),
             render_model=render_model or RenderCostModel(),
         )
 

@@ -21,11 +21,10 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     ``RunConfig`` field → list of values; cells are the cartesian product
     in declaration order (first axis varies slowest).
 ``[setup]``
-    Non-``RunConfig`` extras the cell runner understands (sampling shape
-    ``n_directions``/``n_distances``, visibility ``kernel`` of the replay
-    contexts, ``tracer_capacity``, cluster ``ghost_ratio``/
-    ``force_sharded``, serve ``mix``/``arrival_rate_hz``/``partition``/
-    ``attribution``).
+    Non-``RunConfig`` extras the cell runners read: sampling shape
+    ``n_directions``/``n_distances``, ``tracer_capacity``, cluster
+    ``ghost_ratio``/``force_sharded``, serve ``mix``/``arrival_rate_hz``/
+    ``partition``/``attribution``.  Any other key is rejected.
 ``[labels.<axis>]``
     ``str(value)`` → display label used in cell keys; an empty label drops
     the segment (so a fault axis only names its faulted cells).
@@ -322,6 +321,12 @@ _SPEC_SECTIONS = (
 )
 _MATRIX_KEYS = ("label", "runner", "repeats", "seed", "key_prefix", "key_joiner")
 
+#: The ``[setup]`` extras the cell runners read.
+_SETUP_KEYS = (
+    "n_directions", "n_distances", "tracer_capacity", "ghost_ratio", "force_sharded",
+    "mix", "arrival_rate_hz", "partition", "attribution",
+)
+
 
 #: Modules that register additional cell runners on import; loaded lazily
 #: before runner-name validation/lookup so bundled specs that use them
@@ -373,6 +378,11 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append(f"[matrix] seed must be an int, got {seed!r}")
         seed = 0
+
+    setup = dict(d.get("setup", {}))
+    unknown_keys = sorted(set(setup) - set(_SETUP_KEYS))
+    if unknown_keys:
+        problems.append(f"[setup] unknown key(s) {unknown_keys}; known: {list(_SETUP_KEYS)}")
 
     base = dict(d.get("base", {}))
     axes_raw = d.get("axes", {})
@@ -440,7 +450,7 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
         runner=runner,
         base=base,
         axes=axes,
-        setup=dict(d.get("setup", {})),
+        setup=setup,
         labels=labels,
         constraints=tuple(constraints),
         figures=tuple(figures),
@@ -625,12 +635,11 @@ def setup_for(config: RunConfig, extras: Mapping[str, Any]):
 
 def _context_for(setup, config: RunConfig, extras: Mapping[str, Any]):
     """The (cached) replay context — visible sets are computed once per
-    unique (setup, workload, ``[setup] kernel``) triple and shared by every
-    cell replaying that path."""
-    kernel = str(extras.get("kernel", "auto"))
+    unique (setup, workload) pair and shared by every cell replaying that
+    path."""
     key = _setup_key(config, extras) + (
         config.workload, config.steps, config.degrees, config.distance,
-        config.trace_file, kernel,
+        config.trace_file,
     )
     if key not in _CONTEXT_CACHE:
         from repro.core.pipeline import PipelineContext
@@ -638,7 +647,7 @@ def _context_for(setup, config: RunConfig, extras: Mapping[str, Any]):
 
         path = make_workload(config, setup.view_angle_deg)
         _CONTEXT_CACHE[key] = PipelineContext.create(
-            path, setup.grid, setup.render_model, kernel=kernel
+            path, setup.grid, setup.render_model
         )
     return _CONTEXT_CACHE[key]
 

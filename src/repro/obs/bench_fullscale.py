@@ -4,15 +4,11 @@ The default bench tier gates *simulated*-clock metrics, which are
 byte-identical across machines but say nothing about how fast the code
 itself runs.  This tier runs paper-scale geometry (Table I block counts:
 ``scale=0.5`` grids of ~16k blocks in the bundled ``fullscale`` spec,
-hundreds of path steps) and records the raw-speed numbers the culled
-visibility kernels exist for — table-build wall time, per-step replay
-wall time, and peak RSS — alongside the usual simulated summary, so raw
-performance becomes a tracked, ratcheting number.  ``--quick`` runs the
-``fullscale-smoke`` spec: a quarter-scale grid and short paths, same
-shape, a few minutes end-to-end.  The visibility kernel of the table
-build and the replay contexts is the spec's ``[setup] kernel``
-(``culled`` in both bundled specs; ``dense`` measures the un-culled
-baseline).
+hundreds of path steps) and records the raw-speed numbers — table-build
+wall time, per-step replay wall time, and peak RSS — alongside the usual
+simulated summary, so raw performance becomes a tracked, ratcheting
+number.  ``--quick`` runs the ``fullscale-smoke`` spec: a quarter-scale
+grid and short paths, same shape, a few minutes end-to-end.
 
 Wall-clock metrics are machine-dependent: the gate in
 :mod:`repro.experiments.gating` compares them with a widened threshold
@@ -33,7 +29,6 @@ import resource
 import time
 from typing import Any, Dict, Mapping, Optional
 
-from repro.camera.frustum import resolve_kernel
 from repro.experiments.gating import BENCH_SCHEMA_VERSION
 from repro.experiments.matrix import (
     MatrixCell,
@@ -69,8 +64,8 @@ def _fullscale_cell(
     """One lightweight (path, policy) cell: summary + wall timings only.
 
     Standalone (``repro matrix run``), the cell builds its tables lazily
-    with the ``[setup] kernel`` (serial, untimed); under
-    :func:`run_fullscale` they are already built by its timed preamble.
+    (serial, untimed); under :func:`run_fullscale` they are already built
+    by its timed preamble.
     """
     config = cell.config
     setup = setup_for(config, extras)
@@ -80,7 +75,6 @@ def _fullscale_cell(
             cache_ratio=config.cache_ratio,
             importance=setup.importance_table,
             seed=config.seed,
-            kernel=str(extras.get("kernel", "auto")),
         )
     context = _context_for(setup, config, extras)
     registry = MetricsRegistry()
@@ -127,7 +121,7 @@ def run_fullscale(
     ``spec`` defaults to the bundled ``fullscale`` spec
     (``fullscale-smoke`` when ``quick``).  A timed preamble builds
     ``T_important`` and ``T_visible`` (over ``workers`` processes when
-    ``workers > 1``) with the spec's kernel; the cells then run through
+    ``workers > 1``); the cells then run through
     the ``fullscale-cell`` runner.  The document shares the bench schema
     and adds ``"tier": "fullscale"`` plus a ``fullscale`` section of
     wall-clock build metrics, which the gate compares — at the widened
@@ -141,14 +135,12 @@ def run_fullscale(
     t0 = time.perf_counter()
     cells = expand_cells(spec)
     config = cells[0].config
-    kernel = str(spec.setup.get("kernel", "auto"))
 
     notify(
         f"setup: {config.dataset} scale={config.scale}, "
-        f"~{config.blocks} blocks, {config.steps} steps, kernel={kernel}"
+        f"~{config.blocks} blocks, {config.steps} steps"
     )
     setup = setup_for(config, spec.setup)
-    resolved_kernel = resolve_kernel(kernel, setup.grid.n_blocks)
 
     notify("building T_important")
     t_imp = time.perf_counter()
@@ -162,7 +154,6 @@ def run_fullscale(
         cache_ratio=config.cache_ratio,
         importance=setup.importance_table,
         seed=config.seed,
-        kernel=kernel,
     )
     if workers > 1:
         setup._vtable = build_visible_table_parallel(
@@ -190,8 +181,6 @@ def run_fullscale(
         "workers": int(workers),
         "spec": spec.to_dict(),
         "fullscale": {
-            "kernel": kernel,
-            "resolved_kernel": resolved_kernel,
             "n_blocks": int(setup.grid.n_blocks),
             "volume_voxels": int(setup.volume.n_voxels),
             "n_samples": int(vtable.n_entries),

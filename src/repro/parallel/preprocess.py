@@ -35,7 +35,6 @@ def build_visible_table_parallel(
     max_set_size: Optional[int] = None,
     seed: SeedLike = 0,
     include_center: bool = True,
-    kernel: str = "auto",
 ) -> VisibleTable:
     """Drop-in parallel variant of :func:`repro.tables.builder.build_visible_table`."""
     if n_workers < 1:
@@ -51,7 +50,6 @@ def build_visible_table_parallel(
         importance=importance,
         max_set_size=max_set_size,
         include_center=include_center,
-        kernel=kernel,
     )
 
     n_workers = min(n_workers, n_samples)

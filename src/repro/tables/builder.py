@@ -11,10 +11,8 @@ The per-sample sets are accumulated CSR-natively into a
 :class:`SampleSets` (one growing int64 id buffer + a sizes array — no
 Python list-of-arrays, no per-set ``np.concatenate``), which
 :meth:`VisibleTable.from_sets` consumes without any further copy of the
-offsets.  ``kernel=`` selects the visibility kernel (see
-:mod:`repro.camera.frustum`); the default ``"auto"`` uses the
-hierarchical cull at large block counts, which is bit-identical to the
-dense kernel.
+offsets.  Eq. 1 runs on the lattice kernel of
+:mod:`repro.camera.frustum`.
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.camera.frustum import (
-    broadcast_position_chunk,
-    resolve_kernel,
-    visible_ids_batch,
+    lattice_position_chunk,
+    visible_ids_batch,  # noqa: F401 - perfbench/spans.py wraps it by name
     visible_masks_batch,
 )
 from repro.camera.sampling import SamplingConfig, sample_positions
@@ -155,7 +152,6 @@ def compute_sample_sets(
     importance: Optional[ImportanceTable] = None,
     max_set_size: Optional[int] = None,
     include_center: bool = True,
-    kernel: str = "auto",
     chunk_bytes: int = 256 * 1024 * 1024,
 ) -> SampleSets:
     """Predicted visible sets for the sample positions at ``indices``.
@@ -166,53 +162,32 @@ def compute_sample_sets(
     :class:`SampleSets` (list-compatible).
     """
     indices = list(indices)
-    resolved = resolve_kernel(kernel, grid.n_blocks)
     acc = _SetAccumulator(len(indices))
-    # Chunk samples so the visibility batch's broadcast temporaries stay
-    # under chunk_bytes — derived from the kernel's actual footprint
-    # (positions-per-batch / vicinal-points-per-sample), not a block-count
-    # guess that degenerates at large grids.
+    # Chunk samples so one visibility batch's lattice temporaries and mask
+    # rows stay under chunk_bytes (positions-per-batch / points-per-sample).
     pts_per_sample = n_vicinal + 1  # vicinal_points includes the center
-    n_test_pts = 9 if include_center else 8
-    pos_chunk = broadcast_position_chunk(grid.n_blocks, n_test_pts, chunk_bytes)
+    pos_chunk = lattice_position_chunk(grid, chunk_bytes)
     chunk = max(1, pos_chunk // pts_per_sample)
     for start in range(0, len(indices), chunk):
         group = indices[start : start + chunk]
         group_points = []
-        group_slices = []
-        cursor = 0
         for i in group:
             pos = positions[i]
             d = float(np.linalg.norm(pos))
             r = fixed_radius if fixed_radius is not None else optimal_radius(
                 view_angle_deg, d, cache_ratio
             )
-            pts = vicinal_points(pos, r, n_points=n_vicinal, seed=rngs[i])
-            group_points.append(pts)
-            group_slices.append((cursor, cursor + len(pts)))
-            cursor += len(pts)
-        all_points = np.concatenate(group_points, axis=0)
-        if resolved == "dense":
-            masks = visible_masks_batch(
-                all_points, grid, view_angle_deg, include_center, chunk_bytes
+            group_points.append(
+                vicinal_points(pos, r, n_points=n_vicinal, seed=rngs[i])
             )
-            unions = [
-                np.flatnonzero(masks[lo:hi].any(axis=0)).astype(np.int64)
-                for lo, hi in group_slices
-            ]
-        else:
-            # Sparse path: per-point sorted id lists, per-sample union via
-            # np.unique — same sorted unique int64 ids as the mask union.
-            id_lists = visible_ids_batch(
-                all_points, grid, view_angle_deg, include_center,
-                kernel=resolved, chunk_bytes=chunk_bytes,
-            )
-            unions = [
-                np.unique(np.concatenate(id_lists[lo:hi]))
-                if hi > lo else np.empty(0, dtype=np.int64)
-                for lo, hi in group_slices
-            ]
-        for ids in unions:
+        masks = visible_masks_batch(
+            np.concatenate(group_points, axis=0), grid, view_angle_deg,
+            include_center, chunk_bytes,
+        )
+        # Every sample contributes pts_per_sample consecutive rows.
+        unions = masks.reshape(len(group), pts_per_sample, -1).any(axis=1)
+        for union in unions:
+            ids = np.flatnonzero(union).astype(np.int64)
             if (
                 max_set_size is not None
                 and importance is not None
@@ -236,7 +211,6 @@ def build_visible_table(
     max_set_size: Optional[int] = None,
     seed: SeedLike = 0,
     include_center: bool = True,
-    kernel: str = "auto",
 ) -> VisibleTable:
     """Step 1: the ``T_visible`` lookup table.
 
@@ -260,9 +234,6 @@ def build_visible_table(
     importance, max_set_size:
         When both are given, any ``S_v`` larger than ``max_set_size`` keeps
         only its most important blocks (over-prediction truncation).
-    kernel:
-        Visibility kernel (``"dense"``, ``"culled"``, ``"culled-flat"`` or
-        ``"auto"``).  All kernels produce the identical table.
     """
     positions = sample_positions(sampling)
     n_samples = positions.shape[0]
@@ -279,7 +250,6 @@ def build_visible_table(
         importance=importance,
         max_set_size=max_set_size,
         include_center=include_center,
-        kernel=kernel,
     )
 
     meta = {

@@ -118,8 +118,8 @@ class BlockGrid:
     def corners(self) -> np.ndarray:
         """Normalized corner coordinates of every block, shape ``(n_blocks, 8, 3)``.
 
-        Cached after first call; this is the hot input of the visibility
-        kernel (Eq. 1) so it is computed fully vectorised.
+        Cached after first call; the input of the dense (reference) Eq. 1
+        visibility kernel, computed fully vectorised.
         """
         if self._corners is None:
             lo, hi = self.bounds()

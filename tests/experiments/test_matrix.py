@@ -134,6 +134,17 @@ class TestSpecValidation:
         ):
             assert fragment in msg, fragment
 
+    def test_unknown_setup_keys_rejected(self):
+        """A typo in ``[setup]`` must not silently fall back to a default."""
+        with pytest.raises(ValueError) as err:
+            spec_from_dict(
+                {"matrix": {"label": "x"}, "setup": {"n_direction": 8, "kernal": "dense"}},
+                where="typo",
+            )
+        assert "[setup] unknown key(s) ['kernal', 'n_direction']" in str(err.value)
+        with pytest.raises(ValueError, match=r"\[setup\] unknown key\(s\) \['kernel'\]"):
+            spec_from_dict({"matrix": {"label": "x"}, "setup": {"kernel": "culled"}})
+
     def test_base_axes_overlap_rejected(self):
         with pytest.raises(ValueError, match=r"\['policy'\] appear in both"):
             spec_from_dict({
@@ -199,7 +210,8 @@ class TestSpecPinning:
     def test_fullscale_smoke_spec(self):
         full, smoke = load_spec("fullscale"), load_spec("fullscale-smoke")
         assert [c.key for c in expand_cells(full)] == [c.key for c in expand_cells(smoke)]
-        assert full.setup["kernel"] == smoke.setup["kernel"] == "culled"
+        assert full.setup.keys() == smoke.setup.keys()
+        assert "kernel" not in full.setup
 
 
 class TestExpandGrid:

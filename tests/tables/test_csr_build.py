@@ -1,17 +1,22 @@
 """CSR-native table build: SampleSets packing + kernel-independence.
 
 The builder must produce the *byte-identical* ``VisibleTable`` (offsets,
-block_ids, positions) whatever visibility kernel evaluates Eq. 1 and
-however the sample chunking slices the work — the CSR accumulation is a
-pure repacking of the same per-sample sets.
+block_ids, positions) whether its lattice kernel or the dense reference
+kernel evaluates Eq. 1, and however the sample chunking slices the work —
+the CSR accumulation is a pure repacking of the same per-sample sets.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.camera.frustum import visible_masks_batch
 from repro.camera.sampling import SamplingConfig
+from repro.tables import builder
 from repro.tables.builder import (
     SampleSets,
     build_importance_table,
@@ -27,6 +32,20 @@ from repro.volume.datasets import make_dataset
 @pytest.fixture(scope="module")
 def grid():
     return BlockGrid((32, 32, 32), (8, 8, 8))  # 64 blocks
+
+
+@contextlib.contextmanager
+def _on_dense_kernel():
+    """Route the builder's Eq. 1 calls to the dense reference kernel."""
+    calls = []
+
+    def dense(*args, **kwargs):
+        calls.append(len(args[0]))
+        return visible_masks_batch(*args, kernel="dense", **kwargs)
+
+    with mock.patch.object(builder, "visible_masks_batch", dense):
+        yield
+    assert calls, "the builder did not evaluate Eq. 1 through visible_masks_batch"
 
 
 class TestSampleSets:
@@ -58,16 +77,14 @@ class TestSampleSets:
 class TestComputeSampleSetsCSR:
     def test_returns_sample_sets_identical_across_kernels(self, grid):
         rng_positions = np.random.default_rng(0).uniform(-2.5, 2.5, size=(9, 3))
-        rngs = spawn_rngs(0, 9)
-        base = compute_sample_sets(grid, rng_positions, range(9), rngs, 10.0, kernel="dense")
+        with _on_dense_kernel():
+            base = compute_sample_sets(grid, rng_positions, range(9), spawn_rngs(0, 9), 10.0)
         assert isinstance(base, SampleSets)
-        for kernel in ("culled", "culled-flat"):
-            rngs_k = spawn_rngs(0, 9)  # fresh: vicinal draws consume the rng
-            got = compute_sample_sets(
-                grid, rng_positions, range(9), rngs_k, 10.0, kernel=kernel
-            )
-            assert np.array_equal(base.sizes, got.sizes)
-            assert np.array_equal(base.ids, got.ids)
+        # Fresh rngs: vicinal draws consume them.
+        got = compute_sample_sets(grid, rng_positions, range(9), spawn_rngs(0, 9), 10.0)
+        assert isinstance(got, SampleSets)
+        assert np.array_equal(base.sizes, got.sizes)
+        assert np.array_equal(base.ids, got.ids)
 
     def test_chunk_bytes_does_not_change_result(self, grid):
         positions = np.random.default_rng(1).uniform(-2.5, 2.5, size=(7, 3))
@@ -104,32 +121,25 @@ class TestBuildVisibleTableKernels:
     def test_csr_output_byte_identical(self, n_directions, angle, include_center):
         grid = BlockGrid((24, 24, 24), (6, 6, 6))
         sampling = SamplingConfig(n_directions=n_directions, n_distances=1)
-        tables = {
-            kernel: build_visible_table(
-                grid, sampling, angle, include_center=include_center, kernel=kernel
-            )
-            for kernel in ("dense", "culled", "culled-flat")
-        }
-        ref = tables["dense"]
-        for kernel, table in tables.items():
-            assert table.offsets.tobytes() == ref.offsets.tobytes(), kernel
-            assert table.block_ids.tobytes() == ref.block_ids.tobytes(), kernel
-            assert table.positions.tobytes() == ref.positions.tobytes(), kernel
+        with _on_dense_kernel():
+            ref = build_visible_table(grid, sampling, angle, include_center=include_center)
+        table = build_visible_table(grid, sampling, angle, include_center=include_center)
+        assert table.offsets.tobytes() == ref.offsets.tobytes()
+        assert table.block_ids.tobytes() == ref.block_ids.tobytes()
+        assert table.positions.tobytes() == ref.positions.tobytes()
 
     def test_truncation_path_identical_across_kernels(self, grid):
         volume = make_dataset("3d_ball", scale=0.04)
         grid_v = BlockGrid.with_target_blocks(volume.shape, 64)
         itable = build_importance_table(volume, grid_v)
         sampling = SamplingConfig(n_directions=12, n_distances=1)
-        built = {
-            kernel: build_visible_table(
-                grid_v, sampling, 30.0, importance=itable, max_set_size=5, kernel=kernel
-            )
-            for kernel in ("dense", "culled")
-        }
-        assert np.array_equal(built["dense"].offsets, built["culled"].offsets)
-        assert np.array_equal(built["dense"].block_ids, built["culled"].block_ids)
-        assert (built["dense"].entry_sizes() <= 5).all()
+        kwargs = dict(importance=itable, max_set_size=5)
+        with _on_dense_kernel():
+            dense = build_visible_table(grid_v, sampling, 30.0, **kwargs)
+        lattice = build_visible_table(grid_v, sampling, 30.0, **kwargs)
+        assert np.array_equal(dense.offsets, lattice.offsets)
+        assert np.array_equal(dense.block_ids, lattice.block_ids)
+        assert (dense.entry_sizes() <= 5).all()
 
 
 class TestBatchedLookup:
