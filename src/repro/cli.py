@@ -11,21 +11,24 @@ Subcommands mirror a real out-of-core visualization workflow:
   Chrome-trace JSON (and optionally JSONL) plus a per-step summary table;
   ``--from-jsonl`` re-reports on a previously written JSONL instead;
 - ``analyze``    — eviction forensics + per-frame latency attribution:
-  consumes a ``BENCH_``/``SERVE_`` snapshot or a JSONL trace (or runs the
-  quick suite in-process) and writes a self-contained HTML report, plus a
+  consumes a ``MATRIX_`` document or a JSONL trace (or runs the quick
+  bench tier in-process) and writes a self-contained HTML report, plus a
   Prometheus text dump with ``--prom``; exits non-zero when any section
   fails the exact ledger reconciliation;
-- ``bench``      — run the pinned regression suite and write a
-  schema-versioned ``BENCH_<label>.json``, or compare two such snapshots
-  (``--compare old.json new.json``, non-zero exit on regression);
+- ``bench``      — run a bench tier's bundled spec (the pinned regression
+  suite by default) and write ``MATRIX_<label>.json``;
 - ``serve-sim``  — simulate N concurrent viewer sessions over one shared
-  hierarchy (tenant quotas, fairness, per-tenant tail latencies) and
-  write ``SERVE_<label>.json``, or compare two such snapshots;
+  hierarchy (tenant quotas, fairness, per-tenant tail latencies) as a
+  one-cell ``serve`` spec and write ``MATRIX_<label>.json``;
 - ``matrix``     — the declarative experiment-matrix runner:
   ``matrix run`` expands a TOML/JSON spec (bundled name or path) into
   cells and writes ``MATRIX_<label>.json``; ``matrix report`` renders a
   matrix document as a self-contained HTML report; ``matrix compare``
-  gates two matrix documents on their simulated metrics.
+  gates two matrix documents (the one compare; non-zero exit on
+  regression).
+
+``bench``, ``serve-sim`` and ``matrix run`` are spellings of one call,
+:func:`repro.experiments.matrix.run_matrix`.
 
 Experiment regeneration lives under ``python -m repro.experiments``.
 """
@@ -105,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser(
         "analyze",
         help="forensics + latency-attribution report (HTML, optional Prometheus "
-             "dump) from a bench/serve snapshot or a JSONL trace",
+             "dump) from a matrix document or a JSONL trace",
     )
     ana.add_argument("source", nargs="?", default=None,
-                     help="BENCH_/SERVE_ snapshot (.json) or trace events "
-                          "(.jsonl); omitted: run the quick pinned suite "
+                     help="MATRIX_ document (.json) or trace events "
+                          "(.jsonl); omitted: run the quick bench tier "
                           "in-process and analyze it")
     ana.add_argument("--out", type=Path, default=Path("report.html"),
                      help="self-contained HTML report path (default report.html)")
@@ -120,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser(
         "bench",
-        help="run the pinned regression suite (BENCH_<label>.json) or compare snapshots",
+        help="run a bench tier's bundled spec (MATRIX_<label>.json)",
     )
     ben.add_argument("--tier", choices=("default", "fullscale", "cluster"), default="default",
                      help="which bundled spec runs — default: the pinned "
@@ -131,29 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="CI-smoke variant (bench-quick, cluster-smoke, "
                           "fullscale-smoke): same suite shape, a fraction of the work")
     ben.add_argument("--label", default="local",
-                     help="snapshot label: writes BENCH_<label>.json")
+                     help="names the output file: writes MATRIX_<label>.json")
     ben.add_argument("--out", type=Path, default=Path("."),
                      help="directory the snapshot is written into (default: cwd)")
     ben.add_argument("--workers", type=_positive_int, default=1,
-                     help="worker processes for the suite cells (default 1: serial)")
+                     help="worker processes for the tier's cells (default 1: serial)")
     ben.add_argument("--profile", type=Path, default=None, metavar="PATH",
-                     help="also re-run one pinned cell with a span timeline and "
-                          "write a Chrome-trace JSON there")
+                     help="also re-run the first app-aware cell with a span "
+                          "timeline and write a Chrome-trace JSON there "
+                          "(default and fullscale tiers)")
     _add_fault_args(ben)
-    ben.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-                     help="compare two bench snapshots of one tier instead of "
-                          "running the suite")
-    ben.add_argument("--threshold", type=float, default=0.10,
-                     help="relative regression threshold for --compare (default 0.10)")
-    ben.add_argument("--warn-only", action="store_true",
-                     help="report regressions but exit 0 (PR-gate mode)")
-    ben.add_argument("--verbose", action="store_true",
-                     help="show unchanged metrics in the comparison table")
 
     srv = sub.add_parser(
         "serve-sim",
         help="simulate N concurrent viewer sessions over a shared hierarchy "
-             "(SERVE_<label>.json) or compare snapshots",
+             "(MATRIX_<label>.json)",
     )
     srv.add_argument("--sessions", type=_positive_int, default=8,
                      help="number of concurrent viewer sessions (default 8)")
@@ -177,17 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--serve-seed", type=int, default=0,
                      help="seed of the whole scenario (mix, arrivals, paths)")
     srv.add_argument("--label", default="local",
-                     help="snapshot label: writes SERVE_<label>.json")
+                     help="names the output file: writes MATRIX_<label>.json")
     srv.add_argument("--out", type=Path, default=Path("."),
                      help="directory the snapshot is written into (default: cwd)")
-    srv.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-                     help="compare two snapshots instead of running the scenario")
-    srv.add_argument("--threshold", type=float, default=0.25,
-                     help="relative regression threshold for --compare (default 0.25)")
-    srv.add_argument("--warn-only", action="store_true",
-                     help="report regressions but exit 0 (PR-gate mode)")
-    srv.add_argument("--verbose", action="store_true",
-                     help="show unchanged metrics in the comparison table")
 
     mat = sub.add_parser(
         "matrix",
@@ -205,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     mrun.add_argument("--out", type=Path, default=Path("."),
                       help="directory the document is written into (default: cwd)")
     mrun.add_argument("--label", default=None,
-                      help="override the spec's label (names the output file)")
+                      help="names the output file MATRIX_<label>.json (default: "
+                           "the spec's label); cell keys always come from the spec")
     mrun.add_argument("--report", type=Path, default=None, metavar="PATH",
                       help="also write the self-contained HTML report there")
     mrep = mat_sub.add_parser(
@@ -415,27 +403,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _attribution_sections(doc):
-    """Yield ``(label, attribution_doc)`` from any analyzable document."""
-    mt = {}
-    if "runs" in doc:
-        for key, run in doc["runs"].items():
-            attr = run.get("attribution")
-            if attr:
-                yield key, attr
-        mt = doc.get("multi_tenant") or {}
-    elif "multi_tenant" in doc:
-        mt = doc["multi_tenant"]
-    elif "demand_components" in doc:
-        yield "run", doc
-    tenants = (mt.get("attribution") or {}).get("tenants") or {}
-    for tenant, attr in sorted(tenants.items()):
-        yield f"tenant:{tenant}", attr
-
-
 def _analysis_prom_snapshot(doc) -> dict:
     """Registry metrics + synthetic attribution/forensics series for --prom."""
     from repro.obs.prometheus import labeled_key, merge_snapshots, relabel_snapshot
+    from repro.obs.report import attribution_sections
 
     counters, gauges = {}, {}
 
@@ -446,12 +417,10 @@ def _analysis_prom_snapshot(doc) -> dict:
         gauges[labeled_key(name, labels)] = {"value": float(value)}
 
     snaps = []
-    if "runs" in doc:
-        for key, run in doc["runs"].items():
-            metrics = run.get("metrics")
-            if metrics:
-                snaps.append(relabel_snapshot(metrics, {"run": key}))
-    for label, attr in _attribution_sections(doc):
+    for key, cell in (doc.get("cells") or {}).items():
+        if cell.get("metrics"):
+            snaps.append(relabel_snapshot(cell["metrics"], {"cell": key}))
+    for label, attr in attribution_sections(doc):
         sec = {"section": label}
         for comp, v in (attr.get("demand_components") or {}).items():
             counter("attribution_component_seconds",
@@ -491,15 +460,16 @@ def _analysis_prom_snapshot(doc) -> dict:
 def _cmd_analyze(args) -> int:
     import json
 
-    from repro.obs.report import write_report
+    from repro.obs.report import attribution_sections, write_report
 
     source = args.source
     if source is None:
-        from repro.obs.bench import run_bench
+        from repro.experiments.matrix import run_matrix
+        from repro.obs.bench import tier_spec
 
-        print("no source given: running the quick pinned suite in-process")
-        doc = run_bench(label="analyze", quick=True, progress=print)
-        title = args.title or "repro analyze — quick suite"
+        print("no source given: running the quick bench tier in-process")
+        doc = run_matrix(tier_spec("default", quick=True), progress=print)
+        title = args.title or "repro analyze — quick bench tier"
     elif str(source).endswith(".jsonl"):
         from repro.obs.attribution import attribute_run
         from repro.trace import read_jsonl
@@ -523,7 +493,7 @@ def _cmd_analyze(args) -> int:
         title = args.title or f"repro analyze — {source}"
 
     path = write_report(doc, args.out, title=title)
-    sections = list(_attribution_sections(doc))
+    sections = list(attribution_sections(doc))
     print(f"wrote {path} ({len(sections)} attribution section(s))")
     failed = []
     for label, attr in sections:
@@ -547,39 +517,82 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _compare(old_path, new_path, kinds, args) -> int:
-    """The one snapshot gate behind ``bench --compare``, ``serve-sim
-    --compare`` and ``matrix compare``: exit 2 on an unreadable snapshot or
-    one of another kind, 1 on a regression (unless ``--warn-only``)."""
-    from repro.experiments.gating import (
-        compare_snapshots,
-        count_regressions,
-        format_gate_rows,
-        load_snapshot,
-    )
+def _print_multi_tenant(name: str, mt) -> None:
+    frames = mt["frame_times"]
+    print(f"multi_tenant[{name}]: {mt['n_sessions']} sessions, makespan "
+          f"{mt['makespan_s']:.3f}s sim; fairness (Jain, hit rate) "
+          f"{frames['fairness_jain']:.4f}; pooled frame time p99 "
+          f"{frames['pooled']['p99'] * 1e3:.2f} ms; "
+          f"cross-tenant evictions: {mt['cross_evictions']}")
+
+
+def _run_and_write(spec, out, label=None, workers=1, profile=None, report=None) -> int:
+    """Run ``spec`` through ``run_matrix``, write ``MATRIX_<label>.json``
+    and print its sections: exit 2 when the spec or its runner refuses the
+    run, 1 when a sharded cell's network ledger fails to reconcile."""
+    from repro.experiments.gating import write_snapshot
+    from repro.experiments.matrix import run_matrix
 
     try:
-        old = load_snapshot(old_path, kinds)
-        new = load_snapshot(new_path, kinds)
-        rows = compare_snapshots(old, new, threshold=args.threshold)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}")
+        doc = run_matrix(spec, workers=workers, progress=print, profile=profile)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"comparing {old_path} -> {new_path}, threshold {args.threshold:.0%}")
-    print(format_gate_rows(rows, verbose=args.verbose))
-    n_regressions = count_regressions(rows)
-    if n_regressions and args.warn_only:
-        print(f"warn-only: {n_regressions} regression(s) ignored")
-        return 0
-    return 1 if n_regressions else 0
+    path = write_snapshot(doc, out, label=label)
+    print(f"wrote {path} ({doc['n_cells']} cells, runner {doc['runner']}, "
+          f"{doc['workers']} worker(s), schema v{doc['schema_version']}, "
+          f"suite {doc['suite_wall_s']:.2f}s wall)")
+    for key, cell in doc["cells"].items():
+        if "faults" in cell:
+            fs = cell["faults"]["stats"]
+            print(f"faults[{key}]: {fs['errors']} errors, {fs['retries']} retries, "
+                  f"{fs['timeouts']} timeouts, {fs['dropped_blocks']} dropped blocks")
+        if "cluster" in cell:
+            cl = cell["cluster"]
+            print(f"cluster[{key}]: {cl['n_nodes']} nodes, map "
+                  f"{cl['shard_map']['strategy']}, locality "
+                  f"{cl['shard_map']['locality_score']:.3f}; peer "
+                  f"{cl['split_bytes']['peer'] / 1e6:.2f} MB over "
+                  f"{cl['peer_transfers']} transfers, cold fallback "
+                  f"{cl['split_bytes']['cold'] / 1e6:.2f} MB "
+                  f"({cl['link_fallbacks']} severed-link fallbacks)")
+        if "multi_tenant" in cell:
+            _print_multi_tenant(key, cell["multi_tenant"])
+    suite = doc.get("suite", {})
+    if "multi_tenant" in suite:
+        _print_multi_tenant("suite", suite["multi_tenant"])
+    if "fullscale" in suite:
+        fs = suite["fullscale"]
+        print(f"fullscale: table build {fs['table_build_wall_s']:.2f}s wall "
+              f"({fs['n_samples']} samples, mean set {fs['mean_set_size']:.1f}); "
+              f"importance {fs['importance_wall_s']:.2f}s; "
+              f"peak RSS {fs['peak_rss_bytes'] / 2**30:.2f} GiB")
+    if "profile" in doc:
+        print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
+    if report is not None:
+        from repro.experiments.matrix_report import write_matrix_report
+
+        print(f"report: {write_matrix_report(doc, report)}")
+    unreconciled = [k for k, c in doc["cells"].items() if c.get("ledger_reconciles") is False]
+    if unreconciled:
+        print(f"error: the cluster network ledger failed to reconcile in "
+              f"{', '.join(unreconciled)} (bytes moved != local + ghost + peer + "
+              f"cold, or peer bytes != the per-link sum)", file=sys.stderr)
+        return 1
+    return 0
+
+
+#: Why the cluster and fullscale tiers refuse ``--faults``.
+_FAULTS_REFUSED = {
+    "cluster": "the scenario pins its own link-partition fault profile",
+    "fullscale": "wall-clock numbers would measure the injector",
+}
 
 
 def _cmd_bench(args) -> int:
-    from repro.experiments.gating import BENCH_KINDS, write_snapshot
-    from repro.obs.bench import run_bench, tier_spec
+    import dataclasses
 
-    if args.compare is not None:
-        return _compare(*args.compare, BENCH_KINDS, args)
+    from repro.obs.bench import tier_spec
 
     try:
         config = RunConfig.from_cli(args, command="bench")
@@ -587,142 +600,76 @@ def _cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     spec = tier_spec(args.tier, args.quick)
-    if args.tier == "cluster":
-        from repro.obs.bench_cluster import run_cluster
-
-        if config.faults != "none":
-            print("error: --faults is not supported on the cluster tier "
-                  "(the scenario pins its own link-partition fault profile)",
-                  file=sys.stderr)
+    if config.faults != "none":
+        if args.tier in _FAULTS_REFUSED:
+            print(f"error: --faults is not supported on the {args.tier} tier "
+                  f"({_FAULTS_REFUSED[args.tier]})", file=sys.stderr)
             return 2
-        doc = run_cluster(spec, label=args.label, quick=args.quick, progress=print)
-        path = write_snapshot(doc, args.out)
-        cl = doc["cluster"]
-        print(f"wrote {path} ({len(doc['runs'])} runs, tier cluster, "
-              f"{cl['n_nodes']} nodes, map {cl['shard_map']['strategy']}, "
-              f"schema v{doc['schema_version']})")
-        print(f"locality {cl['shard_map']['locality_score']:.3f}; "
-              f"local {cl['split_bytes']['local'] / 1e6:.2f} MB, "
-              f"peer {cl['split_bytes']['peer'] / 1e6:.2f} MB over "
-              f"{cl['peer_transfers']} transfers, "
-              f"cold fallback {cl['split_bytes']['cold'] / 1e6:.2f} MB "
-              f"({cl['link_fallbacks']} severed-link fallbacks)")
-        if not cl["ledger_reconciles"]:
-            print("error: the cluster network ledger failed to reconcile "
-                  "(bytes moved != local + ghost + peer + cold, or peer bytes "
-                  "!= the per-link sum)", file=sys.stderr)
-            return 1
-        return 0
-    if args.tier == "fullscale":
-        from repro.obs.bench_fullscale import run_fullscale
-
-        if config.faults != "none":
-            print("error: --faults is not supported on the fullscale tier "
-                  "(wall-clock numbers would measure the injector)", file=sys.stderr)
-            return 2
-        doc = run_fullscale(
-            spec,
-            label=args.label,
-            quick=args.quick,
-            progress=print,
-            workers=args.workers,
-            profile_path=args.profile,
+        spec = dataclasses.replace(
+            spec, base={**spec.base, "faults": config.faults, "fault_seed": config.fault_seed}
         )
-        path = write_snapshot(doc, args.out)
-        fs = doc["fullscale"]
-        print(f"wrote {path} ({len(doc['runs'])} runs, tier fullscale, "
-              f"{fs['n_blocks']} blocks, schema v{doc['schema_version']})")
-        print(f"table build {fs['table_build_wall_s']:.2f}s wall "
-              f"({fs['n_samples']} samples, mean set {fs['mean_set_size']:.1f}); "
-              f"importance {fs['importance_wall_s']:.2f}s; "
-              f"peak RSS {fs['peak_rss_bytes'] / 2**30:.2f} GiB; "
-              f"suite {doc['suite_wall_s']:.2f}s wall")
-        for key, run in sorted(doc["runs"].items()):
-            print(f"  {key}: {run['wall_s']:.2f}s wall "
-                  f"({run['per_step_wall_s'] * 1e3:.2f} ms/step)")
-        if "profile" in doc:
-            print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
-        return 0
-    doc = run_bench(
-        spec,
-        label=args.label,
-        quick=args.quick,
-        progress=print,
-        workers=args.workers,
-        profile_path=args.profile,
-        faults=config.faults,
-        fault_seed=config.fault_seed,
+    return _run_and_write(
+        spec, args.out, label=args.label, workers=args.workers, profile=args.profile
     )
-    path = write_snapshot(doc, args.out)
-    n_runs = len(doc["runs"])
-    dropped = sum(r["trace"]["n_dropped"] for r in doc["runs"].values())
-    print(f"wrote {path} ({n_runs} runs, "
-          f"{doc['workers']} worker(s), schema v{doc['schema_version']}, "
-          f"{dropped} trace events dropped, suite {doc['suite_wall_s']:.2f}s wall)")
-    if args.faults != "none":
-        for key, run in sorted(doc["runs"].items()):
-            fs = run["faults"]["stats"]
-            print(f"faults[{key}]: {fs['errors']} errors, {fs['retries']} retries, "
-                  f"{fs['timeouts']} timeouts, {fs['dropped_blocks']} dropped blocks")
-    if "profile" in doc:
-        print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
-    return 0
 
 
 def _cmd_serve_sim(args) -> int:
-    from repro.experiments.gating import write_snapshot
-    from repro.experiments.loadgen import LoadGenConfig, run_load
+    from repro.experiments.matrix import MatrixSpec
 
-    if args.compare is not None:
-        return _compare(*args.compare, ("serve",), args)
-
-    try:
-        config = LoadGenConfig(
-            n_sessions=args.sessions,
-            mix=tuple(args.mix),
-            arrival_rate_hz=args.arrival_rate,
-            steps=args.session_steps,
-            blocks=args.serve_blocks,
-            scale=args.serve_scale,
-            cache_ratio=args.cache_ratio,
-            policy=args.policy,
-            partition=args.partition,
-            seed=args.serve_seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    doc = run_load(config, attribution=True)
-    path = write_snapshot(doc, args.out, label=args.label)
-    mt = doc["multi_tenant"]
-    frames = mt["frame_times"]
-    print(f"wrote {path} ({mt['n_sessions']} sessions, partition {args.partition}, "
-          f"schema v{doc['schema_version']}, makespan {mt['makespan_s']:.3f}s sim)")
-    print(f"fairness (Jain, hit rate): {frames['fairness_jain']:.4f}; "
-          f"pooled frame time p99 {frames['pooled']['p99'] * 1e3:.2f} ms; "
-          f"cross-tenant evictions: {mt['cross_evictions']}")
-    for tenant in sorted(frames["per_tenant"]):
-        s = frames["per_tenant"][tenant]
-        print(f"  {tenant}: p50 {s['p50'] * 1e3:7.2f} ms  p95 {s['p95'] * 1e3:7.2f} ms  "
-              f"p99 {s['p99'] * 1e3:7.2f} ms  ({s['count']} frames, "
-              f"{doc['workloads'].get(tenant, '?')})")
-    return 0
+    spec = MatrixSpec(
+        label="serve-sim",
+        runner="serve",
+        base={
+            "blocks": args.serve_blocks,
+            "scale": args.serve_scale,
+            "steps": args.session_steps,
+            "cache_ratio": args.cache_ratio,
+            "policy": args.policy,
+            "seed": args.serve_seed,
+            "sessions": args.sessions,
+        },
+        setup={
+            "mix": list(args.mix),
+            "arrival_rate_hz": args.arrival_rate,
+            "partition": args.partition,
+            "attribution": True,
+        },
+    )
+    return _run_and_write(spec, args.out, label=args.label)
 
 
 def _cmd_matrix(args) -> int:
-    import dataclasses
-
-    from repro.experiments.gating import load_snapshot, write_snapshot
-    from repro.experiments.matrix import load_spec, run_matrix
+    from repro.experiments.gating import (
+        compare_snapshots,
+        count_regressions,
+        format_gate_rows,
+        load_snapshot,
+    )
+    from repro.experiments.matrix import load_spec
 
     if args.matrix_command == "compare":
-        return _compare(args.old, args.new, ("matrix",), args)
+        # Exit 2 on an unreadable document or two that ran different
+        # runners or axes, 1 on a regression (unless --warn-only).
+        try:
+            rows = compare_snapshots(
+                load_snapshot(args.old), load_snapshot(args.new), threshold=args.threshold
+            )
+        except (ValueError, OSError, KeyError) as exc:
+            print(f"error: {exc}")
+            return 2
+        print(f"comparing {args.old} -> {args.new}, threshold {args.threshold:.0%}")
+        print(format_gate_rows(rows, verbose=args.verbose))
+        n_regressions = count_regressions(rows)
+        if n_regressions and args.warn_only:
+            print(f"warn-only: {n_regressions} regression(s) ignored")
+            return 0
+        return 1 if n_regressions else 0
 
     if args.matrix_command == "report":
         from repro.experiments.matrix_report import write_matrix_report
 
         try:
-            doc = load_snapshot(args.doc, ("matrix",))
+            doc = load_snapshot(args.doc)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -735,18 +682,9 @@ def _cmd_matrix(args) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.label is not None:
-        spec = dataclasses.replace(spec, label=args.label)
-    doc = run_matrix(spec, workers=args.workers, progress=print)
-    path = write_snapshot(doc, args.out)
-    print(f"wrote {path} ({doc['n_cells']} cells, runner {doc['runner']}, "
-          f"{doc['workers']} worker(s), schema v{doc['schema_version']}, "
-          f"suite {doc['suite_wall_s']:.2f}s wall)")
-    if args.report is not None:
-        from repro.experiments.matrix_report import write_matrix_report
-
-        print(f"report: {write_matrix_report(doc, args.report)}")
-    return 0
+    return _run_and_write(
+        spec, args.out, label=args.label, workers=args.workers, report=args.report
+    )
 
 
 def _cmd_render(args) -> int:

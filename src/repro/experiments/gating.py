@@ -1,9 +1,9 @@
 """The one snapshot gate.
 
-Every snapshot in the repo — ``BENCH_*.json`` (three bench tiers),
-``SERVE_*.json`` and ``MATRIX_*.json`` — is written, loaded and compared
-here, and CI gates all of them the same way: flatten the metrics of two
-snapshots of one *kind* to ``{name: (value, rule)}``, then diff each
+Every snapshot in the repo is a ``MATRIX_<label>.json`` document written
+by :func:`repro.experiments.matrix.run_matrix` — each bench tier and the
+serve scenario included — and CI gates all of them the same way: flatten
+the metrics of two documents to ``{name: (value, rule)}``, then diff each
 metric against a per-direction threshold.
 
 The vocabulary:
@@ -15,15 +15,16 @@ The vocabulary:
 - a *metric set* is ``{name: (value, GateRule)}``;
 - :func:`compare_metric_sets` diffs two metric sets into rows with the
   canonical statuses ``"regression"`` / ``"improved"`` / ``"ok"`` /
-  ``"missing"`` (metrics missing on either side never regress).
+  ``"dropped"`` (the baseline has the metric, the candidate lacks it — a
+  regression) / ``"missing"`` (only the candidate has it — informational).
 
-A snapshot's kind (:func:`snapshot_kind`) is its bench tier (``bench``,
-``cluster``, ``fullscale``), ``serve`` or ``matrix``; each kind has one
-flattener built from the section flatteners (:func:`flatten_run_summary`,
-:func:`flatten_multi_tenant`, :func:`flatten_cluster_section`).
-:func:`write_snapshot` / :func:`load_snapshot` are the one writer and
-loader, :func:`compare_snapshots` refuses two different kinds, and
-:func:`format_gate_rows` prints the rows of every kind.
+A document flattens as its cells (:func:`flatten_run_summary`, plus
+:func:`flatten_multi_tenant` and :func:`flatten_cluster_section` for the
+sections serve and sharded cells carry) and its ``suite`` sections, each
+under the section's name.  :func:`write_snapshot` / :func:`load_snapshot`
+are the one writer and loader, :func:`compare_snapshots` refuses two
+documents that ran different runners or axes, and
+:func:`format_gate_rows` prints the rows.
 """
 
 from __future__ import annotations
@@ -31,15 +32,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "SERVE_SCHEMA_VERSION",
     "MATRIX_SCHEMA_VERSION",
-    "BENCH_KINDS",
     "GateRule",
     "MetricSet",
     "WALL_THRESHOLD_FACTOR",
@@ -51,21 +47,15 @@ __all__ = [
     "flatten_run_summary",
     "flatten_multi_tenant",
     "flatten_cluster_section",
-    "snapshot_kind",
+    "flatten_fullscale_section",
     "flatten_snapshot",
     "compare_snapshots",
     "write_snapshot",
     "load_snapshot",
 ]
 
-#: Bump one of these when that snapshot layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 1
-SERVE_SCHEMA_VERSION = 1
+#: Bump when the document layout changes incompatibly.
 MATRIX_SCHEMA_VERSION = 1
-
-#: The kinds of a ``BENCH_*.json`` snapshot: its ``tier`` (no ``tier``
-#: key is the default ``bench`` tier).
-BENCH_KINDS = ("bench", "cluster", "fullscale")
 
 #: Wall-clock/RSS metrics are machine-noisy; they gate at
 #: ``threshold * WALL_THRESHOLD_FACTOR`` so same-machine CI catches
@@ -128,6 +118,8 @@ class GateRule:
 #: :func:`compare_metric_sets` consumes.
 MetricSet = Dict[str, Tuple[float, GateRule]]
 
+_WALL_RULE = GateRule("lower", scale=WALL_THRESHOLD_FACTOR)
+
 
 def _compare_one(
     old_value: float, new_value: float, rule: GateRule, threshold: float, abs_floor: float
@@ -160,10 +152,12 @@ def compare_metric_sets(
     """Diff two metric sets; one row per metric present in either.
 
     Rows are sorted by metric name and carry ``metric`` / ``old`` /
-    ``new`` / ``change`` / ``direction`` / ``status``; metrics missing
-    on either side report status ``"missing"`` (with the present side's
-    value) and never regress.  The rule of the *new* side wins when the
-    two sides disagree (a renamed direction applies immediately).
+    ``new`` / ``change`` / ``direction`` / ``status``.  A metric only the
+    baseline has reports ``"dropped"`` and counts as a regression (a lost
+    section must not pass silently); one only the candidate has reports
+    ``"missing"`` and never regresses.  Both carry the present side's
+    value.  The rule of the *new* side wins when the two sides disagree
+    (a renamed direction applies immediately).
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
@@ -172,7 +166,7 @@ def compare_metric_sets(
         if name not in old or name not in new:
             rows.append({
                 "metric": name,
-                "status": "missing",
+                "status": "dropped" if name in old else "missing",
                 "old": old.get(name, (None,))[0],
                 "new": new.get(name, (None,))[0],
             })
@@ -194,7 +188,8 @@ def compare_metric_sets(
 
 
 def count_regressions(rows: List[Dict[str, object]]) -> int:
-    return sum(1 for r in rows if r["status"] == "regression")
+    """Rows that fail the gate: regressions and dropped metrics."""
+    return sum(1 for r in rows if r["status"] in ("regression", "dropped"))
 
 
 def format_gate_rows(rows: List[Dict[str, object]], verbose: bool = False) -> str:
@@ -211,12 +206,13 @@ def format_gate_rows(rows: List[Dict[str, object]], verbose: bool = False) -> st
         change = f"{row['change']:+.1%}" if "change" in row else "-"
         lines.append(f"{row['metric']:<58} {old:>12} {new:>12} {change:>9}  {row['status']}")
     n_reg = count_regressions(rows)
-    lines.append(
-        f"{len(rows)} metrics compared, {n_reg} regression(s), "
-        f"{len(rows) - shown} unchanged/ok hidden"
-        if not verbose
-        else f"{len(rows)} metrics compared, {n_reg} regression(s)"
-    )
+    n_dropped = sum(1 for r in rows if r["status"] == "dropped")
+    tally = f"{len(rows)} metrics compared, {n_reg} regression(s)"
+    if n_dropped:
+        tally += f" ({n_dropped} dropped)"
+    if not verbose:
+        tally += f", {len(rows) - shown} unchanged/ok hidden"
+    lines.append(tally)
     return "\n".join(lines)
 
 
@@ -228,12 +224,11 @@ def flatten_run_summary(
     prefix: str,
     wall_metrics: Tuple[str, ...] = (),
 ) -> MetricSet:
-    """Flatten one run cell (``summary``/``derived``/histograms/trace drops).
+    """Flatten one cell (``summary``/``derived``/histograms/trace drops).
 
-    This is the per-run section shared by every bench tier and every
-    matrix cell.  ``wall_metrics`` names top-level run keys (fullscale
-    tier: ``wall_s``, ``per_step_wall_s``) additionally gated at the
-    widened wall threshold.
+    ``wall_metrics`` names top-level cell keys (``fullscale-cell``:
+    ``wall_s``, ``per_step_wall_s``) additionally gated at the widened
+    wall threshold.
     """
     out: MetricSet = {}
     summary = run.get("summary", {})
@@ -260,17 +255,15 @@ def flatten_run_summary(
     for name in wall_metrics:
         value = run.get(name)
         if isinstance(value, (int, float)):
-            out[f"{prefix}.{name}"] = (
-                float(value), GateRule("lower", scale=WALL_THRESHOLD_FACTOR),
-            )
+            out[f"{prefix}.{name}"] = (float(value), _WALL_RULE)
     return out
 
 
 def flatten_multi_tenant(
     mt: Mapping[str, object], prefix: str = "multi_tenant"
 ) -> MetricSet:
-    """Flatten a ``multi_tenant`` section (bench suite, serve snapshot or
-    serve matrix cell) — one rule everywhere.
+    """Flatten a ``multi_tenant`` section (a serve cell's or the default
+    tier's ``suite`` scenario) — one rule everywhere.
 
     Per-tenant and pooled frame-time percentiles and the makespan gate
     relatively; the Jain fairness index regresses on an absolute drop of
@@ -298,7 +291,7 @@ def flatten_multi_tenant(
 def flatten_cluster_section(
     section: Mapping[str, object], prefix: str = "cluster"
 ) -> MetricSet:
-    """Flatten a cluster-tier network ledger (all simulated quantities)."""
+    """Flatten a sharded cell's network ledger (all simulated quantities)."""
     out: MetricSet = {}
     for route, value in sorted(section.get("split_bytes", {}).items()):
         if isinstance(value, (int, float)):
@@ -324,103 +317,61 @@ def flatten_cluster_section(
     return out
 
 
-# -- snapshots ----------------------------------------------------------------
-
-#: Wall-clock/RSS metrics of a fullscale-tier ``fullscale`` section.
-_FULLSCALE_WALL_METRICS = ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes")
-
-
-def _flatten_runs(doc: Mapping[str, Any], wall_metrics: Tuple[str, ...] = ()) -> MetricSet:
+def flatten_fullscale_section(
+    section: Mapping[str, object], prefix: str = "fullscale"
+) -> MetricSet:
+    """Flatten the fullscale tier's timed table build: its wall-clock and
+    RSS metrics, all at the widened wall threshold."""
     out: MetricSet = {}
-    for key, run in sorted(doc["runs"].items()):
-        out.update(flatten_run_summary(run, key, wall_metrics=wall_metrics))
-    return out
-
-
-def _flatten_bench(doc: Mapping[str, Any]) -> MetricSet:
-    """Default tier: the run cells plus the multi-tenant scenario (absent
-    from pre-multi-tenant snapshots, whose rows then report missing)."""
-    out = _flatten_runs(doc)
-    if doc.get("multi_tenant"):
-        out.update(flatten_multi_tenant(doc["multi_tenant"]))
-    return out
-
-
-def _flatten_cluster(doc: Mapping[str, Any]) -> MetricSet:
-    """Cluster tier: the run cells plus the partition cell's network ledger."""
-    return {**flatten_cluster_section(doc.get("cluster", {})), **_flatten_runs(doc)}
-
-
-def _flatten_fullscale(doc: Mapping[str, Any]) -> MetricSet:
-    """Fullscale tier: the run cells plus its wall-clock/RSS metrics, all
-    of those at the widened wall threshold."""
-    out: MetricSet = {}
-    section = doc.get("fullscale", {})
-    for name in _FULLSCALE_WALL_METRICS:
+    for name in ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes"):
         value = section.get(name)
         if isinstance(value, (int, float)):
-            out[f"fullscale.{name}"] = (
-                float(value), GateRule("lower", scale=WALL_THRESHOLD_FACTOR),
-            )
-    out.update(_flatten_runs(doc, wall_metrics=("wall_s", "per_step_wall_s")))
+            out[f"{prefix}.{name}"] = (float(value), _WALL_RULE)
     return out
 
 
-def _flatten_serve(doc: Mapping[str, Any]) -> MetricSet:
-    return flatten_multi_tenant(doc["multi_tenant"])
+# -- snapshots ----------------------------------------------------------------
+
+#: runner -> the wall-clock fields of its cells that gate (at the widened
+#: threshold).  Every other runner's wall fields are informational.
+_WALL_GATED_FIELDS = {"fullscale-cell": ("wall_s", "per_step_wall_s")}
+
+#: ``suite`` section name -> its flattener; rows keep the section's name
+#: as their prefix.
+_SUITE_FLATTENERS = {
+    "multi_tenant": flatten_multi_tenant,
+    "fullscale": flatten_fullscale_section,
+}
 
 
-def _flatten_matrix(doc: Mapping[str, Any]) -> MetricSet:
-    """Per cell: the run summary, the multi-tenant section of serve cells
-    and the network ledger of sharded cells; never a wall-clock field."""
+def flatten_snapshot(doc: Mapping[str, Any]) -> MetricSet:
+    """The gating metric set of a document.
+
+    Per cell: the run summary, the multi-tenant section of serve cells
+    and the network ledger of sharded cells; per ``suite`` section, its
+    flattener under the section's name.
+    """
+    wall = _WALL_GATED_FIELDS.get(doc.get("runner"), ())
     out: MetricSet = {}
     for key, cell in sorted(doc["cells"].items()):
-        out.update(flatten_run_summary(cell, key))
+        out.update(flatten_run_summary(cell, key, wall_metrics=wall))
         if "multi_tenant" in cell:
             out.update(flatten_multi_tenant(cell["multi_tenant"], prefix=f"{key}.multi_tenant"))
         if "cluster" in cell:
             out.update(flatten_cluster_section(cell["cluster"], prefix=f"{key}.cluster"))
+    for name, section in sorted(doc.get("suite", {}).items()):
+        if name not in _SUITE_FLATTENERS:
+            raise ValueError(
+                f"unknown suite section {name!r}; known: {sorted(_SUITE_FLATTENERS)}"
+            )
+        out.update(_SUITE_FLATTENERS[name](section, prefix=name))
     return out
 
 
-class _Kind(NamedTuple):
-    prefix: str  # file name: <prefix>_<label>.json
-    schema_version: int
-    flatten: Callable[[Mapping[str, Any]], MetricSet]
-
-
-_KINDS: Dict[str, _Kind] = {
-    "bench": _Kind("BENCH", BENCH_SCHEMA_VERSION, _flatten_bench),
-    "cluster": _Kind("BENCH", BENCH_SCHEMA_VERSION, _flatten_cluster),
-    "fullscale": _Kind("BENCH", BENCH_SCHEMA_VERSION, _flatten_fullscale),
-    "serve": _Kind("SERVE", SERVE_SCHEMA_VERSION, _flatten_serve),
-    "matrix": _Kind("MATRIX", MATRIX_SCHEMA_VERSION, _flatten_matrix),
-}
-
-
-def snapshot_kind(doc: Any) -> str:
-    """A snapshot's kind: its bench tier (:data:`BENCH_KINDS`), ``serve``
-    or ``matrix``, read from the document's own layout."""
-    if not isinstance(doc, Mapping):
-        raise ValueError("a snapshot is a JSON object")
-    if doc.get("kind") == "matrix":
-        return "matrix"
-    if "runs" in doc:
-        tier = doc.get("tier", "bench")
-        if tier not in BENCH_KINDS:
-            raise ValueError(f"unknown bench tier {tier!r}; known: {BENCH_KINDS}")
-        return tier
-    if "multi_tenant" in doc:
-        return "serve"
-    raise ValueError(
-        "not a snapshot: no 'runs' (bench tier), 'multi_tenant' (serve) "
-        "or kind 'matrix'"
-    )
-
-
-def flatten_snapshot(doc: Mapping[str, Any]) -> MetricSet:
-    """The gating metric set of a snapshot, by its kind's flattener."""
-    return _KINDS[snapshot_kind(doc)].flatten(doc)
+def _shape(doc: Mapping[str, Any]) -> Tuple[Any, List[str]]:
+    # Sorted: a written document's keys are sorted, an in-memory one's
+    # keep the spec's declaration order.
+    return doc.get("runner"), sorted(doc.get("spec", {}).get("axes", {}))
 
 
 def compare_snapshots(
@@ -429,56 +380,52 @@ def compare_snapshots(
     threshold: float = 0.10,
     abs_floor: float = 1e-12,
 ) -> List[Dict[str, object]]:
-    """Diff two snapshots of one kind into canonical gate rows.
+    """Diff two documents of one runner and one axis layout into gate rows.
 
-    Raises :class:`ValueError` naming both kinds when they differ: the
-    metric names of two kinds never line up, so such a diff would be all
-    ``missing`` rows and pass vacuously.
+    Raises :class:`ValueError` naming both sides when the runners or the
+    axis names differ: the metric names of two such documents never line
+    up, so the diff would be nothing but dropped and missing rows.
     """
-    old_kind, new_kind = snapshot_kind(old), snapshot_kind(new)
-    if old_kind != new_kind:
-        raise ValueError(f"cannot compare a {old_kind} snapshot with a {new_kind} snapshot")
-    flatten = _KINDS[old_kind].flatten
+    (old_runner, old_axes), (new_runner, new_axes) = _shape(old), _shape(new)
+    if old_runner != new_runner:
+        raise ValueError(
+            f"cannot compare a {old_runner!r}-runner document with a "
+            f"{new_runner!r}-runner document"
+        )
+    if old_axes != new_axes:
+        raise ValueError(
+            f"cannot compare documents over different axes: {old_axes} vs {new_axes}"
+        )
     return compare_metric_sets(
-        flatten(old), flatten(new), threshold=threshold, abs_floor=abs_floor
+        flatten_snapshot(old), flatten_snapshot(new), threshold=threshold, abs_floor=abs_floor
     )
 
 
 def write_snapshot(
     doc: Mapping[str, Any], out_dir: PathLike = ".", label: Optional[str] = None
 ) -> Path:
-    """Write ``<BENCH|SERVE|MATRIX>_<label>.json`` under ``out_dir``
-    (created if missing); returns the path.
+    """Write ``MATRIX_<label>.json`` under ``out_dir`` (created if
+    missing); returns the path.
 
-    ``label`` defaults to the document's own (serve snapshots carry none);
-    a ``/`` in it becomes ``-`` so the file lands in ``out_dir``.
+    ``label`` (default: the document's own) names the file only; a ``/``
+    in it becomes ``-`` so the file lands in ``out_dir``.
     """
-    kind = snapshot_kind(doc)
-    if label is None:
-        label = doc.get("label")
-        if label is None:
-            raise ValueError(f"a {kind} snapshot carries no label; pass one")
+    label = doc["label"] if label is None else label
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{_KINDS[kind].prefix}_{str(label).replace('/', '-')}.json"
+    path = out / f"MATRIX_{str(label).replace('/', '-')}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
-def load_snapshot(path: PathLike, kinds: Optional[Sequence[str]] = None) -> Dict[str, Any]:
-    """Read a snapshot, checking its kind (one of ``kinds`` when given)
-    and the schema version that kind supports."""
+def load_snapshot(path: PathLike) -> Dict[str, Any]:
+    """Read a matrix document, checking its kind and schema version."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        kind = snapshot_kind(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if kinds is not None and kind not in kinds:
-        raise ValueError(
-            f"{path} is a {kind} snapshot, not a {' or '.join(kinds)} snapshot"
-        )
+    if not isinstance(doc, Mapping) or doc.get("kind") != "matrix":
+        raise ValueError(f"{path}: not a matrix document (no kind 'matrix')")
     version = doc.get("schema_version")
-    supported = _KINDS[kind].schema_version
-    if version != supported:
-        raise ValueError(f"{path}: schema_version {version!r} != supported {supported}")
+    if version != MATRIX_SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: schema_version {version!r} != supported {MATRIX_SCHEMA_VERSION}"
+        )
     return doc

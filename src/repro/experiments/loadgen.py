@@ -2,14 +2,14 @@
 
 Synthesizes N user streams — an orbit/zoom/flythrough mix with seeded
 exponential inter-arrival times — and drives them through the
-:mod:`repro.runtime.sessions` scheduler over one shared hierarchy.  The
-result is a schema-versioned ``SERVE_<label>.json`` snapshot whose
-numbers are all *simulated* (frame-time percentiles per tenant, fairness,
-quota ledger, byte ledger), so two machines produce byte-identical
-snapshots and CI gates them through the one snapshot gate
-(:mod:`repro.experiments.gating`) the bench tiers use.  The committed
-``SERVE_baseline.json`` scenario is also the bundled ``serve-baseline``
-matrix spec (``serve`` runner).
+:mod:`repro.runtime.sessions` scheduler over one shared hierarchy.
+:func:`run_load` returns a document whose numbers are all *simulated*
+(frame-time percentiles per tenant, fairness, quota ledger, byte ledger),
+so two machines produce byte-identical results.  The matrix ``serve``
+runner runs one scenario per cell: ``repro serve-sim`` and the bundled
+``serve-baseline`` spec (the committed ``MATRIX_serve-baseline.json``)
+both go through it, and CI gates the cells' ``multi_tenant`` sections
+through the one snapshot gate (:mod:`repro.experiments.gating`).
 
 Everything is derived from ``LoadGenConfig.seed`` through a
 :class:`numpy.random.SeedSequence` tree: child 0 draws the workload mix
@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.experiments.gating import SERVE_SCHEMA_VERSION
 from repro.experiments.runner import ExperimentSetup, fresh_hierarchy
 from repro.runtime.context import RunContext
 from repro.runtime.sessions import SessionSpec, run_sessions
@@ -36,6 +35,9 @@ __all__ = [
     "make_session_specs",
     "run_load",
 ]
+
+#: Version of :func:`run_load`'s document layout.
+SERVE_SCHEMA_VERSION = 1
 
 #: workload mix entry -> runtime workload name ("orbit" is the paper's
 #: spherical great-circle path).
@@ -123,7 +125,7 @@ def run_load(
     attribution: bool = False,
     tracer_capacity: int = 500_000,
 ) -> dict:
-    """Run one serving scenario end to end; returns the snapshot document.
+    """Run one serving scenario end to end; returns its document.
 
     The document contains only simulated (machine-independent) numbers
     plus the config that produced them; repeat runs are byte-identical.

@@ -24,7 +24,9 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     Non-``RunConfig`` extras the cell runners read: sampling shape
     ``n_directions``/``n_distances``, ``tracer_capacity``, cluster
     ``ghost_ratio``/``force_sharded``, serve ``mix``/``arrival_rate_hz``/
-    ``partition``/``attribution``.  Any other key is rejected.
+    ``partition``/``attribution``, and the ``bench-cell`` suite's
+    ``multi_tenant = {sessions, steps}`` scenario.  Any other key is
+    rejected.
 ``[labels.<axis>]``
     ``str(value)`` → display label used in cell keys; an empty label drops
     the segment (so a fault axis only names its faulted cells).
@@ -35,8 +37,8 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     ``{x, metric, group_by?, title?}`` — series rendered by the report via
     :meth:`repro.experiments.sweep.SweepResult.series`.
 ``[report]``
-    ``title``, ``bench_snapshots`` (committed ``BENCH_*``/``SERVE_*``
-    files to chart as trends).
+    ``title``, ``bench_snapshots`` (committed ``MATRIX_*`` files to chart
+    as trends).
 
 Two cell runners ship built in (``register_cell_runner`` adds more):
 
@@ -51,6 +53,9 @@ of :mod:`repro.obs.bench`) and ``fullscale-cell`` (the wall-clock cell of
 ``RunConfig`` and the ``[setup]`` extras; the replay-shaped ones build
 their setup (``setup_for``) and replay context (``_context_for``) through
 the shared per-process caches, so every bench tier is a bundled spec.
+A runner may also own a suite hook, the one place a document gains
+sections that belong to no cell (``suite.multi_tenant`` of ``bench-cell``,
+``suite.fullscale`` of ``fullscale-cell``).
 
 Seeds: each cell's config seed defaults to the spec seed; repeat ``r > 0``
 replaces it with ``derive_seed(seed, r)``.  Single-box fault profiles draw
@@ -67,7 +72,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.experiments.gating import MATRIX_SCHEMA_VERSION
 from repro.runtime.config import RUN_CONFIG_SCHEMA, RunConfig
@@ -82,6 +89,7 @@ __all__ = [
     "bundled_spec_names",
     "expand_grid",
     "expand_cells",
+    "CellRunner",
     "register_cell_runner",
     "run_matrix_cell",
     "execute_cells",
@@ -324,8 +332,20 @@ _MATRIX_KEYS = ("label", "runner", "repeats", "seed", "key_prefix", "key_joiner"
 #: The ``[setup]`` extras the cell runners read.
 _SETUP_KEYS = (
     "n_directions", "n_distances", "tracer_capacity", "ghost_ratio", "force_sharded",
-    "mix", "arrival_rate_hz", "partition", "attribution",
+    "mix", "arrival_rate_hz", "partition", "attribution", "multi_tenant",
 )
+
+
+def _is_scenario(value: Any) -> bool:
+    """``[setup] multi_tenant``: exactly ``{sessions, steps}``, ints >= 1."""
+    return (
+        isinstance(value, Mapping)
+        and set(value) == {"sessions", "steps"}
+        and all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1
+            for v in value.values()
+        )
+    )
 
 
 #: Modules that register additional cell runners on import; loaded lazily
@@ -383,6 +403,11 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
     unknown_keys = sorted(set(setup) - set(_SETUP_KEYS))
     if unknown_keys:
         problems.append(f"[setup] unknown key(s) {unknown_keys}; known: {list(_SETUP_KEYS)}")
+    if "multi_tenant" in setup and not _is_scenario(setup["multi_tenant"]):
+        problems.append(
+            "[setup] multi_tenant must be a table {sessions = <int >= 1>, "
+            f"steps = <int >= 1>}}, got {setup['multi_tenant']!r}"
+        )
 
     base = dict(d.get("base", {}))
     axes_raw = d.get("axes", {})
@@ -655,16 +680,45 @@ def _context_for(setup, config: RunConfig, extras: Mapping[str, Any]):
 # ---------------------------------------------------------------------------
 # cell runners
 
-#: runner name -> fn(cell, extras) -> plain-JSON run dict.
-CELL_RUNNERS: Dict[str, Callable[[MatrixCell, Mapping[str, Any]], Dict[str, object]]] = {}
+#: ``fn(cell, extras) -> plain-JSON run dict``.
+CellFn = Callable[..., Dict[str, object]]
+#: ``suite(spec, cells, run_cells, notify) -> (runs, {section name: section})``.
+SuiteHook = Callable[..., Tuple[Dict[str, Dict[str, object]], Dict[str, object]]]
+
+
+class CellRunner(NamedTuple):
+    """A registered runner: see :func:`register_cell_runner`."""
+
+    fn: CellFn
+    suite: Optional[SuiteHook] = None
+    profiled: bool = False
+
+
+#: runner name -> :class:`CellRunner`.
+CELL_RUNNERS: Dict[str, CellRunner] = {}
 
 
 def register_cell_runner(
-    name: str, fn: Callable[[MatrixCell, Mapping[str, Any]], Dict[str, object]]
+    name: str,
+    fn: CellFn,
+    suite: Optional[SuiteHook] = None,
+    profiled: bool = False,
 ) -> None:
+    """Register ``fn(cell, extras) -> plain-JSON run dict`` as ``name``.
+
+    ``suite`` is the runner's one extension point for sections that
+    belong to no cell: :func:`run_matrix` calls
+    ``suite(spec, cells, run_cells, notify)``, where ``run_cells()`` runs
+    every cell and returns ``{key: run}``; the hook calls it once (doing
+    its own work around it) and returns ``(runs, sections)``, which
+    become the document's cells and its ``suite`` sections.
+    ``profiled`` marks an ``fn`` that also takes ``profiler=`` (a
+    :class:`~repro.obs.profiler.PhaseProfiler`), which ``run_matrix``'s
+    ``profile`` needs.
+    """
     if name in CELL_RUNNERS:
         raise ValueError(f"cell runner {name!r} is already registered")
-    CELL_RUNNERS[name] = fn
+    CELL_RUNNERS[name] = CellRunner(fn, suite, profiled)
 
 
 def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object]:
@@ -799,7 +853,7 @@ register_cell_runner("serve", _serve_cell)
 
 def run_matrix_cell(cell: MatrixCell, spec: MatrixSpec) -> Dict[str, object]:
     """Run one cell with the spec's runner and ``[setup]`` extras."""
-    return CELL_RUNNERS[spec.runner](cell, spec.setup)
+    return CELL_RUNNERS[spec.runner].fn(cell, spec.setup)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +871,7 @@ def _init_worker(runner: str, extras: Dict[str, Any]) -> None:
 def _worker_cell(cell: MatrixCell) -> Tuple[str, Dict[str, object]]:
     runner: str = _WORKER_STATE["runner"]  # type: ignore[assignment]
     extras: Dict[str, Any] = _WORKER_STATE["extras"]  # type: ignore[assignment]
-    return cell.key, CELL_RUNNERS[runner](cell, extras)
+    return cell.key, CELL_RUNNERS[runner].fn(cell, extras)
 
 
 def execute_cells(
@@ -851,7 +905,7 @@ def execute_cells(
                 notify(f"done: {key}")
                 runs[key] = run
     else:
-        fn = CELL_RUNNERS[runner]
+        fn = CELL_RUNNERS[runner].fn
         for cell in cells:
             notify(f"run: {cell.key}")
             runs[cell.key] = fn(cell, extras)
@@ -859,23 +913,53 @@ def execute_cells(
 
 
 def run_matrix(
-    spec: MatrixSpec, workers: int = 1, progress=None
+    spec: MatrixSpec,
+    workers: int = 1,
+    progress=None,
+    profile: Optional[PathLike] = None,
 ) -> Dict[str, object]:
-    """Expand and execute a spec; returns the JSON-ready snapshot document."""
+    """Expand and execute a spec; returns the JSON-ready snapshot document.
+
+    The cells run serially or over ``workers`` processes (byte-identical
+    either way); the runner's suite hook, if it has one, adds the
+    document's ``suite`` sections.  ``profile``, a path, re-runs the
+    first app-aware cell (else the first cell) with a span timeline kept
+    and writes its Chrome trace there — only a runner that takes a
+    profiler supports it.
+    """
+    _ensure_runner_plugins()
+    if spec.runner not in CELL_RUNNERS:
+        raise KeyError(f"unknown cell runner {spec.runner!r}; known: {sorted(CELL_RUNNERS)}")
+    runner = CELL_RUNNERS[spec.runner]
+    if profile is not None and not runner.profiled:
+        profiled = sorted(name for name, r in CELL_RUNNERS.items() if r.profiled)
+        raise ValueError(
+            f"runner {spec.runner!r} takes no profiler; profiling needs one of {profiled}"
+        )
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     notify = progress if progress is not None else (lambda msg: None)
     cells = expand_cells(spec)
+    n_workers = min(workers, len(cells))
     notify(
         f"matrix {spec.label!r}: {len(cells)} cells "
-        f"({spec.runner} runner, {min(workers, len(cells))} worker(s))"
+        f"({spec.runner} runner, {n_workers} worker(s))"
     )
     t0 = time.perf_counter()
-    runs = execute_cells(cells, spec.runner, spec.setup, workers=workers, progress=progress)
+
+    def run_cells() -> Dict[str, Dict[str, object]]:
+        return execute_cells(cells, spec.runner, spec.setup, workers=workers, progress=progress)
+
+    if runner.suite is None:
+        runs, suite = run_cells(), {}
+    else:
+        runs, suite = runner.suite(spec, cells, run_cells, notify)
     doc: Dict[str, object] = {
         "schema_version": MATRIX_SCHEMA_VERSION,
         "kind": "matrix",
         "label": spec.label,
         "runner": spec.runner,
-        "workers": min(workers, len(cells)),
+        "workers": n_workers,
         "spec": spec.to_dict(),
         "n_cells": len(cells),
         "cells": {
@@ -888,6 +972,16 @@ def run_matrix(
             }
             for cell in cells
         },
-        "suite_wall_s": time.perf_counter() - t0,  # informational; never compared
     }
+    if suite:
+        doc["suite"] = suite
+    doc["suite_wall_s"] = time.perf_counter() - t0  # informational; never compared
+    if profile is not None:
+        from repro.obs.profiler import PhaseProfiler
+
+        cell = next((c for c in cells if c.config.policy == "app-aware"), cells[0])
+        notify(f"profile: re-running {cell.key} with a span timeline")
+        profiler = PhaseProfiler(keep_timeline=True)
+        runner.fn(cell, spec.setup, profiler=profiler)
+        doc["profile"] = {"cell": cell.key, "path": str(profiler.write_chrome_trace(profile))}
     return doc

@@ -14,9 +14,11 @@ archived from CI and opened anywhere:
 - a **fault-resilience table** for cells that ran under a fault profile
   (injected faults, retries, degraded frames, simulated fault time);
 - **fairness / per-tenant tables** for cells carrying a
-  ``multi_tenant`` section (serve-style runs);
-- **trend tables** over committed ``BENCH_*.json`` / ``SERVE_*.json``
-  snapshots named in the spec's ``[report] bench_snapshots`` list.
+  ``multi_tenant`` section (serve-style runs) and for a
+  ``suite.multi_tenant`` scenario;
+- **trend tables** over committed ``MATRIX_*.json`` snapshots named in
+  the spec's ``[report] bench_snapshots`` list — each one's cell table
+  and fairness tables.
 
 Rendering is deterministic for a given document: cells keep run-order,
 metric columns sort by name, and nothing samples a clock.
@@ -24,11 +26,10 @@ metric columns sort by name, and nothing samples a clock.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.gating import SUMMARY_METRIC_DIRECTIONS
+from repro.experiments.gating import SUMMARY_METRIC_DIRECTIONS, load_snapshot
 from repro.experiments.sweep import SweepResult
 from repro.obs.report import _STYLE, _esc, _fmt
 
@@ -55,7 +56,7 @@ def _ordered_cells(doc: Mapping[str, Any]) -> List[Tuple[str, Mapping[str, Any]]
     return sorted(doc["cells"].items(), key=lambda kv: kv[1]["index"])
 
 
-def _cells_table(doc: Mapping[str, Any]) -> str:
+def _cells_table(doc: Mapping[str, Any], heading: str = "<h2>Cells</h2>") -> str:
     cells = _ordered_cells(doc)
     axis_names = list(doc["spec"]["axes"])
     metric_names = sorted(
@@ -87,8 +88,8 @@ def _cells_table(doc: Mapping[str, Any]) -> str:
             + "</tr>"
         )
     return (
-        "<h2>Cells</h2>"
-        f"<table><thead><tr>{head}</tr></thead><tbody>"
+        heading
+        + f"<table><thead><tr>{head}</tr></thead><tbody>"
         + "".join(rows)
         + "</tbody></table>"
     )
@@ -276,50 +277,27 @@ def _tenant_rows(mt: Mapping[str, Any]) -> str:
     )
 
 
-def _fairness_section(doc: Mapping[str, Any]) -> str:
-    parts = []
-    for key, cell in _ordered_cells(doc):
-        mt = cell.get("multi_tenant")
-        if not isinstance(mt, Mapping):
-            continue
-        parts.append(f"<h3>{_esc(key)}</h3>" + _tenant_rows(mt))
+def _fairness_section(
+    doc: Mapping[str, Any], heading: str = "<h2>Fairness / per-tenant frame times</h2>"
+) -> str:
+    scenarios = [(key, cell.get("multi_tenant")) for key, cell in _ordered_cells(doc)]
+    scenarios.append(("suite", (doc.get("suite") or {}).get("multi_tenant")))
+    parts = [
+        f"<h3>{_esc(key)}</h3>" + _tenant_rows(mt)
+        for key, mt in scenarios
+        if isinstance(mt, Mapping)
+    ]
     if not parts:
         return ""
-    return "<h2>Fairness / per-tenant frame times</h2>" + "".join(parts)
+    return heading + "".join(parts)
 
 
 def _snapshot_trend(name: str, doc: Mapping[str, Any]) -> str:
-    parts = [f"<h3>{_esc(name)}</h3>"]
-    runs = doc.get("runs")
-    if isinstance(runs, Mapping):
-        metric_names = sorted(
-            {
-                m
-                for run in runs.values()
-                for m in SUMMARY_METRIC_DIRECTIONS
-                if isinstance((run.get("summary") or {}).get(m), (int, float))
-            }
-        )
-        head = "<th>run</th>" + "".join(f"<th>{_esc(m)}</th>" for m in metric_names)
-        body = "".join(
-            "<tr>"
-            f"<td>{_esc(key)}</td>"
-            + "".join(
-                f"<td class='num'>{_fmt((run.get('summary') or {}).get(m, 0.0))}</td>"
-                for m in metric_names
-            )
-            + "</tr>"
-            for key, run in runs.items()
-        )
-        parts.append(
-            f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
-        )
-    mt = doc.get("multi_tenant")
-    if isinstance(mt, Mapping) and mt:
-        parts.append(_tenant_rows(mt))
-    if len(parts) == 1:
-        parts.append("<p class='note'>no comparable sections in this snapshot</p>")
-    return "".join(parts)
+    return (
+        f"<h3>{_esc(name)}</h3>"
+        + _cells_table(doc, heading="")
+        + _fairness_section(doc, heading="")
+    )
 
 
 def _trend_section(doc: Mapping[str, Any], base_dir: Path) -> str:
@@ -334,7 +312,11 @@ def _trend_section(doc: Mapping[str, Any], base_dir: Path) -> str:
         if not path.exists():
             parts.append(f"<p class='note'>snapshot {_esc(name)} not found — skipped</p>")
             continue
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            snapshot = load_snapshot(path)
+        except ValueError as exc:
+            parts.append(f"<p class='note'>{_esc(exc)} — skipped</p>")
+            continue
         parts.append(_snapshot_trend(name, snapshot))
     return "".join(parts)
 

@@ -9,10 +9,11 @@ component defaults to a shared no-op so unmetered runs stay byte-identical):
 - :mod:`repro.obs.profiler` — nested wall-clock spans next to the
   simulated clock (:class:`PhaseProfiler` / :data:`NULL_PROFILER`), and
   span ids stamped onto trace events;
-- :mod:`repro.obs.bench` — the pinned ``repro bench`` suite emitting
-  schema-versioned ``BENCH_<label>.json`` snapshots (compared by the one
-  gate in :mod:`repro.experiments.gating`).  (Imported lazily — see the
-  module — to keep this package import-light for the storage layer.)
+- :mod:`repro.obs.bench` — the ``bench-cell`` runner of the pinned
+  ``repro bench`` suite, whose ``MATRIX_<label>.json`` documents the one
+  gate in :mod:`repro.experiments.gating` compares.  (Imported lazily —
+  see the module — to keep this package import-light for the storage
+  layer.)
 
 :mod:`repro.obs.fairness` adds the multi-tenant summaries (Jain fairness
 index, per-tenant frame-time tails) the session scheduler reports.

@@ -1,52 +1,39 @@
-"""The ``repro bench`` regression harness.
+"""The default bench tier: the ``bench-cell`` runner and its suite.
 
-Every bench tier is a bundled matrix spec (:data:`TIER_SPECS`): ``repro
-bench [--tier T] [--quick]`` loads it and hands it to :func:`run_bench`,
-:func:`repro.obs.bench_cluster.run_cluster` or
-:func:`repro.obs.bench_fullscale.run_fullscale`.  The default tier runs a
-pinned suite — two camera paths (an orbit and a zoom) × two policies (the
-LRU baseline and the paper's app-aware optimizer) on one synthetic
-dataset — with the metrics registry, event tracer, and phase profiler all
-attached, and emits a schema-versioned ``BENCH_<label>.json`` snapshot
-that records the spec it ran.  Everything the comparison looks at is
-*simulated*-clock derived, so two snapshots of the same code are
-bit-identical regardless of the machine; wall-clock phase timings (and
-the per-run ``wall_s`` / suite ``suite_wall_s`` fields) ride along for
-human inspection but are never compared.
+Every bench tier is a bundled matrix spec (:data:`TIER_SPECS`), and
+``repro bench [--tier T] [--quick]`` is a spelling of
+:func:`repro.experiments.matrix.run_matrix` over it: the document is a
+``MATRIX_<label>.json`` like every other snapshot.  The default tier
+runs a pinned suite — two camera paths (an orbit and a zoom) × two
+policies (the LRU baseline and the paper's app-aware optimizer) on one
+synthetic dataset — through the ``bench-cell`` runner registered here,
+with the metrics registry, event tracer, and phase profiler all attached.
+Everything the gate looks at is *simulated*-clock derived, so two
+snapshots of the same code are bit-identical regardless of the machine;
+the per-cell wall-clock fields (``wall_s``, the ``phases`` wall spans)
+ride along for human inspection but are never compared.
 
-Cells run through the ``bench-cell`` runner registered here: exact
-per-block trace emission, eviction forensics
+Each cell carries exact per-block trace emission, eviction forensics
 (:class:`~repro.storage.forensics.EvictionLineage`) and the per-frame
-latency attribution of :mod:`repro.obs.attribution` in each run's
-informational ``attribution`` section.  ``workers > 1`` fans the cells
-out over worker processes, each building its own tables from the spec,
-so snapshots are byte-identical regardless of parallelism.
-
-Snapshots are written, loaded and compared by the one gate in
-:mod:`repro.experiments.gating` (``repro bench --compare`` exits non-zero
-when any metric regresses past threshold).
+latency attribution of :mod:`repro.obs.attribution` in its
+informational ``attribution`` section.  The runner's suite hook adds the
+spec's ``[setup] multi_tenant`` serving scenario as ``suite.multi_tenant``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.experiments.gating import BENCH_SCHEMA_VERSION
 from repro.experiments.matrix import (
     MatrixCell,
     MatrixSpec,
     _context_for,
-    execute_cells,
-    expand_cells,
     load_spec,
     register_cell_runner,
-    run_matrix_cell,
     setup_for,
 )
-from repro.faults import FAULT_PROFILES, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs.attribution import attribute_run
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profiler import PhaseProfiler
@@ -55,15 +42,7 @@ from repro.storage.forensics import EvictionLineage, optimal_miss_count
 from repro.trace import Tracer, aggregate
 from repro.utils.rng import derive_seed
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "PROFILE_CELL",
-    "TIER_SPECS",
-    "tier_spec",
-    "run_bench",
-]
-
-PathLike = Union[str, Path]
+__all__ = ["TIER_SPECS", "tier_spec"]
 
 #: ``repro bench --tier`` -> (bundled spec, bundled ``--quick`` spec).
 TIER_SPECS = {
@@ -72,22 +51,11 @@ TIER_SPECS = {
     "fullscale": ("fullscale", "fullscale-smoke"),
 }
 
-#: The cell ``repro bench --profile`` re-runs with a span timeline kept.
-PROFILE_CELL = "orbit/app-aware"
-
 
 def tier_spec(tier: str, quick: bool = False) -> MatrixSpec:
     """The bundled spec of a bench tier (its ``--quick`` twin if asked)."""
     full, smoke = TIER_SPECS[tier]
     return load_spec(smoke if quick else full)
-
-
-def profile_cell(cells: List[MatrixCell], spec: MatrixSpec) -> MatrixCell:
-    """The :data:`PROFILE_CELL` of an expanded tier spec."""
-    for cell in cells:
-        if cell.key == PROFILE_CELL:
-            return cell
-    raise ValueError(f"spec {spec.label!r} has no {PROFILE_CELL!r} cell to profile")
 
 
 def _ratio(numer: Optional[object], denom: Optional[object]) -> Optional[float]:
@@ -218,130 +186,50 @@ def _bench_cell(
     return run
 
 
-register_cell_runner("bench-cell", _bench_cell)
+def _bench_suite(
+    spec: MatrixSpec,
+    cells: List[MatrixCell],
+    run_cells: Callable[[], Dict[str, Dict[str, object]]],
+    notify: Callable[[str], None],
+):
+    """The cells, then the ``[setup] multi_tenant`` serving scenario.
 
-
-def run_bench(
-    spec: Optional[MatrixSpec] = None,
-    label: str = "local",
-    quick: bool = False,
-    progress=None,
-    workers: int = 1,
-    profile_path: Optional[PathLike] = None,
-    faults: Optional[str] = None,
-    fault_seed: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run the default tier's spec; returns the JSON-ready snapshot document.
-
-    ``spec`` defaults to the bundled ``bench`` spec (``bench-quick`` when
-    ``quick``); ``quick`` also shrinks the multi-tenant scenario.
-    ``progress`` is an optional ``str -> None`` callback (the CLI passes
-    ``print``) invoked before each phase.  ``workers > 1`` runs the cells
-    in that many worker processes (capped at the cell count); every
-    simulated metric is identical to a serial run.  ``profile_path``, when
-    given, re-runs the :data:`PROFILE_CELL` with a span timeline kept and
-    writes a Chrome-trace JSON there.
-
-    ``faults``/``fault_seed`` (when not None) override the spec's fault
-    profile: each cell then runs with a seeded
-    :class:`~repro.faults.FaultInjector` installed on its hierarchy, and
-    every run grows a ``faults`` section (injector stats + trace fault
-    totals).  The default (``"none"``) keeps fault-free snapshots
-    byte-identical to pre-faults baselines.  The snapshot records the
-    spec with the override applied.
+    A pinned orbit/zoom/flythrough mix over one shared hierarchy with
+    equal tenant quotas (:func:`~repro.experiments.loadgen.run_load`
+    with attribution, ``LoadGenConfig`` defaults otherwise), capped so
+    the DRAM level can hold at least one block per tenant on the tiniest
+    configs.  Every number in it is simulated-clock derived, so per-tenant
+    tail latencies and the fairness gauge gate the same way the cells do.
+    A spec without the key gets no suite section.
     """
-    if spec is None:
-        spec = tier_spec("default", quick)
-    if faults is not None and faults not in FAULT_PROFILES:
-        raise ValueError(
-            f"unknown fault profile {faults!r}; expected one of {FAULT_PROFILES}"
-        )
-    overrides = {
-        name: value
-        for name, value in (("faults", faults), ("fault_seed", fault_seed))
-        if value is not None
-    }
-    if overrides:
-        spec = replace(spec, base={**spec.base, **overrides})
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    notify = progress if progress is not None else (lambda msg: None)
-    t0 = time.perf_counter()
-    cells = expand_cells(spec)
+    from repro.experiments.loadgen import LoadGenConfig, run_load
+
+    runs = run_cells()
+    scenario = spec.setup.get("multi_tenant")
+    if scenario is None:
+        return runs, {}
     config = cells[0].config
-
-    suite_profiler = PhaseProfiler()
-    with suite_profiler.span("bench"):
-        notify(f"setup: {config.dataset}, ~{config.blocks} blocks, {config.steps} steps")
-        with suite_profiler.span("setup"):
-            setup = setup_for(config, spec.setup)
-
-        runs: Dict[str, Dict[str, object]] = {}
-        n_workers = min(workers, len(cells))
-        if n_workers > 1:
-            notify(f"runs: {len(cells)} cells on {n_workers} workers")
-            with suite_profiler.span("runs"):
-                runs = execute_cells(
-                    cells, spec.runner, spec.setup, workers=n_workers, progress=notify
-                )
-        else:
-            notify("building T_visible / T_important tables")
-            with suite_profiler.span("table_build"):
-                setup.importance_table  # noqa: B018 - builds and caches
-                setup.visible_table  # noqa: B018 - builds and caches
-            for cell in cells:
-                notify(f"run: {cell.key}")
-                with suite_profiler.span(f"run {cell.key.replace('/', ':')}"):
-                    runs[cell.key] = run_matrix_cell(cell, spec)
-
-        # The multi-tenant serving scenario: a pinned 8-session
-        # orbit/zoom/flythrough mix over one shared hierarchy with equal
-        # tenant quotas, capped so the DRAM level can hold at least one
-        # block per tenant on the tiniest configs.  Every number in it is
-        # simulated-clock derived, so per-tenant tail latencies and the
-        # fairness gauge gate the same way the single-stream cells do.
-        from repro.experiments.loadgen import LoadGenConfig, run_load
-
-        dram_capacity = max(
-            1, int(round(setup.grid.n_blocks * config.cache_ratio**2))
-        )
-        n_sessions = min(4 if quick else 8, dram_capacity)
-        notify(f"multi-tenant: {n_sessions}-session mixed serve scenario")
-        with suite_profiler.span("multi_tenant"):
-            serve_doc = run_load(
-                LoadGenConfig(
-                    n_sessions=n_sessions,
-                    steps=6 if quick else 12,
-                    blocks=config.blocks,
-                    scale=config.scale,
-                    cache_ratio=config.cache_ratio,
-                    seed=config.seed,
-                ),
-                attribution=True,
-            )
-        multi_tenant = {
-            "config": serve_doc["config"],
-            "workloads": serve_doc["workloads"],
-            **serve_doc["multi_tenant"],
-        }
-
-    doc: Dict[str, object] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "label": label,
-        "quick": quick,
-        "workers": n_workers,
-        "spec": spec.to_dict(),
-        "runs": runs,
-        "multi_tenant": multi_tenant,
-        "suite_wall_s": time.perf_counter() - t0,  # informational; never compared
-        "phases": suite_profiler.report(),
+    grid = setup_for(config, spec.setup).grid
+    dram_capacity = max(1, int(round(grid.n_blocks * config.cache_ratio**2)))
+    n_sessions = min(scenario["sessions"], dram_capacity)
+    notify(f"multi-tenant: {n_sessions}-session mixed serve scenario")
+    serve_doc = run_load(
+        LoadGenConfig(
+            n_sessions=n_sessions,
+            steps=scenario["steps"],
+            blocks=config.blocks,
+            scale=config.scale,
+            cache_ratio=config.cache_ratio,
+            seed=config.seed,
+        ),
+        attribution=True,
+    )
+    multi_tenant = {
+        "config": serve_doc["config"],
+        "workloads": serve_doc["workloads"],
+        **serve_doc["multi_tenant"],
     }
+    return runs, {"multi_tenant": multi_tenant}
 
-    if profile_path is not None:
-        notify(f"profile: re-running {PROFILE_CELL} with span timeline")
-        run_profiler = PhaseProfiler(keep_timeline=True)
-        _bench_cell(profile_cell(cells, spec), spec.setup, profiler=run_profiler)
-        out = run_profiler.write_chrome_trace(profile_path)
-        doc["profile"] = {"cell": PROFILE_CELL, "path": str(out)}
 
-    return doc
+register_cell_runner("bench-cell", _bench_cell, suite=_bench_suite, profiled=True)

@@ -10,6 +10,10 @@ simulated summary, so raw performance becomes a tracked, ratcheting
 number.  ``--quick`` runs the ``fullscale-smoke`` spec: a quarter-scale
 grid and short paths, same shape, a few minutes end-to-end.
 
+The tier is its spec's ``fullscale-cell`` runner, registered here with a
+suite hook that builds and times ``T_important`` and ``T_visible``
+before the cells and samples peak RSS after them (``suite.fullscale``).
+
 Wall-clock metrics are machine-dependent: the gate in
 :mod:`repro.experiments.gating` compares them with a widened threshold
 (:data:`~repro.experiments.gating.WALL_THRESHOLD_FACTOR` × the sim
@@ -27,27 +31,22 @@ from __future__ import annotations
 
 import resource
 import time
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.experiments.gating import BENCH_SCHEMA_VERSION
 from repro.experiments.matrix import (
     MatrixCell,
     MatrixSpec,
     _context_for,
-    expand_cells,
     register_cell_runner,
-    run_matrix_cell,
     setup_for,
 )
-from repro.obs.bench import PROFILE_CELL, profile_cell, tier_spec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import PhaseProfiler
-from repro.parallel.preprocess import build_visible_table_parallel
 from repro.runtime.drivers import run_baseline
 from repro.tables.builder import build_importance_table, build_visible_table
 from repro.trace import Tracer
 
-__all__ = ["run_fullscale"]
+__all__: List[str] = []
 
 
 def _peak_rss_bytes() -> int:
@@ -63,19 +62,12 @@ def _fullscale_cell(
 ) -> Dict[str, object]:
     """One lightweight (path, policy) cell: summary + wall timings only.
 
-    Standalone (``repro matrix run``), the cell builds its tables lazily
-    (serial, untimed); under :func:`run_fullscale` they are already built
-    by its timed preamble.
+    The tables are built (or reused from the suite's timed build) before
+    the replay timer starts, so ``wall_s`` is the replay alone.
     """
     config = cell.config
     setup = setup_for(config, extras)
-    if setup._vtable is None:
-        setup._vtable = build_visible_table(
-            setup.grid, setup.sampling, setup.view_angle_deg,
-            cache_ratio=config.cache_ratio,
-            importance=setup.importance_table,
-            seed=config.seed,
-        )
+    setup.visible_table  # noqa: B018 - built outside the replay timer
     context = _context_for(setup, config, extras)
     registry = MetricsRegistry()
     tracer = Tracer(capacity=int(extras.get("tracer_capacity", 500_000)))
@@ -105,37 +97,19 @@ def _fullscale_cell(
     }
 
 
-register_cell_runner("fullscale-cell", _fullscale_cell)
+def _fullscale_suite(
+    spec: MatrixSpec,
+    cells: List[MatrixCell],
+    run_cells: Callable[[], Dict[str, Dict[str, object]]],
+    notify: Callable[[str], None],
+):
+    """Timed ``T_important``/``T_visible`` builds, the cells, peak RSS.
 
-
-def run_fullscale(
-    spec: Optional[MatrixSpec] = None,
-    label: str = "fullscale",
-    quick: bool = False,
-    progress=None,
-    workers: int = 1,
-    profile_path=None,
-) -> Dict[str, object]:
-    """Run the fullscale tier; returns the JSON-ready snapshot document.
-
-    ``spec`` defaults to the bundled ``fullscale`` spec
-    (``fullscale-smoke`` when ``quick``).  A timed preamble builds
-    ``T_important`` and ``T_visible`` (over ``workers`` processes when
-    ``workers > 1``); the cells then run through
-    the ``fullscale-cell`` runner.  The document shares the bench schema
-    and adds ``"tier": "fullscale"`` plus a ``fullscale`` section of
-    wall-clock build metrics, which the gate compares — at the widened
-    wall threshold — only on fullscale-tier snapshots.
+    The builds run in this process; with ``workers > 1`` each worker
+    builds its own tables untimed, and ``peak_rss_bytes`` is this
+    process's alone.
     """
-    if spec is None:
-        spec = tier_spec("fullscale", quick)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    notify = progress if progress is not None else (lambda msg: None)
-    t0 = time.perf_counter()
-    cells = expand_cells(spec)
     config = cells[0].config
-
     notify(
         f"setup: {config.dataset} scale={config.scale}, "
         f"~{config.blocks} blocks, {config.steps} steps"
@@ -143,43 +117,25 @@ def run_fullscale(
     setup = setup_for(config, spec.setup)
 
     notify("building T_important")
-    t_imp = time.perf_counter()
+    t0 = time.perf_counter()
     setup._itable = build_importance_table(setup.volume, setup.grid)
-    importance_wall_s = time.perf_counter() - t_imp
+    importance_wall_s = time.perf_counter() - t0
 
     n_samples = setup.sampling.n_directions * setup.sampling.n_distances
-    notify(f"building T_visible ({n_samples} samples, workers={workers})")
-    t_tab = time.perf_counter()
-    build_kwargs = dict(
+    notify(f"building T_visible ({n_samples} samples)")
+    t0 = time.perf_counter()
+    setup._vtable = build_visible_table(
+        setup.grid, setup.sampling, setup.view_angle_deg,
         cache_ratio=config.cache_ratio,
         importance=setup.importance_table,
         seed=config.seed,
     )
-    if workers > 1:
-        setup._vtable = build_visible_table_parallel(
-            setup.grid, setup.sampling, setup.view_angle_deg,
-            n_workers=workers, **build_kwargs,
-        )
-    else:
-        setup._vtable = build_visible_table(
-            setup.grid, setup.sampling, setup.view_angle_deg, **build_kwargs
-        )
-    table_build_wall_s = time.perf_counter() - t_tab
+    table_build_wall_s = time.perf_counter() - t0
 
-    runs: Dict[str, Dict[str, object]] = {}
-    for cell in cells:
-        notify(f"run: {cell.key}")
-        runs[cell.key] = run_matrix_cell(cell, spec)
-
+    runs = run_cells()
     vtable = setup.visible_table
     sizes = vtable.entry_sizes()
-    doc: Dict[str, object] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "tier": "fullscale",
-        "label": label,
-        "quick": quick,
-        "workers": int(workers),
-        "spec": spec.to_dict(),
+    return runs, {
         "fullscale": {
             "n_blocks": int(setup.grid.n_blocks),
             "volume_voxels": int(setup.volume.n_voxels),
@@ -189,14 +145,9 @@ def run_fullscale(
             "table_build_wall_s": table_build_wall_s,
             "peak_rss_bytes": _peak_rss_bytes(),
         },
-        "runs": runs,
-        "suite_wall_s": time.perf_counter() - t0,
     }
 
-    if profile_path is not None:
-        notify(f"profile: re-running {PROFILE_CELL} with span timeline")
-        run_profiler = PhaseProfiler(keep_timeline=True)
-        _fullscale_cell(profile_cell(cells, spec), spec.setup, profiler=run_profiler)
-        out = run_profiler.write_chrome_trace(profile_path)
-        doc["profile"] = {"cell": PROFILE_CELL, "path": str(out)}
-    return doc
+
+register_cell_runner(
+    "fullscale-cell", _fullscale_cell, suite=_fullscale_suite, profiled=True
+)

@@ -1,9 +1,10 @@
 """Self-contained HTML rendering of attribution + forensics documents.
 
-``repro analyze`` feeds this module a bench snapshot, a serve snapshot,
-or a bare attribution report and gets back one HTML file with no
-external assets — inline CSS only, no JavaScript — so the artifact can
-be archived from CI and opened anywhere:
+``repro analyze`` feeds this module a matrix document (a bench tier's
+or the serve scenario's ``MATRIX_<label>.json``) or a bare attribution
+report and gets back one HTML file with no external assets — inline CSS
+only, no JavaScript — so the artifact can be archived from CI and opened
+anywhere:
 
 - a **frame-time waterfall**: one stacked horizontal bar per frame,
   scaled to the slowest frame, decomposed into the exact attribution
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-__all__ = ["render_report", "write_report"]
+__all__ = ["attribution_sections", "render_report", "write_report"]
 
 # Fixed palette: named components first, then positional fallbacks for
 # per-level channels (miss_transfer:ssd, ...), keyed by first-seen order.
@@ -296,47 +297,50 @@ summary{cursor:pointer}
 """
 
 
-def render_report(doc: Mapping, title: Optional[str] = None) -> str:
-    """Render a bench/serve snapshot or bare attribution doc as HTML.
+def _tenant_sections(mt: Optional[Mapping], prefix: str) -> Iterator[Tuple[str, Mapping]]:
+    tenants = ((mt or {}).get("attribution") or {}).get("tenants") or {}
+    for tenant, attr in sorted(tenants.items()):
+        yield f"{prefix}tenant:{tenant}", attr
 
-    Dispatch is structural: a ``"runs"`` key means a bench snapshot, a
-    ``"multi_tenant"`` key (without runs) a serve snapshot, anything with
-    ``"demand_components"`` a bare :class:`AttributionReport` document.
+
+def attribution_sections(doc: Mapping) -> Iterator[Tuple[str, Mapping]]:
+    """``(label, attribution doc)`` for every section of a document.
+
+    A bare :class:`AttributionReport` document is one section ``run``; a
+    matrix document has one per cell carrying ``attribution`` (the
+    ``bench-cell`` runner's), one per tenant of each cell's
+    ``multi_tenant`` section (``<cell>/tenant:<id>``, serve cells) and one
+    per tenant of ``suite.multi_tenant`` (``tenant:<id>``).
     """
+    if "demand_components" in doc:
+        yield "run", doc
+        return
+    for key, cell in (doc.get("cells") or {}).items():
+        if cell.get("attribution"):
+            yield key, cell["attribution"]
+        yield from _tenant_sections(cell.get("multi_tenant"), f"{key}/")
+    yield from _tenant_sections((doc.get("suite") or {}).get("multi_tenant"), "")
+
+
+def render_report(doc: Mapping, title: Optional[str] = None) -> str:
+    """Render a matrix document or bare attribution doc as HTML, one
+    section per :func:`attribution_sections` entry."""
     sections: List[str] = []
     regret_rows: List[Tuple[str, Mapping]] = []
-
-    def add_attr(label: str, attr: Optional[Mapping]) -> None:
-        if not attr:
-            return
+    for label, attr in attribution_sections(doc):
         sections.append(_attribution_section(label, attr))
-        regret = attr.get("regret")
-        if regret:
-            regret_rows.append((label, regret))
-
-    if "runs" in doc:
-        kind = f"bench snapshot {doc.get('label', '')}".strip()
-        for run_key in doc["runs"]:
-            add_attr(run_key, doc["runs"][run_key].get("attribution"))
-        mt = doc.get("multi_tenant") or {}
-        for tenant, attr in sorted((mt.get("attribution") or {}).get("tenants", {}).items()):
-            add_attr(f"tenant {tenant}", attr)
-    elif "multi_tenant" in doc:
-        kind = "serve snapshot"
-        mt = doc["multi_tenant"]
-        for tenant, attr in sorted((mt.get("attribution") or {}).get("tenants", {}).items()):
-            add_attr(f"tenant {tenant}", attr)
-        if not sections:
-            sections.append(
-                "<p>This serve snapshot carries no attribution section — "
-                "re-run with <code>attribution=True</code>.</p>"
-            )
-    elif "demand_components" in doc:
+        if attr.get("regret"):
+            regret_rows.append((label, attr["regret"]))
+    if not sections:
+        sections.append(
+            "<p>This document carries no attribution section — "
+            "<code>bench-cell</code> cells carry one, and so do serve cells run with "
+            "<code>[setup] attribution = true</code>.</p>"
+        )
+    if "demand_components" in doc:
         kind = "attribution report"
-        add_attr("run", doc)
     else:
-        kind = "document"
-        sections.append("<p>No attribution data found in this document.</p>")
+        kind = f"matrix document {doc.get('label', '')}".strip()
 
     page_title = title or f"repro analyze — {kind}"
     body = [f"<h1>{_esc(page_title)}</h1>"]

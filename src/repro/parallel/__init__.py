@@ -8,15 +8,12 @@ both pieces:
 - :class:`ParallelBlockFetcher` — a thread-pool fetcher over any
   :class:`~repro.volume.store.BlockStore`, overlapping real block reads
   (numpy releases the GIL during I/O and large copies);
-- :func:`build_visible_table_parallel` — the Step 1 preprocessing
-  parallelised over sample positions, bit-identical to the serial build;
 - :func:`partition_by_importance` — distribute blocks across render nodes
   balancing total importance (greedy LPT), plus spatially-contiguous
   variants for comparison.
 """
 
 from repro.parallel.fetcher import ParallelBlockFetcher
-from repro.parallel.preprocess import build_visible_table_parallel
 from repro.parallel.distribution import (
     partition_by_importance,
     partition_spatial,
@@ -26,7 +23,6 @@ from repro.parallel.multinode import MultiNodeResult, run_multinode
 
 __all__ = [
     "ParallelBlockFetcher",
-    "build_visible_table_parallel",
     "partition_by_importance",
     "partition_spatial",
     "partition_stats",

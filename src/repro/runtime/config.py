@@ -299,7 +299,7 @@ class RunConfig:
 
         Every run-shaping flag of those subcommands maps onto a field via
         :data:`CLI_FIELD_MAP`; reporting/execution flags (snapshot label,
-        worker count, comparison mode, ...) are enumerated in
+        worker count, profile path, ...) are enumerated in
         :data:`CLI_ONLY_FLAGS` and ignored here.  The test suite walks the
         real parsers and asserts the two sets cover every flag.
         """
@@ -354,14 +354,10 @@ CLI_ONLY_FLAGS: Dict[str, str] = {
     "command": "subcommand dispatch, not a run parameter",
     "tier": "bench tier selection (which bundled spec runs)",
     "quick": "suite sizing of `repro bench` (same shape, less work)",
-    "label": "snapshot file naming (BENCH_<label>.json)",
+    "label": "snapshot file naming (MATRIX_<label>.json)",
     "out": "output directory/file selection",
-    "workers": "process parallelism of the bench harness",
+    "workers": "process parallelism over a tier's cells",
     "profile": "extra Chrome-trace artifact emission",
-    "compare": "snapshot comparison mode (no replay runs at all)",
-    "threshold": "comparison regression threshold",
-    "warn_only": "comparison exit-code policy",
-    "verbose": "comparison table verbosity",
     "record": "camera-trace JSONL output path (records the path, doesn't shape it)",
 }
 

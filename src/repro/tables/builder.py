@@ -18,7 +18,7 @@ offsets.  Eq. 1 runs on the lattice kernel of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -90,16 +90,6 @@ class SampleSets:
         off = self.offsets
         return (self.ids[off[i] : off[i + 1]] for i in range(self.sizes.size))
 
-    @classmethod
-    def concat(cls, parts: Sequence["SampleSets"]) -> "SampleSets":
-        """Concatenate worker partitions in order (parallel builder join)."""
-        if not parts:
-            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return cls(
-            np.concatenate([p.sizes for p in parts]),
-            np.concatenate([p.ids for p in parts]),
-        )
-
 
 class _SetAccumulator:
     """Appends id arrays into one growing int64 buffer (amortised O(1))."""
@@ -156,9 +146,9 @@ def compute_sample_sets(
 ) -> SampleSets:
     """Predicted visible sets for the sample positions at ``indices``.
 
-    The shared kernel of the serial and parallel builders: ``rngs[i]`` is
-    the vicinal RNG of global sample ``i``, so any partition of the index
-    range reproduces the serial result exactly.  Returns a CSR-packed
+    The kernel of :func:`build_visible_table`: ``rngs[i]`` is the
+    vicinal RNG of global sample ``i``, so any partition of the index
+    range reproduces the whole-range result exactly.  Returns a CSR-packed
     :class:`SampleSets` (list-compatible).
     """
     indices = list(indices)

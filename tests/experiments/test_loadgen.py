@@ -1,10 +1,12 @@
-"""The serve-sim load generator: seeded synthesis, snapshots, gating."""
+"""The serve-sim load generator: seeded synthesis, the ``serve`` runner's
+documents, gating."""
 
 import json
 
 import pytest
 
 from repro.experiments.gating import (
+    MATRIX_SCHEMA_VERSION,
     compare_snapshots,
     flatten_snapshot,
     format_gate_rows,
@@ -12,8 +14,17 @@ from repro.experiments.gating import (
     write_snapshot,
 )
 from repro.experiments.loadgen import LoadGenConfig, make_session_specs, run_load
+from repro.experiments.matrix import MatrixSpec, run_matrix
 
 SMALL = LoadGenConfig(n_sessions=4, steps=5, blocks=64, scale=0.04, seed=3)
+
+#: SMALL as a one-cell ``serve`` spec.
+SMALL_SPEC = MatrixSpec(
+    label="small",
+    runner="serve",
+    base={"blocks": 64, "scale": 0.04, "steps": 5, "seed": 3, "sessions": 4},
+    setup={"attribution": False},
+)
 
 
 class TestConfig:
@@ -93,45 +104,66 @@ class TestRunLoad:
         assert doc["multi_tenant"]["quotas"] == {}
 
     def test_roundtrip_and_compare_clean(self, doc, tmp_path):
-        path = write_snapshot(doc, tmp_path, label="t")
-        assert path.name == "SERVE_t.json"
-        loaded = load_snapshot(path, ("serve",))
-        rows = compare_snapshots(loaded, doc)
-        assert all(r["status"] == "ok" for r in rows)
+        # The serve runner's cell is run_load's document.
+        matrix = run_matrix(SMALL_SPEC)
+        cell = matrix["cells"]["small"]
+        assert cell["serve_config"] == doc["config"]
+        assert cell["workloads"] == doc["workloads"]
+        assert cell["multi_tenant"] == doc["multi_tenant"]
+        path = write_snapshot(matrix, tmp_path, label="t")
+        assert path.name == "MATRIX_t.json"
+        loaded = load_snapshot(path)
+        rows = compare_snapshots(loaded, matrix)
+        assert len(rows) == 18 and all(r["status"] == "ok" for r in rows)
         assert "0 regression(s)" in format_gate_rows(rows)
 
-    def test_load_rejects_wrong_schema(self, doc, tmp_path):
-        bad = tmp_path / "SERVE_bad.json"
-        bad.write_text(json.dumps(dict(doc, schema_version=99)))
+    def test_load_rejects_wrong_schema(self, tmp_path):
+        bad = tmp_path / "MATRIX_bad.json"
+        bad.write_text(json.dumps(
+            _doc_of(_multi_tenant(), schema_version=MATRIX_SCHEMA_VERSION + 98)
+        ))
         with pytest.raises(ValueError, match="schema_version 99"):
             load_snapshot(bad)
 
 
+def _multi_tenant(p99_scale=1.0, fairness=0.9, tenants=("a", "b")):
+    per = {
+        t: {"p50": 0.01, "p95": 0.02, "p99": 0.03 * p99_scale,
+            "mean": 0.01, "max": 0.05, "count": 10}
+        for t in tenants
+    }
+    return {
+        "makespan_s": 1.0,
+        "cross_evictions": 0,
+        "frame_times": {
+            "per_tenant": per,
+            "pooled": {"p50": 0.01, "p95": 0.02, "p99": 0.03 * p99_scale,
+                       "mean": 0.01, "max": 0.05, "count": 20},
+            "fairness_jain": fairness,
+        },
+    }
+
+
+def _doc_of(mt, schema_version=MATRIX_SCHEMA_VERSION):
+    """A one-cell serve-runner document around ``mt``."""
+    return {
+        "schema_version": schema_version,
+        "kind": "matrix",
+        "runner": "serve",
+        "spec": {"axes": {}},
+        "cells": {"serve": {"multi_tenant": mt}},
+    }
+
+
 class TestCompareServe:
-    def _doc(self, p99_scale=1.0, fairness=0.9, tenants=("a", "b")):
-        per = {
-            t: {"p50": 0.01, "p95": 0.02, "p99": 0.03 * p99_scale,
-                "mean": 0.01, "max": 0.05, "count": 10}
-            for t in tenants
-        }
-        return {
-            "schema_version": 1,
-            "multi_tenant": {
-                "makespan_s": 1.0,
-                "cross_evictions": 0,
-                "frame_times": {
-                    "per_tenant": per,
-                    "pooled": {"p50": 0.01, "p95": 0.02, "p99": 0.03 * p99_scale,
-                               "mean": 0.01, "max": 0.05, "count": 20},
-                    "fairness_jain": fairness,
-                },
-            },
-        }
+    def _doc(self, **kwargs):
+        return _doc_of(_multi_tenant(**kwargs))
 
     def test_regression_on_p99_blowup(self):
         rows = compare_snapshots(self._doc(), self._doc(p99_scale=2.0), threshold=0.25)
         regressed = {r["metric"] for r in rows if r["status"] == "regression"}
-        assert "multi_tenant.a.p99" in regressed and "multi_tenant.pooled.p99" in regressed
+        assert "serve.multi_tenant.a.p99" in regressed
+        assert "serve.multi_tenant.pooled.p99" in regressed
 
     def test_within_threshold_ok(self):
         rows = compare_snapshots(self._doc(), self._doc(p99_scale=1.1), threshold=0.25)
@@ -140,25 +172,26 @@ class TestCompareServe:
     def test_fairness_drop_regresses(self):
         rows = compare_snapshots(self._doc(fairness=0.95), self._doc(fairness=0.5),
                                  threshold=0.25)
-        fairness_row = next(r for r in rows if r["metric"] == "multi_tenant.fairness_jain")
+        fairness_row = next(r for r in rows if r["metric"] == "serve.multi_tenant.fairness_jain")
         assert fairness_row["status"] == "regression"
 
     def test_new_tenant_is_missing_not_regressed(self):
         rows = compare_snapshots(
             self._doc(tenants=("a",)), self._doc(tenants=("a", "b")), threshold=0.25
         )
-        b_rows = [r for r in rows if r["metric"].startswith("multi_tenant.b.")]
+        b_rows = [r for r in rows if r["metric"].startswith("serve.multi_tenant.b.")]
         assert b_rows and all(r["status"] == "missing" for r in b_rows)
 
     def test_cross_evictions_increase_regresses(self):
         new = self._doc()
-        new["multi_tenant"]["cross_evictions"] = 3
+        new["cells"]["serve"]["multi_tenant"]["cross_evictions"] = 3
         rows = compare_snapshots(self._doc(), new)
-        row = next(r for r in rows if r["metric"] == "multi_tenant.cross_evictions")
+        row = next(r for r in rows if r["metric"] == "serve.multi_tenant.cross_evictions")
         assert row["status"] == "regression"
 
     def test_flattened_metrics_take_multi_tenant_names(self):
         m = flatten_snapshot(self._doc())
-        assert {"multi_tenant.makespan_s", "multi_tenant.cross_evictions",
-                "multi_tenant.pooled.p50", "multi_tenant.pooled.p95",
-                "multi_tenant.pooled.p99", "multi_tenant.a.p50"} <= set(m)
+        assert {f"serve.multi_tenant.{name}" for name in (
+            "makespan_s", "cross_evictions", "pooled.p50", "pooled.p95",
+            "pooled.p99", "a.p50",
+        )} <= set(m)

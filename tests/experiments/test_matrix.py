@@ -111,6 +111,7 @@ class TestSpecValidation:
             "base": {"blocks": 64, "no_such_field": 1},
             "axes": {"policy": [], "phantom": ["a"]},
             "labels": {"unmatched": {"a": "b"}},
+            "setup": {"multi_tenant": {"sessions": 0, "steps": 6}},
             "constraints": [{"not_an_axis": 1}],
             "figures": [{"metric": "m"}],
             "wrong_section": {},
@@ -131,8 +132,24 @@ class TestSpecValidation:
             "[labels.unmatched] does not match any axis",
             "[[constraints]] #0 names non-axis field(s)",
             "[[figures]] #0 missing key(s) ['x']",
+            "[setup] multi_tenant must be a table {sessions = <int >= 1>",
         ):
             assert fragment in msg, fragment
+
+    @pytest.mark.parametrize("scenario", [
+        {"sessions": 4},
+        {"sessions": 4, "steps": 6, "extra": 1},
+        {"sessions": True, "steps": 6},
+        {"sessions": 4, "steps": 0},
+        [4, 6],
+    ])
+    def test_multi_tenant_scenario_validated(self, scenario):
+        with pytest.raises(ValueError, match=r"\[setup\] multi_tenant must be a table"):
+            spec_from_dict({"matrix": {"label": "x"}, "setup": {"multi_tenant": scenario}})
+
+    def test_multi_tenant_scenario_in_the_bench_specs(self):
+        assert load_spec("bench-quick").setup["multi_tenant"] == {"sessions": 4, "steps": 6}
+        assert load_spec("bench").setup["multi_tenant"] == {"sessions": 8, "steps": 12}
 
     def test_unknown_setup_keys_rejected(self):
         """A typo in ``[setup]`` must not silently fall back to a default."""
@@ -307,6 +324,36 @@ class TestRunners:
         spec = load_spec("fullscale-smoke")
         assert spec.runner == "fullscale-cell"
 
+    def test_bench_runners_own_the_suite_hooks(self):
+        load_spec("fullscale-smoke")  # registers the plugin runners
+        assert {n for n, r in CELL_RUNNERS.items() if r.suite} == {
+            "bench-cell", "fullscale-cell",
+        }
+        assert {n for n, r in CELL_RUNNERS.items() if r.profiled} == {
+            "bench-cell", "fullscale-cell",
+        }
+
+    def test_profile_needs_a_profiled_runner(self, tmp_path):
+        with pytest.raises(ValueError, match="runner 'replay' takes no profiler"):
+            run_matrix(TINY_SPEC, profile=tmp_path / "p.json")
+        assert not (tmp_path / "p.json").exists()
+
+    def test_suite_hook_wraps_the_cells(self, monkeypatch):
+        seen = []
+
+        def suite(spec, cells, run_cells, notify):
+            seen.append("before")
+            runs = run_cells()
+            seen.append(sorted(runs))
+            return runs, {"multi_tenant": "section"}
+
+        monkeypatch.setitem(
+            CELL_RUNNERS, "replay", CELL_RUNNERS["replay"]._replace(suite=suite)
+        )
+        doc = run_matrix(TINY_SPEC)
+        assert seen == ["before", ["fifo", "lru"]]
+        assert doc["suite"] == {"multi_tenant": "section"}
+
     @pytest.mark.parametrize("runner", ["replay", "bench-cell", "fullscale-cell"])
     def test_one_sampling_default_for_every_runner(self, runner, monkeypatch):
         # A spec without [setup] n_directions/n_distances: every runner
@@ -364,17 +411,18 @@ class TestRunMatrix:
     def test_write_load_round_trip(self, tiny_doc, tmp_path):
         path = write_snapshot(tiny_doc, tmp_path)
         assert path.name == "MATRIX_tiny.json"
-        loaded = load_snapshot(path, ("matrix",))
+        loaded = load_snapshot(path)
         assert loaded["cells"].keys() == tiny_doc["cells"].keys()
+        assert "suite" not in loaded  # a runner without a suite hook
 
     def test_load_rejects_wrong_kind_and_version(self, tmp_path):
         bad = tmp_path / "x.json"
         bad.write_text(json.dumps({"schema_version": 1, "runs": {}}))
-        with pytest.raises(ValueError, match="is a bench snapshot, not a matrix snapshot"):
-            load_snapshot(bad, ("matrix",))
+        with pytest.raises(ValueError, match="not a matrix document"):
+            load_snapshot(bad)
         bad.write_text(json.dumps({"kind": "matrix", "schema_version": 99}))
         with pytest.raises(ValueError, match="schema_version 99"):
-            load_snapshot(bad, ("matrix",))
+            load_snapshot(bad)
 
     def test_self_compare_all_ok(self, tiny_doc):
         rows = compare_snapshots(tiny_doc, tiny_doc)
@@ -396,7 +444,7 @@ class TestCommittedSmokeDocument:
     """MATRIX_smoke.json is the CI gate baseline — regenerate and compare."""
 
     def test_committed_smoke_regenerates_identically(self):
-        committed = load_snapshot(REPO_ROOT / "MATRIX_smoke.json", ("matrix",))
+        committed = load_snapshot(REPO_ROOT / "MATRIX_smoke.json")
         fresh = run_matrix(load_spec("smoke"))
         rows = compare_snapshots(committed, fresh)
         bad = [r for r in rows if r["status"] not in ("ok", "improved")]

@@ -13,7 +13,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(scope="module")
 def smoke_doc():
-    return load_snapshot(REPO_ROOT / "MATRIX_smoke.json")
+    # A fresh run of the bundled spec: its [report] names the committed
+    # trend files (the committed MATRIX_smoke.json predates their names).
+    return run_matrix(load_spec("smoke"))
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +50,21 @@ class TestSections:
         assert "spherical" in smoke_html and "zoom" in smoke_html
 
     def test_trend_tables_from_committed_snapshots(self, smoke_html):
-        # [report] bench_snapshots names both committed baselines
-        assert "BENCH_baseline.json" in smoke_html
-        assert "SERVE_baseline.json" in smoke_html
-        assert "not found" not in smoke_html
-        assert "Jain fairness" in smoke_html  # serve snapshot tenant summary
+        # [report] bench_snapshots names both committed baselines; each
+        # trend is the document's cell table plus its fairness tables.
+        assert "MATRIX_bench-quick.json" in smoke_html
+        assert "MATRIX_serve-baseline.json" in smoke_html
+        assert "not found" not in smoke_html and "skipped" not in smoke_html
+        assert "Jain fairness" in smoke_html  # serve cell + bench suite scenarios
+        trends = smoke_html.split("Committed snapshot trends")[1]
+        assert "serve-baseline" in trends  # the serve document's cell
+        assert "<h3>suite</h3>" in trends  # the bench document's scenario
+        assert "zoom/app-aware" in trends and "total_miss_rate" in trends
+
+    def test_non_matrix_trend_file_noted_not_fatal(self, smoke_doc, tmp_path):
+        (tmp_path / "MATRIX_bench-quick.json").write_text('{"runs": {}}')
+        html = render_matrix_report(smoke_doc, base_dir=tmp_path)
+        assert "not a matrix document" in html and "skipped" in html
 
     def test_missing_snapshot_noted_not_fatal(self, smoke_doc, tmp_path):
         html = render_matrix_report(smoke_doc, base_dir=tmp_path)
@@ -76,12 +88,11 @@ class TestFaultAndTenantSections:
         # synthesize one cell to keep this test fast.
         doc = load_snapshot(REPO_ROOT / "MATRIX_smoke.json")
         import copy
-        import json
 
-        serve = json.loads((REPO_ROOT / "SERVE_baseline.json").read_text())
+        serve = load_snapshot(REPO_ROOT / "MATRIX_serve-baseline.json")
         doc = copy.deepcopy(doc)
         key = next(iter(doc["cells"]))
-        doc["cells"][key]["multi_tenant"] = serve["multi_tenant"]
+        doc["cells"][key]["multi_tenant"] = serve["cells"]["serve-baseline"]["multi_tenant"]
         html = render_matrix_report(doc, base_dir=REPO_ROOT)
         assert "Fairness / per-tenant frame times" in html
         assert "p99" in html

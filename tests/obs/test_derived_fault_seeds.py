@@ -12,8 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.matrix import expand_cells, load_spec
-from repro.obs.bench import run_bench
+from repro.experiments.matrix import expand_cells, load_spec, run_matrix
 from repro.utils.rng import derive_seed
 
 _QUICK = load_spec("bench-quick")
@@ -22,6 +21,7 @@ _TINY = replace(
     base={**_QUICK.base, "blocks": 27, "scale": 0.03, "steps": 4},
     setup={**_QUICK.setup, "n_directions": 8, "tracer_capacity": 200_000},
 )
+_LOSSY = replace(_TINY, base={**_TINY.base, "faults": "lossy", "fault_seed": 42})
 
 
 class TestDeriveFaultSeed:
@@ -50,36 +50,34 @@ class TestDeriveFaultSeed:
 class TestBenchFaultSeeding:
     @pytest.fixture(scope="class")
     def doc(self):
-        return run_bench(_TINY, label="seeds", faults="lossy", fault_seed=42)
+        return run_matrix(_LOSSY)
 
     def test_every_cell_records_base_and_derived(self, doc):
-        for run in doc["runs"].values():
+        for run in doc["cells"].values():
             assert run["faults"]["seed"] == 42
             assert run["faults"]["derived_seed"] != 42
 
     def test_derived_seeds_distinct_across_cells(self, doc):
-        derived = [r["faults"]["derived_seed"] for r in doc["runs"].values()]
+        derived = [r["faults"]["derived_seed"] for r in doc["cells"].values()]
         assert len(set(derived)) == len(derived)
 
     def test_derived_seeds_match_cell_order(self, doc):
-        cells = expand_cells(_TINY)
+        cells = expand_cells(_LOSSY)
         assert [c.key for c in cells] == [
             "orbit/lru", "orbit/app-aware", "zoom/lru", "zoom/app-aware",
         ]
         for cell in cells:
-            run = doc["runs"][cell.key]
+            run = doc["cells"][cell.key]
             assert run["faults"]["derived_seed"] == derive_seed(42, cell.index)
 
     def test_replay_determinism(self, doc):
-        again = run_bench(_TINY, label="seeds", faults="lossy", fault_seed=42)
-        for key, run in doc["runs"].items():
-            assert run["faults"] == again["runs"][key]["faults"]
-            assert run["summary"] == again["runs"][key]["summary"]
+        again = run_matrix(_LOSSY)
+        for key, run in doc["cells"].items():
+            assert run["faults"] == again["cells"][key]["faults"]
+            assert run["summary"] == again["cells"][key]["summary"]
 
     def test_parallel_matches_serial(self, doc):
-        parallel = run_bench(
-            _TINY, label="seeds", faults="lossy", fault_seed=42, workers=2
-        )
-        for key, run in doc["runs"].items():
-            assert run["faults"] == parallel["runs"][key]["faults"]
-            assert run["summary"] == parallel["runs"][key]["summary"]
+        parallel = run_matrix(_LOSSY, workers=2)
+        for key, run in doc["cells"].items():
+            assert run["faults"] == parallel["cells"][key]["faults"]
+            assert run["summary"] == parallel["cells"][key]["summary"]

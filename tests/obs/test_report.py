@@ -1,6 +1,6 @@
 """HTML report rendering for ``repro analyze``."""
 
-from repro.obs.report import render_report, write_report
+from repro.obs.report import attribution_sections, render_report, write_report
 
 
 def _attr_doc(**over):
@@ -81,23 +81,46 @@ def _bench_doc():
     }
     return {
         "schema_version": 1,
+        "kind": "matrix",
         "label": "test",
-        "runs": {"orbit/lru": {"attribution": attr}},
-        "multi_tenant": {
-            "attribution": {
+        "cells": {
+            "orbit/lru": {"attribution": attr},
+            "serve": {"multi_tenant": {"attribution": {
                 "schema_version": 1,
-                "tenants": {"s000": _attr_doc(frames=[])},
+                "tenants": {"s001": _attr_doc(frames=[])},
+            }}},
+        },
+        "suite": {
+            "multi_tenant": {
+                "attribution": {
+                    "schema_version": 1,
+                    "tenants": {"s000": _attr_doc(frames=[])},
+                },
             },
         },
     }
+
+
+class TestAttributionSections:
+    def test_cells_cell_tenants_then_suite_tenants(self):
+        labels = [label for label, _attr in attribution_sections(_bench_doc())]
+        assert labels == ["orbit/lru", "serve/tenant:s001", "tenant:s000"]
+
+    def test_bare_attribution_doc_is_one_section(self):
+        assert [label for label, _ in attribution_sections(_attr_doc())] == ["run"]
+
+    def test_document_without_attribution_has_none(self):
+        doc = {"kind": "matrix", "cells": {"orbit/lru": {"summary": {}}}}
+        assert list(attribution_sections(doc)) == []
 
 
 class TestRenderReport:
     def test_bench_doc_sections(self):
         html = render_report(_bench_doc())
         assert html.startswith("<!DOCTYPE html>")
+        assert "matrix document test" in html
         assert "orbit/lru" in html
-        assert "tenant s000" in html
+        assert "tenant:s000" in html and "serve/tenant:s001" in html
         assert "Frame-time waterfall" in html
         assert "Eviction forensics" in html
         assert "Regret vs Belady" in html
@@ -109,7 +132,8 @@ class TestRenderReport:
         assert "Regret vs Belady" not in html  # no regret section present
 
     def test_serve_doc_without_attribution(self):
-        html = render_report({"multi_tenant": {"frame_times": {}}})
+        doc = {"kind": "matrix", "cells": {"serve": {"multi_tenant": {"frame_times": {}}}}}
+        html = render_report(doc)
         assert "no attribution section" in html
 
     def test_not_reconciled_is_flagged(self):

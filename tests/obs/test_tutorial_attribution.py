@@ -59,7 +59,7 @@ class TestTutorialAttributionWalkthrough:
         monkeypatch.chdir(tmp_path)
         assert main(["bench", "--quick", "--label", "local",
                      "--out", str(tmp_path)]) == 0
-        assert main(["analyze", str(tmp_path / "BENCH_local.json"),
+        assert main(["analyze", str(tmp_path / "MATRIX_local.json"),
                      "--out", str(tmp_path / "report.html"),
                      "--prom", str(tmp_path / "metrics.prom")]) == 0
         assert (tmp_path / "report.html").read_text(encoding="utf-8").startswith(

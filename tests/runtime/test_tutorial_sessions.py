@@ -39,7 +39,8 @@ class TestTutorialSessionsWalkthrough:
         assert main(fast + ["--label", "baseline"]) == 0
         assert main(fast + ["--label", "local"]) == 0
         assert main([
-            "serve-sim", "--compare",
-            str(tmp_path / "SERVE_baseline.json"),
-            str(tmp_path / "SERVE_local.json"),
+            "matrix", "compare",
+            str(tmp_path / "MATRIX_baseline.json"),
+            str(tmp_path / "MATRIX_local.json"),
+            "--threshold", "0.25",
         ]) == 0

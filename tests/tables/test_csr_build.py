@@ -64,15 +64,6 @@ class TestSampleSets:
         with pytest.raises(ValueError, match="sizes sum"):
             SampleSets(sizes=np.array([3]), ids=np.array([1, 2], dtype=np.int64))
 
-    def test_concat_preserves_order(self):
-        a = SampleSets(np.array([1]), np.array([5], dtype=np.int64))
-        b = SampleSets(np.array([2]), np.array([3, 8], dtype=np.int64))
-        joined = SampleSets.concat([a, b])
-        assert np.array_equal(joined.sizes, [1, 2])
-        assert np.array_equal(joined.ids, [5, 3, 8])
-        empty = SampleSets.concat([])
-        assert len(empty) == 0 and empty.ids.size == 0
-
 
 class TestComputeSampleSetsCSR:
     def test_returns_sample_sets_identical_across_kernels(self, grid):

@@ -158,29 +158,35 @@ class TestBench:
         args = build_parser().parse_args(["bench"])
         assert args.label == "local"
         assert args.quick is False
-        assert args.compare is None
-        assert args.threshold == 0.10
+        assert args.tier == "default" and args.workers == 1 and args.profile is None
+        assert not hasattr(args, "compare") and not hasattr(args, "threshold")
 
     def test_quick_writes_snapshot(self, tmp_path, capsys):
         import json
 
         rc = main(["bench", "--quick", "--label", "smoke", "--out", str(tmp_path)])
         assert rc == 0
-        path = tmp_path / "BENCH_smoke.json"
+        path = tmp_path / "MATRIX_smoke.json"
         assert path.exists()
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1 and doc["quick"] is True
-        assert "wrote" in capsys.readouterr().out
+        assert doc["schema_version"] == 1 and doc["kind"] == "matrix"
+        assert doc["runner"] == "bench-cell" and doc["label"] == "bench-quick"
+        assert set(doc["suite"]) == {"multi_tenant"}
+        out = capsys.readouterr().out
+        assert "wrote" in out and "multi_tenant[suite]" in out
 
     def test_compare_self_exits_zero(self, tmp_path, capsys):
         main(["bench", "--quick", "--label", "a", "--out", str(tmp_path)])
-        snap = str(tmp_path / "BENCH_a.json")
-        assert main(["bench", "--compare", snap, snap]) == 0
+        snap = str(tmp_path / "MATRIX_a.json")
+        assert main(["matrix", "compare", snap, snap]) == 0
         assert "0 regression(s)" in capsys.readouterr().out
 
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
+        # `repro matrix compare` is the one compare; bench takes no --compare.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--compare", "a.json", "b.json"])
         missing = str(tmp_path / "nope.json")
-        assert main(["bench", "--compare", missing, missing]) == 2
+        assert main(["matrix", "compare", missing, missing]) == 2
         assert "error:" in capsys.readouterr().out
 
     def test_faulted_quick_bench(self, tmp_path, capsys):
@@ -191,24 +197,22 @@ class TestBench:
             "--faults", "flaky-hdd", "--fault-seed", "42",
         ])
         assert rc == 0
-        doc = json.loads((tmp_path / "BENCH_chaos.json").read_text())
+        doc = json.loads((tmp_path / "MATRIX_chaos.json").read_text())
         assert doc["spec"]["base"]["faults"] == "flaky-hdd"
         assert doc["spec"]["base"]["fault_seed"] == 42
-        assert all("faults" in run for run in doc["runs"].values())
+        assert all("faults" in run for run in doc["cells"].values())
         assert "faults[" in capsys.readouterr().out
 
     def test_out_directory_is_created(self, tmp_path, monkeypatch):
         import json
 
-        from repro.obs import bench
+        from repro.experiments import matrix
 
-        committed = json.loads((REPO_ROOT / "BENCH_baseline.json").read_text())
-        monkeypatch.setattr(
-            bench, "run_bench", lambda *args, **kwargs: dict(committed, label=kwargs["label"])
-        )
+        committed = json.loads((REPO_ROOT / "MATRIX_bench-quick.json").read_text())
+        monkeypatch.setattr(matrix, "run_matrix", lambda *args, **kwargs: committed)
         out = tmp_path / "new" / "dir"
         assert main(["bench", "--quick", "--label", "x", "--out", str(out)]) == 0
-        assert (out / "BENCH_x.json").is_file()
+        assert (out / "MATRIX_x.json").is_file()
 
     def test_cluster_ledger_mismatch_exits_one(self, tmp_path, monkeypatch, capsys):
         from repro.obs import bench_cluster
@@ -218,30 +222,74 @@ class TestBench:
             "bench", "--tier", "cluster", "--quick", "--label", "c", "--out", str(tmp_path),
         ])
         assert rc == 1
-        assert "ledger failed to reconcile" in capsys.readouterr().err
-        assert (tmp_path / "BENCH_c.json").is_file()
+        err = capsys.readouterr().err
+        assert "ledger failed to reconcile" in err
+        assert "orbit/K1, orbit/K4, orbit/K4/partition" in err
+        assert (tmp_path / "MATRIX_c.json").is_file()
+
+    def test_cluster_tier_honours_workers(self, tmp_path):
+        import json
+
+        rc = main([
+            "bench", "--tier", "cluster", "--quick", "--label", "w",
+            "--workers", "2", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        doc = json.loads((tmp_path / "MATRIX_w.json").read_text())
+        assert doc["workers"] == 2
+        assert all(cell["ledger_reconciles"] for cell in doc["cells"].values())
+
+    def test_profile_on_a_runner_without_a_profiler_exits_two(self, tmp_path, capsys):
+        profile = tmp_path / "prof.json"
+        rc = main([
+            "bench", "--tier", "cluster", "--quick", "--label", "p",
+            "--profile", str(profile), "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "runner 'replay' takes no profiler" in capsys.readouterr().err
+        assert not profile.exists() and not (tmp_path / "MATRIX_p.json").exists()
 
 
 class TestCrossKindCompare:
-    """Every compare spelling refuses a snapshot of another kind with exit 2
-    and a message naming both kinds."""
+    """The one compare refuses two documents that ran different runners or
+    different axes with exit 2 and a message naming both sides."""
+
+    def _compare(self, old, new):
+        return main(["matrix", "compare", str(REPO_ROOT / old), str(REPO_ROOT / new)])
 
     def test_bench_compare_refuses_a_serve_snapshot(self, capsys):
-        rc = main(["bench", "--compare", str(REPO_ROOT / "SERVE_baseline.json"),
-                   str(REPO_ROOT / "BENCH_baseline.json")])
-        assert rc == 2
-        assert "is a serve snapshot, not a bench" in capsys.readouterr().out
+        assert self._compare("MATRIX_serve-baseline.json", "MATRIX_bench-quick.json") == 2
+        assert ("a 'serve'-runner document with a 'bench-cell'-runner document"
+                in capsys.readouterr().out)
 
     def test_serve_compare_refuses_bench_snapshots(self, capsys):
-        bench = str(REPO_ROOT / "BENCH_baseline.json")
-        assert main(["serve-sim", "--compare", bench, bench]) == 2
-        assert "is a bench snapshot, not a serve snapshot" in capsys.readouterr().out
+        assert self._compare("MATRIX_bench-quick.json", "MATRIX_serve-baseline.json") == 2
+        assert ("a 'bench-cell'-runner document with a 'serve'-runner document"
+                in capsys.readouterr().out)
 
     def test_matrix_compare_refuses_a_serve_snapshot(self, capsys):
-        rc = main(["matrix", "compare", str(REPO_ROOT / "MATRIX_smoke.json"),
-                   str(REPO_ROOT / "SERVE_baseline.json")])
-        assert rc == 2
-        assert "is a serve snapshot, not a matrix snapshot" in capsys.readouterr().out
+        assert self._compare("MATRIX_smoke.json", "MATRIX_serve-baseline.json") == 2
+        assert "a 'replay'-runner document with a 'serve'" in capsys.readouterr().out
+
+    def test_bench_tiers_refuse_each_other(self, capsys):
+        assert self._compare("MATRIX_bench-quick.json", "MATRIX_cluster-smoke.json") == 2
+        assert self._compare("MATRIX_bench-quick.json", "MATRIX_fullscale-smoke.json") == 2
+        # one runner (replay), different axes
+        assert self._compare("MATRIX_cluster-smoke.json", "MATRIX_smoke.json") == 2
+        assert "different axes" in capsys.readouterr().out
+
+    def test_candidate_lacking_a_baseline_row_exits_one(self, tmp_path, capsys):
+        import json
+
+        doc = json.loads((REPO_ROOT / "MATRIX_smoke.json").read_text())
+        del doc["cells"]["zoom/lru"]["summary"]["io_time_s"]
+        lacking = tmp_path / "MATRIX_lacking.json"
+        lacking.write_text(json.dumps(doc))
+        assert main(["matrix", "compare", str(REPO_ROOT / "MATRIX_smoke.json"),
+                     str(lacking)]) == 1
+        out = capsys.readouterr().out
+        assert "zoom/lru.io_time_s" in out and "dropped" in out
+        assert "1 regression(s) (1 dropped)" in out
 
 
 class TestRender:
@@ -274,27 +322,30 @@ class TestServeSim:
 
         rc = main(self._FAST + ["--label", "t", "--out", str(tmp_path)])
         assert rc == 0
-        doc = json.loads((tmp_path / "SERVE_t.json").read_text())
-        assert doc["schema_version"] == 1
-        assert doc["multi_tenant"]["n_sessions"] == 4
-        assert doc["multi_tenant"]["cross_evictions"] == 0
+        doc = json.loads((tmp_path / "MATRIX_t.json").read_text())
+        assert doc["schema_version"] == 1 and doc["runner"] == "serve"
+        mt = doc["cells"]["serve-sim"]["multi_tenant"]
+        assert mt["n_sessions"] == 4
+        assert mt["cross_evictions"] == 0
         out = capsys.readouterr().out
         assert "fairness" in out and "p99" in out
 
     def test_compare_self_exits_zero(self, tmp_path, capsys):
         main(self._FAST + ["--label", "a", "--out", str(tmp_path)])
-        snap = str(tmp_path / "SERVE_a.json")
-        assert main(["serve-sim", "--compare", snap, snap]) == 0
+        snap = str(tmp_path / "MATRIX_a.json")
+        assert main(["matrix", "compare", snap, snap]) == 0
         assert "0 regression(s)" in capsys.readouterr().out
 
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-sim", "--compare", "a.json", "b.json"])
         missing = str(tmp_path / "nope.json")
-        assert main(["serve-sim", "--compare", missing, missing]) == 2
+        assert main(["matrix", "compare", missing, missing]) == 2
         assert "error:" in capsys.readouterr().out
 
     def test_label_with_a_slash_is_sanitised(self, tmp_path):
         assert main(self._FAST + ["--label", "a/b", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "SERVE_a-b.json").is_file()
+        assert (tmp_path / "MATRIX_a-b.json").is_file()
 
     def test_partition_none(self, tmp_path):
         import json
@@ -302,8 +353,14 @@ class TestServeSim:
         rc = main(self._FAST + ["--partition", "none", "--label", "n",
                                 "--out", str(tmp_path)])
         assert rc == 0
-        doc = json.loads((tmp_path / "SERVE_n.json").read_text())
-        assert doc["multi_tenant"]["quotas"] == {}
+        doc = json.loads((tmp_path / "MATRIX_n.json").read_text())
+        assert doc["cells"]["serve-sim"]["multi_tenant"]["quotas"] == {}
+
+    def test_bad_mix_exits_two(self, tmp_path, capsys):
+        rc = main(self._FAST + ["--mix", "0", "0", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +368,7 @@ def bench_snapshot(tmp_path_factory):
     """One quick bench snapshot shared by the analyze tests."""
     out = tmp_path_factory.mktemp("analyze")
     assert main(["bench", "--quick", "--label", "an", "--out", str(out)]) == 0
-    return out / "BENCH_an.json"
+    return out / "MATRIX_an.json"
 
 
 class TestAnalyze:
@@ -329,7 +386,10 @@ class TestAnalyze:
                    "--out", str(html), "--prom", str(prom)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "reconciled=True" in out
+        # 4 cells and the 4 tenants of suite.multi_tenant, all reconciled
+        assert "8 attribution section(s)" in out
+        assert out.count("reconciled=True") == 8
+        assert "tenant:s003" in out
         text = html.read_text(encoding="utf-8")
         assert "Regret vs Belady" in text
         assert "Frame-time waterfall" in text
@@ -339,17 +399,23 @@ class TestAnalyze:
         assert "repro_eviction_lineage_evictions_total" in prom_text
 
     def test_serve_snapshot_source(self, tmp_path, capsys):
-        import json
-
-        from repro.experiments import LoadGenConfig, run_load
-
-        doc = run_load(LoadGenConfig(n_sessions=2, steps=4, blocks=64,
-                                     scale=0.04), attribution=True)
-        snap = tmp_path / "SERVE_x.json"
-        snap.write_text(json.dumps(doc))
-        rc = main(["analyze", str(snap), "--out", str(tmp_path / "r.html")])
+        assert main(["serve-sim", "--sessions", "2", "--session-steps", "4",
+                     "--serve-blocks", "64", "--serve-scale", "0.04",
+                     "--label", "x", "--out", str(tmp_path)]) == 0
+        rc = main(["analyze", str(tmp_path / "MATRIX_x.json"),
+                   "--out", str(tmp_path / "r.html")])
         assert rc == 0
-        assert "tenant:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2 attribution section(s)" in out
+        assert "serve-sim/tenant:s001: reconciled=True" in out
+
+    def test_committed_serve_document(self, tmp_path, capsys):
+        rc = main(["analyze", str(REPO_ROOT / "MATRIX_serve-baseline.json"),
+                   "--out", str(tmp_path / "r.html")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "8 attribution section(s)" in out
+        assert out.count("serve-baseline/tenant:") == 8
 
     def test_jsonl_source(self, tmp_path, capsys):
         from repro.trace import TraceEvent, write_jsonl
@@ -391,7 +457,8 @@ class TestAnalyze:
         import json
 
         doc = {
-            "runs": {
+            "kind": "matrix",
+            "cells": {
                 "bad/run": {
                     "attribution": {
                         "schema_version": 1,
@@ -516,8 +583,32 @@ class TestMatrix:
         assert rc == 2
 
     def test_label_override(self, tmp_path):
+        import json
+
         assert main([
             "matrix", "run", "smoke", "--label", "renamed",
             "--out", str(tmp_path),
         ]) == 0
-        assert (tmp_path / "MATRIX_renamed.json").is_file()
+        doc = json.loads((tmp_path / "MATRIX_renamed.json").read_text())
+        assert doc["label"] == "smoke"  # --label names the file only
+        assert sorted(doc["cells"]) == sorted(
+            ["orbit/lru", "orbit/app-aware", "zoom/lru", "zoom/app-aware"]
+        )
+
+    def test_label_names_the_file_only(self, tmp_path, capsys):
+        # A no-axes spec keys its one cell by the spec's label; --label
+        # must not rename that cell, or the compare finds no common rows.
+        import json
+
+        assert main(["matrix", "run", "serve-baseline", "--out", str(tmp_path)]) == 0
+        assert main(["matrix", "run", "serve-baseline", "--label", "ci",
+                     "--out", str(tmp_path)]) == 0
+        for name in ("MATRIX_serve-baseline.json", "MATRIX_ci.json"):
+            doc = json.loads((tmp_path / name).read_text())
+            assert list(doc["cells"]) == ["serve-baseline"], name
+        capsys.readouterr()
+        assert main(["matrix", "compare", str(tmp_path / "MATRIX_serve-baseline.json"),
+                     str(tmp_path / "MATRIX_ci.json"), "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert "30 metrics compared, 0 regression(s)" in out
+        assert out.count("  ok") == 30 and "missing" not in out
