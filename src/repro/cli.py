@@ -10,11 +10,12 @@ Subcommands mirror a real out-of-core visualization workflow:
 - ``trace``      — replay one policy with the event tracer on, write a
   Chrome-trace JSON (and optionally JSONL) plus a per-step summary table;
   ``--from-jsonl`` re-reports on a previously written JSONL instead;
-- ``analyze``    — eviction forensics + per-frame latency attribution:
-  consumes a ``MATRIX_`` document or a JSONL trace (or runs the quick
-  bench tier in-process) and writes a self-contained HTML report, plus a
-  Prometheus text dump with ``--prom``; exits non-zero when any section
-  fails the exact ledger reconciliation;
+- ``analyze``    — the one HTML report: consumes a ``MATRIX_`` document
+  (cells, figures, faults, fairness, per-frame latency attribution,
+  eviction forensics, regret, trends) or a JSONL trace (its attribution),
+  or runs the quick bench tier in-process, and writes a self-contained
+  page, plus a Prometheus text dump with ``--prom``; exits 1 when any
+  section fails the exact ledger reconciliation, 2 on an unreadable source;
 - ``bench``      — run a bench tier's bundled spec (the pinned regression
   suite by default) and write ``MATRIX_<label>.json``;
 - ``serve-sim``  — simulate N concurrent viewer sessions over one shared
@@ -22,10 +23,9 @@ Subcommands mirror a real out-of-core visualization workflow:
   one-cell ``serve`` spec and write ``MATRIX_<label>.json``;
 - ``matrix``     — the declarative experiment-matrix runner:
   ``matrix run`` expands a TOML/JSON spec (bundled name or path) into
-  cells and writes ``MATRIX_<label>.json``; ``matrix report`` renders a
-  matrix document as a self-contained HTML report; ``matrix compare``
-  gates two matrix documents (the one compare; non-zero exit on
-  regression).
+  cells and writes ``MATRIX_<label>.json`` (``--report`` also writes the
+  HTML page ``analyze`` writes); ``matrix compare`` gates two matrix
+  documents (the one compare; non-zero exit on regression).
 
 ``bench``, ``serve-sim`` and ``matrix run`` are spellings of one call,
 :func:`repro.experiments.matrix.run_matrix`.
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser(
         "analyze",
-        help="forensics + latency-attribution report (HTML, optional Prometheus "
-             "dump) from a matrix document or a JSONL trace",
+        help="self-contained HTML report (optional Prometheus dump) of a "
+             "matrix document or a JSONL trace",
     )
     ana.add_argument("source", nargs="?", default=None,
                      help="MATRIX_ document (.json) or trace events "
@@ -178,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mat = sub.add_parser(
         "matrix",
-        help="declarative experiment-matrix runner: run a spec, render its "
-             "HTML report, or compare two matrix documents",
+        help="declarative experiment-matrix runner: run a spec (and write its "
+             "HTML report), or compare two matrix documents",
     )
     mat_sub = mat.add_subparsers(dest="matrix_command", required=True)
     mrun = mat_sub.add_parser(
@@ -196,13 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the spec's label); cell keys always come from the spec")
     mrun.add_argument("--report", type=Path, default=None, metavar="PATH",
                       help="also write the self-contained HTML report there")
-    mrep = mat_sub.add_parser(
-        "report", help="render a MATRIX_<label>.json as a self-contained HTML report"
-    )
-    mrep.add_argument("doc", help="MATRIX_<label>.json path")
-    mrep.add_argument("--out", type=Path, default=Path("matrix_report.html"),
-                      help="HTML output path (default matrix_report.html)")
-    mrep.add_argument("--title", default=None, help="report title override")
     mcmp = mat_sub.add_parser(
         "compare", help="compare two matrix documents on their simulated metrics"
     )
@@ -530,7 +523,7 @@ def _run_and_write(spec, out, label=None, workers=1, profile=None, report=None) 
     """Run ``spec`` through ``run_matrix``, write ``MATRIX_<label>.json``
     and print its sections: exit 2 when the spec or its runner refuses the
     run, 1 when a sharded cell's network ledger fails to reconcile."""
-    from repro.experiments.gating import write_snapshot
+    from repro.experiments.gating import load_snapshot, write_snapshot
     from repro.experiments.matrix import run_matrix
 
     try:
@@ -570,9 +563,10 @@ def _run_and_write(spec, out, label=None, workers=1, profile=None, report=None) 
     if "profile" in doc:
         print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
     if report is not None:
-        from repro.experiments.matrix_report import write_matrix_report
+        from repro.obs.report import write_report
 
-        print(f"report: {write_matrix_report(doc, report)}")
+        # Render the document as written (keys sorted), as `analyze` reads it.
+        print(f"report: {write_report(load_snapshot(path), report)}")
     unreconciled = [k for k, c in doc["cells"].items() if c.get("ledger_reconciles") is False]
     if unreconciled:
         print(f"error: the cluster network ledger failed to reconcile in "
@@ -664,18 +658,6 @@ def _cmd_matrix(args) -> int:
             print(f"warn-only: {n_regressions} regression(s) ignored")
             return 0
         return 1 if n_regressions else 0
-
-    if args.matrix_command == "report":
-        from repro.experiments.matrix_report import write_matrix_report
-
-        try:
-            doc = load_snapshot(args.doc)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        path = write_matrix_report(doc, args.out, title=args.title)
-        print(f"wrote {path} ({doc['n_cells']} cells, label {doc['label']})")
-        return 0
 
     try:
         spec = load_spec(args.spec)

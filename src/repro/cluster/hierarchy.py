@@ -52,6 +52,7 @@ from repro.storage.hierarchy import (
     BatchFetchResult,
     FetchResult,
     MemoryHierarchy,
+    install_tenant_quotas,
     make_standard_hierarchy,
 )
 from repro.storage.stats import HierarchyStats
@@ -302,41 +303,29 @@ class ShardedHierarchy:
 
     # -- tenant partitioning ---------------------------------------------------
 
+    def _tenant_levels(self) -> List[CacheLevel]:
+        """The levels tenant quotas partition: every node level, then the ghost cache."""
+        levels = [level for node in self.nodes for level in node.levels]
+        return levels if self.ghost is None else levels + [self.ghost]
+
     def set_tenant_quotas(self, fractions: Optional[Mapping[str, float]]):
+        """Partition every node level and the ghost cache between tenants,
+        all or nothing (see :func:`~repro.storage.hierarchy.install_tenant_quotas`)."""
         if self._solo is not None:
             return self._solo.set_tenant_quotas(fractions)
-        quotas: dict = {}
-        for node in self.nodes:
-            quotas.update(node.set_tenant_quotas(fractions))
-        if self.ghost is not None:
-            if not fractions:
-                self.ghost.set_tenant_quotas(None)
-            else:
-                cap = self.ghost.capacity
-                blocks = {t: max(1, int(f * cap)) for t, f in fractions.items()}
-                total = sum(blocks.values())
-                if total > cap:  # clamp as MemoryHierarchy does
-                    scale = cap / total
-                    blocks = {t: max(1, int(b * scale)) for t, b in blocks.items()}
-                self.ghost.set_tenant_quotas(blocks)
-                quotas["ghost"] = blocks
-        return quotas
+        return install_tenant_quotas(self._tenant_levels(), fractions)
 
     def tenant_usage(self):
         if self._solo is not None:
             return self._solo.tenant_usage()
-        usage: dict = {}
-        for node in self.nodes:
-            usage.update(node.tenant_usage())
-        if self.ghost is not None and self.ghost.tenant_quotas_enabled:
-            usage["ghost"] = self.ghost.tenant_usage()
-        return usage
+        return {
+            level.name: level.tenant_usage()
+            for level in self._tenant_levels()
+            if level.tenant_quotas_enabled
+        }
 
     def tenant_cross_evictions(self) -> int:
-        total = sum(n.tenant_cross_evictions() for n in self.nodes)
-        if self.ghost is not None:
-            total += self.ghost.tenant_cross_evictions
-        return total
+        return sum(level.tenant_cross_evictions for level in self._tenant_levels())
 
     # -- node loss -------------------------------------------------------------
 

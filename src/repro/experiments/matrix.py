@@ -7,8 +7,9 @@ constraints that prune cells, repeats with derived per-repeat seeds, and
 which figures/report sections to render.  ``run_matrix`` expands the spec
 into validated ``RunConfig`` cells, executes them (serially or over
 ``--workers`` processes), and emits one schema-versioned
-``MATRIX_<label>.json`` snapshot; ``repro matrix report`` renders it into
-a self-contained HTML report (see :mod:`repro.experiments.matrix_report`).
+``MATRIX_<label>.json`` snapshot; ``repro analyze`` (or ``repro matrix
+run --report``) renders it into a self-contained HTML report (see
+:mod:`repro.obs.report`).
 
 The spec format, by section (TOML table names; the JSON form mirrors it):
 
@@ -38,7 +39,7 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     :meth:`repro.experiments.sweep.SweepResult.series`.
 ``[report]``
     ``title``, ``bench_snapshots`` (committed ``MATRIX_*`` files to chart
-    as trends).
+    as trends; relative names resolve against the current directory).
 
 Two cell runners ship built in (``register_cell_runner`` adds more):
 

@@ -56,8 +56,11 @@ def format_series(
 
 
 def format_trace_report(summary, result=None, title: str = "") -> str:
-    """Tabulate a :class:`~repro.trace.aggregate.TraceSummary`.
+    """Tabulate a :class:`~repro.trace.aggregate.TraceSummary` (the
+    ``repro trace`` output).
 
+    A ``network:`` line follows when the trace carries peer transfers (a
+    sharded run) and a ``faults:`` line when it carries injected faults.
     When ``result`` (a :class:`~repro.core.metrics.RunResult`) is given,
     a ledger line cross-checks the trace's byte total against the run's
     ``bytes_moved`` extra — after the accounting fixes the two must agree
@@ -93,6 +96,19 @@ def format_trace_report(summary, result=None, title: str = "") -> str:
         f"{summary.total_evictions} evictions, "
         f"mean fast coverage {summary.mean_fast_coverage:.3f}"
     )
+    if summary.total_xfers:
+        lines.append(
+            f"network: {summary.total_xfers} peer transfers, "
+            f"{summary.peer_bytes / 1e6:.2f} MB over links, "
+            f"{summary.peer_time_s * 1e3:.3f} ms link time"
+        )
+    if summary.total_faults or summary.total_retries or summary.total_degraded:
+        lines.append(
+            f"faults: {summary.total_faults} failed reads, "
+            f"{summary.total_retries} retries, "
+            f"{summary.total_degraded} degraded reads, "
+            f"{summary.fault_time_s * 1e3:.3f} ms lost"
+        )
     if result is not None and "bytes_moved" in result.extras:
         moved = result.extras["bytes_moved"]
         agree = "agrees" if float(summary.total_bytes) == float(moved) else "MISMATCH"

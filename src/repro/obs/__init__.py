@@ -23,8 +23,8 @@ modules directly, they pull in the runtime engine):
 
 - :mod:`repro.obs.attribution` — exact per-frame latency attribution
   reconciled bit-for-bit against the engine's time ledger;
-- :mod:`repro.obs.report` — self-contained HTML rendering for
-  ``repro analyze``;
+- :mod:`repro.obs.report` — the one self-contained HTML report, written
+  by ``repro analyze`` and ``repro matrix run --report``;
 - :mod:`repro.obs.prometheus` — text-exposition dump of a registry
   snapshot (``repro analyze --prom``).
 """

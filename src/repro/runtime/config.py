@@ -23,7 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.faults.plan import FAULT_PROFILES
+from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.policies.registry import POLICY_NAMES
 from repro.tables.visible_table import LookupCostModel
 from repro.utils.validation import check_probability
@@ -101,6 +101,18 @@ def _check_faults(field: str, value: Any, cfg: "RunConfig") -> None:
         raise ValueError(
             f"{field}={value!r} is a cluster fault profile; it requires shards > 1"
         )
+    if value in FAULT_PROFILES and isinstance(cfg.shards, int) and cfg.shards > 1:
+        # A sharded hierarchy names its node devices n{k}.dram/n{k}.ssd, so
+        # a single-box entry for anything but the shared hdd never fires.
+        devices = sorted(
+            {p.device for p in FaultPlan.from_profile(value).profiles} - {"hdd"}
+        )
+        if devices:
+            raise ValueError(
+                f"{field}={value!r} targets the single-box device(s) {devices}, "
+                f"which do not exist at shards > 1 (nodes name theirs "
+                f"n{{k}}.<device>); use 'node-chaos' for per-node faults"
+            )
 
 
 def _check_trace_file(field: str, value: Any, cfg: "RunConfig") -> None:

@@ -28,6 +28,7 @@ __all__ = [
     "FetchResult",
     "BatchFetchResult",
     "MemoryHierarchy",
+    "install_tenant_quotas",
     "make_standard_hierarchy",
 ]
 
@@ -70,6 +71,39 @@ class BatchFetchResult:
     time_s: float
     n_dropped: int = 0
     dropped_ids: "tuple[int, ...]" = ()
+
+
+def install_tenant_quotas(
+    levels: Sequence[CacheLevel], fractions: Optional[Mapping[str, float]]
+) -> "dict[str, dict[str, int]]":
+    """Partition ``levels`` between tenants (``None``/empty disables).
+
+    ``fractions`` maps tenant label -> fraction of each level's capacity
+    (fractions must sum to at most 1).  Each level gets ``max(1,
+    floor(fraction * capacity))`` blocks per tenant.  Every level's quotas
+    are computed before any is installed, so a level whose capacity cannot
+    hold its quotas raises ``ValueError`` naming it and leaves every level
+    as it was.  Returns the installed block quotas per level name.
+    """
+    plan: "dict[str, dict[str, int]]" = {}
+    if fractions:
+        total = sum(float(f) for f in fractions.values())
+        if total > 1.0 + 1e-9:
+            raise ValueError(f"tenant fractions sum to {total:.4f}, exceeding 1")
+        for level in levels:
+            quotas = {
+                name: max(1, int(float(frac) * level.capacity))
+                for name, frac in fractions.items()
+            }
+            if sum(quotas.values()) > level.capacity:
+                raise ValueError(
+                    f"{level.name}: capacity {level.capacity} cannot hold one "
+                    f"block per tenant for {len(quotas)} tenants"
+                )
+            plan[level.name] = quotas
+    for level in levels:
+        level.set_tenant_quotas(plan.get(level.name))
+    return plan
 
 
 class MemoryHierarchy:
@@ -304,35 +338,10 @@ class MemoryHierarchy:
     def set_tenant_quotas(
         self, fractions: Optional[Mapping[str, float]]
     ) -> "dict[str, dict[str, int]]":
-        """Partition every level between tenants (``None``/empty disables).
-
-        ``fractions`` maps tenant label -> fraction of each level's
-        capacity (fractions must sum to at most 1).  Each level gets
-        ``max(1, floor(fraction * capacity))`` blocks per tenant, clamped
-        so the quotas never exceed the level's capacity.  Returns the
-        installed block quotas per level for the caller's ledger.
-        """
-        if not fractions:
-            for level in self.levels:
-                level.set_tenant_quotas(None)
-            return {}
-        total = sum(float(f) for f in fractions.values())
-        if total > 1.0 + 1e-9:
-            raise ValueError(f"tenant fractions sum to {total:.4f}, exceeding 1")
-        installed: "dict[str, dict[str, int]]" = {}
-        for level in self.levels:
-            quotas = {
-                name: max(1, int(float(frac) * level.capacity))
-                for name, frac in fractions.items()
-            }
-            if sum(quotas.values()) > level.capacity:
-                raise ValueError(
-                    f"{level.name}: capacity {level.capacity} cannot hold one "
-                    f"block per tenant for {len(quotas)} tenants"
-                )
-            level.set_tenant_quotas(quotas)
-            installed[level.name] = quotas
-        return installed
+        """Partition every level between tenants, all or nothing (see
+        :func:`install_tenant_quotas`); returns the installed block quotas
+        per level for the caller's ledger."""
+        return install_tenant_quotas(self.levels, fractions)
 
     def tenant_usage(self) -> "dict[str, dict[str, int]]":
         """Per-level resident block counts per tenant."""

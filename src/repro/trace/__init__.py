@@ -12,7 +12,7 @@ Chrome-trace JSON for ``chrome://tracing`` / Perfetto.
 
 from repro.trace.events import EVENT_KINDS, FAULT_KINDS, MOVEMENT_KINDS, TraceEvent
 from repro.trace.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.trace.aggregate import StepTimeline, TraceSummary, aggregate, format_timeline
+from repro.trace.aggregate import StepTimeline, TraceSummary, aggregate
 from repro.trace.export import (
     read_jsonl,
     to_chrome_trace,
@@ -31,7 +31,6 @@ __all__ = [
     "StepTimeline",
     "TraceSummary",
     "aggregate",
-    "format_timeline",
     "write_jsonl",
     "read_jsonl",
     "to_chrome_trace",

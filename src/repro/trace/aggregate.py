@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List
 
 from repro.trace.events import MOVEMENT_KINDS, TraceEvent
 
-__all__ = ["StepTimeline", "TraceSummary", "aggregate", "format_timeline"]
+__all__ = ["StepTimeline", "TraceSummary", "aggregate"]
 
 
 @dataclass
@@ -190,44 +190,3 @@ def aggregate(events: Iterable[TraceEvent]) -> TraceSummary:
         level_bytes=level_bytes,
         n_events=n_events,
     )
-
-
-def format_timeline(summary: TraceSummary, max_rows: int = 20) -> str:
-    """Human-readable per-step table (the ``repro trace`` CLI output)."""
-    header = (
-        f"{'step':>5} {'hits':>6} {'fetch':>6} {'pref':>6} {'evict':>6} "
-        f"{'byp':>5} {'dem MB':>9} {'pref MB':>9} {'cover':>6}"
-    )
-    lines = [header, "-" * len(header)]
-    rows = summary.steps
-    shown = rows if len(rows) <= max_rows else rows[:max_rows]
-    for s in shown:
-        label = "pre" if s.step < 0 else str(s.step)
-        lines.append(
-            f"{label:>5} {s.hits:>6} {s.demand_fetches:>6} {s.prefetches:>6} "
-            f"{s.evictions:>6} {s.bypasses:>5} {s.demand_bytes / 1e6:>9.2f} "
-            f"{s.prefetch_bytes / 1e6:>9.2f} {s.fast_coverage:>6.2f}"
-        )
-    if len(rows) > len(shown):
-        lines.append(f"... ({len(rows) - len(shown)} more steps)")
-    lines.append(
-        f"totals: {summary.demand_bytes / 1e6:.2f} MB demand + "
-        f"{summary.prefetch_bytes / 1e6:.2f} MB prefetch = "
-        f"{summary.total_bytes / 1e6:.2f} MB moved, "
-        f"{summary.total_evictions} evictions, "
-        f"mean fast coverage {summary.mean_fast_coverage:.2f}"
-    )
-    if summary.total_xfers:
-        lines.append(
-            f"network: {summary.total_xfers} peer transfers, "
-            f"{summary.peer_bytes / 1e6:.2f} MB over links, "
-            f"{summary.peer_time_s * 1e3:.3f} ms link time"
-        )
-    if summary.total_faults or summary.total_retries or summary.total_degraded:
-        lines.append(
-            f"faults: {summary.total_faults} failed reads, "
-            f"{summary.total_retries} retries, "
-            f"{summary.total_degraded} degraded reads, "
-            f"{summary.fault_time_s * 1e3:.3f} ms lost"
-        )
-    return "\n".join(lines)

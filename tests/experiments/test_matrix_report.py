@@ -6,7 +6,10 @@ import pytest
 
 from repro.experiments.gating import load_snapshot
 from repro.experiments.matrix import load_spec, run_matrix
-from repro.experiments.matrix_report import render_matrix_report, write_matrix_report
+from repro.obs.report import (
+    render_report as render_matrix_report,
+    write_report as write_matrix_report,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -99,9 +102,15 @@ class TestFaultAndTenantSections:
 
 
 class TestWriteReport:
-    def test_write_resolves_snapshots_next_to_output(self, smoke_doc, tmp_path):
-        out = write_matrix_report(smoke_doc, tmp_path / "r.html")
-        text = out.read_text()
-        assert "not found" in text  # snapshots are not next to tmp output
-        out2 = write_matrix_report(smoke_doc, tmp_path / "r2.html", base_dir=REPO_ROOT)
-        assert "not found" not in out2.read_text()
+    def test_write_resolves_snapshots_against_cwd(self, smoke_doc, tmp_path, monkeypatch):
+        # Relative [report] bench_snapshots names resolve against the
+        # current directory, never against the output file's directory.
+        monkeypatch.chdir(tmp_path)
+        text = write_matrix_report(smoke_doc, tmp_path / "r.html").read_text()
+        assert "not found" in text
+        monkeypatch.chdir(REPO_ROOT)
+        text = write_matrix_report(smoke_doc, tmp_path / "r2.html").read_text()
+        assert "not found" not in text
+        trends = text.split("Committed snapshot trends")[1]
+        assert "<h3>MATRIX_bench-quick.json</h3>" in trends
+        assert "<h3>MATRIX_serve-baseline.json</h3>" in trends

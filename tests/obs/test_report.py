@@ -1,6 +1,22 @@
 """HTML report rendering for ``repro analyze``."""
 
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.experiments.gating import load_snapshot
 from repro.obs.report import attribution_sections, render_report, write_report
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+COMMITTED = (
+    "MATRIX_bench-quick.json",
+    "MATRIX_cluster-smoke.json",
+    "MATRIX_fullscale.json",
+    "MATRIX_fullscale-smoke.json",
+    "MATRIX_serve-baseline.json",
+    "MATRIX_smoke.json",
+)
 
 
 def _attr_doc(**over):
@@ -163,3 +179,15 @@ class TestRenderReport:
     def test_write(self, tmp_path):
         path = write_report(_attr_doc(), tmp_path / "r.html")
         assert path.read_text(encoding="utf-8") == render_report(_attr_doc())
+
+
+@pytest.mark.parametrize("name", COMMITTED)
+def test_every_committed_document_renders(name, tmp_path):
+    doc = load_snapshot(REPO_ROOT / name)
+    html = render_report(doc, base_dir=REPO_ROOT)
+    for key in doc["cells"]:
+        assert f"<tr><td>{key}</td>" in html, key  # its cell-table row
+    assert "<script" not in html.lower()
+    assert "http://" not in html and "https://" not in html
+    assert render_report(doc, base_dir=REPO_ROOT) == html
+    assert main(["analyze", str(REPO_ROOT / name), "--out", str(tmp_path / "r.html")]) == 0

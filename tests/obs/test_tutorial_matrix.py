@@ -53,7 +53,7 @@ class TestTutorialMatrixWalkthrough:
                      "--report", "matrix_report.html"]) == 0
         assert main(["matrix", "compare", "MATRIX_smoke.json",
                      "MATRIX_smoke.json"]) == 0
-        assert main(["matrix", "report", "MATRIX_smoke.json",
+        assert main(["analyze", "MATRIX_smoke.json",
                      "--out", "matrix_report.html"]) == 0
         html = (tmp_path / "matrix_report.html").read_text()
         assert "<script" not in html.lower()

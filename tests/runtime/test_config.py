@@ -52,6 +52,17 @@ class TestValidation:
         cfg = RunConfig(faults="chaos", fault_seed=3)
         assert cfg.fault_seed == 3
 
+    @pytest.mark.parametrize("faults", ["degraded-ssd", "lossy", "chaos"])
+    def test_ssd_profile_rejected_when_sharded(self, faults):
+        # Sharded node devices are n{k}.ssd: an "ssd" entry would never fire.
+        with pytest.raises(ValueError, match="node-chaos"):
+            RunConfig(shards=4, faults=faults)
+        assert RunConfig(shards=1, faults=faults).faults == faults
+
+    def test_hdd_only_profile_valid_when_sharded(self):
+        # The shared cold store keeps the one "hdd" identity at any K.
+        assert RunConfig(shards=4, faults="flaky-hdd").shards == 4
+
     def test_schema_covers_every_field(self):
         field_names = {f.name for f in dataclasses.fields(RunConfig)}
         assert field_names == set(RUN_CONFIG_SCHEMA)

@@ -103,6 +103,15 @@ class TestReplay:
         with pytest.raises(SystemExit):
             main(["replay", "--faults", "gremlins"])
 
+    def test_single_box_ssd_profile_on_shards_exits_two(self, capsys):
+        rc = main([
+            "replay", "--blocks", "64", "--scale", "0.04", "--steps", "4",
+            "--shards", "4", "--faults", "degraded-ssd",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "node-chaos" in err
+
 
 class TestTrace:
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):
@@ -555,6 +564,11 @@ class TestMatrix:
         html = report.read_text()
         assert "<script" not in html.lower()
         assert "http://" not in html and "https://" not in html
+        # `analyze` of the written document writes the same page.
+        again = tmp_path / "analyze.html"
+        assert main(["analyze", str(tmp_path / "MATRIX_smoke.json"), "--out", str(again),
+                     "--title", "matrix smoke report"]) == 0
+        assert again.read_text() == html
 
     def test_compare_fresh_against_committed(self, tmp_path, capsys):
         assert main(["matrix", "run", "smoke", "--out", str(tmp_path)]) == 0
@@ -566,11 +580,15 @@ class TestMatrix:
         assert "0 regression(s)" in capsys.readouterr().out
 
     def test_report_subcommand(self, tmp_path, capsys):
+        # `matrix report` is gone; `analyze` renders a matrix document.
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "report", "MATRIX_smoke.json"])
+        assert exc.value.code == 2
         out_html = tmp_path / "m.html"
-        rc = main(["matrix", "report", "MATRIX_smoke.json", "--out", str(out_html)])
-        assert rc == 0
-        assert out_html.is_file()
-        assert "4 cells" in capsys.readouterr().out
+        assert main(["analyze", "MATRIX_smoke.json", "--out", str(out_html)]) == 0
+        html = out_html.read_text()
+        for key in ("orbit/lru", "orbit/app-aware", "zoom/lru", "zoom/app-aware"):
+            assert f"<tr><td>{key}</td>" in html
 
     def test_unknown_spec_lists_bundled(self, capsys):
         rc = main(["matrix", "run", "no-such-spec"])

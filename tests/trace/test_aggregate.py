@@ -1,6 +1,13 @@
 """Tests for per-step timeline aggregation."""
 
-from repro.trace import Tracer, aggregate, format_timeline
+from repro.camera.path import random_path
+from repro.cluster import cluster_fault_plan, make_sharded_hierarchy
+from repro.core.pipeline import PipelineContext
+from repro.experiments.report import format_trace_report
+from repro.faults import FaultInjector
+from repro.runtime import run_baseline
+from repro.trace import Tracer, aggregate
+from repro.volume.blocks import BlockGrid
 
 
 def _trace():
@@ -57,7 +64,26 @@ class TestAggregate:
         assert s.steps == [] and s.total_bytes == 0
         assert s.mean_fast_coverage == 1.0
 
-    def test_format_timeline_mentions_totals(self):
-        text = format_timeline(aggregate(_trace()))
-        assert "totals:" in text
-        assert "pre" in text  # the preload row label
+    def test_trace_report_shows_network_and_faults(self):
+        # A 4-node node-chaos replay: the `repro trace` text report must
+        # carry its peer transfers and its failed reads, not only totals.
+        grid = BlockGrid((32, 32, 32), (8, 8, 8))
+        path = random_path(
+            n_positions=10, degree_change=(5.0, 10.0), distance=2.5,
+            view_angle_deg=10.0, seed=11,
+        )
+        h = make_sharded_hierarchy(grid, 4, cache_ratio=0.5)
+        h.set_fault_injector(FaultInjector(cluster_fault_plan("node-chaos", 4, seed=7)))
+        tracer = Tracer()
+        run_baseline(PipelineContext.create(path, grid), h, tracer=tracer)
+        s = aggregate(tracer.events())
+        assert s.total_xfers > 0 and s.total_faults > 0
+        text = format_trace_report(s, title="sharded")
+        assert "trace total:" in text
+        assert f"network: {s.total_xfers} peer transfers" in text
+        assert f"faults: {s.total_faults} failed reads, {s.total_retries} retries" in text
+
+    def test_trace_report_single_box_has_no_network_line(self):
+        text = format_trace_report(aggregate(_trace()))
+        assert "preload" in text  # the preload row label
+        assert "network:" not in text and "faults:" not in text
