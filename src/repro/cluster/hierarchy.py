@@ -20,13 +20,21 @@ one owner.  A fetch from the ``home`` node resolves as:
 At K=1 every call delegates wholesale to the single node, which the
 shard-equivalence suite pins bit-for-bit against ``run_baseline``.
 
+A K>1 ``fetch_many`` routes the frame per owner down the level cascade
+(:meth:`ShardedHierarchy._route`): the home node's ``fetch_many`` serves
+its own ids, one ghost-cache ``access_many`` passes over the rest, the
+link fault draws are arrays, and each owner's ``fetch_many`` serves the
+ids that cross its link — a few array calls per frame, result- and
+trace-identical to the per-block ``fetch`` loop.  That loop stays the
+reference, and the path for node-device faults, forensics, repeated ids
+and non-uniform block sizes.
+
 Accounting invariants (pinned by ``tests/cluster``):
 
 * every per-block charge is ``node_time + link_time`` accumulated as a
-  flat left fold, so ``fetch_many`` stays result-identical to a
-  per-block ``fetch`` loop for any K, and attribution invariant A
-  extends to the new
-  ``peer_transfer:{link}`` component;
+  flat left fold in id order, so ``fetch_many`` stays result-identical
+  to a per-block ``fetch`` loop for any K, and attribution invariant A
+  extends to the new ``peer_transfer:{link}`` component;
 * ``bytes_moved`` decomposes exactly into local + ghost + peer +
   cold-fallback bytes, and the peer share equals the per-link byte
   ledger of the :class:`~repro.cluster.network.NetworkFabric`.
@@ -46,12 +54,16 @@ from repro.cluster.network import (
 from repro.cluster.shardmap import ShardMap
 from repro.obs.metrics import NULL_REGISTRY
 from repro.policies import make_policy
-from repro.storage.cache import CacheLevel
+from repro.storage.cache import CacheLevel, EventSink
 from repro.storage.device import DRAM, HDD, SSD, StorageDevice
 from repro.storage.hierarchy import (
+    EVENT_STRIDE,
     BatchFetchResult,
     FetchResult,
+    FrameSink,
     MemoryHierarchy,
+    _fold,
+    _unique,
     install_tenant_quotas,
     make_standard_hierarchy,
 )
@@ -60,6 +72,13 @@ from repro.trace.tracer import NULL_TRACER
 from repro.volume.blocks import BlockGrid
 
 __all__ = ["ShardedHierarchy", "make_sharded_hierarchy"]
+
+# Event slots of a peer-served id above its node's (see EVENT_STRIDE): the
+# per-block fetch records the node's events, then ``degraded``, ``xfer``
+# and the ghost cache's admission events.
+_DEGRADED_SLOT = EVENT_STRIDE - 3
+_XFER_SLOT = EVENT_STRIDE - 2
+_GHOST_SLOT = EVENT_STRIDE - 1
 
 
 class _SummedStats:
@@ -251,7 +270,9 @@ class ShardedHierarchy:
     def aggregate_trace(self) -> bool:
         if self._solo is not None:
             return self._solo.aggregate_trace
-        return False  # sharded fetches run per block: always per-event
+        # K>1 traces per event: the frame's events interleave the nodes,
+        # the links and the ghost cache per block (aggregation is single-box).
+        return False
 
     @aggregate_trace.setter
     def aggregate_trace(self, value: bool) -> None:
@@ -291,15 +312,16 @@ class ShardedHierarchy:
             return True
         return self.ghost is not None and key in self.ghost
 
-    def _record_fetch(self, source: str, prefetch: bool, nbytes: int, time_s: float) -> None:
+    def _record_fetch(
+        self, source: str, prefetch: bool, nbytes: int, time_s: float, n: int = 1
+    ) -> None:
+        """Fetch metrics of ``n`` reads of ``nbytes`` from ``source``, each
+        charged ``time_s``."""
         demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = self._fetch_metrics[source]
-        if prefetch:
-            prefetch_h.observe(time_s)
-            prefetch_c.inc()
-        else:
-            demand_h.observe(time_s)
-            demand_c.inc()
-        bytes_c.inc(nbytes)
+        hist, count = (prefetch_h, prefetch_c) if prefetch else (demand_h, demand_c)
+        hist.observe_many(time_s, n)
+        count.inc(n)
+        bytes_c.inc(nbytes * n)
 
     # -- tenant partitioning ---------------------------------------------------
 
@@ -475,6 +497,9 @@ class ShardedHierarchy:
         n = arr.size
         if n == 0:
             return BatchFetchResult(0, 0, 0.0)
+        if self._cascades(arr):
+            times, fast = self._route(arr, step, prefetch, min_free_step, tenant)
+            return BatchFetchResult(n, int(np.count_nonzero(fast)), _fold(times))
         times = np.empty(n, dtype=np.float64)
         n_hits = 0
         dropped: List[int] = []
@@ -487,8 +512,198 @@ class ShardedHierarchy:
                 n_hits += 1
             if r.dropped:
                 dropped.append(r.key)
-        total = float(np.add.accumulate(times)[-1]) if n > 1 else float(times[0])
-        return BatchFetchResult(n, n_hits, total, len(dropped), tuple(dropped))
+        return BatchFetchResult(n, n_hits, _fold(times), len(dropped), tuple(dropped))
+
+    def _cascades(self, ids: np.ndarray) -> bool:
+        """Can ``ids`` take the per-owner cascade?  Every node must cascade
+        (no device fault can touch it: a node drop would couple it to the
+        ghost cache), with no forensics, uniform block sizes and unique
+        ids.  Link faults do not count: their draws are arrays."""
+        return (
+            self.forensics is None
+            and self._uniform_nbytes is not None
+            and all(node.batchable for node in self.nodes)
+            and _unique(ids)
+        )
+
+    def _route(
+        self,
+        arr: np.ndarray,
+        step: int,
+        prefetch: bool,
+        min_free_step: Optional[int],
+        tenant: Optional[str],
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Serve unique ``arr`` per owner; returns per-id charged times and
+        fastest-hit flags, exactly as the per-block :meth:`fetch` loop.
+
+        The home node's ``fetch_many`` serves its own ids, in order; the
+        rest take one ghost pass (:meth:`_route_remote`).  Every source
+        writes its ids' times at their frame positions in one
+        :class:`~repro.storage.hierarchy.FrameSink` and tags its events
+        with them, so the frame's events are written once, in the
+        per-block order.
+        """
+        nb = self._uniform_nbytes
+        frame = FrameSink(arr.size, self.tracer.enabled)
+        owners = self.shard_map.owner[arr]
+        local = owners == self.home
+        lpos = np.flatnonzero(local)
+        if lpos.size:
+            frame.at = lpos
+            self.nodes[self.home].fetch_many(
+                arr[lpos], step, prefetch, min_free_step, tenant, _frame=frame
+            )
+            self._book_serves("local", self.home, lpos.size, nb)
+        rpos = np.flatnonzero(~local)
+        if rpos.size:
+            self._route_remote(arr[rpos], owners[rpos], rpos, step, prefetch, min_free_step,
+                               tenant, frame)
+        if frame.events is not None:
+            frame.events.write(self.tracer, step)
+        return frame.times, frame.fast
+
+    def _route_remote(
+        self,
+        keys: np.ndarray,
+        owners: np.ndarray,
+        rpos: np.ndarray,
+        step: int,
+        prefetch: bool,
+        min_free_step: Optional[int],
+        tenant: Optional[str],
+        frame: FrameSink,
+    ) -> None:
+        """The non-local ids ``keys`` (frame positions ``rpos``).
+
+        Link draws are pure, so they are looked up for every id first.
+        One ghost ``access_many`` then runs over the ids in order: a hit is
+        touched and served; a miss is admitted only when its link draw
+        succeeds, as the per-block fetch admits only what crossed a link —
+        also an id an earlier admission in this frame evicted.  The
+        injector records only the draws of ghost misses.  Per owner, in id
+        order: failed draws fall back to the cold store, the rest go to
+        the owner's ``fetch_many`` and cross the link, whose seconds fold
+        per link in id order.
+        """
+        nb = self._uniform_nbytes
+        scale = self.prefetch_latency_factor if prefetch else 1.0
+        events = frame.events
+        inj = self.fault_injector
+        faulted = inj is not None and not inj.is_null
+        peers = np.flatnonzero(np.bincount(owners)).tolist()
+        links = [self.fabric.link(self.home, o) for o in peers]
+        fails = None
+        if faulted:
+            fails = np.zeros(keys.size, dtype=bool)
+            for o, link in zip(peers, links):
+                mine = owners == o
+                fails[mine] = inj.plan.fails_many(link.name, keys[mine], step, 0)
+        served = np.ones(keys.size, dtype=bool)  # not a ghost hit
+        ghost = self.ghost
+        if ghost is not None:
+            sink = None if events is None else EventSink()
+            ghit = ghost.access_many(
+                keys, step, min_free_step, not prefetch, None, None, tenant, sink,
+                None if fails is None else ~fails,
+            )
+            if sink is not None:
+                events.add_sink(sink, rpos, _GHOST_SLOT, ghost.name)
+            g = np.flatnonzero(ghit)
+            if g.size:
+                self._serve_ghost(keys[g], rpos[g], prefetch, scale, frame)
+                served = ~ghit
+        # A ghost miss's failed draw falls back to the cold store; the rest
+        # cross their link.
+        to_cold = None if fails is None else served & fails
+        to_peer = served if fails is None else served & ~fails
+        for o, link in zip(peers, links):
+            own = owners == o
+            if to_cold is not None:
+                cold = np.flatnonzero(own & to_cold)
+                if cold.size:
+                    inj.record_errors(link.name, cold.size)
+                    self._serve_cold(keys[cold], rpos[cold], o, link, prefetch, scale, frame)
+            peer = np.flatnonzero(own & to_peer)
+            if not peer.size:
+                continue
+            pkeys, at = keys[peer], rpos[peer]
+            frame.at = at
+            self.nodes[o].fetch_many(pkeys, step, prefetch, min_free_step, tenant, _frame=frame)
+            base_t = link.transfer_time(nb, scale)
+            if faulted:
+                net = base_t * inj.slowdown(link.name, step) + inj.spike_s_many(
+                    link.name, pkeys, step, 0
+                )
+                worse = np.flatnonzero(net > base_t)
+                if worse.size:
+                    # Informational, outside the time ledger (see fetch).
+                    inj.record_degraded(link.name, worse.size)
+                    if events is not None:
+                        events.add(at[worse] * EVENT_STRIDE + _DEGRADED_SLOT, "degraded",
+                                   link.name, pkeys[worse], 0, net[worse] - base_t)
+            else:
+                net = np.full(peer.size, base_t)
+            self.fabric.charge_many(self.home, o, nb, net)
+            self._book_serves("peer", o, peer.size, nb)
+            if self.registry.enabled:
+                bytes_c, xfers_c, seconds_g, _ = self._link_metrics[link.name]
+                bytes_c.inc(nb * peer.size)
+                xfers_c.inc(peer.size)
+                seconds_g.set_n(_fold(net, seconds_g.value), peer.size)
+            if events is not None:
+                events.add(at * EVENT_STRIDE + _XFER_SLOT, "xfer", link.name, pkeys, nb, net)
+            frame.times[at] += net  # node time then link time, per block
+
+    def _serve_ghost(self, keys, at, prefetch, scale, frame: FrameSink) -> None:
+        """Ghost hits (already touched by the ghost pass): DRAM-cost serves."""
+        n = keys.size
+        nb = self._uniform_nbytes
+        stats = self.ghost.stats
+        if prefetch:
+            stats.prefetch_hits += n
+        else:
+            stats.hits += n
+        stats.bytes_read += n * nb
+        time_s = DRAM.read_time(nb, scale)
+        if self.registry.enabled:
+            self._record_fetch("ghost", prefetch, nb, time_s, n)
+            self._route_counters["ghost"].inc(n)
+        if frame.events is not None:
+            frame.events.add(at * EVENT_STRIDE, "prefetch" if prefetch else "hit", "ghost",
+                             keys, nb, time_s)
+        self._split["ghost"] += n * nb
+        frame.times[at] = time_s
+        frame.fast[at] = True
+
+    def _serve_cold(self, keys, at, owner, link, prefetch, scale, frame: FrameSink) -> None:
+        """Failed link draws: one probe latency, then the shared cold store."""
+        n = keys.size
+        nb = self._uniform_nbytes
+        probe_t = link.latency_s * scale
+        cold_t = self.backing.read_time(nb, scale)
+        self.fabric.record_fallback(self.home, owner, n)
+        self._fallback_reads += n
+        self._fallback_bytes += n * nb
+        self._split["cold"] += n * nb
+        if self.registry.enabled:
+            self._record_fetch(self.backing.name, prefetch, nb, cold_t, n)
+            self._route_counters["cold_fallback"].inc(n)
+            self._link_metrics[link.name][3].inc(n)
+        if frame.events is not None:
+            order = at * EVENT_STRIDE
+            frame.events.add(order, "fault", link.name, keys, 0, probe_t)
+            frame.events.add(order + 1, "prefetch" if prefetch else "fetch", self.backing.name,
+                             keys, nb, cold_t)
+        frame.times[at] = probe_t + cold_t
+
+    def _book_serves(self, route: str, node: int, n: int, nb: int) -> None:
+        """``n`` blocks of ``nb`` bytes served by ``node`` over ``route``."""
+        self._split[route] += n * nb
+        self._node_serves[node] += n
+        if self.registry.enabled:
+            self._route_counters[route].inc(n)
+            self._node_serve_counters[node].inc(n)
 
     def prefetch_many(
         self,

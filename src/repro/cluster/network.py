@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from repro.utils.validation import check_positive
 
 __all__ = ["NetworkFabric", "NetworkLink", "link_name"]
@@ -105,8 +107,20 @@ class NetworkFabric:
         self._time_s[name] += float(time_s)
         self._transfers[name] += 1
 
-    def record_fallback(self, a: int, b: int) -> None:
-        self._fallbacks[self.link(a, b).name] += 1
+    def charge_many(self, a: int, b: int, nbytes: int, times_s: np.ndarray) -> None:
+        """Record one completed transfer of ``nbytes`` per entry of
+        ``times_s``, in order: the link's seconds fold exactly as that
+        many :meth:`charge` calls add them."""
+        name = self.link(a, b).name
+        n = int(times_s.size)
+        self._bytes[name] += int(nbytes) * n
+        self._time_s[name] = float(
+            np.add.accumulate(np.concatenate(([self._time_s[name]], times_s)))[-1]
+        )
+        self._transfers[name] += n
+
+    def record_fallback(self, a: int, b: int, n: int = 1) -> None:
+        self._fallbacks[self.link(a, b).name] += n
 
     @property
     def total_bytes(self) -> int:

@@ -16,7 +16,7 @@ from repro.camera.path import CameraPath
 from repro.camera.sampling import SamplingConfig
 from repro.core.metrics import RunResult
 from repro.core.pipeline import PipelineContext
-from repro.runtime.config import OptimizerConfig
+from repro.runtime.config import OptimizerConfig, check_fault_devices
 from repro.runtime.context import RunContext
 from repro.runtime.drivers import AppAwareOptimizer, run_baseline
 from repro.policies.belady import BeladyPolicy
@@ -222,8 +222,12 @@ def compare_policies(
     ``shards`` > 1 runs every policy on a K-node
     :class:`~repro.cluster.ShardedHierarchy` (ownership strategy
     ``shard_map``); the Belady run, when requested, stays single-box —
-    the offline oracle has no sharded counterpart.
+    the offline oracle has no sharded counterpart.  A profile that names
+    a single-box device other than ``hdd`` is then rejected, as
+    :class:`~repro.runtime.RunConfig` rejects it (see
+    :func:`~repro.runtime.config.check_fault_devices`).
     """
+    check_fault_devices(faults, shards)
 
     def _ctx() -> RunContext:
         return RunContext.create(faults=faults, fault_seed=fault_seed)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
+
 from repro.faults.plan import FaultPlan
 
 __all__ = ["FaultStats", "FaultInjector"]
@@ -97,6 +99,14 @@ class FaultInjector:
     def slowdown(self, device: str, step: int) -> float:
         return self.plan.slowdown(device, step)
 
+    def spike_s_many(self, device: str, keys: np.ndarray, step: int, attempt: int) -> np.ndarray:
+        """:meth:`spike_s` for every key, as one array."""
+        out = self.plan.spike_s_many(device, keys, step, attempt)
+        n = int(np.count_nonzero(out))
+        if n:
+            self.stats.bump("spikes", device, n)
+        return out
+
     def corrupts(self, device: str, key: int, attempt: int) -> bool:
         if self.plan.corrupts(device, key, attempt):
             self.stats.bump("corruptions", device)
@@ -105,14 +115,19 @@ class FaultInjector:
 
     # -- resilience-action records ---------------------------------------------
 
+    def record_errors(self, device: str, n: int) -> None:
+        """``n`` failed draws a batched caller looked up with the plan's
+        array form (:meth:`FaultPlan.fails_many`) ahead of using them."""
+        self.stats.bump("errors", device, n)
+
     def record_retry(self, device: str) -> None:
         self.stats.bump("retries", device)
 
     def record_timeout(self, device: str) -> None:
         self.stats.bump("timeouts", device)
 
-    def record_degraded(self, device: str) -> None:
-        self.stats.bump("degraded_reads", device)
+    def record_degraded(self, device: str, n: int = 1) -> None:
+        self.stats.bump("degraded_reads", device, n)
 
     def record_breaker_open(self, device: str) -> None:
         self.stats.bump("breaker_opens", device)

@@ -10,7 +10,10 @@ based hash (splitmix64), so
 - ``fetch_many`` and a per-block ``fetch`` loop (which issue the same
   reads in the same order) see identical faults, and
 - concurrent readers (thread-pool fetchers) draw race-free: no shared
-  RNG stream exists to contend on.
+  RNG stream exists to contend on, and
+- a batched caller draws a whole key array at once (:func:`unit_draws`,
+  :meth:`FaultPlan.fails_many`, :meth:`FaultPlan.spike_s_many`), bit-equal
+  to the per-key draws in any grouping.
 
 Named profiles (:data:`FAULT_PROFILES`) give the CLI and the bench suite
 reproducible chaos scenarios; ``FaultPlan.from_profile("none")`` is the
@@ -23,11 +26,14 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 __all__ = [
     "DeviceFaultProfile",
     "FaultPlan",
     "FAULT_PROFILES",
     "unit_draw",
+    "unit_draws",
 ]
 
 _M64 = (1 << 64) - 1
@@ -57,6 +63,26 @@ def unit_draw(seed: int, *parts: int) -> float:
     for p in parts:
         x = _splitmix64(x ^ (int(p) & _M64))
     return _splitmix64(x) / 2.0**64
+
+
+def _splitmix64_many(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array (numpy wraps mod 2**64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def unit_draws(seed: int, device: int, keys: np.ndarray, *parts: int) -> np.ndarray:
+    """``unit_draw(seed, device, key, *parts)`` for every ``key``, as one
+    array: bit-equal to the scalar draws (the same 64-bit words, converted
+    to float with the same round-to-nearest)."""
+    x = _splitmix64((seed & _M64) ^ (int(device) & _M64))
+    words = np.ascontiguousarray(keys, dtype=np.int64).view(np.uint64)
+    z = _splitmix64_many(np.uint64(x) ^ words)
+    for p in parts:
+        z = _splitmix64_many(z ^ np.uint64(int(p) & _M64))
+    return _splitmix64_many(z).astype(np.float64) / 2.0**64
 
 
 def _device_id(name: str) -> int:
@@ -171,6 +197,24 @@ class FaultPlan:
             return 0.0
         u = unit_draw(self.seed, _device_id(device), key, step, attempt, _CH_SPIKE)
         return p.spike_s if u < p.spike_rate else 0.0
+
+    def fails_many(self, device: str, keys: np.ndarray, step: int, attempt: int) -> np.ndarray:
+        """:meth:`fails` for every key of ``keys``, as a boolean array."""
+        p = self._by_device.get(device)
+        if p is None or p.error_rate == 0.0:
+            return np.zeros(len(keys), dtype=bool)
+        u = unit_draws(self.seed, _device_id(device), keys, step, attempt, _CH_ERROR)
+        return u < p.error_rate
+
+    def spike_s_many(
+        self, device: str, keys: np.ndarray, step: int, attempt: int
+    ) -> np.ndarray:
+        """:meth:`spike_s` for every key of ``keys``, as a float array."""
+        p = self._by_device.get(device)
+        if p is None or p.spike_rate == 0.0 or p.spike_s == 0.0:
+            return np.zeros(len(keys), dtype=np.float64)
+        u = unit_draws(self.seed, _device_id(device), keys, step, attempt, _CH_SPIKE)
+        return np.where(u < p.spike_rate, p.spike_s, 0.0)
 
     def slowdown(self, device: str, step: int) -> float:
         """Read-time multiplier at ``step`` (1.0 outside degraded windows)."""

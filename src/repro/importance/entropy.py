@@ -9,6 +9,7 @@ land in few bins (H ≈ 0) while feature regions spread across many
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -68,9 +69,7 @@ def block_entropies(
     data = volume.data(variable)
     lo, hi = float(data.min()), float(data.max())
     if hi > lo:
-        # Quantise every voxel once; guard the hi edge into the last bin.
-        idx = ((data - lo) * (n_bins / (hi - lo))).astype(np.int32)
-        np.clip(idx, 0, n_bins - 1, out=idx)
+        idx = _bin_indices(data, lo, hi, n_bins)
     else:
         idx = np.zeros(volume.shape, dtype=np.int32)
 
@@ -81,3 +80,31 @@ def block_entropies(
         p = counts[counts > 0] / block_idx.size
         out[bid] = -np.sum(p * np.log2(p))
     return out
+
+
+def _bin_indices(data: np.ndarray, lo: float, hi: float, n_bins: int) -> np.ndarray:
+    """Every voxel's bin over ``[lo, hi]`` (``lo < hi``), the hi edge in
+    the last bin.
+
+    ``(data - lo) * (n_bins / (hi - lo))`` in the data's float type, except
+    where that overflows the type: a range wider than its largest value
+    (``data - lo``) or narrower than ``n_bins`` over it (the scale).  The
+    field is then first scaled by a power of two that brings the range to
+    ``[0.5, 1)`` — exact, and rounding commutes with it — so the bins are
+    those the same expression gives the field at a moderate scale.
+    """
+    ftype = np.result_type(data.dtype, 1.0)  # the type ``data - lo`` runs in
+    with np.errstate(over="ignore"):
+        span = ftype.type(hi) - ftype.type(lo)
+    if not (np.isfinite(span) and n_bins / (hi - lo) <= float(np.finfo(ftype).max)):
+        width = hi - lo
+        if math.isinf(width):
+            exponent = math.frexp(hi * 0.5 - lo * 0.5)[1] + 1
+        else:
+            exponent = math.frexp(width)[1]
+        data = np.ldexp(data, -exponent)
+        lo, hi = math.ldexp(lo, -exponent), math.ldexp(hi, -exponent)
+    # Quantise every voxel once; guard the hi edge into the last bin.
+    idx = ((data - lo) * (n_bins / (hi - lo))).astype(np.int32)
+    np.clip(idx, 0, n_bins - 1, out=idx)
+    return idx

@@ -182,10 +182,12 @@ def prometheus_text(
 
 
 def write_prometheus(snapshot, path, namespace: str = "repro", extra_labels=None):
-    """Write :func:`prometheus_text` to ``path``; returns the path."""
+    """Write :func:`prometheus_text` to ``path`` (its directory created if
+    missing); returns the path."""
     from pathlib import Path
 
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         prometheus_text(snapshot, namespace=namespace, extra_labels=extra_labels),
         encoding="utf-8",

@@ -660,7 +660,9 @@ def write_report(
     title: Optional[str] = None,
     base_dir: Optional[Path] = None,
 ) -> Path:
-    """Write :func:`render_report` to ``path``; returns the path."""
+    """Write :func:`render_report` to ``path`` (its directory created if
+    missing); returns the path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(render_report(doc, title=title, base_dir=base_dir), encoding="utf-8")
     return path

@@ -34,6 +34,7 @@ __all__ = [
     "RUN_CONFIG_SCHEMA",
     "CLI_FIELD_MAP",
     "CLI_ONLY_FLAGS",
+    "check_fault_devices",
 ]
 
 #: Workload (camera path) generators the runtime knows how to build — the
@@ -101,15 +102,25 @@ def _check_faults(field: str, value: Any, cfg: "RunConfig") -> None:
         raise ValueError(
             f"{field}={value!r} is a cluster fault profile; it requires shards > 1"
         )
-    if value in FAULT_PROFILES and isinstance(cfg.shards, int) and cfg.shards > 1:
-        # A sharded hierarchy names its node devices n{k}.dram/n{k}.ssd, so
-        # a single-box entry for anything but the shared hdd never fires.
+    check_fault_devices(value, cfg.shards, field)
+
+
+def check_fault_devices(faults: str, shards: Any, field: str = "faults") -> None:
+    """Reject a single-box fault profile whose devices a sharded run lacks.
+
+    A sharded hierarchy (``shards > 1``) names its node devices
+    ``n{k}.dram``/``n{k}.ssd``, so a single-box profile's entry for
+    anything but the shared ``hdd`` would never fire: the run would look
+    fault-free.  Shared by :class:`RunConfig` and
+    :func:`repro.experiments.runner.compare_policies`.
+    """
+    if faults in FAULT_PROFILES and isinstance(shards, int) and shards > 1:
         devices = sorted(
-            {p.device for p in FaultPlan.from_profile(value).profiles} - {"hdd"}
+            {p.device for p in FaultPlan.from_profile(faults).profiles} - {"hdd"}
         )
         if devices:
             raise ValueError(
-                f"{field}={value!r} targets the single-box device(s) {devices}, "
+                f"{field}={faults!r} targets the single-box device(s) {devices}, "
                 f"which do not exist at shards > 1 (nodes name theirs "
                 f"n{{k}}.<device>); use 'node-chaos' for per-node faults"
             )

@@ -16,7 +16,10 @@ that implement ``choose_victim_masked`` consume directly.
 
 A frame reaches a level as one :meth:`CacheLevel.access_many` call (touch
 the resident keys, admit the rest); for victim-queue policies it plans the
-frame's evictions in one pass and writes them as arrays.
+frame's evictions in one pass and writes them as arrays.  Under a
+per-event tracer the frame's ``evict``/``bypass`` events go to an
+:class:`EventSink`, each tagged with the frame position of the access
+that caused it, so the caller can write them in the per-key loop's order.
 """
 
 from __future__ import annotations
@@ -32,9 +35,36 @@ from repro.storage.stats import CacheStats
 from repro.trace.tracer import NULL_TRACER
 from repro.utils.validation import check_positive
 
-__all__ = ["CacheLevel"]
+__all__ = ["CacheLevel", "EventSink"]
 
 _NEVER_USED = -1  # last_used for preloaded blocks (Alg. 1 line 5: time <- -1)
+
+
+class EventSink:
+    """The ``evict``/``bypass`` events of one :meth:`CacheLevel.access_many`
+    call, each tagged with the frame position of the access that caused it
+    (``at`` while :meth:`CacheLevel.admit` runs).  Columns, not events:
+    the caller merges them with its own and writes them in one
+    ``record_many``."""
+
+    __slots__ = ("at", "pos", "kinds", "keys")
+
+    def __init__(self) -> None:
+        self.at = -1
+        self.pos: list = []
+        self.kinds: list = []
+        self.keys: list = []
+
+    def add(self, kind: str, key: int) -> None:
+        self.pos.append(self.at)
+        self.kinds.append(kind)
+        self.keys.append(key)
+
+    def extend(self, pos: list, kind: str, keys: list) -> None:
+        """One ``kind`` event per ``(pos, key)`` pair."""
+        self.pos.extend(pos)
+        self.kinds.extend([kind] * len(pos))
+        self.keys.extend(keys)
 
 
 class CacheLevel:
@@ -243,6 +273,7 @@ class CacheLevel:
         min_free_step: Optional[int] = None,
         agg: Optional[dict] = None,
         tenant: Optional[str] = None,
+        sink: Optional[EventSink] = None,
     ) -> bool:
         """Make ``key`` resident, evicting if full; returns False on bypass.
 
@@ -254,7 +285,8 @@ class CacheLevel:
 
         ``agg`` is the batched calls' trace-aggregation accumulator:
         when given, evict/bypass events are counted into it per
-        (kind, level) instead of recorded individually.
+        (kind, level) instead of recorded individually; ``sink`` collects
+        them per event instead (see :class:`EventSink`).
 
         ``tenant`` labels the admission for quota accounting when
         :meth:`set_tenant_quotas` is active: the block is owned by the
@@ -303,10 +335,14 @@ class CacheLevel:
                 if agg is not None:
                     acc = agg.setdefault(("bypass", self.name), [0, 0, 0.0])
                     acc[0] += 1
+                elif sink is not None:
+                    sink.add("bypass", key)
                 elif self.tracer.enabled:
                     self.tracer.record("bypass", step, self.name, key)
                 return False
-            self.evict(victim, step=step, agg=agg, by=None if tid < 0 else tid, rank=vrank)
+            self.evict(
+                victim, step=step, agg=agg, by=None if tid < 0 else tid, rank=vrank, sink=sink
+            )
         self._resident[key] = True
         self._last_used[key] = step
         self._n_resident += 1
@@ -405,41 +441,58 @@ class CacheLevel:
         agg: Optional[dict] = None,
         limit: Optional[int] = None,
         tenant: Optional[str] = None,
+        sink: Optional[EventSink] = None,
+        admits: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One frame's accesses: touch the resident ``keys``, admit the rest.
 
         Exactly ``for k in keys: touch(k) if k in self else admit(k)`` over
         *unique* ``keys`` in array order — same residency, ``last_used``,
-        stats, policy order, victim queue and registry/``agg`` counts.
+        stats, policy order, victim queue, registry/``agg`` counts and
+        ``sink`` events (tagged with positions in ``keys``).
         ``touch=False`` leaves hits alone (a prefetch); ``limit`` stops
-        right after that many admissions (inserts or bypasses).  Returns
-        the hit mask of the processed keys ``keys[:len(hit)]``: a key an
-        earlier admission evicted is a miss.
+        right after that many admissions (inserts or bypasses).  ``admits``
+        (a mask over ``keys``) admits only the misses it marks: the others
+        are passed over, as a caller that serves them elsewhere does.
+        Returns the hit mask of the processed keys ``keys[:len(hit)]``: a
+        key an earlier admission evicted is a miss.
 
         Victim-queue policies (``supports_victim_order``) on a level with
-        no tenant quotas, forensics or per-event tracer plan the frame's
-        evictions in one pass (:meth:`_access_planned`); everything else
-        runs the scalar calls live (:meth:`_access_live`).
+        no tenant quotas or forensics, and whose events are aggregated,
+        collected in a ``sink`` or not traced, plan the frame's evictions
+        in one pass (:meth:`_access_planned`); everything else runs the
+        scalar calls live (:meth:`_access_live`).
         """
         if keys.size == 0 or (limit is not None and limit <= 0):
             return np.zeros(0, dtype=bool)
         self.ensure_ids(int(keys.max()))
+        hit = self._resident[keys]
+        if hit.all():  # nothing to admit: the frame is its touches
+            if touch:
+                self.touch_many(keys, step)
+            return hit
         if (
             self.policy.supports_victim_order
             and (min_free_step is None or min_free_step <= step)
             and self._owner is None
             and self.forensics is None
-            and (agg is not None or not self.tracer.enabled)
+            and (agg is not None or sink is not None or not self.tracer.enabled)
         ):
-            return self._access_planned(keys, step, min_free_step, touch, agg, limit)
-        return self._access_live(keys, step, min_free_step, touch, agg, limit, tenant)
+            return self._access_planned(
+                keys, hit, step, min_free_step, touch, agg, limit, sink, admits
+            )
+        return self._access_live(
+            keys, hit, step, min_free_step, touch, agg, limit, tenant, sink, admits
+        )
 
-    def _access_live(self, keys, step, min_free_step, touch, agg, limit, tenant) -> np.ndarray:
+    def _access_live(
+        self, keys, hit, step, min_free_step, touch, agg, limit, tenant, sink, admits
+    ) -> np.ndarray:
         """:meth:`access_many` as scalar calls: ``touch_many`` per run of
-        hits, one :meth:`admit` per miss, residency re-read after each."""
+        hits, one :meth:`admit` per admitted miss, residency re-read after
+        each (``hit`` is the residency of ``keys`` at the frame's start)."""
         m = keys.size
         resident = self._resident
-        hit = resident[keys]
         initial_misses = iter(np.flatnonzero(~hit).tolist() + [m])
         miss = next(initial_misses)
         pos = n_admits = 0
@@ -456,14 +509,21 @@ class CacheLevel:
                 hit[pos] = False  # evicted by an admission earlier in this frame
             else:
                 miss = next(initial_misses)
-            self.admit(int(keys[pos]), step, min_free_step, agg, tenant)
+            if admits is not None and not admits[pos]:
+                pos += 1
+                continue
+            if sink is not None:
+                sink.at = pos
+            self.admit(int(keys[pos]), step, min_free_step, agg, tenant, sink)
             pos += 1
             n_admits += 1
             if n_admits == limit:
                 return hit[:pos]
         return hit
 
-    def _access_planned(self, keys, step, min_free_step, touch, agg, limit) -> np.ndarray:
+    def _access_planned(
+        self, keys, hit, step, min_free_step, touch, agg, limit, sink, admits
+    ) -> np.ndarray:
         """:meth:`access_many` for victim-queue policies: plan, then write.
 
         Misses take the free slots first, then victim-queue entries exactly
@@ -475,23 +535,27 @@ class CacheLevel:
         An unconstrained queue that needs a (re)build — it ran dry, or
         holds another epoch — is built from live state, so the frame up
         to that miss is written first.  Each written segment applies its
-        evictions, inserts, ``last_used`` and policy order as array writes.
+        evictions, inserts, ``last_used`` and policy order as array writes;
+        each eviction or bypass goes to ``sink`` at the position of the
+        miss that caused it.  ``hit`` is the residency of ``keys`` at the
+        frame's start.
         """
         policy = self.policy
         m = keys.size
         f = min_free_step
         epoch = ("*", None, None) if f is None else (step, f, None)
         skip_touched = touch and (f is not None or policy.hits_reorder_victims)
-        hit = np.empty(m, dtype=bool)
         where = None  # frame position of each block id, built at the first pop
         n_admits = start = 0
         while True:
-            hit[start:] = self._resident[keys[start:]]
+            if start:  # a later segment starts from the state written so far
+                hit[start:] = self._resident[keys[start:]]
             misses = (np.flatnonzero(~hit[start:]) + start).tolist()
             free = self.capacity - self._n_resident
             inserted: list = []
             victims: list = []
-            n_bypass = 0
+            evicted_at: list = []  # the miss whose admission popped each victim
+            bypassed: list = []
             entries = None
             end = m
             i = 0
@@ -499,6 +563,8 @@ class CacheLevel:
                 p = misses[i]
                 i += 1
                 hit[p] = False
+                if admits is not None and not admits[p]:
+                    continue
                 if free:
                     free -= 1
                     inserted.append(p)
@@ -531,10 +597,11 @@ class CacheLevel:
                             if len(self._vq):
                                 end = p
                                 break
-                        n_bypass += 1  # nothing evictable
+                        bypassed.append(p)  # nothing evictable
                     else:
                         self._vq_pos = qpos
                         victims.append(victim)
+                        evicted_at.append(p)
                         inserted.append(p)
                         if at > p:
                             bisect.insort(misses, at, lo=i)  # evicted before its access
@@ -543,8 +610,12 @@ class CacheLevel:
                     end = p + 1
                     break
             self._write_segment(
-                keys, start, end, hit, inserted, victims, n_bypass, step, touch, agg
+                keys, start, end, hit, inserted, victims, len(bypassed), step, touch, agg
             )
+            if sink is not None:
+                sink.extend(evicted_at, "evict", victims)
+                if bypassed:
+                    sink.extend(bypassed, "bypass", keys[bypassed].tolist())
             if end == m or n_admits == limit:
                 return hit[:end]
             start = end
@@ -657,16 +728,18 @@ class CacheLevel:
         agg: Optional[dict] = None,
         by: Optional[int] = None,
         rank: int = -1,
+        sink: Optional[EventSink] = None,
     ) -> None:
         """Remove a resident ``key`` (policy notified).
 
         ``step`` is only used for tracing: the replay step whose admission
         forced this eviction (``None`` for evictions outside a replay).
-        ``agg`` aggregates the evict event instead of recording it
-        (see :meth:`admit`).  ``by`` is the tenant index whose admission
-        forced the eviction; evicting a block owned by a *different*
-        tenant counts as a cross-tenant eviction (always zero under quota
-        partitioning — the admission path never selects such victims).
+        ``agg`` aggregates the evict event instead of recording it, and
+        ``sink`` collects it (see :meth:`admit`).  ``by`` is the tenant
+        index whose admission forced the eviction; evicting a block owned
+        by a *different* tenant counts as a cross-tenant eviction (always
+        zero under quota partitioning — the admission path never selects
+        such victims).
         ``rank`` is the victim's absolute position in the amortised victim
         queue when the admission path selected it from one (−1 for
         masked/predicate selection and direct evicts); it flows into the
@@ -706,6 +779,8 @@ class CacheLevel:
         if agg is not None:
             acc = agg.setdefault(("evict", self.name), [0, 0, 0.0])
             acc[0] += 1
+        elif sink is not None:
+            sink.add("evict", key)
         elif self.tracer.enabled:
             self.tracer.record("evict", -1 if step is None else step, self.name, key)
 

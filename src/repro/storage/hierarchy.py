@@ -6,28 +6,34 @@ on a hit at level *j* the block is copied into every faster level (the
 paper's HDD → SSD → DRAM movement, §V-A), charged at level *j*'s device
 read cost — the slowest medium on the critical path.  The batched calls
 run that path level by level: each level accesses, in one call, the ids
-the level above missed.
+the level above missed.  Their per-event trace events are tagged with the
+position of the id that caused them and written in columns, in the order
+the per-key loop records them (:class:`TaggedEvents`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.policies.registry import make_policy
-from repro.storage.cache import CacheLevel
+from repro.storage.cache import CacheLevel, EventSink
 from repro.storage.device import DRAM, HDD, SSD, StorageDevice
 from repro.storage.stats import HierarchyStats
 from repro.trace.tracer import NULL_TRACER
 
 __all__ = [
     "DROPPED",
+    "EVENT_STRIDE",
     "FetchResult",
     "BatchFetchResult",
+    "FrameSink",
     "MemoryHierarchy",
+    "TaggedEvents",
     "install_tenant_quotas",
     "make_standard_hierarchy",
 ]
@@ -71,6 +77,85 @@ class BatchFetchResult:
     time_s: float
     n_dropped: int = 0
     dropped_ids: "tuple[int, ...]" = ()
+
+
+#: A batched call's trace event sorts at ``position * EVENT_STRIDE + slot``,
+#: where ``position`` is its id's place in the frame: slot 0 is the id's
+#: hit/fetch/prefetch event, slot ``1 + j`` level ``j``'s evictions or
+#: bypass.  A caller that adds events of its own per id (the sharded layer)
+#: takes the slots above the levels'.
+EVENT_STRIDE = 64
+
+_DEMAND_KINDS = np.array(["hit", "fetch"], dtype=object)  # by "served below the fastest"
+
+
+class TaggedEvents:
+    """Trace-event columns of one batched call, each row tagged with its
+    sort key (see :data:`EVENT_STRIDE`).
+
+    :meth:`write` sorts the rows stably by key — rows with one key keep the
+    order they were added in — and records them with one
+    :meth:`~repro.trace.tracer.Tracer.record_many`: the per-key loop's
+    events, ``seq`` numbers and span stamps.  Columns rather than rows:
+    no object per event lives until the write.
+    """
+
+    __slots__ = ("order", "columns")
+
+    def __init__(self) -> None:
+        self.order: List[np.ndarray] = []
+        self.columns: "tuple[list, ...]" = ([], [], [], [], [])  # kind, level, key, nbytes, time
+
+    def add(self, order: np.ndarray, kind, level, keys, nbytes=0, times=0.0) -> None:
+        """Rows sorting at ``order``; ``kind``/``level``/``nbytes``/``times``
+        are one value for every row or one per row."""
+        n = len(order)
+        if n:
+            self.order.append(order)
+            for column, value in zip(self.columns, (kind, level, keys, nbytes, times)):
+                if isinstance(value, np.ndarray):
+                    column += value.tolist()
+                elif isinstance(value, list):
+                    column += value
+                else:
+                    column += [value] * n
+
+    def add_sink(self, sink: EventSink, at: np.ndarray, slot: int, level: str) -> None:
+        """One level's evictions and bypasses; ``at`` maps the positions
+        the level saw to frame positions."""
+        if sink.pos:
+            order = at[np.asarray(sink.pos, dtype=np.int64)] * EVENT_STRIDE + slot
+            self.add(order, sink.kinds, level, sink.keys)
+
+    def write(self, tracer, step: int) -> None:
+        """Record every row, in key order, with one ``record_many``."""
+        if not self.order:
+            return
+        columns = self.columns
+        order = np.concatenate(self.order) if len(self.order) > 1 else self.order[0]
+        if order.size > 1 and not (order[1:] >= order[:-1]).all():
+            take = itemgetter(*np.argsort(order, kind="stable").tolist())
+            columns = [take(column) for column in columns]
+        kinds, levels, keys, nbytes, times = columns
+        tracer.record_many(kinds, step, levels, keys, nbytes, times)
+
+
+class FrameSink:
+    """A frame served by several cascades, one per owner node.
+
+    Each cascade writes its ids' charged times and fastest-hit flags at
+    their frame positions ``at`` (set by the caller before each call) and
+    adds its events, tagged with those positions, to ``events`` (None when
+    untraced); the caller folds ``times`` once and writes ``events`` once.
+    """
+
+    __slots__ = ("at", "times", "fast", "events")
+
+    def __init__(self, n: int, traced: bool) -> None:
+        self.at = np.arange(n)
+        self.times = np.empty(n, dtype=np.float64)
+        self.fast = np.zeros(n, dtype=bool)
+        self.events: Optional[TaggedEvents] = TaggedEvents() if traced else None
 
 
 def install_tenant_quotas(
@@ -145,6 +230,10 @@ class MemoryHierarchy:
         # then pure constants per (source, demand/prefetch) pair.
         self._uniform_nbytes = None if callable(block_nbytes) else int(block_nbytes)
         self._read_time_cache: dict = {}
+        # Source names by source index (the levels, then the backing store).
+        self._source_names = np.array(
+            [lv.name for lv in self.levels] + [backing.name], dtype=object
+        )
         #: When True, :meth:`fetch_many`/:meth:`prefetch_many` emit one
         #: aggregated trace event per (step, level, kind) for the
         #: hit/fetch/prefetch kinds (``count`` carries the multiplicity,
@@ -154,6 +243,7 @@ class MemoryHierarchy:
         # Fault injection (None = fault-free: the resilient read path is
         # bypassed entirely, keeping fault-free runs byte-identical).
         self.fault_injector = None
+        self._fault_free = True  # no installed injector can touch a device here
         self.retry_policy = None
         self.breakers: dict = {}
         self._sim_now = 0.0  # accumulated charged io; drives breaker cooldowns
@@ -264,7 +354,11 @@ class MemoryHierarchy:
         RetryPolicy`), a per-device circuit breaker that skips a sick level
         and falls back to the next slower one, and graceful drops when even
         the backing store fails.  Without one, the fault-free fast paths are
-        byte-identical to a hierarchy that never heard of faults.
+        byte-identical to a hierarchy that never heard of faults — and so
+        are batched reads under an injector whose plan names none of this
+        hierarchy's devices and a retry policy with no read timeout (a
+        cluster node under a link-only profile): the resilient path could
+        only do what the fault-free one does, so they take the cascade.
 
         Accounting under faults keeps the PR-1 invariants: every probed
         level records exactly one hit or miss per fetch, bytes are charged
@@ -282,9 +376,16 @@ class MemoryHierarchy:
             self.retry_policy = None
             self.breakers = {}
             self._fault_metrics = {}
+            self._fault_free = True
             return
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         device_names = [dev.name for dev in self.level_devices] + [self.backing.name]
+        # An injector whose plan names none of these devices, under a retry
+        # policy with no read timeout, can never change a read here: the
+        # resilient path then does exactly what the fault-free one does.
+        self._fault_free = self.retry_policy.read_timeout_s is None and all(
+            injector.plan.profile_for(name) is None for name in device_names
+        )
         self.breakers = {
             name: CircuitBreaker(breaker_threshold, breaker_cooldown_s)
             for name in device_names
@@ -676,28 +777,42 @@ class MemoryHierarchy:
         prefetch: bool = False,
         min_free_step: Optional[int] = None,
         tenant: Optional[str] = None,
+        *,
+        _frame: Optional[FrameSink] = None,
     ) -> BatchFetchResult:
         """Fetch a whole id array; result-identical to scalar :meth:`fetch`.
 
-        Unique ids of uniform-size blocks, with no fault injector,
-        forensics or per-event tracer, take the level cascade
-        (:meth:`_cascade`): the fastest level accesses every id in one
-        :meth:`CacheLevel.access_many`, each slower level the misses of
-        the level above, and the charged times, stats, registry metrics
-        and aggregated trace counts are booked once per call.  Any other
-        call runs the per-block reference loop (:meth:`_fetch_each`).
+        Unique ids of uniform-size blocks, with no forensics and no fault
+        injector that can touch this hierarchy's devices, take the level
+        cascade (:meth:`_cascade`): the fastest level accesses every id in
+        one :meth:`CacheLevel.access_many`, each slower level the misses
+        of the level above, and the charged times, stats, registry metrics
+        and trace events are booked once per call.  Any other call runs
+        the per-block reference loop (:meth:`_fetch_each`).
 
         The total ``time_s`` is accumulated with a sequential left fold
         (``np.add.accumulate``), so it is bit-identical to the scalar
         loop's ``io += fetch(...).time_s``.
+
+        ``_frame`` is the sharded layer's per-owner call (the caller has
+        checked the cascade applies): the per-id times, fastest-hit flags
+        and tagged events go to the :class:`FrameSink` at its positions.
         """
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         n = ids.size
         if n == 0:
             return BatchFetchResult(0, 0, 0.0)
+        if _frame is not None:
+            at = _frame.at
+            _, times, fast = self._cascade(
+                ids, step, prefetch, min_free_step, tenant, events=_frame.events, at=at
+            )
+            _frame.times[at] = times
+            _frame.fast[at] = fast
+            return BatchFetchResult(n, int(fast.sum()), _fold(times))
         if self._cascades(ids):
-            _, times, n_fast = self._cascade(ids, step, prefetch, min_free_step, tenant)
-            return BatchFetchResult(n, n_fast, _fold(times))
+            _, times, fast = self._cascade(ids, step, prefetch, min_free_step, tenant)
+            return BatchFetchResult(n, int(fast.sum()), _fold(times))
         results = self._fetch_each(ids, step, prefetch, min_free_step, tenant)[1]
         times = np.array([r.time_s for r in results])
         dropped = tuple(r.key for r in results if r.dropped)
@@ -745,17 +860,19 @@ class MemoryHierarchy:
         )
         return issued, _fold(np.array([r.time_s for r in results]))
 
-    def _cascades(self, ids: np.ndarray) -> bool:
-        """Can ``ids`` take the level cascade?  Everything the cascade
-        books in bulk must commute: uniform block sizes, no fault draws,
-        no forensics lineage, no per-event trace — and unique ids."""
+    @property
+    def batchable(self) -> bool:
+        """Can this hierarchy's batched calls take the level cascade at
+        all?  Everything the cascade books in bulk must commute: uniform
+        block sizes, no fault draw on any device here, no forensics
+        lineage.  (The ids must also be unique: :meth:`_cascades`.)"""
         return (
-            self.fault_injector is None
-            and self.forensics is None
-            and self._uniform_nbytes is not None
-            and (self.aggregate_trace or not self.tracer.enabled)
-            and _unique(ids)
+            self._fault_free and self.forensics is None and self._uniform_nbytes is not None
         )
+
+    def _cascades(self, ids: np.ndarray) -> bool:
+        """Can ``ids`` take the level cascade?"""
+        return self.batchable and _unique(ids)
 
     def _cascade(
         self,
@@ -766,34 +883,64 @@ class MemoryHierarchy:
         tenant: Optional[str],
         skip_fast: bool = False,
         limit: Optional[int] = None,
-    ) -> "tuple[np.ndarray, np.ndarray, int]":
+        events: Optional[TaggedEvents] = None,
+        at: Optional[np.ndarray] = None,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Serve unique ``ids`` down the levels; returns the served ids,
-        their charged times and the fastest-level hits among them.
+        their charged times and their fastest-level hit mask.
 
         Each level accesses the ids the level above missed, in id order
         (levels are independent, so level by level equals key by key),
         touching hits on demand reads only; then stats, registry metrics
-        and aggregated trace counts are booked once.  ``skip_fast`` is the
-        prefetch: ids resident in the fastest level are skipped, not
-        served, and ``limit`` caps the fastest level's misses.
+        and trace events are booked once.  ``skip_fast`` is the prefetch:
+        ids resident in the fastest level are skipped, not served, and
+        ``limit`` caps the fastest level's misses.
+
+        Per-event tracing tags every event with its id's frame position
+        (``at``, default the index in ``ids``): each level's evictions and
+        bypasses come from an :class:`EventSink`, and the hit/fetch/
+        prefetch events from the sources served.  They go to ``events``
+        when the caller merges them with its own, else to the tracer in
+        one write.  An aggregating tracer gets counts instead — unless a
+        fault injector is installed, under which the per-key loop never
+        aggregates.
         """
         levels = self.levels
         n_lv = len(levels)
-        agg: "Optional[dict]" = {} if self.tracer.enabled else None
+        tracer = self.tracer
+        agg: "Optional[dict]" = None
+        own = False
+        if events is None and tracer.enabled:
+            if self.aggregate_trace and self.fault_injector is None:
+                agg = {}
+            else:
+                events = TaggedEvents()
+                own = True
+        if events is not None and at is None:
+            at = np.arange(ids.size)
+        sink = None if events is None else EventSink()
         hit = levels[0].access_many(
-            ids, step, min_free_step, not prefetch, agg, limit, tenant
+            ids, step, min_free_step, not prefetch, agg, limit, tenant, sink
         )
+        if sink is not None:
+            events.add_sink(sink, at, 1, levels[0].name)
         if skip_fast:
-            ids = ids[: hit.size][~hit]
+            served = ~hit
+            ids = ids[: hit.size][served]
+            if at is not None:
+                at = at[: hit.size][served]
             hit = np.zeros(ids.size, dtype=bool)
         src = np.where(hit, 0, n_lv)  # n_lv = the backing store
         pos = np.flatnonzero(~hit)
         for j in range(1, n_lv):
             if not pos.size:
                 break
+            sink = None if events is None else EventSink()
             hit = levels[j].access_many(
-                ids[pos], step, min_free_step, not prefetch, agg, None, tenant
+                ids[pos], step, min_free_step, not prefetch, agg, None, tenant, sink
             )
+            if sink is not None:
+                events.add_sink(sink, at[pos], 1 + j, levels[j].name)
             src[pos[hit]] = j
             pos = pos[~hit]
         nb = self._uniform_nbytes
@@ -831,7 +978,20 @@ class MemoryHierarchy:
                 # The left fold of c equal times is what c per-event adds give.
                 agg[(kind, names[j])] = [c, c * nb, _fold(np.full(c, t_src[j]))]
         self._flush_agg(agg, step)
-        return ids, np.asarray(t_src)[src], counts[0]
+        times = np.asarray(t_src)[src]
+        if events is not None:
+            kinds = "prefetch" if prefetch else _DEMAND_KINDS[(src > 0).view(np.int8)]
+            # The memoised read-time floats themselves, as the per-key loop
+            # records them: no float object per retained event.
+            event_times = list(map(t_src.__getitem__, src.tolist()))
+            events.add(
+                at * EVENT_STRIDE, kinds, self._source_names[src], ids, nb, event_times
+            )
+            if own:
+                events.write(tracer, step)
+        if self.fault_injector is not None:  # the resilient path's breaker clock
+            self._sim_now = _fold(times, self._sim_now)
+        return ids, times, src == 0
 
     def _fetch_each(
         self,
@@ -988,6 +1148,9 @@ def _unique(ids: np.ndarray) -> bool:
     return bool((ordered[1:] != ordered[:-1]).all())
 
 
-def _fold(times: np.ndarray) -> float:
-    """Sequential left-fold sum, bit-identical to ``total += t`` per entry."""
+def _fold(times: np.ndarray, start: Optional[float] = None) -> float:
+    """Sequential left-fold sum, bit-identical to ``total += t`` per entry
+    (from ``total = start`` when given)."""
+    if start is not None:
+        times = np.concatenate(([start], times))
     return float(np.add.accumulate(times)[-1]) if times.size else 0.0

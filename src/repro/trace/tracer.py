@@ -15,7 +15,9 @@ Instrumented components accept a tracer and default to the shared
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from itertools import repeat
+from typing import List, Sequence
 
 from repro.trace.events import EVENT_KINDS, TraceEvent
 
@@ -23,8 +25,10 @@ __all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
 
 _KINDS = frozenset(EVENT_KINDS)
 # The named tuple's own constructor parses keyword arguments and defaults;
-# ``_make`` from a positional tuple is the cheap form for every field.
+# ``_make`` from a positional tuple is the cheap form for every field, and
+# ``tuple.__new__`` itself the cheapest for a batch of full rows.
 _make_event = TraceEvent._make
+_new_event = partial(tuple.__new__, TraceEvent)
 
 
 class Tracer:
@@ -92,6 +96,69 @@ class Tracer:
         else:
             self._ring[self._next] = event
             self._next = (self._next + 1) % self.capacity
+
+    def record_many(
+        self,
+        kinds: Sequence[str],
+        step: int,
+        levels: Sequence[str],
+        keys: Sequence[int],
+        nbytes: Sequence[int],
+        times_s: Sequence[float],
+    ) -> None:
+        """Append one event per row of equal-length columns, in order.
+
+        Exactly ``record(kinds[i], step, levels[i], keys[i], nbytes[i],
+        times_s[i])`` for each ``i`` — the same ``seq`` numbers, span
+        stamp, ring wrap and ``n_dropped`` — as one write.  An unknown kind
+        rejects the whole batch before anything is recorded.
+        """
+        n = len(kinds)
+        if not n:
+            return
+        bad = set(kinds) - _KINDS
+        if bad:
+            raise ValueError(
+                f"unknown event kind {sorted(bad)[0]!r}; expected one of {EVENT_KINDS}"
+            )
+        start = self._total
+        self._total += n
+        capacity = self.capacity
+        ring = self._ring
+        events = list(
+            map(
+                _new_event,
+                zip(
+                    range(start, start + n),
+                    kinds,
+                    repeat(step),
+                    levels,
+                    keys,
+                    nbytes,
+                    times_s,
+                    repeat(self.current_span),
+                    repeat(1),
+                    repeat(-1),
+                    repeat(""),
+                ),
+            )
+        )
+        room = capacity - len(ring)
+        if room > 0:
+            ring.extend(events[:room])
+            events = events[room:]
+        m = len(events)
+        if not m:
+            return
+        # The ring is full: event j lands in slot (_next + j) % capacity, so
+        # only the last ``capacity`` of the rest survive.
+        skip = max(0, m - capacity)
+        slot = (self._next + skip) % capacity
+        rest = events[skip:]
+        head = min(capacity - slot, len(rest))
+        ring[slot : slot + head] = rest[:head]
+        ring[: len(rest) - head] = rest[head:]
+        self._next = (self._next + m) % capacity
 
     # -- reading -------------------------------------------------------------
 
@@ -180,6 +247,17 @@ class NullTracer:
         count: int = 1,
         age_steps: int = -1,
         origin: str = "",
+    ) -> None:
+        pass
+
+    def record_many(
+        self,
+        kinds: Sequence[str],
+        step: int,
+        levels: Sequence[str],
+        keys: Sequence[int],
+        nbytes: Sequence[int],
+        times_s: Sequence[float],
     ) -> None:
         pass
 

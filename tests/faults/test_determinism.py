@@ -7,10 +7,12 @@ per-block loop (one ``hierarchy.fetch`` per block) as the reference.
 import pytest
 
 from repro.camera.path import spherical_path
+from repro.cluster import make_sharded_hierarchy
 from repro.core.pipeline import PipelineContext
 from repro.runtime import run_baseline
 from repro.experiments.runner import compare_policies, fresh_hierarchy
 from repro.faults import FaultInjector, FaultPlan
+from repro.runtime.config import RunConfig
 from repro.trace import Tracer
 from repro.volume.blocks import BlockGrid
 
@@ -124,6 +126,25 @@ class TestComparePoliciesFaults:
             )
 
 
+    def test_single_box_device_profile_rejected_when_sharded(self, small_context):
+        """``degraded-ssd`` names ``ssd``, which a sharded hierarchy calls
+        ``n{k}.ssd``: at shards > 1 it would silently inject nothing there,
+        so compare_policies rejects it as RunConfig does."""
+        grid, context = small_context
+        setup = _StubSetup(grid, context)
+        kwargs = dict(baselines=("lru",), include_app_aware=False,
+                      faults="degraded-ssd", fault_seed=3)
+        with pytest.raises(ValueError, match="single-box device"):
+            compare_policies(setup, context.path, shards=4, **kwargs)
+        with pytest.raises(ValueError, match="single-box device"):
+            RunConfig(faults="degraded-ssd", fault_seed=3, shards=4)
+        # The hdd-only profile exists on every node layout; one box keeps ssd.
+        assert compare_policies(setup, context.path, **kwargs)["lru"].extras["fault_stats"]
+        sharded = compare_policies(setup, context.path, shards=4, baselines=("lru",),
+                                   include_app_aware=False, faults="flaky-hdd", fault_seed=3)
+        assert sharded["lru"].extras["fault_stats"]
+
+
 class _StubSetup:
     """The minimal ExperimentSetup surface compare_policies touches."""
 
@@ -135,5 +156,7 @@ class _StubSetup:
     def context(self, path):
         return self._context
 
-    def hierarchy(self, policy="lru", cache_ratio=None):
+    def hierarchy(self, policy="lru", cache_ratio=None, shards=1, shard_map="slab"):
+        if shards > 1:
+            return make_sharded_hierarchy(self.grid, shards, strategy=shard_map, policy=policy)
         return fresh_hierarchy(self.grid, policy=policy)

@@ -295,3 +295,69 @@ class TestPrefetchUnderFaults:
         assert t > 0.0
         assert inj.stats.total("dropped_blocks") == 3
         assert not any(h.levels[0]._resident[k] for k in (0, 1, 2))
+
+
+class TestUntouchedHierarchyCascades:
+    """An injector that names none of a hierarchy's devices (under a retry
+    policy with no read timeout) can never change a read there, so batched
+    reads take the level cascade and match a per-block ``fetch`` loop —
+    which runs the resilient path — exactly."""
+
+    def _twins(self, aggregate):
+        twins = []
+        for _ in range(2):
+            h = _hierarchy()
+            h.set_tracer(Tracer())
+            h.set_registry(MetricsRegistry())
+            h.aggregate_trace = aggregate
+            h.set_fault_injector(FaultInjector(_plan(n0_n1=dict(error_rate=1.0))))
+            twins.append(h)
+        return twins
+
+    @pytest.mark.parametrize("aggregate", [False, True])
+    def test_matches_the_resilient_fetch_loop(self, aggregate):
+        got, want = self._twins(aggregate)
+        rng = np.random.default_rng(3)
+        for step in range(12):
+            ids = rng.choice(N_BLOCKS, size=10, replace=False)
+            assert got._cascades(ids)
+            res = got.fetch_many(ids, step, min_free_step=step)
+            total = 0.0
+            for key in ids.tolist():
+                total += want.fetch(key, step, min_free_step=step).time_s
+            assert res.time_s == total
+            cands = rng.choice(N_BLOCKS, size=6, replace=False)
+            issued, t = got.prefetch_many(cands, step, min_free_step=step, max_fetch=3)
+            want_issued, want_t = [], 0.0
+            for key in cands.tolist():
+                if len(want_issued) >= 3:
+                    break
+                if key in want.fastest:
+                    continue
+                want_t += want.fetch(key, step, prefetch=True, min_free_step=step).time_s
+                want_issued.append(key)
+            assert (issued, t) == (want_issued, want_t)
+        # Per-event trace even when aggregating: the resilient loop never
+        # aggregates under an injector.
+        assert got.tracer.events() == want.tracer.events()
+        assert got.stats() == want.stats()
+        assert got._sim_now == want._sim_now
+        assert got.fault_injector.stats.as_dict() == want.fault_injector.stats.as_dict()
+        snap_got, snap_want = got.registry.snapshot(), want.registry.snapshot()
+        assert snap_got["counters"] == snap_want["counters"]
+        for key, hist in snap_got["histograms"].items():
+            assert hist["count"] == snap_want["histograms"][key]["count"]
+            assert hist["sum"] == pytest.approx(snap_want["histograms"][key]["sum"])
+
+    def test_a_named_device_or_a_timeout_keeps_the_loop(self):
+        ids = np.arange(4)
+        h = _hierarchy()
+        h.set_fault_injector(FaultInjector(_plan(ssd=dict(spike_rate=0.0))))
+        assert not h._cascades(ids)  # named, even with nothing to draw
+        h.set_fault_injector(
+            FaultInjector(_plan(n0_n1=dict(error_rate=1.0))),
+            retry_policy=RetryPolicy(read_timeout_s=1e-3),
+        )
+        assert not h._cascades(ids)  # a timeout can fail any slow read
+        h.set_fault_injector(None)
+        assert h._cascades(ids)

@@ -1,8 +1,12 @@
 """Tests for the deterministic fault plan and its counter-based draws."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults import FAULT_PROFILES, DeviceFaultProfile, FaultPlan, unit_draw
+from repro.faults import FAULT_PROFILES, DeviceFaultProfile, FaultInjector, FaultPlan, unit_draw
+from repro.faults.plan import _device_id, unit_draws
 
 
 class TestUnitDraw:
@@ -154,3 +158,51 @@ class TestNamedProfiles:
                 "device", "error_rate", "spike_rate", "spike_s",
                 "slow_windows", "corruption_rate",
             }
+
+
+class TestArrayDraws:
+    """The array draws a batched caller makes are the per-key draws."""
+
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        link=st.sampled_from(["n0-n1", "n0-n2", "n2-n3", "hdd"]),
+        keys=st.lists(st.integers(0, 2**40), min_size=1, max_size=40),
+        step=st.integers(-1, 10**6),
+        attempt=st.integers(0, 7),
+        channel=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unit_draws_bit_equal_to_unit_draw(self, seed, link, keys, step, attempt, channel):
+        dev = _device_id(link)
+        got = unit_draws(seed, dev, np.array(keys, dtype=np.int64), step, attempt, channel)
+        want = [unit_draw(seed, dev, k, step, attempt, channel) for k in keys]
+        assert got.tolist() == want  # float ==: the same bits
+
+    @given(
+        seed=st.integers(0, 2**32),
+        keys=st.lists(st.integers(0, 2**40), min_size=1, max_size=40),
+        step=st.integers(0, 40),
+        attempt=st.integers(0, 3),
+        rate=st.sampled_from([0.05, 0.5, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fails_and_spikes_many_match_the_scalar_queries(
+        self, seed, keys, step, attempt, rate
+    ):
+        link = "n0-n1"
+        plan = FaultPlan(seed, (
+            DeviceFaultProfile(link, error_rate=rate, spike_rate=rate, spike_s=0.003),
+        ))
+        arr = np.array(keys, dtype=np.int64)
+        assert plan.fails_many(link, arr, step, attempt).tolist() == [
+            plan.fails(link, k, step, attempt) for k in keys
+        ]
+        spikes = [plan.spike_s(link, k, step, attempt) for k in keys]
+        assert plan.spike_s_many(link, arr, step, attempt).tolist() == spikes
+        # the injector counts each positive spike, as the per-key calls do
+        inj = FaultInjector(plan)
+        inj.spike_s_many(link, arr, step, attempt)
+        assert inj.stats.total("spikes") == sum(s > 0 for s in spikes)
+        # an unnamed device never faults
+        assert not plan.fails_many("n0-n2", arr, step, attempt).any()
+        assert not plan.spike_s_many("n0-n2", arr, step, attempt).any()

@@ -52,6 +52,30 @@ class TestEntropyProperties:
         h1 = block_entropies(vol1, grid, n_bins=16)
         assert np.allclose(h0, h1, atol=0.35)
 
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        arrays(np.int8, (8, 8, 8), elements=st.integers(-31, 31)),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scaling_keeps_entropies(self, dtype, field, where):
+        """Bins are range-relative, and scaling by 2**e is exact: an
+        integer field keeps every block's entropy at any exponent of the
+        type, from the smallest subnormal to the largest finite values —
+        including the fields whose range (``data - lo``) or scale
+        (``n_bins / (hi - lo)``) overflows the type."""
+        info = np.finfo(dtype)
+        lowest = int(info.minexp) - int(info.nmant)  # 1 * 2**lowest: the least subnormal
+        highest = int(info.maxexp) - 5  # 31 * 2**highest is still finite
+        e = lowest + round(where * (highest - lowest))
+        grid = BlockGrid((8, 8, 8), (4, 4, 4))
+        base = field.astype(dtype)
+        scaled = np.ldexp(base, e)
+        assert np.array_equal(np.ldexp(scaled, -e), base)  # exact
+        np.testing.assert_array_equal(
+            block_entropies(_Field(scaled), grid), block_entropies(_Field(base), grid)
+        )
+
     @given(st.integers(2, 64))
     @settings(max_examples=20)
     def test_uniform_histogram_attains_bound(self, n_bins):
@@ -79,3 +103,14 @@ class TestEntropyProperties:
         # The mixture keeps substantial entropy (>= half the pure part's,
         # since half its mass is the high-entropy component).
         assert shannon_entropy(pab) >= 0.5 * shannon_entropy(pa)
+
+
+class _Field:
+    """A volume of any float type (``Volume`` stores float32)."""
+
+    def __init__(self, data):
+        self._data = data
+        self.shape = data.shape
+
+    def data(self, variable=None):
+        return self._data

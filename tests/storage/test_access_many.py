@@ -9,7 +9,11 @@ earlier in the frame, an unconstrained queue running dry, a constrained
 frame with nothing evictable, free slots before the first eviction, and a
 prefetch limit that cuts the frame — each entered with and without a
 victim queue already built.  Every frame also runs on the live-loop
-policies.
+policies, and every frame compares the evict/bypass events as well: the
+per-key loop records them on a tracer, ``access_many`` collects them in
+an :class:`~repro.storage.cache.EventSink` tagged with the frame position
+of the access that caused each — the same events at the same positions,
+tenant-quota levels included.
 """
 
 import copy
@@ -20,34 +24,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.policies.registry import make_policy
-from repro.storage.cache import CacheLevel
+from repro.storage.cache import CacheLevel, EventSink
+from repro.trace import Tracer
 
 POLICIES = ["lru", "fifo", "arc", "mru", "lfu", "clock"]
 QUEUE_POLICIES = ["lru", "fifo"]
 
 
-def _level(policy, capacity, residents=()):
-    """A level whose ``residents`` were admitted in order at step 0."""
+def _level(policy, capacity, residents=(), quotas=None):
+    """A traced level whose ``residents`` were admitted in order at step 0
+    (``residents`` of ``(key, tenant)`` pairs under ``quotas``)."""
     level = CacheLevel("dram", capacity, make_policy(policy), n_blocks=16)
-    for key in residents:
-        level.admit(key, 0)
+    level.set_tenant_quotas(quotas)
+    for resident in residents:
+        key, tenant = resident if quotas else (resident, None)
+        level.admit(key, 0, tenant=tenant)
+    level.tracer = Tracer()
     return level
 
 
-def _per_key(level, keys, step, min_free_step=None, touch=True, limit=None):
-    """The reference: one touch or admit per key, stopping after ``limit`` admits."""
-    hit = []
-    for key in keys:
+def _per_key(level, keys, step, min_free_step=None, touch=True, limit=None, tenant=None):
+    """The reference: one touch or admit per key, stopping after ``limit``
+    admits.  Returns the hit list and the evict/bypass events each access
+    recorded, as ``(position, kind, key)``."""
+    hit, events = [], []
+    tracer = level.tracer
+    for pos, key in enumerate(keys):
         if limit is not None and hit.count(False) >= limit:
             break
+        seen = tracer.n_recorded
         if key in level:
             if touch:
                 level.touch(key, step)
             hit.append(True)
         else:
-            level.admit(key, step, min_free_step=min_free_step)
+            level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
             hit.append(False)
-    return hit
+        events += [(pos, e.kind, e.key) for e in tracer.events_since(seen)]
+    return hit, events
+
+
+def _frame(a, b, keys, step, min_free_step=None, touch=True, limit=None, tenant=None):
+    """One frame through the per-key loop on ``a`` and ``access_many`` on
+    ``b``: the same hit mask and the same events at the same positions
+    (``b`` records none itself: they go to the sink)."""
+    want, want_events = _per_key(a, keys, step, min_free_step, touch, limit, tenant)
+    sink = EventSink()
+    got = b.access_many(
+        np.array(keys, dtype=np.int64), step, min_free_step, touch, None, limit, tenant, sink
+    )
+    assert got.tolist() == want
+    assert sorted(zip(sink.pos, sink.kinds, sink.keys), key=lambda e: e[0]) == want_events
+    assert b.tracer.n_recorded == 0
+    return want
 
 
 def _order(level):
@@ -90,18 +119,14 @@ def _check(policy, capacity, residents, keys, step=1, min_free_step=None, touch=
     if warm:
         for level in (a, b):
             level.admit(15, step, min_free_step=min_free_step)
-    want = _per_key(a, keys, step, min_free_step, touch, limit)
-    got = b.access_many(
-        np.array(keys, dtype=np.int64), step, min_free_step, touch, None, limit
-    )
-    assert got.tolist() == want
+        b.tracer.clear()  # the warm-up's eviction is not the frame's
+    got = _frame(a, b, keys, step, min_free_step, touch, limit)
     _assert_same(a, b)
     after = np.flatnonzero(b._resident).tolist(), copy.copy(b.stats)
     follow = [k for k in range(12) if k not in keys][:4] + list(keys)[:2]
-    _per_key(a, follow, step, min_free_step)
-    b.access_many(np.array(follow, dtype=np.int64), step, min_free_step)
+    _frame(a, b, follow, step, min_free_step)
     _assert_same(a, b)
-    return (got.tolist(),) + after
+    return (got,) + after
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -176,9 +201,7 @@ def test_victim_queue_shared_across_calls_of_one_step(policy):
     a = _level(policy, 4, [1, 2, 3, 4])
     b = _level(policy, 4, [1, 2, 3, 4])
     for keys in ([5, 2], [6, 1, 7]):
-        want = _per_key(a, keys, 1, 1)
-        got = b.access_many(np.array(keys, dtype=np.int64), 1, 1)
-        assert got.tolist() == want
+        _frame(a, b, keys, 1, 1)
         _assert_same(a, b)
 
 
@@ -190,14 +213,13 @@ def test_earlier_step_drops_a_later_epochs_queue(policy):
     b = _level(policy, 3, [1, 2, 3])
     for level in (a, b):
         level.admit(4, 5, min_free_step=5)  # builds the queue of epoch (5, 5)
-    want = _per_key(a, [2], 2, 2)
-    got = b.access_many(np.array([2], dtype=np.int64), 2, 2)
-    assert got.tolist() == want
+    b.tracer.clear()
+    _frame(a, b, [2], 2, 2)
     assert b._vq_epoch is None
     _assert_same(a, b)
 
 
-_frame = st.tuples(
+_frame_args = st.tuples(
     st.lists(st.integers(0, 11), unique=True, max_size=12),  # keys
     st.booleans(),  # constrained (min_free_step = step)
     st.booleans(),  # touch
@@ -209,7 +231,7 @@ _frame = st.tuples(
     policy=st.sampled_from(POLICIES),
     capacity=st.integers(1, 6),
     residents=st.lists(st.integers(0, 11), unique=True, max_size=6),
-    frames=st.lists(_frame, min_size=1, max_size=6),
+    frames=st.lists(_frame_args, min_size=1, max_size=6),
 )
 @settings(max_examples=150, deadline=None)
 def test_frame_sequences_match_the_per_key_loop(policy, capacity, residents, frames):
@@ -219,7 +241,29 @@ def test_frame_sequences_match_the_per_key_loop(policy, capacity, residents, fra
     b = _level(policy, capacity, residents)
     for step, (keys, constrained, touch, limit) in enumerate(frames, start=1):
         mfs = step if constrained else None
-        want = _per_key(a, keys, step, mfs, touch, limit)
-        got = b.access_many(np.array(keys, dtype=np.int64), step, mfs, touch, None, limit)
-        assert got.tolist() == want
+        _frame(a, b, keys, step, mfs, touch, limit)
         _assert_same(a, b)
+
+
+@given(
+    policy=st.sampled_from(POLICIES),
+    residents=st.lists(
+        st.tuples(st.integers(0, 11), st.sampled_from(["a", "b"])),
+        unique_by=lambda r: r[0], max_size=6,
+    ),
+    frames=st.lists(st.tuples(_frame_args, st.sampled_from(["a", "b", None])),
+                    min_size=1, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_tenant_quota_frames_match_the_per_key_loop(policy, residents, frames):
+    """Tenant-quota levels run ``access_many`` live: the same residency,
+    ownership, stats and events as the per-key admits, per tenant."""
+    quotas = {"a": 2, "b": 3}
+    a = _level(policy, 6, residents, quotas)
+    b = _level(policy, 6, residents, quotas)
+    for step, ((keys, constrained, touch, limit), tenant) in enumerate(frames, start=1):
+        mfs = step if constrained else None
+        _frame(a, b, keys, step, mfs, touch, limit, tenant)
+        _assert_same(a, b)
+        assert a.tenant_usage() == b.tenant_usage()
+        np.testing.assert_array_equal(a._owner, b._owner)

@@ -426,6 +426,20 @@ class TestAnalyze:
         assert "8 attribution section(s)" in out
         assert out.count("serve-baseline/tenant:") == 8
 
+    def test_out_creates_its_directory(self, tmp_path, capsys):
+        html = tmp_path / "nodir" / "deeper" / "r.html"
+        rc = main(["analyze", str(REPO_ROOT / "MATRIX_serve-baseline.json"),
+                   "--out", str(html)])
+        assert rc == 0
+        assert "serve-baseline" in html.read_text(encoding="utf-8")
+
+    def test_prom_creates_its_directory(self, tmp_path, capsys):
+        prom = tmp_path / "nodir" / "x.prom"
+        rc = main(["analyze", str(REPO_ROOT / "MATRIX_serve-baseline.json"),
+                   "--out", str(tmp_path / "r.html"), "--prom", str(prom)])
+        assert rc == 0
+        assert prom.read_text().startswith("# ")
+
     def test_jsonl_source(self, tmp_path, capsys):
         from repro.trace import TraceEvent, write_jsonl
 

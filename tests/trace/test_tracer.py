@@ -87,3 +87,80 @@ class TestNullTracer:
 
     def test_tracer_enabled_flag(self):
         assert Tracer().enabled
+
+
+def _rows(n, kinds=("hit", "fetch", "evict", "xfer")):
+    return (
+        [kinds[i % len(kinds)] for i in range(n)],
+        [f"lv{i % 3}" for i in range(n)],
+        list(range(100, 100 + n)),
+        [8 * i for i in range(n)],
+        [0.5 * i for i in range(n)],
+    )
+
+
+def _loop(tracer, step, rows):
+    for kind, level, key, nbytes, time_s in zip(*rows):
+        tracer.record(kind, step, level, key, nbytes, time_s)
+
+
+class TestRecordMany:
+    """``record_many`` is exactly a loop of ``record``."""
+
+    @pytest.mark.parametrize(
+        "capacity, before, batches",
+        [
+            (64, 0, [10]),  # fits
+            (8, 0, [20]),  # one batch larger than the ring
+            (8, 5, [6]),  # fills the ring, then wraps mid-batch
+            (8, 13, [3, 17, 1, 8]),  # already wrapped, batches of every size
+            (5, 2, [5, 0, 4]),
+        ],
+    )
+    def test_equals_a_record_loop(self, capacity, before, batches):
+        got, want = Tracer(capacity), Tracer(capacity)
+        for t in (got, want):
+            _loop(t, -1, _rows(before))
+        for step, n in enumerate(batches):
+            rows = _rows(n)
+            got.current_span = want.current_span = f"replay/step{step}"
+            got.record_many(rows[0], step, *rows[1:])
+            _loop(want, step, rows)
+            assert got.events() == want.events()
+            assert got.n_recorded == want.n_recorded
+            assert got.n_dropped == want.n_dropped
+            assert len(got) == len(want)
+            for seq in range(got.n_recorded + 1):
+                assert got.events_since(seq) == want.events_since(seq)
+        got.record("render", 9, time_s=1.0)
+        want.record("render", 9, time_s=1.0)
+        assert got.events() == want.events()  # the ring cursor carries on
+
+    def test_fields_and_span(self):
+        t = Tracer()
+        t.current_span = "replay/fetch"
+        t.record_many(["fetch", "evict"], 4, ["hdd", "dram"], [7, 3], [64, 0], [0.25, 0.0])
+        a, b = t.events()
+        assert (a.seq, a.kind, a.step, a.level, a.key, a.nbytes, a.time_s) == (
+            0, "fetch", 4, "hdd", 7, 64, 0.25
+        )
+        assert (b.seq, b.kind, b.level, b.key) == (1, "evict", "dram", 3)
+        assert a.span == b.span == "replay/fetch"
+        assert (a.count, a.age_steps, a.origin) == (1, -1, "")
+
+    def test_unknown_kind_rejects_the_whole_batch(self):
+        t = Tracer()
+        with pytest.raises(ValueError, match="unknown event kind 'frobnicate'"):
+            t.record_many(["hit", "frobnicate"], 0, ["a", "b"], [1, 2], [0, 0], [0.0, 0.0])
+        assert t.n_recorded == 0 and t.events() == []
+
+    def test_empty_batch_is_a_no_op(self):
+        t = Tracer(capacity=2)
+        t.record_many([], 0, [], [], [], [])
+        assert t.n_recorded == 0
+
+    def test_null_tracer_ignores_batches(self):
+        n = NullTracer()
+        n.record_many(["hit"], 0, ["dram"], [1], [8], [0.1])
+        assert n.events() == [] and n.n_recorded == 0
+        NULL_TRACER.record_many(["frobnicate"], 0, [""], [0], [0], [0.0])
