@@ -20,6 +20,7 @@ path — so adding a session never reshuffles the existing ones.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -68,8 +69,14 @@ class LoadGenConfig:
     def __post_init__(self) -> None:
         if self.n_sessions < 1:
             raise ValueError(f"n_sessions must be >= 1, got {self.n_sessions}")
-        if len(self.mix) != 3 or any(w < 0 for w in self.mix) or sum(self.mix) <= 0:
-            raise ValueError(f"mix must be 3 non-negative weights, got {self.mix}")
+        if (
+            len(self.mix) != 3
+            or not all(math.isfinite(w) and w >= 0 for w in self.mix)
+            or sum(self.mix) <= 0
+        ):
+            raise ValueError(f"mix must be 3 finite non-negative weights, got {self.mix}")
+        if not math.isfinite(self.arrival_rate_hz):
+            raise ValueError(f"arrival_rate_hz must be finite, got {self.arrival_rate_hz}")
         if self.partition not in ("equal", "none"):
             raise ValueError(f"partition must be 'equal' or 'none', got {self.partition!r}")
 

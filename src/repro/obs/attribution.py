@@ -413,6 +413,20 @@ def _ledger_tuple(row) -> Tuple[float, float, float, float]:
     )
 
 
+def frame_row(tracer, seq: int, frame) -> Tuple[tuple, bool]:
+    """One frame's ``(step, events, ledger)`` row, and whether the tracer
+    overwrote part of the frame's window before this slice.
+
+    ``seq`` is ``tracer.n_recorded`` when the frame started; the events
+    are those recorded since then at the frame's step, and the ledger is
+    the frame's ``(io, lookup, prefetch, render)`` times.  Frames run
+    strictly one after another, so the slice is exactly the frame's.
+    """
+    events = [e for e in tracer.events_since(seq) if e.step == frame.step]
+    ledger = (frame.io_time_s, frame.lookup_time_s, frame.prefetch_time_s, frame.render_time_s)
+    return (frame.step, events, ledger), tracer.n_dropped > seq
+
+
 def attribute_frames(
     rows: Iterable[Tuple[int, Sequence[TraceEvent], Optional[Tuple[float, float, float, float]]]],
     drop_stats: Optional[Dict[str, int]] = None,
@@ -537,22 +551,10 @@ class AttributionCollector(Collector):
     def collect(self, engine, frame) -> None:
         self.inner.collect(engine, frame)
         tracer = engine.ctx.tracer
-        events = [e for e in tracer.events_since(self._seq) if e.step == frame.step]
-        # The ring overwrote part of this frame's window before the slice.
-        self._incomplete |= tracer.n_dropped > self._seq
+        row, dropped = frame_row(tracer, self._seq, frame)
+        self._incomplete |= dropped
         self._seq = tracer.n_recorded
-        self._rows.append(
-            (
-                frame.step,
-                events,
-                (
-                    frame.io_time_s,
-                    frame.lookup_time_s,
-                    frame.prefetch_time_s,
-                    frame.render_time_s,
-                ),
-            )
-        )
+        self._rows.append(row)
 
     def finish(self, engine):
         result = self.inner.finish(engine)

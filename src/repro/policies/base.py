@@ -150,7 +150,11 @@ class ReplacementPolicy(abc.ABC):
         Used by the unconstrained (``min_free_step=None``) eviction queue:
         an entry is still the true next victim iff
         :meth:`victim_still_ordered` holds for the token captured at
-        order-build time (``supports_victim_order`` only).
+        order-build time (``supports_victim_order`` only).  It is a clock:
+        each insert advances it by one, and so does each hit when
+        ``hits_reorder_victims`` — which is how ``CacheLevel.access_many``
+        knows the token of a queue it builds mid-frame without writing
+        the frame first.
         """
         raise NotImplementedError
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.pipeline import PipelineContext
-from repro.obs.attribution import AttributionReport, attribute_frames
+from repro.obs.attribution import AttributionReport, attribute_frames, frame_row
 from repro.obs.fairness import TenantFrameStats
 from repro.runtime.config import WORKLOAD_NAMES
 from repro.runtime.context import RunContext
@@ -291,21 +291,9 @@ def run_sessions(
         sim.collector.collect(sim, frame)
         if attribution:
             label = state.spec.tenant_label
-            events = [e for e in ctx.tracer.events_since(seq0) if e.step == i]
-            if ctx.tracer.n_dropped > seq0:
-                attr_incomplete[label] = True
-            attr_rows[label].append(
-                (
-                    i,
-                    events,
-                    (
-                        frame.io_time_s,
-                        frame.lookup_time_s,
-                        frame.prefetch_time_s,
-                        frame.render_time_s,
-                    ),
-                )
-            )
+            row, dropped = frame_row(ctx.tracer, seq0, frame)
+            attr_rows[label].append(row)
+            attr_incomplete[label] |= dropped
         frame_time = frame.io_time_s + frame.lookup_time_s + frame.render_time_s
         stats.observe(
             state.spec.tenant_label, frame_time, frame.n_visible, frame.n_fast_misses

@@ -16,7 +16,8 @@ that implement ``choose_victim_masked`` consume directly.
 
 A frame reaches a level as one :meth:`CacheLevel.access_many` call (touch
 the resident keys, admit the rest); for victim-queue policies it plans the
-frame's evictions in one pass and writes them as arrays.  Under a
+frame's evictions in one pass, tenant quotas included, and writes them
+once as arrays.  Under a
 per-event tracer the frame's ``evict``/``bypass`` events go to an
 :class:`EventSink`, each tagged with the frame position of the access
 that caused it, so the caller can write them in the per-key loop's order.
@@ -38,6 +39,19 @@ from repro.utils.validation import check_positive
 __all__ = ["CacheLevel", "EventSink"]
 
 _NEVER_USED = -1  # last_used for preloaded blocks (Alg. 1 line 5: time <- -1)
+
+
+def _entries(queue: np.ndarray, where: np.ndarray):
+    """A victim queue built for the current state, as
+    :meth:`CacheLevel._queue_candidates` yields it (every entry is a
+    candidate), read in windows that double toward the tail."""
+    pos, width = 0, 16
+    while pos < len(queue):
+        window = queue[pos: pos + width]
+        yield from zip(range(pos + 1, pos + 1 + window.size), window.tolist(),
+                       where[window].tolist())
+        pos += window.size
+        width *= 2
 
 
 class EventSink:
@@ -458,10 +472,14 @@ class CacheLevel:
         key an earlier admission evicted is a miss.
 
         Victim-queue policies (``supports_victim_order``) on a level with
-        no tenant quotas or forensics, and whose events are aggregated,
-        collected in a ``sink`` or not traced, plan the frame's evictions
-        in one pass (:meth:`_access_planned`); everything else runs the
-        scalar calls live (:meth:`_access_live`).
+        no forensics, with ``min_free_step`` None or at most ``step``, and
+        whose events are aggregated, collected in a ``sink`` or not
+        traced, plan the frame's evictions in one pass and write them once
+        (:meth:`_access_planned`), tenant-quota levels included;
+        everything else runs the scalar calls live (:meth:`_access_live`).
+        A frame with a miss resolves ``tenant`` before anything is
+        written, so an unknown tenant raises ``KeyError`` on an unchanged
+        level.
         """
         if keys.size == 0 or (limit is not None and limit <= 0):
             return np.zeros(0, dtype=bool)
@@ -471,15 +489,15 @@ class CacheLevel:
             if touch:
                 self.touch_many(keys, step)
             return hit
+        tid = self._tenant_id(tenant)
         if (
             self.policy.supports_victim_order
             and (min_free_step is None or min_free_step <= step)
-            and self._owner is None
             and self.forensics is None
             and (agg is not None or sink is not None or not self.tracer.enabled)
         ):
             return self._access_planned(
-                keys, hit, step, min_free_step, touch, agg, limit, sink, admits
+                keys, hit, step, min_free_step, touch, agg, limit, tid, sink, admits
             )
         return self._access_live(
             keys, hit, step, min_free_step, touch, agg, limit, tenant, sink, admits
@@ -522,103 +540,178 @@ class CacheLevel:
         return hit
 
     def _access_planned(
-        self, keys, hit, step, min_free_step, touch, agg, limit, sink, admits
+        self, keys, hit, step, min_free_step, touch, agg, limit, tid, sink, admits
     ) -> np.ndarray:
-        """:meth:`access_many` for victim-queue policies: plan, then write.
+        """:meth:`access_many` for victim-queue policies: plan, then write once.
 
-        Misses take the free slots first, then victim-queue entries exactly
-        as :meth:`_pop_victim` consumes them.  An entry is skipped when it
-        was no candidate at the start of the frame, or when this frame
-        touched it before the pop (under a constraint, where a touch sets
-        ``last_used = step``, or under a policy whose hits reorder); a
-        victim the frame accesses later turns that access into a miss.
-        An unconstrained queue that needs a (re)build — it ran dry, or
-        holds another epoch — is built from live state, so the frame up
-        to that miss is written first.  Each written segment applies its
-        evictions, inserts, ``last_used`` and policy order as array writes;
-        each eviction or bypass goes to ``sink`` at the position of the
-        miss that caused it.  ``hit`` is the residency of ``keys`` at the
-        frame's start.
+        ``hit`` is the residency of ``keys`` at the frame's start and
+        ``tid`` the admitting tenant's index (-1: none).  Nothing is written
+        while the frame is planned, so each decision reads the state the
+        frame found and what the plan did to it so far.
+
+        A miss takes a free slot while the level has room and the tenant is
+        under its quota.  Otherwise it pops a victim under the owner filter
+        :meth:`admit` would use — ``(tid,)`` at quota, ``(tid, -1)`` under
+        it, none untenanted — taking queue entries exactly as
+        :meth:`_pop_victim` consumes them.  An entry is skipped when this
+        frame touched it after the queue was built (under a constraint,
+        where a touch sets ``last_used = step``, or under a policy whose
+        hits reorder); a victim the frame accesses later turns that access
+        into a miss.  An admission that takes the tenant to its quota
+        changes the filter, and so the epoch.
+
+        Each queue the per-key loop builds mid-frame — its epoch is stale
+        at a pop, or an unconstrained queue ran dry — is built from the
+        plan instead (``build``): the found state's candidates under the
+        filter, minus the blocks the plan evicted and, when entries are
+        skipped as above, the blocks touched before the miss; then,
+        unconstrained, the frame's accesses before the miss that left
+        their block resident at the back of the order (inserts, and
+        touches when hits reorder), in frame order, under the filter.  Its
+        token is the policy clock at that miss: the victim-order token
+        advanced by one per insert, and per touch when hits reorder.  A
+        constrained queue needs no tail: whatever the frame touched or
+        inserted has ``last_used = step``.
+
+        The only cut is ``limit``: :meth:`_write_segment` then applies
+        ``keys[:end]`` as array writes, and each eviction or bypass goes to
+        ``sink`` at the position of the miss that caused it.
         """
         policy = self.policy
         m = keys.size
         f = min_free_step
-        epoch = ("*", None, None) if f is None else (step, f, None)
+        reorder = touch and policy.hits_reorder_victims  # touches tick the policy clock
         skip_touched = touch and (f is not None or policy.hits_reorder_victims)
-        where = None  # frame position of each block id, built at the first pop
-        n_admits = start = 0
-        while True:
-            if start:  # a later segment starts from the state written so far
-                hit[start:] = self._resident[keys[start:]]
-            misses = (np.flatnonzero(~hit[start:]) + start).tolist()
-            free = self.capacity - self._n_resident
-            inserted: list = []
-            victims: list = []
-            evicted_at: list = []  # the miss whose admission popped each victim
-            bypassed: list = []
-            entries = None
-            end = m
-            i = 0
-            while i < len(misses):  # ascending frame positions
-                p = misses[i]
-                i += 1
-                hit[p] = False
-                if admits is not None and not admits[p]:
-                    continue
-                if free:
-                    free -= 1
-                    inserted.append(p)
-                else:
-                    if entries is None:  # the segment's first pop
-                        stale = self._vq_epoch != epoch
-                        if stale and f is None and p > start:
-                            end = p  # an unconstrained build reads the state at p
-                            break
-                        if where is None:
-                            where = np.full(len(self._resident), -1, dtype=np.int64)
-                            where[keys] = np.arange(m)
-                        if stale:
-                            self._build_queue(epoch)
-                            if skip_touched and p > start:
-                                # Blocks touched before this pop already
-                                # left the live candidate set.
-                                seen = where[self._vq]
-                                self._vq = self._vq[(seen < start) | (seen >= p)]
-                        entries = self._queue_candidates(f, where)
-                    victim = None
-                    for qpos, key, at in entries:
-                        if not (skip_touched and start <= at < p):
-                            victim = key
-                            break
-                    if victim is None:
-                        self._vq_pos = len(self._vq)
-                        if f is None:
-                            self._vq_epoch = None  # ran dry: rebuild from the state at p
-                            if len(self._vq):
-                                end = p
-                                break
-                        bypassed.append(p)  # nothing evictable
+        free = self.capacity - self._n_resident
+        if tid >= 0:  # quota units left, and the owners a victim may have
+            left = int(self._tenant_quota[tid] - self._tenant_used[tid])
+            mixed = left > 0
+            owners = (tid, -1) if mixed else (tid,)
+        else:
+            left, mixed, owners = m + 1, False, None  # more than the frame can take
+        queue, qpos, qepoch, qtoken = self._vq, self._vq_pos, self._vq_epoch, self._vq_token
+        entries = None  # the current queue's candidates, consumed across pops
+        built_at = None  # the miss the current queue was built at (None: found)
+        lo = 0  # frame position from which a touch drops a queued entry
+        where = drop = None  # per block id: frame position; see build
+        dropped = 0  # victims already in drop
+        written: dict = {}  # owner filter -> (found candidates in order, hits it allows)
+        inserted: list = []  # frame positions of the inserts
+        victims: list = []
+        evicted_at: list = []  # the miss whose admission popped each victim
+        late: list = []  # frame positions of blocks evicted after their access
+        bypassed: list = []
+
+        def build(p):
+            # drop[k]: the miss from which found candidate k has left the
+            # order (its touch, when touched entries skip; -1 once evicted).
+            nonlocal drop, dropped
+            if drop is None:
+                drop = np.full(len(where), m, dtype=np.int64)
+                if skip_touched:
+                    drop[keys] = np.arange(m)
+            if dropped < len(victims):
+                drop[victims[dropped:]] = -1
+                dropped = len(victims)
+            found = written.get(owners)
+            if found is None:
+                allowed = None
+                if reorder and owners is not None:
+                    allowed = self._owned_by(self._owner[keys], owners)
+                found = written[owners] = (
+                    policy.victim_order(self._candidate_mask(f, owners)), allowed
+                )
+            base, allowed = found
+            base = base[drop[base] >= p]
+            if f is not None:
+                return base, qtoken
+            ticks = len(inserted)
+            if reorder:
+                tail = hit[:p] & allowed[:p] if allowed is not None else hit[:p].copy()
+                ticks += int(np.count_nonzero(hit[:p]))
+            else:
+                tail = np.zeros(p, dtype=bool)
+            tail[inserted] = True  # the tenant's own, or unfiltered
+            if late:
+                tail[late] = False
+            return np.concatenate((base, keys[:p][tail])), policy.victim_order_token() + ticks
+
+        epoch = ("*" if f is None else step, f, owners)
+        n_admits = 0
+        end = m
+        misses = np.flatnonzero(~hit).tolist()
+        i = 0
+        while i < len(misses):  # ascending frame positions
+            p = misses[i]
+            i += 1
+            if admits is not None and not admits[p]:
+                continue
+            if free and left > 0:
+                free -= 1
+                left -= 1
+                if not left:  # at quota: victims are the tenant's own from here
+                    mixed, owners = False, (tid,)
+                    epoch = (epoch[0], f, owners)
+                inserted.append(p)
+            else:
+                if qepoch is not epoch:  # the first pop, or the epoch changed
+                    if where is None:
+                        where = np.full(len(self._resident), -1, dtype=np.int64)
+                        where[keys] = np.arange(m)
+                    if entries is None and qepoch == epoch:  # the queue the frame found
+                        entries = self._queue_candidates(f, owners, where)
+                        qepoch, lo = epoch, 0
                     else:
-                        self._vq_pos = qpos
-                        victims.append(victim)
-                        evicted_at.append(p)
-                        inserted.append(p)
-                        if at > p:
-                            bisect.insort(misses, at, lo=i)  # evicted before its access
-                n_admits += 1
-                if n_admits == limit:
-                    end = p + 1
-                    break
-            self._write_segment(
-                keys, start, end, hit, inserted, victims, len(bypassed), step, touch, agg
-            )
-            if sink is not None:
-                sink.extend(evicted_at, "evict", victims)
-                if bypassed:
-                    sink.extend(bypassed, "bypass", keys[bypassed].tolist())
-            if end == m or n_admits == limit:
-                return hit[:end]
-            start = end
+                        queue, qtoken = build(p)
+                        qepoch, built_at, lo = epoch, p, p
+                        entries = _entries(queue, where)
+                victim = None
+                for qpos, key, at in entries:
+                    if not (skip_touched and lo <= at < p):
+                        victim = key
+                        break
+                else:
+                    if f is None and built_at != p:
+                        queue, qtoken = build(p)  # ran dry: rebuild from the state at p
+                        built_at = lo = p
+                        entries = _entries(queue, where)
+                        first = next(entries, None)  # a fresh queue's head is the victim
+                        if first is not None:
+                            qpos, victim, at = first
+                if victim is None:
+                    qpos = len(queue)
+                    if f is None:
+                        qepoch = None  # nothing resident passes the filter
+                    bypassed.append(p)  # nothing evictable
+                else:
+                    victims.append(victim)
+                    evicted_at.append(p)
+                    inserted.append(p)
+                    if at >= 0:
+                        if at < p:
+                            late.append(at)
+                        else:
+                            hit[at] = False  # evicted before its access
+                            bisect.insort(misses, at, lo=i)
+                    if mixed and (at < 0 or at > p or hit[at]) and self._owner[victim] < 0:
+                        left -= 1  # an unowned block's slot became the tenant's
+                        if not left:
+                            mixed, owners = False, (tid,)
+                            epoch = (epoch[0], f, owners)
+            n_admits += 1
+            if n_admits == limit:
+                end = p + 1
+                break
+        self._vq, self._vq_pos, self._vq_epoch, self._vq_token = queue, qpos, qepoch, qtoken
+        self._write_segment(
+            keys, end, hit, inserted, victims, evicted_at if late else None, where,
+            len(bypassed), step, touch, agg, tid,
+        )
+        if sink is not None:
+            sink.extend(evicted_at, "evict", victims)
+            if bypassed:
+                sink.extend(bypassed, "bypass", keys[bypassed].tolist())
+        return hit[:end]
 
     def _build_queue(self, epoch: tuple) -> None:
         """Build the victim queue of ``epoch`` — ``(step or "*",
@@ -637,15 +730,21 @@ class CacheLevel:
         mask = self.evictable_mask(min_free_step)
         if owners is None:
             return mask
-        allowed = self._owner == owners[0]
-        if len(owners) > 1:
-            allowed |= self._owner == -1
-        return mask & allowed
+        return mask & self._owned_by(self._owner, owners)
 
-    def _queue_candidates(self, min_free_step, where):
+    @staticmethod
+    def _owned_by(owner: np.ndarray, owners: tuple) -> np.ndarray:
+        """``owner`` entries in ``owners`` — ``(tenant,)`` or ``(tenant, -1)``."""
+        allowed = owner == owners[0]
+        if len(owners) > 1:
+            allowed |= owner == -1
+        return allowed
+
+    def _queue_candidates(self, min_free_step, owners, where):
         """Victim-queue entries from ``_vq_pos`` on that are candidates in
-        the current state, as ``(queue position after it, key, frame
-        position)``; validated in windows that double toward the tail."""
+        the current state under the ``owners`` filter, as ``(queue position
+        after it, key, frame position)``; validated in windows that double
+        toward the tail."""
         queue = self._vq
         pos = self._vq_pos
         width = 16
@@ -655,6 +754,8 @@ class CacheLevel:
                 ok = self.policy.victim_still_ordered_many(window, self._vq_token)
             else:
                 ok = self._resident[window] & (self._last_used[window] < min_free_step)
+            if owners is not None:
+                ok &= self._owned_by(self._owner[window], owners)
             idx = np.flatnonzero(ok)
             cand = window[idx]
             yield from zip((idx + pos + 1).tolist(), cand.tolist(), where[cand].tolist())
@@ -662,51 +763,83 @@ class CacheLevel:
             width *= 2
 
     def _write_segment(
-        self, keys, start, end, hit, inserted, victims, n_bypass, step, touch, agg
+        self, keys, end, hit, inserted, victims, evicted_at, where, n_bypass, step, touch,
+        agg, tid,
     ) -> None:
-        """Apply one planned segment ``keys[start:end]`` as array writes."""
+        """Apply a planned frame ``keys[:end]`` as array writes.
+
+        A victim the frame accessed before its eviction (a block touched or
+        inserted earlier in the frame) leaves after the frame's accesses
+        are applied, every other victim before them, so the policy sees
+        each block tracked or not exactly when the per-key loop's hooks
+        did.  Victims release their owners' quota units and inserts are
+        owned by ``tid``; no victim is another tenant's, since each passed
+        its admission's owner filter.
+        """
         policy = self.policy
-        seg = keys[start:end]
-        ins = np.zeros(seg.size, dtype=bool)
-        ins[np.asarray(inserted, dtype=np.int64) - start] = True
-        touched = hit[start:end] if touch else np.zeros(seg.size, dtype=bool)
-        if touch:
-            self._last_used[seg[touched]] = step
+        seg = keys[:end]
+        ins = np.zeros(end, dtype=bool)
+        ins[inserted] = True
+        touched = hit[:end] if touch else np.zeros(end, dtype=bool)
         r = len(victims)
+        late = None
         if r:
             gone = np.asarray(victims, dtype=np.int64)
-            self._resident[gone] = False
-            self._last_used[gone] = _NEVER_USED
-            self._n_resident -= r
-            policy.on_evict_many(gone)
+            if evicted_at is not None:
+                at = where[gone]
+                after = (at >= 0) & (at < np.asarray(evicted_at, dtype=np.int64))
+                late, gone = gone[after], gone[~after]
+            self._drop(gone)
             self.stats.evictions += r
             if self.registry.enabled:
                 self._evictions.inc(r)
             if agg is not None:
                 agg.setdefault(("evict", self.name), [0, 0, 0.0])[0] += r
+        if touch:
+            self._last_used[seg[touched]] = step
         k = len(inserted)
         if k:
             new = seg[ins]
             self._resident[new] = True
             self._last_used[new] = step
-            self._n_resident += k
-            self.stats.inserts += k
-            if self.registry.enabled:
-                # k insert-sets plus r evict-sets ending at the live occupancy,
-                # which every evict dip recovers to: the walk never exceeds it.
-                self._occupancy.set_n(self._n_resident, k + r)
+            if tid >= 0:
+                self._owner[new] = tid
+                self._tenant_used[tid] += k
         accessed = touched | ins
         if accessed.any():
             policy.on_access_many(seg[accessed], ins[accessed], step)
             epoch = self._vq_epoch
             if epoch is not None and epoch[1] is not None and step < epoch[1]:
                 self._vq_epoch = None  # as touch/admit: another epoch's order is stale
+        if late is not None:
+            self._drop(late)
+        if k:
+            self._n_resident += k - r
+            self.stats.inserts += k
+            if self.registry.enabled:
+                # k insert-sets plus r evict-sets ending at the live occupancy,
+                # which every evict dip recovers to: the walk never exceeds it.
+                self._occupancy.set_n(self._n_resident, k + r)
         if n_bypass:
             self.stats.bypasses += n_bypass
             if self.registry.enabled:
                 self._bypasses.inc(n_bypass)
             if agg is not None:
                 agg.setdefault(("bypass", self.name), [0, 0, 0.0])[0] += n_bypass
+
+    def _drop(self, gone: np.ndarray) -> None:
+        """Evicted residents leave: residency, ``last_used``, owners' quota
+        units and the policy order."""
+        self._resident[gone] = False
+        self._last_used[gone] = _NEVER_USED
+        owner = self._owner
+        if owner is not None:
+            held = owner[gone]
+            held = held[held >= 0]
+            if held.size:
+                self._tenant_used -= np.bincount(held, minlength=len(self._tenant_used))
+            owner[gone] = -1
+        self.policy.on_evict_many(gone)
 
     def _evictable_predicate(self, min_free_step: Optional[int], owners: Optional[tuple]):
         """Per-key form of :meth:`_candidate_mask` for policies that rank

@@ -68,7 +68,7 @@ def _build(n_nodes, strategy, ghost_ratio, policy, profile, fault_seed, traced, 
         GRID, n_nodes, strategy=strategy, cache_ratio=0.5, policy=policy,
         ghost_ratio=ghost_ratio, seed=1,
     )
-    if quotas:  # tenant-quota levels run access_many live
+    if quotas:  # tenant-quota levels plan under owner filters
         h.set_tenant_quotas({"a": 0.4, "b": 0.4})
     if traced:
         h.set_tracer(Tracer())

@@ -2,6 +2,7 @@
 documents, gating."""
 
 import json
+import math
 
 import pytest
 
@@ -37,6 +38,19 @@ class TestConfig:
             LoadGenConfig(mix=(0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="partition"):
             LoadGenConfig(partition="striped")
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="arrival_rate_hz"):
+            LoadGenConfig(arrival_rate_hz=rate)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_mix_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="mix"):
+            LoadGenConfig(mix=(weight, 1.0, 1.0))
+
+    def test_non_positive_rate_still_means_all_at_zero(self):
+        assert LoadGenConfig(arrival_rate_hz=-1.0).arrival_rate_hz == -1.0
 
     def test_to_dict_json_plain(self):
         json.dumps(SMALL.to_dict())

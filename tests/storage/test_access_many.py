@@ -14,6 +14,13 @@ per-key loop records them on a tracer, ``access_many`` collects them in
 an :class:`~repro.storage.cache.EventSink` tagged with the frame position
 of the access that caused each — the same events at the same positions,
 tenant-quota levels included.
+
+Tenant-quota levels plan too: the differential at the end also draws
+quotas that fill the capacity or leave room, unowned residents,
+untenanted frames, quota re-installs, ``admits`` masks and frames with
+many more misses than a quota, and compares the owners and the
+registry's occupancy gauge and eviction, bypass and cross-eviction
+counters as well.
 """
 
 import copy
@@ -23,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry
 from repro.policies.registry import make_policy
 from repro.storage.cache import CacheLevel, EventSink
 from repro.trace import Tracer
@@ -43,14 +51,17 @@ def _level(policy, capacity, residents=(), quotas=None):
     return level
 
 
-def _per_key(level, keys, step, min_free_step=None, touch=True, limit=None, tenant=None):
+def _per_key(level, keys, step, min_free_step=None, touch=True, limit=None, tenant=None,
+             admits=None):
     """The reference: one touch or admit per key, stopping after ``limit``
-    admits.  Returns the hit list and the evict/bypass events each access
-    recorded, as ``(position, kind, key)``."""
+    admits; a miss that ``admits`` does not mark is passed over.  Returns
+    the hit list and the evict/bypass events each access recorded, as
+    ``(position, kind, key)``."""
     hit, events = [], []
     tracer = level.tracer
+    n_admits = 0
     for pos, key in enumerate(keys):
-        if limit is not None and hit.count(False) >= limit:
+        if limit is not None and n_admits >= limit:
             break
         seen = tracer.n_recorded
         if key in level:
@@ -58,20 +69,25 @@ def _per_key(level, keys, step, min_free_step=None, touch=True, limit=None, tena
                 level.touch(key, step)
             hit.append(True)
         else:
-            level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
+            if admits is None or admits[pos]:
+                level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
+                n_admits += 1
             hit.append(False)
         events += [(pos, e.kind, e.key) for e in tracer.events_since(seen)]
     return hit, events
 
 
-def _frame(a, b, keys, step, min_free_step=None, touch=True, limit=None, tenant=None):
+def _frame(a, b, keys, step, min_free_step=None, touch=True, limit=None, tenant=None,
+           admits=None):
     """One frame through the per-key loop on ``a`` and ``access_many`` on
     ``b``: the same hit mask and the same events at the same positions
     (``b`` records none itself: they go to the sink)."""
-    want, want_events = _per_key(a, keys, step, min_free_step, touch, limit, tenant)
+    want, want_events = _per_key(a, keys, step, min_free_step, touch, limit, tenant, admits)
     sink = EventSink()
+    mask = None if admits is None else np.array(admits, dtype=bool)
     got = b.access_many(
-        np.array(keys, dtype=np.int64), step, min_free_step, touch, None, limit, tenant, sink
+        np.array(keys, dtype=np.int64), step, min_free_step, touch, None, limit, tenant, sink,
+        mask,
     )
     assert got.tolist() == want
     assert sorted(zip(sink.pos, sink.kinds, sink.keys), key=lambda e: e[0]) == want_events
@@ -256,8 +272,9 @@ def test_frame_sequences_match_the_per_key_loop(policy, capacity, residents, fra
 )
 @settings(max_examples=100, deadline=None)
 def test_tenant_quota_frames_match_the_per_key_loop(policy, residents, frames):
-    """Tenant-quota levels run ``access_many`` live: the same residency,
-    ownership, stats and events as the per-key admits, per tenant."""
+    """Tenant-quota levels plan ``access_many`` under owner filters: the
+    same residency, ownership, stats and events as the per-key admits,
+    per tenant."""
     quotas = {"a": 2, "b": 3}
     a = _level(policy, 6, residents, quotas)
     b = _level(policy, 6, residents, quotas)
@@ -267,3 +284,202 @@ def test_tenant_quota_frames_match_the_per_key_loop(policy, residents, frames):
         _assert_same(a, b)
         assert a.tenant_usage() == b.tenant_usage()
         np.testing.assert_array_equal(a._owner, b._owner)
+
+
+# -- tenant-quota levels on the planned sweep ---------------------------------
+
+TENANTS = ("a", "b", "c")
+N_KEYS = 16
+
+
+def _quotas(caps, fill, capacity):
+    """Quotas for a prefix of TENANTS from the drawn ``caps``, each >= 1,
+    that sum to at most the capacity — to exactly it when ``fill``."""
+    out, left = {}, capacity
+    for name, cap in zip(TENANTS, caps):
+        if left < 1:
+            break
+        out[name] = min(cap, left)
+        left -= out[name]
+    if fill:
+        out[list(out)[-1]] += capacity - sum(out.values())
+    return out
+
+
+_caps = st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.booleans())
+
+
+def _metered(policy, capacity, residents, quotas, preload):
+    """A traced, metered quota level: ``residents`` (``(key, tenant or
+    None)``) admitted at step 0, then ``preload`` placed unowned."""
+    level = CacheLevel("dram", capacity, make_policy(policy), n_blocks=N_KEYS)
+    level.set_registry(MetricsRegistry())
+    level.set_tenant_quotas(quotas)
+    for key, tenant in residents:
+        if key not in level:
+            level.admit(key, 0, tenant=tenant if tenant in quotas else None)
+    level.preload(preload)
+    level.tracer = Tracer()
+    return level
+
+
+def _meters(level):
+    return (
+        level._occupancy.as_dict(),
+        level._evictions.value,
+        level._bypasses.value,
+        level._cross_evictions.value,
+        level.tenant_cross_evictions,
+    )
+
+
+def _assert_same_quota(a, b):
+    _assert_same(a, b)
+    np.testing.assert_array_equal(a._owner, b._owner)
+    np.testing.assert_array_equal(a._tenant_used, b._tenant_used)
+    assert _meters(a) == _meters(b)
+    assert b.tenant_cross_evictions == 0
+
+
+_quota_frame = st.tuples(
+    st.just("frame"),
+    st.lists(st.integers(0, N_KEYS - 1), unique=True, max_size=N_KEYS),  # keys
+    st.integers(0, 4),  # step: sessions keep their own step counters
+    st.sampled_from([None, 0, -1]),  # min_free_step: none, at or one below the step
+    st.booleans(),  # touch
+    st.one_of(st.none(), st.integers(0, 8)),  # limit
+    st.one_of(st.none(), st.lists(st.booleans(), min_size=N_KEYS, max_size=N_KEYS)),  # admits
+    st.sampled_from(TENANTS + (None,)),
+)
+_quota_op = st.one_of(*[_quota_frame] * 6, st.tuples(st.just("quotas"), _caps))
+
+
+def _quota_ops(a, b, ops, capacity):
+    for op in ops:
+        if op[0] == "quotas":  # a re-install leaves every resident unowned
+            quotas = _quotas(*op[1], capacity)
+            for level in (a, b):
+                level.set_tenant_quotas(quotas)
+            continue
+        _, keys, step, offset, touch, limit, admits, tenant = op
+        if tenant not in a._tenant_names:
+            tenant = None
+        mfs = None if offset is None else step + offset
+        mask = None if admits is None else admits[: len(keys)]
+        _frame(a, b, keys, step, mfs, touch, limit, tenant, mask)
+        _assert_same_quota(a, b)
+
+
+@st.composite
+def _quota_case(draw):
+    capacity = draw(st.integers(2, 8))
+    return dict(
+        policy=draw(st.sampled_from(QUEUE_POLICIES)),
+        capacity=capacity,
+        quotas=_quotas(*draw(_caps), capacity),
+        residents=draw(
+            st.lists(
+                st.tuples(st.integers(0, N_KEYS - 1), st.sampled_from(TENANTS + (None,))),
+                unique_by=lambda r: r[0], max_size=capacity,
+            )
+        ),
+        preload=draw(st.lists(st.integers(0, N_KEYS - 1), max_size=4)),
+        ops=draw(st.lists(_quota_op, min_size=1, max_size=8)),
+    )
+
+
+def _quota_differential(case):
+    args = (case["policy"], case["capacity"], case["residents"], case["quotas"],
+            case["preload"])
+    a, b = _metered(*args), _metered(*args)
+    _assert_same_quota(a, b)
+    _quota_ops(a, b, case["ops"], case["capacity"])
+
+
+@given(case=_quota_case())
+@settings(max_examples=150, deadline=None)
+def test_quota_levels_plan_as_the_per_key_loop(case):
+    """Tenant-quota LRU/FIFO levels take the planned sweep: random frames
+    (tenanted and untenanted, constrained or not, prefetches, ``limit``
+    and ``admits``) and quota re-installs leave the same residency,
+    owners, stats, policy order, victim queue, events and registry values
+    as the per-key loop."""
+    _quota_differential(case)
+
+
+@pytest.mark.slow
+@given(case=_quota_case())
+@settings(max_examples=600, deadline=None)
+def test_quota_levels_plan_as_the_per_key_loop_wide(case):
+    _quota_differential(case)
+
+
+@pytest.mark.parametrize("policy", QUEUE_POLICIES)
+@pytest.mark.parametrize("min_free_step", [None, 1])
+def test_quota_crossing_mid_frame_changes_the_filter(policy, min_free_step):
+    """``a`` (quota 2) owns 1 of a full level that also holds unowned 0, 2
+    and 3.  Its first miss may take an unowned block — 0, the oldest — and
+    that takes ``a`` to its quota, so the next misses take its own blocks
+    only: 1, then (unconstrained) the block its first miss inserted."""
+    residents = [(0, None), (1, "a"), (2, None), (3, None)]
+    quotas = {"a": 2, "b": 1}
+    a = _metered(policy, 4, residents, quotas, [])
+    b = _metered(policy, 4, residents, quotas, [])
+    hit = _frame(a, b, [5, 6, 7], 1, min_free_step, tenant="a")
+    _assert_same_quota(a, b)
+    assert hit == [False, False, False]
+    if min_free_step is None:
+        assert sorted(b.resident_ids()) == [2, 3, 6, 7]
+        assert b.stats.evictions == 3
+    else:  # 5 was inserted at the step: nothing of a's is evictable for 7
+        assert sorted(b.resident_ids()) == [2, 3, 5, 6]
+        assert b.stats.bypasses == 1
+    assert b.tenant_usage() == {"a": 2, "b": 0}
+
+
+@pytest.mark.parametrize("policy", QUEUE_POLICIES)
+def test_a_quota_frame_is_written_once(policy, monkeypatch):
+    """A 117-key frame of a tenant at its quota of 15 (16 tenants on 250
+    blocks): its queue runs dry every 15 admissions, and each rebuild comes
+    from the plan, so the frame is written once — and matches the per-key
+    loop."""
+    writes = []
+    write = CacheLevel._write_segment
+
+    def counted(self, *args, **kwargs):
+        writes.append(self)
+        return write(self, *args, **kwargs)
+
+    monkeypatch.setattr(CacheLevel, "_write_segment", counted)
+    quotas = {f"t{i}": 15 for i in range(16)}
+    levels = []
+    for _ in range(2):
+        level = CacheLevel("dram", 250, make_policy(policy), n_blocks=1000)
+        level.set_registry(MetricsRegistry())
+        level.set_tenant_quotas(quotas)
+        level.tracer = Tracer()
+        levels.append(level)
+    a, b = levels
+    rng = np.random.default_rng(7)
+    for step in range(40):
+        keys = rng.choice(1000, 117, replace=False).tolist()
+        tenant = f"t{step % 16}"
+        at_quota = b.tenant_usage()[tenant] == 15
+        writes.clear()
+        hit = _frame(a, b, keys, step, tenant=tenant)
+        _assert_same_quota(a, b)
+        assert writes == [b]
+    assert at_quota and hit.count(False) > 3 * 15
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_unknown_tenant_leaves_the_level_unchanged(policy):
+    """The tenant is resolved before the frame's first write: the leading
+    hits stay untouched."""
+    level = _level(policy, 4, [(0, "a"), (1, "b")], {"a": 2, "b": 2})
+    before = (level._last_used.copy(), copy.copy(level.stats), _order(level), _queue(level))
+    with pytest.raises(KeyError, match="unknown tenant"):
+        level.access_many(np.array([0, 1, 5], dtype=np.int64), 3, tenant="z")
+    np.testing.assert_array_equal(level._last_used, before[0])
+    assert (level.stats, _order(level), _queue(level)) == before[1:]
+    assert level.last_used(0) == level.last_used(1) == 0

@@ -371,6 +371,21 @@ class TestServeSim:
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, values, field", [
+        ("--arrival-rate", ["nan"], "arrival_rate_hz"),
+        ("--arrival-rate", ["inf"], "arrival_rate_hz"),
+        ("--mix", ["nan", "1", "1"], "mix"),
+        ("--mix", ["inf", "1", "1"], "mix"),
+    ])
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, flag, values, field):
+        """A NaN or infinite rate or weight is refused by name, before any
+        session runs: no snapshot (with a NaN in it) is written."""
+        rc = main(self._FAST + [flag, *values, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.fixture(scope="module")
 def bench_snapshot(tmp_path_factory):
