@@ -8,21 +8,17 @@ Design claims exercised (DESIGN.md §4/§5):
   method (prediction can beat optimal replacement).
 """
 
-from repro.experiments import figures
+from repro.experiments.report import format_series
 
 
-def test_ablation_matrix(run_once, full_scale):
-    panels = run_once(figures.ablations, full=full_scale)
+def test_ablation_matrix(run_figure):
+    cells = run_figure("ablations")
+    # Cells key as the variants: fifo, ..., opt, opt(no-prefetch), ...
+    miss = {cell["key"]: cell["summary"]["total_miss_rate"] for cell in cells}
+    time = {cell["key"]: cell["summary"]["total_time_s"] for cell in cells}
     print()
-    for panel in panels:
-        print(panel.report)
-        print()
-
-    (panel,) = panels
-    rows = dict(zip(panel.x_values, zip(panel.series["miss_rate"],
-                                        panel.series["total_time_s"])))
-    miss = {k: v[0] for k, v in rows.items()}
-    time = {k: v[1] for k, v in rows.items()}
+    print(format_series("variant", list(miss),
+                        {"miss_rate": list(miss.values()), "total_time_s": list(time.values())}))
 
     # Full method beats every conventional baseline on miss rate and time.
     for base in ("fifo", "lru", "arc"):

@@ -5,19 +5,19 @@ Eq. 6 radius achieves the lowest total I/O + prefetch time among
 {optimal, 0.1, 0.075, 0.05, 0.025}.
 """
 
-from repro.experiments import figures
+from repro.experiments.report import format_series
 
 
-def test_fig11_radius_comparison(run_once, full_scale):
-    panels = run_once(figures.fig11, full=full_scale)
+def test_fig11_radius_comparison(run_figure):
+    cells = run_figure("fig11")
+    labels = [cell["key"] for cell in cells]
+    times = [cell["summary"]["io_time_s"] + cell["summary"]["prefetch_time_s"]
+             for cell in cells]
+    misses = [cell["summary"]["total_miss_rate"] for cell in cells]
     print()
-    for panel in panels:
-        print(panel.report)
-        print()
+    print(format_series("radius", labels,
+                        {"io_plus_prefetch_s": times, "miss_rate": misses}))
 
-    (panel,) = panels
-    labels = panel.x_values
-    times = panel.series["io_plus_prefetch_s"]
     assert labels[0] == "optimal (Eq.6)"
     optimal_time = times[0]
     # The Eq. 6 radius is the cheapest of the paper's comparison set
@@ -25,5 +25,4 @@ def test_fig11_radius_comparison(run_once, full_scale):
     for label, t in zip(labels[1:], times[1:]):
         assert optimal_time <= t * 1.02, (label, optimal_time, t)
     # And it achieves the best miss rate of the set too.
-    misses = panel.series["miss_rate"]
     assert misses[0] <= min(misses[1:]) + 1e-9

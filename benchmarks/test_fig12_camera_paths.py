@@ -7,30 +7,25 @@ generally; miss rate grows with the per-step direction change.
 
 import numpy as np
 
-from repro.experiments import figures
 
+def test_fig12_camera_path_sweep(run_figure, panel):
+    cells = run_figure("fig12")
+    spherical = panel(cells, "degrees", "total_miss_rate", workload="spherical")[1]
+    rnd = panel(cells, "degrees", "total_miss_rate", workload="random")[1]
 
-def test_fig12_camera_path_sweep(run_once, full_scale):
-    panels = run_once(figures.fig12, full=full_scale)
-    print()
-    for panel in panels:
-        print(panel.report)
-        print()
-
-    spherical, rnd = panels
-    for panel in (spherical, rnd):
-        fifo = np.asarray(panel.series["fifo"])
-        lru = np.asarray(panel.series["lru"])
-        opt = np.asarray(panel.series["opt"])
+    for name, series in (("fig12a", spherical), ("fig12b", rnd)):
+        fifo = np.asarray(series["fifo"])
+        lru = np.asarray(series["lru"])
+        opt = np.asarray(series["opt"])
         # OPT wins everywhere.
-        assert np.all(opt < lru), panel.figure
-        assert np.all(opt < fifo), panel.figure
+        assert np.all(opt < lru), name
+        assert np.all(opt < fifo), name
         # Miss rate grows with the direction change for every method.
-        for series in (fifo, lru, opt):
-            assert series[-1] > series[0], panel.figure
+        for values in (fifo, lru, opt):
+            assert values[-1] > values[0], name
 
     # At the smallest direction change OPT is a small fraction of the
     # baselines (paper: one quarter; assert at most 60% to be robust
     # across scales).
-    assert spherical.series["opt"][0] < 0.6 * spherical.series["lru"][0]
-    assert rnd.series["opt"][0] < 0.6 * rnd.series["lru"][0]
+    assert spherical["opt"][0] < 0.6 * spherical["lru"][0]
+    assert rnd["opt"][0] < 0.6 * rnd["lru"][0]

@@ -8,34 +8,32 @@ advantage (the paper reports 8.6%/19.7% savings over LRU/FIFO at 0.7 vs
 
 import numpy as np
 
-from repro.experiments import figures
 
+def test_fig13_total_time_sweep(run_figure, panel):
+    cells = run_figure("fig13")
+    panels = {
+        ratio: panel(cells, "degrees", "total_time_s", cache_ratio=ratio)[1]
+        for ratio in (0.5, 0.7)
+    }
 
-def test_fig13_total_time_sweep(run_once, full_scale):
-    panels = run_once(figures.fig13, full=full_scale)
-    print()
-    for panel in panels:
-        print(panel.report)
-        print()
-
-    ratio05, ratio07 = panels
-    for panel in (ratio05, ratio07):
-        fifo = np.asarray(panel.series["fifo"])
-        lru = np.asarray(panel.series["lru"])
-        opt = np.asarray(panel.series["opt"])
+    ratio05, ratio07 = panels[0.5], panels[0.7]
+    for ratio, series in panels.items():
+        fifo = np.asarray(series["fifo"])
+        lru = np.asarray(series["lru"])
+        opt = np.asarray(series["opt"])
         # At the smallest direction change OPT clearly wins.
-        assert opt[0] < lru[0], panel.figure
-        assert opt[0] < fifo[0], panel.figure
+        assert opt[0] < lru[0], ratio
+        assert opt[0] < fifo[0], ratio
         # Total time grows with direction change for every method.
-        for series in (fifo, lru, opt):
-            assert series[-1] > series[0], panel.figure
+        for values in (fifo, lru, opt):
+            assert values[-1] > values[0], ratio
         # LRU never loses to FIFO by much on these paths.
-        assert np.all(lru <= fifo * 1.05), panel.figure
+        assert np.all(lru <= fifo * 1.05), ratio
 
     # The bigger cache helps OPT more than it helps the baselines: the
     # relative OPT saving at the largest direction change grows with the
     # cache ratio (the mechanism behind the paper's ratio-0.7 experiment).
-    def saving(panel):
-        return 1.0 - panel.series["opt"][-1] / panel.series["lru"][-1]
+    def saving(series):
+        return 1.0 - series["opt"][-1] / series["lru"][-1]
 
     assert saving(ratio07) > saving(ratio05) - 1e-9

@@ -14,28 +14,24 @@ import numpy as np
 from repro.camera.path import random_path
 from repro.camera.sampling import SamplingConfig
 from repro.runtime import OptimizerConfig
-from repro.experiments import figures
 from repro.experiments.runner import ExperimentSetup
 from repro.tables.visible_table import LookupCostModel
 
 
-def test_fig7_sampling_position_sweep(run_once, full_scale):
-    panels = run_once(figures.fig7, full=full_scale)
-    print()
-    for panel in panels:
-        print(panel.report)
-        print()
+def test_fig7_sampling_position_sweep(run_figure, panel):
+    cells = run_figure("fig7")
+    # One line per dataset over the table sizes (n_directions axis).
+    _, miss_series = panel(cells, "n_directions", "total_miss_rate", group_by="dataset")
+    _, io_series = panel(cells, "n_directions", "io_time_s", group_by="dataset")
 
-    miss_panel, io_panel = panels
-
-    for dataset, rates in miss_panel.series.items():
+    for dataset, rates in miss_series.items():
         # (a) denser tables do not hurt the miss rate: the sparsest table
         # is the worst (or tied); beyond saturation the curve is flat
         # within vicinal-sampling noise.
         assert rates[-1] <= rates[0] + 1e-9, (dataset, rates)
         assert max(rates[1:]) <= rates[0] + 0.02, (dataset, rates)
 
-    for dataset, times in io_panel.series.items():
+    for dataset, times in io_series.items():
         # (b) the U-shape: the largest table costs clearly more than the
         # best (per-query lookup overhead outgrows the miss-rate saving,
         # Fig. 7b), and the sparsest table is never a clear winner (a

@@ -30,7 +30,10 @@ Subcommands mirror a real out-of-core visualization workflow:
 ``bench``, ``serve-sim`` and ``matrix run`` are spellings of one call,
 :func:`repro.experiments.matrix.run_matrix`.
 
-Experiment regeneration lives under ``python -m repro.experiments``.
+The paper's evaluation is bundled specs too: ``matrix run fig13`` runs
+Fig. 13 at paper scale and ``matrix run fig13-quick`` its quick twin
+(likewise ``fig7``, ``fig9``, ``fig11``, ``fig12`` and ``ablations``);
+``info`` prints Table I.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
-"""Experiment harness: one entry point per paper table/figure.
+"""Experiment harness.
 
-``repro.experiments.figures`` defines each experiment (workload,
-parameters, series) at two scales — ``full=False`` laptop-bench defaults
-and ``full=True`` paper-scale sweeps; ``repro.experiments.runner`` holds
-the shared setup/replay machinery; ``repro.experiments.report`` renders
-the same rows/series the paper reports.
+Every paper figure is a bundled matrix spec (``specs/fig7.toml`` …
+``fig13.toml`` and ``ablations.toml``, each with a ``-quick`` twin) that
+:mod:`repro.experiments.matrix` runs into one gated ``MATRIX_<label>.json``
+document; ``repro.experiments.runner`` holds the shared setup/replay
+machinery; ``repro.experiments.extensions`` holds the experiments beyond
+the paper.
 
 Run from the command line::
 
-    python -m repro.experiments --figure fig12
+    python -m repro matrix run fig13-quick
 """
 
 from repro.experiments.gating import (
@@ -36,8 +37,7 @@ from repro.experiments.runner import (
     compare_policies,
 )
 from repro.experiments.report import format_table, format_series
-from repro.experiments.sweep import parameter_sweep, SweepResult
-from repro.experiments import extensions, figures
+from repro.experiments import extensions
 
 __all__ = [
     "ExperimentSetup",
@@ -58,8 +58,5 @@ __all__ = [
     "run_matrix",
     "format_table",
     "format_series",
-    "parameter_sweep",
-    "SweepResult",
-    "figures",
     "extensions",
 ]

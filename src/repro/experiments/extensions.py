@@ -1,8 +1,7 @@
 """Extension experiments (beyond the paper's figures).
 
-Same :class:`~repro.experiments.figures.FigureResult` protocol as the
-paper figures, so the CLI regenerates them and the benches assert their
-shapes:
+Each returns :class:`FigureResult` panels (an x-axis and named series)
+whose shapes the benches assert:
 
 - :func:`prefetch_strategies` — table vs motion vs Markov vs none;
 - :func:`temporal` — next-timestep prefetch on time-varying climate;
@@ -18,7 +17,8 @@ shapes:
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.core.interactive import render_quality_series
 from repro.core.pipeline import PipelineContext
 from repro.core.schedule import event_driven_total_time
 from repro.runtime.drivers import run_baseline, run_budgeted, run_temporal
-from repro.experiments.figures import FigureResult
+from repro.experiments.report import format_series
 from repro.experiments.runner import ExperimentSetup, compare_policies
 from repro.prefetch import (
     MarkovPrefetcher,
@@ -51,6 +51,7 @@ from repro.volume.timeseries import make_time_varying_climate
 from repro.volume.volume import Volume
 
 __all__ = [
+    "FigureResult",
     "iso_sweep",
     "multinode",
     "prefetch_strategies",
@@ -62,6 +63,27 @@ __all__ = [
 ]
 
 _EXT_VIEW = 10.0
+
+
+@dataclass
+class FigureResult:
+    """One panel of an extension experiment."""
+
+    figure: str
+    description: str
+    x_label: str
+    x_values: List[object]
+    series: Dict[str, List[float]]
+    meta: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def report(self) -> str:
+        return format_series(
+            self.x_label,
+            self.x_values,
+            self.series,
+            title=f"{self.figure}: {self.description}",
+        )
 
 
 def prefetch_strategies(full: bool = False, seed: int = 0) -> List[FigureResult]:

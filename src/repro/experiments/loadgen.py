@@ -29,6 +29,7 @@ import numpy as np
 from repro.experiments.runner import ExperimentSetup, fresh_hierarchy
 from repro.runtime.context import RunContext
 from repro.runtime.sessions import SessionSpec, run_sessions
+from repro.utils.validation import is_finite_number
 
 __all__ = [
     "SERVE_SCHEMA_VERSION",
@@ -77,6 +78,21 @@ class LoadGenConfig:
             raise ValueError(f"mix must be 3 finite non-negative weights, got {self.mix}")
         if not math.isfinite(self.arrival_rate_hz):
             raise ValueError(f"arrival_rate_hz must be finite, got {self.arrival_rate_hz}")
+        if not (is_finite_number(self.distance) and self.distance > 0):
+            raise ValueError(f"distance must be positive and finite, got {self.distance!r}")
+        if (
+            len(self.degrees) != 2
+            or not all(is_finite_number(v) for v in self.degrees)
+            or not 0 <= self.degrees[0] <= self.degrees[1]
+        ):
+            raise ValueError(
+                f"degrees must be a finite (lo, hi) pair with 0 <= lo <= hi, "
+                f"got {self.degrees!r}"
+            )
+        for name in ("scale", "cache_ratio"):
+            value = getattr(self, name)
+            if value is not None and not is_finite_number(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.partition not in ("equal", "none"):
             raise ValueError(f"partition must be 'equal' or 'none', got {self.partition!r}")
 

@@ -19,15 +19,21 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
 ``[base]``
     ``RunConfig`` field defaults shared by every cell.
 ``[axes]``
-    ``RunConfig`` field → list of values; cells are the cartesian product
-    in declaration order (first axis varies slowest).
+    ``RunConfig`` field or ``[setup]`` key → list of values; cells are the
+    cartesian product in declaration order (first axis varies slowest).
+    A ``[setup]``-key axis reaches the runner as that cell's ``[setup]``
+    value.
 ``[setup]``
-    Non-``RunConfig`` extras the cell runners read: sampling shape
-    ``n_directions``/``n_distances``, ``tracer_capacity``, cluster
-    ``ghost_ratio``/``force_sharded``, serve ``mix``/``arrival_rate_hz``/
-    ``partition``/``attribution``, and the ``bench-cell`` suite's
-    ``multi_tenant = {sessions, steps}`` scenario.  Any other key is
-    rejected.
+    Non-``RunConfig`` extras the cell runners read: the ``T_visible``
+    shape (``n_directions``/``n_distances``, the sampled radial
+    ``distance_range = [lo, hi]``, ``n_vicinal`` points per vicinal
+    sphere, and ``fixed_radius``, a radius every sample uses or ``"eq6"``,
+    the default, for Eq. 6's), ``optimizer`` (a table of
+    :class:`~repro.runtime.config.OptimizerConfig` fields for app-aware
+    cells), ``tracer_capacity``, cluster ``ghost_ratio``/``force_sharded``,
+    serve ``mix``/``arrival_rate_hz``/``partition``/``attribution``, and
+    the ``bench-cell`` suite's ``multi_tenant = {sessions, steps}``
+    scenario.  Any other key is rejected.
 ``[labels.<axis>]``
     ``str(value)`` → display label used in cell keys; an empty label drops
     the segment (so a fault axis only names its faulted cells).
@@ -36,7 +42,8 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     of any constraint is skipped (values may be scalars or lists).
 ``[[figures]]``
     ``{x, metric, group_by?, title?}`` — series rendered by the report via
-    :meth:`repro.experiments.sweep.SweepResult.series`.
+    :func:`repro.obs.report.figure_series` (one line per ``group_by`` value
+    and per value of every other axis that varies).
 ``[report]``
     ``title``, ``bench_snapshots`` (committed ``MATRIX_*`` files to chart
     as trends; relative names resolve against the current directory).
@@ -44,7 +51,11 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
 Two cell runners ship built in (``register_cell_runner`` adds more):
 
 - ``replay`` — one baseline-or-app-aware replay per cell on a fresh (or
-  sharded) hierarchy, with fault injection; the general-purpose runner.
+  sharded) hierarchy, with fault injection; the general-purpose runner,
+  and the one that takes ``policy = "belady"`` (the offline bound over the
+  cell's demand trace, single-box only).  The paper's figures are its
+  bundled specs (``fig7`` … ``fig13``, ``ablations``, each with a
+  ``-quick`` twin).
 - ``serve`` — one multi-tenant serving scenario per cell
   (:func:`repro.experiments.loadgen.run_load`), ``sessions``-axis aware.
 
@@ -61,8 +72,9 @@ sections that belong to no cell (``suite.multi_tenant`` of ``bench-cell``,
 Seeds: each cell's config seed defaults to the spec seed; repeat ``r > 0``
 replaces it with ``derive_seed(seed, r)``.  Single-box fault profiles draw
 from ``derive_seed(fault_seed, cell.index)`` (as the ``bench-cell``
-runner does); cluster profiles use the raw ``fault_seed``.  Everything is a pure function of the spec, so
-serial and ``--workers N`` runs produce byte-identical snapshots.
+runner does); cluster profiles use the raw ``fault_seed``.  Everything is
+a pure function of the spec, so serial and ``--workers N`` runs produce
+byte-identical snapshots.
 """
 
 from __future__ import annotations
@@ -78,8 +90,9 @@ from typing import (
 )
 
 from repro.experiments.gating import MATRIX_SCHEMA_VERSION
-from repro.runtime.config import RUN_CONFIG_SCHEMA, RunConfig
+from repro.runtime.config import RUN_CONFIG_SCHEMA, OptimizerConfig, RunConfig
 from repro.utils.rng import derive_seed
+from repro.utils.validation import is_finite_number
 
 __all__ = [
     "MATRIX_SCHEMA_VERSION",
@@ -332,21 +345,52 @@ _MATRIX_KEYS = ("label", "runner", "repeats", "seed", "key_prefix", "key_joiner"
 
 #: The ``[setup]`` extras the cell runners read.
 _SETUP_KEYS = (
-    "n_directions", "n_distances", "tracer_capacity", "ghost_ratio", "force_sharded",
+    "n_directions", "n_distances", "distance_range", "n_vicinal", "fixed_radius",
+    "optimizer", "tracer_capacity", "ghost_ratio", "force_sharded",
     "mix", "arrival_rate_hz", "partition", "attribution", "multi_tenant",
 )
 
+#: ``[setup] fixed_radius`` value that lets Eq. 6 pick each sample's
+#: radius (the default; TOML has no null for an axis to name).
+EQ6_RADIUS = "eq6"
 
-def _is_scenario(value: Any) -> bool:
-    """``[setup] multi_tenant``: exactly ``{sessions, steps}``, ints >= 1."""
-    return (
+
+def _is_int_at_least_1(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _setup_problem(key: str, value: Any) -> Optional[str]:
+    """Why ``value`` is not a valid ``[setup] key`` (or a value of a
+    ``[setup]``-key axis); ``None`` when it is."""
+    if key == "multi_tenant" and not (
         isinstance(value, Mapping)
         and set(value) == {"sessions", "steps"}
-        and all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-            for v in value.values()
-        )
-    )
+        and all(_is_int_at_least_1(v) for v in value.values())
+    ):
+        return ("multi_tenant must be a table {sessions = <int >= 1>, "
+                f"steps = <int >= 1>}}, got {value!r}")
+    if key == "distance_range" and not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(is_finite_number(v) for v in value)
+        and 0 < value[0] <= value[1]
+    ):
+        return f"distance_range must be a finite [lo, hi] with 0 < lo <= hi, got {value!r}"
+    if key == "n_vicinal" and not _is_int_at_least_1(value):
+        return f"n_vicinal must be an int >= 1, got {value!r}"
+    if key == "fixed_radius" and value != EQ6_RADIUS and not (
+        is_finite_number(value) and value > 0
+    ):
+        return (f"fixed_radius must be a positive finite radius or "
+                f"{EQ6_RADIUS!r}, got {value!r}")
+    if key == "optimizer":
+        if not isinstance(value, Mapping):
+            return f"optimizer must be a table of OptimizerConfig fields, got {value!r}"
+        try:
+            OptimizerConfig(**value)
+        except (TypeError, ValueError) as exc:
+            return f"optimizer {dict(value)!r}: {exc}"
+    return None
 
 
 #: Modules that register additional cell runners on import; loaded lazily
@@ -404,11 +448,10 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
     unknown_keys = sorted(set(setup) - set(_SETUP_KEYS))
     if unknown_keys:
         problems.append(f"[setup] unknown key(s) {unknown_keys}; known: {list(_SETUP_KEYS)}")
-    if "multi_tenant" in setup and not _is_scenario(setup["multi_tenant"]):
-        problems.append(
-            "[setup] multi_tenant must be a table {sessions = <int >= 1>, "
-            f"steps = <int >= 1>}}, got {setup['multi_tenant']!r}"
-        )
+    for key, value in setup.items():
+        problem = _setup_problem(key, value)
+        if problem:
+            problems.append(f"[setup] {problem}")
 
     base = dict(d.get("base", {}))
     axes_raw = d.get("axes", {})
@@ -421,14 +464,23 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
             problems.append(f"[axes] {name} has no values")
             continue
         axes[name] = tuple(values)
-    for name in sorted((set(base) | set(axes)) - set(RUN_CONFIG_SCHEMA)):
+        for value in values:
+            problem = _setup_problem(name, value)
+            if problem:
+                problems.append(f"[axes] {problem}")
+    for name in sorted(set(base) - set(RUN_CONFIG_SCHEMA)):
         problems.append(
-            f"{'[axes]' if name in axes else '[base]'} {name!r} is not a RunConfig "
-            f"field; known: {sorted(RUN_CONFIG_SCHEMA)}"
+            f"[base] {name!r} is not a RunConfig field; known: {sorted(RUN_CONFIG_SCHEMA)}"
         )
-    overlap = sorted(set(base) & set(axes))
-    if overlap:
-        problems.append(f"field(s) {overlap} appear in both [base] and [axes]")
+    for name in sorted(set(axes) - set(RUN_CONFIG_SCHEMA) - set(_SETUP_KEYS)):
+        problems.append(
+            f"[axes] {name!r} is not a RunConfig field or a [setup] key; "
+            f"known: {sorted(RUN_CONFIG_SCHEMA)} and {list(_SETUP_KEYS)}"
+        )
+    for section, names in (("[base]", base), ("[setup]", setup)):
+        overlap = sorted(set(names) & set(axes))
+        if overlap:
+            problems.append(f"field(s) {overlap} appear in both {section} and [axes]")
 
     labels_raw = d.get("labels", {})
     labels: Dict[str, Dict[str, str]] = {}
@@ -471,7 +523,7 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
 
     if problems:
         raise ValueError(f"{where}: invalid matrix spec: " + "; ".join(problems))
-    return MatrixSpec(
+    spec = MatrixSpec(
         label=label,
         runner=runner,
         base=base,
@@ -486,6 +538,35 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
         key_prefix=str(matrix.get("key_prefix", "")),
         key_joiner=str(matrix.get("key_joiner", "/")),
     )
+    # Expand now, so a cell its runner cannot run fails here, not mid-run.
+    try:
+        for cell in expand_cells(spec):
+            _check_runner_takes(spec, cell)
+    except ValueError as exc:
+        raise ValueError(f"{where}: invalid matrix spec: {exc}") from None
+    return spec
+
+
+def _check_runner_takes(spec: MatrixSpec, cell: "MatrixCell") -> None:
+    """Reject a cell that only the single-box ``replay`` runner can run."""
+    config = cell.config
+    extras = _cell_setup(cell, spec.setup)
+    sharded = bool(extras.get("force_sharded"))
+    if config.policy == "belady" and (spec.runner != "replay" or sharded):
+        raise ValueError(
+            f"cell {cell.key!r}: policy='belady' runs only single-box on the replay "
+            f"runner, not on {spec.runner!r}{' with force_sharded' if sharded else ''}"
+        )
+    if extras.get("optimizer") and spec.runner != "replay":
+        raise ValueError(
+            f"cell {cell.key!r}: [setup] optimizer is read only by the replay "
+            f"runner, not by {spec.runner!r}"
+        )
+    if isinstance(config.distance, tuple) and spec.runner == "serve":
+        raise ValueError(
+            f"cell {cell.key!r}: the serve runner takes one distance, "
+            f"not a (lo, hi) pair {list(config.distance)}"
+        )
 
 
 def bundled_spec_names() -> List[str]:
@@ -524,8 +605,7 @@ def expand_grid(
     """Cartesian expansion of ``{axis: values}`` in declaration order.
 
     Returns ``(axis_names, combos)`` where each combo is an axis → value
-    dict; the first axis varies slowest.  Shared by ``expand_cells`` and
-    :func:`repro.experiments.sweep.parameter_sweep`.
+    dict; the first axis varies slowest.
     """
     if not grid:
         raise ValueError("grid needs at least one parameter axis")
@@ -592,7 +672,7 @@ def expand_cells(spec: MatrixSpec) -> List[MatrixCell]:
             continue
         for repeat in range(spec.repeats):
             d = dict(spec.base)
-            d.update(combo)
+            d.update((k, v) for k, v in combo.items() if k in RUN_CONFIG_SCHEMA)
             d.setdefault("seed", spec.seed)
             if repeat > 0:
                 d["seed"] = derive_seed(int(d["seed"]), repeat)
@@ -619,6 +699,12 @@ def expand_cells(spec: MatrixSpec) -> List[MatrixCell]:
     return cells
 
 
+def _cell_setup(cell: MatrixCell, extras: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``[setup]`` as ``cell`` sees it: with its values of ``[setup]``-key axes."""
+    own = {k: v for k, v in cell.axes.items() if k not in RUN_CONFIG_SCHEMA}
+    return {**extras, **own} if own else extras
+
+
 # ---------------------------------------------------------------------------
 # setup/context caches (per process; workers each fill their own)
 
@@ -630,31 +716,44 @@ def _sampling_shape(extras: Mapping[str, Any]) -> Tuple[int, int]:
     return int(extras.get("n_directions", 512)), int(extras.get("n_distances", 4))
 
 
+def _table_options(extras: Mapping[str, Any]) -> Dict[str, Any]:
+    """The ``ExperimentSetup.for_dataset`` keywords of the ``[setup]`` keys
+    that shape ``T_visible``; a key left out keeps the builder's default."""
+    from repro.camera.sampling import SamplingConfig
+
+    n_directions, n_distances = _sampling_shape(extras)
+    sampling: Dict[str, Any] = dict(n_directions=n_directions, n_distances=n_distances)
+    if "distance_range" in extras:
+        sampling["distance_range"] = tuple(float(v) for v in extras["distance_range"])
+    options: Dict[str, Any] = {"sampling": SamplingConfig(**sampling)}
+    if "n_vicinal" in extras:
+        options["n_vicinal"] = int(extras["n_vicinal"])
+    if extras.get("fixed_radius", EQ6_RADIUS) != EQ6_RADIUS:
+        options["fixed_radius"] = float(extras["fixed_radius"])
+    return options
+
+
 def _setup_key(config: RunConfig, extras: Mapping[str, Any]) -> Tuple:
     return (
         config.dataset, config.blocks, config.scale, config.cache_ratio, config.seed,
-    ) + _sampling_shape(extras)
+    ) + tuple(sorted(_table_options(extras).items()))
 
 
 def setup_for(config: RunConfig, extras: Mapping[str, Any]):
     """The (cached) :class:`~repro.experiments.runner.ExperimentSetup` of a
     cell — dataset synthesis and table builds are shared across every cell
-    with the same dataset/grid/sampling shape."""
+    with the same dataset/grid and ``T_visible`` shape."""
     key = _setup_key(config, extras)
     if key not in _SETUP_CACHE:
-        from repro.camera.sampling import SamplingConfig
         from repro.experiments.runner import ExperimentSetup
 
-        n_directions, n_distances = _sampling_shape(extras)
         _SETUP_CACHE[key] = ExperimentSetup.for_dataset(
             config.dataset,
             target_n_blocks=config.blocks,
             scale=config.scale,
             cache_ratio=config.cache_ratio,
-            sampling=SamplingConfig(
-                n_directions=n_directions, n_distances=n_distances
-            ),
             seed=config.seed,
+            **_table_options(extras),
         )
     return _SETUP_CACHE[key]
 
@@ -725,9 +824,12 @@ def register_cell_runner(
 def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object]:
     """The general-purpose runner: one replay per cell.
 
-    ``policy="app-aware"`` runs the paper's optimizer over an LRU
-    hierarchy; any other policy runs the conventional baseline.  Cells
-    with ``shards > 1`` (or ``setup.force_sharded``) replay on a
+    ``policy="app-aware"`` runs the paper's optimizer (``[setup]
+    optimizer`` its tunables) over an LRU hierarchy; ``policy="belady"``
+    runs the offline bound over the cell's demand trace
+    (:func:`~repro.experiments.runner.belady_hierarchy`); any other policy
+    runs the conventional baseline.  Cells with ``shards > 1`` (or
+    ``setup.force_sharded``) replay on a
     :class:`~repro.cluster.ShardedHierarchy` and carry the network ledger.
     """
     from repro.faults import FaultInjector, FaultPlan
@@ -742,7 +844,13 @@ def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, objec
     context = _context_for(setup, config, extras)
     cache_policy = "lru" if config.policy == "app-aware" else config.policy
     sharded = config.shards > 1 or bool(extras.get("force_sharded"))
-    if sharded:
+    if config.policy == "belady":
+        from repro.experiments.runner import belady_hierarchy
+
+        hierarchy = belady_hierarchy(
+            setup.grid, context.demand_trace(), cache_ratio=config.cache_ratio
+        )
+    elif sharded:
         from repro.cluster import make_sharded_hierarchy
 
         hierarchy = make_sharded_hierarchy(
@@ -778,7 +886,11 @@ def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, objec
     ctx = RunContext(tracer=tracer, registry=MetricsRegistry(), fault_injector=injector)
     t0 = time.perf_counter()
     if config.policy == "app-aware":
-        result = setup.optimizer().run(context, hierarchy, ctx=ctx)
+        tunables = extras.get("optimizer")
+        optimizer = setup.optimizer(OptimizerConfig(**tunables) if tunables else None)
+        result = optimizer.run(context, hierarchy, ctx=ctx)
+    elif config.policy == "belady":
+        result = run_baseline(context, hierarchy, name="baseline-belady", ctx=ctx)
     else:
         result = run_baseline(context, hierarchy, ctx=ctx)
     run: Dict[str, object] = {
@@ -854,7 +966,7 @@ register_cell_runner("serve", _serve_cell)
 
 def run_matrix_cell(cell: MatrixCell, spec: MatrixSpec) -> Dict[str, object]:
     """Run one cell with the spec's runner and ``[setup]`` extras."""
-    return CELL_RUNNERS[spec.runner].fn(cell, spec.setup)
+    return CELL_RUNNERS[spec.runner].fn(cell, _cell_setup(cell, spec.setup))
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +984,7 @@ def _init_worker(runner: str, extras: Dict[str, Any]) -> None:
 def _worker_cell(cell: MatrixCell) -> Tuple[str, Dict[str, object]]:
     runner: str = _WORKER_STATE["runner"]  # type: ignore[assignment]
     extras: Dict[str, Any] = _WORKER_STATE["extras"]  # type: ignore[assignment]
-    return cell.key, CELL_RUNNERS[runner].fn(cell, extras)
+    return cell.key, CELL_RUNNERS[runner].fn(cell, _cell_setup(cell, extras))
 
 
 def execute_cells(
@@ -909,7 +1021,7 @@ def execute_cells(
         fn = CELL_RUNNERS[runner].fn
         for cell in cells:
             notify(f"run: {cell.key}")
-            runs[cell.key] = fn(cell, extras)
+            runs[cell.key] = fn(cell, _cell_setup(cell, extras))
     return runs
 
 
@@ -983,6 +1095,6 @@ def run_matrix(
         cell = next((c for c in cells if c.config.policy == "app-aware"), cells[0])
         notify(f"profile: re-running {cell.key} with a span timeline")
         profiler = PhaseProfiler(keep_timeline=True)
-        runner.fn(cell, spec.setup, profiler=profiler)
+        runner.fn(cell, _cell_setup(cell, spec.setup), profiler=profiler)
         doc["profile"] = {"cell": cell.key, "path": str(profiler.write_chrome_trace(profile))}
     return doc

@@ -101,6 +101,10 @@ class ExperimentSetup:
     seed: SeedLike = 0
     _vtable: Optional[VisibleTable] = None
     _itable: Optional[ImportanceTable] = None
+    #: Random points per vicinal sphere of ``T_visible``.
+    n_vicinal: int = 8
+    #: One vicinal radius for every sample; ``None`` lets Eq. 6 pick it.
+    fixed_radius: Optional[float] = None
 
     @classmethod
     def for_dataset(
@@ -112,6 +116,8 @@ class ExperimentSetup:
         cache_ratio: float = 0.5,
         sampling: Optional[SamplingConfig] = None,
         seed: SeedLike = 0,
+        n_vicinal: int = 8,
+        fixed_radius: Optional[float] = None,
     ) -> "ExperimentSetup":
         """Build a setup from a Table I dataset analogue and a block budget."""
         volume = make_dataset(name, scale=scale, seed=seed)
@@ -123,6 +129,8 @@ class ExperimentSetup:
             cache_ratio=cache_ratio,
             sampling=sampling or SamplingConfig(),
             seed=seed,
+            n_vicinal=n_vicinal,
+            fixed_radius=fixed_radius,
         )
 
     @property
@@ -139,6 +147,8 @@ class ExperimentSetup:
                 self.sampling,
                 self.view_angle_deg,
                 cache_ratio=self.cache_ratio,
+                fixed_radius=self.fixed_radius,
+                n_vicinal=self.n_vicinal,
                 importance=self.importance_table,
                 seed=self.seed,
             )

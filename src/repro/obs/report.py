@@ -9,8 +9,8 @@ anywhere.  A matrix document (``MATRIX_<label>.json``, see
 - a **cell table**: one row per cell in run order, its axes values and
   the flattened simulated summary metrics;
 - one **SVG line chart per ``[[figures]]`` entry** in the spec, sliced
-  through :meth:`repro.experiments.sweep.SweepResult.series` (the same
-  re-slicing the figure modules use);
+  by :func:`figure_series`: one line per ``group_by`` value and per value
+  of every other axis that varies, so every cell is drawn;
 - a **fault-resilience table** for cells that ran under a fault profile;
 - **fairness / per-tenant tables** for cells carrying a ``multi_tenant``
   section and for a ``suite.multi_tenant`` scenario;
@@ -38,9 +38,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.gating import SUMMARY_METRIC_DIRECTIONS, load_snapshot
-from repro.experiments.sweep import SweepResult
 
-__all__ = ["attribution_sections", "render_report", "write_report"]
+__all__ = ["attribution_sections", "figure_series", "render_report", "write_report"]
 
 # Fixed palette: named components first, then positional fallbacks for
 # per-level channels (miss_transfer:ssd, ...), keyed by first-seen order.
@@ -486,12 +485,55 @@ def _cells_table(doc: Mapping[str, Any]) -> str:
     )
 
 
+def figure_series(
+    rows: Sequence[Tuple[Mapping[str, Any], Mapping[str, Any]]],
+    x: str,
+    metric: str,
+    group_by: Optional[str] = None,
+) -> Tuple[List[Any], Dict[str, List[Any]]]:
+    """Re-slice ``(axes, metrics)`` rows into ``(x_values, {label: values})``.
+
+    There is one series per ``group_by`` value and per value of every
+    other axis that varies across the rows, labelled ``"<group>, axis=value,
+    ..."``, so no row is dropped; with neither, one series named after the
+    metric.  Every series needs a value at every ``x`` (a cartesian grid,
+    constraints aside).
+    """
+    names = list(rows[0][0]) if rows else []
+    for axis in (x, group_by):
+        if axis is not None and axis not in names:
+            raise KeyError(f"unknown axis {axis!r}; have {names}")
+    if rows and metric not in rows[0][1]:
+        raise KeyError(f"unknown metric {metric!r}; have {sorted(rows[0][1])}")
+    others = [
+        name for name in names
+        if name not in (x, group_by)
+        and any(axes[name] != rows[0][0][name] for axes, _ in rows)
+    ]
+
+    x_values: List[Any] = []
+    for axes, _ in rows:
+        if axes[x] not in x_values:
+            x_values.append(axes[x])
+
+    series: Dict[str, List[Any]] = {}
+    for axes, metrics in rows:
+        parts = [str(axes[group_by])] if group_by is not None else []
+        parts += [f"{name}={axes[name]}" for name in others]
+        label = ", ".join(parts) or metric
+        series.setdefault(label, [None] * len(x_values))
+        series[label][x_values.index(axes[x])] = metrics[metric]
+    for label, values in series.items():
+        if any(v is None for v in values):
+            raise ValueError(f"incomplete grid: series {label!r} missing values over {x!r}")
+    return x_values, series
+
+
 def _figures_section(doc: Mapping[str, Any]) -> str:
     spec = doc.get("spec") or {}
     figures = spec.get("figures") or []
     if not figures:
         return ""
-    axis_names = tuple(spec["axes"])
     charts: List[str] = []
     for fig in figures:
         metric = fig["metric"]
@@ -508,10 +550,9 @@ def _figures_section(doc: Mapping[str, Any]) -> str:
             )
             continue
         rows = [(dict(axes), {metric: value}) for axes, value in values]
-        sweep = SweepResult(param_names=axis_names, metric_names=(metric,), rows=rows)
         try:
-            x_values, series = sweep.series(
-                x=fig["x"], metric=metric, group_by=fig.get("group_by")
+            x_values, series = figure_series(
+                rows, x=fig["x"], metric=metric, group_by=fig.get("group_by")
             )
         except (KeyError, ValueError) as exc:
             charts.append(f"<p class='note'>figure skipped: {_esc(exc)}</p>")

@@ -6,7 +6,7 @@ in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/interactive.py``,
 :class:`SimulationEngine`:
 
 - :class:`RunConfig` — frozen, schema-validated description of a run
-  (dataset/workload/policy/prefetcher/faults/budget), round-
+  (dataset/workload/policy/faults/shards), round-
   trippable through ``to_dict``/``from_dict`` and buildable from the CLI;
 - :class:`RunContext` — the cross-cutting services (tracer, metrics
   registry, profiler, fault injector, sim clock, rng) that previously

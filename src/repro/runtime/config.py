@@ -1,8 +1,8 @@
 """Typed, validated run configuration for the unified replay runtime.
 
 :class:`RunConfig` is the single description of "one replay comparison":
-which dataset/workload to replay, which policies and prefetcher to compare,
-what faults to inject, and what per-frame I/O budget (if any) applies.  It is
+which dataset/workload to replay, which policies to compare, and what
+faults to inject.  It is
 
 - **frozen** — a config never mutates after construction;
 - **schema-validated** — every field is checked against
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.policies.registry import POLICY_NAMES
 from repro.tables.visible_table import LookupCostModel
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_probability, is_finite_number
 
 __all__ = [
     "RunConfig",
@@ -51,21 +51,22 @@ WORKLOAD_NAMES = (
     "temporal-sweep",
 )
 
-#: Prefetcher names resolvable by the runtime registry (``ghost`` and
-#: ``replicate`` are the cluster-aware strategies; they require shards > 1).
-PREFETCHER_NAMES = ("none", "table", "motion", "markov", "ghost", "replicate")
-
-
 def _check_choice(field: str, value: Any, choices) -> None:
     if value not in choices:
         raise ValueError(f"{field} must be one of {tuple(choices)}, got {value!r}")
 
 
-def _check_policy(field: str, value: Any, _cfg: "RunConfig") -> None:
+def _check_policy(field: str, value: Any, cfg: "RunConfig") -> None:
     # ``app-aware`` is not a cache-level policy but the paper's optimizer
-    # driving an LRU hierarchy; matrix specs address it through the same
+    # driving an LRU hierarchy, and ``belady`` is the offline bound over
+    # the cell's demand trace; matrix specs address both through the same
     # ``policy`` axis as the conventional baselines.
-    _check_choice(field, value, tuple(POLICY_NAMES) + ("app-aware",))
+    _check_choice(field, value, tuple(POLICY_NAMES) + ("app-aware", "belady"))
+    if value == "belady" and cfg.shards != 1:
+        raise ValueError(
+            f"{field}='belady' is single-box only (the offline bound has no "
+            f"sharded counterpart), got shards={cfg.shards!r}"
+        )
 
 
 def _check_policies(field: str, value: Any, _cfg: "RunConfig") -> None:
@@ -73,10 +74,6 @@ def _check_policies(field: str, value: Any, _cfg: "RunConfig") -> None:
         raise ValueError(f"{field} must be a tuple of policy names, got {value!r}")
     for name in value:
         _check_choice(field, name, POLICY_NAMES)
-
-
-def _check_prefetcher(field: str, value: Any, _cfg: "RunConfig") -> None:
-    _check_choice(field, value, PREFETCHER_NAMES)
 
 
 def _check_workload(field: str, value: Any, _cfg: "RunConfig") -> None:
@@ -165,25 +162,43 @@ def _check_unit_interval(field: str, value: Any, _cfg: "RunConfig") -> None:
 def _check_optional_positive(field: str, value: Any, _cfg: "RunConfig") -> None:
     if value is None:
         return
-    if not isinstance(value, (int, float)) or float(value) <= 0.0:
-        raise ValueError(f"{field} must be positive (or None), got {value!r}")
+    if not is_finite_number(value) or float(value) <= 0.0:
+        raise ValueError(f"{field} must be positive and finite (or None), got {value!r}")
 
 
-def _check_degrees(field: str, value: Any, _cfg: "RunConfig") -> None:
+def _check_pair(field: str, value: Any, positive: bool = False) -> None:
+    """A finite ``(lo, hi)`` pair with ``0 <= lo <= hi`` (``0 < lo`` when
+    ``positive``)."""
     if (
         not isinstance(value, tuple)
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(is_finite_number(v) for v in value)
     ):
-        raise ValueError(f"{field} must be a (lo, hi) pair, got {value!r}")
-    lo, hi = value
-    if not 0.0 <= float(lo) <= float(hi):
-        raise ValueError(f"{field} must satisfy 0 <= lo <= hi, got {value!r}")
+        raise ValueError(f"{field} must be a finite (lo, hi) pair, got {value!r}")
+    lo, hi = (float(v) for v in value)
+    if not (0.0 < lo if positive else 0.0 <= lo) or lo > hi:
+        bound = "<" if positive else "<="
+        raise ValueError(f"{field} must satisfy 0 {bound} lo <= hi, got {value!r}")
 
 
-def _check_positive_float(field: str, value: Any, _cfg: "RunConfig") -> None:
-    if not isinstance(value, (int, float)) or float(value) <= 0.0:
-        raise ValueError(f"{field} must be positive, got {value!r}")
+def _check_degrees(field: str, value: Any, _cfg: "RunConfig") -> None:
+    _check_pair(field, value)
+
+
+def _check_distance(field: str, value: Any, cfg: "RunConfig") -> None:
+    # A (lo, hi) pair draws each position's distance uniformly from the
+    # range (a zooming user, Figs. 11 and 12b); only the random walk
+    # takes one.
+    if isinstance(value, tuple):
+        if cfg.workload != "random":
+            raise ValueError(
+                f"{field} takes a (lo, hi) pair only with workload='random', "
+                f"got workload={cfg.workload!r}"
+            )
+        _check_pair(field, value, positive=True)
+        return
+    if not is_finite_number(value) or float(value) <= 0.0:
+        raise ValueError(f"{field} must be positive and finite, got {value!r}")
 
 
 def _check_bool(field: str, value: Any, _cfg: "RunConfig") -> None:
@@ -210,16 +225,17 @@ RUN_CONFIG_SCHEMA: Dict[str, Tuple[Callable[[str, Any, "RunConfig"], None], str]
     ),
     "steps": (_check_positive_int, "view points on the camera path"),
     "degrees": (_check_degrees, "per-step direction change range (lo, hi)"),
-    "distance": (_check_positive_float, "camera distance from the volume center"),
+    "distance": (
+        _check_distance,
+        "camera distance from the volume center ((lo, hi) for workload='random')",
+    ),
     "cache_ratio": (_check_unit_interval, "cache size as a fraction of the data"),
     "policy": (_check_policy, "replacement policy of the primary run"),
     "policies": (_check_policies, "baseline policies for a comparison replay"),
     "belady": (_check_bool, "include the offline Belady bound"),
     "app_aware": (_check_bool, "include the paper's app-aware optimizer"),
-    "prefetcher": (_check_prefetcher, "prefetch strategy of the primary run"),
     "faults": (_check_faults, "named fault profile injected into the storage stack"),
     "fault_seed": (_check_fault_seed, "seed of the deterministic fault draws"),
-    "io_budget_s": (_check_optional_positive, "per-frame demand-I/O budget (None: stall)"),
     "shards": (_check_positive_int, "number of simulated cluster nodes (1 = single box)"),
     "shard_map": (_check_shard_map, "block-ownership strategy for sharded runs"),
     "sessions": (_check_positive_int, "concurrent tenant sessions (serve-runner cells)"),
@@ -243,16 +259,14 @@ class RunConfig:
     workload: str = "random"
     steps: int = 120
     degrees: Tuple[float, float] = (5.0, 10.0)
-    distance: float = 2.5
+    distance: Union[float, Tuple[float, float]] = 2.5
     cache_ratio: float = 0.5
     policy: str = "lru"
     policies: Tuple[str, ...] = ("fifo", "lru")
     belady: bool = False
     app_aware: bool = True
-    prefetcher: str = "none"
     faults: str = "none"
     fault_seed: int = 0
-    io_budget_s: Optional[float] = None
     shards: int = 1
     shard_map: str = "slab"
     sessions: int = 1
@@ -299,8 +313,12 @@ class RunConfig:
                 f"unknown RunConfig field(s) {unknown}; known: {sorted(RUN_CONFIG_SCHEMA)}"
             )
         kwargs: Dict[str, Any] = {k: v for k, v in d.items() if k in RUN_CONFIG_SCHEMA}
-        if "degrees" in kwargs and isinstance(kwargs["degrees"], (list, tuple)):
-            kwargs["degrees"] = tuple(float(v) for v in kwargs["degrees"])
+        for name in ("degrees", "distance"):
+            if isinstance(kwargs.get(name), (list, tuple)):
+                kwargs[name] = tuple(
+                    float(v) if isinstance(v, int) and not isinstance(v, bool) else v
+                    for v in kwargs[name]
+                )
         if "policies" in kwargs and isinstance(kwargs["policies"], (list, tuple)):
             kwargs["policies"] = tuple(str(v) for v in kwargs["policies"])
         try:

@@ -6,15 +6,26 @@ and keeps the numeric modules free of repetitive guard clauses.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import math
+from typing import Any, Sequence, Tuple
 
 __all__ = [
+    "is_finite_number",
     "check_positive",
     "check_non_negative",
     "check_in_range",
     "check_shape_3d",
     "check_probability",
 ]
+
+
+def is_finite_number(value: Any) -> bool:
+    """A real number (not a bool) that is neither NaN nor infinite."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def check_positive(name: str, value: float) -> float:

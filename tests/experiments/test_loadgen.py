@@ -49,6 +49,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="mix"):
             LoadGenConfig(mix=(weight, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("distance", math.nan),
+            ("distance", math.inf),
+            ("degrees", (0.0, math.inf)),
+            ("degrees", (math.nan, 5.0)),
+            ("scale", math.nan),
+            ("cache_ratio", math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected_by_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*finite"):
+            LoadGenConfig(**{field: value})
+
     def test_non_positive_rate_still_means_all_at_zero(self):
         assert LoadGenConfig(arrival_rate_hz=-1.0).arrival_rate_hz == -1.0
 

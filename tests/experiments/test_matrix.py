@@ -175,6 +175,126 @@ class TestSpecValidation:
         assert spec_from_dict(spec.to_dict()).to_dict() == spec.to_dict()
 
 
+class TestFigureKeys:
+    """The keys the paper-figure specs set: [setup]-key axes, the table
+    shape, optimizer knock-outs, distance ranges and the Belady bound."""
+
+    BASE = {"dataset": "3d_ball", "blocks": 64, "scale": 0.04, "steps": 4,
+            "degrees": [5.0, 10.0]}
+
+    def test_setup_key_axis_reaches_the_runner(self, monkeypatch):
+        seen = {}
+
+        def fn(cell, extras):
+            seen[cell.key] = dict(extras)
+            return {}
+
+        monkeypatch.setitem(CELL_RUNNERS, "replay", CELL_RUNNERS["replay"]._replace(fn=fn))
+        spec = spec_from_dict({
+            "matrix": {"label": "x"}, "base": self.BASE,
+            "axes": {"n_vicinal": [2, 4], "policy": ["lru"]},
+            "setup": {"n_directions": 8},
+        })
+        doc = run_matrix(spec)
+        assert seen == {"2/lru": {"n_directions": 8, "n_vicinal": 2},
+                        "4/lru": {"n_directions": 8, "n_vicinal": 4}}
+        assert doc["cells"]["2/lru"]["axes"] == {"n_vicinal": 2, "policy": "lru"}
+        assert "n_vicinal" not in doc["cells"]["2/lru"]["config"]
+
+    def test_setup_key_in_setup_and_axes_rejected(self):
+        with pytest.raises(ValueError, match=r"\['n_vicinal'\] appear in both \[setup\]"):
+            spec_from_dict({"matrix": {"label": "x"}, "axes": {"n_vicinal": [2, 4]},
+                            "setup": {"n_vicinal": 4}})
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="is not a RunConfig field or a .setup. key"):
+            spec_from_dict({"matrix": {"label": "x"}, "axes": {"n_vicnal": [2, 4]}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("distance_range", [2.9, 2.1]),
+        ("distance_range", [0.0, 2.9]),
+        ("distance_range", [2.1, float("nan")]),
+        ("distance_range", [2.1]),
+        ("n_vicinal", 0),
+        ("n_vicinal", True),
+        ("fixed_radius", -0.1),
+        ("fixed_radius", float("inf")),
+        ("fixed_radius", "optimal"),
+        ("optimizer", {"prefetch_everything": True}),
+        ("optimizer", {"sigma_percentile": 2.0}),
+        ("optimizer", "none"),
+    ])
+    def test_table_and_optimizer_keys_validated(self, key, value):
+        with pytest.raises(ValueError, match=rf"\[setup\] {key}"):
+            spec_from_dict({"matrix": {"label": "x"}, "setup": {key: value}})
+        with pytest.raises(ValueError, match=rf"\[axes\] {key}"):
+            spec_from_dict({"matrix": {"label": "x"}, "base": self.BASE,
+                            "axes": {key: [value]}})
+
+    def test_table_shape_keys_separate_setups(self):
+        config = expand_cells(TINY_SPEC)[0].config
+        key = matrix._setup_key
+        plain = key(config, {})
+        assert key(config, {"fixed_radius": "eq6"}) == plain
+        shapes = [{"fixed_radius": 0.05}, {"n_vicinal": 4},
+                  {"distance_range": [2.1, 2.9]}, {"n_directions": 96}]
+        keys = [key(config, extras) for extras in shapes]
+        assert len({plain, *keys}) == len(shapes) + 1
+
+    @pytest.mark.parametrize("raw, match", [
+        # a distance pair off the random walk
+        ({"base": {"workload": "spherical", "distance": [2.1, 2.9]}},
+         "pair only with workload='random'"),
+        # a distance pair on the serve runner
+        ({"matrix": {"label": "x", "runner": "serve"}, "base": {"distance": [2.1, 2.9]}},
+         "serve runner takes one distance"),
+        # belady off the replay runner
+        ({"matrix": {"label": "x", "runner": "serve"}, "base": {"policy": "belady"}},
+         "'belady' runs only single-box on the replay runner"),
+        ({"matrix": {"label": "x", "runner": "bench-cell"}, "axes": {"policy": ["belady"]}},
+         "'belady' runs only single-box on the replay runner"),
+        ({"base": {"policy": "belady"}, "setup": {"force_sharded": True}},
+         "'belady' runs only single-box on the replay runner"),
+        # belady at shards > 1
+        ({"base": {"policy": "belady"}, "axes": {"shards": [1, 4]}},
+         "'belady' is single-box only"),
+        # optimizer knock-outs where no runner reads them
+        ({"matrix": {"label": "x", "runner": "bench-cell"},
+          "base": {"policy": "app-aware"}, "setup": {"optimizer": {"prefetch": False}}},
+         "optimizer is read only by the replay runner"),
+    ])
+    def test_rejected_combinations_fail_on_load(self, raw, match):
+        raw = {"matrix": {"label": "x"}, **raw}
+        with pytest.raises(ValueError, match=match) as err:
+            spec_from_dict(raw, where="spec")
+        message = str(err.value)
+        assert message.startswith("spec: invalid matrix spec: ") and "\n" not in message
+
+    def test_belady_and_knockout_cells_match_the_direct_runs(self):
+        from repro.experiments.runner import compare_policies
+        from repro.runtime.config import OptimizerConfig
+
+        spec = spec_from_dict({
+            "matrix": {"label": "x"},
+            "base": {**self.BASE, "workload": "random", "distance": [2.2, 2.8]},
+            "axes": {"policy": ["belady", "app-aware"],
+                     "optimizer": [{}, {"prefetch": False}]},
+            "setup": {"n_directions": 8, "n_distances": 1},
+            "constraints": [{"policy": "belady", "optimizer": [{"prefetch": False}]}],
+        })
+        cells = run_matrix(spec)["cells"]
+        assert sorted(cells) == ["app-aware/{'prefetch': False}", "app-aware/{}", "belady/{}"]
+        config = expand_cells(spec)[0].config
+        setup = matrix.setup_for(config, spec.setup)
+        context = matrix._context_for(setup, config, spec.setup)
+        direct = compare_policies(setup, context.path, baselines=(), include_belady=True)
+        assert cells["belady/{}"]["summary"] == direct["belady"].summary()
+        assert cells["app-aware/{}"]["summary"] == direct["opt"].summary()
+        knocked = setup.optimizer(OptimizerConfig(prefetch=False)).run(
+            context, setup.hierarchy("lru"))
+        assert cells["app-aware/{'prefetch': False}"]["summary"] == knocked.summary()
+
+
 class TestLoadSpec:
     def test_unknown_name_lists_bundled(self):
         with pytest.raises(FileNotFoundError, match="bundled:") as err:

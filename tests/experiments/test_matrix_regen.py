@@ -1,11 +1,15 @@
 """The committed matrix documents regenerate from their bundled specs.
 
-Every committed ``MATRIX_*.json`` — the bench tiers, the serve scenario
-and the matrix smoke run — is ``run_matrix`` over the bundled spec of
-the same name, so rerunning that spec reproduces its simulated sections
-bit-identically: the cells and the ``suite`` sections.  The scale-0.5
-``MATRIX_fullscale.json`` is the one exception (minutes of synthesis and
-gigabytes of RSS); its ``fullscale-smoke`` twin runs the same code.
+Every committed ``MATRIX_*.json`` — the bench tiers, the serve scenario,
+the matrix smoke run and the paper figures — is ``run_matrix`` over the
+bundled spec of the same name, so rerunning that spec reproduces its
+simulated sections bit-identically: the cells and the ``suite`` sections.
+The figures' quick twins regenerate here; the paper-scale fig11, fig12,
+fig13 and ablations documents regenerate under ``-m slow``.  Three are
+committed and never re-run (minutes each): the scale-0.5
+``MATRIX_fullscale.json`` (its ``fullscale-smoke`` twin runs the same
+code) and the paper-scale ``MATRIX_fig7.json`` and ``MATRIX_fig9.json``
+(their quick twins run the same specs at a smaller scale).
 
 Wall-clock fields (``wall_s``, ``per_step_wall_s``, ``events_per_s``,
 the ``phases`` span table, the timed table build and peak RSS) are
@@ -38,6 +42,20 @@ COMMITTED = {
     "MATRIX_fullscale-smoke.json": "fullscale-smoke",
     "MATRIX_serve-baseline.json": "serve-baseline",
     "MATRIX_smoke.json": "smoke",
+    "MATRIX_fig7-quick.json": "fig7-quick",
+    "MATRIX_fig9-quick.json": "fig9-quick",
+    "MATRIX_fig11-quick.json": "fig11-quick",
+    "MATRIX_fig12-quick.json": "fig12-quick",
+    "MATRIX_fig13-quick.json": "fig13-quick",
+    "MATRIX_ablations-quick.json": "ablations-quick",
+}
+
+#: paper-scale figure documents, regenerated under ``-m slow``.
+PAPER_SCALE = {
+    "MATRIX_fig11.json": "fig11",
+    "MATRIX_fig12.json": "fig12",
+    "MATRIX_fig13.json": "fig13",
+    "MATRIX_ablations.json": "ablations",
 }
 
 
@@ -76,6 +94,15 @@ class TestEveryCommittedDocument:
     def test_regenerates(self, name):
         committed, fresh = _committed(name), _fresh(COMMITTED[name])
         assert committed["label"] == COMMITTED[name]
+        assert _sim(fresh) == _sim(committed)
+
+
+@pytest.mark.slow
+class TestPaperScaleFigures:
+    @pytest.mark.parametrize("name", sorted(PAPER_SCALE))
+    def test_regenerates(self, name):
+        committed, fresh = _committed(name), _fresh(PAPER_SCALE[name])
+        assert committed["label"] == PAPER_SCALE[name]
         assert _sim(fresh) == _sim(committed)
 
 

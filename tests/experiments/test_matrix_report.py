@@ -76,6 +76,32 @@ class TestSections:
     def test_report_title_from_spec(self, smoke_html):
         assert "matrix smoke report" in smoke_html
 
+    def test_three_axis_figure_draws_every_cell(self):
+        # r x d x p with the figure over d grouped by p: one line per r
+        # value, so every cell's value is a point of the chart.
+        from repro.experiments.gating import MATRIX_SCHEMA_VERSION
+        from repro.obs.report import _fmt
+
+        cells, index = {}, 0
+        for r in (0.5, 0.7):
+            for d in (1, 2):
+                cells[f"{r}/{d}/lru"] = {
+                    "axes": {"r": r, "d": d, "p": "lru"}, "index": index, "repeat": 0,
+                    "summary": {"total_miss_rate": r / 10 + d / 100},
+                }
+                index += 1
+        doc = {
+            "schema_version": MATRIX_SCHEMA_VERSION, "kind": "matrix", "label": "three",
+            "runner": "replay", "n_cells": len(cells), "cells": cells,
+            "spec": {"axes": {"r": [0.5, 0.7], "d": [1, 2], "p": ["lru"]},
+                     "figures": [{"x": "d", "metric": "total_miss_rate", "group_by": "p"}]},
+        }
+        figures = render_matrix_report(doc).split("<h2>Figures</h2>")[1]
+        for cell in cells.values():
+            r, d = cell["axes"]["r"], cell["axes"]["d"]
+            value = _fmt(cell["summary"]["total_miss_rate"])
+            assert f"lru, r={r} @ {d}: {value}</title>" in figures, (r, d)
+
 
 class TestFaultAndTenantSections:
     def test_fault_table_for_faulted_cells(self):

@@ -1,127 +1,72 @@
-"""Tests for the generic parameter-sweep utility."""
+"""Re-slicing matrix rows into figure series (``repro.obs.report.figure_series``)."""
+
+import itertools
 
 import pytest
 
-from repro.experiments.sweep import parameter_sweep
+from repro.obs.report import figure_series
+
+
+def grid_rows(metric_fn, **axes):
+    """Rows ``(axes, metrics)`` of the cartesian product of ``axes``."""
+    names = list(axes)
+    return [
+        (dict(zip(names, combo)), metric_fn(**dict(zip(names, combo))))
+        for combo in itertools.product(*axes.values())
+    ]
 
 
 def metric_fn(a, b, scale=1.0):
     return {"sum": (a + b) * scale, "prod": a * b * scale}
 
 
-class TestParameterSweep:
-    def test_cartesian_coverage(self):
-        sweep = parameter_sweep(metric_fn, {"a": [1, 2], "b": [10, 20, 30]})
-        assert len(sweep) == 6
-        assert sweep.param_names == ("a", "b")
-        assert set(sweep.metric_names) == {"sum", "prod"}
-
-    def test_values_correct(self):
-        sweep = parameter_sweep(metric_fn, {"a": [2], "b": [3]})
-        params, metrics = sweep.rows[0]
-        assert params == {"a": 2, "b": 3}
-        assert metrics == {"sum": 5, "prod": 6}
-
-    def test_fixed_parameters(self):
-        sweep = parameter_sweep(metric_fn, {"a": [1], "b": [1]}, fixed={"scale": 10.0})
-        assert sweep.rows[0][1]["sum"] == 20.0
-        assert sweep.param_names == ("a", "b")  # scale is not an axis
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            parameter_sweep(metric_fn, {})
-        with pytest.raises(ValueError):
-            parameter_sweep(metric_fn, {"a": [], "b": [1]})
-
-    def test_inconsistent_metrics_rejected(self):
-        calls = []
-
-        def flaky(a):
-            calls.append(a)
-            return {"x": 1.0} if len(calls) == 1 else {"y": 2.0}
-
-        with pytest.raises(ValueError, match="inconsistent"):
-            parameter_sweep(flaky, {"a": [1, 2]})
-
-    def test_single_axis(self):
-        sweep = parameter_sweep(lambda a: {"m": a * 2.0}, {"a": [1, 2, 3]})
-        assert len(sweep) == 3
-        assert sweep.param_names == ("a",)
-        x, series = sweep.series(x="a", metric="m")
-        assert x == [1, 2, 3]
-        assert series == {"m": [2.0, 4.0, 6.0]}
-
-    def test_non_float_metric_tabulates(self):
-        # Nothing coerces metric values: strings/ints flow through the rows
-        # and the table; only series() assumes numbers (and merely stores).
-        sweep = parameter_sweep(
-            lambda a: {"verdict": "ok" if a else "bad", "count": a},
-            {"a": [0, 1]},
-        )
-        assert sweep.rows[0][1]["verdict"] == "bad"
-        table = sweep.to_table()
-        assert "verdict" in table and "ok" in table
-        assert sweep.best("count", minimize=False)[0] == {"a": 1}
-
-
 class TestSeries:
     @pytest.fixture()
-    def sweep(self):
-        return parameter_sweep(metric_fn, {"a": [1, 2, 3], "b": [10, 20]})
+    def rows(self):
+        return grid_rows(metric_fn, a=[1, 2, 3], b=[10, 20])
 
-    def test_grouped_series(self, sweep):
-        x, series = sweep.series(x="a", metric="sum", group_by="b")
+    def test_grouped_series(self, rows):
+        x, series = figure_series(rows, x="a", metric="sum", group_by="b")
         assert x == [1, 2, 3]
         assert series["10"] == [11, 12, 13]
         assert series["20"] == [21, 22, 23]
 
     def test_ungrouped_series(self):
-        sweep = parameter_sweep(metric_fn, {"a": [1, 2]}, fixed={"b": 5})
-        x, series = sweep.series(x="a", metric="prod")
+        rows = grid_rows(lambda a: metric_fn(a, 5), a=[1, 2])
+        x, series = figure_series(rows, x="a", metric="prod")
         assert x == [1, 2]
         assert series["prod"] == [5, 10]
 
-    def test_unknown_keys(self, sweep):
+    def test_single_axis(self):
+        rows = grid_rows(lambda a: {"m": a * 2.0}, a=[1, 2, 3])
+        x, series = figure_series(rows, x="a", metric="m")
+        assert x == [1, 2, 3]
+        assert series == {"m": [2.0, 4.0, 6.0]}
+
+    def test_unknown_keys(self, rows):
         with pytest.raises(KeyError):
-            sweep.series(x="zzz", metric="sum")
+            figure_series(rows, x="zzz", metric="sum")
         with pytest.raises(KeyError):
-            sweep.series(x="a", metric="zzz")
+            figure_series(rows, x="a", metric="zzz")
         with pytest.raises(KeyError):
-            sweep.series(x="a", metric="sum", group_by="zzz")
+            figure_series(rows, x="a", metric="sum", group_by="zzz")
 
     def test_incomplete_grid_rejected(self):
-        from repro.experiments.sweep import SweepResult
-
         # Hand-built rows with a hole: group b=20 has no value at a=2.
-        holey = SweepResult(
-            param_names=("a", "b"),
-            metric_names=("m",),
-            rows=[
-                ({"a": 1, "b": 10}, {"m": 1.0}),
-                ({"a": 2, "b": 10}, {"m": 2.0}),
-                ({"a": 1, "b": 20}, {"m": 3.0}),
-            ],
-        )
+        holey = [
+            ({"a": 1, "b": 10}, {"m": 1.0}),
+            ({"a": 2, "b": 10}, {"m": 2.0}),
+            ({"a": 1, "b": 20}, {"m": 3.0}),
+        ]
         with pytest.raises(ValueError, match="incomplete grid.*'20'"):
-            holey.series(x="a", metric="m", group_by="b")
+            figure_series(holey, x="a", metric="m", group_by="b")
 
-
-class TestBestAndTable:
-    def test_best_minimize(self):
-        sweep = parameter_sweep(metric_fn, {"a": [1, 5], "b": [1, 5]})
-        params, metrics = sweep.best("prod")
-        assert params == {"a": 1, "b": 1}
-        params, metrics = sweep.best("prod", minimize=False)
-        assert params == {"a": 5, "b": 5}
-
-    def test_best_empty(self):
-        from repro.experiments.sweep import SweepResult
-
-        with pytest.raises(ValueError):
-            SweepResult(("a",), ("m",)).best("m")
-
-    def test_to_table(self):
-        sweep = parameter_sweep(metric_fn, {"a": [1], "b": [2]})
-        table = sweep.to_table(title="demo")
-        assert "demo" in table
-        assert "sum" in table and "prod" in table
+    def test_every_varying_axis_labels_a_series(self):
+        # r in {0.5, 0.7} x d in {1, 2} x p = lru: one line per r, so no
+        # cell is dropped; p does not vary, so it stays out of the label.
+        rows = grid_rows(lambda r, d, p: {"m": r * 10 + d}, r=[0.5, 0.7], d=[1, 2], p=["lru"])
+        x, series = figure_series(rows, x="d", metric="m", group_by="p")
+        assert x == [1, 2]
+        assert series == {"lru, r=0.5": [6.0, 7.0], "lru, r=0.7": [8.0, 9.0]}
+        _, ungrouped = figure_series(rows, x="d", metric="m")
+        assert ungrouped == {"r=0.5": [6.0, 7.0], "r=0.7": [8.0, 9.0]}

@@ -23,7 +23,7 @@ class TestValidation:
             {"policy": "not-a-policy"},
             {"policies": ("lru", "not-a-policy")},
             {"policies": ["lru"]},  # list, not tuple
-            {"prefetcher": "psychic"},
+            {"distance": float("nan")},
             {"workload": "teleport"},
             {"shard_map": "hexagonal"},
             {"faults": "meteor-strike"},
@@ -35,7 +35,7 @@ class TestValidation:
             {"degrees": (10.0, 5.0)},  # lo > hi
             {"degrees": (5.0,)},
             {"distance": -2.5},
-            {"io_budget_s": 0.0},
+            {"scale": float("inf")},
             {"belady": 1},  # not a bool
             {"scale": -0.5},
         ],
@@ -67,13 +67,53 @@ class TestValidation:
         field_names = {f.name for f in dataclasses.fields(RunConfig)}
         assert field_names == set(RUN_CONFIG_SCHEMA)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("distance", float("nan")),
+            ("distance", float("inf")),
+            ("scale", float("nan")),
+            ("scale", float("inf")),
+            ("degrees", (0.0, float("inf"))),
+            ("degrees", (float("nan"), 5.0)),
+            ("distance", (2.1, float("nan"))),
+            ("distance", (float("-inf"), 2.9)),
+        ],
+    )
+    def test_non_finite_values_rejected_by_field(self, field, value):
+        with pytest.raises(ValueError) as err:
+            RunConfig(**{field: value})
+        message = str(err.value)
+        assert message.startswith(f"{field} must be") and "finite" in message
+        assert "\n" not in message
+
+    def test_distance_pair_only_on_the_random_walk(self):
+        assert RunConfig(workload="random", distance=(2.1, 2.9)).distance == (2.1, 2.9)
+        with pytest.raises(ValueError, match="pair only with workload='random'"):
+            RunConfig(workload="spherical", distance=(2.1, 2.9))
+        with pytest.raises(ValueError, match="0 < lo <= hi"):
+            RunConfig(distance=(2.9, 2.1))
+        # From a spec or JSON document the pair arrives as a list.
+        assert RunConfig.from_dict({"distance": [2, 3]}).distance == (2.0, 3.0)
+
+    def test_belady_policy_is_single_box(self):
+        assert RunConfig(policy="belady").policy == "belady"
+        with pytest.raises(ValueError, match="'belady' is single-box only"):
+            RunConfig(policy="belady", shards=4)
+
+    def test_no_unread_fields(self):
+        # Every field shapes a run: nothing reads a prefetcher name or an
+        # I/O budget from a RunConfig, so it has neither.
+        assert len(dataclasses.fields(RunConfig)) == 19
+        assert not {"prefetcher", "io_budget_s"} & set(RUN_CONFIG_SCHEMA)
+
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
         cfg = RunConfig(
             dataset="3d_ball", blocks=64, workload="zoom", steps=9,
             degrees=(1.0, 2.0), policies=("lru", "arc"), belady=True,
-            faults="chaos", fault_seed=5, io_budget_s=0.25,
+            faults="chaos", fault_seed=5,
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 

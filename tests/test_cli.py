@@ -112,6 +112,23 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "node-chaos" in err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--distance", "nan"], "distance"),
+            (["--distance", "inf"], "distance"),
+            (["--scale", "inf"], "scale"),
+            (["--degrees", "0", "inf"], "degrees"),
+        ],
+    )
+    def test_non_finite_value_exits_two_with_one_line(self, flags, field, capsys):
+        rc = main(["replay", "--dataset", "3d_ball", "--blocks", "64", "--scale", "0.04",
+                   "--steps", "6", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be") and "finite" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
 
 class TestTrace:
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):

@@ -68,18 +68,3 @@ class TestPublicAPI:
                 importlib.import_module(module)
         assert not hasattr(importlib.import_module("repro.core.pipeline"), "run_baseline")
         assert not hasattr(importlib.import_module("repro.core.interactive"), "run_budgeted")
-
-    def test_experiments_cli_help(self, capsys):
-        from repro.experiments.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        out = capsys.readouterr().out
-        assert "--figure" in out
-
-    def test_experiments_cli_table1(self, capsys):
-        from repro.experiments.__main__ import main
-
-        assert main(["--figure", "table1"]) == 0
-        out = capsys.readouterr().out
-        assert "3d_ball" in out
