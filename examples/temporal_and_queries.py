@@ -19,13 +19,9 @@ Run:  python examples/temporal_and_queries.py
 import numpy as np
 
 from repro import BlockGrid, RangeQuery, SamplingConfig, spherical_path
+from repro.cluster import ShardMap
 from repro.core.pipeline import PipelineContext, compute_visible_sets
 from repro.runtime import run_temporal
-from repro.parallel.distribution import (
-    partition_by_importance,
-    partition_spatial,
-    partition_stats,
-)
 from repro.render.query import BlockRangeIndex, evaluate_query
 from repro.storage.hierarchy import make_standard_hierarchy
 from repro.tables.builder import build_visible_table
@@ -90,13 +86,14 @@ def main() -> None:
 
     scores = block_entropies(snapshot, grid)
     for n_nodes in (4, 8):
-        by_imp = partition_stats(partition_by_importance(scores, n_nodes), scores, grid)
-        spatial = partition_stats(partition_spatial(grid, n_nodes), scores, grid)
+        by_imp = ShardMap.by_importance(grid, n_nodes, scores)
+        spatial = ShardMap(grid, n_nodes, "slab")
         print(f"{n_nodes} render nodes: importance-LPT imbalance "
-              f"{by_imp['imbalance']:.3f} (scatter {by_imp['mean_scatter']:.3f})  "
-              f"vs spatial slabs {spatial['imbalance']:.3f} "
-              f"(scatter {spatial['mean_scatter']:.3f})")
-    print("(LPT trades spatial compactness for balanced interactive load)")
+              f"{by_imp.load_imbalance(scores):.3f} "
+              f"(locality {by_imp.locality_score():.3f})  "
+              f"vs spatial slabs {spatial.load_imbalance(scores):.3f} "
+              f"(locality {spatial.locality_score():.3f})")
+    print("(LPT trades spatial locality for balanced interactive load)")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ fetch/prefetch surface, so it drops into the replay engine, the
 sessions scheduler, and the bench/serve harnesses unchanged — and at
 K=1 it delegates wholesale to a single-box hierarchy, which the
 shard-equivalence suite pins bit-for-bit against ``run_baseline``.
+:func:`run_sort_last` replays a path as sort-last parallel rendering
+over the same nodes: each renders what it owns, the slowest sets the
+frame time.
 """
 
 from repro.cluster.faults import (
@@ -22,6 +25,7 @@ from repro.cluster.hierarchy import ShardedHierarchy, make_sharded_hierarchy
 from repro.cluster.network import NetworkFabric, NetworkLink
 from repro.cluster.prefetch import GhostLayerPrefetcher, ReplicationPrefetcher
 from repro.cluster.shardmap import SHARD_STRATEGIES, ShardMap
+from repro.cluster.sortlast import SortLastResult, run_sort_last
 
 __all__ = [
     "CLUSTER_FAULT_PROFILES",
@@ -32,7 +36,9 @@ __all__ = [
     "SHARD_STRATEGIES",
     "ShardMap",
     "ShardedHierarchy",
+    "SortLastResult",
     "cluster_fault_plan",
     "make_sharded_hierarchy",
     "partitioned_links",
+    "run_sort_last",
 ]

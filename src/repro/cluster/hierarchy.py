@@ -17,8 +17,11 @@ one owner.  A fetch from the ``home`` node resolves as:
   charged (a ``fault`` event on the link), and the block is read straight
   from the shared cold store at home, bypassing every cache.
 
-At K=1 every call delegates wholesale to the single node, which the
-shard-equivalence suite pins bit-for-bit against ``run_baseline``.
+At K=1 the read path and the metrics bindings delegate wholesale to the
+single node, which the shard-equivalence suite pins bit-for-bit against
+``run_baseline``; the level surface (stats, tenant quotas, lifecycle) is
+:class:`~repro.storage.hierarchy.LevelSurface`'s, over every node's
+levels and the ghost cache.
 
 A K>1 ``fetch_many`` routes the frame per owner down the level cascade
 (:meth:`ShardedHierarchy._route`): the home node's ``fetch_many`` serves
@@ -42,7 +45,7 @@ Accounting invariants (pinned by ``tests/cluster``):
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -61,13 +64,12 @@ from repro.storage.hierarchy import (
     BatchFetchResult,
     FetchResult,
     FrameSink,
+    LevelSurface,
     MemoryHierarchy,
     _fold,
     _unique,
-    install_tenant_quotas,
     make_standard_hierarchy,
 )
-from repro.storage.stats import HierarchyStats
 from repro.trace.tracer import NULL_TRACER
 from repro.volume.blocks import BlockGrid
 
@@ -131,7 +133,7 @@ class _FastestView:
         return self._s.ghost is not None and key in self._s.ghost
 
 
-class ShardedHierarchy:
+class ShardedHierarchy(LevelSurface):
     """K per-node hierarchies + a network fabric, one fetch surface."""
 
     def __init__(
@@ -152,6 +154,9 @@ class ShardedHierarchy:
             )
         if not 0 <= home < len(nodes):
             raise ValueError(f"home must be a node index, got {home}")
+        if ghost is not None and len(nodes) == 1:
+            # K=1's levels are the node's own: the single-box surface.
+            raise ValueError("a one-node hierarchy has no ghost cache")
         self.shard_map = shard_map
         self.nodes: List[MemoryHierarchy] = list(nodes)
         self.fabric = fabric
@@ -202,17 +207,9 @@ class ShardedHierarchy:
         # Own fetch metrics for the sources the sharded layer serves
         # directly (ghost hits, cold fallbacks) — same names/labels as
         # MemoryHierarchy.set_registry so snapshots merge cleanly.
-        sources = [self.backing.name] + (["ghost"] if self.ghost is not None else [])
-        self._fetch_metrics = {
-            name: (
-                registry.histogram("fetch_latency_seconds", level=name, kind="demand"),
-                registry.histogram("fetch_latency_seconds", level=name, kind="prefetch"),
-                registry.counter("bytes_read_total", level=name),
-                registry.counter("fetches_total", level=name, kind="demand"),
-                registry.counter("fetches_total", level=name, kind="prefetch"),
-            )
-            for name in sources
-        }
+        self._bind_fetch_metrics(
+            [self.backing.name] + (["ghost"] if self.ghost is not None else [])
+        )
         # Per-link and per-route cluster metrics.
         self._link_metrics = {
             name: (
@@ -300,54 +297,18 @@ class ShardedHierarchy:
     def backing_bytes(self) -> int:
         return self._fallback_bytes + sum(n.backing_bytes for n in self.nodes)
 
-    def block_nbytes(self, key: int) -> int:
-        if callable(self._block_nbytes):
-            return int(self._block_nbytes(key))
-        return int(self._block_nbytes)
+    @property
+    def levels(self) -> List[CacheLevel]:
+        """Every node's cache levels, then the ghost cache."""
+        out = [lv for node in self.nodes for lv in node.levels]
+        if self.ghost is not None:
+            out.append(self.ghost)
+        return out
 
     def contains_fast(self, key: int) -> bool:
-        if self._solo is not None:
-            return self._solo.contains_fast(key)
         if self.nodes[int(self.shard_map.owner[key])].contains_fast(key):
             return True
         return self.ghost is not None and key in self.ghost
-
-    def _record_fetch(
-        self, source: str, prefetch: bool, nbytes: int, time_s: float, n: int = 1
-    ) -> None:
-        """Fetch metrics of ``n`` reads of ``nbytes`` from ``source``, each
-        charged ``time_s``."""
-        demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = self._fetch_metrics[source]
-        hist, count = (prefetch_h, prefetch_c) if prefetch else (demand_h, demand_c)
-        hist.observe_many(time_s, n)
-        count.inc(n)
-        bytes_c.inc(nbytes * n)
-
-    # -- tenant partitioning ---------------------------------------------------
-
-    def _tenant_levels(self) -> List[CacheLevel]:
-        """The levels tenant quotas partition: every node level, then the ghost cache."""
-        levels = [level for node in self.nodes for level in node.levels]
-        return levels if self.ghost is None else levels + [self.ghost]
-
-    def set_tenant_quotas(self, fractions: Optional[Mapping[str, float]]):
-        """Partition every node level and the ghost cache between tenants,
-        all or nothing (see :func:`~repro.storage.hierarchy.install_tenant_quotas`)."""
-        if self._solo is not None:
-            return self._solo.set_tenant_quotas(fractions)
-        return install_tenant_quotas(self._tenant_levels(), fractions)
-
-    def tenant_usage(self):
-        if self._solo is not None:
-            return self._solo.tenant_usage()
-        return {
-            level.name: level.tenant_usage()
-            for level in self._tenant_levels()
-            if level.tenant_quotas_enabled
-        }
-
-    def tenant_cross_evictions(self) -> int:
-        return sum(level.tenant_cross_evictions for level in self._tenant_levels())
 
     # -- node loss -------------------------------------------------------------
 
@@ -361,6 +322,8 @@ class ShardedHierarchy:
         ordinary ledgers with no special-casing.
         """
         node = int(node)
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} is not in [0, {self.n_nodes})")
         if self._solo is not None or node == self.home:
             raise ValueError(f"cannot fail node {node} (home or only node)")
         self.shard_map = self.shard_map.reshard_without(node)
@@ -746,27 +709,15 @@ class ShardedHierarchy:
     # -- preload ---------------------------------------------------------------
 
     def preload(self, keys_by_priority: Sequence[int]) -> "dict[str, int]":
-        if self._solo is not None:
-            return self._solo.preload(keys_by_priority)
+        """Each node preloads the keys it owns, in priority order."""
         arr = np.ascontiguousarray(keys_by_priority, dtype=np.int64)
+        owners = self.shard_map.owner[arr]
         placed: dict = {}
-        by_node = self.shard_map.partition(arr)
-        for node_idx, keys in sorted(by_node.items()):
-            placed.update(self.nodes[node_idx].preload(keys))
+        for k, node in enumerate(self.nodes):
+            placed.update(node.preload(arr[owners == k]))
         return placed
 
     # -- stats & lifecycle -------------------------------------------------------
-
-    def stats(self) -> HierarchyStats:
-        if self._solo is not None:
-            return self._solo.stats()
-        levels = {}
-        for node in self.nodes:
-            for lv in node.levels:
-                levels[lv.name] = lv.stats
-        if self.ghost is not None:
-            levels["ghost"] = self.ghost.stats
-        return HierarchyStats(levels=levels)
 
     def cluster_ledger(self) -> dict:
         """The exact byte/time split the conservation tests reconcile."""
@@ -799,28 +750,6 @@ class ShardedHierarchy:
         self._split = {"local": 0, "ghost": 0, "peer": 0, "cold": 0}
         self._node_serves = [0] * len(self.nodes)
         self.fabric.reset()
-
-    def clear(self) -> None:
-        for node in self.nodes:
-            node.clear()
-        if self.ghost is not None:
-            self.ghost.clear()
-
-    def check_invariants(self) -> None:
-        for node in self.nodes:
-            node.check_invariants()
-        if self.ghost is not None:
-            self.ghost.check_invariants()
-
-    @property
-    def levels(self):
-        """Every cache level across every node (plus the ghost cache)."""
-        if self._solo is not None:
-            return self._solo.levels
-        out = [lv for node in self.nodes for lv in node.levels]
-        if self.ghost is not None:
-            out.append(self.ghost)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -3,9 +3,10 @@
 Both strategies follow the :mod:`repro.prefetch.strategies` protocol
 (``name`` / ``predict(step, position, visible_ids)`` returning an int64
 id array) and are registered in the prefetcher registry as ``ghost`` and
-``replicate``, so ``--prefetcher ghost`` plugs into the existing stages
-unchanged.  Both need the cluster's :class:`~repro.cluster.shardmap.
-ShardMap` (passed through the factory dependency pool as ``shard_map=``).
+``replicate``, so ``make_prefetcher("ghost", shard_map=...)`` builds one
+for :func:`~repro.runtime.run_with_prefetcher` unchanged.  Both
+need the cluster's :class:`~repro.cluster.shardmap.ShardMap` (passed
+through the factory dependency pool as ``shard_map=``).
 
 ``ghost``
     Predicts the *ghost layer*: remote-owned 6-neighbors of the current

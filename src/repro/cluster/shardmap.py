@@ -2,7 +2,7 @@
 
 A :class:`ShardMap` assigns every block id of a
 :class:`~repro.volume.blocks.BlockGrid` to exactly one of ``n_nodes``
-simulated nodes.  Three strategies:
+simulated nodes.  Three strategies (:data:`SHARD_STRATEGIES`):
 
 ``round-robin``
     ``owner[b] = (b + seed) % K``.  Perfectly balanced, no locality.
@@ -19,8 +19,14 @@ simulated nodes.  Three strategies:
     i.e. a small set of axis-aligned boxes, which keeps 6-neighbors
     co-sharded far more often than round-robin.
 
+and one built from data, :meth:`ShardMap.by_importance` (label
+``importance``): greedy LPT over per-block importance scores, the paper's
+§VI "distribution schemes by leveraging data importance".  It balances
+summed importance and ignores locality; :meth:`ShardMap.load_imbalance`
+and :meth:`ShardMap.locality_score` measure that trade-off.
+
 Ownership is a pure function of ``(grid shape, n_nodes, strategy, seed)``
-— no RNG state — so replaying a seed reproduces the map exactly, and
+(of the scores, for ``importance``) — no RNG state — so replaying a seed reproduces the map exactly, and
 :meth:`reshard_without` (node loss) is likewise deterministic: blocks of
 dead nodes are dealt to the surviving nodes by ``block_id % n_alive``
 over the ascending alive list, leaving surviving owners untouched.
@@ -28,6 +34,7 @@ over the ascending alive list, leaving surviving owners untouched.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +70,7 @@ class ShardMap:
     ) -> None:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        if strategy not in SHARD_STRATEGIES:
+        if _owner is None and strategy not in SHARD_STRATEGIES:
             raise ValueError(
                 f"unknown shard strategy {strategy!r}; expected one of {SHARD_STRATEGIES}"
             )
@@ -83,6 +90,30 @@ class ShardMap:
             )
 
     # -- construction ----------------------------------------------------------
+
+    @classmethod
+    def by_importance(cls, grid: BlockGrid, n_nodes: int, scores) -> "ShardMap":
+        """Balance summed importance across nodes (greedy LPT).
+
+        Blocks are placed in descending score order (stable, so ties go
+        by id) onto the currently lightest node, ties to the lowest node
+        id — the classic 4/3-approximation for makespan, so no node
+        carries much more "interesting" data than another.
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (grid.n_blocks,):
+            raise ValueError(
+                f"scores must have shape ({grid.n_blocks},), got {scores.shape}"
+            )
+        if not 1 <= n_nodes <= grid.n_blocks:
+            raise ValueError(f"{grid.n_blocks} blocks cannot fill {n_nodes} nodes")
+        owner = np.empty(grid.n_blocks, dtype=np.int64)
+        heap = [(0.0, node) for node in range(n_nodes)]  # (load, node)
+        for bid in np.argsort(-scores, kind="stable").tolist():
+            load, node = heapq.heappop(heap)
+            owner[bid] = node
+            heapq.heappush(heap, (load + float(scores[bid]), node))
+        return cls(grid, n_nodes, "importance", _owner=owner)
 
     def _build_owner(self) -> np.ndarray:
         n = self.grid.n_blocks
@@ -125,6 +156,22 @@ class ShardMap:
             int(node): ids[owners == node]
             for node in np.unique(owners)
         }
+
+    def load_imbalance(self, scores=None) -> float:
+        """Max over mean of the alive nodes' loads; 1.0 is perfect balance.
+
+        A node's load is the summed ``scores`` of its blocks, or its block
+        count when ``scores`` is None.  1.0 when every load is zero.
+        """
+        if scores is not None:
+            scores = np.asarray(scores, dtype=np.float64)
+            if scores.shape != self.owner.shape:
+                raise ValueError(
+                    f"scores must have shape {self.owner.shape}, got {scores.shape}"
+                )
+        loads = np.bincount(self.owner, scores, minlength=self.n_nodes)[list(self.alive)]
+        mean = loads.mean()
+        return float(loads.max() / mean) if mean > 0 else 1.0
 
     def locality_score(self) -> float:
         """Fraction of 6-neighbor block pairs owned by the same node.

@@ -443,9 +443,8 @@ def multinode(full: bool = False, seed: int = 0) -> List[FigureResult]:
     for its slowest node (compositing barrier).  Importance-LPT interleaves
     the hot region across nodes; spatial slabs hand it to one node.
     """
+    from repro.cluster import ShardMap, make_sharded_hierarchy, run_sort_last
     from repro.importance.entropy import block_entropies
-    from repro.parallel.distribution import partition_by_importance, partition_spatial
-    from repro.parallel.multinode import run_multinode
     from repro.volume.datasets import make_dataset
 
     volume = make_dataset("3d_ball", scale=0.125 if full else 0.0625, seed=seed)
@@ -459,11 +458,12 @@ def multinode(full: bool = False, seed: int = 0) -> List[FigureResult]:
 
     labels, total, eff, imbalance = [], [], [], []
     for n_nodes in (4, 8):
-        for pname, assignment in (
-            ("spatial slabs", partition_spatial(grid, n_nodes)),
-            ("importance-LPT", partition_by_importance(scores, n_nodes)),
+        for pname, shard_map in (
+            ("spatial slabs", ShardMap(grid, n_nodes, "slab")),
+            ("importance-LPT", ShardMap.by_importance(grid, n_nodes, scores)),
         ):
-            r = run_multinode(context, assignment, n_nodes, name=pname)
+            hierarchy = make_sharded_hierarchy(grid, n_nodes, shard_map=shard_map)
+            r = run_sort_last(context, hierarchy, name=pname)
             labels.append(f"{n_nodes} nodes, {pname}")
             total.append(r.total_time_s)
             eff.append(r.parallel_efficiency)

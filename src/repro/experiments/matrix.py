@@ -39,7 +39,9 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     the segment (so a fault axis only names its faulted cells).
 ``[[constraints]]``
     Each entry is a partial axes assignment; a cell matching *all* entries
-    of any constraint is skipped (values may be scalars or lists).
+    of any constraint is skipped (values may be scalars or lists, so a
+    pair-valued axis takes a list of pairs: ``degrees = [[0.0, 5.0]]``).
+    An entry that matches no cell of the full axis grid is an error.
 ``[[figures]]``
     ``{x, metric, group_by?, title?}`` — series rendered by the report via
     :func:`repro.obs.report.figure_series` (one line per ``group_by`` value
@@ -493,6 +495,7 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
             labels[axis] = {str(k): str(v) for k, v in table.items()}
 
     constraints = []
+    combos = expand_grid(axes)[1] if axes else []
     for i, entry in enumerate(d.get("constraints", []) or []):
         if not isinstance(entry, Mapping) or not entry:
             problems.append(f"[[constraints]] #{i} must be a non-empty table")
@@ -501,6 +504,10 @@ def spec_from_dict(d: Mapping[str, Any], where: str = "<spec>") -> MatrixSpec:
         if bad:
             problems.append(f"[[constraints]] #{i} names non-axis field(s) {bad}")
             continue
+        if not any(_constraint_matches(entry, combo) for combo in combos):
+            problems.append(
+                f"[[constraints]] #{i} matches no cell{_flat_pair_hint(entry, axes)}"
+            )
         constraints.append(dict(entry))
 
     figures = []
@@ -637,6 +644,21 @@ def _constraint_matches(constraint: Mapping[str, Any], combo: Mapping[str, Any])
         if combo.get(axis) not in values:
             return False
     return True
+
+
+def _flat_pair_hint(constraint: Mapping[str, Any], axes: Mapping[str, Sequence[Any]]) -> str:
+    """The double-wrapped spelling of each flat pair a constraint gives a
+    pair-valued axis (a flat list means "any of these values")."""
+    fixes = [
+        f"{axis} = [{list(value)!r}]"
+        for axis, value in constraint.items()
+        if isinstance(value, (list, tuple))
+        and not any(isinstance(v, (list, tuple)) for v in value)
+        and any(isinstance(a, (list, tuple)) for a in axes[axis])
+    ]
+    if not fixes:
+        return ""
+    return f" (a pair-valued axis takes a list of pairs: write {', '.join(fixes)})"
 
 
 def _cell_key(

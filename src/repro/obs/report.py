@@ -53,6 +53,8 @@ _COMPONENT_COLORS = {
 _MISS_SHADES = ("#e65100", "#ef6c00", "#f57c00", "#fb8c00", "#ffa726")
 _PREFETCH_SHADES = ("#1565c0", "#1e88e5", "#42a5f5", "#64b5f6", "#90caf9")
 _SERIES_COLORS = ("#1565c0", "#e65100", "#2e7d32", "#8e24aa", "#00838f", "#b71c1c")
+#: Line dashes, one per pass through the colours, so 24 series are distinct.
+_SERIES_DASHES = ("", "7 3", "2 3", "9 3 2 3")
 
 #: Frames past this many are summarised in a note, not drawn.
 _WATERFALL_CAP = 240
@@ -124,10 +126,17 @@ def _svg_line_chart(
     title: str = "",
     y_label: str = "",
 ) -> str:
-    """One categorical-x line chart as inline SVG (no external assets)."""
-    width, height = 540, 300
-    ml, mr, mt, mb = 64, 150, 34, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    """One categorical-x line chart as inline SVG (no external assets).
+
+    Series ``i`` is drawn in colour ``i % 6`` with dash ``i // 6``; the
+    legend lists one series per row below the plot, and the SVG grows
+    down to hold it.
+    """
+    width = 540
+    ml, mr, mt, mb = 64, 24, 34, 44
+    pw, ph = width - ml - mr, 222
+    legend_top = mt + ph + mb
+    height = legend_top + 16 * len(series) + 4
 
     values = [v for vs in series.values() for v in vs]
     lo, hi = min(values), max(values)
@@ -170,25 +179,26 @@ def _svg_line_chart(
             f"<text x='14' y='{mt + ph / 2:.1f}' font-size='11' text-anchor='middle' "
             f"transform='rotate(-90 14 {mt + ph / 2:.1f})'>{_esc(y_label)}</text>"
         )
+    legend = []
     for s_idx, (label, vals) in enumerate(series.items()):
         color = _SERIES_COLORS[s_idx % len(_SERIES_COLORS)]
+        dash = _SERIES_DASHES[s_idx // len(_SERIES_COLORS) % len(_SERIES_DASHES)]
+        stroke = f"stroke='{color}' stroke-width='2'"
+        if dash:
+            stroke += f" stroke-dasharray='{dash}'"
         points = " ".join(f"{sx(i):.1f},{sy(v):.1f}" for i, v in enumerate(vals))
-        parts.append(
-            f"<polyline points='{points}' fill='none' stroke='{color}' "
-            "stroke-width='2'/>"
-        )
+        parts.append(f"<polyline points='{points}' fill='none' {stroke}/>")
         for i, v in enumerate(vals):
             parts.append(
                 f"<circle cx='{sx(i):.1f}' cy='{sy(v):.1f}' r='3' fill='{color}'>"
                 f"<title>{_esc(label)} @ {_esc(x_values[i])}: {_fmt(v)}</title></circle>"
             )
-        ly = mt + 14 + 16 * s_idx
-        parts.append(
-            f"<line x1='{ml + pw + 10}' y1='{ly}' x2='{ml + pw + 28}' y2='{ly}' "
-            f"stroke='{color}' stroke-width='2'/>"
-            f"<text x='{ml + pw + 33}' y='{ly + 4}' font-size='11'>{_esc(label)}</text>"
+        ly = legend_top + 16 * s_idx + 8
+        legend.append(
+            f"<line x1='{ml}' y1='{ly}' x2='{ml + 22}' y2='{ly}' {stroke}/>"
+            f"<text x='{ml + 28}' y='{ly + 4}' font-size='11'>{_esc(label)}</text>"
         )
-    parts.append("</svg>")
+    parts.append(f"<g class='legend'>{''.join(legend)}</g></svg>")
     return "".join(parts)
 
 

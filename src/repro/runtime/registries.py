@@ -4,8 +4,10 @@ New behaviours are *registered*, not threaded through driver signatures:
 
 - **stages** — custom :class:`~repro.runtime.stages.Stage` subclasses,
   resolvable by name when assembling a recipe;
-- **prefetchers** — the strategy names a :class:`~repro.runtime.config.RunConfig`
-  may reference (``none``/``table``/``motion``/``markov`` built in);
+- **prefetchers** — prediction strategies :func:`make_prefetcher` builds by
+  name for :func:`~repro.runtime.run_with_prefetcher`
+  (``none``/``table``/``motion``/``markov``, and the cluster's
+  ``ghost``/``replicate``);
 - **workloads** — camera-path generators (the scenario zoo, below);
 - **policies** — re-exported from :mod:`repro.policies.registry`, the
   registry that predates this module.

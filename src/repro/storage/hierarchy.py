@@ -32,6 +32,7 @@ __all__ = [
     "FetchResult",
     "BatchFetchResult",
     "FrameSink",
+    "LevelSurface",
     "MemoryHierarchy",
     "TaggedEvents",
     "install_tenant_quotas",
@@ -191,7 +192,85 @@ def install_tenant_quotas(
     return plan
 
 
-class MemoryHierarchy:
+class LevelSurface:
+    """The hierarchy surface that only loops over cache ``levels``.
+
+    :class:`MemoryHierarchy` and the sharded hierarchy
+    (:class:`~repro.cluster.hierarchy.ShardedHierarchy`, whose ``levels``
+    are every node's levels, then its ghost cache) both inherit it; each
+    keeps its own read path — ``fetch``, ``fetch_many``, ``prefetch_many``
+    and ``preload`` are defined in each class's body.
+    """
+
+    levels: List[CacheLevel]
+    _block_nbytes: BlockSize
+
+    def block_nbytes(self, key: int) -> int:
+        if callable(self._block_nbytes):
+            return int(self._block_nbytes(key))
+        return int(self._block_nbytes)
+
+    def _bind_fetch_metrics(self, sources: Sequence[str]) -> None:
+        """Per serving source: ``fetch_latency_seconds`` split by demand/
+        prefetch, ``bytes_read_total`` and ``fetches_total``, on the
+        current registry."""
+        registry = self.registry
+        self._fetch_metrics = {
+            name: (
+                registry.histogram("fetch_latency_seconds", level=name, kind="demand"),
+                registry.histogram("fetch_latency_seconds", level=name, kind="prefetch"),
+                registry.counter("bytes_read_total", level=name),
+                registry.counter("fetches_total", level=name, kind="demand"),
+                registry.counter("fetches_total", level=name, kind="prefetch"),
+            )
+            for name in sources
+        }
+
+    def _record_fetch(
+        self, source: str, prefetch: bool, nbytes: int, time_s: float, n: int = 1
+    ) -> None:
+        """Fetch metrics of ``n`` reads of ``nbytes`` from ``source``, each
+        charged ``time_s``."""
+        demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = self._fetch_metrics[source]
+        hist, count = (prefetch_h, prefetch_c) if prefetch else (demand_h, demand_c)
+        hist.observe_many(time_s, n)
+        count.inc(n)
+        bytes_c.inc(nbytes * n)
+
+    # -- tenant partitioning ---------------------------------------------------
+
+    def set_tenant_quotas(
+        self, fractions: Optional[Mapping[str, float]]
+    ) -> "dict[str, dict[str, int]]":
+        """Partition every level between tenants, all or nothing (see
+        :func:`install_tenant_quotas`); returns the installed block quotas
+        per level for the caller's ledger."""
+        return install_tenant_quotas(self.levels, fractions)
+
+    def tenant_usage(self) -> "dict[str, dict[str, int]]":
+        """Per-level resident block counts per tenant."""
+        return {lv.name: lv.tenant_usage() for lv in self.levels if lv.tenant_quotas_enabled}
+
+    def tenant_cross_evictions(self) -> int:
+        """Total cross-tenant evictions across levels (0 under partitioning)."""
+        return sum(lv.tenant_cross_evictions for lv in self.levels)
+
+    # -- stats & lifecycle -------------------------------------------------------
+
+    def stats(self) -> HierarchyStats:
+        return HierarchyStats(levels={lv.name: lv.stats for lv in self.levels})
+
+    def clear(self) -> None:
+        """Empty every level (stats preserved)."""
+        for level in self.levels:
+            level.clear()
+
+    def check_invariants(self) -> None:
+        for level in self.levels:
+            level.check_invariants()
+
+
+class MemoryHierarchy(LevelSurface):
     """Cache levels over a backing store, with demand and prefetch paths."""
 
     def __init__(
@@ -279,17 +358,7 @@ class MemoryHierarchy:
         self.registry = registry
         for level in self.levels:
             level.set_registry(registry)
-        source_names = [lv.name for lv in self.levels] + [self.backing.name]
-        self._fetch_metrics = {
-            name: (
-                registry.histogram("fetch_latency_seconds", level=name, kind="demand"),
-                registry.histogram("fetch_latency_seconds", level=name, kind="prefetch"),
-                registry.counter("bytes_read_total", level=name),
-                registry.counter("fetches_total", level=name, kind="demand"),
-                registry.counter("fetches_total", level=name, kind="prefetch"),
-            )
-            for name in source_names
-        }
+        self._bind_fetch_metrics([lv.name for lv in self.levels] + [self.backing.name])
         if self.fault_injector is not None:
             self._bind_fault_metrics()
         if self.forensics is not None:
@@ -409,48 +478,15 @@ class MemoryHierarchy:
             for name in device_names
         }
 
-    def _record_fetch(self, source: str, prefetch: bool, nbytes: int, time_s: float) -> None:
-        demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = self._fetch_metrics[source]
-        if prefetch:
-            prefetch_h.observe(time_s)
-            prefetch_c.inc()
-        else:
-            demand_h.observe(time_s)
-            demand_c.inc()
-        bytes_c.inc(nbytes)
-
     # -- helpers -------------------------------------------------------------
 
     @property
     def fastest(self) -> CacheLevel:
         return self.levels[0]
 
-    def block_nbytes(self, key: int) -> int:
-        if callable(self._block_nbytes):
-            return int(self._block_nbytes(key))
-        return int(self._block_nbytes)
-
     def contains_fast(self, key: int) -> bool:
         """Is ``key`` already in the fastest level (no I/O needed)?"""
         return key in self.levels[0]
-
-    # -- tenant partitioning ---------------------------------------------------
-
-    def set_tenant_quotas(
-        self, fractions: Optional[Mapping[str, float]]
-    ) -> "dict[str, dict[str, int]]":
-        """Partition every level between tenants, all or nothing (see
-        :func:`install_tenant_quotas`); returns the installed block quotas
-        per level for the caller's ledger."""
-        return install_tenant_quotas(self.levels, fractions)
-
-    def tenant_usage(self) -> "dict[str, dict[str, int]]":
-        """Per-level resident block counts per tenant."""
-        return {lv.name: lv.tenant_usage() for lv in self.levels if lv.tenant_quotas_enabled}
-
-    def tenant_cross_evictions(self) -> int:
-        """Total cross-tenant evictions across levels (0 under partitioning)."""
-        return sum(lv.tenant_cross_evictions for lv in self.levels)
 
     # -- the read path ---------------------------------------------------------
 
@@ -967,12 +1003,7 @@ class MemoryHierarchy:
             if not c:
                 continue
             if record:
-                demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = (
-                    self._fetch_metrics[names[j]]
-                )
-                (prefetch_h if prefetch else demand_h).observe_many(t_src[j], c)
-                (prefetch_c if prefetch else demand_c).inc(c)
-                bytes_c.inc(c * nb)
+                self._record_fetch(names[j], prefetch, nb, t_src[j], c)
             if agg is not None:
                 kind = "prefetch" if prefetch else ("hit" if j == 0 else "fetch")
                 # The left fold of c equal times is what c per-event adds give.
@@ -1059,14 +1090,8 @@ class MemoryHierarchy:
         """Flush grouped registry fetch metrics (uniform block size only)."""
         if not rec:
             return
-        nb = self._uniform_nbytes
         for (source_name, t), c in rec.items():
-            demand_h, prefetch_h, bytes_c, demand_c, prefetch_c = (
-                self._fetch_metrics[source_name]
-            )
-            (prefetch_h if prefetch else demand_h).observe_many(t, c)
-            (prefetch_c if prefetch else demand_c).inc(c)
-            bytes_c.inc(c * nb)
+            self._record_fetch(source_name, prefetch, self._uniform_nbytes, t, c)
 
     # -- preload (Step 2 / Alg. 1 line 7) -----------------------------------------
 
@@ -1085,23 +1110,11 @@ class MemoryHierarchy:
 
     # -- stats & lifecycle -------------------------------------------------------
 
-    def stats(self) -> HierarchyStats:
-        return HierarchyStats(levels={lv.name: lv.stats for lv in self.levels})
-
     def reset_stats(self) -> None:
         for level in self.levels:
             level.stats.reset()
         self.backing_reads = 0
         self.backing_bytes = 0
-
-    def clear(self) -> None:
-        """Empty every level (stats preserved)."""
-        for level in self.levels:
-            level.clear()
-
-    def check_invariants(self) -> None:
-        for level in self.levels:
-            level.check_invariants()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lv = ", ".join(f"{lvl.name}:{lvl.capacity}" for lvl in self.levels)

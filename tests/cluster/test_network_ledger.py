@@ -245,3 +245,18 @@ class TestNodeLoss:
         h = _sharded(grid, "none")
         with pytest.raises(ValueError):
             h.fail_node(h.home)
+
+    @pytest.mark.parametrize("node", [-1, N_NODES])
+    def test_fail_unknown_node_rejected(self, net_setup, node):
+        """A node id outside [0, K) changes nothing: no re-shard, no cache
+        cleared, no failed node on the ledger."""
+        grid, _ = net_setup
+        h = _sharded(grid, "none")
+        h.fetch_many(np.arange(grid.n_blocks, dtype=np.int64), 0)
+        owner = h.shard_map.owner.copy()
+        resident = [len(level) for level in h.levels]
+        with pytest.raises(ValueError, match=rf"\[0, {N_NODES}\)"):
+            h.fail_node(node)
+        assert np.array_equal(h.shard_map.owner, owner)
+        assert [len(level) for level in h.levels] == resident
+        assert h.cluster_ledger()["failed_nodes"] == []

@@ -136,6 +136,26 @@ class TestSpecValidation:
         ):
             assert fragment in msg, fragment
 
+    def test_constraint_matching_no_cell_rejected(self):
+        """A flat pair on a pair-valued axis means "either value", matches
+        no cell and used to prune nothing, silently."""
+        base = {
+            "matrix": {"label": "x"},
+            "axes": {"workload": ["spherical", "random"],
+                     "degrees": [[1.0, 1.0], [0.0, 5.0]]},
+        }
+        flat = {"workload": "spherical", "degrees": [0.0, 5.0]}
+        with pytest.raises(ValueError) as err:
+            spec_from_dict({**base, "constraints": [{"workload": "random"}, flat]})
+        message = str(err.value)
+        assert "[[constraints]] #1 matches no cell" in message
+        assert "write degrees = [[0.0, 5.0]]" in message
+        assert "#0" not in message
+        with pytest.raises(ValueError, match=r"#0 matches no cell$"):
+            spec_from_dict({**base, "constraints": [{"workload": "orbit"}]})
+        wrapped = {**flat, "degrees": [[0.0, 5.0]]}
+        assert len(expand_cells(spec_from_dict({**base, "constraints": [wrapped]}))) == 3
+
     @pytest.mark.parametrize("scenario", [
         {"sessions": 4},
         {"sessions": 4, "steps": 6, "extra": 1},

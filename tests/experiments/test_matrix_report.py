@@ -1,5 +1,7 @@
 """Tests for the self-contained matrix HTML report."""
 
+import html
+import re
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,30 @@ class TestSections:
 
     def test_report_title_from_spec(self, smoke_html):
         assert "matrix smoke report" in smoke_html
+
+    @pytest.mark.parametrize("name", ["MATRIX_fig9-quick.json", "MATRIX_fig12-quick.json"])
+    def test_many_series_charts_stay_readable(self, name):
+        """Every series of a chart has its own (colour, dash) style, and
+        every legend row fits inside the SVG at 7 px per character."""
+        doc = load_snapshot(REPO_ROOT / name)
+        figures = render_matrix_report(doc).split("<h2>Figures</h2>")[1]
+        charts = re.findall(r"<svg class='chart' width='(\d+)' height='(\d+)'(.*?)</svg>",
+                            figures)
+        assert charts
+        for width, height, body in charts:
+            legend = body.split("<g class='legend'>")[1]
+            rows = re.findall(
+                r"<line [^>]*y1='(\d+)'[^>]* stroke='([^']+)' stroke-width='2'"
+                r"(?: stroke-dasharray='([^']+)')?/>"
+                r"<text x='(\d+)' y='(\d+)' font-size='11'>([^<]*)</text>",
+                legend,
+            )
+            assert len(rows) == body.count("<polyline") > 0
+            styles = {(color, dash) for _, color, dash, _, _, _ in rows}
+            assert len(styles) == len(rows)
+            for _, _, _, x, y, label in rows:
+                assert int(x) + 7 * len(html.unescape(label)) <= int(width), label
+                assert int(y) <= int(height)
 
     def test_three_axis_figure_draws_every_cell(self):
         # r x d x p with the figure over d grouped by p: one line per r
