@@ -471,11 +471,11 @@ def _cmd_analyze(args) -> int:
         from repro.trace import read_jsonl
 
         try:
-            events = read_jsonl(source)
-        except (ValueError, OSError) as exc:
+            doc = attribute_run(read_jsonl(source)).as_dict(include_frames=True)
+        except (ValueError, OverflowError, OSError) as exc:
+            # unreadable, an unknown event kind, or a number past int64
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        doc = attribute_run(events).as_dict(include_frames=True)
         title = args.title or f"repro analyze — trace {source}"
     else:
         try:

@@ -201,11 +201,15 @@ class ShardMap:
         Every block owned by a dead node is reassigned to
         ``alive[block_id % n_alive]`` over the ascending alive list — a
         pure function of the block id and the alive set, so repeated
-        failures in any order produce the same final map.
+        failures in any order produce the same final map.  A node id
+        outside ``[0, n_nodes)`` raises ``ValueError``.
         """
         dead_set = {int(dead)} if isinstance(dead, (int, np.integer)) else {
             int(d) for d in dead
         }
+        outside = sorted(d for d in dead_set if not 0 <= d < self.n_nodes)
+        if outside:
+            raise ValueError(f"node {outside[0]} is not in [0, {self.n_nodes})")
         alive = tuple(n for n in self.alive if n not in dead_set)
         if not alive:
             raise ValueError("cannot reshard: no nodes left alive")

@@ -39,10 +39,22 @@ zero or more ``fault``/``retry`` events followed by the closing
 ``hit``/``fetch``/``prefetch`` movement, or — when every source failed
 and the block was dropped — fault/retry events with no closing
 movement.  Fault-free fetches are single-event groups, so the two-level
-fold degenerates to the flat left fold and produces no dust.
-``degraded`` and ``re_miss`` events sit outside every time ledger and
-are only counted; ``lookup_time_s`` is not traced and is taken from the
-ledger row.
+fold degenerates to the flat left fold and each event's share is its
+outer marginal.  ``degraded`` and ``re_miss`` events sit outside every
+time ledger and are only counted; ``lookup_time_s`` is not traced and is
+taken from the ledger row.
+
+The fold reads numpy columns (:class:`~repro.trace.events.TraceColumns`,
+a copy of the tracer's ring per frame: :func:`frame_row`) and folds all
+of a report's frames with array operations: groups and orphans from
+shifted comparisons, the inner folds with every group advanced one row
+at a time, the outer fold with one ``np.add.accumulate`` per (frame,
+channel), and each share as a signed sum of ``U`` values.  Those sums
+are exact: each value is its 53-bit integer mantissa times a power of
+two, mantissas sharing a component and an exponent add in int64 (at
+most 1,023 at a time, so no sum reaches 2⁶³), and each such sum is
+shifted once into a Python int.  The per-event Python fold it replaced
+is kept in the tests as the reference it must equal.
 
 Orphan groups (dropped blocks) are assigned a channel by the profiler
 span stamped on their events (``"prefetch"`` substring checked before
@@ -56,10 +68,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.runtime.engine import Collector
-from repro.trace.events import MOVEMENT_KINDS, TraceEvent
+from repro.trace.events import (
+    EVENT_KINDS,
+    KIND_CODES,
+    MOVEMENT_KINDS,
+    TraceColumns,
+    TraceEvent,
+)
 
 __all__ = [
     "ATTRIBUTION_SCHEMA_VERSION",
@@ -221,179 +241,319 @@ class AttributionReport:
         return doc
 
 
-# -- group parsing -------------------------------------------------------------
+# -- the columnar fold ---------------------------------------------------------
+
+_DEMAND, _PREFETCH = 0, 1  # channel codes; a frame's segment ``s`` is ``2 * frame + channel``
+_CHANNELS = {None: -1, "demand": _DEMAND, "prefetch": _PREFETCH}  # -1: no span hint
+_PREFETCH_KIND = KIND_CODES["prefetch"]
+_RENDER, _XFER = KIND_CODES["render"], KIND_CODES["xfer"]
+_RE_MISS, _DEGRADED = KIND_CODES["re_miss"], KIND_CODES["degraded"]
 
 
-def _parse_groups(
-    events: Sequence[TraceEvent],
-) -> Tuple[List[Tuple[Optional[str], List[TraceEvent]]], List[TraceEvent], int, int, float]:
-    """Split one step's events into fetch groups.
+def _kinds(*names: str) -> np.ndarray:
+    mask = np.zeros(len(EVENT_KINDS), dtype=bool)
+    mask[[KIND_CODES[n] for n in names]] = True
+    return mask
 
-    Returns ``(groups, render_events, n_re_miss, n_degraded,
-    degraded_extra_s)`` where each group is ``(channel, events)`` —
-    channel ``"demand"``/``"prefetch"`` when a movement closed the
-    group, ``None`` for an orphan (dropped block, resolved later).
-    ``evict``/``bypass``/``preload`` events carry no charged time and
-    are skipped; ``degraded``/``re_miss`` markers are counted only.
+
+_IS_MOVEMENT = _kinds(*MOVEMENT_KINDS)
+_IS_PENALTY = _kinds("fault", "retry")
+_IS_DUST_TO_LAST = _kinds(*_DUST_TO_LAST)
+# Component ids: hit_service, fault_penalty, retry_backoff, then per level
+# code ``l`` the ids ``3 + 3l`` (miss), ``4 + 3l`` (prefetch), ``5 + 3l`` (peer).
+_FAULT_PENALTY = 1
+_COMP_BASE = np.zeros(len(EVENT_KINDS), dtype=np.int64)
+_COMP_PER_LEVEL = np.zeros(len(EVENT_KINDS), dtype=np.int64)
+for _kind, _base in (("hit", 0), ("fault", 1), ("retry", 2), ("fetch", 3), ("prefetch", 4),
+                     ("xfer", 5)):
+    _COMP_BASE[KIND_CODES[_kind]] = _base
+    _COMP_PER_LEVEL[KIND_CODES[_kind]] = 3 if _base >= 3 else 0
+_SHORT_RUN = 32  # longer runs take one np.add.accumulate each
+_TWO53 = float(1 << 53)
+_EXP_SPAN = 2200  # frexp exponents of finite floats lie in [-1073, 1024]
+_EXP_BIAS = 1100
+_BUCKET = 1023  # int64 terms per bucket: 1023 mantissas below 2**53 sum below 2**63
+
+
+def _component_names(levels: Sequence[str]) -> List[str]:
+    names = ["hit_service", "fault_penalty", "retry_backoff"]
+    for level in levels:
+        names += [f"miss_transfer:{level}", f"prefetch_transfer:{level}",
+                  f"peer_transfer:{level}"]
+    return names
+
+
+def _components(kind: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Component id of each (charged) event: :func:`_component_of` in codes."""
+    return _COMP_BASE[kind] + _COMP_PER_LEVEL[kind] * level
+
+
+def _dust_components(kind: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """Component taking each group's dust, from the group's last event."""
+    return np.where(_IS_DUST_TO_LAST[kind], comps, _FAULT_PENALTY)
+
+
+def _left_folds(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running left folds of ``values`` from ``0.0``, restarting at each of
+    ``starts`` (ascending, the first 0): the engine's ``+=`` order, bit
+    for bit.  Each long run takes one ``np.add.accumulate``; the short
+    ones advance together, one row at a time."""
+    out = values + 0.0  # a fold from 0.0: 0.0 + x
+    ends = np.append(starts[1:], len(values))
+    lengths = ends - starts
+    long = lengths > _SHORT_RUN
+    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+        np.add.accumulate(out[a:b], out=out[a:b])
+    starts, lengths = starts[~long], lengths[~long]
+    for depth in range(1, int(lengths.max(initial=1))):
+        rows = starts[lengths > depth] + depth
+        out[rows] += out[rows - 1]
+    return out
+
+
+def _exact_sums(values: np.ndarray, negative: np.ndarray, buckets: np.ndarray) -> Dict[int, int]:
+    """``sum(±U(v))`` per bucket id, exactly, in 2⁻¹⁰⁷⁴ units.
+
+    Each value is its 53-bit integer mantissa times a power of two; the
+    mantissas that share a bucket and an exponent are added in int64, at
+    most :data:`_BUCKET` at a time, and each such sum is shifted once into
+    a Python int.
     """
-    groups: List[Tuple[Optional[str], List[TraceEvent]]] = []
-    render_events: List[TraceEvent] = []
-    pending: List[TraceEvent] = []
-    pending_key: Optional[int] = None
-    n_re_miss = 0
-    n_degraded = 0
-    degraded_extra = 0.0
-    for e in events:
-        kind = e.kind
-        if kind in ("fault", "retry"):
-            if pending and pending_key != e.key:
-                groups.append((None, pending))  # previous block was dropped
-                pending = []
-            pending_key = e.key
-            pending.append(e)
-        elif kind in _MOVEMENT:
-            channel = "prefetch" if kind == "prefetch" else "demand"
-            if pending and pending_key == e.key:
-                pending.append(e)
-                groups.append((channel, pending))
-            else:
-                if pending:
-                    groups.append((None, pending))
-                groups.append((channel, [e]))
-            pending = []
-            pending_key = None
-        elif kind == "xfer":
-            # A peer transfer is charged right after the movement it
-            # ships, in the same per-block fold — append it to the group
-            # that movement just closed so the inner fold replays
-            # ``node_time + link_time`` in emission order.
-            if (
-                groups
-                and groups[-1][0] is not None
-                and groups[-1][1][-1].kind in _MOVEMENT
-                and groups[-1][1][-1].key == e.key
-            ):
-                groups[-1][1].append(e)
-            else:  # defensive: an xfer with no matching movement is an orphan
-                groups.append((None, [e]))
-        elif kind == "render":
-            render_events.append(e)
-        elif kind == "re_miss":
-            n_re_miss += e.count
-        elif kind == "degraded":
-            n_degraded += e.count
-            degraded_extra += e.time_s
-        # evict / bypass / preload: no charged time, nothing to fold.
-    if pending:
-        groups.append((None, pending))
-    return groups, render_events, n_re_miss, n_degraded, degraded_extra
+    keep = values != 0.0
+    mantissa, exponent = np.frexp(values[keep])
+    m = (mantissa * _TWO53).astype(np.int64)
+    m[negative[keep]] *= -1
+    key = buckets[keep] * _EXP_SPAN + (exponent + _EXP_BIAS)
+    order = np.argsort(key, kind="stable")
+    key, m = key[order], m[order]
+    run = np.flatnonzero(np.diff(key, prepend=-1))
+    within = np.arange(key.size) - np.repeat(run, np.diff(np.append(run, key.size)))
+    chunks = np.flatnonzero(within % _BUCKET == 0)
+    sums = np.add.reduceat(m, chunks) if chunks.size else m[:0]
+    bucket, shift = np.divmod(key[chunks], _EXP_SPAN)
+    shift -= _EXP_BIAS + 53 - 1074  # U(v) = m * 2**(exponent - 53 + 1074)
+    out: Dict[int, int] = {}
+    for b, s, k in zip(bucket.tolist(), sums.tolist(), shift.tolist()):
+        out[b] = out.get(b, 0) + (s << k if k >= 0 else s >> -k)
+    return out
 
 
-def _resolve_orphans(
-    groups: List[Tuple[Optional[str], List[TraceEvent]]],
-) -> Tuple[List[Tuple[str, List[TraceEvent]]], bool]:
-    """Assign a channel to every orphan group; returns (groups, all_hinted).
+def _fold(
+    times: np.ndarray,
+    comps: np.ndarray,
+    group_starts: np.ndarray,
+    dust_comps: np.ndarray,
+    seg_of_group: np.ndarray,
+    n_segs: int,
+    n_comps: int,
+) -> Tuple[np.ndarray, Dict[int, Dict[int, int]]]:
+    """Invariants A and B for ``n_segs`` channel segments at once.
 
-    Span hint first (exact — the profiler stamped the issuing stage),
-    then the previous resolved group's channel, then demand.  Any
-    non-span fallback clears the frame's ``exact`` flag: the orphan's
-    fold position is only provably right when the hint was authoritative.
+    ``times``/``comps`` are the charged events in fold order: by segment,
+    then group, then emission.  Groups start at ``group_starts``, belong
+    to segment ``seg_of_group`` (non-decreasing) and give their dust to
+    ``dust_comps``.  Returns each segment's float total — the inner fold
+    per group, then the outer ``np.add.accumulate`` over group totals —
+    and, per non-empty segment, its components' exact shares in 2⁻¹⁰⁷⁴
+    units, in first-appearance order.
+
+    With ``T_j`` the outer running total and ``g_j`` group ``j``'s inner
+    total, an event's share is ``U(inner after) − U(inner before)`` and
+    group ``j``'s dust is ``U(T_j) − U(T_{j−1}) − U(g_j)``: every share is
+    a signed sum of ``U`` values, which :func:`_exact_sums` adds exactly.
     """
-    resolved: List[Tuple[str, List[TraceEvent]]] = []
-    all_hinted = True
-    prev = "demand"
-    for channel, g in groups:
-        if channel is None:
-            channel = _span_channel(g[0].span)
-            if channel is None:
-                channel = prev
-                all_hinted = False
-        resolved.append((channel, g))
-        prev = channel
-    return resolved, all_hinted
+    totals = np.zeros(n_segs)
+    n, n_groups = len(times), len(group_starts)
+    if not n:
+        return totals, {}
+    inner = _left_folds(times, group_starts)
+    sizes = np.diff(np.append(group_starts, n))
+    group_end = group_starts + sizes - 1
+    g = inner[group_end]
+    seg_start = np.flatnonzero(np.diff(seg_of_group, prepend=-1))
+    outer = _left_folds(g, seg_start)
+    seg_end = np.append(seg_start[1:], n_groups) - 1
+    totals[seg_of_group[seg_end]] = outer[seg_end]
+    before = np.empty(n_groups)
+    before[0] = 0.0
+    before[1:] = outer[:-1]
+    before[seg_start] = 0.0
+    # Nonzero dust is a rounded outer add: TwoSum's exact error term.
+    back = outer - before
+    dusty = ((before - (outer - back)) + (g - back)) != 0.0
+
+    group_of = np.repeat(np.arange(n_groups), sizes)
+    ev_bucket = seg_of_group[group_of] * n_comps + comps
+    g_bucket = seg_of_group * n_comps + dust_comps
+    # A one-event group whose event takes its dust: +U(event) − U(g) = 0.
+    solo = (sizes == 1) & (comps[group_starts] == dust_comps)
+    ev = np.flatnonzero(~solo[group_of])
+    starts_group = np.zeros(n, dtype=bool)
+    starts_group[group_starts] = True
+    deep = ev[~starts_group[ev]]  # events after their group's first
+    # Consecutive groups of one bucket telescope: +U(T_j) meets −U(T_j).
+    same_next = np.zeros(n_groups, dtype=bool)
+    same_next[:-1] = g_bucket[1:] == g_bucket[:-1]
+    same_prev = np.zeros(n_groups, dtype=bool)
+    same_prev[1:] = same_next[:-1]
+    up, down, minus_g = ~same_next, ~same_prev, np.flatnonzero(~solo)
+    values = np.concatenate((inner[ev], inner[deep - 1], outer[up], before[down], g[minus_g]))
+    negative = np.zeros(values.size, dtype=bool)
+    negative[ev.size:ev.size + deep.size] = True
+    negative[values.size - minus_g.size - int(down.sum()):] = True
+    buckets = np.concatenate((
+        ev_bucket[ev], ev_bucket[deep], g_bucket[up], g_bucket[down], g_bucket[minus_g]
+    ))
+    shares = _exact_sums(values, negative, buckets)
+
+    first = np.full(n_segs * n_comps, 2 * n + 1, dtype=np.int64)
+    np.minimum.at(first, ev_bucket, 2 * np.arange(n))
+    dust_at = np.flatnonzero(dusty)
+    np.minimum.at(first, g_bucket[dust_at], 2 * group_end[dust_at] + 1)
+    present = np.flatnonzero(first <= 2 * n)
+    present = present[np.argsort(first[present], kind="stable")]
+    per_seg: Dict[int, Dict[int, int]] = {}
+    for b in present.tolist():
+        seg, comp = divmod(b, n_comps)
+        per_seg.setdefault(seg, {})[comp] = shares.get(b, 0)
+    return totals, per_seg
 
 
-def _fold_channel(
-    groups: Iterable[List[TraceEvent]],
-) -> Tuple[float, Dict[str, int]]:
-    """Invariants A and B for one channel.
-
-    Inner float fold per group (emission order), outer float fold over
-    group totals — reproducing the engine's accumulation bit-for-bit —
-    plus the exact marginal partition in 2⁻¹⁰⁷⁴ units with per-group dust
-    assigned to the closing movement's component (fault penalty for
-    orphans).
-    """
-    total = 0.0
-    total_u = 0
-    comps: Dict[str, int] = {}
-    for g in groups:
-        inner = 0.0
-        inner_u = 0
-        for e in g:
-            inner = inner + e.time_s
-            after = _units(inner)
-            comp = _component_of(e)
-            comps[comp] = comps.get(comp, 0) + (after - inner_u)
-            inner_u = after
-        total = total + inner
-        after = _units(total)
-        dust = after - total_u - inner_u
-        total_u = after
-        if dust:
-            last = g[-1]
-            comp = _component_of(last) if last.kind in _DUST_TO_LAST else "fault_penalty"
-            comps[comp] = comps.get(comp, 0) + dust
-    return total, comps
-
-
-def _attribute_one(
-    step: int,
-    events: Sequence[TraceEvent],
-    ledger: Optional[Tuple[float, float, float, float]],
-) -> Tuple[FrameAttribution, Dict[str, int], Dict[str, int]]:
-    """Attribute one step; ledger is ``(io, lookup, prefetch, render)``.
-
-    Also returns the frame's demand and prefetch shares in 2⁻¹⁰⁷⁴ units.
-    """
-    groups, render_events, n_re_miss, n_degraded, degraded_extra = _parse_groups(events)
-    resolved, all_hinted = _resolve_orphans(groups)
-    exact = all_hinted and all(
-        e.count == 1 for _, g in resolved for e in g
+def _fold_channel(groups: Iterable[Sequence[TraceEvent]]) -> Tuple[float, Dict[str, int]]:
+    """Invariants A and B for one channel's fetch groups, in fold order:
+    the float total and the exact shares in 2⁻¹⁰⁷⁴ units (the frame
+    fold's core, on the events converted once into columns)."""
+    groups = [g for g in map(list, groups) if g]
+    cols = TraceColumns.from_events([e for g in groups for e in g])
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    comps = _components(cols.kind, cols.level)
+    last = starts + sizes - 1
+    totals, shares = _fold(
+        cols.time_s, comps, starts, _dust_components(cols.kind[last], comps[last]),
+        np.zeros(len(groups), dtype=np.int64), 1, 3 + 3 * len(cols.levels),
     )
-    io_total, demand = _fold_channel(g for ch, g in resolved if ch == "demand")
-    pf_total, prefetch = _fold_channel(g for ch, g in resolved if ch == "prefetch")
-    render_total = 0.0
-    for e in render_events:
-        render_total = render_total + e.time_s
-    if ledger is not None:
-        lg_io, lg_lookup, lg_prefetch, lg_render = ledger
-        reconciled: Optional[bool] = (
-            io_total == lg_io and pf_total == lg_prefetch and render_total == lg_render
-        )
-        if not exact and reconciled:
-            # An inexact fold that happens to match is luck, not proof.
-            reconciled = None
-        lookup = lg_lookup
-    else:
-        reconciled = None
-        lookup = 0.0
-    frame = FrameAttribution(
-        step=step,
-        io_time_s=io_total,
-        lookup_time_s=lookup,
-        prefetch_time_s=pf_total,
-        render_time_s=render_total,
-        components=_fractions(demand),
-        prefetch_components=_fractions(prefetch),
-        overlap_saving_s=min(pf_total, render_total),
-        n_re_miss=n_re_miss,
-        n_degraded=n_degraded,
-        degraded_extra_s=degraded_extra,
-        reconciled=reconciled,
-        exact=exact,
+    names = _component_names(cols.levels)
+    return float(totals[0]), {names[c]: u for c, u in shares.get(0, {}).items()}
+
+
+def _per_frame_folds(values, frame, n_frames) -> np.ndarray:
+    """Each frame's left fold of ``values`` (events in frame order)."""
+    out = np.zeros(n_frames)
+    if values.size:
+        starts = np.flatnonzero(np.diff(frame, prepend=-1))
+        ends = np.append(starts[1:], values.size) - 1
+        out[frame[ends]] = _left_folds(values, starts)[ends]
+    return out
+
+
+def _fold_frames(cols: TraceColumns, frame: np.ndarray, n_frames: int):
+    """Group, resolve and fold every frame of ``cols`` (``frame``: each
+    row's frame index, non-decreasing) in one pass of array operations.
+
+    Returns ``(io, prefetch, render, degraded_extra, n_re_miss, n_degraded,
+    exact, shares, names)``: per-frame arrays, the per-segment shares of
+    :func:`_fold` and the component names by id.
+    """
+    n = len(cols)
+    kind, key, time_s = cols.kind, cols.key, cols.time_s
+    frame_last = np.searchsorted(frame, np.arange(n_frames), side="right") - 1
+
+    # Fault/retry/movement events form groups: a group continues while the
+    # previous event is a fault/retry of the same block in the same frame.
+    fm = np.flatnonzero(_IS_PENALTY[kind] | _IS_MOVEMENT[kind])
+    f_fm, k_fm, m_fm = frame[fm], key[fm], _IS_MOVEMENT[kind[fm]]
+    same_frame = np.zeros(fm.size, dtype=bool)
+    same_frame[1:] = f_fm[1:] == f_fm[:-1]
+    cont = same_frame.copy()
+    cont[1:] &= ~m_fm[:-1] & (k_fm[1:] == k_fm[:-1])
+    first = np.flatnonzero(~cont)
+    last = np.append(first[1:], fm.size)[: first.size] - 1
+    closed = m_fm[last]
+    group_of = np.full(n, -1, dtype=np.int64)
+    group_of[fm] = np.cumsum(~cont) - 1
+    # A group is listed when its movement closes it, else (an orphan) when
+    # the next fault/movement of its frame flushes it, else at frame end.
+    nxt = np.minimum(last + 1, max(fm.size - 1, 0))
+    flushed = (last + 1 < fm.size) & same_frame[nxt]
+    rank = np.where(
+        closed, 3 * fm[last] + 2,
+        np.where(flushed, 3 * fm[nxt] + 1, 3 * frame_last[f_fm[last]] + 2),
     )
-    return frame, demand, prefetch
+
+    # An xfer joins the group its block's movement just closed when that
+    # was the frame's last listing; otherwise it is an orphan of its own.
+    action = np.zeros(n, dtype=np.int8)  # 1: a movement listed a group
+    action[fm[m_fm]] = 1
+    flush = ~cont & same_frame & ~m_fm  # an orphan listed before a fault
+    flush[1:] &= ~m_fm[:-1]
+    action[fm[flush]] = 2
+    xs = np.flatnonzero(kind == _XFER)
+    action[xs] = 2
+    acts = np.flatnonzero(action)
+    at = np.searchsorted(acts, xs)
+    prev = acts[np.maximum(at - 1, 0)]
+    joins = (at > 0) & (frame[prev] == frame[xs]) & (action[prev] == 1) & (key[prev] == key[xs])
+    x_joined, x_alone = xs[joins], xs[~joins]
+    group_of[x_joined] = group_of[prev[joins]]
+    group_of[x_alone] = first.size + np.arange(x_alone.size)
+
+    g_first = np.concatenate((fm[first], x_alone))
+    g_last = np.concatenate((fm[last], x_alone))
+    g_rank = np.concatenate((rank, 3 * x_alone + 1))
+    g_frame = frame[g_first]
+    # A movement names its group's channel; an orphan's span may hint it.
+    hints = np.array([_CHANNELS[_span_channel(s)] for s in cols.spans] or [-1])
+    g_channel = np.where(
+        np.append(closed, np.zeros(x_alone.size, dtype=bool)),
+        np.where(kind[g_last] == _PREFETCH_KIND, _PREFETCH, _DEMAND),
+        hints[cols.span[g_first]],
+    )
+    # Unhinted orphans take the previous listed group's channel (demand first).
+    listed = np.argsort(g_rank, kind="stable")
+    channel = g_channel[listed]
+    unhinted = channel < 0
+    starts_frame = np.diff(g_frame[listed], prepend=-1) != 0
+    channel[unhinted & starts_frame] = _DEMAND
+    source = np.where(channel >= 0, np.arange(channel.size), 0)
+    np.maximum.accumulate(source, out=source)
+    g_channel[listed] = channel[source]
+    g_last[group_of[x_joined]] = x_joined  # the dust goes by the last event
+    exact = np.ones(n_frames, dtype=bool)
+    exact[g_frame[listed[unhinted]]] = False
+    charged = np.flatnonzero(group_of >= 0)
+    exact[frame[charged[cols.count[charged] != 1]]] = False
+
+    # Fold order: segment (frame, channel), then listing, then emission.
+    g_seg = 2 * g_frame + g_channel
+    g_order = np.argsort(g_seg * (3 * n + 3) + g_rank, kind="stable")
+    g_pos = np.empty_like(g_order)
+    g_pos[g_order] = np.arange(g_order.size)
+    pos = g_pos[group_of[charged]]
+    order = np.argsort(pos, kind="stable")
+    events, pos = charged[order], pos[order]
+    comps = _components(kind[events], cols.level[events])
+    group_starts = np.flatnonzero(np.diff(pos, prepend=-1))
+    ends = g_last[g_order]
+    totals, shares = _fold(
+        time_s[events], comps, group_starts,
+        _dust_components(kind[ends], _components(kind[ends], cols.level[ends])),
+        g_seg[g_order], 2 * n_frames, 3 + 3 * len(cols.levels),
+    )
+
+    render = np.flatnonzero(kind == _RENDER)
+    degraded = np.flatnonzero(kind == _DEGRADED)
+    re_miss = np.flatnonzero(kind == _RE_MISS)
+    n_re_miss = np.zeros(n_frames, dtype=np.int64)
+    np.add.at(n_re_miss, frame[re_miss], cols.count[re_miss])
+    n_degraded = np.zeros(n_frames, dtype=np.int64)
+    np.add.at(n_degraded, frame[degraded], cols.count[degraded])
+    return (
+        totals[0::2], totals[1::2],
+        _per_frame_folds(time_s[render], frame[render], n_frames),
+        _per_frame_folds(time_s[degraded], frame[degraded], n_frames),
+        n_re_miss, n_degraded, exact, shares, _component_names(cols.levels),
+    )
 
 
 def _ledger_tuple(row) -> Tuple[float, float, float, float]:
@@ -414,52 +574,86 @@ def _ledger_tuple(row) -> Tuple[float, float, float, float]:
 
 
 def frame_row(tracer, seq: int, frame) -> Tuple[tuple, bool]:
-    """One frame's ``(step, events, ledger)`` row, and whether the tracer
+    """One frame's ``(step, columns, ledger)`` row, and whether the tracer
     overwrote part of the frame's window before this slice.
 
-    ``seq`` is ``tracer.n_recorded`` when the frame started; the events
-    are those recorded since then at the frame's step, and the ledger is
-    the frame's ``(io, lookup, prefetch, render)`` times.  Frames run
-    strictly one after another, so the slice is exactly the frame's.
+    ``seq`` is ``tracer.n_recorded`` when the frame started; the columns
+    are a copy of the rows recorded since then at the frame's step (the
+    ring may wrap after the frame), and the ledger is the frame's ``(io,
+    lookup, prefetch, render)`` times.  Frames run strictly one after
+    another, so the slice is exactly the frame's.
     """
-    events = [e for e in tracer.events_since(seq) if e.step == frame.step]
+    cols = tracer.columns_since(seq)
+    at_step = cols.step == frame.step
+    cols = cols.copy() if at_step.all() else cols.take(at_step)
     ledger = (frame.io_time_s, frame.lookup_time_s, frame.prefetch_time_s, frame.render_time_s)
-    return (frame.step, events, ledger), tracer.n_dropped > seq
+    return (frame.step, cols, ledger), tracer.n_dropped > seq
 
 
-def attribute_frames(
-    rows: Iterable[Tuple[int, Sequence[TraceEvent], Optional[Tuple[float, float, float, float]]]],
-    drop_stats: Optional[Dict[str, int]] = None,
-    incomplete: bool = False,
+def _as_columns(events) -> TraceColumns:
+    return events if isinstance(events, TraceColumns) else TraceColumns.from_events(events)
+
+
+def _report(
+    steps: Sequence[int],
+    cols: TraceColumns,
+    frame: np.ndarray,
+    ledgers: Sequence[Optional[Tuple[float, float, float, float]]],
+    drop_stats: Optional[Dict[str, int]],
+    incomplete: bool,
 ) -> AttributionReport:
-    """Build a report from explicit ``(step, events, ledger)`` rows.
-
-    The session scheduler uses this directly (it slices the shared
-    tracer per frame); :func:`attribute_run` is the flat-stream wrapper.
-    ``incomplete`` is the caller's verdict that some frame's events were
-    overwritten before it sliced them; ``drop_stats`` is recorded as is.
-    """
+    """The report of frames ``steps``; ``frame`` is each row's index into
+    them (non-decreasing) and ``ledgers`` their ledger rows."""
+    (io, pf, render, degraded, n_re_miss, n_degraded, exact, shares,
+     names) = _fold_frames(cols, frame, len(steps))
     frames: List[FrameAttribution] = []
     demand_tot: Dict[str, int] = {}
     prefetch_tot: Dict[str, int] = {}
-    io = lookup = prefetch = render = saving = 0
-    n_re_miss = n_degraded = 0
+    io_u = lookup_u = prefetch_u = render_u = saving_u = 0
     degraded_extra = 0.0
-    for step, events, ledger in rows:
-        frame, demand_u, prefetch_u = _attribute_one(step, events, ledger)
-        frames.append(frame)
-        for k, v in demand_u.items():
+    for f, (step, ledger, io_total, pf_total, render_total, frame_exact) in enumerate(zip(
+        steps, ledgers, io.tolist(), pf.tolist(), render.tolist(), exact.tolist()
+    )):
+        demand = {names[c]: u for c, u in shares.get(2 * f, {}).items()}
+        prefetch = {names[c]: u for c, u in shares.get(2 * f + 1, {}).items()}
+        if ledger is not None:
+            lg_io, lg_lookup, lg_prefetch, lg_render = ledger
+            reconciled: Optional[bool] = (
+                io_total == lg_io and pf_total == lg_prefetch and render_total == lg_render
+            )
+            if not frame_exact and reconciled:
+                # An inexact fold that happens to match is luck, not proof.
+                reconciled = None
+            lookup = lg_lookup
+        else:
+            reconciled = None
+            lookup = 0.0
+        row = FrameAttribution(
+            step=step,
+            io_time_s=io_total,
+            lookup_time_s=lookup,
+            prefetch_time_s=pf_total,
+            render_time_s=render_total,
+            components=_fractions(demand),
+            prefetch_components=_fractions(prefetch),
+            overlap_saving_s=min(pf_total, render_total),
+            n_re_miss=int(n_re_miss[f]),
+            n_degraded=int(n_degraded[f]),
+            degraded_extra_s=float(degraded[f]),
+            reconciled=reconciled,
+            exact=frame_exact,
+        )
+        frames.append(row)
+        for k, v in demand.items():
             demand_tot[k] = demand_tot.get(k, 0) + v
-        for k, v in prefetch_u.items():
+        for k, v in prefetch.items():
             prefetch_tot[k] = prefetch_tot.get(k, 0) + v
-        io += _units(frame.io_time_s)
-        lookup += _units(frame.lookup_time_s)
-        prefetch += _units(frame.prefetch_time_s)
-        render += _units(frame.render_time_s)
-        saving += _units(frame.overlap_saving_s)
-        n_re_miss += frame.n_re_miss
-        n_degraded += frame.n_degraded
-        degraded_extra += frame.degraded_extra_s
+        io_u += _units(io_total)
+        lookup_u += _units(row.lookup_time_s)
+        prefetch_u += _units(pf_total)
+        render_u += _units(render_total)
+        saving_u += _units(row.overlap_saving_s)
+        degraded_extra += row.degraded_extra_s
     checkable = [f.reconciled for f in frames if f.reconciled is not None]
     return AttributionReport(
         frames=frames,
@@ -468,31 +662,58 @@ def attribute_frames(
         totals={
             name: float(Fraction(units, _UNIT))
             for name, units in (
-                ("io_time_s", io),
-                ("lookup_time_s", lookup),
-                ("prefetch_time_s", prefetch),
-                ("render_time_s", render),
-                ("frame_time_s", io + lookup + render),
-                ("overlap_saving_s", saving),
+                ("io_time_s", io_u),
+                ("lookup_time_s", lookup_u),
+                ("prefetch_time_s", prefetch_u),
+                ("render_time_s", render_u),
+                ("frame_time_s", io_u + lookup_u + render_u),
+                ("overlap_saving_s", saving_u),
             )
         },
-        n_re_miss=n_re_miss,
-        n_degraded=n_degraded,
+        n_re_miss=int(n_re_miss.sum()),
+        n_degraded=int(n_degraded.sum()),
         degraded_extra_s=degraded_extra,
         reconciled=(all(checkable) if checkable else None),
-        exact=all(f.exact for f in frames) if frames else True,
+        exact=bool(exact.all()),
         incomplete=incomplete,
         drop_stats=dict(drop_stats) if drop_stats is not None else None,
     )
 
 
+def attribute_frames(
+    rows: Iterable[Tuple[int, Union[TraceColumns, Sequence[TraceEvent]],
+                         Optional[Tuple[float, float, float, float]]]],
+    drop_stats: Optional[Dict[str, int]] = None,
+    incomplete: bool = False,
+) -> AttributionReport:
+    """Build a report from explicit ``(step, events, ledger)`` rows.
+
+    ``events`` is a frame's :class:`~repro.trace.events.TraceColumns`
+    (:func:`frame_row`'s) or a :class:`TraceEvent` sequence, converted
+    once into columns.  The session scheduler uses this directly (it
+    slices the shared tracer per frame); :func:`attribute_run` is the
+    flat-stream wrapper.  ``incomplete`` is the caller's verdict that
+    some frame's events were overwritten before it sliced them;
+    ``drop_stats`` is recorded as is.
+    """
+    steps, parts, ledgers = [], [], []
+    for step, events, ledger in rows:
+        steps.append(step)
+        parts.append(_as_columns(events))
+        ledgers.append(ledger)
+    frame = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    return _report(steps, TraceColumns.concat(parts), frame, ledgers, drop_stats, incomplete)
+
+
 def attribute_run(
-    events: Iterable[TraceEvent],
+    events: Union[TraceColumns, Iterable[TraceEvent]],
     steps: Optional[Sequence] = None,
     drop_stats: Optional[Dict[str, int]] = None,
 ) -> AttributionReport:
     """Attribute a whole run from its flat trace stream.
 
+    ``events`` is a tracer's :meth:`~repro.trace.tracer.Tracer.columns_since`
+    view or a :class:`TraceEvent` iterable (converted once into columns).
     ``steps`` are the run's :class:`~repro.core.metrics.StepMetrics`
     rows (or their ``as_dict`` forms, as found in bench snapshots) —
     they supply the per-step time ledger the folds reconcile against
@@ -501,22 +722,20 @@ def attribute_run(
     stream has no per-frame window to check, so any drop in
     ``drop_stats`` marks the report ``incomplete``.
     """
-    by_step: Dict[int, List[TraceEvent]] = {}
-    for e in events:
-        if e.step < 0:
-            continue
-        by_step.setdefault(e.step, []).append(e)
+    cols = _as_columns(events)
     ledgers: Dict[int, Tuple[float, float, float, float]] = {}
     if steps is not None:
         for row in steps:
             key = int(row["step"]) if isinstance(row, dict) else int(row.step)
             ledgers[key] = _ledger_tuple(row)
-    all_steps = sorted(set(by_step) | set(ledgers))
-    rows = [(s, by_step.get(s, ()), ledgers.get(s)) for s in all_steps]
-    return attribute_frames(
-        rows,
-        drop_stats=drop_stats,
-        incomplete=drop_stats is not None and drop_stats.get("n_dropped", 0) > 0,
+    kept = np.flatnonzero(cols.step >= 0)
+    kept = kept[np.argsort(cols.step[kept], kind="stable")]
+    cols = cols.take(kept)
+    all_steps = sorted(set(np.unique(cols.step).tolist()) | set(ledgers))
+    frame = np.searchsorted(np.array(all_steps, dtype=np.int64), cols.step)
+    return _report(
+        all_steps, cols, frame, [ledgers.get(s) for s in all_steps], drop_stats,
+        drop_stats is not None and drop_stats.get("n_dropped", 0) > 0,
     )
 
 
@@ -537,7 +756,7 @@ class AttributionCollector(Collector):
     def __init__(self, inner: Collector) -> None:
         self.inner = inner
         self.report: Optional[AttributionReport] = None
-        self._rows: List[Tuple[int, Sequence[TraceEvent], Tuple[float, float, float, float]]] = []
+        self._rows: List[Tuple[int, TraceColumns, Tuple[float, float, float, float]]] = []
         self._seq = 0
         self._incomplete = False
 

@@ -151,7 +151,7 @@ def _bench_cell(
     # over the same keys and capacity; a warm importance preload can make
     # it negative (see repro.storage.forensics), so it is reported raw.
     attribution = attribute_run(
-        tracer.events(), result.steps, drop_stats=tracer.drop_stats()
+        tracer.columns_since(0), result.steps, drop_stats=tracer.drop_stats()
     )
     capacity = hierarchy.fastest.capacity
     actual_misses = hierarchy.fastest.stats.misses

@@ -59,7 +59,7 @@ class EventSink:
     call, each tagged with the frame position of the access that caused it
     (``at`` while :meth:`CacheLevel.admit` runs).  Columns, not events:
     the caller merges them with its own and writes them in one
-    ``record_many``."""
+    ``record_codes``."""
 
     __slots__ = ("at", "pos", "kinds", "keys")
 

@@ -14,7 +14,6 @@ the per-key loop records them (:class:`TaggedEvents`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro.policies.registry import make_policy
 from repro.storage.cache import CacheLevel, EventSink
 from repro.storage.device import DRAM, HDD, SSD, StorageDevice
 from repro.storage.stats import HierarchyStats
+from repro.trace.events import KIND_CODES, InternTable
 from repro.trace.tracer import NULL_TRACER
 
 __all__ = [
@@ -87,58 +87,73 @@ class BatchFetchResult:
 #: takes the slots above the levels'.
 EVENT_STRIDE = 64
 
-_DEMAND_KINDS = np.array(["hit", "fetch"], dtype=object)  # by "served below the fastest"
+#: Kind codes by "served below the fastest" (``KIND_CODES`` of hit, fetch).
+_DEMAND_KINDS = np.array([KIND_CODES["hit"], KIND_CODES["fetch"]], dtype=np.uint8)
+_TAG_DTYPES = (np.uint8, np.int32, np.int64, np.int64, np.float64)
 
 
 class TaggedEvents:
     """Trace-event columns of one batched call, each row tagged with its
     sort key (see :data:`EVENT_STRIDE`).
 
-    :meth:`write` sorts the rows stably by key — rows with one key keep the
-    order they were added in — and records them with one
-    :meth:`~repro.trace.tracer.Tracer.record_many`: the per-key loop's
-    events, ``seq`` numbers and span stamps.  Columns rather than rows:
-    no object per event lives until the write.
+    Kinds are :data:`~repro.trace.events.KIND_CODES` codes and levels codes
+    into this call's own level table (``levels``).  :meth:`write`
+    sorts the rows stably by key — rows with one key keep the order they
+    were added in — re-codes the levels to the tracer's table and hands the
+    columns to the ring with one
+    :meth:`~repro.trace.tracer.Tracer.record_codes`: the per-key loop's
+    events, ``seq`` numbers and span stamps, and no object per event.
     """
 
-    __slots__ = ("order", "columns")
+    __slots__ = ("order", "columns", "levels")
 
     def __init__(self) -> None:
         self.order: List[np.ndarray] = []
         self.columns: "tuple[list, ...]" = ([], [], [], [], [])  # kind, level, key, nbytes, time
+        self.levels = InternTable()
 
     def add(self, order: np.ndarray, kind, level, keys, nbytes=0, times=0.0) -> None:
-        """Rows sorting at ``order``; ``kind``/``level``/``nbytes``/``times``
-        are one value for every row or one per row."""
+        """Rows sorting at ``order``.  ``kind`` is a kind name or one code
+        per row, ``level`` a level name or one ``levels`` code per row;
+        ``nbytes``/``times`` are one value for every row or one per row."""
         n = len(order)
         if n:
             self.order.append(order)
-            for column, value in zip(self.columns, (kind, level, keys, nbytes, times)):
-                if isinstance(value, np.ndarray):
-                    column += value.tolist()
-                elif isinstance(value, list):
-                    column += value
-                else:
-                    column += [value] * n
+            if isinstance(kind, str):
+                kind = KIND_CODES[kind]
+            if isinstance(level, str):
+                level = self.levels.code(level)
+            for column, value, dtype in zip(
+                self.columns, (kind, level, keys, nbytes, times), _TAG_DTYPES
+            ):
+                column.append(
+                    np.asarray(value, dtype) if isinstance(value, (np.ndarray, list))
+                    else np.full(n, value, dtype)
+                )
 
     def add_sink(self, sink: EventSink, at: np.ndarray, slot: int, level: str) -> None:
         """One level's evictions and bypasses; ``at`` maps the positions
         the level saw to frame positions."""
         if sink.pos:
             order = at[np.asarray(sink.pos, dtype=np.int64)] * EVENT_STRIDE + slot
-            self.add(order, sink.kinds, level, sink.keys)
+            kinds = np.fromiter(map(KIND_CODES.__getitem__, sink.kinds), np.uint8, len(order))
+            self.add(order, kinds, level, sink.keys)
 
     def write(self, tracer, step: int) -> None:
-        """Record every row, in key order, with one ``record_many``."""
+        """Record every row, in key order, with one ``record_codes``."""
         if not self.order:
             return
-        columns = self.columns
-        order = np.concatenate(self.order) if len(self.order) > 1 else self.order[0]
+        order, *columns = (
+            np.concatenate(parts) if len(parts) > 1 else parts[0]
+            for parts in (self.order, *self.columns)
+        )
         if order.size > 1 and not (order[1:] >= order[:-1]).all():
-            take = itemgetter(*np.argsort(order, kind="stable").tolist())
-            columns = [take(column) for column in columns]
+            perm = np.argsort(order, kind="stable")
+            columns = [column[perm] for column in columns]
         kinds, levels, keys, nbytes, times = columns
-        tracer.record_many(kinds, step, levels, keys, nbytes, times)
+        names = self.levels.names
+        to_tracer = np.fromiter(map(tracer.level_code, names), np.int32, len(names))
+        tracer.record_codes(step, kinds, to_tracer[levels], keys, nbytes, times)
 
 
 class FrameSink:
@@ -310,9 +325,7 @@ class MemoryHierarchy(LevelSurface):
         self._uniform_nbytes = None if callable(block_nbytes) else int(block_nbytes)
         self._read_time_cache: dict = {}
         # Source names by source index (the levels, then the backing store).
-        self._source_names = np.array(
-            [lv.name for lv in self.levels] + [backing.name], dtype=object
-        )
+        self._source_names = [lv.name for lv in self.levels] + [backing.name]
         #: When True, :meth:`fetch_many`/:meth:`prefetch_many` emit one
         #: aggregated trace event per (step, level, kind) for the
         #: hit/fetch/prefetch kinds (``count`` carries the multiplicity,
@@ -1012,12 +1025,8 @@ class MemoryHierarchy(LevelSurface):
         times = np.asarray(t_src)[src]
         if events is not None:
             kinds = "prefetch" if prefetch else _DEMAND_KINDS[(src > 0).view(np.int8)]
-            # The memoised read-time floats themselves, as the per-key loop
-            # records them: no float object per retained event.
-            event_times = list(map(t_src.__getitem__, src.tolist()))
-            events.add(
-                at * EVENT_STRIDE, kinds, self._source_names[src], ids, nb, event_times
-            )
+            sources = events.levels.codes(self._source_names)
+            events.add(at * EVENT_STRIDE, kinds, sources[src], ids, nb, times)
             if own:
                 events.write(tracer, step)
         if self.fault_injector is not None:  # the resilient path's breaker clock

@@ -2,7 +2,9 @@
 
 A :class:`Tracer` rides along the whole read path — hierarchy fetches,
 cache evictions/bypasses, preload, prefetch, render — recording typed
-:class:`TraceEvent` rows into a bounded ring buffer.  The shared
+events into a bounded ring buffer of numpy columns.  Readers take a
+column view (:class:`TraceColumns`, ``Tracer.columns_since``) or a list
+of :class:`TraceEvent` rows (``Tracer.events``).  The shared
 :data:`NULL_TRACER` keeps instrumented code allocation-free when tracing
 is off.  :func:`aggregate` folds an event stream into per-step timelines
 (demand vs prefetch bytes per level, eviction churn, fast-memory
@@ -10,7 +12,13 @@ coverage); :mod:`repro.trace.export` serialises events as JSON-lines or
 Chrome-trace JSON for ``chrome://tracing`` / Perfetto.
 """
 
-from repro.trace.events import EVENT_KINDS, FAULT_KINDS, MOVEMENT_KINDS, TraceEvent
+from repro.trace.events import (
+    EVENT_KINDS,
+    FAULT_KINDS,
+    MOVEMENT_KINDS,
+    TraceColumns,
+    TraceEvent,
+)
 from repro.trace.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.trace.aggregate import StepTimeline, TraceSummary, aggregate
 from repro.trace.export import (
@@ -25,6 +33,7 @@ __all__ = [
     "MOVEMENT_KINDS",
     "FAULT_KINDS",
     "TraceEvent",
+    "TraceColumns",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

@@ -42,13 +42,28 @@ Exactly one of ``hit``/``fetch``/``prefetch`` is emitted per
 block's size and the simulated time charged — so summing ``nbytes`` over
 those three kinds reproduces the hierarchy's ``bytes_moved`` ledger
 exactly (a property the test suite pins).
+
+:class:`TraceColumns` is the same rows as numpy columns — the form the
+tracer's ring keeps and the per-frame readers fold — and converts to and
+from a :class:`TraceEvent` list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-__all__ = ["EVENT_KINDS", "MOVEMENT_KINDS", "FAULT_KINDS", "TraceEvent"]
+import numpy as np
+
+__all__ = [
+    "EVENT_KINDS",
+    "MOVEMENT_KINDS",
+    "FAULT_KINDS",
+    "KIND_CODES",
+    "InternTable",
+    "TraceEvent",
+    "TraceColumns",
+]
 
 EVENT_KINDS: Tuple[str, ...] = (
     "fetch",
@@ -73,12 +88,16 @@ MOVEMENT_KINDS: Tuple[str, ...] = ("fetch", "hit", "prefetch")
 # io exactly; ``degraded`` is outside the ledger (see module docstring).
 FAULT_KINDS: Tuple[str, ...] = ("fault", "retry", "degraded")
 
+#: Kind name -> the code a ``kind`` column stores (its index in EVENT_KINDS).
+KIND_CODES: Dict[str, int] = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+
 
 class TraceEvent(NamedTuple):
     """One observable action on the simulated I/O path.
 
-    An immutable named tuple: the tracer builds one per recorded action,
-    and a tuple is the cheapest immutable record Python can construct.
+    An immutable named tuple: the tracer's ring keeps its fields in
+    columns (:class:`TraceColumns`) and builds a ``TraceEvent`` only when
+    a reader asks for a list (``events()``/``events_since()``).
 
     Parameters
     ----------
@@ -149,3 +168,190 @@ class TraceEvent(NamedTuple):
             age_steps=int(d.get("age_steps", -1)),
             origin=str(d.get("origin", "")),
         )
+
+
+#: The columns of :class:`TraceColumns` after ``seq``, in field order, with
+#: the dtypes the ring stores them in (string fields as intern codes).
+COLUMN_DTYPES: Tuple[Tuple[str, type], ...] = (
+    ("kind", np.uint8),
+    ("step", np.int64),
+    ("level", np.int32),
+    ("key", np.int64),
+    ("nbytes", np.int64),
+    ("time_s", np.float64),
+    ("span", np.int32),
+    ("count", np.int64),
+    ("age_steps", np.int64),
+    ("origin", np.int32),
+)
+_CHUNK = 1 << 16  # rows turned into TraceEvents at a time (bounds the temporaries)
+_new_event = partial(tuple.__new__, TraceEvent)  # the cheapest TraceEvent from a full row
+
+
+class InternTable:
+    """A string column's table: names by code and codes by name.  Codes
+    are handed out in first-appearance order and never change."""
+
+    __slots__ = ("names", "_codes")
+
+    def __init__(self) -> None:
+        self.names: List[str] = []
+        self._codes: Dict[str, int] = {}
+
+    def code(self, name: str) -> int:
+        """``name``'s code (added if new)."""
+        code = self._codes.get(name)
+        if code is None:
+            code = self._codes[name] = len(self.names)
+            self.names.append(name)
+        return code
+
+    def codes(self, names: Sequence[str]) -> np.ndarray:
+        return np.fromiter(map(self.code, names), np.int32, len(names))
+
+
+def _shared(column: np.ndarray):
+    """``column.tolist()`` with one object per distinct value (bit pattern,
+    so ``-0.0`` stays apart from ``0.0``): the events of a ring share
+    their block ids, sizes and read times."""
+    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    return map(distinct.view(column.dtype).tolist().__getitem__, index.tolist())
+
+
+class TraceColumns:
+    """Trace events as numpy columns, oldest first.
+
+    One array per :class:`TraceEvent` field.  ``kind`` holds codes into
+    :data:`EVENT_KINDS` (:data:`KIND_CODES`); ``level``, ``span`` and
+    ``origin`` hold codes into the ``levels``, ``spans`` and ``origins``
+    intern tables.  A tracer's tables only ever grow, so a code keeps its
+    meaning after the slice was taken.  Slices of the ring may be views:
+    :meth:`copy` before the ring moves on.
+    """
+
+    __slots__ = ("seq",) + tuple(name for name, _ in COLUMN_DTYPES) + (
+        "levels", "spans", "origins",
+    )
+
+    def __init__(
+        self,
+        seq: np.ndarray,
+        columns: Sequence[np.ndarray],
+        levels: List[str],
+        spans: List[str],
+        origins: List[str],
+    ) -> None:
+        self.seq = seq
+        (self.kind, self.step, self.level, self.key, self.nbytes, self.time_s,
+         self.span, self.count, self.age_steps, self.origin) = columns
+        self.levels = levels
+        self.spans = spans
+        self.origins = origins
+
+    @classmethod
+    def empty(cls) -> "TraceColumns":
+        return cls(
+            np.empty(0, np.int64), [np.empty(0, dtype) for _, dtype in COLUMN_DTYPES],
+            [], [], [],
+        )
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> "TraceColumns":
+        """The columns of a :class:`TraceEvent` sequence; unknown kinds
+        raise ``ValueError``."""
+        rows = list(events)
+        if not rows:
+            return cls.empty()
+        seq, kind, step, level, key, nbytes, time_s, span, count, age, origin = zip(*rows)
+        bad = set(kind) - KIND_CODES.keys()
+        if bad:
+            raise ValueError(
+                f"unknown event kind {sorted(bad)[0]!r}; expected one of {EVENT_KINDS}"
+            )
+        levels, spans, origins = InternTable(), InternTable(), InternTable()
+        return cls(
+            np.array(seq, np.int64),
+            [
+                np.fromiter(map(KIND_CODES.__getitem__, kind), np.uint8, len(rows)),
+                np.array(step, np.int64),
+                levels.codes(level),
+                np.array(key, np.int64),
+                np.array(nbytes, np.int64),
+                np.array(time_s, np.float64),
+                spans.codes(span),
+                np.array(count, np.int64),
+                np.array(age, np.int64),
+                origins.codes(origin),
+            ],
+            levels.names, spans.names, origins.names,
+        )
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """Every column after ``seq``, in :data:`COLUMN_DTYPES` order."""
+        return (self.kind, self.step, self.level, self.key, self.nbytes, self.time_s,
+                self.span, self.count, self.age_steps, self.origin)
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def take(self, index) -> "TraceColumns":
+        """The rows at ``index`` (a boolean mask or positions), as copies."""
+        return TraceColumns(
+            self.seq[index], [c[index] for c in self.columns],
+            self.levels, self.spans, self.origins,
+        )
+
+    def copy(self) -> "TraceColumns":
+        return TraceColumns(
+            self.seq.copy(), [c.copy() for c in self.columns],
+            self.levels, self.spans, self.origins,
+        )
+
+    def events(self) -> List[TraceEvent]:
+        """The rows as :class:`TraceEvent`s, with plain Python field values."""
+        kinds, levels, spans, origins = EVENT_KINDS, self.levels, self.spans, self.origins
+        out: List[TraceEvent] = []
+        for lo in range(0, len(self), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            out += map(_new_event, zip(
+                self.seq[part].tolist(),
+                map(kinds.__getitem__, self.kind[part].tolist()),
+                _shared(self.step[part]),
+                map(levels.__getitem__, self.level[part].tolist()),
+                _shared(self.key[part]),
+                _shared(self.nbytes[part]),
+                _shared(self.time_s[part]),
+                map(spans.__getitem__, self.span[part].tolist()),
+                self.count[part].tolist(),
+                self.age_steps[part].tolist(),
+                map(origins.__getitem__, self.origin[part].tolist()),
+            ))
+        return out
+
+    @classmethod
+    def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
+        """The rows of ``parts`` in order, on one set of intern tables
+        (re-coded where the parts' tables differ)."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.empty()
+        by_name = {name: [getattr(p, name) for p in parts] for name, _ in COLUMN_DTYPES}
+        tables = []
+        for field, attr in (("level", "levels"), ("span", "spans"), ("origin", "origins")):
+            shared = getattr(parts[0], attr)
+            if any(getattr(p, attr) is not shared for p in parts):
+                shared, by_name[field] = _recoded(
+                    [getattr(p, attr) for p in parts], by_name[field]
+                )
+            tables.append(shared)
+        columns = [np.concatenate(by_name[name]) for name, _ in COLUMN_DTYPES]
+        return cls(np.concatenate([p.seq for p in parts]), columns, *tables)
+
+
+def _recoded(tables: Sequence[List[str]], codes: Sequence[np.ndarray]):
+    """One table for several ``(table, codes)`` pairs, and each pair's
+    codes into it."""
+    merged = InternTable()
+    return merged.names, [merged.codes(table)[part] for table, part in zip(tables, codes)]

@@ -1,13 +1,24 @@
-"""The tracer: a bounded ring buffer of :class:`TraceEvent`.
+"""The tracer: a bounded ring buffer of trace events, kept in columns.
 
 Two implementations share one duck-typed interface:
 
 - :class:`Tracer` records into a fixed-capacity ring (oldest events are
-  overwritten once full — a replay can run forever without growing);
+  overwritten once full — a replay can run forever without growing).
+  The ring is numpy columns (:data:`~repro.trace.events.COLUMN_DTYPES`):
+  the numeric fields as numbers, ``kind`` as its code in
+  :data:`~repro.trace.events.EVENT_KINDS`, and ``level``, ``span`` and
+  ``origin`` as codes into small intern tables; an event's ``seq`` is its
+  row's position.  No Python object per event lives in the ring.  The
+  columns start small and grow by half up to ``capacity``;
 - :class:`NullTracer` is a do-nothing stand-in whose ``enabled`` flag is
   ``False``.  Hot paths guard event construction with
   ``if tracer.enabled:`` so a disabled trace costs one attribute load and
   a branch — no allocation, no call.
+
+Readers take :meth:`Tracer.columns_since` (a column view; it may share
+the ring's memory, so copy it before the ring moves on) or, outside any
+frame, :meth:`Tracer.events` / :meth:`Tracer.events_since`, which build
+:class:`~repro.trace.events.TraceEvent` lists.
 
 Instrumented components accept a tracer and default to the shared
 :data:`NULL_TRACER`, so tracing is strictly opt-in.
@@ -15,20 +26,30 @@ Instrumented components accept a tracer and default to the shared
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import repeat
 from typing import List, Sequence
 
-from repro.trace.events import EVENT_KINDS, TraceEvent
+import numpy as np
+
+from repro.trace.events import (
+    COLUMN_DTYPES,
+    EVENT_KINDS,
+    KIND_CODES,
+    InternTable,
+    TraceColumns,
+    TraceEvent,
+)
 
 __all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
 
-_KINDS = frozenset(EVENT_KINDS)
-# The named tuple's own constructor parses keyword arguments and defaults;
-# ``_make`` from a positional tuple is the cheap form for every field, and
-# ``tuple.__new__`` itself the cheapest for a batch of full rows.
-_make_event = TraceEvent._make
-_new_event = partial(tuple.__new__, TraceEvent)
+_MIN_ROWS = 1024  # the columns' first allocation (capped at the capacity)
+_SCALARS = (int, float, np.integer, np.floating)  # one value for every row
+
+
+def _unknown_kind(kinds) -> ValueError:
+    return ValueError(
+        f"unknown event kind {sorted(set(kinds) - KIND_CODES.keys())[0]!r}; "
+        f"expected one of {EVENT_KINDS}"
+    )
 
 
 class Tracer:
@@ -39,7 +60,10 @@ class Tracer:
     with this tracer attached maintains it; ``""`` otherwise).
     """
 
-    __slots__ = ("capacity", "current_span", "_ring", "_next", "_total")
+    __slots__ = (
+        "capacity", "current_span", "_cols", "_size", "_next", "_total",
+        "_levels", "_spans", "_origins",
+    )
 
     enabled = True
 
@@ -48,11 +72,32 @@ class Tracer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.current_span = ""
-        self._ring: List[TraceEvent] = []
+        self._cols: List[np.ndarray] = [np.empty(0, dtype) for _, dtype in COLUMN_DTYPES]
+        self._size = 0  # rows retained
         self._next = 0  # ring slot the next event lands in (once full)
         self._total = 0  # events ever recorded (monotonic)
+        self._levels = InternTable()
+        self._spans = InternTable()
+        self._origins = InternTable()
 
     # -- recording -----------------------------------------------------------
+
+    def level_code(self, level: str) -> int:
+        """``level``'s code in this tracer's level table (added if new)."""
+        return self._levels.code(level)
+
+    def _grow(self, rows: int) -> None:
+        """Room for ``rows`` retained rows: half as many again, capped at
+        the capacity, one column at a time (so at most one old column
+        outlives its copy).  Not doubling: numpy asks for huge pages on
+        arrays of 4 MiB or more, so a column's unwritten tail can become
+        resident."""
+        cols = self._cols
+        new = min(self.capacity, max(rows, 3 * len(cols[0]) // 2, _MIN_ROWS))
+        for i, col in enumerate(cols):
+            wider = np.empty(new, col.dtype)
+            wider[: self._size] = col[: self._size]
+            cols[i] = wider
 
     def record(
         self,
@@ -73,29 +118,25 @@ class Tracer:
         ``age_steps``/``origin`` carry eviction provenance on ``re_miss``
         events and keep their defaults everywhere else.
         """
-        if kind not in _KINDS:
-            raise ValueError(f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}")
-        event = _make_event(
-            (
-                self._total,
-                kind,
-                step,
-                level,
-                key,
-                nbytes,
-                time_s,
-                self.current_span,
-                count,
-                age_steps,
-                origin,
-            )
-        )
+        code = KIND_CODES.get(kind)
+        if code is None:
+            raise _unknown_kind([kind])
+        row = (code, step, self._levels.code(level), key, nbytes, time_s,
+               self._spans.code(self.current_span), count, age_steps,
+               self._origins.code(origin))
+        i = self._size
+        full = i == self.capacity
+        if full:
+            i = self._next
+        elif i == len(self._cols[0]):
+            self._grow(i + 1)
+        for col, value in zip(self._cols, row):
+            col[i] = value
         self._total += 1
-        if len(self._ring) < self.capacity:
-            self._ring.append(event)
+        if full:
+            self._next = (i + 1) % self.capacity
         else:
-            self._ring[self._next] = event
-            self._next = (self._next + 1) % self.capacity
+            self._size = i + 1
 
     def record_many(
         self,
@@ -116,81 +157,89 @@ class Tracer:
         n = len(kinds)
         if not n:
             return
-        bad = set(kinds) - _KINDS
-        if bad:
-            raise ValueError(
-                f"unknown event kind {sorted(bad)[0]!r}; expected one of {EVENT_KINDS}"
-            )
-        start = self._total
-        self._total += n
-        capacity = self.capacity
-        ring = self._ring
-        events = list(
-            map(
-                _new_event,
-                zip(
-                    range(start, start + n),
-                    kinds,
-                    repeat(step),
-                    levels,
-                    keys,
-                    nbytes,
-                    times_s,
-                    repeat(self.current_span),
-                    repeat(1),
-                    repeat(-1),
-                    repeat(""),
-                ),
-            )
-        )
-        room = capacity - len(ring)
-        if room > 0:
-            ring.extend(events[:room])
-            events = events[room:]
-        m = len(events)
-        if not m:
+        try:
+            codes = np.fromiter(map(KIND_CODES.__getitem__, kinds), np.uint8, n)
+        except KeyError:
+            raise _unknown_kind(kinds) from None
+        self.record_codes(step, codes, self._levels.codes(levels), keys, nbytes, times_s)
+
+    def record_codes(self, step: int, kinds, levels, keys, nbytes, times_s) -> None:
+        """:meth:`record_many` with the kinds as :data:`KIND_CODES` codes and
+        the levels as :meth:`level_code` codes; each column is an array or
+        list of one value per row, or one value for every row (``keys``
+        sets the row count)."""
+        n = len(keys)
+        if not n:
             return
-        # The ring is full: event j lands in slot (_next + j) % capacity, so
-        # only the last ``capacity`` of the rest survive.
-        skip = max(0, m - capacity)
-        slot = (self._next + skip) % capacity
-        rest = events[skip:]
-        head = min(capacity - slot, len(rest))
-        ring[slot : slot + head] = rest[:head]
-        ring[: len(rest) - head] = rest[head:]
-        self._next = (self._next + m) % capacity
+        row = (kinds, step, levels, keys, nbytes, times_s,
+               self._spans.code(self.current_span), 1, -1, self._origins.code(""))
+        capacity = self.capacity
+        runs = []  # (first slot, first row, end row)
+        done = 0
+        if self._size < capacity:  # filling: append, growing as needed
+            done = min(n, capacity - self._size)
+            if self._size + done > len(self._cols[0]):
+                self._grow(self._size + done)
+            runs.append((self._size, 0, done))
+            self._size += done
+        m = n - done
+        if m:
+            # The ring is full: row j lands in slot (_next + j) % capacity,
+            # so only the last ``capacity`` of the rest survive.
+            skip = max(0, m - capacity)
+            slot = (self._next + skip) % capacity
+            head = min(capacity - slot, m - skip)
+            runs.append((slot, done + skip, done + skip + head))
+            if done + skip + head < n:
+                runs.append((0, done + skip + head, n))
+            self._next = (self._next + m) % capacity
+        self._total += n
+        for col, value in zip(self._cols, row):
+            if isinstance(value, _SCALARS):
+                for slot, lo, hi in runs:
+                    col[slot : slot + hi - lo] = value
+            else:
+                value = np.asarray(value)
+                for slot, lo, hi in runs:
+                    col[slot : slot + hi - lo] = value[lo:hi]
 
     # -- reading -------------------------------------------------------------
 
+    def columns_since(self, seq: int) -> TraceColumns:
+        """Retained events with ``seq >= seq`` as columns, oldest first.
+
+        O(k) in the number of rows returned, and views of the ring where
+        the rows are contiguous in it: copy the result before recording
+        more if it must outlive the ring's next writes.  Events older than
+        ``seq`` that were already overwritten are simply absent; compare
+        ``n_dropped`` across the window to detect that.
+        """
+        tables = (self._levels.names, self._spans.names, self._origins.names)
+        if seq >= self._total:
+            return TraceColumns(np.empty(0, np.int64),
+                                [col[:0] for col in self._cols], *tables)
+        oldest = self._total - self._size
+        start = max(int(seq), oldest)
+        count = self._size - (start - oldest)
+        phys = (self._next + start - oldest) % self.capacity
+        if phys + count <= self.capacity:
+            columns = [col[phys : phys + count] for col in self._cols]
+        else:
+            wrap = phys + count - self.capacity
+            columns = [np.concatenate((col[phys:], col[:wrap])) for col in self._cols]
+        return TraceColumns(np.arange(start, start + count, dtype=np.int64), columns, *tables)
+
     def events(self) -> List[TraceEvent]:
         """Retained events, oldest first (drops are at the front)."""
-        return self._ring[self._next:] + self._ring[: self._next]
+        return self.columns_since(0).events()
 
     def events_since(self, seq: int) -> List[TraceEvent]:
-        """Retained events with ``event.seq >= seq``, oldest first.
-
-        O(k) in the number of returned events — per-frame consumers (the
-        session scheduler's attribution hook) call this with the previous
-        frame's ``n_recorded`` instead of copying the whole ring.  Events
-        older than ``seq`` that were already overwritten are simply absent;
-        compare ``n_dropped`` across the window to detect that.
-        """
-        if seq >= self._total:
-            return []
-        oldest = self._total - len(self._ring)
-        start = max(int(seq), oldest)
-        offset = start - oldest  # logical index into the ordered ring
-        count = len(self._ring) - offset
-        if len(self._ring) < self.capacity:  # never wrapped: ring is in order
-            return self._ring[offset:]
-        phys = (self._next + offset) % self.capacity
-        tail = self._ring[phys : phys + count]
-        if len(tail) == count:
-            return tail
-        return tail + self._ring[: count - len(tail)]
+        """Retained events with ``event.seq >= seq``, oldest first, as
+        :meth:`columns_since`'s rows."""
+        return self.columns_since(seq).events()
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._size
 
     @property
     def n_recorded(self) -> int:
@@ -200,26 +249,27 @@ class Tracer:
     @property
     def n_dropped(self) -> int:
         """Events lost to ring wrap-around."""
-        return self._total - len(self._ring)
+        return self._total - self._size
 
     def drop_stats(self) -> "dict[str, int]":
         """Recorded/retained/dropped counts, bench- and report-friendly."""
         return {
             "capacity": self.capacity,
             "n_recorded": self.n_recorded,
-            "n_retained": len(self._ring),
+            "n_retained": self._size,
             "n_dropped": self.n_dropped,
         }
 
     def clear(self) -> None:
         """Forget retained events and the drop counter (capacity kept)."""
-        self._ring.clear()
+        self._cols = [np.empty(0, dtype) for _, dtype in COLUMN_DTYPES]
+        self._size = 0
         self._next = 0
         self._total = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Tracer(capacity={self.capacity}, retained={len(self._ring)}, "
+            f"Tracer(capacity={self.capacity}, retained={self._size}, "
             f"dropped={self.n_dropped})"
         )
 
@@ -260,6 +310,9 @@ class NullTracer:
         times_s: Sequence[float],
     ) -> None:
         pass
+
+    def columns_since(self, seq: int) -> TraceColumns:
+        return TraceColumns.empty()
 
     def events(self) -> List[TraceEvent]:
         return []

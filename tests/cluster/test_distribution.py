@@ -119,3 +119,20 @@ class TestLoadImbalance:
     def test_validation(self, grid):
         with pytest.raises(ValueError):
             ShardMap(grid, 4).load_imbalance(np.zeros(3))
+
+
+class TestReshardWithout:
+    @pytest.fixture()
+    def grid(self):
+        return BlockGrid((16, 16, 16), (4, 4, 4))
+
+    @pytest.mark.parametrize("dead", [-1, 4, 7, [1, 9]])
+    def test_node_outside_the_range_raises(self, grid, dead):
+        """An id outside ``[0, n_nodes)`` is an error, not a silent no-op."""
+        m = ShardMap(grid, 4, "slab")
+        with pytest.raises(ValueError, match=r"not in \[0, 4\)"):
+            m.reshard_without(dead)
+
+    def test_node_in_range_reshards(self, grid):
+        m = ShardMap(grid, 4, "slab").reshard_without([0, 3])
+        assert m.alive == (1, 2) and m.counts()[[0, 3]].tolist() == [0, 0]

@@ -503,6 +503,21 @@ class TestAnalyze:
         assert err.startswith("error:") and "truncated" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line, why", [
+        ('"kind":"frobnicate","step":0,"level":"","key":1', "unknown event kind"),
+        ('"kind":"fetch","step":0,"level":"hdd","key":100000000000000000000', "too large"),
+    ])
+    def test_unfoldable_jsonl_one_line_error(self, tmp_path, capsys, line, why):
+        """Trace columns hold the EVENT_KINDS and int64 numbers: anything
+        else in a JSONL trace is a one-line error, not a traceback."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"seq":0,' + line + ',"nbytes":0,"time_s":0.5}\n')
+        rc = main(["analyze", str(path), "--out", str(tmp_path / "r.html")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and why in err
+        assert err.count("\n") == 1
+
     def test_missing_source_one_line_error(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope.json")])
         assert rc == 2
