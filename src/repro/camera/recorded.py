@@ -30,7 +30,8 @@ CAMERA_TRACE_VERSION = 1
 
 
 def write_camera_trace(path: CameraPath, file: Union[str, Path, IO[str]]) -> None:
-    """Serialise ``path`` to a camera-trace JSONL file (or open handle)."""
+    """Serialise ``path`` to a camera-trace JSONL file (creating its
+    directory) or to an open handle."""
     header = {
         "kind": "camera-trace",
         "version": CAMERA_TRACE_VERSION,
@@ -41,6 +42,7 @@ def write_camera_trace(path: CameraPath, file: Union[str, Path, IO[str]]) -> Non
     if hasattr(file, "write"):
         _write_lines(path, header, file)  # type: ignore[arg-type]
     else:
+        Path(file).parent.mkdir(parents=True, exist_ok=True)
         with open(file, "w", encoding="utf-8") as handle:
             _write_lines(path, header, handle)
 

@@ -45,6 +45,7 @@ Accounting invariants (pinned by ``tests/cluster``):
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -70,6 +71,7 @@ from repro.storage.hierarchy import (
     _unique,
     make_standard_hierarchy,
 )
+from repro.storage.stats import CacheStats
 from repro.trace.tracer import NULL_TRACER
 from repro.volume.blocks import BlockGrid
 
@@ -81,16 +83,7 @@ __all__ = ["ShardedHierarchy", "make_sharded_hierarchy"]
 _DEGRADED_SLOT = EVENT_STRIDE - 3
 _XFER_SLOT = EVENT_STRIDE - 2
 _GHOST_SLOT = EVENT_STRIDE - 1
-
-
-class _SummedStats:
-    """Live elementwise-sum view over several ``CacheStats``."""
-
-    def __init__(self, parts) -> None:
-        self._parts = tuple(parts)
-
-    def __getattr__(self, name):
-        return sum(getattr(p, name) for p in self._parts)
+_COUNTERS = [f.name for f in fields(CacheStats)]
 
 
 class _FastestView:
@@ -115,8 +108,12 @@ class _FastestView:
         return cap
 
     @property
-    def stats(self) -> _SummedStats:
-        return _SummedStats(n.fastest.stats for n in self._s.nodes)
+    def stats(self) -> CacheStats:
+        """The node DRAM tiers' counters, summed now: a new
+        :class:`~repro.storage.stats.CacheStats`, so its rates are those of
+        the sums."""
+        parts = [n.fastest.stats for n in self._s.nodes]
+        return CacheStats(*(sum(getattr(p, f) for p in parts) for f in _COUNTERS))
 
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
         arr = np.ascontiguousarray(keys, dtype=np.int64)
@@ -181,7 +178,6 @@ class ShardedHierarchy(LevelSurface):
         self.fault_injector = None
         self._fastest_view = None if self._solo is not None else _FastestView(self)
         self.forensics = None
-        self._agg_requested = False
         self.tracer = NULL_TRACER
         self.set_tracer(tracer if tracer is not None else NULL_TRACER)
         self.registry = NULL_REGISTRY
@@ -260,22 +256,6 @@ class ShardedHierarchy(LevelSurface):
                 breaker_threshold=breaker_threshold,
                 breaker_cooldown_s=breaker_cooldown_s,
             )
-
-    # -- trace aggregation flag -------------------------------------------------
-
-    @property
-    def aggregate_trace(self) -> bool:
-        if self._solo is not None:
-            return self._solo.aggregate_trace
-        # K>1 traces per event: the frame's events interleave the nodes,
-        # the links and the ghost cache per block (aggregation is single-box).
-        return False
-
-    @aggregate_trace.setter
-    def aggregate_trace(self, value: bool) -> None:
-        self._agg_requested = bool(value)
-        if self._solo is not None:
-            self._solo.aggregate_trace = bool(value)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -438,7 +418,7 @@ class ShardedHierarchy(LevelSurface):
         if self.tracer.enabled:
             self.tracer.record("xfer", step, link.name, key, nbytes, net_t)
         if ghost is not None:
-            ghost.admit(key, step, min_free_step=min_free_step, agg=None, tenant=tenant)
+            ghost.admit(key, step, min_free_step=min_free_step, tenant=tenant)
         # Flat left fold: node time then link time, so batched and per-block
         # fetches accumulate identically and attribution replays exactly.
         total = r.time_s + net_t
@@ -567,7 +547,7 @@ class ShardedHierarchy(LevelSurface):
         if ghost is not None:
             sink = None if events is None else EventSink()
             ghit = ghost.access_many(
-                keys, step, min_free_step, not prefetch, None, None, tenant, sink,
+                keys, step, min_free_step, not prefetch, None, tenant, sink,
                 None if fails is None else ~fails,
             )
             if sink is not None:

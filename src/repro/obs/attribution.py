@@ -60,8 +60,10 @@ Orphan groups (dropped blocks) are assigned a channel by the profiler
 span stamped on their events (``"prefetch"`` substring checked before
 ``"fetch"`` — the former contains the latter), falling back to the
 previous group's channel; a fallback marks the frame ``exact=False``.
-Aggregated traces (``count > 1``) also clear ``exact`` — the per-block
-fold cannot be replayed from a roll-up.
+A ``count > 1`` event also clears ``exact``: the simulator records one
+event per block, so such an event comes only from a trace file written
+with an older version's per-step roll-up, from which the per-block fold
+cannot be replayed.
 """
 
 from __future__ import annotations
@@ -107,20 +109,6 @@ def _units(x: float) -> int:
 
 def _fractions(units: Dict[str, int]) -> Dict[str, Fraction]:
     return {k: Fraction(v, _UNIT) for k, v in units.items()}
-
-
-def _component_of(event: TraceEvent) -> str:
-    if event.kind == "hit":
-        return "hit_service"
-    if event.kind == "fetch":
-        return f"miss_transfer:{event.level}"
-    if event.kind == "prefetch":
-        return f"prefetch_transfer:{event.level}"
-    if event.kind == "xfer":
-        return f"peer_transfer:{event.level}"
-    if event.kind == "fault":
-        return "fault_penalty"
-    return "retry_backoff"  # retry
 
 
 def _span_channel(span: str) -> Optional[str]:
@@ -284,7 +272,7 @@ def _component_names(levels: Sequence[str]) -> List[str]:
 
 
 def _components(kind: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Component id of each (charged) event: :func:`_component_of` in codes."""
+    """Component id of each (charged) event (see :func:`_component_names`)."""
     return _COMP_BASE[kind] + _COMP_PER_LEVEL[kind] * level
 
 
@@ -417,24 +405,6 @@ def _fold(
         seg, comp = divmod(b, n_comps)
         per_seg.setdefault(seg, {})[comp] = shares.get(b, 0)
     return totals, per_seg
-
-
-def _fold_channel(groups: Iterable[Sequence[TraceEvent]]) -> Tuple[float, Dict[str, int]]:
-    """Invariants A and B for one channel's fetch groups, in fold order:
-    the float total and the exact shares in 2⁻¹⁰⁷⁴ units (the frame
-    fold's core, on the events converted once into columns)."""
-    groups = [g for g in map(list, groups) if g]
-    cols = TraceColumns.from_events([e for g in groups for e in g])
-    sizes = np.array([len(g) for g in groups], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    comps = _components(cols.kind, cols.level)
-    last = starts + sizes - 1
-    totals, shares = _fold(
-        cols.time_s, comps, starts, _dust_components(cols.kind[last], comps[last]),
-        np.zeros(len(groups), dtype=np.int64), 1, 3 + 3 * len(cols.levels),
-    )
-    names = _component_names(cols.levels)
-    return float(totals[0]), {names[c]: u for c, u in shares.get(0, {}).items()}
 
 
 def _per_frame_folds(values, frame, n_frames) -> np.ndarray:

@@ -94,10 +94,6 @@ def _bench_cell(
         profiler = PhaseProfiler(tracer=tracer)
     policy = config.policy
     hierarchy = setup.hierarchy("lru" if policy == "app-aware" else policy)
-    # Per-block trace emission: the attribution section replays the
-    # engine's exact per-fetch time folds from the event stream, which an
-    # aggregated (count > 1) roll-up cannot support.
-    hierarchy.aggregate_trace = False
     lineage = EvictionLineage()
     hierarchy.set_forensics(lineage)
     injector = None

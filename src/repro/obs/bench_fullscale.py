@@ -22,9 +22,9 @@ on scheduler noise, while the simulated metrics in the same snapshot
 still gate bit-exactly.
 
 Cells are deliberately lightweight compared to the default tier: no
-eviction forensics, no per-frame attribution, and aggregated trace
-roll-ups — those are diagnostic features with their own costs, and this
-tier measures the production replay path.
+tracer, no metrics registry, no eviction forensics and no per-frame
+attribution — those are diagnostic features with their own costs, and
+this tier measures the untraced production replay path.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from repro.experiments.matrix import (
     register_cell_runner,
     setup_for,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import PhaseProfiler
 from repro.runtime.drivers import run_baseline
 from repro.tables.builder import build_importance_table, build_visible_table
-from repro.trace import Tracer
 
 __all__: List[str] = []
 
@@ -69,24 +67,15 @@ def _fullscale_cell(
     setup = setup_for(config, extras)
     setup.visible_table  # noqa: B018 - built outside the replay timer
     context = _context_for(setup, config, extras)
-    registry = MetricsRegistry()
-    tracer = Tracer(capacity=int(extras.get("tracer_capacity", 500_000)))
     if profiler is None:
-        profiler = PhaseProfiler(tracer=tracer)
+        profiler = PhaseProfiler()
     hierarchy = setup.hierarchy("lru" if config.policy == "app-aware" else config.policy)
-    # Aggregated roll-ups bound the event count at fullscale step counts;
-    # the forensic per-block stream is the default tier's job.
-    hierarchy.aggregate_trace = True
     t0 = time.perf_counter()
     with profiler.span("replay"):
         if config.policy == "app-aware":
-            result = setup.optimizer().run(
-                context, hierarchy, tracer=tracer, registry=registry, profiler=profiler
-            )
+            result = setup.optimizer().run(context, hierarchy, profiler=profiler)
         else:
-            result = run_baseline(
-                context, hierarchy, tracer=tracer, registry=registry, profiler=profiler
-            )
+            result = run_baseline(context, hierarchy, profiler=profiler)
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,

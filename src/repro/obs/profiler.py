@@ -131,7 +131,8 @@ class PhaseProfiler:
         return list(self._timeline) if self._timeline is not None else []
 
     def write_chrome_trace(self, path) -> Path:
-        """Write the timeline as a Chrome-trace JSON (``keep_timeline`` only).
+        """Write the timeline as a Chrome-trace JSON (``keep_timeline`` only),
+        creating the file's directory.
 
         Emits complete ("X") events in microseconds, viewable in
         chrome://tracing or https://ui.perfetto.dev.  Raises if the
@@ -156,6 +157,7 @@ class PhaseProfiler:
             for span_path, start, dur in self._timeline
         ]
         out = Path(path)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(
             json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}),
             encoding="utf-8",

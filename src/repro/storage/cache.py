@@ -17,10 +17,10 @@ that implement ``choose_victim_masked`` consume directly.
 A frame reaches a level as one :meth:`CacheLevel.access_many` call (touch
 the resident keys, admit the rest); for victim-queue policies it plans the
 frame's evictions in one pass, tenant quotas included, and writes them
-once as arrays.  Under a
-per-event tracer the frame's ``evict``/``bypass`` events go to an
-:class:`EventSink`, each tagged with the frame position of the access
-that caused it, so the caller can write them in the per-key loop's order.
+once as arrays.  Under a tracer the frame's ``evict``/``bypass`` events
+go to an :class:`EventSink`, each tagged with the frame position of the
+access that caused it, so the caller can write them in the per-key loop's
+order.
 """
 
 from __future__ import annotations
@@ -285,7 +285,6 @@ class CacheLevel:
         key: int,
         step: int,
         min_free_step: Optional[int] = None,
-        agg: Optional[dict] = None,
         tenant: Optional[str] = None,
         sink: Optional[EventSink] = None,
     ) -> bool:
@@ -297,10 +296,8 @@ class CacheLevel:
         (the caller still gets the data, it just is not cached) — this is
         the safe degradation when the working set exceeds capacity.
 
-        ``agg`` is the batched calls' trace-aggregation accumulator:
-        when given, evict/bypass events are counted into it per
-        (kind, level) instead of recorded individually; ``sink`` collects
-        them per event instead (see :class:`EventSink`).
+        ``sink`` collects the evict/bypass events instead of the tracer
+        (see :class:`EventSink`).
 
         ``tenant`` labels the admission for quota accounting when
         :meth:`set_tenant_quotas` is active: the block is owned by the
@@ -346,17 +343,12 @@ class CacheLevel:
                 self.stats.bypasses += 1
                 if self.registry.enabled:
                     self._bypasses.inc()
-                if agg is not None:
-                    acc = agg.setdefault(("bypass", self.name), [0, 0, 0.0])
-                    acc[0] += 1
-                elif sink is not None:
+                if sink is not None:
                     sink.add("bypass", key)
                 elif self.tracer.enabled:
                     self.tracer.record("bypass", step, self.name, key)
                 return False
-            self.evict(
-                victim, step=step, agg=agg, by=None if tid < 0 else tid, rank=vrank, sink=sink
-            )
+            self.evict(victim, step=step, by=None if tid < 0 else tid, rank=vrank, sink=sink)
         self._resident[key] = True
         self._last_used[key] = step
         self._n_resident += 1
@@ -452,7 +444,6 @@ class CacheLevel:
         step: int,
         min_free_step: Optional[int] = None,
         touch: bool = True,
-        agg: Optional[dict] = None,
         limit: Optional[int] = None,
         tenant: Optional[str] = None,
         sink: Optional[EventSink] = None,
@@ -462,8 +453,8 @@ class CacheLevel:
 
         Exactly ``for k in keys: touch(k) if k in self else admit(k)`` over
         *unique* ``keys`` in array order — same residency, ``last_used``,
-        stats, policy order, victim queue, registry/``agg`` counts and
-        ``sink`` events (tagged with positions in ``keys``).
+        stats, policy order, victim queue, registry counts and ``sink``
+        events (tagged with positions in ``keys``).
         ``touch=False`` leaves hits alone (a prefetch); ``limit`` stops
         right after that many admissions (inserts or bypasses).  ``admits``
         (a mask over ``keys``) admits only the misses it marks: the others
@@ -473,8 +464,8 @@ class CacheLevel:
 
         Victim-queue policies (``supports_victim_order``) on a level with
         no forensics, with ``min_free_step`` None or at most ``step``, and
-        whose events are aggregated, collected in a ``sink`` or not
-        traced, plan the frame's evictions in one pass and write them once
+        whose events are collected in a ``sink`` or not traced, plan the
+        frame's evictions in one pass and write them once
         (:meth:`_access_planned`), tenant-quota levels included;
         everything else runs the scalar calls live (:meth:`_access_live`).
         A frame with a miss resolves ``tenant`` before anything is
@@ -494,17 +485,15 @@ class CacheLevel:
             self.policy.supports_victim_order
             and (min_free_step is None or min_free_step <= step)
             and self.forensics is None
-            and (agg is not None or sink is not None or not self.tracer.enabled)
+            and (sink is not None or not self.tracer.enabled)
         ):
             return self._access_planned(
-                keys, hit, step, min_free_step, touch, agg, limit, tid, sink, admits
+                keys, hit, step, min_free_step, touch, limit, tid, sink, admits
             )
-        return self._access_live(
-            keys, hit, step, min_free_step, touch, agg, limit, tenant, sink, admits
-        )
+        return self._access_live(keys, hit, step, min_free_step, touch, limit, tenant, sink, admits)
 
     def _access_live(
-        self, keys, hit, step, min_free_step, touch, agg, limit, tenant, sink, admits
+        self, keys, hit, step, min_free_step, touch, limit, tenant, sink, admits
     ) -> np.ndarray:
         """:meth:`access_many` as scalar calls: ``touch_many`` per run of
         hits, one :meth:`admit` per admitted miss, residency re-read after
@@ -532,7 +521,7 @@ class CacheLevel:
                 continue
             if sink is not None:
                 sink.at = pos
-            self.admit(int(keys[pos]), step, min_free_step, agg, tenant, sink)
+            self.admit(int(keys[pos]), step, min_free_step, tenant, sink)
             pos += 1
             n_admits += 1
             if n_admits == limit:
@@ -540,7 +529,7 @@ class CacheLevel:
         return hit
 
     def _access_planned(
-        self, keys, hit, step, min_free_step, touch, agg, limit, tid, sink, admits
+        self, keys, hit, step, min_free_step, touch, limit, tid, sink, admits
     ) -> np.ndarray:
         """:meth:`access_many` for victim-queue policies: plan, then write once.
 
@@ -705,7 +694,7 @@ class CacheLevel:
         self._vq, self._vq_pos, self._vq_epoch, self._vq_token = queue, qpos, qepoch, qtoken
         self._write_segment(
             keys, end, hit, inserted, victims, evicted_at if late else None, where,
-            len(bypassed), step, touch, agg, tid,
+            len(bypassed), step, touch, tid,
         )
         if sink is not None:
             sink.extend(evicted_at, "evict", victims)
@@ -763,8 +752,7 @@ class CacheLevel:
             width *= 2
 
     def _write_segment(
-        self, keys, end, hit, inserted, victims, evicted_at, where, n_bypass, step, touch,
-        agg, tid,
+        self, keys, end, hit, inserted, victims, evicted_at, where, n_bypass, step, touch, tid
     ) -> None:
         """Apply a planned frame ``keys[:end]`` as array writes.
 
@@ -793,8 +781,6 @@ class CacheLevel:
             self.stats.evictions += r
             if self.registry.enabled:
                 self._evictions.inc(r)
-            if agg is not None:
-                agg.setdefault(("evict", self.name), [0, 0, 0.0])[0] += r
         if touch:
             self._last_used[seg[touched]] = step
         k = len(inserted)
@@ -824,8 +810,6 @@ class CacheLevel:
             self.stats.bypasses += n_bypass
             if self.registry.enabled:
                 self._bypasses.inc(n_bypass)
-            if agg is not None:
-                agg.setdefault(("bypass", self.name), [0, 0, 0.0])[0] += n_bypass
 
     def _drop(self, gone: np.ndarray) -> None:
         """Evicted residents leave: residency, ``last_used``, owners' quota
@@ -858,7 +842,6 @@ class CacheLevel:
         self,
         key: int,
         step: Optional[int] = None,
-        agg: Optional[dict] = None,
         by: Optional[int] = None,
         rank: int = -1,
         sink: Optional[EventSink] = None,
@@ -867,12 +850,11 @@ class CacheLevel:
 
         ``step`` is only used for tracing: the replay step whose admission
         forced this eviction (``None`` for evictions outside a replay).
-        ``agg`` aggregates the evict event instead of recording it, and
-        ``sink`` collects it (see :meth:`admit`).  ``by`` is the tenant
-        index whose admission forced the eviction; evicting a block owned
-        by a *different* tenant counts as a cross-tenant eviction (always
-        zero under quota partitioning — the admission path never selects
-        such victims).
+        ``sink`` collects the evict event (see :meth:`admit`).  ``by`` is
+        the tenant index whose admission forced the eviction; evicting a
+        block owned by a *different* tenant counts as a cross-tenant
+        eviction (always zero under quota partitioning — the admission
+        path never selects such victims).
         ``rank`` is the victim's absolute position in the amortised victim
         queue when the admission path selected it from one (−1 for
         masked/predicate selection and direct evicts); it flows into the
@@ -909,23 +891,19 @@ class CacheLevel:
                 tenant_name,
                 rank,
             )
-        if agg is not None:
-            acc = agg.setdefault(("evict", self.name), [0, 0, 0.0])
-            acc[0] += 1
-        elif sink is not None:
+        if sink is not None:
             sink.add("evict", key)
         elif self.tracer.enabled:
             self.tracer.record("evict", -1 if step is None else step, self.name, key)
 
-    def preload(self, keys: Iterable[int], aggregate_trace: bool = False) -> int:
+    def preload(self, keys: Iterable[int]) -> int:
         """Fill the cache with ``keys`` (up to capacity) before a run.
 
         Used for Step 2's importance preload (Alg. 1 line 7).  Preloaded
         blocks get ``last_used = -1`` so any later step may evict them.
         Counts toward ``stats.inserts`` like any other placement, so the
         insert/eviction ledger stays balanced.  Returns how many were
-        actually placed.  ``aggregate_trace`` emits one counted preload
-        event for the batch instead of one per key.
+        actually placed.
         """
         if isinstance(keys, np.ndarray):
             arr = keys.astype(np.int64, copy=False)
@@ -949,13 +927,8 @@ class CacheLevel:
             self.policy.on_insert_many(arr, _NEVER_USED)
             self.stats.inserts += placed
             if self.tracer.enabled:
-                if aggregate_trace:
-                    self.tracer.record(
-                        "preload", _NEVER_USED, self.name, -1, count=placed
-                    )
-                else:
-                    for key in arr.tolist():
-                        self.tracer.record("preload", _NEVER_USED, self.name, key)
+                for key in arr.tolist():
+                    self.tracer.record("preload", _NEVER_USED, self.name, key)
         if self.registry.enabled:
             self._occupancy.set(self._n_resident)
         return placed

@@ -326,12 +326,6 @@ class MemoryHierarchy(LevelSurface):
         self._read_time_cache: dict = {}
         # Source names by source index (the levels, then the backing store).
         self._source_names = [lv.name for lv in self.levels] + [backing.name]
-        #: When True, :meth:`fetch_many`/:meth:`prefetch_many` emit one
-        #: aggregated trace event per (step, level, kind) for the
-        #: hit/fetch/prefetch kinds (``count`` carries the multiplicity,
-        #: byte/time totals are preserved) instead of one event per block.
-        #: Evict/bypass/preload/render events are always per-event.
-        self.aggregate_trace = False
         # Fault injection (None = fault-free: the resilient read path is
         # bypassed entirely, keeping fault-free runs byte-identical).
         self.fault_injector = None
@@ -532,7 +526,7 @@ class MemoryHierarchy(LevelSurface):
         """
         if self.fault_injector is not None:
             return self._fetch_one_resilient(key, step, prefetch, min_free_step, tenant)
-        return self._fetch_one(key, step, prefetch, min_free_step, None, None, tenant)
+        return self._fetch_one(key, step, prefetch, min_free_step, tenant=tenant)
 
     def _read_time(self, source_idx: int, nbytes: int, latency_scale: float) -> float:
         """Device read time, memoised per (source, scale) for uniform blocks.
@@ -556,14 +550,12 @@ class MemoryHierarchy(LevelSurface):
         step: int,
         prefetch: bool,
         min_free_step: Optional[int],
-        agg: "Optional[dict]",
         rec: "Optional[dict]" = None,
         tenant: Optional[str] = None,
     ) -> FetchResult:
-        """Scalar fetch; ``agg`` (batch mode) accumulates the movement
-        event per (kind, source) instead of recording it immediately, and
-        ``rec`` (uniform block size only) likewise accumulates the registry
-        fetch metrics per (source, time) for a grouped flush."""
+        """Scalar fetch; ``rec`` (batch mode, uniform block size only)
+        accumulates the registry fetch metrics per (source, time) for a
+        grouped flush instead of recording them immediately."""
         nbytes = self._uniform_nbytes
         if nbytes is None:
             nbytes = self.block_nbytes(key)
@@ -590,13 +582,8 @@ class MemoryHierarchy(LevelSurface):
                 rec[k] = rec.get(k, 0) + 1
             elif self.registry.enabled:
                 self._record_fetch(level.name, prefetch, nbytes, time_s)
-            kind = "prefetch" if prefetch else "hit"
-            if agg is not None:
-                acc = agg.setdefault((kind, level.name), [0, 0, 0.0])
-                acc[0] += 1
-                acc[1] += nbytes
-                acc[2] += time_s
-            elif tracer.enabled:
+            if tracer.enabled:
+                kind = "prefetch" if prefetch else "hit"
                 tracer.record(kind, step, level.name, key, nbytes, time_s)
             return FetchResult(key, time_s, level.name, fastest_hit=True)
 
@@ -631,17 +618,12 @@ class MemoryHierarchy(LevelSurface):
             rec[k] = rec.get(k, 0) + 1
         elif self.registry.enabled:
             self._record_fetch(source_name, prefetch, nbytes, time_s)
-        kind = "prefetch" if prefetch else "fetch"
-        if agg is not None:
-            acc = agg.setdefault((kind, source_name), [0, 0, 0.0])
-            acc[0] += 1
-            acc[1] += nbytes
-            acc[2] += time_s
-        elif tracer.enabled:
+        if tracer.enabled:
+            kind = "prefetch" if prefetch else "fetch"
             tracer.record(kind, step, source_name, key, nbytes, time_s)
         # Copy into every faster level (inclusive hierarchy).
         for level in upper:
-            level.admit(key, step, min_free_step=min_free_step, agg=agg, tenant=tenant)
+            level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
         return FetchResult(key, time_s, source_name, fastest_hit=False)
 
     # -- the resilient read path (fault injection) -----------------------------
@@ -814,7 +796,7 @@ class MemoryHierarchy(LevelSurface):
         for level in self.levels[:upto]:
             resident = level._resident
             if not (key < len(resident) and resident[key]):
-                level.admit(key, step, min_free_step=min_free_step, agg=None, tenant=tenant)
+                level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
         return FetchResult(key, total_t, source_name, fastest_hit=False)
 
     # -- the batched read path -------------------------------------------------
@@ -945,32 +927,22 @@ class MemoryHierarchy(LevelSurface):
         ids resident in the fastest level are skipped, not served, and
         ``limit`` caps the fastest level's misses.
 
-        Per-event tracing tags every event with its id's frame position
-        (``at``, default the index in ``ids``): each level's evictions and
-        bypasses come from an :class:`EventSink`, and the hit/fetch/
-        prefetch events from the sources served.  They go to ``events``
-        when the caller merges them with its own, else to the tracer in
-        one write.  An aggregating tracer gets counts instead — unless a
-        fault injector is installed, under which the per-key loop never
-        aggregates.
+        Tracing tags every event with its id's frame position (``at``,
+        default the index in ``ids``): each level's evictions and bypasses
+        come from an :class:`EventSink`, and the hit/fetch/prefetch events
+        from the sources served.  They go to ``events`` when the caller
+        merges them with its own, else to the tracer in one write.
         """
         levels = self.levels
         n_lv = len(levels)
         tracer = self.tracer
-        agg: "Optional[dict]" = None
-        own = False
-        if events is None and tracer.enabled:
-            if self.aggregate_trace and self.fault_injector is None:
-                agg = {}
-            else:
-                events = TaggedEvents()
-                own = True
+        own = events is None and tracer.enabled
+        if own:
+            events = TaggedEvents()
         if events is not None and at is None:
             at = np.arange(ids.size)
         sink = None if events is None else EventSink()
-        hit = levels[0].access_many(
-            ids, step, min_free_step, not prefetch, agg, limit, tenant, sink
-        )
+        hit = levels[0].access_many(ids, step, min_free_step, not prefetch, limit, tenant, sink)
         if sink is not None:
             events.add_sink(sink, at, 1, levels[0].name)
         if skip_fast:
@@ -986,7 +958,7 @@ class MemoryHierarchy(LevelSurface):
                 break
             sink = None if events is None else EventSink()
             hit = levels[j].access_many(
-                ids[pos], step, min_free_step, not prefetch, agg, None, tenant, sink
+                ids[pos], step, min_free_step, not prefetch, None, tenant, sink
             )
             if sink is not None:
                 events.add_sink(sink, at[pos], 1 + j, levels[j].name)
@@ -1010,18 +982,10 @@ class MemoryHierarchy(LevelSurface):
                 stats.misses += below
             stats.bytes_read += counts[j] * nb
             below += counts[j]
-        record = self.registry.enabled
-        names = [lv.name for lv in levels] + [self.backing.name]
-        for j, c in enumerate(counts):
-            if not c:
-                continue
-            if record:
-                self._record_fetch(names[j], prefetch, nb, t_src[j], c)
-            if agg is not None:
-                kind = "prefetch" if prefetch else ("hit" if j == 0 else "fetch")
-                # The left fold of c equal times is what c per-event adds give.
-                agg[(kind, names[j])] = [c, c * nb, _fold(np.full(c, t_src[j]))]
-        self._flush_agg(agg, step)
+        if self.registry.enabled:
+            for j, c in enumerate(counts):
+                if c:
+                    self._record_fetch(self._source_names[j], prefetch, nb, t_src[j], c)
         times = np.asarray(t_src)[src]
         if events is not None:
             kinds = "prefetch" if prefetch else _DEMAND_KINDS[(src > 0).view(np.int8)]
@@ -1052,14 +1016,10 @@ class MemoryHierarchy(LevelSurface):
         fastest level are skipped, at most ``limit`` are fetched (checked
         before the skips) and ``dedupe`` fetches each id at most once.  A
         dropped prefetch still counts as fetched: the prediction was acted
-        on, it just failed.  Movement events aggregate when the tracer
-        does, and registry fetch metrics are grouped per (source, time)
-        for uniform blocks.
+        on, it just failed.  Registry fetch metrics are grouped per
+        (source, time) for uniform blocks.
         """
         faulted = self.fault_injector is not None
-        agg: "Optional[dict]" = (
-            {} if self.aggregate_trace and self.tracer.enabled and not faulted else None
-        )
         rec: "Optional[dict]" = (
             {}
             if self.registry.enabled and self._uniform_nbytes is not None and not faulted
@@ -1082,18 +1042,11 @@ class MemoryHierarchy(LevelSurface):
             if faulted:
                 r = self._fetch_one_resilient(key, step, prefetch, min_free_step, tenant)
             else:
-                r = self._fetch_one(key, step, prefetch, min_free_step, agg, rec, tenant)
+                r = self._fetch_one(key, step, prefetch, min_free_step, rec, tenant)
             fetched.append(key)
             results.append(r)
-        self._flush_agg(agg, step)
         self._flush_rec(rec, prefetch)
         return fetched, results
-
-    def _flush_agg(self, agg: "Optional[dict]", step: int) -> None:
-        """Emit one aggregated trace event per accumulated (kind, source)."""
-        if agg:
-            for (kind, src), (cnt, nb, t) in agg.items():
-                self.tracer.record(kind, step, src, -1, nb, t, count=cnt)
 
     def _flush_rec(self, rec: "Optional[dict]", prefetch: bool) -> None:
         """Flush grouped registry fetch metrics (uniform block size only)."""
@@ -1111,11 +1064,7 @@ class MemoryHierarchy(LevelSurface):
         it, so the fastest level holds the most important blocks and slower
         levels hold supersets.  Returns blocks placed per level.
         """
-        placed = {}
-        aggregate = self.aggregate_trace and self.tracer.enabled
-        for level in self.levels:
-            placed[level.name] = level.preload(keys_by_priority, aggregate_trace=aggregate)
-        return placed
+        return {level.name: level.preload(keys_by_priority) for level in self.levels}
 
     # -- stats & lifecycle -------------------------------------------------------
 

@@ -122,12 +122,13 @@ class TraceEvent(NamedTuple):
         no :class:`~repro.obs.profiler.PhaseProfiler` was attached), e.g.
         ``"replay/fetch"`` — links trace events to wall-clock phases.
     count:
-        Number of per-block actions this event stands for.  ``1`` in exact
-        mode (one event per action); the aggregated mode of ``fetch_many``/
-        ``prefetch_many`` (``hierarchy.aggregate_trace``) folds a step's hits/fetches/prefetches per (step, level, kind) into
-        one event with ``count > 1``, ``nbytes``/``time_s`` summed, and
-        ``key = -1`` — the byte ledger is unchanged because aggregation
-        only re-buckets the same totals.
+        Number of per-block actions this event stands for.  The simulator
+        records one event per action, so always ``1``; a ``count > 1``
+        event comes only from a trace file written by an older version,
+        whose per-step roll-up folded a step's hits/fetches/prefetches per
+        (level, kind) into one event (``nbytes``/``time_s`` summed,
+        ``key = -1``).  Such files still read, and still fold to the same
+        byte ledger.
     age_steps:
         For ``re_miss`` events: steps elapsed since the block was evicted
         (−1 for every other kind).

@@ -29,8 +29,10 @@ PathLike = Union[str, Path]
 
 
 def write_jsonl(events: Iterable[TraceEvent], path: PathLike) -> Path:
-    """Write one JSON object per event; returns the path written."""
+    """Write one JSON object per event (creating the file's directory);
+    returns the path written."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for e in events:
             fh.write(json.dumps(e.as_dict(), separators=(",", ":")))
@@ -157,8 +159,10 @@ def write_chrome_trace(
     path: PathLike,
     time_scale: float = 1e6,
 ) -> Path:
-    """Serialise :func:`to_chrome_trace` to ``path``; returns the path."""
+    """Serialise :func:`to_chrome_trace` to ``path`` (creating its
+    directory); returns the path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         json.dump(to_chrome_trace(events, time_scale=time_scale), fh)
     return path

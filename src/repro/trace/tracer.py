@@ -113,8 +113,10 @@ class Tracer:
     ) -> None:
         """Append one event; overwrites the oldest once the ring is full.
 
-        ``count > 1`` marks an aggregated event standing for that many
-        per-block actions (the batched calls' per-step roll-up).
+        ``count`` is how many per-block actions the event stands for: the
+        simulator always records ``1``, and ``count > 1`` comes only from
+        an older version's per-step roll-up (see
+        :class:`~repro.trace.events.TraceEvent`).
         ``age_steps``/``origin`` carry eviction provenance on ``re_miss``
         events and keep their defaults everywhere else.
         """

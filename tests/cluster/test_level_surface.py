@@ -7,6 +7,7 @@ from repro.cluster import NetworkFabric, ShardedHierarchy, ShardMap, make_sharde
 from repro.policies import make_policy
 from repro.storage.cache import CacheLevel
 from repro.storage.hierarchy import make_standard_hierarchy
+from repro.storage.stats import CacheStats
 from repro.volume.blocks import BlockGrid
 
 GRID = BlockGrid((32, 32, 32), (8, 8, 8))  # 64 blocks
@@ -38,3 +39,24 @@ def test_many_node_levels_are_every_node_then_the_ghost():
     assert list(h.stats().levels) == names
     placed = h.preload(np.arange(8))
     assert sum(placed.values()) == sum(len(level) for level in h.levels)
+
+
+def test_many_node_fastest_stats_are_one_cache_stats_of_the_sums():
+    """At K>1 the fastest tier's ``stats`` is a ``CacheStats`` whose
+    counters are the node DRAM tiers' sums, so its rates are those of the
+    sums: a run of misses reads ``miss_rate`` 1.0, not one per node."""
+    h = make_sharded_hierarchy(GRID, 4)
+    for key in range(GRID.n_blocks):
+        h.fetch(key, step=0)
+    stats = h.fastest.stats
+    assert isinstance(stats, CacheStats)
+    parts = [node.fastest.stats for node in h.nodes]
+    for name in ("hits", "misses", "inserts", "evictions", "bytes_read"):
+        assert getattr(stats, name) == sum(getattr(p, name) for p in parts)
+    assert (stats.hits, stats.misses) == (0, GRID.n_blocks)
+    assert (stats.miss_rate, stats.hit_rate) == (1.0, 0.0)
+    assert stats.as_dict()["miss_rate"] == 1.0
+    resident = next(key for key in range(GRID.n_blocks) if key in h.fastest)
+    h.fetch(resident, step=1)
+    n = GRID.n_blocks
+    assert (h.fastest.stats.hits, h.fastest.stats.miss_rate) == (1, n / (n + 1))

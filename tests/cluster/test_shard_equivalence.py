@@ -230,14 +230,6 @@ class TestSoloDelegation:
         assert ledger["peer_transfers"] == 0
         assert ledger["links"] == {}
 
-    def test_aggregate_trace_round_trips(self, shard_setup):
-        grid, _context, _vt, _it = shard_setup
-        h = _sharded_k1(grid, "none")
-        h.aggregate_trace = True
-        assert h.aggregate_trace is True
-        h.aggregate_trace = False
-        assert h.aggregate_trace is False
-
     def test_levels_and_contains(self, shard_setup):
         grid, _context, _vt, _it = shard_setup
         h = _sharded_k1(grid, "none")

@@ -303,20 +303,18 @@ class TestUntouchedHierarchyCascades:
     reads take the level cascade and match a per-block ``fetch`` loop —
     which runs the resilient path — exactly."""
 
-    def _twins(self, aggregate):
+    def _twins(self):
         twins = []
         for _ in range(2):
             h = _hierarchy()
             h.set_tracer(Tracer())
             h.set_registry(MetricsRegistry())
-            h.aggregate_trace = aggregate
             h.set_fault_injector(FaultInjector(_plan(n0_n1=dict(error_rate=1.0))))
             twins.append(h)
         return twins
 
-    @pytest.mark.parametrize("aggregate", [False, True])
-    def test_matches_the_resilient_fetch_loop(self, aggregate):
-        got, want = self._twins(aggregate)
+    def test_matches_the_resilient_fetch_loop(self):
+        got, want = self._twins()
         rng = np.random.default_rng(3)
         for step in range(12):
             ids = rng.choice(N_BLOCKS, size=10, replace=False)
@@ -337,8 +335,6 @@ class TestUntouchedHierarchyCascades:
                 want_t += want.fetch(key, step, prefetch=True, min_free_step=step).time_s
                 want_issued.append(key)
             assert (issued, t) == (want_issued, want_t)
-        # Per-event trace even when aggregating: the resilient loop never
-        # aggregates under an injector.
         assert got.tracer.events() == want.tracer.events()
         assert got.stats() == want.stats()
         assert got._sim_now == want._sim_now

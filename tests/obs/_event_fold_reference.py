@@ -19,13 +19,26 @@ from repro.obs.attribution import (
     _UNIT,
     AttributionReport,
     FrameAttribution,
-    _component_of,
     _fractions,
     _span_channel,
     _ledger_tuple,
     _units,
 )
 from repro.trace.events import TraceEvent
+
+
+def _component_of(event: TraceEvent) -> str:
+    if event.kind == "hit":
+        return "hit_service"
+    if event.kind == "fetch":
+        return f"miss_transfer:{event.level}"
+    if event.kind == "prefetch":
+        return f"prefetch_transfer:{event.level}"
+    if event.kind == "xfer":
+        return f"peer_transfer:{event.level}"
+    if event.kind == "fault":
+        return "fault_penalty"
+    return "retry_backoff"  # retry
 
 
 def _parse_groups(

@@ -1,5 +1,6 @@
 """The ``Fraction`` fold: the reference the integer partition in
-:func:`repro.obs.attribution._fold_channel` must answer exactly like.
+:func:`repro.obs.attribution._fold` must answer exactly like (one channel
+at a time: ``_fold_channel`` in ``tests/obs/test_attribution.py``).
 
 Invariants A and B computed with :class:`fractions.Fraction` marginals,
 one ``Fraction`` per event and per group.
@@ -10,8 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from repro.obs.attribution import _MOVEMENT, _component_of
+from repro.obs.attribution import _MOVEMENT
 from repro.trace.events import TraceEvent
+
+from tests.obs._event_fold_reference import _component_of
 
 _ZERO = Fraction(0)
 

@@ -13,6 +13,7 @@ The two invariants pinned here (see :mod:`repro.obs.attribution`):
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from repro.runtime.stages import Stage
 from repro.prefetch.strategies import MarkovPrefetcher
 from repro.storage.hierarchy import make_standard_hierarchy
 from repro.trace import TraceEvent, Tracer
+from repro.trace.events import TraceColumns
 from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
 from repro.volume.volume import Volume
@@ -62,7 +64,6 @@ def _hierarchy(grid, faults):
         block_nbytes=grid.uniform_block_nbytes(),
         cache_ratio=0.5,
     )
-    h.aggregate_trace = False
     if faults != "none":
         h.set_fault_injector(FaultInjector(FaultPlan.from_profile(faults, seed=7)))
     return h
@@ -204,6 +205,24 @@ def _groups(draw):
     return groups
 
 
+def _fold_channel(groups):
+    """Invariants A and B for one channel's fetch groups, in fold order:
+    the float total and the exact shares in 2**-1074 units, from
+    ``attribution._fold`` on the events converted once into columns."""
+    groups = [g for g in map(list, groups) if g]
+    cols = TraceColumns.from_events([e for g in groups for e in g])
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    comps = attribution._components(cols.kind, cols.level)
+    last = starts + sizes - 1
+    totals, shares = attribution._fold(
+        cols.time_s, comps, starts, attribution._dust_components(cols.kind[last], comps[last]),
+        np.zeros(len(groups), dtype=np.int64), 1, 3 + 3 * len(cols.levels),
+    )
+    names = attribution._component_names(cols.levels)
+    return float(totals[0]), {names[c]: u for c, u in shares.get(0, {}).items()}
+
+
 def _has_dust(groups):
     total = 0.0
     for g in groups:
@@ -227,7 +246,7 @@ class TestIntegerPartition:
         @settings(max_examples=300, deadline=None)
         @given(_groups())
         def check(groups):
-            total, units = attribution._fold_channel(groups)
+            total, units = _fold_channel(groups)
             ref_total, ref = _fraction_fold_reference._fold_channel(groups)
             assert total == ref_total
             comps = attribution._fractions(units)

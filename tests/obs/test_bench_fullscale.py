@@ -29,7 +29,7 @@ _SMOKE = load_spec("fullscale-smoke")
 _TINY = replace(
     _SMOKE,
     base={**_SMOKE.base, "blocks": 256, "scale": 0.08, "steps": 12},
-    setup={**_SMOKE.setup, "n_directions": 16, "tracer_capacity": 50_000},
+    setup={**_SMOKE.setup, "n_directions": 16},
 )
 
 WALL_METRICS = ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes")

@@ -28,7 +28,6 @@ class TestTutorialAttributionWalkthrough:
 
         tracer = Tracer()
         hierarchy = fresh_hierarchy(grid)
-        hierarchy.aggregate_trace = False        # attribution needs per-block events
         result = run_baseline(context, hierarchy, tracer=tracer)
 
         report = attribute_run(tracer.events(), result.steps,

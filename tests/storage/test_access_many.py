@@ -86,8 +86,7 @@ def _frame(a, b, keys, step, min_free_step=None, touch=True, limit=None, tenant=
     sink = EventSink()
     mask = None if admits is None else np.array(admits, dtype=bool)
     got = b.access_many(
-        np.array(keys, dtype=np.int64), step, min_free_step, touch, None, limit, tenant, sink,
-        mask,
+        np.array(keys, dtype=np.int64), step, min_free_step, touch, limit, tenant, sink, mask,
     )
     assert got.tolist() == want
     assert sorted(zip(sink.pos, sink.kinds, sink.keys), key=lambda e: e[0]) == want_events

@@ -216,10 +216,9 @@ def _trace_totals(tracer):
     """Per-(kind, level, step) event count / byte / time totals, plus the
     moved-byte ledger over the hit/fetch/prefetch kinds.
 
-    Keyed per step because that is the aggregation granularity: one
-    batched event carries the left-fold of its step's per-event times, so
-    per-step totals are bit-identical while a cross-step re-sum would
-    associate differently in the last bit.
+    Keyed per step: the per-block loop and the batched calls each record
+    one event per block, in the same order, so every group's count, bytes
+    and left-folded time agree exactly.
     """
     per_group: dict = {}
     moved = 0
@@ -235,14 +234,13 @@ def _trace_totals(tracer):
 class TestTraceByteLedger:
     @given(case=prefetch_cases(), policy=st.sampled_from(POLICIES))
     @settings(max_examples=40, deadline=None)
-    def test_aggregated_trace_preserves_ledger(self, case, policy):
+    def test_batched_trace_preserves_ledger(self, case, policy):
         n_blocks, cap_fast, cap_slow, steps, cands, uniform, cap, dedupe = case
         nb = _nbytes_model(uniform)
         a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
         b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
         a.set_tracer(Tracer())
         b.set_tracer(Tracer())
-        b.aggregate_trace = True
         for i, (ids, cand) in enumerate(zip(steps, cands)):
             for k in ids.tolist():
                 a.fetch(k, i, min_free_step=i)

@@ -178,6 +178,24 @@ class TestTrace:
         assert "events recorded" in text and "dropped (capacity 10)" in text
         assert "warning: ring buffer dropped" in text
 
+    def test_writers_create_their_directories(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "nodir" / "t.json"
+        jsonl = tmp_path / "other" / "deeper" / "t.jsonl"
+        rc = main([
+            "trace", "--dataset", "3d_ball", "--blocks", "64",
+            "--scale", "0.04", "--steps", "6", "--policy", "lru",
+            "--out", str(out), "--jsonl", str(jsonl),
+        ])
+        assert rc == 0
+        assert json.loads(out.read_text())["traceEvents"]
+        lines = jsonl.read_text().splitlines()
+        assert lines and all(json.loads(line)["count"] == 1 for line in lines)
+        again = tmp_path / "third" / "t2.json"
+        assert main(["trace", "--from-jsonl", str(jsonl), "--out", str(again)]) == 0
+        assert json.loads(again.read_text())["traceEvents"]
+
 
 class TestBench:
     def test_defaults(self):
@@ -264,6 +282,19 @@ class TestBench:
         doc = json.loads((tmp_path / "MATRIX_w.json").read_text())
         assert doc["workers"] == 2
         assert all(cell["ledger_reconciles"] for cell in doc["cells"].values())
+
+    def test_profile_creates_its_directory(self, tmp_path, capsys):
+        import json
+
+        profile = tmp_path / "nodir" / "p.json"
+        rc = main([
+            "bench", "--quick", "--label", "p", "--profile", str(profile),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        assert json.loads(profile.read_text())["traceEvents"]
+        doc = json.loads((tmp_path / "MATRIX_p.json").read_text())
+        assert doc["profile"]["path"] == str(profile)
 
     def test_profile_on_a_runner_without_a_profiler_exits_two(self, tmp_path, capsys):
         profile = tmp_path / "prof.json"
@@ -595,6 +626,16 @@ class TestReplayRecord:
         assert rc == 0
         # the recorded path keeps the original session's name
         assert "spherical_5deg" in capsys.readouterr().out
+
+    def test_record_creates_its_directory(self, tmp_path, capsys):
+        trace = tmp_path / "nodir" / "cam.jsonl"
+        rc = main([
+            "replay", "--blocks", "64", "--scale", "0.04", "--steps", "6",
+            "--path-type", "spherical", "--policies", "lru", "--no-app-aware",
+            "--record", str(trace),
+        ])
+        assert rc == 0
+        assert trace.is_file()
 
     def test_recorded_without_trace_file_is_one_line_error(self, capsys):
         rc = main([
