@@ -86,6 +86,21 @@ _GHOST_SLOT = EVENT_STRIDE - 1
 _COUNTERS = [f.name for f in fields(CacheStats)]
 
 
+class _NodeSums(CacheStats):
+    """A :class:`~repro.storage.stats.CacheStats` of the node DRAM tiers'
+    counters summed when read, whose :meth:`reset` resets those counters
+    (as it resets the DRAM level's on one node)."""
+
+    def __init__(self, parts: List[CacheStats]) -> None:
+        super().__init__(*(sum(getattr(p, f) for p in parts) for f in _COUNTERS))
+        self._parts = parts
+
+    def reset(self) -> None:
+        super().reset()
+        for part in self._parts:
+            part.reset()
+
+
 class _FastestView:
     """Aggregate "fastest level" facade over all node DRAM tiers (+ ghost).
 
@@ -109,11 +124,9 @@ class _FastestView:
 
     @property
     def stats(self) -> CacheStats:
-        """The node DRAM tiers' counters, summed now: a new
-        :class:`~repro.storage.stats.CacheStats`, so its rates are those of
-        the sums."""
-        parts = [n.fastest.stats for n in self._s.nodes]
-        return CacheStats(*(sum(getattr(p, f) for p in parts) for f in _COUNTERS))
+        """The node DRAM tiers' counters, summed now (:class:`_NodeSums`),
+        so its rates are those of the sums."""
+        return _NodeSums([n.fastest.stats for n in self._s.nodes])
 
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
         arr = np.ascontiguousarray(keys, dtype=np.int64)

@@ -76,6 +76,7 @@ def run_to_dict(result) -> Dict:
 def save_run_json(result, path: "str | Path") -> Path:
     """Write the full run record as JSON; returns the path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(run_to_dict(result), indent=2, sort_keys=True))
     return path
 
@@ -92,6 +93,7 @@ def save_steps_csv(result, path: "str | Path") -> Path:
     fields (``rendered_ids``) are written as JSON lists in their cell.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fields = _step_field_names(result)
     with path.open("w", newline="") as f:
         writer = csv.writer(f)

@@ -13,8 +13,6 @@ from repro.policies.fifo import FIFOPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
 from repro.policies.lfu import LFUPolicy
-from repro.policies.clock import ClockPolicy
-from repro.policies.random_policy import RandomPolicy
 from repro.policies.arc import ARCPolicy
 from repro.policies.belady import BeladyPolicy
 from repro.policies.registry import make_policy, POLICY_NAMES
@@ -26,8 +24,6 @@ __all__ = [
     "LRUPolicy",
     "MRUPolicy",
     "LFUPolicy",
-    "ClockPolicy",
-    "RandomPolicy",
     "ARCPolicy",
     "BeladyPolicy",
     "make_policy",

@@ -168,5 +168,11 @@ class ReplacementPolicy(abc.ABC):
             [self.victim_still_ordered(int(k), token) for k in keys], dtype=bool
         )
 
+    #: True when the policy has a ``plan_frame`` that applies a whole
+    #: frame of ``CacheLevel.access_many`` to its state in one pass
+    #: (:meth:`repro.policies.arc.ARCPolicy.plan_frame`), so the level only
+    #: writes the outcome.
+    plans_frames: bool = False
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(tracked={len(self)})"

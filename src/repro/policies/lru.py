@@ -10,8 +10,11 @@ refresh a whole hit array with one fancy-indexed assignment
 
 Recency order is identical to the classic ``OrderedDict`` formulation:
 ``move_to_end`` ⇔ assigning the next clock tick, and scanning from the
-front ⇔ ascending sequence order.  :class:`~repro.policies.fifo.FIFOPolicy`
-is this class with hits that do not tick.
+front ⇔ ascending sequence order.  Every clock tick goes to one key, so
+the tracked keys' sequence values are distinct and any sort of them —
+numpy's default, unstable one included — gives the same order.
+:class:`~repro.policies.fifo.FIFOPolicy` is this class with hits that do
+not tick.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class LRUPolicy(ReplacementPolicy):
         tracked = np.flatnonzero(self._seq != _NOT_TRACKED)
         if tracked.size == 0:
             return None
-        for key in tracked[np.argsort(self._seq[tracked], kind="stable")]:
+        for key in tracked[np.argsort(self._seq[tracked])]:
             k = int(key)
             if evictable(k):
                 return k
@@ -147,7 +150,7 @@ class LRUPolicy(ReplacementPolicy):
         """
         n = min(len(evictable_mask), len(self._seq))
         cand = np.flatnonzero(evictable_mask[:n] & (self._seq[:n] != _NOT_TRACKED))
-        return cand[np.argsort(self._seq[cand], kind="stable")]
+        return cand[np.argsort(self._seq[cand])]
 
     def victim_order_token(self) -> int:
         """Clock value delimiting the order: entries all have ``seq < clock``."""
@@ -174,4 +177,4 @@ class LRUPolicy(ReplacementPolicy):
     def recency_order(self) -> "list[int]":
         """Keys from least to most recently used (testing/diagnostics)."""
         tracked = np.flatnonzero(self._seq != _NOT_TRACKED)
-        return [int(k) for k in tracked[np.argsort(self._seq[tracked], kind="stable")]]
+        return [int(k) for k in tracked[np.argsort(self._seq[tracked])]]

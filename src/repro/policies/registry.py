@@ -6,12 +6,10 @@ from typing import Callable, Dict
 
 from repro.policies.arc import ARCPolicy
 from repro.policies.base import ReplacementPolicy
-from repro.policies.clock import ClockPolicy
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
-from repro.policies.random_policy import RandomPolicy
 
 __all__ = ["make_policy", "POLICY_NAMES", "register_policy"]
 
@@ -20,8 +18,6 @@ _FACTORIES: Dict[str, Callable[[], ReplacementPolicy]] = {
     "lru": LRUPolicy,
     "mru": MRUPolicy,
     "lfu": LFUPolicy,
-    "clock": ClockPolicy,
-    "random": RandomPolicy,
     "arc": ARCPolicy,
     # "belady" is intentionally absent: it needs a trace argument, see
     # repro.policies.belady.BeladyPolicy.

@@ -14,6 +14,7 @@ vectorised scan over the sample axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -192,6 +193,7 @@ class Raycaster:
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ValueError(f"image must be (H, W, 3), got {arr.shape}")
         h, w, _ = arr.shape
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as f:
             f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
             f.write(arr.tobytes())

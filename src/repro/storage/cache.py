@@ -16,11 +16,12 @@ that implement ``choose_victim_masked`` consume directly.
 
 A frame reaches a level as one :meth:`CacheLevel.access_many` call (touch
 the resident keys, admit the rest); for victim-queue policies it plans the
-frame's evictions in one pass, tenant quotas included, and writes them
-once as arrays.  Under a tracer the frame's ``evict``/``bypass`` events
-go to an :class:`EventSink`, each tagged with the frame position of the
-access that caused it, so the caller can write them in the per-key loop's
-order.
+frame's evictions in one pass, tenant quotas included, and for ARC the
+policy plans the frame over its own lists; either way the level writes
+the frame once as arrays.  Under a tracer the frame's ``evict``/``bypass``
+events go to an :class:`EventSink`, each tagged with the frame position of
+the access that caused it, so the caller can write them in the per-key
+loop's order.
 """
 
 from __future__ import annotations
@@ -462,12 +463,14 @@ class CacheLevel:
         Returns the hit mask of the processed keys ``keys[:len(hit)]``: a
         key an earlier admission evicted is a miss.
 
-        Victim-queue policies (``supports_victim_order``) on a level with
-        no forensics, with ``min_free_step`` None or at most ``step``, and
-        whose events are collected in a ``sink`` or not traced, plan the
-        frame's evictions in one pass and write them once
-        (:meth:`_access_planned`), tenant-quota levels included;
-        everything else runs the scalar calls live (:meth:`_access_live`).
+        On a level with no forensics, with ``min_free_step`` None or at
+        most ``step``, and whose events are collected in a ``sink`` or not
+        traced, the frame is planned in one pass and written once:
+        victim-queue policies (``supports_victim_order``) plan it here
+        (:meth:`_access_planned`), tenant-quota levels included, and a
+        policy that ``plans_frames`` (ARC) plans it itself on a level with
+        no tenant quotas installed (:meth:`_access_policy_planned`).
+        Everything else runs the scalar calls live (:meth:`_access_live`).
         A frame with a miss resolves ``tenant`` before anything is
         written, so an unknown tenant raises ``KeyError`` on an unchanged
         level.
@@ -481,15 +484,20 @@ class CacheLevel:
                 self.touch_many(keys, step)
             return hit
         tid = self._tenant_id(tenant)
+        policy = self.policy
         if (
-            self.policy.supports_victim_order
-            and (min_free_step is None or min_free_step <= step)
+            (min_free_step is None or min_free_step <= step)
             and self.forensics is None
             and (sink is not None or not self.tracer.enabled)
         ):
-            return self._access_planned(
-                keys, hit, step, min_free_step, touch, limit, tid, sink, admits
-            )
+            if policy.supports_victim_order:
+                return self._access_planned(
+                    keys, hit, step, min_free_step, touch, limit, tid, sink, admits
+                )
+            if policy.plans_frames and self._tenant_index is None:
+                return self._access_policy_planned(
+                    keys, hit, step, min_free_step, touch, limit, sink, admits
+                )
         return self._access_live(keys, hit, step, min_free_step, touch, limit, tenant, sink, admits)
 
     def _access_live(
@@ -692,15 +700,35 @@ class CacheLevel:
                 end = p + 1
                 break
         self._vq, self._vq_pos, self._vq_epoch, self._vq_token = queue, qpos, qepoch, qtoken
-        self._write_segment(
-            keys, end, hit, inserted, victims, evicted_at if late else None, where,
-            len(bypassed), step, touch, tid,
+        return self._write_segment(
+            keys, end, hit, inserted, victims, evicted_at, where if late else None,
+            bypassed, step, touch, tid, sink,
         )
-        if sink is not None:
-            sink.extend(evicted_at, "evict", victims)
-            if bypassed:
-                sink.extend(bypassed, "bypass", keys[bypassed].tolist())
-        return hit[:end]
+
+    def _access_policy_planned(
+        self, keys, hit, step, min_free_step, touch, limit, sink, admits
+    ) -> np.ndarray:
+        """:meth:`access_many` for a policy that plans its own frames: its
+        ``plan_frame`` (:meth:`~repro.policies.arc.ARCPolicy.plan_frame`)
+        runs the frame's hooks and victim choices over its own state, reading the
+        found residents' evictability (``last_used < min_free_step``), and
+        the level writes residency, ``last_used``, stats, registry and
+        ``sink`` once (:meth:`_write_segment`, without policy hooks)."""
+        where = np.full(len(self._resident), -1, dtype=np.int64)
+        where[keys] = np.arange(keys.size)
+        used = None
+        if min_free_step is not None:
+            used = set(
+                np.flatnonzero(self._resident & (self._last_used >= min_free_step)).tolist()
+            )
+        end, inserted, victims, evicted_at, bypassed = self.policy.plan_frame(
+            keys.tolist(), hit, where, self.capacity - self._n_resident, used, step, touch,
+            limit, admits,
+        )
+        return self._write_segment(
+            keys, end, hit, inserted, victims, evicted_at, where, bypassed, step, touch, -1,
+            sink, hooks=False,
+        )
 
     def _build_queue(self, epoch: tuple) -> None:
         """Build the victim queue of ``epoch`` — ``(step or "*",
@@ -752,17 +780,22 @@ class CacheLevel:
             width *= 2
 
     def _write_segment(
-        self, keys, end, hit, inserted, victims, evicted_at, where, n_bypass, step, touch, tid
-    ) -> None:
-        """Apply a planned frame ``keys[:end]`` as array writes.
+        self, keys, end, hit, inserted, victims, evicted_at, where, bypassed, step, touch, tid,
+        sink, hooks=True,
+    ) -> np.ndarray:
+        """Apply a planned frame ``keys[:end]`` as array writes; returns
+        its live hit mask ``hit[:end]``.
 
         A victim the frame accessed before its eviction (a block touched or
-        inserted earlier in the frame) leaves after the frame's accesses
-        are applied, every other victim before them, so the policy sees
-        each block tracked or not exactly when the per-key loop's hooks
-        did.  Victims release their owners' quota units and inserts are
-        owned by ``tid``; no victim is another tenant's, since each passed
-        its admission's owner filter.
+        inserted earlier in the frame; ``where`` maps block ids to frame
+        positions, None when no victim was) leaves after the frame's
+        accesses are applied, every other victim before them, so the policy
+        sees each block tracked or not exactly when the per-key loop's
+        hooks did.  ``hooks=False`` leaves the policy alone: it applied the
+        frame itself.  Victims release their owners' quota units and
+        inserts are owned by ``tid``; no victim is another tenant's, since
+        each passed its admission's owner filter.  Each eviction and bypass
+        goes to ``sink`` at the position of the miss that caused it.
         """
         policy = self.policy
         seg = keys[:end]
@@ -773,11 +806,11 @@ class CacheLevel:
         late = None
         if r:
             gone = np.asarray(victims, dtype=np.int64)
-            if evicted_at is not None:
+            if where is not None:
                 at = where[gone]
                 after = (at >= 0) & (at < np.asarray(evicted_at, dtype=np.int64))
                 late, gone = gone[after], gone[~after]
-            self._drop(gone)
+            self._drop(gone, hooks)
             self.stats.evictions += r
             if self.registry.enabled:
                 self._evictions.inc(r)
@@ -791,14 +824,15 @@ class CacheLevel:
             if tid >= 0:
                 self._owner[new] = tid
                 self._tenant_used[tid] += k
-        accessed = touched | ins
-        if accessed.any():
-            policy.on_access_many(seg[accessed], ins[accessed], step)
-            epoch = self._vq_epoch
-            if epoch is not None and epoch[1] is not None and step < epoch[1]:
-                self._vq_epoch = None  # as touch/admit: another epoch's order is stale
+        if hooks:
+            accessed = touched | ins
+            if accessed.any():
+                policy.on_access_many(seg[accessed], ins[accessed], step)
+                epoch = self._vq_epoch
+                if epoch is not None and epoch[1] is not None and step < epoch[1]:
+                    self._vq_epoch = None  # as touch/admit: another epoch's order is stale
         if late is not None:
-            self._drop(late)
+            self._drop(late, hooks)
         if k:
             self._n_resident += k - r
             self.stats.inserts += k
@@ -806,14 +840,19 @@ class CacheLevel:
                 # k insert-sets plus r evict-sets ending at the live occupancy,
                 # which every evict dip recovers to: the walk never exceeds it.
                 self._occupancy.set_n(self._n_resident, k + r)
-        if n_bypass:
-            self.stats.bypasses += n_bypass
+        if bypassed:
+            self.stats.bypasses += len(bypassed)
             if self.registry.enabled:
-                self._bypasses.inc(n_bypass)
+                self._bypasses.inc(len(bypassed))
+        if sink is not None:
+            sink.extend(evicted_at, "evict", victims)
+            if bypassed:
+                sink.extend(bypassed, "bypass", keys[bypassed].tolist())
+        return hit[:end]
 
-    def _drop(self, gone: np.ndarray) -> None:
+    def _drop(self, gone: np.ndarray, hooks: bool) -> None:
         """Evicted residents leave: residency, ``last_used``, owners' quota
-        units and the policy order."""
+        units and (``hooks``) the policy order."""
         self._resident[gone] = False
         self._last_used[gone] = _NEVER_USED
         owner = self._owner
@@ -823,7 +862,8 @@ class CacheLevel:
             if held.size:
                 self._tenant_used -= np.bincount(held, minlength=len(self._tenant_used))
             owner[gone] = -1
-        self.policy.on_evict_many(gone)
+        if hooks:
+            self.policy.on_evict_many(gone)
 
     def _evictable_predicate(self, min_free_step: Optional[int], owners: Optional[tuple]):
         """Per-key form of :meth:`_candidate_mask` for policies that rank

@@ -60,3 +60,17 @@ def test_many_node_fastest_stats_are_one_cache_stats_of_the_sums():
     h.fetch(resident, step=1)
     n = GRID.n_blocks
     assert (h.fastest.stats.hits, h.fastest.stats.miss_rate) == (1, n / (n + 1))
+
+
+@pytest.mark.parametrize("n_nodes", [1, 4])
+def test_fastest_stats_reset_clears_the_counters_it_reads(n_nodes):
+    """``h.fastest.stats.reset()`` means one thing at every K: the next
+    read shows zero.  At K>1 it resets the node DRAM tiers' counters, the
+    sums' parts."""
+    h = make_sharded_hierarchy(GRID, n_nodes)
+    for key in range(GRID.n_blocks):
+        h.fetch(key, step=0)
+    assert h.fastest.stats.misses == GRID.n_blocks
+    h.fastest.stats.reset()
+    assert h.fastest.stats.as_dict() == CacheStats().as_dict()
+    assert all(node.fastest.stats == CacheStats() for node in h.nodes)

@@ -51,6 +51,10 @@ class TestSaveLoadJson:
         assert "\n" in text  # indented
         assert '"policy"' in text
 
+    def test_creates_the_directory(self, result, tmp_path):
+        p = save_run_json(result, tmp_path / "new" / "dir" / "run.json")
+        assert load_run_json(p) == run_to_dict(result)
+
 
 class TestStepsCsv:
     def test_rows_and_header(self, result, tmp_path):
@@ -60,6 +64,10 @@ class TestStepsCsv:
         assert lines[0].startswith("step,n_visible,n_fast_misses")
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "5"
+
+    def test_creates_the_directory(self, result, tmp_path):
+        p = save_steps_csv(result, tmp_path / "new" / "dir" / "steps.csv")
+        assert len(p.read_text().strip().splitlines()) == 3
 
     def test_real_run_exports(self, tmp_path):
         """End-to-end: export an actual replay."""

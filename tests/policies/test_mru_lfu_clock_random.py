@@ -1,10 +1,8 @@
-"""Tests for MRU, LFU, CLOCK and RANDOM policies."""
+"""Tests for the MRU and LFU policies."""
 
 
-from repro.policies.clock import ClockPolicy
 from repro.policies.lfu import LFUPolicy
 from repro.policies.mru import MRUPolicy
-from repro.policies.random_policy import RandomPolicy
 
 
 class TestMRU:
@@ -85,83 +83,3 @@ class TestLFU:
         p.on_insert(1, 0)
         p.reset()
         assert len(p) == 0 and p.choose_victim() is None
-
-
-class TestClock:
-    def test_second_chance(self):
-        p = ClockPolicy()
-        for k in (1, 2, 3):
-            p.on_insert(k, 0)
-        # All ref bits set: first sweep clears them, then 1 is evicted.
-        assert p.choose_victim() == 1
-
-    def test_recent_hit_survives_one_sweep(self):
-        p = ClockPolicy()
-        for k in (1, 2, 3):
-            p.on_insert(k, 0)
-        p.choose_victim()  # clears bits, hand parked
-        p.on_evict(1)
-        p.on_hit(2, 5)  # re-arm 2's bit
-        assert p.choose_victim() == 3
-
-    def test_protected_skipped(self):
-        p = ClockPolicy()
-        for k in (1, 2):
-            p.on_insert(k, 0)
-        assert p.choose_victim(lambda k: k != 1) == 2
-
-    def test_all_protected_none(self):
-        p = ClockPolicy()
-        p.on_insert(1, 0)
-        assert p.choose_victim(lambda k: False) is None
-
-    def test_empty_none(self):
-        assert ClockPolicy().choose_victim() is None
-
-    def test_swap_remove_consistency(self):
-        p = ClockPolicy()
-        for k in range(5):
-            p.on_insert(k, 0)
-        p.on_evict(2)
-        p.on_evict(0)
-        assert len(p) == 3
-        v = p.choose_victim()
-        assert v in (1, 3, 4)
-
-
-class TestRandom:
-    def test_victim_is_tracked(self):
-        p = RandomPolicy(seed=0)
-        for k in range(10):
-            p.on_insert(k, 0)
-        for _ in range(20):
-            assert p.choose_victim() in range(10)
-
-    def test_respects_protection(self):
-        p = RandomPolicy(seed=0)
-        for k in range(10):
-            p.on_insert(k, 0)
-        for _ in range(20):
-            assert p.choose_victim(lambda k: k == 7) == 7
-
-    def test_all_protected_none(self):
-        p = RandomPolicy(seed=0)
-        p.on_insert(1, 0)
-        assert p.choose_victim(lambda k: False) is None
-
-    def test_evict_swap_remove(self):
-        p = RandomPolicy(seed=0)
-        for k in range(5):
-            p.on_insert(k, 0)
-        p.on_evict(0)
-        p.on_evict(4)
-        assert len(p) == 3
-
-    def test_seeded_reproducible(self):
-        def run(seed):
-            p = RandomPolicy(seed=seed)
-            for k in range(100):
-                p.on_insert(k, 0)
-            return [p.choose_victim() for _ in range(10)]
-
-        assert run(3) == run(3)

@@ -24,7 +24,7 @@ class TestRegistry:
             make_policy("belady")  # needs a trace, not in the registry
 
     def test_expected_names_present(self):
-        assert {"fifo", "lru", "arc", "mru", "lfu", "clock", "random"} <= set(POLICY_NAMES)
+        assert {"fifo", "lru", "arc", "mru", "lfu"} <= set(POLICY_NAMES)
 
     def test_register_custom(self):
         from repro.policies.lru import LRUPolicy

@@ -245,6 +245,33 @@ class TestDriverEquivalence:
         _surfaces_equal(got_obs, want_obs, seed_mode)
 
 
+@pytest.mark.parametrize("seed_mode", SEED_MODES)
+@pytest.mark.parametrize("protect", (False, True))
+def test_baseline_arc(eq_setup, seed_mode, protect):
+    """ARC hierarchies too: the runtime's levels plan each frame
+    (``ARCPolicy.plan_frame``), the seed's scalar mode admits block by
+    block; fault-free, traced per event and metered."""
+    grid, context, _vt, _it = eq_setup
+
+    def hierarchy():
+        return make_standard_hierarchy(
+            n_blocks=grid.n_blocks, block_nbytes=grid.uniform_block_nbytes(),
+            cache_ratio=0.5, policy="arc",
+        )
+
+    got_obs, want_obs = Obs(), Obs()
+    got = run_baseline(
+        context, hierarchy(), protect_current_step=protect, **got_obs.kwargs()
+    )
+    want = seed_run_baseline(
+        context, hierarchy(), protect_current_step=protect, engine=seed_mode,
+        **want_obs.kwargs(),
+    )
+    _run_results_equal(got, want)
+    _surfaces_equal(got_obs, want_obs, seed_mode)
+    assert got.hierarchy_stats.levels["dram"].evictions > 0
+
+
 @pytest.mark.parametrize("prefetch_next", (True, False))
 @pytest.mark.parametrize("with_tables", (True, False))
 class TestTemporalEquivalence:

@@ -8,8 +8,9 @@ could go wrong: a victim the frame accesses later, a FIFO block hit
 earlier in the frame, an unconstrained queue running dry, a constrained
 frame with nothing evictable, free slots before the first eviction, and a
 prefetch limit that cuts the frame — each entered with and without a
-victim queue already built.  Every frame also runs on the live-loop
-policies, and every frame compares the evict/bypass events as well: the
+victim queue already built.  Every frame also runs on ARC, whose policy
+plans the frame over its own lists, and on the live-loop policies (MRU,
+LFU), and every frame compares the evict/bypass events as well: the
 per-key loop records them on a tracer, ``access_many`` collects them in
 an :class:`~repro.storage.cache.EventSink` tagged with the frame position
 of the access that caused each — the same events at the same positions,
@@ -21,6 +22,13 @@ untenanted frames, quota re-installs, ``admits`` masks and frames with
 many more misses than a quota, and compares the owners and the
 registry's occupancy gauge and eviction, bypass and cross-eviction
 counters as well.
+
+ARC levels plan through ``ARCPolicy.plan_frame``: a differential draws
+frame sequences that reach ghost hits in B1 and B2, ``p`` at both
+bounds, victims the frame reads later and touched blocks evicted later
+in the frame, and compares all four lists in order, ``p`` and the
+registry values too; the planned level may not fall back to the live
+loop.
 """
 
 import copy
@@ -35,7 +43,7 @@ from repro.policies.registry import make_policy
 from repro.storage.cache import CacheLevel, EventSink
 from repro.trace import Tracer
 
-POLICIES = ["lru", "fifo", "arc", "mru", "lfu", "clock"]
+POLICIES = ["lru", "fifo", "arc", "mru", "lfu"]
 QUEUE_POLICIES = ["lru", "fifo"]
 
 
@@ -469,6 +477,114 @@ def test_a_quota_frame_is_written_once(policy, monkeypatch):
         _assert_same_quota(a, b)
         assert writes == [b]
     assert at_quota and hit.count(False) > 3 * 15
+
+
+# -- ARC plans its frames -----------------------------------------------------
+
+ARC_KEYS = 10  # few blocks per slot: evicted blocks come back as ghost hits
+
+
+def _arc_level(capacity, residents, preload):
+    """A traced, metered ARC level: ``residents`` admitted one by one at
+    step 0 (so T1, T2 and the ghost lists come from the per-key hooks),
+    then ``preload`` placed."""
+    level = CacheLevel("dram", capacity, make_policy("arc"), n_blocks=ARC_KEYS)
+    level.set_registry(MetricsRegistry())
+    for key in residents:
+        if key in level:
+            level.touch(key, 0)
+        else:
+            level.admit(key, 0)
+    level.preload(preload)
+    level.tracer = Tracer()
+    return level
+
+
+def _arc_lists(level):
+    policy = level.policy
+    return policy.p, [list(lst) for lst in (policy._t1, policy._t2, policy._b1, policy._b2)]
+
+
+def _live_loop_forbidden(*args):
+    raise AssertionError("an ARC frame ran the live loop")
+
+
+def _arc_frames(capacity, residents, preload, frames):
+    """``frames`` of ``(keys, min_free_step offset, touch, limit, admits)``
+    at steps 1, 2, ...: the per-key loop on one level, ``access_many`` on
+    the other, which must plan every frame; both compared after each.
+    Returns the ARC state after each frame."""
+    a = _arc_level(capacity, residents, preload)
+    b = _arc_level(capacity, residents, preload)
+    b._access_live = _live_loop_forbidden
+    states = []
+    for step, (keys, offset, touch, limit, admits) in enumerate(frames, start=1):
+        mfs = None if offset is None else step + offset
+        mask = None if admits is None else admits[: len(keys)]
+        _frame(a, b, keys, step, mfs, touch, limit, admits=mask)
+        _assert_same(a, b)
+        assert _arc_lists(a) == _arc_lists(b)
+        assert _meters(a) == _meters(b)
+        states.append(_arc_lists(b))
+    return states
+
+
+_arc_frame = st.tuples(
+    st.lists(st.integers(0, ARC_KEYS - 1), unique=True, max_size=ARC_KEYS),  # keys
+    st.sampled_from([None, 0, -1]),  # min_free_step: none, at or one below the step
+    st.booleans(),  # touch
+    st.one_of(st.none(), st.integers(0, 6)),  # limit
+    st.one_of(st.none(), st.lists(st.booleans(), min_size=ARC_KEYS, max_size=ARC_KEYS)),
+)
+_arc_case = st.fixed_dictionaries(dict(
+    capacity=st.integers(1, 5),
+    residents=st.lists(st.integers(0, ARC_KEYS - 1), max_size=10),
+    preload=st.lists(st.integers(0, ARC_KEYS - 1), max_size=3),
+    frames=st.lists(_arc_frame, min_size=1, max_size=10),
+))
+
+
+@given(case=_arc_case)
+@settings(max_examples=150, deadline=None)
+def test_arc_frames_match_the_per_key_loop(case):
+    """ARC levels plan ``access_many``: random frame sequences over 10
+    blocks on 1–5 slots (ghost hits in B1 and B2, ``p`` at both bounds,
+    victims the frame accesses later or touched earlier, constrained
+    frames with nothing evictable, prefetches with ``limit``, ``admits``
+    masks) leave the same residency, ``last_used``, stats, T1, T2, B1,
+    B2 and ``p``, events and registry values as the per-key loop."""
+    _arc_frames(**case)
+
+
+@pytest.mark.slow
+@given(case=_arc_case)
+@settings(max_examples=500, deadline=None)
+def test_arc_frames_match_the_per_key_loop_wide(case):
+    _arc_frames(**case)
+
+
+def test_arc_ghost_hits_drive_p_to_both_bounds():
+    """Five frames on 3 slots whose B1 ghost hits grow ``p`` to the
+    capacity and whose B2 ghost hit then shrinks it to 0 — each frame
+    planned, each as the per-key loop."""
+    keys = [[3, 4], [7, 3, 2], [4, 0, 2], [2, 7, 0], [4, 2, 3]]
+    states = _arc_frames(3, [], [], [(k, None, True, None, None) for k in keys])
+    assert [p for p, _ in states] == [0.0, 0.0, 2.0, 3.0, 0.0]
+
+
+@pytest.mark.parametrize("min_free_step", [None, 0])
+def test_arc_victim_accessed_later_is_a_ghost_hit(min_free_step):
+    """Miss 4 evicts 2 from T1's LRU end; the frame's access to 2 is then
+    a miss, which evicts 3 and is a B1 ghost hit (``p`` grows)."""
+    states = _arc_frames(3, [1, 2, 3, 1], [], [([4, 2], min_free_step, True, None, None)])
+    assert states[-1] == (1.0, [[4], [1, 2], [3], []])
+
+
+def test_arc_touched_block_is_evicted_later_in_the_frame():
+    """Unconstrained, hits on 1 and 2 move them to T2; miss 3 finds T1
+    empty and evicts 1, which the frame touched — it stays a hit."""
+    states = _arc_frames(2, [1, 2], [], [([1, 2, 3], None, True, None, None)])
+    assert states[-1] == (0.0, [[3], [2], [], [1]])
 
 
 @pytest.mark.parametrize("policy", POLICIES)

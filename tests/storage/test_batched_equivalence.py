@@ -33,9 +33,7 @@ from tests.runtime._seed_drivers import (
     seed_run_with_prefetcher,
 )
 
-# "random" draws victims from its own RNG; the two twin instances would
-# need lock-step seeding to compare, so it is exercised elsewhere.
-POLICIES = ["fifo", "lru", "mru", "lfu", "clock", "arc"]
+POLICIES = ["fifo", "lru", "mru", "lfu", "arc"]
 
 
 def _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, block_nbytes):

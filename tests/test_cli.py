@@ -2,7 +2,6 @@
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -360,6 +359,15 @@ class TestRender:
         raw = out.read_bytes()
         assert raw.startswith(b"P6\n24 24\n255\n")
         assert len(raw) == len(b"P6\n24 24\n255\n") + 24 * 24 * 3
+
+    def test_out_directory_is_created(self, tmp_path, capsys):
+        out = tmp_path / "nd" / "x" / "frame.ppm"
+        rc = main([
+            "render", "--dataset", "3d_ball", "--blocks", "64",
+            "--scale", "0.04", "--size", "24", "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_bytes().startswith(b"P6\n24 24\n255\n")
 
 
 class TestServeSim:
