@@ -254,8 +254,8 @@ class ShardedHierarchy(LevelSurface):
     ) -> None:
         """Install the injector on every node and on the link layer.
 
-        Node devices draw per-device faults inside their own resilient
-        read paths; the sharded layer itself draws *link* faults (keyed
+        Node devices draw per-device faults inside their own per-block
+        fetches; the sharded layer itself draws *link* faults (keyed
         by link name): a failing draw abandons the transfer after one
         probe latency and falls back to the shared cold store, a slow
         window / spike degrades the transfer time.  Links get no retries

@@ -12,7 +12,8 @@ plausible:
 **Invariant A (fold fidelity).**  The engine accumulates each channel's
 time with a specific float fold: per fetch its attempts/backoffs/serve
 are summed in emission order (``total_t += ...`` in
-:meth:`~repro.storage.hierarchy.MemoryHierarchy._fetch_one_resilient`),
+:meth:`~repro.storage.hierarchy.MemoryHierarchy._read_with_faults`, under
+the per-block fetch :meth:`~repro.storage.hierarchy.MemoryHierarchy._fetch_one`),
 and per step the per-fetch totals are left-folded in id order
 (``io += r.time_s`` / ``np.add.accumulate``).  Float addition is not
 associative, so the reconstruction repeats the *same two-level fold*:

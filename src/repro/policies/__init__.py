@@ -12,7 +12,6 @@ from repro.policies.base import ReplacementPolicy, EvictablePredicate
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
-from repro.policies.lfu import LFUPolicy
 from repro.policies.arc import ARCPolicy
 from repro.policies.belady import BeladyPolicy
 from repro.policies.registry import make_policy, POLICY_NAMES
@@ -23,7 +22,6 @@ __all__ = [
     "FIFOPolicy",
     "LRUPolicy",
     "MRUPolicy",
-    "LFUPolicy",
     "ARCPolicy",
     "BeladyPolicy",
     "make_policy",

@@ -7,15 +7,15 @@ evictions.  When the cache is full it asks :meth:`choose_victim`, passing an
 victim's last-used time must be ``< i`` (i.e. not touched at the current
 view point) is enforced uniformly across all policies.
 
-Batch hooks (:meth:`on_hit_many`, :meth:`on_insert_many`,
-:meth:`on_access_many`, ...) let the hierarchy's batched calls notify a
-whole array of keys in one call; the defaults loop over the scalar hooks
-*in array order*, so a policy that only implements the scalar interface
-sees exactly the per-key call sequence a per-block ``fetch`` loop would
-have produced.  Policies that can rank victims from dense per-key state
-(LRU, FIFO) additionally set ``supports_masked_victim`` and implement
-:meth:`choose_victim_masked`, which receives a boolean evictability mask
-indexed by key instead of a predicate.
+Batch hooks (:meth:`on_hit_many`, :meth:`on_insert_many`) let the
+cache notify a whole array of keys in one call; the defaults loop over the
+scalar hooks *in array order*, so a policy that only implements the scalar
+interface sees exactly the per-key call sequence a per-block ``fetch``
+loop would have produced.  Policies that can enumerate their whole
+eviction order from dense per-key state (LRU, FIFO) set
+``supports_victim_order``: the cache then takes every victim from a queue
+:meth:`victim_order` builds over a boolean evictability mask, and writes a
+planned frame through their array hooks.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class ReplacementPolicy(abc.ABC):
 
     # -- batch hooks (compatibility defaults loop over the scalar hooks) ------
 
-    #: True when :meth:`choose_victim_masked` ranks victims directly from a
-    #: dense evictability mask (no per-key predicate calls).
-    supports_masked_victim: bool = False
-
     def on_hit_many(self, keys: "np.ndarray", step: int) -> None:
         """Batch form of :meth:`on_hit`; keys accessed in array order."""
         for k in keys.tolist():
@@ -93,44 +89,17 @@ class ReplacementPolicy(abc.ABC):
         for k in keys.tolist():
             self.on_insert(k, step)
 
-    def on_evict_many(self, keys: "np.ndarray") -> None:
-        """Batch form of :meth:`on_evict`; keys evicted in array order."""
-        for k in keys.tolist():
-            self.on_evict(k)
-
-    def on_access_many(self, keys: "np.ndarray", inserted: "np.ndarray", step: int) -> None:
-        """Interleaved hits and inserts in array order.
-
-        ``inserted[i]`` marks ``keys[i]`` as an :meth:`on_insert`, otherwise
-        it is an :meth:`on_hit` — one frame's accesses to a cache level, as
-        ``CacheLevel.access_many`` applies them after planning the frame.
-        """
-        for k, ins in zip(keys.tolist(), inserted.tolist()):
-            if ins:
-                self.on_insert(k, step)
-            else:
-                self.on_hit(k, step)
-
-    def choose_victim_masked(self, evictable_mask: "np.ndarray") -> Optional[int]:
-        """Pick a victim given a dense boolean evictability mask.
-
-        ``evictable_mask[k]`` is True when resident key ``k`` may be
-        evicted.  The default delegates to :meth:`choose_victim` with a
-        predicate view of the mask; array-native policies override it.
-        """
-        n = len(evictable_mask)
-
-        def _pred(key: int) -> bool:
-            return key < n and bool(evictable_mask[key])
-
-        return self.choose_victim(_pred)
-
     #: True when :meth:`victim_order` can enumerate the full eviction order
     #: up-front from a mask — i.e. victim choice has no side effects and
     #: depends only on per-key state that accesses *between* evictions can
-    #: invalidate but never reorder (LRU, FIFO).  Lets the cache amortise
-    #: victim selection over a whole step (see ``CacheLevel._pop_victim``)
-    #: and plan a whole frame's evictions (``CacheLevel.access_many``).
+    #: invalidate but never reorder (LRU, FIFO).  The cache then takes every
+    #: victim from such an order (``CacheLevel._pop_victim``) and plans a
+    #: whole frame's evictions (``CacheLevel.access_many``), which it
+    #: writes through the policy's ``on_access_many(keys, inserted, step)``
+    #: (one frame's hits and inserts, in array order) and
+    #: ``on_evict_many(keys)``; it validates unconstrained queue entries
+    #: with ``victim_still_ordered_many(keys, token)``.  Such a policy
+    #: implements those three and the methods below.
     supports_victim_order: bool = False
 
     #: With ``supports_victim_order``: True when :meth:`on_hit` moves the key
@@ -161,12 +130,6 @@ class ReplacementPolicy(abc.ABC):
     def victim_still_ordered(self, key: int, token: int) -> bool:
         """Has ``key`` kept its rank since ``token`` was captured?"""
         raise NotImplementedError
-
-    def victim_still_ordered_many(self, keys: "np.ndarray", token: int) -> "np.ndarray":
-        """Vectorized :meth:`victim_still_ordered` over a key array."""
-        return np.array(
-            [self.victim_still_ordered(int(k), token) for k in keys], dtype=bool
-        )
 
     #: True when the policy has a ``plan_frame`` that applies a whole
     #: frame of ``CacheLevel.access_many`` to its state in one pass

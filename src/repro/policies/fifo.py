@@ -2,8 +2,8 @@
 
 Array-native: FIFO is :class:`~repro.policies.lru.LRUPolicy` whose hits
 never tick, so ``_seq`` holds each tracked key's insertion tick and
-victims, masked victims and the cache's amortised victim queue all come
-from the same sorted tick array.
+victims and the cache's amortised victim queue both come from the same
+sorted tick array.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ id (``-1`` = not tracked), bumped from a monotone clock on every insert and
 hit.  The least-recent tracked key is the argmin of the sequence values —
 no per-access ``OrderedDict`` churn, and the hierarchy's batched calls can
 refresh a whole hit array with one fancy-indexed assignment
-(:meth:`on_hit_many`) and pick victims via a masked argmin
-(:meth:`choose_victim_masked`).
+(:meth:`on_hit_many`) and take victims from one sort of the candidates'
+sequence values (:meth:`victim_order`).
 
 Recency order is identical to the classic ``OrderedDict`` formulation:
 ``move_to_end`` ⇔ assigning the next clock tick, and scanning from the
@@ -34,12 +34,11 @@ class LRUPolicy(ReplacementPolicy):
     """Classic LRU over a dense per-key sequence array (min = least recent).
 
     ``choose_victim`` visits keys in ascending recency and returns the first
-    evictable one; :meth:`choose_victim_masked` computes the same answer as
-    a single masked argmin, which is how the batched fetch path calls it.
+    evictable one; the cache takes the same answer from the head of
+    :meth:`victim_order` over its candidate mask.
     """
 
     name = "lru"
-    supports_masked_victim = True
     supports_victim_order = True
 
     def __init__(self) -> None:
@@ -130,15 +129,6 @@ class LRUPolicy(ReplacementPolicy):
                 return k
         return None
 
-    def choose_victim_masked(self, evictable_mask: np.ndarray) -> Optional[int]:
-        # Tracked keys are always covered by both arrays (the cache ensures
-        # its arrays before admitting), so trimming to the shorter is safe.
-        n = min(len(evictable_mask), len(self._seq))
-        cand = np.flatnonzero(evictable_mask[:n] & (self._seq[:n] != _NOT_TRACKED))
-        if cand.size == 0:
-            return None
-        return int(cand[np.argmin(self._seq[cand])])
-
     def victim_order(self, evictable_mask: np.ndarray) -> np.ndarray:
         """All current candidates, least-recent first (one sort, no argmins).
 
@@ -146,7 +136,7 @@ class LRUPolicy(ReplacementPolicy):
         only *remove* keys from candidacy (a touch makes the key most
         recent; an insert is never an immediate candidate) — never reorder
         the survivors — so the cache may walk this once-sorted queue
-        instead of recomputing :meth:`choose_victim_masked` per eviction.
+        instead of ranking the candidates again per eviction.
         """
         n = min(len(evictable_mask), len(self._seq))
         cand = np.flatnonzero(evictable_mask[:n] & (self._seq[:n] != _NOT_TRACKED))
@@ -161,8 +151,8 @@ class LRUPolicy(ReplacementPolicy):
 
         Every access after the token bumps the key's seq to ``>= token``,
         i.e. *more recent than every queue entry* — so the first entry that
-        passes this check is the global least-recent key, exactly what
-        :meth:`choose_victim_masked` over the live state would return.
+        passes this check is the global least-recent key, exactly the head
+        of a :meth:`victim_order` over the live state.
         """
         seq = self._seq[key]
         return seq != _NOT_TRACKED and seq < token

@@ -7,7 +7,6 @@ from typing import Callable, Dict
 from repro.policies.arc import ARCPolicy
 from repro.policies.base import ReplacementPolicy
 from repro.policies.fifo import FIFOPolicy
-from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
 
@@ -17,7 +16,6 @@ _FACTORIES: Dict[str, Callable[[], ReplacementPolicy]] = {
     "fifo": FIFOPolicy,
     "lru": LRUPolicy,
     "mru": MRUPolicy,
-    "lfu": LFUPolicy,
     "arc": ARCPolicy,
     # "belady" is intentionally absent: it needs a trace argument, see
     # repro.policies.belady.BeladyPolicy.
@@ -27,10 +25,12 @@ POLICY_NAMES = tuple(sorted(_FACTORIES))
 
 
 def register_policy(name: str, factory: Callable[[], ReplacementPolicy]) -> None:
-    """Register a custom policy factory under ``name`` (overwrites rejected)."""
-    if name in _FACTORIES:
+    """Register a custom policy factory under ``name``, case-insensitively
+    (a name already registered in any case is rejected)."""
+    key = name.lower()
+    if key in _FACTORIES:
         raise ValueError(f"policy {name!r} already registered")
-    _FACTORIES[name] = factory
+    _FACTORIES[key] = factory
 
 
 def make_policy(name: str) -> ReplacementPolicy:
@@ -38,5 +38,5 @@ def make_policy(name: str) -> ReplacementPolicy:
     try:
         factory = _FACTORIES[name.lower()]
     except KeyError:
-        raise KeyError(f"unknown policy {name!r}; known: {list(POLICY_NAMES)}") from None
+        raise KeyError(f"unknown policy {name!r}; known: {sorted(_FACTORIES)}") from None
     return factory()

@@ -11,8 +11,8 @@ Residency is a pair of dense arrays indexed by block id — ``_resident``
 (bool) and ``_last_used`` (int64) — grown by doubling as larger ids show
 up.  Membership is one array load, whole visible sets partition with one
 fancy-indexed read (:meth:`contains_many`), and the evictable-candidate
-set under ``min_free_step`` is a single vectorized compare, which policies
-that implement ``choose_victim_masked`` consume directly.
+set under ``min_free_step`` is a single vectorized compare, which
+victim-queue policies (LRU, FIFO) order with one sort.
 
 A frame reaches a level as one :meth:`CacheLevel.access_many` call (touch
 the resident keys, admit the rest); for victim-queue policies it plans the
@@ -308,10 +308,10 @@ class CacheLevel:
         ``tenant=None``, victims are unrestricted and the block stays
         unowned.
 
-        Victim-queue policies pop victims from the amortised queue
-        (:meth:`_pop_victim`), restricted to the tenant's owner filter; a
-        ``min_free_step`` past ``step`` and every other policy rank a
-        fresh candidate mask (or predicate) per victim.
+        Victim-queue policies (LRU, FIFO) take every victim from the
+        amortised queue (:meth:`_pop_victim`), restricted to the tenant's
+        owner filter; every other policy ranks a fresh predicate per
+        victim.
         """
         tid = self._tenant_id(tenant)
         self.ensure_ids(key)
@@ -319,23 +319,16 @@ class CacheLevel:
             raise KeyError(f"{self.name}: block {key} already resident")
         used = self._tenant_used
         quota = int(self._tenant_quota[tid]) if tid >= 0 else 0
-        use_queue = self.policy.supports_victim_order and (
-            min_free_step is None or min_free_step <= step
-        )
         # One victim frees one slot (and one quota unit), but loop for
         # safety with pathological policies.
         while self._n_resident >= self.capacity or (tid >= 0 and used[tid] >= quota):
             # The owners a victim may have: its own at quota, else own or none.
             owners = None if tid < 0 else ((tid,) if used[tid] >= quota else (tid, -1))
             vrank = -1
-            if use_queue:
+            if self.policy.supports_victim_order:
                 victim = self._pop_victim(step, min_free_step, owners)
                 if victim is not None and owners is None:
                     vrank = self._vq_pos - 1
-            elif self.policy.supports_masked_victim:
-                victim = self.policy.choose_victim_masked(
-                    self._candidate_mask(min_free_step, owners)
-                )
             else:
                 victim = self.policy.choose_victim(
                     self._evictable_predicate(min_free_step, owners)
@@ -372,8 +365,8 @@ class CacheLevel:
 
         The policy's full eviction order over the *current* candidates is
         computed once and consumed entry-by-entry; each popped entry is
-        re-validated against live state, so the result is exactly what a
-        fresh ``choose_victim_masked`` would return.
+        re-validated against live state, so the result is exactly the head
+        of a fresh ``victim_order`` over the live candidates.
 
         ``owners`` restricts a tenant admission's victims to those owner
         indices — ``(tenant,)`` at quota, ``(tenant, -1)`` (own or unowned)
@@ -381,12 +374,15 @@ class CacheLevel:
         that filter alone, and every pop also checks the owner.
 
         With a ``min_free_step`` constraint the queue lives for one
-        ``(step, min_free_step, owners)`` epoch: later accesses within it
-        can only *shrink* the candidate set (a touch sets ``last_used =
-        step >= min_free_step``; an insert is never an immediate
-        candidate), and mutations that could grow or reorder it
-        invalidate the epoch at the mutation site.  Validation is
-        ``resident & last_used < min_free_step``.
+        ``(step, min_free_step, owners)`` epoch.  With ``min_free_step <=
+        step`` later accesses within it can only *shrink* the candidate set
+        (a touch sets ``last_used = step >= min_free_step``; an insert is
+        never an immediate candidate).  Past the step a touch keeps its
+        block a candidate but moves it, and an insert is a candidate at
+        once: :meth:`touch`, :meth:`touch_many` and :meth:`admit` then drop
+        the epoch, as every mutation that could grow or reorder the set
+        does at its site.  Validation is ``resident & last_used <
+        min_free_step``.
 
         Unconstrained (``min_free_step is None``), candidates never leave
         the set, but a touch *reorders* — it makes the key more recent
@@ -896,9 +892,9 @@ class CacheLevel:
         eviction (always zero under quota partitioning — the admission
         path never selects such victims).
         ``rank`` is the victim's absolute position in the amortised victim
-        queue when the admission path selected it from one (−1 for
-        masked/predicate selection and direct evicts); it flows into the
-        forensics lineage only.
+        queue when an admission without an owner filter popped it (−1 for
+        predicate selection, owner-filtered pops and direct evicts); it
+        flows into the forensics lineage only.
         """
         resident = self._resident
         if key >= len(resident) or not resident[key]:

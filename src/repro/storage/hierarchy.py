@@ -326,8 +326,8 @@ class MemoryHierarchy(LevelSurface):
         self._read_time_cache: dict = {}
         # Source names by source index (the levels, then the backing store).
         self._source_names = [lv.name for lv in self.levels] + [backing.name]
-        # Fault injection (None = fault-free: the resilient read path is
-        # bypassed entirely, keeping fault-free runs byte-identical).
+        # Fault injection (None = fault-free: no fault draw, retry or
+        # breaker runs, keeping fault-free runs byte-identical).
         self.fault_injector = None
         self._fault_free = True  # no installed injector can touch a device here
         self.retry_policy = None
@@ -424,17 +424,18 @@ class MemoryHierarchy(LevelSurface):
         """Install a :class:`~repro.faults.injector.FaultInjector` (or None).
 
         With an injector installed, every read — per-block and batched, demand
-        and prefetch — routes through the resilient path: per-attempt fault
-        draws, bounded retries with deterministic sim-clock exponential
-        backoff (``retry_policy``, default :class:`~repro.faults.resilience.
+        and prefetch — is a per-block fetch that reads under faults
+        (:meth:`_read_with_faults`): per-attempt fault draws, bounded
+        retries with deterministic sim-clock exponential backoff
+        (``retry_policy``, default :class:`~repro.faults.resilience.
         RetryPolicy`), a per-device circuit breaker that skips a sick level
         and falls back to the next slower one, and graceful drops when even
         the backing store fails.  Without one, the fault-free fast paths are
         byte-identical to a hierarchy that never heard of faults — and so
         are batched reads under an injector whose plan names none of this
         hierarchy's devices and a retry policy with no read timeout (a
-        cluster node under a link-only profile): the resilient path could
-        only do what the fault-free one does, so they take the cascade.
+        cluster node under a link-only profile): their fault reads could
+        only do what a fault-free read does, so they take the cascade.
 
         Accounting under faults keeps the PR-1 invariants: every probed
         level records exactly one hit or miss per fetch, bytes are charged
@@ -457,8 +458,8 @@ class MemoryHierarchy(LevelSurface):
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         device_names = [dev.name for dev in self.level_devices] + [self.backing.name]
         # An injector whose plan names none of these devices, under a retry
-        # policy with no read timeout, can never change a read here: the
-        # resilient path then does exactly what the fault-free one does.
+        # policy with no read timeout, can never change a read here: a read
+        # under it does exactly what a fault-free read does.
         self._fault_free = self.retry_policy.read_timeout_s is None and all(
             injector.plan.profile_for(name) is None for name in device_names
         )
@@ -524,9 +525,7 @@ class MemoryHierarchy(LevelSurface):
         accounting (see :meth:`CacheLevel.set_tenant_quotas`); it is inert
         when no level has quotas installed.
         """
-        if self.fault_injector is not None:
-            return self._fetch_one_resilient(key, step, prefetch, min_free_step, tenant)
-        return self._fetch_one(key, step, prefetch, min_free_step, tenant=tenant)
+        return self._fetch_one(key, step, prefetch, min_free_step, tenant)
 
     def _read_time(self, source_idx: int, nbytes: int, latency_scale: float) -> float:
         """Device read time, memoised per (source, scale) for uniform blocks.
@@ -550,60 +549,78 @@ class MemoryHierarchy(LevelSurface):
         step: int,
         prefetch: bool,
         min_free_step: Optional[int],
-        rec: "Optional[dict]" = None,
         tenant: Optional[str] = None,
+        rec: "Optional[dict]" = None,
     ) -> FetchResult:
-        """Scalar fetch; ``rec`` (batch mode, uniform block size only)
-        accumulates the registry fetch metrics per (source, time) for a
-        grouped flush instead of recording them immediately."""
+        """One block's fetch: probe the levels, serve, then book.
+
+        Without a fault injector the first level holding the block serves
+        at its device read time.  With one, the holding levels and then the
+        backing store are tried in turn (:meth:`_read_with_faults`), and the
+        charged ``time_s`` includes the failed attempts and backoffs.  One
+        tail books either: the fastest level's hit, or one miss at every
+        level above the serving source (every level on a drop), the serve,
+        and an admission into each of those levels that does not hold the
+        block.  A tenant that a level which may admit the block does not
+        know raises ``KeyError`` before anything is booked.
+
+        ``rec`` (batch mode, uniform block size only) accumulates the
+        registry fetch metrics per (source, time) for a grouped flush
+        instead of recording them immediately.
+        """
+        levels = self.levels
         nbytes = self._uniform_nbytes
         if nbytes is None:
             nbytes = self.block_nbytes(key)
         latency_scale = self.prefetch_latency_factor if prefetch else 1.0
-        found_at = None
-        for j, level in enumerate(self.levels):
+        holders = []
+        for j, level in enumerate(levels):
             resident = level._resident
             if key < len(resident) and resident[key]:
-                found_at = j
-                break
+                holders.append(j)
+        inj = self.fault_injector
+        if tenant is not None:
+            # Every level that may admit the block resolves the tenant before
+            # anything is booked; without faults, those above the first holder.
+            reach = len(levels) if inj is not None or not holders else holders[0]
+            for j in range(reach):
+                if j not in holders:
+                    levels[j]._tenant_id(tenant)
+        if inj is None:
+            served = holders[0] if holders else -1  # -1: the backing store
+            total_t = serve_t = self._read_time(served, nbytes, latency_scale)
+        else:
+            served, total_t, serve_t = self._read_with_faults(
+                key, step, holders, nbytes, latency_scale
+            )
 
-        tracer = self.tracer
-        if found_at == 0:
-            level = self.levels[0]
-            if prefetch:
-                level.stats.prefetch_hits += 1
-            else:
-                level.stats.hits += 1
-                level.touch(key, step)
-            level.stats.bytes_read += nbytes
-            time_s = self._read_time(0, nbytes, latency_scale)
-            if rec is not None:
-                k = (level.name, time_s)
-                rec[k] = rec.get(k, 0) + 1
-            elif self.registry.enabled:
-                self._record_fetch(level.name, prefetch, nbytes, time_s)
-            if tracer.enabled:
-                kind = "prefetch" if prefetch else "hit"
-                tracer.record(kind, step, level.name, key, nbytes, time_s)
-            return FetchResult(key, time_s, level.name, fastest_hit=True)
+        # One miss at every level above the serving source; a drop missed
+        # everywhere.  A resident-but-unreadable level counts a miss too —
+        # it was probed and failed to serve.
+        upto = len(levels) if (served is None or served < 0) else served
+        if upto:
+            for level in levels[:upto]:
+                if prefetch:
+                    level.stats.prefetch_misses += 1
+                else:
+                    level.stats.misses += 1
+            if not prefetch and self.forensics is not None:
+                self._note_re_miss(key, step)
 
-        # Count misses at every level above the serving one.
-        upper = self.levels if found_at is None else self.levels[:found_at]
-        for level in upper:
-            if prefetch:
-                level.stats.prefetch_misses += 1
-            else:
-                level.stats.misses += 1
-        if not prefetch and self.forensics is not None:
-            self._note_re_miss(key, step)
+        if served is None:
+            inj.record_drop(self.backing.name)
+            if self.registry.enabled:
+                metrics = self._fault_metrics.get(self.backing.name)
+                if metrics is not None:
+                    metrics[3].inc()
+            return FetchResult(key, total_t, DROPPED, fastest_hit=False, dropped=True)
 
-        if found_at is None:
+        if served < 0:
             source_name = self.backing.name
-            time_s = self._read_time(-1, nbytes, latency_scale)
             self.backing_reads += 1
             self.backing_bytes += nbytes
         else:
-            serving = self.levels[found_at]
+            serving = levels[served]
             if prefetch:
                 serving.stats.prefetch_hits += 1
             else:
@@ -611,72 +628,48 @@ class MemoryHierarchy(LevelSurface):
                 serving.touch(key, step)
             serving.stats.bytes_read += nbytes
             source_name = serving.name
-            time_s = self._read_time(found_at, nbytes, latency_scale)
-
         if rec is not None:
-            k = (source_name, time_s)
+            k = (source_name, serve_t)
             rec[k] = rec.get(k, 0) + 1
         elif self.registry.enabled:
-            self._record_fetch(source_name, prefetch, nbytes, time_s)
-        if tracer.enabled:
-            kind = "prefetch" if prefetch else "fetch"
-            tracer.record(kind, step, source_name, key, nbytes, time_s)
-        # Copy into every faster level (inclusive hierarchy).
-        for level in upper:
-            level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
-        return FetchResult(key, time_s, source_name, fastest_hit=False)
+            self._record_fetch(source_name, prefetch, nbytes, serve_t)
+        if self.tracer.enabled:
+            kind = "prefetch" if prefetch else "hit" if served == 0 else "fetch"
+            self.tracer.record(kind, step, source_name, key, nbytes, serve_t)
+        # Copy into every faster level that does not already hold the key
+        # (inclusive hierarchy); transient faults do not evict, so a
+        # resident-but-unreadable copy stays where it is.
+        for level in levels[:upto]:
+            resident = level._resident
+            if not (key < len(resident) and resident[key]):
+                level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
+        return FetchResult(key, total_t, source_name, fastest_hit=served == 0)
 
-    # -- the resilient read path (fault injection) -----------------------------
+    def _read_with_faults(
+        self, key: int, step: int, holders: List[int], nbytes: int, latency_scale: float
+    ) -> "tuple[Optional[int], float, float]":
+        """Read ``key`` under the fault injector; returns the serving
+        source (a level index, -1 for the backing store, None when every
+        source failed), the time charged and the serving attempt's time.
 
-    def _fetch_one_resilient(
-        self,
-        key: int,
-        step: int,
-        prefetch: bool,
-        min_free_step: Optional[int],
-        tenant: Optional[str] = None,
-    ) -> FetchResult:
-        """Scalar fetch with fault draws, retries, breakers, and fallback.
-
-        Candidate sources are probed fastest-first (every level holding the
-        key, then the backing store).  Each candidate gets up to
+        The ``holders`` (levels holding the key, fastest first) and then the
+        backing store are tried in turn.  Each gets up to
         ``retry_policy.max_attempts`` reads; a failed attempt charges its
         cost (a timed-out one charges the deadline), emits a ``fault``
         trace event, and — if retries remain — a ``retry`` event carrying
-        the deterministic backoff.  A candidate whose circuit breaker is
-        open is skipped without a read (the backing store, the last
-        resort, is never skipped).  When every candidate fails the block
-        is *dropped*: the wasted time is still charged, but no bytes move
-        and nothing is admitted.
-
-        Accounting preserves the fault-free invariants: every level above
-        the final serving source (all levels, on a drop) records exactly
-        one miss, the serving source records the hit/bytes, and the
-        movement + ``fault`` + ``retry`` event times sum to the charged
-        ``time_s`` exactly.  ``degraded`` events are informational: they
-        carry only the seconds *above* the nominal read cost, outside the
-        time ledger.
+        the deterministic backoff.  A level whose circuit breaker is open
+        is skipped without a read (the backing store, the last resort, is
+        never skipped).  The movement + ``fault`` + ``retry`` event times
+        sum to the charged time exactly; ``degraded`` events are
+        informational and carry only the seconds *above* the nominal read
+        cost.  The charged time advances the breakers' sim clock.
         """
         inj = self.fault_injector
         policy = self.retry_policy
         tracer = self.tracer
         record = self.registry.enabled
-        nbytes = self._uniform_nbytes
-        if nbytes is None:
-            nbytes = self.block_nbytes(key)
-        latency_scale = self.prefetch_latency_factor if prefetch else 1.0
-
-        candidates: List[int] = []
-        for j, level in enumerate(self.levels):
-            resident = level._resident
-            if key < len(resident) and resident[key]:
-                candidates.append(j)
-        candidates.append(-1)  # the backing store always holds everything
-
         total_t = 0.0  # everything charged: attempts, backoffs, the serve
-        serve_t = 0.0  # the successful attempt's cost alone
-        served: Optional[int] = None
-        for j in candidates:
+        for j in holders + [-1]:  # the backing store always holds everything
             if j < 0:
                 device = source_name = self.backing.name
             else:
@@ -720,7 +713,6 @@ class MemoryHierarchy(LevelSurface):
                             tracer.record("retry", step, source_name, key, 0, back)
                     continue
                 total_t += attempt_t
-                serve_t = attempt_t
                 if breaker is not None:
                     breaker.record_success(self._sim_now + total_t)
                 if attempt_t > base_t:
@@ -729,75 +721,10 @@ class MemoryHierarchy(LevelSurface):
                         tracer.record(
                             "degraded", step, source_name, key, 0, attempt_t - base_t
                         )
-                served = j
-                break
-            if served is not None:
-                break
+                self._sim_now += total_t
+                return j, total_t, attempt_t
         self._sim_now += total_t
-
-        if served == 0:
-            level = self.levels[0]
-            if prefetch:
-                level.stats.prefetch_hits += 1
-            else:
-                level.stats.hits += 1
-                level.touch(key, step)
-            level.stats.bytes_read += nbytes
-            if record:
-                self._record_fetch(level.name, prefetch, nbytes, serve_t)
-            if tracer.enabled:
-                tracer.record(
-                    "prefetch" if prefetch else "hit", step, level.name, key, nbytes, serve_t
-                )
-            return FetchResult(key, total_t, level.name, fastest_hit=True)
-
-        # One miss at every level above the serving source; a drop missed
-        # everywhere.  A resident-but-unreadable level counts a miss too —
-        # it was probed and failed to serve.
-        upto = len(self.levels) if (served is None or served < 0) else served
-        for level in self.levels[:upto]:
-            if prefetch:
-                level.stats.prefetch_misses += 1
-            else:
-                level.stats.misses += 1
-        if not prefetch and self.forensics is not None:
-            self._note_re_miss(key, step)
-
-        if served is None:
-            inj.record_drop(self.backing.name)
-            if record:
-                metrics = self._fault_metrics.get(self.backing.name)
-                if metrics is not None:
-                    metrics[3].inc()
-            return FetchResult(key, total_t, DROPPED, fastest_hit=False, dropped=True)
-
-        if served < 0:
-            source_name = self.backing.name
-            self.backing_reads += 1
-            self.backing_bytes += nbytes
-        else:
-            serving = self.levels[served]
-            if prefetch:
-                serving.stats.prefetch_hits += 1
-            else:
-                serving.stats.hits += 1
-                serving.touch(key, step)
-            serving.stats.bytes_read += nbytes
-            source_name = serving.name
-        if record:
-            self._record_fetch(source_name, prefetch, nbytes, serve_t)
-        if tracer.enabled:
-            tracer.record(
-                "prefetch" if prefetch else "fetch", step, source_name, key, nbytes, serve_t
-            )
-        # Copy into every faster level that does not already hold the key;
-        # transient faults do not evict, so a resident-but-unreadable copy
-        # stays where it is.
-        for level in self.levels[:upto]:
-            resident = level._resident
-            if not (key < len(resident) and resident[key]):
-                level.admit(key, step, min_free_step=min_free_step, tenant=tenant)
-        return FetchResult(key, total_t, source_name, fastest_hit=False)
+        return None, total_t, 0.0
 
     # -- the batched read path -------------------------------------------------
 
@@ -993,7 +920,7 @@ class MemoryHierarchy(LevelSurface):
             events.add(at * EVENT_STRIDE, kinds, sources[src], ids, nb, times)
             if own:
                 events.write(tracer, step)
-        if self.fault_injector is not None:  # the resilient path's breaker clock
+        if self.fault_injector is not None:  # the breakers' sim clock
             self._sim_now = _fold(times, self._sim_now)
         return ids, times, src == 0
 
@@ -1008,21 +935,21 @@ class MemoryHierarchy(LevelSurface):
         limit: Optional[int] = None,
         dedupe: bool = False,
     ) -> "tuple[List[int], List[FetchResult]]":
-        """The per-block reference loop: one :meth:`_fetch_one` (or
-        :meth:`_fetch_one_resilient` under faults) per id, in id order;
-        returns the fetched ids and their results.
+        """The per-block reference loop: one :meth:`_fetch_one` per id, in
+        id order; returns the fetched ids and their results.
 
         ``skip_fast`` is the prefetch loop: candidates resident in the
         fastest level are skipped, at most ``limit`` are fetched (checked
         before the skips) and ``dedupe`` fetches each id at most once.  A
         dropped prefetch still counts as fetched: the prediction was acted
         on, it just failed.  Registry fetch metrics are grouped per
-        (source, time) for uniform blocks.
+        (source, time) for uniform blocks without a fault injector.
         """
-        faulted = self.fault_injector is not None
         rec: "Optional[dict]" = (
             {}
-            if self.registry.enabled and self._uniform_nbytes is not None and not faulted
+            if self.registry.enabled
+            and self._uniform_nbytes is not None
+            and self.fault_injector is None
             else None
         )
         fast = self.levels[0]
@@ -1039,10 +966,7 @@ class MemoryHierarchy(LevelSurface):
                     continue
                 if attempted is not None:
                     attempted.add(key)
-            if faulted:
-                r = self._fetch_one_resilient(key, step, prefetch, min_free_step, tenant)
-            else:
-                r = self._fetch_one(key, step, prefetch, min_free_step, rec, tenant)
+            r = self._fetch_one(key, step, prefetch, min_free_step, tenant, rec)
             fetched.append(key)
             results.append(r)
         self._flush_rec(rec, prefetch)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.policies.arc import ARCPolicy
 from repro.policies.belady import BeladyPolicy
 from repro.policies.fifo import FIFOPolicy
-from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
 
@@ -45,7 +44,6 @@ def fresh_policies(trace, capacity):
         LRUPolicy(),
         FIFOPolicy(),
         MRUPolicy(),
-        LFUPolicy(),
         arc,
         BeladyPolicy(trace),
     ]
@@ -117,8 +115,7 @@ class TestBeladyOptimality:
     @settings(max_examples=80, deadline=None)
     def test_never_worse_than_online_policies(self, trace, capacity):
         belady_misses, _ = simulate(BeladyPolicy(trace), trace, capacity)
-        for policy in (LRUPolicy(), FIFOPolicy(), MRUPolicy(), LFUPolicy(),
-                       ARCPolicy(capacity=capacity)):
+        for policy in (LRUPolicy(), FIFOPolicy(), MRUPolicy(), ARCPolicy(capacity=capacity)):
             misses, _ = simulate(policy, trace, capacity)
             assert belady_misses <= misses
 

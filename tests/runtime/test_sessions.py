@@ -118,6 +118,28 @@ class TestQuotas:
                     f"{level_name}: tenant {tenant} holds {used} > quota {quotas[tenant]}"
                 )
 
+    def test_arc_equal_partition_enforced(self, small_grid):
+        """ARC quota levels admit block by block, ranking each victim under
+        the admission's owner filter: quotas hold, no tenant evicts
+        another's block, every level's books agree, and two runs give the
+        same document."""
+        docs = []
+        for _ in range(2):
+            hierarchy = _hierarchy(small_grid, policy="arc")
+            result = run_sessions(
+                _mixed_specs(8), hierarchy, small_grid,
+                view_angle_deg=VIEW, partition="equal",
+            )
+            assert result.cross_evictions == 0
+            for level_name, quotas in result.quotas.items():
+                for tenant, used in result.tenant_usage[level_name].items():
+                    assert used <= quotas[tenant], (level_name, tenant, used)
+            for level in hierarchy.levels:
+                assert level.tenant_quotas_enabled and level.stats.evictions > 0
+                level.check_invariants()
+            docs.append(json.dumps(result.as_dict(), sort_keys=True))
+        assert docs[0] == docs[1]
+
     def test_quota_invariants_hold_on_levels(self, small_grid):
         hierarchy = _hierarchy(small_grid)
         run_sessions(

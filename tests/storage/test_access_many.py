@@ -9,8 +9,8 @@ earlier in the frame, an unconstrained queue running dry, a constrained
 frame with nothing evictable, free slots before the first eviction, and a
 prefetch limit that cuts the frame — each entered with and without a
 victim queue already built.  Every frame also runs on ARC, whose policy
-plans the frame over its own lists, and on the live-loop policies (MRU,
-LFU), and every frame compares the evict/bypass events as well: the
+plans the frame over its own lists, and on MRU, which runs the live loop,
+and every frame compares the evict/bypass events as well: the
 per-key loop records them on a tracer, ``access_many`` collects them in
 an :class:`~repro.storage.cache.EventSink` tagged with the frame position
 of the access that caused each — the same events at the same positions,
@@ -43,7 +43,7 @@ from repro.policies.registry import make_policy
 from repro.storage.cache import CacheLevel, EventSink
 from repro.trace import Tracer
 
-POLICIES = ["lru", "fifo", "arc", "mru", "lfu"]
+POLICIES = ["lru", "fifo", "arc", "mru"]
 QUEUE_POLICIES = ["lru", "fifo"]
 
 

@@ -1,9 +1,13 @@
 """Tests for the multi-level memory hierarchy."""
 
+import copy
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.policies.lru import LRUPolicy
 from repro.storage.cache import CacheLevel
 from repro.storage.device import DRAM, HDD, SSD
@@ -168,6 +172,58 @@ class TestByteAccounting:
             n_fetches += 1
         total = h.backing_bytes + h.stats().total_bytes_read
         assert total == n_fetches * 100
+
+
+class TestTenants:
+    """A tenant that no quota level knows raises before anything is booked,
+    on the per-block fetch as on ``fetch_many``."""
+
+    @staticmethod
+    def _quota_hierarchy(faults):
+        h = make_standard_hierarchy(64, 4096, policy="lru")
+        h.set_tenant_quotas({"a": 0.5})
+        if faults is not None:
+            h.set_fault_injector(FaultInjector(FaultPlan.from_profile(faults, seed=1)))
+        return h
+
+    @staticmethod
+    def _ledger(h):
+        return h.backing_reads, h.backing_bytes, [(copy.copy(lv.stats), len(lv)) for lv in h.levels]
+
+    @pytest.mark.parametrize("faults", [None, "flaky-hdd"])
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_per_block_fetch_of_a_missing_block(self, faults, prefetch):
+        h = self._quota_hierarchy(faults)
+        h.fetch(1, 0, tenant="a")
+        before = self._ledger(h)
+        with pytest.raises(KeyError, match="unknown tenant"):
+            h.fetch(5, 1, prefetch=prefetch, tenant="z")
+        assert self._ledger(h) == before
+        h.check_invariants()
+
+    def test_block_held_below_the_fastest_level(self):
+        h = self._quota_hierarchy(None)
+        h.fetch(1, 0, tenant="a")
+        h.levels[0].evict(1)
+        before = self._ledger(h)
+        with pytest.raises(KeyError, match="unknown tenant"):
+            h.fetch(1, 1, tenant="z")
+        assert self._ledger(h) == before
+
+    def test_fastest_hit_admits_nothing(self):
+        """Nothing to admit, nothing to resolve: as a frame of hits in
+        ``fetch_many``."""
+        h = self._quota_hierarchy(None)
+        h.fetch(1, 0, tenant="a")
+        assert h.fetch(1, 1, tenant="z").fastest_hit
+        assert h.fetch_many(np.array([1]), 2, tenant="z").n_fastest_hits == 1
+
+    def test_fetch_many_of_a_missing_block(self):
+        h = self._quota_hierarchy(None)
+        before = self._ledger(h)
+        with pytest.raises(KeyError, match="unknown tenant"):
+            h.fetch_many(np.array([5]), 1, tenant="z")
+        assert self._ledger(h) == before
 
 
 class TestPreload:
