@@ -453,7 +453,7 @@ class ShardedHierarchy(LevelSurface):
         n = arr.size
         if n == 0:
             return BatchFetchResult(0, 0, 0.0)
-        if self._cascades(arr):
+        if self._cascades(arr, step, min_free_step):
             times, fast = self._route(arr, step, prefetch, min_free_step, tenant)
             return BatchFetchResult(n, int(np.count_nonzero(fast)), _fold(times))
         times = np.empty(n, dtype=np.float64)
@@ -470,16 +470,20 @@ class ShardedHierarchy(LevelSurface):
                 dropped.append(r.key)
         return BatchFetchResult(n, n_hits, _fold(times), len(dropped), tuple(dropped))
 
-    def _cascades(self, ids: np.ndarray) -> bool:
-        """Can ``ids`` take the per-owner cascade?  Every node must cascade
-        (no device fault can touch it: a node drop would couple it to the
-        ghost cache), with no forensics, uniform block sizes and unique
-        ids.  Link faults do not count: their draws are arrays."""
+    def _cascades(
+        self, ids: np.ndarray, step: int = 0, min_free_step: Optional[int] = None
+    ) -> bool:
+        """Can ``ids`` at ``step`` take the per-owner cascade?  Every node
+        must cascade (no device fault can touch it: a node drop would
+        couple it to the ghost cache), with no forensics, uniform block
+        sizes, unique ids and no ``min_free_step`` past the step.  Link
+        faults do not count: their draws are arrays."""
         return (
             self.forensics is None
             and self._uniform_nbytes is not None
             and all(node.batchable for node in self.nodes)
             and _unique(ids)
+            and (min_free_step is None or min_free_step <= step)
         )
 
     def _route(

@@ -11,7 +11,6 @@ constrained-LRU eviction these classes provide.
 from repro.policies.base import ReplacementPolicy, EvictablePredicate
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.lru import LRUPolicy
-from repro.policies.mru import MRUPolicy
 from repro.policies.arc import ARCPolicy
 from repro.policies.belady import BeladyPolicy
 from repro.policies.registry import make_policy, POLICY_NAMES
@@ -21,7 +20,6 @@ __all__ = [
     "EvictablePredicate",
     "FIFOPolicy",
     "LRUPolicy",
-    "MRUPolicy",
     "ARCPolicy",
     "BeladyPolicy",
     "make_policy",

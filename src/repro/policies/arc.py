@@ -9,16 +9,17 @@ split: the cache owns residency, so ARC's REPLACE step is realised through
 ``choose_victim`` (pick from T1 or T2 per the adaptation target ``p``) and
 ``on_evict`` (move the evicted key into the matching ghost list).  Ghost
 hits adjust ``p`` inside ``on_insert`` exactly as in the original CASES
-II/III; ghost-list trimming follows CASE IV.
+II/III; ghost-list trimming follows CASE IV.  A level's frame
+(``CacheLevel.access_many``) makes these calls in frame order over its
+own plan — ``on_hit_many`` per run of hits, and per admitted miss
+``choose_victim``, ``on_evict`` and ``on_insert`` — and then writes the
+frame once.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import OrderedDict
 from typing import Optional
-
-import numpy as np
 
 from repro.policies.base import EvictablePredicate, ReplacementPolicy, always_evictable
 
@@ -66,14 +67,11 @@ class ARCPolicy(ReplacementPolicy):
         self._t2[key] = None
 
     def on_hit_many(self, keys, step: int) -> None:
-        self._hits(keys.tolist())
-
-    def _hits(self, keys: list) -> None:
         # CASE I per key, without a policy call each: a T2 hit is a
         # move_to_end, which raises KeyError for an untracked key too.
         t1, t2 = self._t1, self._t2
         move = t2.move_to_end
-        for key in keys:
+        for key in keys.tolist():
             if key in t1:
                 del t1[key]
                 t2[key] = None
@@ -130,71 +128,6 @@ class ARCPolicy(ReplacementPolicy):
                 if evictable(key):
                     return key
         return None
-
-    plans_frames = True
-
-    def plan_frame(self, keys, hit, where, free, used, step, touch, limit, admits):
-        """A level's frame in one pass over the lists: CASE I on each run of
-        hits, and for each admitted miss past the free slots the victim
-        :meth:`choose_victim` takes — T1 when ``len(T1) >= max(1, p)``,
-        else T2, the other list when the preferred one has nothing
-        evictable, LRU end first — moved to its ghost list, then CASES
-        II–IV.
-
-        ``keys`` are the frame's unique block ids, ``hit`` their residency
-        at the frame's start, ``where`` each block id's frame position (-1:
-        not in the frame), ``free`` the level's empty slots and ``used``
-        the residents that are not evictable (None: all are); what the
-        frame touches or inserts joins ``used``.  ``touch``, ``limit`` and
-        ``admits`` are ``access_many``'s.  ``hit`` becomes the live hit
-        mask (a block evicted before its access is a miss).  Returns
-        ``(end, inserted, victims, evicted_at, bypassed)``: the frame
-        processed is ``keys[:end]``, then the inserts' frame positions, the
-        victims in eviction order with the position of the miss that
-        popped each, and the bypassed misses' positions."""
-        evictable = always_evictable if used is None else (lambda key: key not in used)
-        misses = np.flatnonzero(~hit).tolist()
-        inserted, victims, evicted_at, bypassed = [], [], [], []
-        pos = i = n_admits = 0
-        while i < len(misses):  # ascending frame positions
-            p = misses[i]
-            i += 1
-            if touch and pos < p:
-                run = keys[pos:p]
-                self._hits(run)
-                if used is not None:
-                    used.update(run)
-            pos = p + 1
-            if admits is not None and not admits[p]:
-                continue
-            n_admits += 1
-            if free:
-                free -= 1
-            else:
-                victim = self.choose_victim(evictable)
-                if victim is None:  # nothing evictable
-                    bypassed.append(p)
-                    if n_admits == limit:
-                        break
-                    continue
-                self.on_evict(victim)
-                victims.append(victim)
-                evicted_at.append(p)
-                at = int(where[victim])
-                if at > p:  # evicted before its access
-                    hit[at] = False
-                    bisect.insort(misses, at, lo=i)
-            self.on_insert(keys[p], step)
-            if used is not None:
-                used.add(keys[p])
-            inserted.append(p)
-            if n_admits == limit:
-                break
-        else:
-            if touch and pos < len(keys):
-                self._hits(keys[pos:])
-            pos = len(keys)
-        return pos, inserted, victims, evicted_at, bypassed
 
     def __len__(self) -> int:
         return len(self._t1) + len(self._t2)

@@ -15,7 +15,11 @@ loop would have produced.  Policies that can enumerate their whole
 eviction order from dense per-key state (LRU, FIFO) set
 ``supports_victim_order``: the cache then takes every victim from a queue
 :meth:`victim_order` builds over a boolean evictability mask, and writes a
-planned frame through their array hooks.
+planned frame through their array hooks.  Every other policy (ARC,
+Belady) only ranks: a frame's plan makes the per-key loop's calls —
+:meth:`on_hit_many` per run of hits, then :meth:`choose_victim`,
+:meth:`on_evict` and :meth:`on_insert` per admitted miss — with a
+predicate that reads the plan, and the cache writes the frame once.
 """
 
 from __future__ import annotations
@@ -45,7 +49,10 @@ class ReplacementPolicy(abc.ABC):
     - ``on_evict(key)`` exactly once per eviction, with a tracked key;
     - ``choose_victim`` must return a tracked key satisfying the predicate,
       or ``None`` when no tracked key satisfies it (the cache then bypasses
-      the insert rather than thrash the working set).
+      the insert rather than thrash the working set);
+    - the policy ranks victims and never reads the cache: a frame's plan
+      calls the hooks in the per-key loop's order before the cache writes
+      anything, so the predicate is the only view of residency it gets.
     """
 
     name: str = "base"
@@ -130,12 +137,6 @@ class ReplacementPolicy(abc.ABC):
     def victim_still_ordered(self, key: int, token: int) -> bool:
         """Has ``key`` kept its rank since ``token`` was captured?"""
         raise NotImplementedError
-
-    #: True when the policy has a ``plan_frame`` that applies a whole
-    #: frame of ``CacheLevel.access_many`` to its state in one pass
-    #: (:meth:`repro.policies.arc.ARCPolicy.plan_frame`), so the level only
-    #: writes the outcome.
-    plans_frames: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(tracked={len(self)})"

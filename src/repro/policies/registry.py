@@ -8,14 +8,12 @@ from repro.policies.arc import ARCPolicy
 from repro.policies.base import ReplacementPolicy
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.lru import LRUPolicy
-from repro.policies.mru import MRUPolicy
 
 __all__ = ["make_policy", "POLICY_NAMES", "register_policy"]
 
 _FACTORIES: Dict[str, Callable[[], ReplacementPolicy]] = {
     "fifo": FIFOPolicy,
     "lru": LRUPolicy,
-    "mru": MRUPolicy,
     "arc": ARCPolicy,
     # "belady" is intentionally absent: it needs a trace argument, see
     # repro.policies.belady.BeladyPolicy.

@@ -15,13 +15,13 @@ set under ``min_free_step`` is a single vectorized compare, which
 victim-queue policies (LRU, FIFO) order with one sort.
 
 A frame reaches a level as one :meth:`CacheLevel.access_many` call (touch
-the resident keys, admit the rest); for victim-queue policies it plans the
-frame's evictions in one pass, tenant quotas included, and for ARC the
-policy plans the frame over its own lists; either way the level writes
-the frame once as arrays.  Under a tracer the frame's ``evict``/``bypass``
-events go to an :class:`EventSink`, each tagged with the frame position of
-the access that caused it, so the caller can write them in the per-key
-loop's order.
+the resident keys, admit the rest), which the level plans in one pass and
+writes once as arrays, tenant quotas included: victim-queue policies (LRU,
+FIFO) plan from their queue, and every other policy (ARC, Belady) ranks
+one victim per eviction over the plan's state.  Under a tracer the
+frame's ``evict``/``bypass`` events go to an :class:`EventSink`, each
+tagged with the frame position of the access that caused it, so the
+caller can write them in the per-key loop's order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.policies.base import ReplacementPolicy
+from repro.policies.base import ReplacementPolicy, always_evictable
 from repro.storage.stats import CacheStats
 from repro.trace.tracer import NULL_TRACER
 from repro.utils.validation import check_positive
@@ -57,23 +57,16 @@ def _entries(queue: np.ndarray, where: np.ndarray):
 
 class EventSink:
     """The ``evict``/``bypass`` events of one :meth:`CacheLevel.access_many`
-    call, each tagged with the frame position of the access that caused it
-    (``at`` while :meth:`CacheLevel.admit` runs).  Columns, not events:
-    the caller merges them with its own and writes them in one
-    ``record_codes``."""
+    call, each tagged with the frame position of the access that caused
+    it.  Columns, not events: the caller merges them with its own and
+    writes them in one ``record_codes``."""
 
-    __slots__ = ("at", "pos", "kinds", "keys")
+    __slots__ = ("pos", "kinds", "keys")
 
     def __init__(self) -> None:
-        self.at = -1
         self.pos: list = []
         self.kinds: list = []
         self.keys: list = []
-
-    def add(self, kind: str, key: int) -> None:
-        self.pos.append(self.at)
-        self.kinds.append(kind)
-        self.keys.append(key)
 
     def extend(self, pos: list, kind: str, keys: list) -> None:
         """One ``kind`` event per ``(pos, key)`` pair."""
@@ -287,7 +280,6 @@ class CacheLevel:
         step: int,
         min_free_step: Optional[int] = None,
         tenant: Optional[str] = None,
-        sink: Optional[EventSink] = None,
     ) -> bool:
         """Make ``key`` resident, evicting if full; returns False on bypass.
 
@@ -296,9 +288,6 @@ class CacheLevel:
         cache is full and no candidate exists, the insert is *bypassed*
         (the caller still gets the data, it just is not cached) — this is
         the safe degradation when the working set exceeds capacity.
-
-        ``sink`` collects the evict/bypass events instead of the tracer
-        (see :class:`EventSink`).
 
         ``tenant`` labels the admission for quota accounting when
         :meth:`set_tenant_quotas` is active: the block is owned by the
@@ -337,12 +326,10 @@ class CacheLevel:
                 self.stats.bypasses += 1
                 if self.registry.enabled:
                     self._bypasses.inc()
-                if sink is not None:
-                    sink.add("bypass", key)
-                elif self.tracer.enabled:
+                if self.tracer.enabled:
                     self.tracer.record("bypass", step, self.name, key)
                 return False
-            self.evict(victim, step=step, by=None if tid < 0 else tid, rank=vrank, sink=sink)
+            self.evict(victim, step=step, by=None if tid < 0 else tid, rank=vrank)
         self._resident[key] = True
         self._last_used[key] = step
         self._n_resident += 1
@@ -459,17 +446,18 @@ class CacheLevel:
         Returns the hit mask of the processed keys ``keys[:len(hit)]``: a
         key an earlier admission evicted is a miss.
 
-        On a level with no forensics, with ``min_free_step`` None or at
-        most ``step``, and whose events are collected in a ``sink`` or not
-        traced, the frame is planned in one pass and written once:
-        victim-queue policies (``supports_victim_order``) plan it here
-        (:meth:`_access_planned`), tenant-quota levels included, and a
-        policy that ``plans_frames`` (ARC) plans it itself on a level with
-        no tenant quotas installed (:meth:`_access_policy_planned`).
-        Everything else runs the scalar calls live (:meth:`_access_live`).
-        A frame with a miss resolves ``tenant`` before anything is
-        written, so an unknown tenant raises ``KeyError`` on an unchanged
-        level.
+        A frame with a miss is planned in one pass and written once,
+        tenant quotas included: victim-queue policies
+        (``supports_victim_order``: LRU, FIFO) plan from their queue
+        (:meth:`_access_planned`), and every other policy (ARC, Belady)
+        ranks one victim per eviction (:meth:`_access_ranked`).  Such a
+        frame resolves ``tenant`` first, so an unknown tenant raises
+        ``KeyError`` on an unchanged level.  Then, before anything is
+        written, it raises ``ValueError`` on a level with forensics (its
+        lineage records evictions one by one), on a traced level without
+        a ``sink``, and with ``min_free_step`` past ``step`` (a touched
+        block would stay a candidate): the per-key :meth:`admit` serves
+        those.
         """
         if keys.size == 0 or (limit is not None and limit <= 0):
             return np.zeros(0, dtype=bool)
@@ -480,57 +468,14 @@ class CacheLevel:
                 self.touch_many(keys, step)
             return hit
         tid = self._tenant_id(tenant)
-        policy = self.policy
-        if (
-            (min_free_step is None or min_free_step <= step)
-            and self.forensics is None
-            and (sink is not None or not self.tracer.enabled)
-        ):
-            if policy.supports_victim_order:
-                return self._access_planned(
-                    keys, hit, step, min_free_step, touch, limit, tid, sink, admits
-                )
-            if policy.plans_frames and self._tenant_index is None:
-                return self._access_policy_planned(
-                    keys, hit, step, min_free_step, touch, limit, sink, admits
-                )
-        return self._access_live(keys, hit, step, min_free_step, touch, limit, tenant, sink, admits)
-
-    def _access_live(
-        self, keys, hit, step, min_free_step, touch, limit, tenant, sink, admits
-    ) -> np.ndarray:
-        """:meth:`access_many` as scalar calls: ``touch_many`` per run of
-        hits, one :meth:`admit` per admitted miss, residency re-read after
-        each (``hit`` is the residency of ``keys`` at the frame's start)."""
-        m = keys.size
-        resident = self._resident
-        initial_misses = iter(np.flatnonzero(~hit).tolist() + [m])
-        miss = next(initial_misses)
-        pos = n_admits = 0
-        while pos < m:
-            if pos < miss:
-                run = keys[pos:miss]
-                live = resident[run]
-                k = run.size if live.all() else int(np.argmin(live))
-                if touch and k:
-                    self.touch_many(run[:k], step)
-                pos += k
-                if pos == miss:
-                    continue
-                hit[pos] = False  # evicted by an admission earlier in this frame
-            else:
-                miss = next(initial_misses)
-            if admits is not None and not admits[pos]:
-                pos += 1
-                continue
-            if sink is not None:
-                sink.at = pos
-            self.admit(int(keys[pos]), step, min_free_step, tenant, sink)
-            pos += 1
-            n_admits += 1
-            if n_admits == limit:
-                return hit[:pos]
-        return hit
+        if self.forensics is not None:
+            raise ValueError(f"{self.name}: a level with forensics admits per key")
+        if sink is None and self.tracer.enabled:
+            raise ValueError(f"{self.name}: a traced frame needs an EventSink")
+        if min_free_step is not None and min_free_step > step:
+            raise ValueError(f"{self.name}: min_free_step {min_free_step} is past step {step}")
+        plan = self._access_planned if self.policy.supports_victim_order else self._access_ranked
+        return plan(keys, hit, step, min_free_step, touch, limit, tid, sink, admits)
 
     def _access_planned(
         self, keys, hit, step, min_free_step, touch, limit, tid, sink, admits
@@ -701,28 +646,103 @@ class CacheLevel:
             bypassed, step, touch, tid, sink,
         )
 
-    def _access_policy_planned(
-        self, keys, hit, step, min_free_step, touch, limit, sink, admits
+    def _access_ranked(
+        self, keys, hit, step, min_free_step, touch, limit, tid, sink, admits
     ) -> np.ndarray:
-        """:meth:`access_many` for a policy that plans its own frames: its
-        ``plan_frame`` (:meth:`~repro.policies.arc.ARCPolicy.plan_frame`)
-        runs the frame's hooks and victim choices over its own state, reading the
-        found residents' evictability (``last_used < min_free_step``), and
-        the level writes residency, ``last_used``, stats, registry and
-        ``sink`` once (:meth:`_write_segment`, without policy hooks)."""
+        """:meth:`access_many` for policies without a victim order (ARC,
+        Belady): the per-key loop's policy calls, then one write.
+
+        In frame order: ``on_hit_many`` on each run of hits (when
+        ``touch``), and for each admitted miss a free slot — while the
+        level has room and the tenant is under its quota — or else the
+        victim ``choose_victim`` ranks first, then ``on_evict`` and
+        ``on_insert``.  Nothing is written while the frame is planned, so
+        the evictable test reads the plan: ``last_used < min_free_step``
+        at the frame's start, less what the frame touched or inserted
+        (their ``last_used`` is the step), and the owner filter
+        :meth:`admit` uses — the tenant's own blocks at quota, its own or
+        unowned ones under it — where a block the frame inserted is the
+        tenant's.  An unowned victim costs the tenant a quota unit, and a
+        victim the frame accesses later turns that access into a miss.
+        :meth:`_write_segment` then writes residency, ``last_used``,
+        owners, stats, registry and ``sink`` without the policy hooks.
+        """
+        policy = self.policy
+        m = keys.size
+        klist = keys.tolist()
         where = np.full(len(self._resident), -1, dtype=np.int64)
-        where[keys] = np.arange(keys.size)
-        used = None
+        where[keys] = np.arange(m)
+        used = None  # residents that are not evictable (None: all are)
         if min_free_step is not None:
             used = set(
                 np.flatnonzero(self._resident & (self._last_used >= min_free_step)).tolist()
             )
-        end, inserted, victims, evicted_at, bypassed = self.policy.plan_frame(
-            keys.tolist(), hit, where, self.capacity - self._n_resident, used, step, touch,
-            limit, admits,
-        )
+        free = self.capacity - self._n_resident
+        if tid < 0:
+            left = m + 1  # more than the frame can take
+            evictable = always_evictable if used is None else (lambda key: key not in used)
+        else:
+            owner = self._owner
+            left = int(self._tenant_quota[tid] - self._tenant_used[tid])  # quota units
+            mine: set = set()  # the frame's inserts: the tenant's own
+
+            def evictable(key):
+                if used is not None and key in used:
+                    return False
+                held = owner[key]
+                return held == tid or key in mine or (left > 0 and held < 0)
+
+        misses = np.flatnonzero(~hit).tolist()
+        inserted: list = []
+        victims: list = []
+        evicted_at: list = []  # the miss whose admission evicted each victim
+        bypassed: list = []
+        pos = i = n_admits = 0
+        while i < len(misses):  # ascending frame positions
+            p = misses[i]
+            i += 1
+            if touch and pos < p:
+                policy.on_hit_many(keys[pos:p], step)
+                if used is not None:
+                    used.update(klist[pos:p])
+            pos = p + 1
+            if admits is not None and not admits[p]:
+                continue
+            n_admits += 1
+            if free and left > 0:
+                free -= 1
+                left -= 1
+            else:
+                victim = policy.choose_victim(evictable)
+                if victim is None:  # nothing evictable
+                    bypassed.append(p)
+                    if n_admits == limit:
+                        break
+                    continue
+                policy.on_evict(victim)
+                victims.append(victim)
+                evicted_at.append(p)
+                at = int(where[victim])
+                if at > p:  # evicted before its access
+                    hit[at] = False
+                    bisect.insort(misses, at, lo=i)
+                if tid >= 0 and victim not in mine and owner[victim] < 0:
+                    left -= 1  # an unowned block's slot became the tenant's
+            key = klist[p]
+            policy.on_insert(key, step)
+            if used is not None:
+                used.add(key)
+            if tid >= 0:
+                mine.add(key)
+            inserted.append(p)
+            if n_admits == limit:
+                break
+        else:
+            if touch and pos < m:
+                policy.on_hit_many(keys[pos:], step)
+            pos = m
         return self._write_segment(
-            keys, end, hit, inserted, victims, evicted_at, where, bypassed, step, touch, -1,
+            keys, pos, hit, inserted, victims, evicted_at, where, bypassed, step, touch, tid,
             sink, hooks=False,
         )
 
@@ -787,11 +807,12 @@ class CacheLevel:
         positions, None when no victim was) leaves after the frame's
         accesses are applied, every other victim before them, so the policy
         sees each block tracked or not exactly when the per-key loop's
-        hooks did.  ``hooks=False`` leaves the policy alone: it applied the
-        frame itself.  Victims release their owners' quota units and
-        inserts are owned by ``tid``; no victim is another tenant's, since
-        each passed its admission's owner filter.  Each eviction and bypass
-        goes to ``sink`` at the position of the miss that caused it.
+        hooks did.  ``hooks=False`` leaves the policy alone: the ranked
+        plan made its calls already.  Victims release their owners' quota
+        units and inserts are owned by ``tid``; no victim is another
+        tenant's, since each passed its admission's owner filter.  Each
+        eviction and bypass goes to ``sink`` at the position of the miss
+        that caused it.
         """
         policy = self.policy
         seg = keys[:end]
@@ -880,17 +901,15 @@ class CacheLevel:
         step: Optional[int] = None,
         by: Optional[int] = None,
         rank: int = -1,
-        sink: Optional[EventSink] = None,
     ) -> None:
         """Remove a resident ``key`` (policy notified).
 
         ``step`` is only used for tracing: the replay step whose admission
         forced this eviction (``None`` for evictions outside a replay).
-        ``sink`` collects the evict event (see :meth:`admit`).  ``by`` is
-        the tenant index whose admission forced the eviction; evicting a
-        block owned by a *different* tenant counts as a cross-tenant
-        eviction (always zero under quota partitioning — the admission
-        path never selects such victims).
+        ``by`` is the tenant index whose admission forced the eviction;
+        evicting a block owned by a *different* tenant counts as a
+        cross-tenant eviction (always zero under quota partitioning — the
+        admission path never selects such victims).
         ``rank`` is the victim's absolute position in the amortised victim
         queue when an admission without an owner filter popped it (−1 for
         predicate selection, owner-filtered pops and direct evicts); it
@@ -927,9 +946,7 @@ class CacheLevel:
                 tenant_name,
                 rank,
             )
-        if sink is not None:
-            sink.add("evict", key)
-        elif self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.record("evict", -1 if step is None else step, self.name, key)
 
     def preload(self, keys: Iterable[int]) -> int:

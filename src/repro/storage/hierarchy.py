@@ -740,11 +740,12 @@ class MemoryHierarchy(LevelSurface):
     ) -> BatchFetchResult:
         """Fetch a whole id array; result-identical to scalar :meth:`fetch`.
 
-        Unique ids of uniform-size blocks, with no forensics and no fault
-        injector that can touch this hierarchy's devices, take the level
-        cascade (:meth:`_cascade`): the fastest level accesses every id in
-        one :meth:`CacheLevel.access_many`, each slower level the misses
-        of the level above, and the charged times, stats, registry metrics
+        Unique ids of uniform-size blocks, with no forensics, no fault
+        injector that can touch this hierarchy's devices and no
+        ``min_free_step`` past ``step``, take the level cascade
+        (:meth:`_cascade`): the fastest level accesses every id in one
+        :meth:`CacheLevel.access_many`, each slower level the misses of
+        the level above, and the charged times, stats, registry metrics
         and trace events are booked once per call.  Any other call runs
         the per-block reference loop (:meth:`_fetch_each`).
 
@@ -768,7 +769,7 @@ class MemoryHierarchy(LevelSurface):
             _frame.times[at] = times
             _frame.fast[at] = fast
             return BatchFetchResult(n, int(fast.sum()), _fold(times))
-        if self._cascades(ids):
+        if self._cascades(ids, step, min_free_step):
             _, times, fast = self._cascade(ids, step, prefetch, min_free_step, tenant)
             return BatchFetchResult(n, int(fast.sum()), _fold(times))
         results = self._fetch_each(ids, step, prefetch, min_free_step, tenant)[1]
@@ -807,7 +808,7 @@ class MemoryHierarchy(LevelSurface):
         arr = np.ascontiguousarray(candidates, dtype=np.int64)
         if arr.size == 0:
             return [], 0.0
-        if self._cascades(arr):
+        if self._cascades(arr, step, min_free_step):
             issued, times, _ = self._cascade(
                 arr, step, True, min_free_step, tenant, skip_fast=True, limit=max_fetch
             )
@@ -823,14 +824,18 @@ class MemoryHierarchy(LevelSurface):
         """Can this hierarchy's batched calls take the level cascade at
         all?  Everything the cascade books in bulk must commute: uniform
         block sizes, no fault draw on any device here, no forensics
-        lineage.  (The ids must also be unique: :meth:`_cascades`.)"""
+        lineage.  (The call must also pass :meth:`_cascades`.)"""
         return (
             self._fault_free and self.forensics is None and self._uniform_nbytes is not None
         )
 
-    def _cascades(self, ids: np.ndarray) -> bool:
-        """Can ``ids`` take the level cascade?"""
-        return self.batchable and _unique(ids)
+    def _cascades(
+        self, ids: np.ndarray, step: int = 0, min_free_step: Optional[int] = None
+    ) -> bool:
+        """Can ``ids`` at ``step`` take the level cascade?  They must be
+        unique, and a ``min_free_step`` past the step (a touched block
+        stays a candidate there) admits per key."""
+        return self.batchable and _unique(ids) and (min_free_step is None or min_free_step <= step)
 
     def _cascade(
         self,

@@ -104,7 +104,7 @@ class TestRunBaseline:
         trace = ctx.demand_trace()
         hb = belady_hierarchy(small_grid, trace)
         rb = run_baseline(ctx, hb, name="belady")
-        for policy in ("lru", "fifo", "mru", "arc"):
+        for policy in ("lru", "fifo", "arc"):
             r = run_baseline(ctx, fresh_hierarchy(small_grid, policy=policy))
             assert rb.hierarchy_stats.levels["dram"].misses <= \
                 r.hierarchy_stats.levels["dram"].misses

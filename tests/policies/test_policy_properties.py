@@ -11,7 +11,6 @@ from repro.policies.arc import ARCPolicy
 from repro.policies.belady import BeladyPolicy
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.lru import LRUPolicy
-from repro.policies.mru import MRUPolicy
 
 traces = st.lists(st.integers(0, 12), min_size=1, max_size=120)
 capacities = st.integers(1, 8)
@@ -43,7 +42,6 @@ def fresh_policies(trace, capacity):
     return [
         LRUPolicy(),
         FIFOPolicy(),
-        MRUPolicy(),
         arc,
         BeladyPolicy(trace),
     ]
@@ -115,7 +113,7 @@ class TestBeladyOptimality:
     @settings(max_examples=80, deadline=None)
     def test_never_worse_than_online_policies(self, trace, capacity):
         belady_misses, _ = simulate(BeladyPolicy(trace), trace, capacity)
-        for policy in (LRUPolicy(), FIFOPolicy(), MRUPolicy(), ARCPolicy(capacity=capacity)):
+        for policy in (LRUPolicy(), FIFOPolicy(), ARCPolicy(capacity=capacity)):
             misses, _ = simulate(policy, trace, capacity)
             assert belady_misses <= misses
 

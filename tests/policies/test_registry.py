@@ -35,7 +35,7 @@ class TestRegistry:
             make_policy("belady")  # needs a trace, not in the registry
 
     def test_expected_names_present(self):
-        assert {"fifo", "lru", "arc", "mru"} <= set(POLICY_NAMES)
+        assert {"fifo", "lru", "arc"} <= set(POLICY_NAMES)
 
     def test_register_custom(self):
         class Custom(LRUPolicy):

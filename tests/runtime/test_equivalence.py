@@ -248,9 +248,10 @@ class TestDriverEquivalence:
 @pytest.mark.parametrize("seed_mode", SEED_MODES)
 @pytest.mark.parametrize("protect", (False, True))
 def test_baseline_arc(eq_setup, seed_mode, protect):
-    """ARC hierarchies too: the runtime's levels plan each frame
-    (``ARCPolicy.plan_frame``), the seed's scalar mode admits block by
-    block; fault-free, traced per event and metered."""
+    """ARC hierarchies too: the runtime's levels rank each frame's victims
+    over the frame's plan (``CacheLevel._access_ranked``), the seed's
+    scalar mode admits block by block; fault-free, traced per event and
+    metered."""
     grid, context, _vt, _it = eq_setup
 
     def hierarchy():

@@ -8,27 +8,30 @@ could go wrong: a victim the frame accesses later, a FIFO block hit
 earlier in the frame, an unconstrained queue running dry, a constrained
 frame with nothing evictable, free slots before the first eviction, and a
 prefetch limit that cuts the frame — each entered with and without a
-victim queue already built.  Every frame also runs on ARC, whose policy
-plans the frame over its own lists, and on MRU, which runs the live loop,
-and every frame compares the evict/bypass events as well: the
-per-key loop records them on a tracer, ``access_many`` collects them in
-an :class:`~repro.storage.cache.EventSink` tagged with the frame position
-of the access that caused each — the same events at the same positions,
+victim queue already built.  Every frame also runs on ARC, which the
+level plans by ranking one victim per eviction, and every frame compares
+the evict/bypass events as well: the per-key loop records them on a
+tracer, ``access_many`` collects them in an
+:class:`~repro.storage.cache.EventSink` tagged with the frame position of
+the access that caused each — the same events at the same positions,
 tenant-quota levels included.
 
 Tenant-quota levels plan too: the differential at the end also draws
 quotas that fill the capacity or leave room, unowned residents,
 untenanted frames, quota re-installs, ``admits`` masks and frames with
-many more misses than a quota, and compares the owners and the
-registry's occupancy gauge and eviction, bypass and cross-eviction
-counters as well.
+many more misses than a quota, on LRU, FIFO and ARC, and compares the
+owners and the registry's occupancy gauge and eviction, bypass and
+cross-eviction counters as well.
 
-ARC levels plan through ``ARCPolicy.plan_frame``: a differential draws
-frame sequences that reach ghost hits in B1 and B2, ``p`` at both
-bounds, victims the frame reads later and touched blocks evicted later
-in the frame, and compares all four lists in order, ``p`` and the
-registry values too; the planned level may not fall back to the live
-loop.
+ARC and Belady levels take the ranked plan: a differential draws ARC
+frame sequences that reach ghost hits in B1 and B2, ``p`` at both bounds,
+victims the frame reads later and touched blocks evicted later in the
+frame, and compares all four lists in order, ``p`` and the registry
+values too, with each frame written once; another holds Belady frames to
+the per-key loop, trace position included.  The frames neither plan can
+take — forensics, a traced level without a sink, a ``min_free_step``
+past the step — raise before anything is written, and the hierarchy
+sends the last to its per-block loop.
 """
 
 import copy
@@ -38,13 +41,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import make_sharded_hierarchy
 from repro.obs.metrics import MetricsRegistry
+from repro.policies.belady import BeladyPolicy
 from repro.policies.registry import make_policy
 from repro.storage.cache import CacheLevel, EventSink
+from repro.storage.device import DRAM, HDD, SSD
+from repro.storage.forensics import EvictionLineage
+from repro.storage.hierarchy import MemoryHierarchy
 from repro.trace import Tracer
+from repro.volume.blocks import BlockGrid
 
-POLICIES = ["lru", "fifo", "arc", "mru"]
+POLICIES = ["lru", "fifo", "arc"]
 QUEUE_POLICIES = ["lru", "fifo"]
+GRID = BlockGrid((32, 32, 32), (8, 8, 8))  # 64 blocks
 
 
 def _level(policy, capacity, residents=(), quotas=None):
@@ -381,7 +391,7 @@ def _quota_ops(a, b, ops, capacity):
 def _quota_case(draw):
     capacity = draw(st.integers(2, 8))
     return dict(
-        policy=draw(st.sampled_from(QUEUE_POLICIES)),
+        policy=draw(st.sampled_from(POLICIES)),
         capacity=capacity,
         quotas=_quotas(*draw(_caps), capacity),
         residents=draw(
@@ -406,11 +416,11 @@ def _quota_differential(case):
 @given(case=_quota_case())
 @settings(max_examples=150, deadline=None)
 def test_quota_levels_plan_as_the_per_key_loop(case):
-    """Tenant-quota LRU/FIFO levels take the planned sweep: random frames
-    (tenanted and untenanted, constrained or not, prefetches, ``limit``
-    and ``admits``) and quota re-installs leave the same residency,
-    owners, stats, policy order, victim queue, events and registry values
-    as the per-key loop."""
+    """Tenant-quota levels plan their frames (LRU/FIFO from the queue,
+    ARC by ranking): random frames (tenanted and untenanted, constrained
+    or not, prefetches, ``limit`` and ``admits``) and quota re-installs
+    leave the same residency, owners, stats, policy order, victim queue,
+    events and registry values as the per-key loop."""
     _quota_differential(case)
 
 
@@ -505,23 +515,29 @@ def _arc_lists(level):
     return policy.p, [list(lst) for lst in (policy._t1, policy._t2, policy._b1, policy._b2)]
 
 
-def _live_loop_forbidden(*args):
-    raise AssertionError("an ARC frame ran the live loop")
-
-
 def _arc_frames(capacity, residents, preload, frames):
     """``frames`` of ``(keys, min_free_step offset, touch, limit, admits)``
     at steps 1, 2, ...: the per-key loop on one level, ``access_many`` on
-    the other, which must plan every frame; both compared after each.
-    Returns the ARC state after each frame."""
+    the other, which must write each frame with a miss once; both
+    compared after each.  Returns the ARC state after each frame."""
     a = _arc_level(capacity, residents, preload)
     b = _arc_level(capacity, residents, preload)
-    b._access_live = _live_loop_forbidden
+    writes = []
+    write = b._write_segment
+
+    def counted(*args, **kwargs):
+        writes.append(args)
+        return write(*args, **kwargs)
+
+    b._write_segment = counted
     states = []
     for step, (keys, offset, touch, limit, admits) in enumerate(frames, start=1):
         mfs = None if offset is None else step + offset
         mask = None if admits is None else admits[: len(keys)]
+        planned = limit != 0 and any(k not in b for k in keys)
+        writes.clear()
         _frame(a, b, keys, step, mfs, touch, limit, admits=mask)
+        assert len(writes) == planned
         _assert_same(a, b)
         assert _arc_lists(a) == _arc_lists(b)
         assert _meters(a) == _meters(b)
@@ -598,3 +614,95 @@ def test_unknown_tenant_leaves_the_level_unchanged(policy):
     np.testing.assert_array_equal(level._last_used, before[0])
     assert (level.stats, _order(level), _queue(level)) == before[1:]
     assert level.last_used(0) == level.last_used(1) == 0
+
+
+@given(
+    capacity=st.integers(1, 5),
+    frames=st.lists(st.lists(st.integers(0, 11), unique=True, max_size=12),
+                    min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_belady_frames_match_the_per_key_loop(capacity, frames):
+    """Belady levels rank their frames: random unconstrained frames on 1–5
+    slots, each level with its own ``BeladyPolicy`` over the frames' keys
+    in order, leave the same residency, ``last_used``, stats, trace
+    position and events as the per-key loop."""
+    trace = [key for keys in frames for key in keys]
+    a, b = (CacheLevel("dram", capacity, BeladyPolicy(trace), n_blocks=12) for _ in "ab")
+    a.tracer, b.tracer = Tracer(), Tracer()
+    for step, keys in enumerate(frames, start=1):
+        _frame(a, b, keys, step)
+        _assert_same(a, b)
+        assert a.policy.position == b.policy.position
+    assert b.policy.position == len(trace)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("case", ["forensics", "no_sink", "past_step"])
+def test_a_frame_no_plan_takes_raises_unchanged(policy, case):
+    """A level with forensics, a traced level without a sink and a
+    ``min_free_step`` past the step raise ``ValueError`` before the frame
+    writes anything: the leading hit stays untouched."""
+    level = _level(policy, 2, [0, 1])
+    sink, mfs = EventSink(), 3
+    if case == "forensics":
+        level.forensics = EvictionLineage()
+    elif case == "no_sink":
+        sink = None
+    else:
+        mfs = 4
+    before = (level._last_used.copy(), copy.copy(level.stats), _order(level), _queue(level))
+    with pytest.raises(ValueError):
+        level.access_many(np.array([0, 5], dtype=np.int64), 3, mfs, sink=sink)
+    np.testing.assert_array_equal(level._last_used, before[0])
+    assert (level.stats, _order(level), _queue(level)) == before[1:]
+    assert sorted(level.resident_ids()) == [0, 1]
+    assert level.tracer.n_recorded == 0
+    assert sink is None or not sink.pos
+
+
+def _warm_hierarchy(kind, policy):
+    """A single-box or 2-node sharded hierarchy after demand fetches of
+    blocks 0–19 at step 1."""
+    if kind == "sharded":
+        h = make_sharded_hierarchy(GRID, 2, strategy="round-robin", cache_ratio=0.25,
+                                   policy=policy, ghost_ratio=0.1)
+    else:
+        levels = [CacheLevel(name, cap, make_policy(policy), n_blocks=GRID.n_blocks)
+                  for name, cap in (("dram", 4), ("ssd", 8))]
+        h = MemoryHierarchy(levels, [DRAM, SSD], HDD, block_nbytes=4096)
+    for key in range(20):
+        h.fetch(key, 1)
+    return h
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("kind, prefetch", [("single", False), ("single", True),
+                                            ("sharded", False)])
+def test_hierarchy_admits_past_the_step_per_key(policy, kind, prefetch):
+    """``fetch_many``/``prefetch_many`` with a ``min_free_step`` past the
+    step take the per-block loop, so they still equal per-block fetches
+    (a block touched at the step stays evictable)."""
+    a, b = _warm_hierarchy(kind, policy), _warm_hierarchy(kind, policy)
+    ids = [19, 30, 31, 18, 32, 33, 0, 34]
+    times = []
+    if prefetch:
+        issued, t = b.prefetch_many(np.array(ids, dtype=np.int64), 2, min_free_step=3,
+                                    max_fetch=4)
+        want = []
+        for key in ids:
+            if len(want) == 4:
+                break
+            if key not in a.levels[0]:
+                times.append(a.fetch(key, 2, prefetch=True, min_free_step=3).time_s)
+                want.append(key)
+        assert issued == want
+    else:
+        t = b.fetch_many(np.array(ids, dtype=np.int64), 2, min_free_step=3).time_s
+        times = [a.fetch(key, 2, min_free_step=3).time_s for key in ids]
+    assert t == sum(times)
+    assert a.stats() == b.stats()
+    if kind == "sharded":
+        assert a.cluster_ledger() == b.cluster_ledger()
+    for la, lb in zip(a.levels, b.levels):
+        assert list(la.resident_ids()) == list(lb.resident_ids())

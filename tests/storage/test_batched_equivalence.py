@@ -33,7 +33,7 @@ from tests.runtime._seed_drivers import (
     seed_run_with_prefetcher,
 )
 
-POLICIES = ["fifo", "lru", "mru", "arc"]
+POLICIES = ["fifo", "lru", "arc"]
 
 
 def _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, block_nbytes):
