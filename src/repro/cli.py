@@ -347,10 +347,18 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _warn_dropped(n_dropped: int) -> None:
+    print(f"warning: ring buffer dropped {n_dropped} events — "
+          f"per-step aggregates above are skewed toward the end of the run "
+          f"(raise --capacity for an exact ledger)")
+
+
 def _cmd_trace(args) -> int:
     from repro.runtime.drivers import run_baseline
     from repro.experiments.report import format_trace_report
-    from repro.trace import Tracer, aggregate, read_jsonl, write_chrome_trace, write_jsonl
+    from repro.trace import (
+        Tracer, aggregate, read_jsonl, seq_drop_stats, write_chrome_trace, write_jsonl,
+    )
 
     if args.from_jsonl is not None:
         try:
@@ -360,6 +368,9 @@ def _cmd_trace(args) -> int:
             return 2
         summary = aggregate(events)
         print(format_trace_report(summary, title=f"trace {args.from_jsonl}"))
+        drops = seq_drop_stats(events)
+        if drops:
+            _warn_dropped(drops["n_dropped"])
         out = write_chrome_trace(events, args.out)
         print(f"chrome trace: {out} ({len(events)} events; open in chrome://tracing "
               f"or https://ui.perfetto.dev)")
@@ -388,9 +399,7 @@ def _cmd_trace(args) -> int:
           f"{drops['n_retained']} retained, {drops['n_dropped']} dropped "
           f"(capacity {drops['capacity']})")
     if tracer.n_dropped:
-        print(f"warning: ring buffer dropped {tracer.n_dropped} events — "
-              f"per-step aggregates above are skewed toward the end of the run "
-              f"(raise --capacity for an exact ledger)")
+        _warn_dropped(tracer.n_dropped)
     out = write_chrome_trace(events, args.out)
     print(f"chrome trace: {out} ({len(events)} events; open in chrome://tracing "
           f"or https://ui.perfetto.dev)")
@@ -468,10 +477,13 @@ def _cmd_analyze(args) -> int:
         title = args.title or "repro analyze — quick bench tier"
     elif str(source).endswith(".jsonl"):
         from repro.obs.attribution import attribute_run
-        from repro.trace import read_jsonl
+        from repro.trace import read_jsonl, seq_drop_stats
 
         try:
-            doc = attribute_run(read_jsonl(source)).as_dict(include_frames=True)
+            events = read_jsonl(source)
+            doc = attribute_run(events, drop_stats=seq_drop_stats(events)).as_dict(
+                include_frames=True
+            )
         except (ValueError, OverflowError, OSError) as exc:
             # unreadable, an unknown event kind, or a number past int64
             print(f"error: {exc}", file=sys.stderr)

@@ -69,9 +69,10 @@ class ARCPolicy(ReplacementPolicy):
     def on_hit_many(self, keys, step: int) -> None:
         # CASE I per key, without a policy call each: a T2 hit is a
         # move_to_end, which raises KeyError for an untracked key too.
+        # ``keys`` is a list (a planned frame's hit run) or an array.
         t1, t2 = self._t1, self._t2
         move = t2.move_to_end
-        for key in keys.tolist():
+        for key in keys if isinstance(keys, list) else keys.tolist():
             if key in t1:
                 del t1[key]
                 t2[key] = None

@@ -17,7 +17,7 @@ eviction order from dense per-key state (LRU, FIFO) set
 :meth:`victim_order` builds over a boolean evictability mask, and writes a
 planned frame through their array hooks.  Every other policy (ARC,
 Belady) only ranks: a frame's plan makes the per-key loop's calls —
-:meth:`on_hit_many` per run of hits, then :meth:`choose_victim`,
+:meth:`on_hit_many` per run of hits (a list), then :meth:`choose_victim`,
 :meth:`on_evict` and :meth:`on_insert` per admitted miss — with a
 predicate that reads the plan, and the cache writes the frame once.
 """
@@ -25,7 +25,7 @@ predicate that reads the plan, and the cache writes the frame once.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -86,9 +86,11 @@ class ReplacementPolicy(abc.ABC):
 
     # -- batch hooks (compatibility defaults loop over the scalar hooks) ------
 
-    def on_hit_many(self, keys: "np.ndarray", step: int) -> None:
-        """Batch form of :meth:`on_hit`; keys accessed in array order."""
-        for k in keys.tolist():
+    def on_hit_many(self, keys: Union[np.ndarray, List[int]], step: int) -> None:
+        """Batch form of :meth:`on_hit`; keys accessed in order.  A list
+        comes from a planned frame's run of hits, an array from
+        ``touch_many``."""
+        for k in keys if isinstance(keys, list) else keys.tolist():
             self.on_hit(k, step)
 
     def on_insert_many(self, keys: "np.ndarray", step: int) -> None:

@@ -652,7 +652,7 @@ class CacheLevel:
         """:meth:`access_many` for policies without a victim order (ARC,
         Belady): the per-key loop's policy calls, then one write.
 
-        In frame order: ``on_hit_many`` on each run of hits (when
+        In frame order: ``on_hit_many`` on each run of hits (a list, when
         ``touch``), and for each admitted miss a free slot — while the
         level has room and the tenant is under its quota — or else the
         victim ``choose_victim`` ranks first, then ``on_evict`` and
@@ -702,7 +702,7 @@ class CacheLevel:
             p = misses[i]
             i += 1
             if touch and pos < p:
-                policy.on_hit_many(keys[pos:p], step)
+                policy.on_hit_many(klist[pos:p], step)
                 if used is not None:
                     used.update(klist[pos:p])
             pos = p + 1
@@ -739,7 +739,7 @@ class CacheLevel:
                 break
         else:
             if touch and pos < m:
-                policy.on_hit_many(keys[pos:], step)
+                policy.on_hit_many(klist[pos:], step)
             pos = m
         return self._write_segment(
             keys, pos, hit, inserted, victims, evicted_at, where, bypassed, step, touch, tid,

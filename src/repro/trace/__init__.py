@@ -3,8 +3,9 @@
 A :class:`Tracer` rides along the whole read path — hierarchy fetches,
 cache evictions/bypasses, preload, prefetch, render — recording typed
 events into a bounded ring buffer of numpy columns.  Readers take a
-column view (:class:`TraceColumns`, ``Tracer.columns_since``) or a list
-of :class:`TraceEvent` rows (``Tracer.events``).  The shared
+column view (``Tracer.columns_since``) or a snapshot of the columns
+(``Tracer.events``); both are :class:`TraceColumns`, which reads as a
+sequence of :class:`TraceEvent` rows built only on demand.  The shared
 :data:`NULL_TRACER` keeps instrumented code allocation-free when tracing
 is off.  :func:`aggregate` folds an event stream into per-step timelines
 (demand vs prefetch bytes per level, eviction churn, fast-memory
@@ -23,6 +24,7 @@ from repro.trace.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.trace.aggregate import StepTimeline, TraceSummary, aggregate
 from repro.trace.export import (
     read_jsonl,
+    seq_drop_stats,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -42,6 +44,7 @@ __all__ = [
     "aggregate",
     "write_jsonl",
     "read_jsonl",
+    "seq_drop_stats",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

@@ -15,9 +15,17 @@ this equality exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.trace.events import MOVEMENT_KINDS, TraceEvent
+import numpy as np
+
+from repro.trace.events import (
+    EVENT_KINDS,
+    KIND_CODES,
+    MOVEMENT_KINDS,
+    TraceColumns,
+    TraceEvent,
+)
 
 __all__ = ["StepTimeline", "TraceSummary", "aggregate"]
 
@@ -128,12 +136,45 @@ class TraceSummary:
         return sum(s.fast_coverage for s in rows) / len(rows)
 
 
+#: Each kind's :class:`StepTimeline` fields: the one its ``count`` adds to,
+#: the one its ``nbytes`` adds to and the one its ``time_s`` adds to
+#: (``None``: the kind adds nothing there).
+_FIELDS: Dict[str, Tuple[Optional[str], Optional[str], Optional[str]]] = {
+    "hit": ("hits", "demand_bytes", "demand_time_s"),
+    "fetch": ("demand_fetches", "demand_bytes", "demand_time_s"),
+    "prefetch": ("prefetches", "prefetch_bytes", "prefetch_time_s"),
+    "evict": ("evictions", None, None),
+    "bypass": ("bypasses", None, None),
+    "preload": ("preloads", None, None),
+    "render": (None, None, "render_time_s"),
+    "fault": ("faults", None, "fault_time_s"),
+    "retry": ("retries", None, "fault_time_s"),
+    # Informational: the extra seconds are already inside the movement
+    # event's time, so only the count is aggregated.
+    "degraded": ("degraded", None, None),
+    # Peer network transfer: bytes/time go to the network ledger only —
+    # never to the demand/prefetch byte split, which must keep summing to
+    # the storage ``bytes_moved`` ledger.
+    "xfer": ("xfers", "peer_bytes", "peer_time_s"),
+    # Forensics marker: no bytes, no time — count only.
+    "re_miss": ("re_misses", None, None),
+}
+_NO_FIELDS = (None, None, None)
+_MOVEMENT_CODES = [KIND_CODES[kind] for kind in MOVEMENT_KINDS]
+
+
 def aggregate(events: Iterable[TraceEvent]) -> TraceSummary:
     """Fold an event stream into a :class:`TraceSummary`.
 
     Events with ``step == -1`` (preload before the replay) are gathered
-    into their own row, kept first so the timeline stays sorted.
+    into their own row, kept first so the timeline stays sorted.  A
+    :class:`~repro.trace.events.TraceColumns` (what a tracer's
+    ``events()`` returns) is folded column-wise without building a
+    ``TraceEvent``; any other iterable, such as :func:`read_jsonl`'s list,
+    event by event.  Both give the same summary, floats bit for bit.
     """
+    if isinstance(events, TraceColumns) and _sums_fit(events):
+        return _fold_columns(events)
     rows: Dict[int, StepTimeline] = {}
     level_bytes: Dict[str, Dict[str, int]] = {}
     n_events = 0
@@ -142,46 +183,13 @@ def aggregate(events: Iterable[TraceEvent]) -> TraceSummary:
         row = rows.get(e.step)
         if row is None:
             row = rows[e.step] = StepTimeline(step=e.step)
-        if e.kind == "hit":
-            row.hits += e.count
-            row.demand_bytes += e.nbytes
-            row.demand_time_s += e.time_s
-        elif e.kind == "fetch":
-            row.demand_fetches += e.count
-            row.demand_bytes += e.nbytes
-            row.demand_time_s += e.time_s
-        elif e.kind == "prefetch":
-            row.prefetches += e.count
-            row.prefetch_bytes += e.nbytes
-            row.prefetch_time_s += e.time_s
-        elif e.kind == "evict":
-            row.evictions += e.count
-        elif e.kind == "bypass":
-            row.bypasses += e.count
-        elif e.kind == "preload":
-            row.preloads += e.count
-        elif e.kind == "render":
-            row.render_time_s += e.time_s
-        elif e.kind == "fault":
-            row.faults += e.count
-            row.fault_time_s += e.time_s
-        elif e.kind == "retry":
-            row.retries += e.count
-            row.fault_time_s += e.time_s
-        elif e.kind == "degraded":
-            # Informational: the extra seconds are already inside the
-            # movement event's time, so only the count is aggregated.
-            row.degraded += e.count
-        elif e.kind == "xfer":
-            # Peer network transfer: bytes/time go to the network ledger
-            # only — never to the demand/prefetch byte split, which must
-            # keep summing to the storage ``bytes_moved`` ledger.
-            row.xfers += e.count
-            row.peer_bytes += e.nbytes
-            row.peer_time_s += e.time_s
-        elif e.kind == "re_miss":
-            # Forensics marker: no bytes, no time — count only.
-            row.re_misses += e.count
+        count, nbytes, time_s = _FIELDS.get(e.kind, _NO_FIELDS)
+        if count:
+            setattr(row, count, getattr(row, count) + e.count)
+        if nbytes:
+            setattr(row, nbytes, getattr(row, nbytes) + e.nbytes)
+        if time_s:
+            setattr(row, time_s, getattr(row, time_s) + e.time_s)
         if e.kind in MOVEMENT_KINDS and e.level:
             split = level_bytes.setdefault(e.level, {"demand": 0, "prefetch": 0})
             split["prefetch" if e.kind == "prefetch" else "demand"] += e.nbytes
@@ -190,3 +198,57 @@ def aggregate(events: Iterable[TraceEvent]) -> TraceSummary:
         level_bytes=level_bytes,
         n_events=n_events,
     )
+
+
+def _sums_fit(cols: TraceColumns) -> bool:
+    """Whether no ``count`` or ``nbytes`` sum can leave int64 (the event
+    loop's Python ints cannot overflow)."""
+    n = len(cols)
+    return not n or all(
+        n * max(-int(c.min()), int(c.max())) < 2**63 for c in (cols.count, cols.nbytes)
+    )
+
+
+def _fold_columns(cols: TraceColumns) -> TraceSummary:
+    """:func:`aggregate` over columns: per-step integer sums with
+    ``np.add.at``, and per-step float sums with ``np.bincount``, which adds
+    its weights in input order — the event loop's order."""
+    steps, row = np.unique(cols.step, return_inverse=True)
+    n_kinds = len(EVENT_KINDS)
+    cell = row * n_kinds + cols.kind
+    counts = np.zeros(len(steps) * n_kinds, np.int64)
+    np.add.at(counts, cell, cols.count)
+    nbytes = np.zeros_like(counts)
+    np.add.at(nbytes, cell, cols.nbytes)
+    counts, nbytes = counts.reshape(-1, n_kinds), nbytes.reshape(-1, n_kinds)
+    fields: Dict[str, np.ndarray] = {}
+    timed: Dict[str, List[int]] = {}
+    for kind, (count, nbyte, time_s) in _FIELDS.items():
+        code = KIND_CODES[kind]
+        if count:
+            fields[count] = fields.get(count, 0) + counts[:, code]
+        if nbyte:
+            fields[nbyte] = fields.get(nbyte, 0) + nbytes[:, code]
+        if time_s:
+            timed.setdefault(time_s, []).append(code)
+    for name, codes in timed.items():
+        mask = np.isin(cols.kind, codes)
+        sums = np.bincount(row[mask], cols.time_s[mask], minlength=len(steps))
+        fields[name] = sums.astype(np.float64, copy=False)  # no rows: bincount gives ints
+    names = list(fields)
+    timelines = [
+        StepTimeline(step, **dict(zip(names, values)))
+        for step, *values in zip(steps.tolist(), *(fields[k].tolist() for k in names))
+    ]
+    # Movement bytes per named level, levels in first-appearance order.
+    named = np.array([bool(name) for name in cols.levels], dtype=bool)
+    moved = np.isin(cols.kind, _MOVEMENT_CODES) & named[cols.level]
+    level = cols.level[moved].astype(np.int64)
+    split = np.zeros(2 * len(cols.levels), np.int64)
+    np.add.at(split, 2 * level + (cols.kind[moved] == KIND_CODES["prefetch"]), cols.nbytes[moved])
+    codes, first = np.unique(level, return_index=True)
+    level_bytes = {
+        cols.levels[code]: {"demand": int(split[2 * code]), "prefetch": int(split[2 * code + 1])}
+        for code in codes[np.argsort(first)].tolist()
+    }
+    return TraceSummary(steps=timelines, level_bytes=level_bytes, n_events=len(cols))

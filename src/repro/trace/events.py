@@ -44,14 +44,17 @@ those three kinds reproduces the hierarchy's ``bytes_moved`` ledger
 exactly (a property the test suite pins).
 
 :class:`TraceColumns` is the same rows as numpy columns — the form the
-tracer's ring keeps and the per-frame readers fold — and converts to and
-from a :class:`TraceEvent` list.
+tracer's ring keeps, the one its readers hand out and the one the
+per-frame readers fold.  It reads as a sequence of :class:`TraceEvent`
+rows, built only when a caller indexes or iterates it, and converts to
+and from a :class:`TraceEvent` list.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import partial
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -96,8 +99,8 @@ class TraceEvent(NamedTuple):
     """One observable action on the simulated I/O path.
 
     An immutable named tuple: the tracer's ring keeps its fields in
-    columns (:class:`TraceColumns`) and builds a ``TraceEvent`` only when
-    a reader asks for a list (``events()``/``events_since()``).
+    columns (:class:`TraceColumns`), and a ``TraceEvent`` is built only
+    when a reader indexes or iterates those columns.
 
     Parameters
     ----------
@@ -228,6 +231,13 @@ class TraceColumns:
     intern tables.  A tracer's tables only ever grow, so a code keeps its
     meaning after the slice was taken.  Slices of the ring may be views:
     :meth:`copy` before the ring moves on.
+
+    It also reads as a read-only sequence of :class:`TraceEvent` rows:
+    ``len``, an int index (a ``TraceEvent``), a slice (a ``TraceColumns``
+    of views), iteration (``TraceEvent`` rows built :data:`_CHUNK` at a
+    time) and ``==`` against a list, a tuple or another ``TraceColumns``
+    (row for row, as the rows' list would compare).  No row object exists
+    until a caller asks for one.
     """
 
     __slots__ = ("seq",) + tuple(name for name, _ in COLUMN_DTYPES) + (
@@ -296,8 +306,28 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.seq)
 
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        n = len(self)
+        i = operator.index(index)
+        if not -n <= i < n:
+            raise IndexError(f"event index {index} out of range for {n} events")
+        i %= n
+        return self._events(slice(i, i + 1))[0]
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for lo in range(0, len(self), _CHUNK):
+            yield from self._events(slice(lo, lo + _CHUNK))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TraceColumns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
     def take(self, index) -> "TraceColumns":
-        """The rows at ``index`` (a boolean mask or positions), as copies."""
+        """The rows at ``index``: copies for a boolean mask or positions,
+        views for a slice."""
         return TraceColumns(
             self.seq[index], [c[index] for c in self.columns],
             self.levels, self.spans, self.origins,
@@ -310,25 +340,25 @@ class TraceColumns:
         )
 
     def events(self) -> List[TraceEvent]:
-        """The rows as :class:`TraceEvent`s, with plain Python field values."""
-        kinds, levels, spans, origins = EVENT_KINDS, self.levels, self.spans, self.origins
-        out: List[TraceEvent] = []
-        for lo in range(0, len(self), _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            out += map(_new_event, zip(
-                self.seq[part].tolist(),
-                map(kinds.__getitem__, self.kind[part].tolist()),
-                _shared(self.step[part]),
-                map(levels.__getitem__, self.level[part].tolist()),
-                _shared(self.key[part]),
-                _shared(self.nbytes[part]),
-                _shared(self.time_s[part]),
-                map(spans.__getitem__, self.span[part].tolist()),
-                self.count[part].tolist(),
-                self.age_steps[part].tolist(),
-                map(origins.__getitem__, self.origin[part].tolist()),
-            ))
-        return out
+        """The rows as a list of :class:`TraceEvent`s."""
+        return list(self)
+
+    def _events(self, part: slice) -> List[TraceEvent]:
+        """The rows in ``part`` as :class:`TraceEvent`s, with plain Python
+        field values."""
+        return list(map(_new_event, zip(
+            self.seq[part].tolist(),
+            map(EVENT_KINDS.__getitem__, self.kind[part].tolist()),
+            _shared(self.step[part]),
+            map(self.levels.__getitem__, self.level[part].tolist()),
+            _shared(self.key[part]),
+            _shared(self.nbytes[part]),
+            _shared(self.time_s[part]),
+            map(self.spans.__getitem__, self.span[part].tolist()),
+            self.count[part].tolist(),
+            self.age_steps[part].tolist(),
+            map(self.origins.__getitem__, self.origin[part].tolist()),
+        )))
 
     @classmethod
     def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.trace.events import TraceEvent
 
-__all__ = ["write_jsonl", "read_jsonl", "to_chrome_trace", "write_chrome_trace"]
+__all__ = [
+    "write_jsonl", "read_jsonl", "seq_drop_stats", "to_chrome_trace", "write_chrome_trace",
+]
 
 PathLike = Union[str, Path]
 
@@ -63,6 +65,22 @@ def read_jsonl(path: PathLike) -> List[TraceEvent]:
     if not out:
         raise ValueError(f"{path}: empty trace file (no events)")
     return out
+
+
+def seq_drop_stats(events: Sequence[TraceEvent]) -> Optional[Dict[str, int]]:
+    """The drop counts a trace's ``seq`` numbers imply, or ``None`` when
+    none is missing.
+
+    A tracer numbers every event it records, so a file of its retained
+    events holds ``n_recorded = last seq + 1`` events less those the ring
+    overwrote: ``n_dropped`` is that number less the rows.  A complete
+    trace (first ``seq`` 0, contiguous) drops nothing.
+    """
+    n_recorded = max(e.seq for e in events) + 1 if events else 0
+    n_dropped = n_recorded - len(events)
+    if n_dropped <= 0:
+        return None
+    return {"n_recorded": n_recorded, "n_retained": len(events), "n_dropped": n_dropped}
 
 
 # -- Chrome trace -------------------------------------------------------------

@@ -17,8 +17,10 @@ Two implementations share one duck-typed interface:
 
 Readers take :meth:`Tracer.columns_since` (a column view; it may share
 the ring's memory, so copy it before the ring moves on) or, outside any
-frame, :meth:`Tracer.events` / :meth:`Tracer.events_since`, which build
-:class:`~repro.trace.events.TraceEvent` lists.
+frame, :meth:`Tracer.events` / :meth:`Tracer.events_since`: a snapshot
+copy of the same columns that reads as a sequence of
+:class:`~repro.trace.events.TraceEvent` rows and builds each row only
+when a caller indexes or iterates it.
 
 Instrumented components accept a tracer and default to the shared
 :data:`NULL_TRACER`, so tracing is strictly opt-in.
@@ -36,7 +38,6 @@ from repro.trace.events import (
     KIND_CODES,
     InternTable,
     TraceColumns,
-    TraceEvent,
 )
 
 __all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
@@ -216,29 +217,37 @@ class Tracer:
         ``seq`` that were already overwritten are simply absent; compare
         ``n_dropped`` across the window to detect that.
         """
+        return self._since(seq, copy=False)
+
+    def events(self) -> TraceColumns:
+        """Retained events, oldest first (drops are at the front), as
+        :meth:`events_since` ``(0)``."""
+        return self._since(0, copy=True)
+
+    def events_since(self, seq: int) -> TraceColumns:
+        """:meth:`columns_since`'s rows as a snapshot that owns its columns:
+        later records leave it unchanged.  It reads as a sequence of
+        :class:`~repro.trace.events.TraceEvent` rows, built only when a
+        caller indexes or iterates it."""
+        return self._since(seq, copy=True)
+
+    def _since(self, seq: int, copy: bool) -> TraceColumns:
         tables = (self._levels.names, self._spans.names, self._origins.names)
         if seq >= self._total:
             return TraceColumns(np.empty(0, np.int64),
-                                [col[:0] for col in self._cols], *tables)
+                                [np.empty(0, dtype) for _, dtype in COLUMN_DTYPES], *tables)
         oldest = self._total - self._size
         start = max(int(seq), oldest)
         count = self._size - (start - oldest)
         phys = (self._next + start - oldest) % self.capacity
         if phys + count <= self.capacity:
             columns = [col[phys : phys + count] for col in self._cols]
-        else:
+            if copy:
+                columns = [col.copy() for col in columns]
+        else:  # wrapped: concatenating copies
             wrap = phys + count - self.capacity
             columns = [np.concatenate((col[phys:], col[:wrap])) for col in self._cols]
         return TraceColumns(np.arange(start, start + count, dtype=np.int64), columns, *tables)
-
-    def events(self) -> List[TraceEvent]:
-        """Retained events, oldest first (drops are at the front)."""
-        return self.columns_since(0).events()
-
-    def events_since(self, seq: int) -> List[TraceEvent]:
-        """Retained events with ``event.seq >= seq``, oldest first, as
-        :meth:`columns_since`'s rows."""
-        return self.columns_since(seq).events()
 
     def __len__(self) -> int:
         return self._size
@@ -316,11 +325,11 @@ class NullTracer:
     def columns_since(self, seq: int) -> TraceColumns:
         return TraceColumns.empty()
 
-    def events(self) -> List[TraceEvent]:
-        return []
+    def events(self) -> TraceColumns:
+        return TraceColumns.empty()
 
-    def events_since(self, seq: int) -> List[TraceEvent]:
-        return []
+    def events_since(self, seq: int) -> TraceColumns:
+        return TraceColumns.empty()
 
     def __len__(self) -> int:
         return 0

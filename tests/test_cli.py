@@ -591,6 +591,32 @@ class TestAnalyze:
 
 
 class TestTraceFromJsonl:
+    def test_overwritten_events_read_incomplete(self, tmp_path, capsys):
+        """A JSONL trace of a wrapped ring reports its drops: ``analyze``
+        reads it incomplete and ``trace --from-jsonl`` warns as the live
+        run does; a complete trace reads as before."""
+        jsonl = tmp_path / "t.jsonl"
+        argv = ["trace", "--dataset", "3d_ball", "--blocks", "64", "--scale", "0.04",
+                "--steps", "6", "--policy", "lru", "--out", str(tmp_path / "t.json"),
+                "--jsonl", str(jsonl)]
+        assert main(argv + ["--capacity", "10"]) == 0
+        live = capsys.readouterr().out
+        warning = next(line for line in live.splitlines() if line.startswith("warning:"))
+        assert main(["analyze", str(jsonl), "--out", str(tmp_path / "t.html")]) == 0
+        assert "run: reconciled=None exact=True incomplete=True" in capsys.readouterr().out
+        assert main(["trace", "--from-jsonl", str(jsonl),
+                     "--out", str(tmp_path / "t2.json")]) == 0
+        assert warning in capsys.readouterr().out.splitlines()
+
+        assert main(argv) == 0
+        assert "warning:" not in capsys.readouterr().out
+        assert main(["analyze", str(jsonl), "--out", str(tmp_path / "t.html")]) == 0
+        assert "incomplete=False" in capsys.readouterr().out
+        assert main(["trace", "--from-jsonl", str(jsonl),
+                     "--out", str(tmp_path / "t2.json")]) == 0
+        assert "warning:" not in capsys.readouterr().out
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
+
     def test_reports_from_existing_jsonl(self, tmp_path, capsys):
         from repro.trace import TraceEvent, write_jsonl
 

@@ -1,12 +1,19 @@
 """Tests for per-step timeline aggregation."""
 
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.camera.path import random_path
 from repro.cluster import cluster_fault_plan, make_sharded_hierarchy
 from repro.core.pipeline import PipelineContext
 from repro.experiments.report import format_trace_report
 from repro.faults import FaultInjector
 from repro.runtime import run_baseline
-from repro.trace import Tracer, aggregate
+from repro.trace import EVENT_KINDS, TraceColumns, TraceEvent, Tracer, aggregate
+import repro.trace.events as trace_events
 from repro.volume.blocks import BlockGrid
 
 
@@ -87,3 +94,108 @@ class TestAggregate:
         text = format_trace_report(aggregate(_trace()))
         assert "preload" in text  # the preload row label
         assert "network:" not in text and "faults:" not in text
+
+
+# -- the column fold against the event loop -----------------------------------
+
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(EVENT_KINDS),
+        st.integers(-1, 3),  # step
+        st.sampled_from(["", "dram", "ssd", "hdd", "n0-n1"]),  # level
+        st.integers(-1, 2**20),  # key
+        st.integers(-(2**40), 2**40),  # nbytes
+        st.one_of(  # time_s: sums whose rounding depends on the order
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+            st.sampled_from([0.0, -0.0, 5e-324, 1e-6, 0.1, 0.2, 0.3, 1.0, 1e16]),
+        ),
+        st.sampled_from(["", "replay", "replay/fetch"]),  # span
+        st.integers(1, 5),  # count
+    ),
+    max_size=120,
+)
+
+
+def _fields(summary):
+    """Every value of a summary, each with its type and its repr (so a
+    float must match bit for bit, sign of zero included)."""
+    steps = [
+        [(f.name, type(v), repr(v)) for f in dataclasses.fields(row)
+         for v in [getattr(row, f.name)]]
+        for row in summary.steps
+    ]
+    return steps, list(summary.level_bytes.items()), summary.n_events
+
+
+def _fold_both_ways(rows, capacity):
+    """Record ``rows`` into a ring of ``capacity`` (so a wrap leaves the
+    oldest rows out), then fold its columns and their event list."""
+    tracer = Tracer(capacity)
+    for kind, step, level, key, nbytes, time_s, span, count in rows:
+        tracer.current_span = span
+        tracer.record(kind, step, level, key, nbytes, time_s, count)
+    cols = tracer.events()
+    events = cols.events()
+    assert _fields(aggregate(cols)) == _fields(aggregate(events))
+    assert _fields(aggregate(TraceColumns.from_events(events))) == _fields(aggregate(events))
+
+
+@given(_rows, st.integers(1, 150))
+@settings(max_examples=200, deadline=None)
+def test_column_fold_matches_the_event_loop(rows, capacity):
+    _fold_both_ways(rows, capacity)
+
+
+@pytest.mark.slow
+@given(_rows, st.integers(1, 150))
+@settings(max_examples=1500, deadline=None)
+def test_column_fold_matches_the_event_loop_wide(rows, capacity):
+    _fold_both_ways(rows, capacity)
+
+
+def test_column_fold_covers_every_kind():
+    """One row of every kind at two steps and the preload step."""
+    rows = [(kind, step, level, 7, 64 * (i + 1), 0.1 * (i + 1), "", 1 + i % 3)
+            for step in (-1, 0, 3)
+            for i, (kind, level) in enumerate(zip(EVENT_KINDS, ["", "dram", "ssd"] * 4))]
+    _fold_both_ways(rows, len(rows))
+
+
+def test_float_sums_keep_the_event_order():
+    """Per-step times are added in event order (0.1 + 0.2 + 0.3 is not
+    0.3 + 0.2 + 0.1), over runs long enough for pairwise summation."""
+    times = [0.1, 0.2, 0.3, 1e16, 1.0, 1e-6, 3.3, -1e16, 0.7]
+    rows = [(("fetch", "hit", "retry", "fault", "render")[i % 5], i % 2, "dram", i, 8,
+             times[i % len(times)] * (1 + i / 7), "", 1) for i in range(400)]
+    _fold_both_ways(rows, len(rows))
+    t = Tracer()
+    t.record_many(["fetch"] * 3, 0, ["dram"] * 3, [1, 2, 3], [8] * 3, [0.1, 0.2, 0.3])
+    assert aggregate(t.events()).steps[0].demand_time_s == (0.1 + 0.2) + 0.3 != 0.6
+
+
+def test_column_fold_builds_no_trace_event(monkeypatch):
+    def refuse(row):
+        raise AssertionError("a TraceEvent was built")
+
+    monkeypatch.setattr(trace_events, "_new_event", refuse)
+    summary = aggregate(_trace())
+    assert summary.n_events == 8 and summary.total_bytes == 4000
+
+
+def test_sums_past_int64_fold_as_python_ints():
+    """The event loop's sums are Python ints; columns whose sums could
+    leave int64 take the loop instead of wrapping."""
+    t = Tracer()
+    t.record("fetch", step=0, level="hdd", key=1, nbytes=2**62)
+    t.record("fetch", step=0, level="hdd", key=2, nbytes=2**62)
+    s = aggregate(t.events())
+    assert s.steps[0].demand_bytes == 2**63
+    assert s.level_bytes == {"hdd": {"demand": 2**63, "prefetch": 0}}
+
+
+def test_event_lists_with_unknown_kinds_still_fold():
+    """A list (a JSONL file's) folds event by event: a kind the columns
+    cannot hold still opens its step's row and counts as an event."""
+    s = aggregate([TraceEvent(0, "frobnicate", 4, "dram", 1, 8, 0.5)])
+    assert [row.step for row in s.steps] == [4] and s.n_events == 1
+    assert s.total_bytes == 0 and s.level_bytes == {}

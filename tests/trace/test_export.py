@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from repro.trace import TraceEvent, Tracer, read_jsonl, to_chrome_trace, write_chrome_trace, write_jsonl
+from repro.trace import (
+    TraceEvent,
+    Tracer,
+    read_jsonl,
+    seq_drop_stats,
+    to_chrome_trace,
+    write_chrome_trace,
+    write_jsonl,
+)
 
 
 def _sample_events():
@@ -41,6 +49,20 @@ class TestJsonl:
         path = write_jsonl(events, tmp_path / "t.jsonl")
         path.write_text(path.read_text() + "\n\n")
         assert read_jsonl(path) == events
+
+    def test_drops_follow_from_seq(self, tmp_path):
+        complete = read_jsonl(write_jsonl(_sample_events(), tmp_path / "t.jsonl"))
+        assert seq_drop_stats(complete) is None
+        t = Tracer(capacity=3)
+        for k in range(8):
+            t.record("hit", step=k, level="dram", key=k, nbytes=8)
+        wrapped = read_jsonl(write_jsonl(t.events(), tmp_path / "w.jsonl"))
+        assert [e.seq for e in wrapped] == [5, 6, 7]
+        assert seq_drop_stats(wrapped) == {"n_recorded": 8, "n_retained": 3, "n_dropped": 5}
+        assert seq_drop_stats(complete[:2] + complete[3:]) == {
+            "n_recorded": 7, "n_retained": 6, "n_dropped": 1,
+        }
+        assert seq_drop_stats([]) is None
 
     def test_event_dict_round_trip(self):
         e = TraceEvent(0, "fetch", 1, "hdd", 2, 1024, 0.5)

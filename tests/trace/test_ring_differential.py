@@ -146,3 +146,34 @@ def test_no_object_per_event_lives_in_the_ring():
         t.record("evict", 2, "dram", k)
     gc.collect()
     assert len(gc.get_objects()) - before < 50
+
+
+def test_events_are_a_snapshot_without_an_object_per_event(monkeypatch):
+    """``events()`` on 100k rows adds no collector-tracked object per row,
+    builds no ``TraceEvent`` for ``aggregate``, and keeps its rows after
+    the ring wraps past them."""
+    import gc
+
+    import repro.trace.events as trace_events
+    from repro.trace import aggregate
+
+    n = 100_000
+    t = Tracer(capacity=n)
+    _hits(t, n - 1)
+    t.record("render", 1, time_s=0.5)
+    gc.collect()
+    before = len(gc.get_objects())
+    snapshot = t.events()
+    gc.collect()
+    assert len(gc.get_objects()) - before < 50
+    real = trace_events._new_event
+    monkeypatch.setattr(trace_events, "_new_event", None)  # any row built fails
+    summary = aggregate(snapshot)
+    assert summary.n_events == n and summary.total_bytes == 8 * (n - 1)
+    monkeypatch.setattr(trace_events, "_new_event", real)
+    rows = snapshot.events()
+    t.record_many(["fetch"] * (n + 7), 2, ["hdd"] * (n + 7), list(range(n + 7)),
+                  [64] * (n + 7), [0.25] * (n + 7))
+    assert t.n_dropped == n + 7  # every snapshotted row is overwritten
+    assert snapshot == rows and len(snapshot) == n
+    assert t.events_since(0)[0].kind == "fetch"

@@ -1,8 +1,13 @@
 """Tests for the ring-buffer tracer and its no-op twin."""
 
+from operator import getitem
+
+import numpy as np
 import pytest
 
-from repro.trace import NULL_TRACER, EVENT_KINDS, NullTracer, Tracer
+from repro.trace import NULL_TRACER, EVENT_KINDS, NullTracer, TraceColumns, TraceEvent, Tracer
+import repro.trace.events as trace_events
+from repro.trace.events import _CHUNK
 
 
 class TestRecording:
@@ -164,3 +169,83 @@ class TestRecordMany:
         n.record_many(["hit"], 0, ["dram"], [1], [8], [0.1])
         assert n.events() == [] and n.n_recorded == 0
         NULL_TRACER.record_many(["frobnicate"], 0, [""], [0], [0], [0.0])
+
+
+def _varied(n: int, capacity: int = 1 << 20) -> TraceColumns:
+    """``tracer.events()`` of ``n`` rows that differ in every field."""
+    t = Tracer(capacity)
+    t.level_code("ssd")  # a table code no row uses
+    for i in range(n):
+        t.current_span = ("", "replay", "replay/fetch")[i % 3]
+        t.record(EVENT_KINDS[i % len(EVENT_KINDS)], i % 7 - 1, ("", "dram", "hdd")[i % 3],
+                 i, 8 * i, 0.25 * i, 1 + i % 2, i % 5 - 1, ("", "lru:a")[i % 2])
+    return t.events()
+
+
+class TestEventSequence:
+    """``events()`` reads as the ``TraceEvent`` list ``TraceColumns.events``
+    builds."""
+
+    def test_len_and_int_indexing(self):
+        cols = _varied(23)
+        rows = cols.events()
+        assert len(cols) == len(rows) == 23
+        for i in (0, 1, 11, 22, -1, -5, -23, np.int64(3)):
+            assert cols[i] == rows[i]
+            assert type(cols[i]) is TraceEvent
+        for i in (23, 24, -24, 10**9):
+            pytest.raises(IndexError, getitem, cols, i)
+        pytest.raises(TypeError, getitem, cols, 1.5)
+        pytest.raises(IndexError, getitem, TraceColumns.empty(), 0)
+
+    @pytest.mark.parametrize("part", [
+        slice(None), slice(3, 9), slice(-4, None), slice(None, -20), slice(None, None, -1),
+        slice(1, 20, 3), slice(9, 3), slice(30, 40),
+    ])
+    def test_slices_are_columns_of_the_same_rows(self, part):
+        cols = _varied(23)
+        got = cols[part]
+        assert isinstance(got, TraceColumns)
+        assert got.events() == cols.events()[part]
+
+    def test_iteration_across_a_chunk_boundary(self, monkeypatch):
+        n = _CHUNK + 5
+        t = Tracer(n)
+        t.current_span = "replay"
+        t.record_many(["hit", "fetch"] * (n // 2) + ["evict"], 3, ["dram", "hdd"] * (n // 2)
+                      + [""], list(range(n)), [8] * n, [0.5] * n)
+        cols = t.events()
+        built = []
+        real = trace_events._new_event
+        monkeypatch.setattr(trace_events, "_new_event", lambda row: built.append(1) or real(row))
+        it = iter(cols)
+        first = next(it)
+        assert first == TraceEvent(0, "hit", 3, "dram", 0, 8, 0.5, "replay")
+        assert len(built) == _CHUNK  # one chunk, not the whole sequence
+        rows = [first, *it]
+        assert len(built) == n
+        assert rows == cols.events() and len(rows) == n
+        assert [e.seq for e in rows] == list(range(n))
+        assert rows[_CHUNK - 1 : _CHUNK + 1] == [
+            TraceEvent(_CHUNK - 1, "fetch", 3, "hdd", _CHUNK - 1, 8, 0.5, "replay"),
+            TraceEvent(_CHUNK, "hit", 3, "dram", _CHUNK, 8, 0.5, "replay"),
+        ]
+        assert rows[-1] == TraceEvent(n - 1, "evict", 3, "", n - 1, 8, 0.5, "replay")
+
+    def test_equality_both_ways(self):
+        cols = _varied(23)
+        rows = cols.events()
+        other = TraceColumns.from_events(rows)  # its own intern tables
+        assert other.levels != cols.levels
+        assert cols == rows and rows == cols
+        assert cols == tuple(rows) and tuple(rows) == cols
+        assert cols == other and other == cols
+        assert cols == cols.copy()
+        changed = list(rows)
+        changed[7] = changed[7]._replace(nbytes=changed[7].nbytes + 1)
+        assert cols != changed and changed != cols
+        assert cols != TraceColumns.from_events(changed)
+        assert cols != rows[:-1] and rows[:-1] != cols
+        assert cols != cols[:-1] and cols[1:] != cols
+        assert TraceColumns.empty() == [] and [] == TraceColumns.empty()
+        assert cols != 23 and cols != "events"
