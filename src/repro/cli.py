@@ -485,7 +485,7 @@ def _cmd_analyze(args) -> int:
                 include_frames=True
             )
         except (ValueError, OverflowError, OSError) as exc:
-            # unreadable, an unknown event kind, or a number past int64
+            # unreadable or unfoldable (read_jsonl), or an infinite time
             print(f"error: {exc}", file=sys.stderr)
             return 2
         title = args.title or f"repro analyze — trace {source}"

@@ -61,10 +61,6 @@ Orphan groups (dropped blocks) are assigned a channel by the profiler
 span stamped on their events (``"prefetch"`` substring checked before
 ``"fetch"`` — the former contains the latter), falling back to the
 previous group's channel; a fallback marks the frame ``exact=False``.
-A ``count > 1`` event also clears ``exact``: the simulator records one
-event per block, so such an event comes only from a trace file written
-with an older version's per-step roll-up, from which the per-block fold
-cannot be replayed.
 """
 
 from __future__ import annotations
@@ -493,7 +489,6 @@ def _fold_frames(cols: TraceColumns, frame: np.ndarray, n_frames: int):
     exact = np.ones(n_frames, dtype=bool)
     exact[g_frame[listed[unhinted]]] = False
     charged = np.flatnonzero(group_of >= 0)
-    exact[frame[charged[cols.count[charged] != 1]]] = False
 
     # Fold order: segment (frame, channel), then listing, then emission.
     g_seg = 2 * g_frame + g_channel
@@ -514,16 +509,13 @@ def _fold_frames(cols: TraceColumns, frame: np.ndarray, n_frames: int):
 
     render = np.flatnonzero(kind == _RENDER)
     degraded = np.flatnonzero(kind == _DEGRADED)
-    re_miss = np.flatnonzero(kind == _RE_MISS)
-    n_re_miss = np.zeros(n_frames, dtype=np.int64)
-    np.add.at(n_re_miss, frame[re_miss], cols.count[re_miss])
-    n_degraded = np.zeros(n_frames, dtype=np.int64)
-    np.add.at(n_degraded, frame[degraded], cols.count[degraded])
     return (
         totals[0::2], totals[1::2],
         _per_frame_folds(time_s[render], frame[render], n_frames),
         _per_frame_folds(time_s[degraded], frame[degraded], n_frames),
-        n_re_miss, n_degraded, exact, shares, _component_names(cols.levels),
+        np.bincount(frame[kind == _RE_MISS], minlength=n_frames),
+        np.bincount(frame[degraded], minlength=n_frames),
+        exact, shares, _component_names(cols.levels),
     )
 
 
@@ -559,10 +551,6 @@ def frame_row(tracer, seq: int, frame) -> Tuple[tuple, bool]:
     cols = cols.copy() if at_step.all() else cols.take(at_step)
     ledger = (frame.io_time_s, frame.lookup_time_s, frame.prefetch_time_s, frame.render_time_s)
     return (frame.step, cols, ledger), tracer.n_dropped > seq
-
-
-def _as_columns(events) -> TraceColumns:
-    return events if isinstance(events, TraceColumns) else TraceColumns.from_events(events)
 
 
 def _report(
@@ -670,7 +658,7 @@ def attribute_frames(
     steps, parts, ledgers = [], [], []
     for step, events, ledger in rows:
         steps.append(step)
-        parts.append(_as_columns(events))
+        parts.append(TraceColumns.from_events(events))
         ledgers.append(ledger)
     frame = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     return _report(steps, TraceColumns.concat(parts), frame, ledgers, drop_stats, incomplete)
@@ -693,7 +681,7 @@ def attribute_run(
     stream has no per-frame window to check, so any drop in
     ``drop_stats`` marks the report ``incomplete``.
     """
-    cols = _as_columns(events)
+    cols = TraceColumns.from_events(events)
     ledgers: Dict[int, Tuple[float, float, float, float]] = {}
     if steps is not None:
         for row in steps:

@@ -9,7 +9,7 @@ in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/interactive.py``,
   (dataset/workload/policy/faults/shards), round-
   trippable through ``to_dict``/``from_dict`` and buildable from the CLI;
 - :class:`RunContext` — the cross-cutting services (tracer, metrics
-  registry, profiler, fault injector, sim clock, rng) that previously
+  registry, profiler, fault injector, rng) that previously
   travelled as repeated keyword arguments;
 - :class:`SimulationEngine` + :mod:`~repro.runtime.stages` — the step loop
   (demand fetch → render → overlap prefetch → budget enforcement →

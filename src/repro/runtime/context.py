@@ -9,8 +9,6 @@ injector and ad-hoc seeds) through its own copy of the loop.
 - ``registry`` — the metrics registry (:class:`repro.obs.MetricsRegistry`);
 - ``profiler`` — the wall/sim phase profiler (:class:`repro.obs.PhaseProfiler`);
 - ``fault_injector`` — seeded storage-fault injector, or ``None``;
-- ``clock`` — a :class:`~repro.utils.timers.SimClock` custom stages may
-  charge simulated time against;
 - ``rng`` — a deterministic :class:`numpy.random.Generator` for stages
   that need randomness.
 
@@ -23,12 +21,11 @@ live (never ``None`` except ``fault_injector``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.obs.profiler import resolve_profiler
 from repro.utils.rng import SeedLike, resolve_rng
-from repro.utils.timers import SimClock
 
 __all__ = ["RunContext"]
 
@@ -41,7 +38,6 @@ class RunContext:
     registry: Any = None
     profiler: Any = None
     fault_injector: Any = None
-    clock: SimClock = field(default_factory=SimClock)
     rng: Any = None
     seed: SeedLike = 0
     session_id: Optional[str] = None
@@ -110,10 +106,10 @@ class RunContext:
         service is replaced by a fresh instance of the same shape (a new
         ``Tracer`` of the parent's capacity, a new ``MetricsRegistry``, a
         new ``PhaseProfiler``, a new ``FaultInjector`` over the same seeded
-        plan, a zeroed ``SimClock``), null services pass through shared,
-        and the child ``rng`` is derived deterministically from the parent
-        seed and a per-parent fork counter — so fork #k of a given parent
-        is reproducible without matching the parent's stream.
+        plan), null services pass through shared, and the child ``rng`` is
+        derived deterministically from the parent seed and a per-parent
+        fork counter — so fork #k of a given parent is reproducible without
+        matching the parent's stream.
         """
         import numpy as np
 
@@ -150,7 +146,6 @@ class RunContext:
             registry=registry,
             profiler=profiler,
             fault_injector=injector,
-            clock=SimClock(),
             rng=rng,
             seed=self.seed,
             session_id=session_id,

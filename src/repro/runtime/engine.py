@@ -78,7 +78,7 @@ class SimulationEngine:
     collector:
         The bookkeeping stage producing the final result object.
     ctx:
-        Cross-cutting services (tracer/metrics/profiler/faults/clock/rng);
+        Cross-cutting services (tracer/metrics/profiler/faults/rng);
         ``None`` builds a default (null services, adopt the hierarchy's).
     tenant:
         Tenant label stamped on every fetch the stages issue (quota

@@ -7,10 +7,12 @@ column view (``Tracer.columns_since``) or a snapshot of the columns
 (``Tracer.events``); both are :class:`TraceColumns`, which reads as a
 sequence of :class:`TraceEvent` rows built only on demand.  The shared
 :data:`NULL_TRACER` keeps instrumented code allocation-free when tracing
-is off.  :func:`aggregate` folds an event stream into per-step timelines
-(demand vs prefetch bytes per level, eviction churn, fast-memory
-coverage); :mod:`repro.trace.export` serialises events as JSON-lines or
-Chrome-trace JSON for ``chrome://tracing`` / Perfetto.
+is off.  :func:`aggregate` folds a trace's columns into per-step
+timelines (demand vs prefetch bytes per level, eviction churn,
+fast-memory coverage); :mod:`repro.trace.export` streams the columns out
+as JSON-lines or Chrome-trace JSON for ``chrome://tracing`` / Perfetto,
+and reads JSON-lines back into columns (:func:`read_jsonl`), so every
+reader takes one shape.
 """
 
 from repro.trace.events import (

@@ -1,9 +1,9 @@
-"""Per-step timeline aggregation over a raw event stream.
+"""Per-step timeline aggregation over a trace's columns.
 
-Turns the flat event list into the quantities the paper's figures (and
-the ``repro trace`` CLI) report per step: demand vs prefetch bytes split
-by serving level, eviction churn, and fast-memory coverage (the fraction
-of demand accesses served without leaving the fastest level).
+Turns a trace into the quantities the paper's figures (and the ``repro
+trace`` CLI) report per step: demand vs prefetch bytes split by serving
+level, eviction churn, and fast-memory coverage (the fraction of demand
+accesses served without leaving the fastest level).
 
 The ledger invariant: ``TraceSummary.total_bytes`` — the sum of
 ``nbytes`` over hit/fetch/prefetch events — equals the hierarchy's
@@ -15,7 +15,7 @@ this equality exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -136,8 +136,8 @@ class TraceSummary:
         return sum(s.fast_coverage for s in rows) / len(rows)
 
 
-#: Each kind's :class:`StepTimeline` fields: the one its ``count`` adds to,
-#: the one its ``nbytes`` adds to and the one its ``time_s`` adds to
+#: Each kind's :class:`StepTimeline` fields: the one its events count
+#: in, the one its ``nbytes`` adds to and the one its ``time_s`` adds to
 #: (``None``: the kind adds nothing there).
 _FIELDS: Dict[str, Tuple[Optional[str], Optional[str], Optional[str]]] = {
     "hit": ("hits", "demand_bytes", "demand_time_s"),
@@ -159,68 +159,41 @@ _FIELDS: Dict[str, Tuple[Optional[str], Optional[str], Optional[str]]] = {
     # Forensics marker: no bytes, no time — count only.
     "re_miss": ("re_misses", None, None),
 }
-_NO_FIELDS = (None, None, None)
 _MOVEMENT_CODES = [KIND_CODES[kind] for kind in MOVEMENT_KINDS]
 
 
-def aggregate(events: Iterable[TraceEvent]) -> TraceSummary:
-    """Fold an event stream into a :class:`TraceSummary`.
+def check_sums(cols: TraceColumns) -> None:
+    """Raise a one-line ``ValueError`` when a sum of ``cols.nbytes`` could
+    leave int64, where :func:`aggregate` adds them."""
+    n = len(cols)
+    largest = max(-int(cols.nbytes.min()), int(cols.nbytes.max())) if n else 0
+    if n * largest >= 2**63:
+        raise ValueError(f"{n} events of up to {largest} bytes: a byte sum could leave int64")
+
+
+def aggregate(events: Union[TraceColumns, Iterable[TraceEvent]]) -> TraceSummary:
+    """Fold a trace into a :class:`TraceSummary`.
 
     Events with ``step == -1`` (preload before the replay) are gathered
-    into their own row, kept first so the timeline stays sorted.  A
-    :class:`~repro.trace.events.TraceColumns` (what a tracer's
-    ``events()`` returns) is folded column-wise without building a
-    ``TraceEvent``; any other iterable, such as :func:`read_jsonl`'s list,
-    event by event.  Both give the same summary, floats bit for bit.
+    into their own row, kept first so the timeline stays sorted.  The
+    fold reads :class:`~repro.trace.events.TraceColumns` (what a
+    tracer's ``events()`` and :func:`~repro.trace.export.read_jsonl`
+    return); a :class:`TraceEvent` sequence is converted into columns
+    once.  Per-step counts go by ``np.bincount``, byte sums by
+    ``np.add.at`` and time sums by ``np.bincount``, which adds its
+    weights in input order, so every float is the event-by-event left
+    fold's, bit for bit.  Byte sums that could leave int64 raise
+    (:func:`check_sums`).
     """
-    if isinstance(events, TraceColumns) and _sums_fit(events):
-        return _fold_columns(events)
-    rows: Dict[int, StepTimeline] = {}
-    level_bytes: Dict[str, Dict[str, int]] = {}
-    n_events = 0
-    for e in events:
-        n_events += 1
-        row = rows.get(e.step)
-        if row is None:
-            row = rows[e.step] = StepTimeline(step=e.step)
-        count, nbytes, time_s = _FIELDS.get(e.kind, _NO_FIELDS)
-        if count:
-            setattr(row, count, getattr(row, count) + e.count)
-        if nbytes:
-            setattr(row, nbytes, getattr(row, nbytes) + e.nbytes)
-        if time_s:
-            setattr(row, time_s, getattr(row, time_s) + e.time_s)
-        if e.kind in MOVEMENT_KINDS and e.level:
-            split = level_bytes.setdefault(e.level, {"demand": 0, "prefetch": 0})
-            split["prefetch" if e.kind == "prefetch" else "demand"] += e.nbytes
-    return TraceSummary(
-        steps=[rows[k] for k in sorted(rows)],
-        level_bytes=level_bytes,
-        n_events=n_events,
-    )
-
-
-def _sums_fit(cols: TraceColumns) -> bool:
-    """Whether no ``count`` or ``nbytes`` sum can leave int64 (the event
-    loop's Python ints cannot overflow)."""
-    n = len(cols)
-    return not n or all(
-        n * max(-int(c.min()), int(c.max())) < 2**63 for c in (cols.count, cols.nbytes)
-    )
-
-
-def _fold_columns(cols: TraceColumns) -> TraceSummary:
-    """:func:`aggregate` over columns: per-step integer sums with
-    ``np.add.at``, and per-step float sums with ``np.bincount``, which adds
-    its weights in input order — the event loop's order."""
+    cols = TraceColumns.from_events(events)
+    check_sums(cols)
     steps, row = np.unique(cols.step, return_inverse=True)
     n_kinds = len(EVENT_KINDS)
     cell = row * n_kinds + cols.kind
-    counts = np.zeros(len(steps) * n_kinds, np.int64)
-    np.add.at(counts, cell, cols.count)
-    nbytes = np.zeros_like(counts)
+    counts = np.bincount(cell, minlength=len(steps) * n_kinds).reshape(-1, n_kinds)
+    nbytes = np.zeros(len(steps) * n_kinds, np.int64)
     np.add.at(nbytes, cell, cols.nbytes)
-    counts, nbytes = counts.reshape(-1, n_kinds), nbytes.reshape(-1, n_kinds)
+    nbytes = nbytes.reshape(-1, n_kinds)
     fields: Dict[str, np.ndarray] = {}
     timed: Dict[str, List[int]] = {}
     for kind, (count, nbyte, time_s) in _FIELDS.items():

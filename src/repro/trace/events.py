@@ -124,14 +124,6 @@ class TraceEvent(NamedTuple):
         Profiler span path open when the event was recorded (``""`` when
         no :class:`~repro.obs.profiler.PhaseProfiler` was attached), e.g.
         ``"replay/fetch"`` — links trace events to wall-clock phases.
-    count:
-        Number of per-block actions this event stands for.  The simulator
-        records one event per action, so always ``1``; a ``count > 1``
-        event comes only from a trace file written by an older version,
-        whose per-step roll-up folded a step's hits/fetches/prefetches per
-        (level, kind) into one event (``nbytes``/``time_s`` summed,
-        ``key = -1``).  Such files still read, and still fold to the same
-        byte ledger.
     age_steps:
         For ``re_miss`` events: steps elapsed since the block was evicted
         (−1 for every other kind).
@@ -149,7 +141,6 @@ class TraceEvent(NamedTuple):
     nbytes: int
     time_s: float
     span: str = ""
-    count: int = 1
     age_steps: int = -1
     origin: str = ""
 
@@ -168,7 +159,6 @@ class TraceEvent(NamedTuple):
             nbytes=int(d["nbytes"]),
             time_s=float(d["time_s"]),
             span=str(d.get("span", "")),
-            count=int(d.get("count", 1)),
             age_steps=int(d.get("age_steps", -1)),
             origin=str(d.get("origin", "")),
         )
@@ -184,11 +174,10 @@ COLUMN_DTYPES: Tuple[Tuple[str, type], ...] = (
     ("nbytes", np.int64),
     ("time_s", np.float64),
     ("span", np.int32),
-    ("count", np.int64),
     ("age_steps", np.int64),
     ("origin", np.int32),
 )
-_CHUNK = 1 << 16  # rows turned into TraceEvents at a time (bounds the temporaries)
+_CHUNK = 1 << 16  # rows turned into Python values at a time (bounds the temporaries)
 _new_event = partial(tuple.__new__, TraceEvent)  # the cheapest TraceEvent from a full row
 
 
@@ -254,7 +243,7 @@ class TraceColumns:
     ) -> None:
         self.seq = seq
         (self.kind, self.step, self.level, self.key, self.nbytes, self.time_s,
-         self.span, self.count, self.age_steps, self.origin) = columns
+         self.span, self.age_steps, self.origin) = columns
         self.levels = levels
         self.spans = spans
         self.origins = origins
@@ -268,12 +257,14 @@ class TraceColumns:
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "TraceColumns":
-        """The columns of a :class:`TraceEvent` sequence; unknown kinds
-        raise ``ValueError``."""
+        """The columns of a :class:`TraceEvent` sequence (a ``TraceColumns``
+        comes back as is); unknown kinds raise ``ValueError``."""
+        if isinstance(events, TraceColumns):
+            return events
         rows = list(events)
         if not rows:
             return cls.empty()
-        seq, kind, step, level, key, nbytes, time_s, span, count, age, origin = zip(*rows)
+        seq, kind, step, level, key, nbytes, time_s, span, age, origin = zip(*rows)
         bad = set(kind) - KIND_CODES.keys()
         if bad:
             raise ValueError(
@@ -290,7 +281,6 @@ class TraceColumns:
                 np.array(nbytes, np.int64),
                 np.array(time_s, np.float64),
                 spans.codes(span),
-                np.array(count, np.int64),
                 np.array(age, np.int64),
                 origins.codes(origin),
             ],
@@ -301,7 +291,7 @@ class TraceColumns:
     def columns(self) -> Tuple[np.ndarray, ...]:
         """Every column after ``seq``, in :data:`COLUMN_DTYPES` order."""
         return (self.kind, self.step, self.level, self.key, self.nbytes, self.time_s,
-                self.span, self.count, self.age_steps, self.origin)
+                self.span, self.age_steps, self.origin)
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -355,7 +345,6 @@ class TraceColumns:
             _shared(self.nbytes[part]),
             _shared(self.time_s[part]),
             map(self.spans.__getitem__, self.span[part].tolist()),
-            self.count[part].tolist(),
             self.age_steps[part].tolist(),
             map(self.origins.__getitem__, self.origin[part].tolist()),
         )))

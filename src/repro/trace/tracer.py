@@ -108,16 +108,11 @@ class Tracer:
         key: int = -1,
         nbytes: int = 0,
         time_s: float = 0.0,
-        count: int = 1,
         age_steps: int = -1,
         origin: str = "",
     ) -> None:
         """Append one event; overwrites the oldest once the ring is full.
 
-        ``count`` is how many per-block actions the event stands for: the
-        simulator always records ``1``, and ``count > 1`` comes only from
-        an older version's per-step roll-up (see
-        :class:`~repro.trace.events.TraceEvent`).
         ``age_steps``/``origin`` carry eviction provenance on ``re_miss``
         events and keep their defaults everywhere else.
         """
@@ -125,8 +120,7 @@ class Tracer:
         if code is None:
             raise _unknown_kind([kind])
         row = (code, step, self._levels.code(level), key, nbytes, time_s,
-               self._spans.code(self.current_span), count, age_steps,
-               self._origins.code(origin))
+               self._spans.code(self.current_span), age_steps, self._origins.code(origin))
         i = self._size
         full = i == self.capacity
         if full:
@@ -175,7 +169,7 @@ class Tracer:
         if not n:
             return
         row = (kinds, step, levels, keys, nbytes, times_s,
-               self._spans.code(self.current_span), 1, -1, self._origins.code(""))
+               self._spans.code(self.current_span), -1, self._origins.code(""))
         capacity = self.capacity
         runs = []  # (first slot, first row, end row)
         done = 0
@@ -305,7 +299,6 @@ class NullTracer:
         key: int = -1,
         nbytes: int = 0,
         time_s: float = 0.0,
-        count: int = 1,
         age_steps: int = -1,
         origin: str = "",
     ) -> None:

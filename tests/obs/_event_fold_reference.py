@@ -96,9 +96,9 @@ def _parse_groups(
         elif kind == "render":
             render_events.append(e)
         elif kind == "re_miss":
-            n_re_miss += e.count
+            n_re_miss += 1
         elif kind == "degraded":
-            n_degraded += e.count
+            n_degraded += 1
             degraded_extra += e.time_s
         # evict / bypass / preload: no charged time, nothing to fold.
     if pending:
@@ -174,10 +174,7 @@ def _attribute_one(
     Also returns the frame's demand and prefetch shares in 2⁻¹⁰⁷⁴ units.
     """
     groups, render_events, n_re_miss, n_degraded, degraded_extra = _parse_groups(events)
-    resolved, all_hinted = _resolve_orphans(groups)
-    exact = all_hinted and all(
-        e.count == 1 for _, g in resolved for e in g
-    )
+    resolved, exact = _resolve_orphans(groups)
     io_total, demand = _fold_channel(g for ch, g in resolved if ch == "demand")
     pf_total, prefetch = _fold_channel(g for ch, g in resolved if ch == "prefetch")
     render_total = 0.0

@@ -30,17 +30,16 @@ _times = st.one_of(
 _levels = st.sampled_from(["dram", "ssd", "hdd", "n1-n2", "ghost"])
 _keys = st.integers(0, 3)
 _spans = st.sampled_from(["", "replay", "replay/fetch", "replay/prefetch", "replay/preload"])
-_counts = st.sampled_from([1, 1, 1, 1, 4])
 
 
 @st.composite
 def _event(draw, kind=None, key=None):
-    """``(span, kind, level, key, nbytes, time_s, count, age, origin)``."""
+    """``(span, kind, level, key, nbytes, time_s, age, origin)``."""
     kind = kind or draw(st.sampled_from(EVENT_KINDS))
     origin = draw(st.sampled_from(["", "lru:a"])) if kind == "re_miss" else ""
     return (
         draw(_spans), kind, draw(_levels), draw(_keys) if key is None else key,
-        draw(st.sampled_from([0, 4096])), draw(_times), draw(_counts),
+        draw(st.sampled_from([0, 4096])), draw(_times),
         draw(st.integers(-1, 5)), origin,
     )
 
@@ -83,9 +82,9 @@ def _record(frames) -> "tuple[Tracer, List[int]]":
     seqs = []
     for step, events in enumerate(frames):
         seqs.append(tracer.n_recorded)
-        for span, kind, level, key, nbytes, time_s, count, age, origin in events:
+        for span, kind, level, key, nbytes, time_s, age, origin in events:
             tracer.current_span = span
-            tracer.record(kind, step, level, key, nbytes, time_s, count, age, origin)
+            tracer.record(kind, step, level, key, nbytes, time_s, age, origin)
     return tracer, seqs
 
 
@@ -176,12 +175,12 @@ def test_more_than_a_bucket_of_terms_in_one_exponent():
     span = "replay/fetch"
     shipped, faulted, alternating = [], [], []
     for i in range(1500):
-        shipped += [(span, "fetch", "hdd", i % 4, 4096, 0.75, 1, -1, ""),
-                    (span, "xfer", "n0-n1", i % 4, 4096, 1e-3, 1, -1, "")]
-        faulted += [(span, "fault", "hdd", i % 4, 0, 0.75, 1, -1, ""),
-                    (span, "fetch", "hdd", i % 4, 4096, 1e-3, 1, -1, "")]
+        shipped += [(span, "fetch", "hdd", i % 4, 4096, 0.75, -1, ""),
+                    (span, "xfer", "n0-n1", i % 4, 4096, 1e-3, -1, "")]
+        faulted += [(span, "fault", "hdd", i % 4, 0, 0.75, -1, ""),
+                    (span, "fetch", "hdd", i % 4, 4096, 1e-3, -1, "")]
         kind, level = ("hit", "dram") if i % 2 else ("fetch", "ssd")
-        alternating.append((span, kind, level, i % 4, 4096, 1e-6 * (1 + i % 3), 1, -1, ""))
+        alternating.append((span, kind, level, i % 4, 4096, 1e-6 * (1 + i % 3), -1, ""))
     _differential([shipped, faulted, [], alternating], "own")
 
 

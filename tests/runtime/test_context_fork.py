@@ -56,7 +56,6 @@ class TestForkRegression:
         a, b = parent.fork(), parent.fork()
         assert a.tracer is not b.tracer is not parent.tracer
         assert a.registry is not b.registry is not parent.registry
-        assert a.clock is not b.clock
         assert a.tracer.capacity == 64
 
     def test_fork_keeps_null_services_shared(self):

@@ -112,6 +112,43 @@ class TestCustomStage:
         assert [step for step, _ in logger.lines] == list(range(6))
         assert [n for _, n in logger.lines] == [m.n_visible for m in result.steps]
 
+    def test_custom_stage_charges_land_in_the_profiler_ledger(self, small_grid):
+        """TUTORIAL §11: a stage charges simulated time on the run's
+        profiler, next to the built-in channels and under its own span."""
+        from repro.obs.profiler import PhaseProfiler
+
+        class Charging(Stage):
+            name = "charging"
+
+            def step(self, engine, frame):
+                with engine.ctx.span("mystage"):
+                    engine.ctx.profiler.charge_sim("mystage", 0.5)
+
+        path = random_path(
+            n_positions=5, degree_change=(5.0, 10.0), distance=2.5,
+            view_angle_deg=VIEW, seed=3,
+        )
+        hierarchy = make_standard_hierarchy(
+            n_blocks=small_grid.n_blocks,
+            block_nbytes=small_grid.uniform_block_nbytes(),
+            cache_ratio=0.5,
+        )
+        collector = StepMetricsCollector(
+            name="charged", policy="lru", overlap_prefetch=False,
+            observe="serial", charge=("io", "render"), extras_fn=movement_extras,
+        )
+        profiler = PhaseProfiler()
+        SimulationEngine(
+            PipelineContext.create(path, small_grid), hierarchy,
+            [DemandFetchStage(), RenderStage(), Charging()],
+            collector, ctx=RunContext(profiler=profiler),
+        ).run()
+        report = profiler.report()
+        assert report["sim"]["mystage"] == 2.5
+        assert {"io", "render"} <= set(report["sim"])
+        (span,) = [p for p in report["wall"] if p.endswith("mystage")]
+        assert report["wall"][span]["count"] == 5
+
 
 class TestScenarioZoo:
     """The workload registry is the scenario zoo: every RunConfig-reachable

@@ -223,7 +223,7 @@ def _trace_totals(tracer):
     for ev in tracer.events():
         key = (ev.kind, ev.level, ev.step)
         cnt, nb, t = per_group.get(key, (0, 0, 0.0))
-        per_group[key] = (cnt + ev.count, nb + ev.nbytes, t + ev.time_s)
+        per_group[key] = (cnt + 1, nb + ev.nbytes, t + ev.time_s)
         if ev.kind in ("hit", "fetch", "prefetch"):
             moved += ev.nbytes
     return per_group, moved

@@ -190,7 +190,7 @@ class TestTrace:
         assert rc == 0
         assert json.loads(out.read_text())["traceEvents"]
         lines = jsonl.read_text().splitlines()
-        assert lines and all(json.loads(line)["count"] == 1 for line in lines)
+        assert lines and not any("count" in json.loads(line) for line in lines)
         again = tmp_path / "third" / "t2.json"
         assert main(["trace", "--from-jsonl", str(jsonl), "--out", str(again)]) == 0
         assert json.loads(again.read_text())["traceEvents"]
@@ -638,6 +638,70 @@ class TestTraceFromJsonl:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _line(**fields):
+    import json
+
+    row = {"seq": 0, "kind": "fetch", "step": 0, "level": "hdd", "key": 1, "nbytes": 8,
+           "time_s": 0.5, "span": "", "age_steps": -1, "origin": ""}
+    row.update(fields)
+    return json.dumps(row, separators=(",", ":")) + "\n"
+
+
+#: JSONL files both readers reject: the columns cannot hold the first two,
+#: every event is one block, and ``aggregate`` sums bytes in int64.
+_BAD_JSONL = {
+    "unknown_kind": _line(kind="frobnicate"),
+    "number_past_int64": _line(key=2**64),
+    "count_2": _line(count=2),
+    "byte_sums_past_int64": _line(nbytes=2**62) + _line(seq=1, nbytes=2**62),
+}
+
+
+class TestJsonlReaders:
+    """``repro trace --from-jsonl`` and ``repro analyze`` read a JSONL
+    trace through one reader, so they accept and reject the same files."""
+
+    @pytest.mark.parametrize("name", sorted(_BAD_JSONL))
+    def test_both_commands_reject_the_same_files(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(_BAD_JSONL[name])
+        for argv in (["trace", "--from-jsonl", str(path), "--out", str(tmp_path / "t.json")],
+                     ["analyze", str(path), "--out", str(tmp_path / "t.html")]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(path) in err, argv[0]
+            assert err.count("\n") == 1 and "Traceback" not in err, argv[0]
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "t.html").exists()
+
+    def test_count_1_lines_read_as_before(self, tmp_path, capsys):
+        """Lines that carry ``"count": 1`` (the key older versions wrote)
+        read as the same trace in both commands."""
+        import json
+
+        new = tmp_path / "new" / "t.jsonl"
+        assert main(["trace", "--dataset", "3d_ball", "--blocks", "64", "--scale", "0.04",
+                     "--steps", "6", "--policy", "lru", "--out", str(tmp_path / "t.json"),
+                     "--jsonl", str(new)]) == 0
+        capsys.readouterr()
+        old = tmp_path / "old" / "t.jsonl"
+        old.parent.mkdir()
+        with old.open("w") as fh:
+            for line in new.read_text().splitlines():
+                row = json.loads(line)  # "count" went after "span", the 8th key
+                row = {**{k: row.pop(k) for k in list(row)[:8]}, "count": 1, **row}
+                fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+        assert '"span":"","count":1,"age_steps":-1' in old.read_text()
+        outs = []
+        for path in (new, old):
+            out = path.parent / "t2.json"
+            assert main(["trace", "--from-jsonl", str(path), "--out", str(out)]) == 0
+            table = capsys.readouterr().out.split("\n", 1)[1]  # after the title
+            assert main(["analyze", str(path), "--out", str(path.parent / "t.html")]) == 0
+            outs.append((table.replace(str(path.parent), ""), out.read_bytes(),
+                         capsys.readouterr().out.replace(str(path.parent), "")))
+        assert outs[0] == outs[1]
 
 
 class TestReplayRecord:

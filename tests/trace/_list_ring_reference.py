@@ -50,14 +50,11 @@ class ListRing:
         key: int = -1,
         nbytes: int = 0,
         time_s: float = 0.0,
-        count: int = 1,
         age_steps: int = -1,
         origin: str = "",
     ) -> None:
         """Append one event; overwrites the oldest once the ring is full.
 
-        ``count > 1`` marks an aggregated event standing for that many
-        per-block actions (the batched calls' per-step roll-up).
         ``age_steps``/``origin`` carry eviction provenance on ``re_miss``
         events and keep their defaults everywhere else.
         """
@@ -73,7 +70,6 @@ class ListRing:
                 nbytes,
                 time_s,
                 self.current_span,
-                count,
                 age_steps,
                 origin,
             )
@@ -125,7 +121,6 @@ class ListRing:
                     nbytes,
                     times_s,
                     repeat(self.current_span),
-                    repeat(1),
                     repeat(-1),
                     repeat(""),
                 ),

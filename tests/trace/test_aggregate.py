@@ -15,6 +15,7 @@ from repro.runtime import run_baseline
 from repro.trace import EVENT_KINDS, TraceColumns, TraceEvent, Tracer, aggregate
 import repro.trace.events as trace_events
 from repro.volume.blocks import BlockGrid
+from tests.trace._aggregate_reference import aggregate_events
 
 
 def _trace():
@@ -96,7 +97,7 @@ class TestAggregate:
         assert "network:" not in text and "faults:" not in text
 
 
-# -- the column fold against the event loop -----------------------------------
+# -- the column fold against the event loop (tests/trace/_aggregate_reference) --
 
 _rows = st.lists(
     st.tuples(
@@ -110,7 +111,6 @@ _rows = st.lists(
             st.sampled_from([0.0, -0.0, 5e-324, 1e-6, 0.1, 0.2, 0.3, 1.0, 1e16]),
         ),
         st.sampled_from(["", "replay", "replay/fetch"]),  # span
-        st.integers(1, 5),  # count
     ),
     max_size=120,
 )
@@ -129,15 +129,18 @@ def _fields(summary):
 
 def _fold_both_ways(rows, capacity):
     """Record ``rows`` into a ring of ``capacity`` (so a wrap leaves the
-    oldest rows out), then fold its columns and their event list."""
+    oldest rows out), then fold its columns, their event list and their
+    columns rebuilt from that list, each against the event loop."""
     tracer = Tracer(capacity)
-    for kind, step, level, key, nbytes, time_s, span, count in rows:
+    for kind, step, level, key, nbytes, time_s, span in rows:
         tracer.current_span = span
-        tracer.record(kind, step, level, key, nbytes, time_s, count)
+        tracer.record(kind, step, level, key, nbytes, time_s)
     cols = tracer.events()
     events = cols.events()
-    assert _fields(aggregate(cols)) == _fields(aggregate(events))
-    assert _fields(aggregate(TraceColumns.from_events(events))) == _fields(aggregate(events))
+    want = _fields(aggregate_events(events))
+    assert _fields(aggregate(cols)) == want
+    assert _fields(aggregate(events)) == want
+    assert _fields(aggregate(TraceColumns.from_events(events))) == want
 
 
 @given(_rows, st.integers(1, 150))
@@ -155,7 +158,7 @@ def test_column_fold_matches_the_event_loop_wide(rows, capacity):
 
 def test_column_fold_covers_every_kind():
     """One row of every kind at two steps and the preload step."""
-    rows = [(kind, step, level, 7, 64 * (i + 1), 0.1 * (i + 1), "", 1 + i % 3)
+    rows = [(kind, step, level, 7, 64 * (i + 1), 0.1 * (i + 1), "")
             for step in (-1, 0, 3)
             for i, (kind, level) in enumerate(zip(EVENT_KINDS, ["", "dram", "ssd"] * 4))]
     _fold_both_ways(rows, len(rows))
@@ -166,7 +169,7 @@ def test_float_sums_keep_the_event_order():
     0.3 + 0.2 + 0.1), over runs long enough for pairwise summation."""
     times = [0.1, 0.2, 0.3, 1e16, 1.0, 1e-6, 3.3, -1e16, 0.7]
     rows = [(("fetch", "hit", "retry", "fault", "render")[i % 5], i % 2, "dram", i, 8,
-             times[i % len(times)] * (1 + i / 7), "", 1) for i in range(400)]
+             times[i % len(times)] * (1 + i / 7), "") for i in range(400)]
     _fold_both_ways(rows, len(rows))
     t = Tracer()
     t.record_many(["fetch"] * 3, 0, ["dram"] * 3, [1, 2, 3], [8] * 3, [0.1, 0.2, 0.3])
@@ -182,20 +185,23 @@ def test_column_fold_builds_no_trace_event(monkeypatch):
     assert summary.n_events == 8 and summary.total_bytes == 4000
 
 
-def test_sums_past_int64_fold_as_python_ints():
-    """The event loop's sums are Python ints; columns whose sums could
-    leave int64 take the loop instead of wrapping."""
+def test_sums_past_int64_raise():
+    """The fold sums bytes in int64: columns whose sums could leave it
+    raise a one-line error instead of wrapping, and sums that reach the
+    edge still fold."""
     t = Tracer()
     t.record("fetch", step=0, level="hdd", key=1, nbytes=2**62)
     t.record("fetch", step=0, level="hdd", key=2, nbytes=2**62)
-    s = aggregate(t.events())
-    assert s.steps[0].demand_bytes == 2**63
-    assert s.level_bytes == {"hdd": {"demand": 2**63, "prefetch": 0}}
+    with pytest.raises(ValueError, match="could leave int64") as exc:
+        aggregate(t.events())
+    assert "\n" not in str(exc.value)
+    t.clear()
+    t.record("fetch", step=0, level="hdd", key=1, nbytes=2**62 - 1)
+    t.record("fetch", step=0, level="hdd", key=2, nbytes=-(2**62 - 1))
+    assert aggregate(t.events()).steps[0].demand_bytes == 0
 
 
-def test_event_lists_with_unknown_kinds_still_fold():
-    """A list (a JSONL file's) folds event by event: a kind the columns
-    cannot hold still opens its step's row and counts as an event."""
-    s = aggregate([TraceEvent(0, "frobnicate", 4, "dram", 1, 8, 0.5)])
-    assert [row.step for row in s.steps] == [4] and s.n_events == 1
-    assert s.total_bytes == 0 and s.level_bytes == {}
+def test_event_lists_with_unknown_kinds_raise():
+    """A list is folded as its columns, which hold only the event kinds."""
+    with pytest.raises(ValueError, match="unknown event kind 'frobnicate'"):
+        aggregate([TraceEvent(0, "frobnicate", 4, "dram", 1, 8, 0.5)])

@@ -31,7 +31,7 @@ _spans = st.sampled_from(["", "replay", "replay/fetch", "replay/prefetch"])
 
 _record = st.tuples(
     st.just("record"), _kinds, st.integers(-1, 300), _levels, _ints, _ints, _times,
-    st.integers(1, 5), st.integers(-1, 50), st.sampled_from(["", "lru:a", "fifo:"]),
+    st.integers(-1, 50), st.sampled_from(["", "lru:a", "fifo:"]),
 )
 _batch = st.integers(0, 80).flatmap(lambda n: st.tuples(
     st.just("record_many"),

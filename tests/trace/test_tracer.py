@@ -151,7 +151,7 @@ class TestRecordMany:
         )
         assert (b.seq, b.kind, b.level, b.key) == (1, "evict", "dram", 3)
         assert a.span == b.span == "replay/fetch"
-        assert (a.count, a.age_steps, a.origin) == (1, -1, "")
+        assert (a.age_steps, a.origin) == (-1, "")
 
     def test_unknown_kind_rejects_the_whole_batch(self):
         t = Tracer()
@@ -178,7 +178,7 @@ def _varied(n: int, capacity: int = 1 << 20) -> TraceColumns:
     for i in range(n):
         t.current_span = ("", "replay", "replay/fetch")[i % 3]
         t.record(EVENT_KINDS[i % len(EVENT_KINDS)], i % 7 - 1, ("", "dram", "hdd")[i % 3],
-                 i, 8 * i, 0.25 * i, 1 + i % 2, i % 5 - 1, ("", "lru:a")[i % 2])
+                 i, 8 * i, 0.25 * i, i % 5 - 1, ("", "lru:a")[i % 2])
     return t.events()
 
 
