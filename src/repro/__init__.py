@@ -89,9 +89,6 @@ from repro.core import (
     RunResult,
     StepMetrics,
     run_temporal,
-    run_budgeted,
-    render_quality_series,
-    BudgetedResult,
     OutOfCoreSession,
 )
 from repro.prefetch import (
@@ -198,9 +195,6 @@ __all__ = [
     "RunResult",
     "StepMetrics",
     "run_temporal",
-    "run_budgeted",
-    "render_quality_series",
-    "BudgetedResult",
     "OutOfCoreSession",
     # prefetch
     "Prefetcher",

@@ -371,7 +371,11 @@ def _cmd_trace(args) -> int:
         drops = seq_drop_stats(events)
         if drops:
             _warn_dropped(drops["n_dropped"])
-        out = write_chrome_trace(events, args.out)
+        try:
+            out = write_chrome_trace(events, args.out)
+        except ValueError as exc:  # raised before the file is created
+            print(f"error: {args.from_jsonl}: {exc}", file=sys.stderr)
+            return 2
         print(f"chrome trace: {out} ({len(events)} events; open in chrome://tracing "
               f"or https://ui.perfetto.dev)")
         return 0

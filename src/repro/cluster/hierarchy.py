@@ -30,7 +30,7 @@ link fault draws are arrays, and each owner's ``fetch_many`` serves the
 ids that cross its link — a few array calls per frame, result- and
 trace-identical to the per-block ``fetch`` loop.  That loop stays the
 reference, and the path for node-device faults, forensics, repeated ids
-and non-uniform block sizes.
+and a ``min_free_step`` past the step.
 
 Accounting invariants (pinned by ``tests/cluster``):
 
@@ -73,6 +73,7 @@ from repro.storage.hierarchy import (
 )
 from repro.storage.stats import CacheStats
 from repro.trace.tracer import NULL_TRACER
+from repro.utils.validation import check_positive
 from repro.volume.blocks import BlockGrid
 
 __all__ = ["ShardedHierarchy", "make_sharded_hierarchy"]
@@ -151,7 +152,7 @@ class ShardedHierarchy(LevelSurface):
         shard_map: ShardMap,
         nodes: Sequence[MemoryHierarchy],
         fabric: NetworkFabric,
-        block_nbytes,
+        block_nbytes: int,
         home: int = 0,
         ghost: Optional[CacheLevel] = None,
         backing: StorageDevice = HDD,
@@ -173,8 +174,7 @@ class ShardedHierarchy(LevelSurface):
         self.home = int(home)
         self.ghost = ghost
         self.backing = backing
-        self._block_nbytes = block_nbytes
-        self._uniform_nbytes = None if callable(block_nbytes) else int(block_nbytes)
+        self._block_nbytes = int(check_positive("block_nbytes", block_nbytes))
         # K=1: wholesale delegation to the single node — bit-for-bit the
         # single-box simulator (pinned by the shard-equivalence suite).
         self._solo: Optional[MemoryHierarchy] = nodes[0] if len(nodes) == 1 else None
@@ -340,9 +340,7 @@ class ShardedHierarchy(LevelSurface):
             )
         key = int(key)
         owner = int(self.shard_map.owner[key])
-        nbytes = self._uniform_nbytes
-        if nbytes is None:
-            nbytes = self.block_nbytes(key)
+        nbytes = self._block_nbytes
         scale = self.prefetch_latency_factor if prefetch else 1.0
         record = self.registry.enabled
 
@@ -475,12 +473,11 @@ class ShardedHierarchy(LevelSurface):
     ) -> bool:
         """Can ``ids`` at ``step`` take the per-owner cascade?  Every node
         must cascade (no device fault can touch it: a node drop would
-        couple it to the ghost cache), with no forensics, uniform block
-        sizes, unique ids and no ``min_free_step`` past the step.  Link
-        faults do not count: their draws are arrays."""
+        couple it to the ghost cache), with no forensics, unique ids and
+        no ``min_free_step`` past the step.  Link faults do not count:
+        their draws are arrays."""
         return (
             self.forensics is None
-            and self._uniform_nbytes is not None
             and all(node.batchable for node in self.nodes)
             and _unique(ids)
             and (min_free_step is None or min_free_step <= step)
@@ -504,7 +501,7 @@ class ShardedHierarchy(LevelSurface):
         with them, so the frame's events are written once, in the
         per-block order.
         """
-        nb = self._uniform_nbytes
+        nb = self._block_nbytes
         frame = FrameSink(arr.size, self.tracer.enabled)
         owners = self.shard_map.owner[arr]
         local = owners == self.home
@@ -546,7 +543,7 @@ class ShardedHierarchy(LevelSurface):
         the owner's ``fetch_many`` and cross the link, whose seconds fold
         per link in id order.
         """
-        nb = self._uniform_nbytes
+        nb = self._block_nbytes
         scale = self.prefetch_latency_factor if prefetch else 1.0
         events = frame.events
         inj = self.fault_injector
@@ -618,7 +615,7 @@ class ShardedHierarchy(LevelSurface):
     def _serve_ghost(self, keys, at, prefetch, scale, frame: FrameSink) -> None:
         """Ghost hits (already touched by the ghost pass): DRAM-cost serves."""
         n = keys.size
-        nb = self._uniform_nbytes
+        nb = self._block_nbytes
         stats = self.ghost.stats
         if prefetch:
             stats.prefetch_hits += n
@@ -639,7 +636,7 @@ class ShardedHierarchy(LevelSurface):
     def _serve_cold(self, keys, at, owner, link, prefetch, scale, frame: FrameSink) -> None:
         """Failed link draws: one probe latency, then the shared cold store."""
         n = keys.size
-        nb = self._uniform_nbytes
+        nb = self._block_nbytes
         probe_t = link.latency_s * scale
         cold_t = self.backing.read_time(nb, scale)
         self.fabric.record_fallback(self.home, owner, n)

@@ -15,17 +15,11 @@ from repro.core.pipeline import (
     collect_demand_trace,
     PipelineContext,
 )
-from repro.core.interactive import (
-    BudgetedResult,
-    BudgetedStep,
-    render_quality_series,
-)
 
 from repro.runtime.config import OptimizerConfig
 from repro.runtime.drivers import (
     AppAwareOptimizer,
     run_baseline,
-    run_budgeted,
     run_temporal,
 )
 from repro.core.session import OutOfCoreSession
@@ -33,10 +27,6 @@ from repro.core.results_io import run_to_dict, save_run_json, save_steps_csv, lo
 
 __all__ = [
     "run_temporal",
-    "BudgetedResult",
-    "BudgetedStep",
-    "run_budgeted",
-    "render_quality_series",
     "OutOfCoreSession",
     "run_to_dict",
     "save_run_json",

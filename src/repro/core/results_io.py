@@ -1,15 +1,13 @@
 """Persisting run results.
 
-Experiments produce :class:`~repro.core.metrics.RunResult` (and
-:class:`~repro.core.interactive.BudgetedResult`) objects; this module
-serialises them for downstream analysis — a JSON document with the summary
-plus full per-level statistics, and a per-step CSV for plotting time
-series.  No pickle: files are portable and diffable.
+Every replay produces a :class:`~repro.core.metrics.RunResult`; this
+module serialises it for downstream analysis — a JSON document with the
+summary plus full per-level statistics, and a per-step CSV for plotting
+time series.  No pickle: files are portable and diffable.
 
-Per-step records are serialised from ``dataclasses.fields`` of the actual
-step type, so a field added to :class:`~repro.core.metrics.StepMetrics` or
-:class:`~repro.core.interactive.BudgetedStep` (e.g. ``n_dropped``) shows
-up in every artifact automatically instead of silently drifting out of a
+Per-step records are serialised from ``dataclasses.fields`` of
+:class:`~repro.core.metrics.StepMetrics`, so a field added to it shows up
+in every artifact automatically instead of silently drifting out of a
 hand-maintained column list.
 """
 
@@ -19,61 +17,40 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.core.metrics import RunResult
+from repro.core.metrics import RunResult, StepMetrics
 
 __all__ = ["run_to_dict", "save_run_json", "save_steps_csv", "load_run_json"]
 
 
-def _step_field_names(result) -> List[str]:
-    if not result.steps:
-        return []
-    return [f.name for f in dataclasses.fields(result.steps[0])]
-
-
 def _plain(value):
-    """JSON-plain view of one step field value."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+    """JSON-plain view of one numpy scalar (a step field or an extra)."""
     if isinstance(value, np.generic):
         return value.item()
     return value
 
 
-def run_to_dict(result) -> Dict:
-    """A JSON-serialisable view of a run (summary + hierarchy stats + steps).
-
-    Accepts a :class:`~repro.core.metrics.RunResult` or a
-    :class:`~repro.core.interactive.BudgetedResult`; step rows carry every
-    dataclass field of the step type.
-    """
-    doc: Dict = {
+def run_to_dict(result: RunResult) -> Dict:
+    """A JSON-serialisable view of a run (summary + hierarchy stats + steps);
+    step rows carry every :class:`~repro.core.metrics.StepMetrics` field."""
+    return {
         "name": result.name,
         "steps": [
             {f.name: _plain(getattr(s, f.name)) for f in dataclasses.fields(s)}
             for s in result.steps
         ],
+        "policy": result.policy,
+        "overlap_prefetch": result.overlap_prefetch,
+        "summary": dict(result.summary()),
+        "hierarchy": result.hierarchy_stats.as_dict(),
+        "extras": {k: _plain(v) for k, v in result.extras.items()},
     }
-    if isinstance(result, RunResult):
-        doc["policy"] = result.policy
-        doc["overlap_prefetch"] = result.overlap_prefetch
-        doc["summary"] = dict(result.summary())
-        doc["hierarchy"] = result.hierarchy_stats.as_dict()
-        doc["extras"] = {k: _plain(v) for k, v in result.extras.items()}
-    else:  # budgeted replay
-        doc["io_budget_s"] = result.io_budget_s
-        doc["summary"] = {
-            "mean_coverage": result.mean_coverage,
-            "min_coverage": result.min_coverage,
-            "full_frames": result.full_frames,
-        }
-    return doc
 
 
-def save_run_json(result, path: "str | Path") -> Path:
+def save_run_json(result: RunResult, path: "str | Path") -> Path:
     """Write the full run record as JSON; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -86,22 +63,16 @@ def load_run_json(path: "str | Path") -> Dict:
     return json.loads(Path(path).read_text())
 
 
-def save_steps_csv(result, path: "str | Path") -> Path:
-    """Write the per-step time series as CSV (one row per view point).
-
-    Columns are the step dataclass's fields, in declaration order; array
-    fields (``rendered_ids``) are written as JSON lists in their cell.
-    """
+def save_steps_csv(result: RunResult, path: "str | Path") -> Path:
+    """Write the per-step time series as CSV (one row per view point);
+    the columns are :class:`~repro.core.metrics.StepMetrics`'s fields, in
+    declaration order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fields = _step_field_names(result)
+    fields = [f.name for f in dataclasses.fields(StepMetrics)]
     with path.open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(fields)
         for s in result.steps:
-            row = []
-            for name in fields:
-                value = _plain(getattr(s, name))
-                row.append(json.dumps(value) if isinstance(value, list) else value)
-            writer.writerow(row)
+            writer.writerow([_plain(getattr(s, name)) for name in fields])
     return path

@@ -5,7 +5,6 @@ whose shapes the benches assert:
 
 - :func:`prefetch_strategies` — table vs motion vs Markov vs none;
 - :func:`temporal` — next-timestep prefetch on time-varying climate;
-- :func:`interactive_quality` — frame coverage/PSNR under an I/O deadline;
 - :func:`multires_tradeoff` — LoD bytes vs data-dependent accuracy;
 - :func:`layout_locality` — Z-order vs row-major file locality;
 - :func:`scheduling` — analytic vs event-driven total-time accounting;
@@ -25,10 +24,9 @@ import numpy as np
 from repro.camera.frustum import visible_blocks
 from repro.camera.path import random_path, spherical_path
 from repro.camera.sampling import SamplingConfig
-from repro.core.interactive import render_quality_series
 from repro.core.pipeline import PipelineContext
 from repro.core.schedule import event_driven_total_time
-from repro.runtime.drivers import run_baseline, run_budgeted, run_temporal
+from repro.runtime.drivers import run_baseline, run_temporal
 from repro.experiments.report import format_series
 from repro.experiments.runner import ExperimentSetup, compare_policies
 from repro.prefetch import (
@@ -40,7 +38,6 @@ from repro.prefetch import (
 )
 from repro.render.isosurface import isosurface_blocks
 from repro.render.query import BlockRangeIndex, RangeQuery, evaluate_query
-from repro.render.raycast import Raycaster, RenderSettings
 from repro.storage.hierarchy import make_standard_hierarchy
 from repro.tables.builder import build_visible_table
 from repro.volume.blocks import BlockGrid
@@ -56,7 +53,6 @@ __all__ = [
     "multinode",
     "prefetch_strategies",
     "temporal",
-    "interactive_quality",
     "multires_tradeoff",
     "layout_locality",
     "scheduling",
@@ -181,54 +177,6 @@ def temporal(full: bool = False, seed: int = 11) -> List[FigureResult]:
                 "total_s": [on.total_time_s, off.total_time_s],
             },
             meta={"steps_per_timestep": steps_per_timestep},
-        )
-    ]
-
-
-def interactive_quality(full: bool = False, seed: int = 0) -> List[FigureResult]:
-    """Frame coverage and PSNR under a per-frame demand-I/O deadline."""
-    setup = ExperimentSetup.for_dataset(
-        "3d_ball", target_n_blocks=512,
-        sampling=SamplingConfig(
-            n_directions=256 if full else 96, n_distances=2, distance_range=(2.2, 2.8)
-        ),
-        seed=seed,
-    )
-    path = random_path(
-        n_positions=200 if full else 50, degree_change=(5.0, 10.0), distance=2.5,
-        view_angle_deg=setup.view_angle_deg, seed=3,
-    )
-    context = setup.context(path)
-    itable = setup.importance_table
-    sigma = itable.threshold_for_percentile(0.25)
-    budget = 0.030
-
-    plain = run_budgeted(context, setup.hierarchy("lru"), io_budget_s=budget, name="lru")
-    aware = run_budgeted(
-        context, setup.hierarchy("lru"), io_budget_s=budget,
-        importance=itable, visible_table=setup.visible_table,
-        sigma=sigma, preload=True, name="app-aware",
-    )
-    rc = Raycaster(setup.volume, settings=RenderSettings(width=48, height=48, n_samples=48))
-
-    def finite_mean(series):
-        vals = [q for _, q in series if np.isfinite(q)]
-        return float(np.mean(vals)) if vals else float("inf")
-
-    q_plain = finite_mean(render_quality_series(plain, context, rc, every=10))
-    q_aware = finite_mean(render_quality_series(aware, context, rc, every=10))
-    return [
-        FigureResult(
-            "ext_interactive",
-            f"budgeted interaction ({budget * 1e3:.0f} ms/frame demand I/O)",
-            "variant",
-            ["lru", "app-aware"],
-            {
-                "mean_coverage": [plain.mean_coverage, aware.mean_coverage],
-                "min_coverage": [plain.min_coverage, aware.min_coverage],
-                "full_frames": [plain.full_frames, aware.full_frames],
-                "mean_psnr_db": [q_plain, q_aware],
-            },
         )
     ]
 

@@ -17,7 +17,6 @@ from repro.render.analysis import (
     visible_statistics,
 )
 from repro.render.query import BlockRangeIndex, RangeQuery, evaluate_query
-from repro.render.image import mse, psnr, mean_abs_error
 from repro.render.isosurface import (
     isosurface_blocks,
     isosurface_mask,
@@ -36,9 +35,6 @@ __all__ = [
     "BlockRangeIndex",
     "RangeQuery",
     "evaluate_query",
-    "mse",
-    "psnr",
-    "mean_abs_error",
     "isosurface_blocks",
     "isosurface_mask",
     "isosurface_statistics",

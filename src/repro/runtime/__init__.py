@@ -1,9 +1,8 @@
 """Unified replay runtime: one engine, one context, pluggable stages.
 
-This package replaces the five hand-rolled replay loops that used to live
-in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/interactive.py``,
-``core/temporal.py`` and ``core/optimizer.py`` with a single composable
-:class:`SimulationEngine`:
+This package replaces the hand-rolled replay loops that used to live
+in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/temporal.py`` and
+``core/optimizer.py`` with a single composable :class:`SimulationEngine`:
 
 - :class:`RunConfig` — frozen, schema-validated description of a run
   (dataset/workload/policy/faults/shards), round-
@@ -12,10 +11,11 @@ in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/interactive.py``,
   registry, profiler, fault injector, rng) that previously
   travelled as repeated keyword arguments;
 - :class:`SimulationEngine` + :mod:`~repro.runtime.stages` — the step loop
-  (demand fetch → render → overlap prefetch → budget enforcement →
-  bookkeeping) as an ordered stage recipe;
-- :mod:`~repro.runtime.drivers` — the five historical drivers, each now a
-  ~20-line recipe;
+  (demand fetch → render → overlap prefetch → bookkeeping) as an ordered
+  stage recipe, rowed by :class:`StepMetricsCollector` into a
+  :class:`~repro.core.metrics.RunResult`;
+- :mod:`~repro.runtime.drivers` — the four historical drivers, each now a
+  ~20-line recipe that fetches each frame with one ``fetch_many``;
 - :mod:`~repro.runtime.registries` — stage/prefetcher/workload/policy
   registries, so new behaviours are registered rather than threaded;
 - :mod:`~repro.runtime.sessions` — the event-driven multi-tenant session
@@ -37,12 +37,10 @@ from repro.runtime.context import RunContext
 from repro.runtime.drivers import (
     AppAwareOptimizer,
     run_baseline,
-    run_budgeted,
     run_temporal,
     run_with_prefetcher,
 )
 from repro.runtime.engine import (
-    BudgetedCollector,
     Collector,
     SimulationEngine,
     StepMetricsCollector,
@@ -63,8 +61,6 @@ from repro.runtime.registries import (
 from repro.runtime.sessions import SessionSpec, SessionsResult, run_sessions
 from repro.runtime.stages import (
     AdaptiveSigmaStage,
-    BudgetedFetchStage,
-    BudgetedPrefetchStage,
     DemandFetchStage,
     Frame,
     PreloadStage,
@@ -87,11 +83,9 @@ __all__ = [
     "SimulationEngine",
     "Collector",
     "StepMetricsCollector",
-    "BudgetedCollector",
     "movement_extras",
     "run_baseline",
     "run_with_prefetcher",
-    "run_budgeted",
     "run_temporal",
     "run_sessions",
     "SessionSpec",
@@ -101,12 +95,10 @@ __all__ = [
     "Stage",
     "PreloadStage",
     "DemandFetchStage",
-    "BudgetedFetchStage",
     "RenderStage",
     "StrategyPrefetchStage",
     "TablePrefetchStage",
     "AdaptiveSigmaStage",
-    "BudgetedPrefetchStage",
     "TemporalRemapStage",
     "TemporalPrefetchStage",
     "SigmaState",

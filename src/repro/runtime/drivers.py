@@ -2,8 +2,12 @@
 
 Each function here is the implementation of a replay mode; the package
 namespaces (``repro.core``, ``repro.prefetch``, ``repro``) re-export them.
-A driver builds a stage list + collector and hands them to the engine —
-the loop itself lives in exactly one place.
+A driver builds a stage list + a :class:`StepMetricsCollector` and hands
+them to the engine — the loop itself lives in exactly one place, and
+every driver returns a :class:`~repro.core.metrics.RunResult`.  Each
+frame is fetched with one ``fetch_many`` and prefetched with one
+``prefetch_many``: Algorithm 1 fetches every visible block before it
+renders, so no driver needs the per-block ``fetch``.
 """
 
 from __future__ import annotations
@@ -14,15 +18,12 @@ from repro.core.pipeline import PipelineContext
 from repro.runtime.config import OptimizerConfig
 from repro.runtime.context import RunContext
 from repro.runtime.engine import (
-    BudgetedCollector,
     SimulationEngine,
     StepMetricsCollector,
     movement_extras,
 )
 from repro.runtime.stages import (
     AdaptiveSigmaStage,
-    BudgetedFetchStage,
-    BudgetedPrefetchStage,
     DemandFetchStage,
     PreloadStage,
     RenderStage,
@@ -33,12 +34,10 @@ from repro.runtime.stages import (
     TemporalPrefetchStage,
     TemporalRemapStage,
 )
-from repro.utils.validation import check_positive
 
 __all__ = [
     "run_baseline",
     "run_with_prefetcher",
-    "run_budgeted",
     "run_temporal",
     "AppAwareOptimizer",
     "OptimizerConfig",
@@ -142,51 +141,6 @@ def run_with_prefetcher(
         RenderStage(),
         StrategyPrefetchStage(prefetcher, max_prefetch_per_step=max_prefetch_per_step),
     ]
-    ctx = _resolve_ctx(ctx, tracer, registry, profiler)
-    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
-
-
-def run_budgeted(
-    context: PipelineContext,
-    hierarchy,
-    io_budget_s: float,
-    importance=None,
-    visible_table=None,
-    sigma: float = float("-inf"),
-    preload: bool = False,
-    name: str = "budgeted",
-    tracer=None,
-    registry=None,
-    profiler=None,
-    ctx: Optional[RunContext] = None,
-) -> "BudgetedResult":
-    """Replay with a per-step demand-I/O deadline.
-
-    Per step: visible blocks already resident are free — their (cheap)
-    fast-memory read time is recorded in ``io_time_s`` but never charged
-    against the budget, so a fully-resident frame always renders complete.
-    Missing blocks are fetched most-important-first (when ``importance``
-    is given) until the accumulated *miss* fetch time would exceed
-    ``io_budget_s`` — the rest are holes this frame.  When
-    ``visible_table`` is given, the predicted next view is prefetched
-    during rendering exactly as in Algorithm 1 (the prefetch rides the
-    render time, not the budget).
-
-    On top of the hierarchy's fetch metrics, ``registry`` records a
-    per-step ``frame_coverage`` histogram and a ``frame_time_seconds``
-    histogram.  ``tracer``/``profiler`` behave as described in
-    :class:`~repro.runtime.context.RunContext`.  The budget cut-off keeps
-    the miss loop sequential (one ``fetch`` per missing block).
-    """
-    check_positive("io_budget_s", io_budget_s)
-    collector = BudgetedCollector(name=name, io_budget_s=io_budget_s)
-    stages: List[Stage] = []
-    if preload and importance is not None:
-        stages.append(PreloadStage(lambda: importance.ids_above(sigma)))
-    stages.append(BudgetedFetchStage(io_budget_s, importance=importance))
-    if visible_table is not None:
-        stages.append(BudgetedPrefetchStage(visible_table, importance=importance, sigma=sigma))
-    stages.append(RenderStage(count="rendered", span=False))
     ctx = _resolve_ctx(ctx, tracer, registry, profiler)
     return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
 

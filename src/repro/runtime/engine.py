@@ -1,25 +1,26 @@
 """The single replay step loop, composed from pluggable stages.
 
-:class:`SimulationEngine` is what the five legacy drivers each hand-rolled:
+:class:`SimulationEngine` is what the legacy drivers each hand-rolled:
 one pass over a camera path's visible sets, calling an ordered list of
 :class:`~repro.runtime.stages.Stage` objects per view point and handing the
-finished :class:`~repro.runtime.stages.Frame` to a *collector* that rows it
-up into the run's result type.  A legacy driver is now a *recipe* — a
-particular stage list plus collector — built by
-:mod:`repro.runtime.drivers`.
+finished :class:`~repro.runtime.stages.Frame` to a *collector*.  Every
+recipe's collector is a :class:`StepMetricsCollector`, which rows the
+frames into a :class:`~repro.core.metrics.RunResult` (a caller that wants
+per-frame attribution wraps it in
+:class:`~repro.obs.attribution.AttributionCollector`).
+A legacy driver is now a *recipe* — a particular stage list plus
+collector — built by :mod:`repro.runtime.drivers`.
 
 Stages drive the hierarchy through the vectorized
-``fetch_many``/``prefetch_many`` calls, one per step.  Simulated clocks,
-cache stats, byte ledger, and trace stream are pinned against frozen
-copies of the pre-runtime drivers (per-block and batched) by the
-equivalence suite.
+``fetch_many``/``prefetch_many`` calls, one each per step; no stage calls
+the per-block ``fetch``.  Simulated clocks, cache stats, byte ledger, and
+trace stream are pinned against frozen copies of the pre-runtime drivers
+(per-block and batched) by the equivalence suite.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.metrics import RunResult, StepMetrics
 from repro.runtime.context import RunContext
@@ -29,7 +30,6 @@ __all__ = [
     "SimulationEngine",
     "Collector",
     "StepMetricsCollector",
-    "BudgetedCollector",
     "movement_extras",
 ]
 
@@ -240,48 +240,3 @@ class StepMetricsCollector(Collector):
             hierarchy_stats=engine.hierarchy.stats(),
             extras=extras,
         )
-
-
-class BudgetedCollector(Collector):
-    """Rows frames into :class:`~repro.core.interactive.BudgetedStep` and
-    builds a :class:`~repro.core.interactive.BudgetedResult`."""
-
-    def __init__(self, name: str, io_budget_s: float) -> None:
-        self.name = name
-        self.io_budget_s = float(io_budget_s)
-        self.steps: list = []
-        self._frame_hist = None
-        self._coverage_hist = None
-
-    def start(self, engine) -> None:
-        registry = engine.ctx.registry
-        self.steps = []
-        self._frame_hist = registry.histogram("frame_time_seconds", kind="sim")
-        self._coverage_hist = registry.histogram(
-            "frame_coverage", buckets=tuple(k / 10.0 for k in range(11))
-        )
-
-    def collect(self, engine, frame: Frame) -> None:
-        from repro.core.interactive import BudgetedStep
-
-        rendered = frame.rendered if frame.rendered is not None else []
-        row = BudgetedStep(
-            step=frame.step,
-            n_visible=frame.n_visible,
-            n_rendered=len(rendered),
-            io_time_s=frame.io_time_s,
-            prefetch_time_s=frame.prefetch_time_s,
-            rendered_ids=np.asarray(sorted(rendered), dtype=np.int64),
-            n_dropped=frame.n_dropped,
-        )
-        if engine.ctx.registry.enabled:
-            self._frame_hist.observe(
-                frame.io_time_s + max(frame.prefetch_time_s, frame.render_time_s)
-            )
-            self._coverage_hist.observe(row.coverage)
-        self.steps.append(row)
-
-    def finish(self, engine):
-        from repro.core.interactive import BudgetedResult
-
-        return BudgetedResult(name=self.name, io_budget_s=self.io_budget_s, steps=self.steps)

@@ -44,8 +44,6 @@ from typing import Any, Callable, Dict, Optional
 from repro.policies.registry import POLICY_NAMES, make_policy, register_policy
 from repro.runtime.stages import (
     AdaptiveSigmaStage,
-    BudgetedFetchStage,
-    BudgetedPrefetchStage,
     DemandFetchStage,
     PreloadStage,
     RenderStage,
@@ -108,12 +106,10 @@ STAGES = Registry("stage")
 for _cls in (
     PreloadStage,
     DemandFetchStage,
-    BudgetedFetchStage,
     RenderStage,
     StrategyPrefetchStage,
     TablePrefetchStage,
     AdaptiveSigmaStage,
-    BudgetedPrefetchStage,
     TemporalRemapStage,
     TemporalPrefetchStage,
 ):

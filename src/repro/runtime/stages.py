@@ -2,16 +2,18 @@
 
 One replay step of every legacy driver decomposes into the same pipeline:
 
-    demand fetch -> render -> overlap prefetch -> budget enforcement -> bookkeeping
+    demand fetch -> render -> overlap prefetch -> bookkeeping
 
 Each phase is a :class:`Stage`: an object with three hooks —
 ``start(engine)`` once before the loop, ``step(engine, frame)`` once per
 view point (in recipe order), and ``finish(engine)`` once after the loop.
 A recipe is an ordered list of stages plus a *collector* (the bookkeeping
 stage that rows up :class:`~repro.core.metrics.StepMetrics` and builds the
-result).  The stages below reproduce the five legacy drivers exactly —
-byte ledger, time ledger, cache stats, and trace stream are pinned against
-frozen copies of the seed loops by ``tests/runtime/test_equivalence.py``.
+result).  Every frame's demand fetch is one ``fetch_many`` and its
+prefetch one ``prefetch_many``.  The stages below reproduce the four
+legacy drivers exactly — byte ledger, time ledger, cache stats, and trace
+stream are pinned against frozen copies of the seed loops by
+``tests/runtime/test_equivalence.py``.
 
 Write a custom stage by subclassing :class:`Stage` and registering it with
 :func:`repro.runtime.registries.register_stage`; see ``docs/TUTORIAL.md``
@@ -21,7 +23,7 @@ Write a custom stage by subclassing :class:`Stage` and registering it with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +36,6 @@ __all__ = [
     "StrategyPrefetchStage",
     "TablePrefetchStage",
     "AdaptiveSigmaStage",
-    "BudgetedFetchStage",
-    "BudgetedPrefetchStage",
     "TemporalRemapStage",
     "TemporalPrefetchStage",
     "SigmaState",
@@ -61,8 +61,6 @@ class Frame:
     n_fast_misses: int = 0
     n_prefetched: int = 0
     n_dropped: int = 0
-    #: budgeted recipes: block ids actually available to the renderer.
-    rendered: Optional[List[int]] = None
 
     @property
     def n_visible(self) -> int:
@@ -140,60 +138,6 @@ class DemandFetchStage(Stage):
         frame.n_fast_misses = fastest.stats.misses - fast_misses_before
 
 
-class BudgetedFetchStage(Stage):
-    """Deadline-bounded demand fetch: budget enforcement on the miss stream.
-
-    Resident blocks are free with respect to the budget (their cheap
-    fast-memory read time is recorded but never charged); missing blocks
-    are fetched most-important-first until the accumulated *miss* time
-    would exceed ``io_budget_s`` — the rest stay holes this frame.  Sets
-    ``frame.rendered`` to the ids available at the deadline.
-    """
-
-    name = "budgeted-fetch"
-
-    def __init__(self, io_budget_s: float, importance=None) -> None:
-        self.io_budget_s = float(io_budget_s)
-        self.importance = importance
-
-    def step(self, engine, frame: Frame) -> None:
-        hierarchy = engine.hierarchy
-        fastest = hierarchy.fastest
-        importance = self.importance
-        i = frame.step
-        ids_arr = np.ascontiguousarray(frame.ids, dtype=np.int64)
-        mask = fastest.contains_many(ids_arr)
-        resident = ids_arr[mask]
-        missing = ids_arr[~mask]
-        if importance is not None and missing.size:
-            missing = missing[np.argsort(-importance.scores[missing], kind="stable")]
-        rendered = resident.tolist()
-
-        miss_time = 0.0
-        step_dropped = 0
-        with engine.ctx.profiler.span("fetch"):
-            # Hits: account + touch; free wrt the budget.
-            res = hierarchy.fetch_many(resident, i, min_free_step=i)
-            hit_time = res.time_s
-            if res.n_dropped:  # resident copy unreadable, nothing served
-                step_dropped += res.n_dropped
-                gone = set(res.dropped_ids)
-                rendered = [b for b in rendered if b not in gone]
-            # Misses stay per block: the budget cut-off is order-dependent.
-            for b in missing.tolist():
-                r = hierarchy.fetch(b, i, min_free_step=i)
-                miss_time += r.time_s
-                if r.dropped:
-                    step_dropped += 1  # charged time but no data: a hole
-                else:
-                    rendered.append(b)
-                if miss_time >= self.io_budget_s:
-                    break  # deadline: remaining blocks stay holes this frame
-        frame.io_time_s = hit_time + miss_time
-        frame.n_dropped = step_dropped
-        frame.rendered = rendered
-
-
 # ---------------------------------------------------------------------------
 # render
 
@@ -202,14 +146,14 @@ class RenderStage(Stage):
     """Charge the render cost model for the blocks that actually arrived.
 
     ``count`` selects what the renderer sees: ``"visible-minus-dropped"``
-    (graceful degradation — fault-dropped blocks are holes),
+    (graceful degradation — fault-dropped blocks are holes) or
     ``"visible"`` (ignore drops; the temporal driver's historical
-    behaviour), or ``"rendered"`` (the budgeted recipes' resident set).
+    behaviour).
     """
 
     name = "render"
 
-    _COUNTS = ("visible-minus-dropped", "visible", "rendered")
+    _COUNTS = ("visible-minus-dropped", "visible")
 
     def __init__(
         self,
@@ -224,8 +168,6 @@ class RenderStage(Stage):
         self.emit_trace = emit_trace
 
     def _n_blocks(self, frame: Frame) -> int:
-        if self.count == "rendered":
-            return len(frame.rendered or ())
         if self.count == "visible":
             return frame.n_visible
         return frame.n_visible - frame.n_dropped
@@ -446,42 +388,6 @@ class AdaptiveSigmaStage(Stage):
         elif frame.prefetch_time_s < 0.5 * frame.render_time_s:
             state.percentile = max(lo, state.percentile - cfg.sigma_step)
         state.sigma = self.importance_table.threshold_for_percentile(state.percentile)
-
-
-class BudgetedPrefetchStage(_BatchedTableLookupMixin, Stage):
-    """Budgeted-replay prefetch: the predicted next view rides the render.
-
-    Candidates are sliced to the fastest level's capacity *before* the
-    resident skip (skipped candidates still consume queue slots — the
-    seed driver's semantics), and the prefetch time is never charged
-    against the frame budget.
-    """
-
-    name = "budgeted-prefetch"
-
-    def __init__(self, visible_table, importance=None, sigma: float = float("-inf")) -> None:
-        self.visible_table = visible_table
-        self.importance = importance
-        self.sigma = float(sigma)
-
-    def start(self, engine) -> None:
-        self._reset_path_keys()
-
-    def step(self, engine, frame: Frame) -> None:
-        hierarchy = engine.hierarchy
-        i = frame.step
-        with engine.ctx.profiler.span("prefetch"):
-            predicted = self._predicted(engine, i)
-            if self.importance is not None:
-                candidates = self.importance.filter_and_rank(predicted, self.sigma)
-            else:
-                candidates = predicted
-            # Slice *before* the resident skip: skipped candidates still
-            # consume queue slots.
-            _, prefetch_time = hierarchy.prefetch_many(
-                candidates[: hierarchy.fastest.capacity], i, min_free_step=i
-            )
-        frame.prefetch_time_s = prefetch_time
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ the per-key loop records them (:class:`TaggedEvents`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.storage.device import DRAM, HDD, SSD, StorageDevice
 from repro.storage.stats import HierarchyStats
 from repro.trace.events import KIND_CODES, InternTable
 from repro.trace.tracer import NULL_TRACER
+from repro.utils.validation import check_positive
 
 __all__ = [
     "DROPPED",
@@ -38,9 +39,6 @@ __all__ = [
     "install_tenant_quotas",
     "make_standard_hierarchy",
 ]
-
-BlockSize = Union[int, Callable[[int], int]]
-
 
 #: ``FetchResult.source`` when every source (including the backing store)
 #: failed and the block could not be delivered.
@@ -218,12 +216,11 @@ class LevelSurface:
     """
 
     levels: List[CacheLevel]
-    _block_nbytes: BlockSize
+    _block_nbytes: int
 
     def block_nbytes(self, key: int) -> int:
-        if callable(self._block_nbytes):
-            return int(self._block_nbytes(key))
-        return int(self._block_nbytes)
+        """Block ``key``'s size in bytes: every block has the one size."""
+        return self._block_nbytes
 
     def _bind_fetch_metrics(self, sources: Sequence[str]) -> None:
         """Per serving source: ``fetch_latency_seconds`` split by demand/
@@ -293,7 +290,7 @@ class MemoryHierarchy(LevelSurface):
         levels: Sequence[CacheLevel],
         level_devices: Sequence[StorageDevice],
         backing: StorageDevice,
-        block_nbytes: BlockSize,
+        block_nbytes: int,
         prefetch_latency_factor: float = 0.25,
         tracer=None,
         registry=None,
@@ -310,7 +307,7 @@ class MemoryHierarchy(LevelSurface):
         self.levels: List[CacheLevel] = list(levels)
         self.level_devices: List[StorageDevice] = list(level_devices)
         self.backing = backing
-        self._block_nbytes = block_nbytes
+        self._block_nbytes = int(check_positive("block_nbytes", block_nbytes))
         if not 0.0 <= prefetch_latency_factor <= 1.0:
             raise ValueError(
                 f"prefetch_latency_factor must be in [0, 1], got {prefetch_latency_factor}"
@@ -320,9 +317,8 @@ class MemoryHierarchy(LevelSurface):
         self.prefetch_latency_factor = prefetch_latency_factor
         self.backing_reads = 0
         self.backing_bytes = 0
-        # Uniform-block fast path: block size and device read times are
-        # then pure constants per (source, demand/prefetch) pair.
-        self._uniform_nbytes = None if callable(block_nbytes) else int(block_nbytes)
+        # One block size: device read times are pure constants per
+        # (source, demand/prefetch) pair.
         self._read_time_cache: dict = {}
         # Source names by source index (the levels, then the backing store).
         self._source_names = [lv.name for lv in self.levels] + [backing.name]
@@ -527,20 +523,19 @@ class MemoryHierarchy(LevelSurface):
         """
         return self._fetch_one(key, step, prefetch, min_free_step, tenant)
 
-    def _read_time(self, source_idx: int, nbytes: int, latency_scale: float) -> float:
-        """Device read time, memoised per (source, scale) for uniform blocks.
+    def _read_time(self, source_idx: int, latency_scale: float) -> float:
+        """Device read time of one block, memoised per (source, scale).
 
         ``source_idx`` indexes ``level_devices``; ``-1`` is the backing
         device.  Identical values to calling ``read_time`` directly.
         """
-        if self._uniform_nbytes is None:
-            dev = self.backing if source_idx < 0 else self.level_devices[source_idx]
-            return dev.read_time(nbytes, latency_scale)
         cache_key = (source_idx, latency_scale)
         time_s = self._read_time_cache.get(cache_key)
         if time_s is None:
             dev = self.backing if source_idx < 0 else self.level_devices[source_idx]
-            time_s = self._read_time_cache[cache_key] = dev.read_time(nbytes, latency_scale)
+            time_s = self._read_time_cache[cache_key] = dev.read_time(
+                self._block_nbytes, latency_scale
+            )
         return time_s
 
     def _fetch_one(
@@ -564,14 +559,12 @@ class MemoryHierarchy(LevelSurface):
         block.  A tenant that a level which may admit the block does not
         know raises ``KeyError`` before anything is booked.
 
-        ``rec`` (batch mode, uniform block size only) accumulates the
+        ``rec`` (batch mode, without a fault injector) accumulates the
         registry fetch metrics per (source, time) for a grouped flush
         instead of recording them immediately.
         """
         levels = self.levels
-        nbytes = self._uniform_nbytes
-        if nbytes is None:
-            nbytes = self.block_nbytes(key)
+        nbytes = self._block_nbytes
         latency_scale = self.prefetch_latency_factor if prefetch else 1.0
         holders = []
         for j, level in enumerate(levels):
@@ -588,7 +581,7 @@ class MemoryHierarchy(LevelSurface):
                     levels[j]._tenant_id(tenant)
         if inj is None:
             served = holders[0] if holders else -1  # -1: the backing store
-            total_t = serve_t = self._read_time(served, nbytes, latency_scale)
+            total_t = serve_t = self._read_time(served, latency_scale)
         else:
             served, total_t, serve_t = self._read_with_faults(
                 key, step, holders, nbytes, latency_scale
@@ -679,7 +672,7 @@ class MemoryHierarchy(LevelSurface):
             if j >= 0 and breaker is not None and not breaker.allows(self._sim_now + total_t):
                 inj.record_breaker_skip(device)
                 continue
-            base_t = self._read_time(j, nbytes, latency_scale)
+            base_t = self._read_time(j, latency_scale)
             metrics = self._fault_metrics.get(device) if record else None
             for attempt in range(policy.max_attempts):
                 slow = inj.slowdown(device, step)
@@ -740,9 +733,9 @@ class MemoryHierarchy(LevelSurface):
     ) -> BatchFetchResult:
         """Fetch a whole id array; result-identical to scalar :meth:`fetch`.
 
-        Unique ids of uniform-size blocks, with no forensics, no fault
-        injector that can touch this hierarchy's devices and no
-        ``min_free_step`` past ``step``, take the level cascade
+        Unique ids, with no forensics, no fault injector that can touch
+        this hierarchy's devices and no ``min_free_step`` past ``step``,
+        take the level cascade
         (:meth:`_cascade`): the fastest level accesses every id in one
         :meth:`CacheLevel.access_many`, each slower level the misses of
         the level above, and the charged times, stats, registry metrics
@@ -822,12 +815,10 @@ class MemoryHierarchy(LevelSurface):
     @property
     def batchable(self) -> bool:
         """Can this hierarchy's batched calls take the level cascade at
-        all?  Everything the cascade books in bulk must commute: uniform
-        block sizes, no fault draw on any device here, no forensics
-        lineage.  (The call must also pass :meth:`_cascades`.)"""
-        return (
-            self._fault_free and self.forensics is None and self._uniform_nbytes is not None
-        )
+        all?  Everything the cascade books in bulk must commute: no fault
+        draw on any device here, no forensics lineage.  (The call must
+        also pass :meth:`_cascades`.)"""
+        return self._fault_free and self.forensics is None
 
     def _cascades(
         self, ids: np.ndarray, step: int = 0, min_free_step: Optional[int] = None
@@ -896,10 +887,10 @@ class MemoryHierarchy(LevelSurface):
                 events.add_sink(sink, at[pos], 1 + j, levels[j].name)
             src[pos[hit]] = j
             pos = pos[~hit]
-        nb = self._uniform_nbytes
+        nb = self._block_nbytes
         scale = self.prefetch_latency_factor if prefetch else 1.0
-        t_src = [self._read_time(j, nb, scale) for j in range(n_lv)]
-        t_src.append(self._read_time(-1, nb, scale))
+        t_src = [self._read_time(j, scale) for j in range(n_lv)]
+        t_src.append(self._read_time(-1, scale))
         counts = np.bincount(src, minlength=n_lv + 1).tolist()
         below = counts[n_lv]  # ids served deeper than the level being booked
         self.backing_reads += below
@@ -948,14 +939,10 @@ class MemoryHierarchy(LevelSurface):
         before the skips) and ``dedupe`` fetches each id at most once.  A
         dropped prefetch still counts as fetched: the prediction was acted
         on, it just failed.  Registry fetch metrics are grouped per
-        (source, time) for uniform blocks without a fault injector.
+        (source, time) without a fault injector.
         """
         rec: "Optional[dict]" = (
-            {}
-            if self.registry.enabled
-            and self._uniform_nbytes is not None
-            and self.fault_injector is None
-            else None
+            {} if self.registry.enabled and self.fault_injector is None else None
         )
         fast = self.levels[0]
         attempted = set() if dedupe else None
@@ -978,11 +965,11 @@ class MemoryHierarchy(LevelSurface):
         return fetched, results
 
     def _flush_rec(self, rec: "Optional[dict]", prefetch: bool) -> None:
-        """Flush grouped registry fetch metrics (uniform block size only)."""
+        """Flush grouped registry fetch metrics."""
         if not rec:
             return
         for (source_name, t), c in rec.items():
-            self._record_fetch(source_name, prefetch, self._uniform_nbytes, t, c)
+            self._record_fetch(source_name, prefetch, self._block_nbytes, t, c)
 
     # -- preload (Step 2 / Alg. 1 line 7) -----------------------------------------
 
@@ -1010,7 +997,7 @@ class MemoryHierarchy(LevelSurface):
 
 def make_standard_hierarchy(
     n_blocks: int,
-    block_nbytes: BlockSize,
+    block_nbytes: int,
     cache_ratio: float = 0.5,
     policy: str = "lru",
     devices: Sequence[StorageDevice] = (DRAM, SSD),

@@ -14,6 +14,7 @@ this equality exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -164,11 +165,22 @@ _MOVEMENT_CODES = [KIND_CODES[kind] for kind in MOVEMENT_KINDS]
 
 def check_sums(cols: TraceColumns) -> None:
     """Raise a one-line ``ValueError`` when a sum of ``cols.nbytes`` could
-    leave int64, where :func:`aggregate` adds them."""
+    leave int64, where :func:`aggregate` adds them, or a sum of
+    ``cols.time_s`` could leave the finite floats (a time is not finite,
+    or ``n`` of the largest would overflow; the factor of two covers the
+    rounding of any fold of up to ``n`` terms), where :func:`aggregate`
+    and the attribution fold add them."""
     n = len(cols)
-    largest = max(-int(cols.nbytes.min()), int(cols.nbytes.max())) if n else 0
+    if not n:
+        return
+    largest = max(-int(cols.nbytes.min()), int(cols.nbytes.max()))
     if n * largest >= 2**63:
         raise ValueError(f"{n} events of up to {largest} bytes: a byte sum could leave int64")
+    slowest = float(np.abs(cols.time_s).max())
+    if not math.isfinite(2.0 * n * slowest):
+        raise ValueError(
+            f"{n} events of up to {slowest} s: a time sum could leave the finite floats"
+        )
 
 
 def aggregate(events: Union[TraceColumns, Iterable[TraceEvent]]) -> TraceSummary:
@@ -182,8 +194,8 @@ def aggregate(events: Union[TraceColumns, Iterable[TraceEvent]]) -> TraceSummary
     once.  Per-step counts go by ``np.bincount``, byte sums by
     ``np.add.at`` and time sums by ``np.bincount``, which adds its
     weights in input order, so every float is the event-by-event left
-    fold's, bit for bit.  Byte sums that could leave int64 raise
-    (:func:`check_sums`).
+    fold's, bit for bit.  Byte sums that could leave int64 and time sums
+    that could leave the finite floats raise (:func:`check_sums`).
     """
     cols = TraceColumns.from_events(events)
     check_sums(cols)

@@ -18,6 +18,7 @@ columns, never holding the event list :func:`to_chrome_trace` returns.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -56,8 +57,9 @@ def read_jsonl(path: PathLike) -> TraceColumns:
     always ``1``) must be ``1``.  Anything the trace readers cannot take
     raises a one-line :class:`ValueError` naming the file, so CLI
     consumers report it without a traceback: an empty file; a truncated
-    or corrupt line or another ``count`` (these name the line too); an
-    unknown kind, a number past int64 or byte sums past int64
+    or corrupt line, another ``count`` or a ``time_s`` that is not a
+    finite number ``>= 0`` (these name the line too); an unknown kind, a
+    number past int64, or byte or time sums that could overflow
     (:func:`~repro.trace.aggregate.check_sums`).
     """
     path = Path(path)
@@ -77,6 +79,12 @@ def read_jsonl(path: PathLike) -> TraceColumns:
             if d.get("count", 1) != 1:
                 raise ValueError(
                     f"{path}:{lineno}: \"count\": {d['count']!r}, but every event is one block"
+                )
+            time_s = rows[-1].time_s
+            if not (math.isfinite(time_s) and time_s >= 0):
+                raise ValueError(
+                    f"{path}:{lineno}: \"time_s\": {time_s!r}, but a charged time is a "
+                    f"finite number >= 0"
                 )
     if not rows:
         raise ValueError(f"{path}: empty trace file (no events)")
@@ -115,6 +123,7 @@ def seq_drop_stats(
 # movement events; "degraded" stays an instant marker — its time is the
 # extra already inside the adjacent movement event's duration.
 _DURATION_KINDS = frozenset({"hit", "fetch", "prefetch", "render", "fault", "retry"})
+_ADVANCES_CLOCK = np.array([kind in _DURATION_KINDS for kind in EVENT_KINDS])
 
 
 def _track_for(kind: str, level: str) -> str:
@@ -136,11 +145,21 @@ def _chrome_events(
     """The Chrome-trace events one dict at a time: the process-name
     record, then one per row in ``seq`` order (rows with equal ``seq``
     keep their order), built :data:`~repro.trace.events._CHUNK` rows at a
-    time.  Bad input raises before the first yield."""
+    time.  Bad input raises before the first yield, a time or clock that
+    would not be finite once scaled too (JSON has no ``Infinity``)."""
     if time_scale <= 0:
         raise ValueError(f"time_scale must be > 0, got {time_scale}")
     cols = TraceColumns.from_events(events)
     order = np.argsort(cols.seq, kind="stable")
+    clock = cols.time_s[order]  # the loop's clock below, as the same left fold
+    clock[~_ADVANCES_CLOCK[cols.kind[order]]] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.accumulate(clock, out=clock)
+        finite = np.isfinite(cols.time_s * time_scale).all() and np.isfinite(
+            clock * time_scale
+        ).all()
+    if not finite:
+        raise ValueError(f"time_scale {time_scale}: a scaled time or clock would not be finite")
     yield {"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": process_name}}
     levels, spans, origins = cols.levels, cols.spans, cols.origins
     clock = 0.0

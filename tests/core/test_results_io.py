@@ -3,10 +3,8 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
-from repro.core.interactive import BudgetedResult, BudgetedStep
 from repro.core.metrics import RunResult, StepMetrics
 from repro.core.results_io import load_run_json, run_to_dict, save_run_json, save_steps_csv
 from repro.storage.stats import CacheStats, HierarchyStats
@@ -89,20 +87,6 @@ class TestStepsCsv:
         assert len(csv_path.read_text().splitlines()) == 7
 
 
-@pytest.fixture()
-def budgeted_result():
-    steps = [
-        BudgetedStep(step=0, n_visible=4, n_rendered=3, io_time_s=0.02,
-                     prefetch_time_s=0.01,
-                     rendered_ids=np.array([1, 2, 5], dtype=np.int64),
-                     n_dropped=1),
-        BudgetedStep(step=1, n_visible=2, n_rendered=2, io_time_s=0.01,
-                     prefetch_time_s=0.0,
-                     rendered_ids=np.array([2, 5], dtype=np.int64)),
-    ]
-    return BudgetedResult("budgeted-demo", 0.05, steps)
-
-
 class TestDataclassDrivenFields:
     """Step rows are derived from dataclasses.fields, not a column list."""
 
@@ -111,37 +95,5 @@ class TestDataclassDrivenFields:
         expected = {f.name for f in dataclasses.fields(StepMetrics)}
         assert set(d["steps"][0]) == expected
 
-    def test_budgeted_steps_cover_all_fields(self, budgeted_result):
-        d = run_to_dict(budgeted_result)
-        expected = {f.name for f in dataclasses.fields(BudgetedStep)}
-        assert set(d["steps"][0]) == expected
-        # the drift poster child: n_dropped was invisible to the old list
-        assert d["steps"][0]["n_dropped"] == 1
-        assert d["steps"][0]["rendered_ids"] == [1, 2, 5]
-
     def test_extras_are_in_the_document(self, result):
         assert run_to_dict(result)["extras"] == {"sigma": 2.0}
-
-
-class TestBudgetedRoundTrip:
-    def test_json_roundtrip(self, budgeted_result, tmp_path):
-        p = save_run_json(budgeted_result, tmp_path / "budgeted.json")
-        loaded = load_run_json(p)
-        assert loaded == run_to_dict(budgeted_result)
-        assert loaded["io_budget_s"] == 0.05
-        assert loaded["summary"]["full_frames"] == 1
-        # the ndarray came back as a plain list, fully reconstructible
-        steps = [
-            BudgetedStep(**{**s, "rendered_ids": np.asarray(s["rendered_ids"],
-                                                            dtype=np.int64)})
-            for s in loaded["steps"]
-        ]
-        assert steps[0].coverage == budgeted_result.steps[0].coverage
-
-    def test_csv_includes_array_column(self, budgeted_result, tmp_path):
-        p = save_steps_csv(budgeted_result, tmp_path / "budgeted.csv")
-        lines = p.read_text().strip().splitlines()
-        assert lines[0].split(",")[:4] == ["step", "n_visible", "n_rendered",
-                                          "io_time_s"]
-        assert "n_dropped" in lines[0]
-        assert '"[1, 2, 5]"' in lines[1]

@@ -1,7 +1,9 @@
 """Frozen copies of the seed replay drivers (pre-`repro.runtime`).
 
-These are byte-for-byte transplants of the five driver loops as they stood
-at commit 7e556e0 (the last PR before the `repro.runtime` consolidation).
+These are byte-for-byte transplants of the driver loops as they stood at
+commit 7e556e0 (the last PR before the `repro.runtime` consolidation): the
+baseline, prefetcher, temporal and optimizer loops (the budgeted loop went
+with its driver).
 The equivalence suite replays identical inputs through these oracles and
 through the `SimulationEngine` recipes and asserts the byte ledger, time
 ledger, cache stats, and aggregated trace match exactly.
@@ -17,14 +19,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.metrics import RunResult, StepMetrics
-from repro.core.interactive import BudgetedResult, BudgetedStep
 from repro.core.pipeline import PipelineContext
 from repro.obs.profiler import resolve_profiler
 from repro.prefetch.base import Prefetcher
 from repro.storage.hierarchy import MemoryHierarchy
 from repro.tables.importance_table import ImportanceTable
 from repro.tables.visible_table import LookupCostModel, VisibleTable
-from repro.utils.validation import check_positive
 from repro.volume.blocks import BlockGrid
 from repro.volume.timeseries import TimeVaryingVolume
 
@@ -328,163 +328,6 @@ def seed_run_with_prefetcher(
         hierarchy_stats=hierarchy.stats(),
         extras=extras,
     )
-
-
-def seed_run_budgeted(
-    context: PipelineContext,
-    hierarchy: MemoryHierarchy,
-    io_budget_s: float,
-    importance: Optional[ImportanceTable] = None,
-    visible_table: Optional[VisibleTable] = None,
-    sigma: float = float("-inf"),
-    preload: bool = False,
-    name: str = "budgeted",
-    tracer=None,
-    registry=None,
-    profiler=None,
-    engine: str = "batched",
-) -> BudgetedResult:
-    """Replay with a per-step demand-I/O deadline.
-
-    Per step: visible blocks already resident are free — their (cheap)
-    fast-memory read time is recorded in ``io_time_s`` but never charged
-    against the budget, so a fully-resident frame always renders complete.
-    Missing blocks are fetched most-important-first (when ``importance``
-    is given) until the accumulated *miss* fetch time would exceed
-    ``io_budget_s`` — the rest are holes this frame.  When
-    ``visible_table`` is given, the predicted next view is prefetched
-    during rendering exactly as in Algorithm 1 (the prefetch rides the
-    render time, not the budget).
-
-    ``tracer`` is installed on the hierarchy for the replay and receives
-    one ``render`` event per step (cost-model time for the rendered set).
-    ``registry`` is installed likewise; on top of the hierarchy's fetch
-    metrics it records a per-step ``frame_coverage`` histogram and a
-    ``frame_time_seconds`` histogram.  ``profiler`` records wall-clock
-    preload/fetch/prefetch spans.
-
-    ``engine="batched"`` (default) partitions each visible set with one
-    vectorized residency probe and fetches the resident blocks through
-    :meth:`~repro.storage.hierarchy.MemoryHierarchy.fetch_many`; the miss
-    loop stays sequential either way because the budget cut-off is
-    inherently order-dependent.  Results are identical to ``"scalar"``.
-    """
-    check_positive("io_budget_s", io_budget_s)
-    if tracer is not None:
-        hierarchy.set_tracer(tracer)
-    tracer = hierarchy.tracer
-    if registry is not None:
-        hierarchy.set_registry(registry)
-    registry = hierarchy.registry
-    profiler = resolve_profiler(profiler)
-    frame_hist = registry.histogram("frame_time_seconds", kind="sim")
-    coverage_hist = registry.histogram(
-        "frame_coverage", buckets=tuple(k / 10.0 for k in range(11))
-    )
-    if preload and importance is not None:
-        with profiler.span("preload"):
-            hierarchy.preload(importance.ids_above(sigma))
-
-    fastest = hierarchy.fastest
-    batched = _resolve_engine(engine)
-    steps: List[BudgetedStep] = []
-    positions = context.path.positions
-
-    for i, ids in enumerate(context.visible_sets):
-        if batched:
-            ids_arr = np.ascontiguousarray(ids, dtype=np.int64)
-            mask = fastest.contains_many(ids_arr)
-            resident = ids_arr[mask]
-            missing_arr = ids_arr[~mask]
-            if importance is not None and missing_arr.size:
-                missing_arr = missing_arr[
-                    np.argsort(-importance.scores[missing_arr], kind="stable")
-                ]
-            missing = missing_arr.tolist()
-            rendered = resident.tolist()
-        else:
-            ids_int = [int(b) for b in ids]
-            resident = [b for b in ids_int if hierarchy.contains_fast(b)]
-            resident_set = set(resident)
-            missing = [b for b in ids_int if b not in resident_set]
-            if importance is not None and missing:
-                order = np.argsort(-importance.scores[np.asarray(missing)], kind="stable")
-                missing = [missing[k] for k in order]
-            rendered = list(resident)
-
-        miss_time = 0.0
-        step_dropped = 0
-        with profiler.span("fetch"):
-            # Hits: account + touch; free wrt the budget.
-            if batched:
-                res = hierarchy.fetch_many(resident, i, min_free_step=i)
-                hit_time = res.time_s
-                if res.n_dropped:  # resident copy unreadable, nothing served
-                    step_dropped += res.n_dropped
-                    gone = set(res.dropped_ids)
-                    rendered = [b for b in rendered if b not in gone]
-            else:
-                hit_time = 0.0
-                for b in resident:
-                    r = hierarchy.fetch(b, i, min_free_step=i)
-                    hit_time += r.time_s
-                    if r.dropped:
-                        step_dropped += 1
-                        rendered.remove(b)
-            for b in missing:
-                r = hierarchy.fetch(b, i, min_free_step=i)
-                miss_time += r.time_s
-                if r.dropped:
-                    step_dropped += 1  # charged time but no data: a hole
-                else:
-                    rendered.append(b)
-                if miss_time >= io_budget_s:
-                    break  # deadline: remaining blocks stay holes this frame
-        io = hit_time + miss_time
-
-        prefetch_time = 0.0
-        if visible_table is not None:
-            with profiler.span("prefetch"):
-                _, predicted = visible_table.lookup(positions[i])
-                if importance is not None:
-                    candidates = importance.filter_and_rank(predicted, sigma)
-                else:
-                    candidates = predicted
-                # Slice *before* the resident skip (scalar semantics:
-                # skipped candidates still consume queue slots).
-                if batched:
-                    _, prefetch_time = hierarchy.prefetch_many(
-                        candidates[: fastest.capacity], i, min_free_step=i
-                    )
-                else:
-                    for b in candidates[: fastest.capacity]:
-                        b = int(b)
-                        if hierarchy.contains_fast(b):
-                            continue
-                        prefetch_time += hierarchy.fetch(
-                            b, i, prefetch=True, min_free_step=i
-                        ).time_s
-
-        render_time = context.render_model.render_time(len(rendered))
-        if tracer.enabled:
-            tracer.record("render", i, time_s=render_time)
-        step_row = BudgetedStep(
-            step=i,
-            n_visible=len(ids),
-            n_rendered=len(rendered),
-            io_time_s=io,
-            prefetch_time_s=prefetch_time,
-            rendered_ids=np.asarray(sorted(rendered), dtype=np.int64),
-            n_dropped=step_dropped,
-        )
-        if registry.enabled:
-            frame_hist.observe(io + max(prefetch_time, render_time))
-            coverage_hist.observe(step_row.coverage)
-        steps.append(step_row)
-
-    return BudgetedResult(name=name, io_budget_s=io_budget_s, steps=steps)
-
-
 
 
 def seed_run_temporal(

@@ -23,7 +23,6 @@ from repro.prefetch.strategies import TableLookupPrefetcher
 from repro.runtime import (
     AppAwareOptimizer,
     OptimizerConfig,
-    run_budgeted,
     run_with_prefetcher,
 )
 from repro.storage.hierarchy import make_standard_hierarchy
@@ -35,10 +34,9 @@ from repro.volume.volume import Volume
 from tests.runtime._seed_drivers import (
     SeedAppAwareOptimizer,
     SeedOptimizerConfig,
-    seed_run_budgeted,
     seed_run_with_prefetcher,
 )
-from tests.runtime.test_equivalence import Obs, _run_results_equal, _steps_equal, _surfaces_equal
+from tests.runtime.test_equivalence import Obs, _run_results_equal, _surfaces_equal
 
 VIEW = 10.0
 
@@ -95,22 +93,6 @@ class TestBatchedLedgerEquality:
             context, _hierarchy(grid), prefetcher(), engine=seed_mode, **frame_obs.kwargs()
         )
         _run_results_equal(batched, per_frame)
-        _surfaces_equal(batched_obs, frame_obs, seed_mode)
-
-    def test_budgeted(self, setup, seed_mode):
-        grid, context, vtable, itable = setup
-        kw = dict(
-            io_budget_s=0.02, importance=itable, visible_table=vtable,
-            sigma=float("-inf"), preload=True,
-        )
-        batched_obs, frame_obs = Obs(), Obs()
-        batched = run_budgeted(context, _hierarchy(grid), **kw, **batched_obs.kwargs())
-        per_frame = seed_run_budgeted(
-            context, _hierarchy(grid), **kw, engine=seed_mode, **frame_obs.kwargs()
-        )
-        assert batched.name == per_frame.name
-        assert batched.io_budget_s == per_frame.io_budget_s
-        _steps_equal(batched.steps, per_frame.steps)
         _surfaces_equal(batched_obs, frame_obs, seed_mode)
 
 

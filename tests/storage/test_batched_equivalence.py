@@ -2,7 +2,7 @@
 per-block ``fetch`` loops.
 
 The contract under test is the tentpole exactness claim: for every policy,
-capacity split, block-size model, and access pattern, ``fetch_many`` /
+capacity split, and access pattern, ``fetch_many`` /
 ``prefetch_many`` produce the same simulated clock, the same
 :class:`~repro.storage.stats.CacheStats`, the same residency and recency
 state, and the same trace byte ledger as the per-block scalar loop — not
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.camera.path import spherical_path
-from repro.runtime import run_baseline, run_budgeted, run_with_prefetcher
+from repro.runtime import run_baseline, run_with_prefetcher
 from repro.core.pipeline import PipelineContext
 from repro.experiments.runner import fresh_hierarchy
 from repro.faults import FaultInjector, FaultPlan
@@ -29,19 +29,18 @@ from repro.volume.blocks import BlockGrid
 
 from tests.runtime._seed_drivers import (
     seed_run_baseline,
-    seed_run_budgeted,
     seed_run_with_prefetcher,
 )
 
 POLICIES = ["fifo", "lru", "arc"]
 
 
-def _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, block_nbytes):
+def _make_hierarchy(policy, n_blocks, cap_fast, cap_slow):
     levels = [
         CacheLevel("dram", cap_fast, make_policy(policy), n_blocks=n_blocks),
         CacheLevel("ssd", cap_slow, make_policy(policy), n_blocks=n_blocks),
     ]
-    return MemoryHierarchy(levels, [DRAM, SSD], HDD, block_nbytes)
+    return MemoryHierarchy(levels, [DRAM, SSD], HDD, 256)
 
 
 def _assert_same_state(a: MemoryHierarchy, b: MemoryHierarchy) -> None:
@@ -98,22 +97,16 @@ def replay_cases(draw):
         )
         for _ in range(n_steps)
     ]
-    uniform = draw(st.booleans())
-    return n_blocks, cap_fast, cap_slow, steps, uniform
-
-
-def _nbytes_model(uniform):
-    return 256 if uniform else (lambda k: 64 + (k % 5) * 16)
+    return n_blocks, cap_fast, cap_slow, steps
 
 
 class TestFetchManyEquivalence:
     @given(case=replay_cases(), policy=st.sampled_from(POLICIES))
     @settings(max_examples=60, deadline=None)
     def test_demand_path_identical(self, case, policy):
-        n_blocks, cap_fast, cap_slow, steps, uniform = case
-        nb = _nbytes_model(uniform)
-        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
-        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
+        n_blocks, cap_fast, cap_slow, steps = case
+        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
+        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
         for i, ids in enumerate(steps):
             io = 0.0
             fast_hits = 0
@@ -132,10 +125,9 @@ class TestFetchManyEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_unconstrained_demand_path_identical(self, case, policy):
         """min_free_step=None exercises the persistent victim queue."""
-        n_blocks, cap_fast, cap_slow, steps, uniform = case
-        nb = _nbytes_model(uniform)
-        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
-        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
+        n_blocks, cap_fast, cap_slow, steps = case
+        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
+        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
         for i, ids in enumerate(steps):
             io = sum(a.fetch(k, i).time_s for k in ids.tolist())
             assert b.fetch_many(ids, i).time_s == io
@@ -145,8 +137,8 @@ class TestFetchManyEquivalence:
 @pytest.mark.parametrize("policy", POLICIES)
 def test_repeated_ids_match_the_per_block_loop(policy):
     """A repeated id is a hit the second time, charged as one."""
-    a = _make_hierarchy(policy, 16, 8, 16, 256)
-    b = _make_hierarchy(policy, 16, 8, 16, 256)
+    a = _make_hierarchy(policy, 16, 8, 16)
+    b = _make_hierarchy(policy, 16, 8, 16)
     ids = np.array([3, 5, 5, 7, 9], dtype=np.int64)
     io = 0.0
     for k in ids.tolist():
@@ -176,7 +168,7 @@ def _scalar_prefetch(h, candidates, step, cap, dedupe):
 
 @st.composite
 def prefetch_cases(draw):
-    n_blocks, cap_fast, cap_slow, steps, uniform = draw(replay_cases())
+    n_blocks, cap_fast, cap_slow, steps = draw(replay_cases())
     cands = [
         np.array(
             draw(st.lists(st.integers(0, n_blocks - 1), max_size=2 * n_blocks)),
@@ -186,17 +178,16 @@ def prefetch_cases(draw):
     ]
     cap = draw(st.one_of(st.none(), st.integers(0, n_blocks)))
     dedupe = draw(st.booleans())
-    return n_blocks, cap_fast, cap_slow, steps, cands, uniform, cap, dedupe
+    return n_blocks, cap_fast, cap_slow, steps, cands, cap, dedupe
 
 
 class TestPrefetchManyEquivalence:
     @given(case=prefetch_cases(), policy=st.sampled_from(POLICIES))
     @settings(max_examples=60, deadline=None)
     def test_mixed_demand_and_prefetch_identical(self, case, policy):
-        n_blocks, cap_fast, cap_slow, steps, cands, uniform, cap, dedupe = case
-        nb = _nbytes_model(uniform)
-        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
-        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
+        n_blocks, cap_fast, cap_slow, steps, cands, cap, dedupe = case
+        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
+        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
         for i, (ids, cand) in enumerate(zip(steps, cands)):
             io = sum(a.fetch(k, i, min_free_step=i).time_s for k in ids.tolist())
             assert b.fetch_many(ids, i, min_free_step=i).time_s == io
@@ -233,10 +224,9 @@ class TestTraceByteLedger:
     @given(case=prefetch_cases(), policy=st.sampled_from(POLICIES))
     @settings(max_examples=40, deadline=None)
     def test_batched_trace_preserves_ledger(self, case, policy):
-        n_blocks, cap_fast, cap_slow, steps, cands, uniform, cap, dedupe = case
-        nb = _nbytes_model(uniform)
-        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
-        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
+        n_blocks, cap_fast, cap_slow, steps, cands, cap, dedupe = case
+        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
+        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
         a.set_tracer(Tracer())
         b.set_tracer(Tracer())
         for i, (ids, cand) in enumerate(zip(steps, cands)):
@@ -269,10 +259,9 @@ class TestFaultedEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_demand_path_identical_under_faults(self, case, policy, fault):
         profile, seed = fault
-        n_blocks, cap_fast, cap_slow, steps, uniform = case
-        nb = _nbytes_model(uniform)
-        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
-        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
+        n_blocks, cap_fast, cap_slow, steps = case
+        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
+        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
         a.set_fault_injector(FaultInjector(FaultPlan.from_profile(profile, seed=seed)))
         b.set_fault_injector(FaultInjector(FaultPlan.from_profile(profile, seed=seed)))
         for i, ids in enumerate(steps):
@@ -297,10 +286,9 @@ class TestFaultedEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_prefetch_identical_under_faults(self, case, policy, fault):
         profile, seed = fault
-        n_blocks, cap_fast, cap_slow, steps, cands, uniform, cap, dedupe = case
-        nb = _nbytes_model(uniform)
-        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
-        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow, nb)
+        n_blocks, cap_fast, cap_slow, steps, cands, cap, dedupe = case
+        a = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
+        b = _make_hierarchy(policy, n_blocks, cap_fast, cap_slow)
         plan = FaultPlan.from_profile(profile, seed=seed)
         a.set_fault_injector(FaultInjector(plan))
         b.set_fault_injector(FaultInjector(plan))
@@ -354,20 +342,3 @@ class TestDriverEngineEquivalence:
         assert a.steps == b.steps
         assert a.hierarchy_stats == b.hierarchy_stats
         assert a.extras == b.extras
-
-    def test_run_budgeted(self, small_context):
-        grid, context = small_context
-        ha, hb = fresh_hierarchy(grid), fresh_hierarchy(grid)
-        a = seed_run_budgeted(context, ha, io_budget_s=5e-4, engine="scalar")
-        b = run_budgeted(context, hb, io_budget_s=5e-4)
-        # BudgetedStep carries a numpy rendered_ids field, so dataclass ==
-        # is ambiguous; compare field-wise instead.
-        assert len(a.steps) == len(b.steps)
-        for sa, sb in zip(a.steps, b.steps):
-            assert (sa.step, sa.n_visible, sa.n_rendered) == (
-                sb.step, sb.n_visible, sb.n_rendered
-            )
-            assert sa.io_time_s == sb.io_time_s
-            assert sa.prefetch_time_s == sb.prefetch_time_s
-            np.testing.assert_array_equal(sa.rendered_ids, sb.rendered_ids)
-        assert ha.stats() == hb.stats()

@@ -33,11 +33,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             MemoryHierarchy(levels, [DRAM, SSD], HDD, 1024)
 
-    def test_callable_block_size(self):
-        h = tiny()
-        h._block_nbytes = lambda k: 10 * (k + 1)
-        assert h.block_nbytes(0) == 10
-        assert h.block_nbytes(4) == 50
+    def test_block_size_is_one_positive_number(self):
+        """Every block has one size, checked when either hierarchy is built:
+        a per-block size function, 0 and a negative size all raise."""
+        from repro.cluster import NetworkFabric, ShardedHierarchy, ShardMap
+        from repro.volume.blocks import BlockGrid
+
+        grid = BlockGrid((16, 16, 16), (8, 8, 8))
+
+        def sharded(block_nbytes):
+            node = make_standard_hierarchy(grid.n_blocks, 1024)
+            return ShardedHierarchy(ShardMap(grid, 1), [node], NetworkFabric(1), block_nbytes)
+
+        assert tiny().block_nbytes(4) == 1024
+        assert sharded(1024).block_nbytes(4) == 1024
+        for build in (tiny, sharded):
+            with pytest.raises(TypeError):
+                build(lambda k: 10 * (k + 1))
+            for size in (0, -1):
+                with pytest.raises(ValueError, match="block_nbytes must be > 0"):
+                    build(size)
 
 
 class TestReadPath:

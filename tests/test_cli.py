@@ -650,12 +650,17 @@ def _line(**fields):
 
 
 #: JSONL files both readers reject: the columns cannot hold the first two,
-#: every event is one block, and ``aggregate`` sums bytes in int64.
+#: every event is one block, a charged time is a finite number >= 0, and
+#: ``aggregate`` sums bytes in int64 and times in finite floats.
 _BAD_JSONL = {
     "unknown_kind": _line(kind="frobnicate"),
     "number_past_int64": _line(key=2**64),
     "count_2": _line(count=2),
     "byte_sums_past_int64": _line(nbytes=2**62) + _line(seq=1, nbytes=2**62),
+    "time_infinity": _line(time_s=float("inf")),
+    "time_nan": _line(time_s=float("nan")),
+    "time_negative": _line(time_s=-1.0),
+    "time_sums_past_the_floats": _line(time_s=1e308) + _line(seq=1, time_s=1e308),
 }
 
 
@@ -674,6 +679,19 @@ class TestJsonlReaders:
             assert err.startswith("error:") and str(path) in err, argv[0]
             assert err.count("\n") == 1 and "Traceback" not in err, argv[0]
         assert not (tmp_path / "t.json").exists() and not (tmp_path / "t.html").exists()
+
+    def test_a_clock_past_the_floats_writes_no_chrome_file(self, tmp_path, capsys):
+        """A time the readers take can still scale past the floats on the
+        Chrome clock (microseconds): ``--from-jsonl`` then exits 2 with one
+        line, before the file exists."""
+        path = tmp_path / "huge.jsonl"
+        path.write_text(_line(time_s=1e303))
+        out = tmp_path / "t.json"
+        assert main(["trace", "--from-jsonl", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "not be finite" in err
+        assert err.count("\n") == 1 and not out.exists()
+        assert main(["analyze", str(path), "--out", str(tmp_path / "t.html")]) == 0
 
     def test_count_1_lines_read_as_before(self, tmp_path, capsys):
         """Lines that carry ``"count": 1`` (the key older versions wrote)

@@ -59,7 +59,7 @@ class TestPublicAPI:
         import repro.prefetch
         import repro.runtime
 
-        for name in ("run_baseline", "run_budgeted", "run_temporal", "AppAwareOptimizer"):
+        for name in ("run_baseline", "run_temporal", "AppAwareOptimizer"):
             assert getattr(repro, name) is getattr(repro.runtime, name)
             assert getattr(repro.core, name) is getattr(repro.runtime, name)
         assert repro.prefetch.run_with_prefetcher is repro.runtime.run_with_prefetcher
@@ -67,4 +67,22 @@ class TestPublicAPI:
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
         assert not hasattr(importlib.import_module("repro.core.pipeline"), "run_baseline")
-        assert not hasattr(importlib.import_module("repro.core.interactive"), "run_budgeted")
+
+    def test_budgeted_replay_is_gone(self):
+        """The frame-deadline replay went with its modules; no package
+        re-exports any of its names."""
+        for module in ("repro.core.interactive", "repro.render.image"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        gone = (
+            "run_budgeted", "render_quality_series", "BudgetedResult", "BudgetedStep",
+            "BudgetedCollector", "BudgetedFetchStage", "BudgetedPrefetchStage",
+            "mse", "psnr", "mean_abs_error", "interactive_quality",
+        )
+        for pkg in ("repro", "repro.core", "repro.runtime", "repro.runtime.engine",
+                    "repro.runtime.stages", "repro.runtime.drivers", "repro.render",
+                    "repro.experiments.extensions"):
+            module = importlib.import_module(pkg)
+            assert not [n for n in gone if hasattr(module, n)], pkg
+        assert "budgeted-fetch" not in repro.runtime.STAGES
+        assert "budgeted-prefetch" not in repro.runtime.STAGES

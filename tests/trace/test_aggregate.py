@@ -1,6 +1,7 @@
 """Tests for per-step timeline aggregation."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -130,13 +131,20 @@ def _fields(summary):
 def _fold_both_ways(rows, capacity):
     """Record ``rows`` into a ring of ``capacity`` (so a wrap leaves the
     oldest rows out), then fold its columns, their event list and their
-    columns rebuilt from that list, each against the event loop."""
+    columns rebuilt from that list, each against the event loop.  Rows
+    whose time sums could leave the finite floats (twice ``n`` times the
+    largest time overflows) raise instead, in every form."""
     tracer = Tracer(capacity)
     for kind, step, level, key, nbytes, time_s, span in rows:
         tracer.current_span = span
         tracer.record(kind, step, level, key, nbytes, time_s)
     cols = tracer.events()
     events = cols.events()
+    if not math.isfinite(2.0 * len(events) * max((abs(e.time_s) for e in events), default=0)):
+        for form in (cols, events, TraceColumns.from_events(events)):
+            with pytest.raises(ValueError, match="could leave the finite floats"):
+                aggregate(form)
+        return
     want = _fields(aggregate_events(events))
     assert _fields(aggregate(cols)) == want
     assert _fields(aggregate(events)) == want
@@ -199,6 +207,22 @@ def test_sums_past_int64_raise():
     t.record("fetch", step=0, level="hdd", key=1, nbytes=2**62 - 1)
     t.record("fetch", step=0, level="hdd", key=2, nbytes=-(2**62 - 1))
     assert aggregate(t.events()).steps[0].demand_bytes == 0
+
+
+def test_time_sums_past_the_finite_floats_raise():
+    """Times whose sums could overflow (or that are not finite) raise a
+    one-line error instead of folding to ``inf``; large ones that fit
+    still fold."""
+    for times in ([1e308, 1e308], [float("inf")], [float("nan")], [1.0, 8e307]):
+        t = Tracer()
+        t.record_many(["fetch"] * len(times), 0, ["hdd"] * len(times),
+                      list(range(len(times))), [8] * len(times), times)
+        with pytest.raises(ValueError, match="could leave the finite floats") as exc:
+            aggregate(t.events())
+        assert "\n" not in str(exc.value)
+    t = Tracer()
+    t.record_many(["fetch"] * 2, 0, ["hdd"] * 2, [1, 2], [8] * 2, [1e303, 1e303])
+    assert aggregate(t.events()).steps[0].demand_time_s == 2e303
 
 
 def test_event_lists_with_unknown_kinds_raise():

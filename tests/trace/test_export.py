@@ -246,6 +246,9 @@ class TestStreamedChromeTrace:
         with pytest.raises(ValueError, match="unknown event kind"):
             write_chrome_trace([TraceEvent(0, "frobnicate", 0, "", 1, 0, 0.0)],
                                tmp_path / "x" / "t.json")
+        with pytest.raises(ValueError, match="would not be finite"):  # 1e309 microseconds
+            write_chrome_trace([TraceEvent(0, "fetch", 0, "hdd", 1, 8, 1e303)],
+                               tmp_path / "x" / "t.json")
         assert not (tmp_path / "x").exists()
 
     def test_builds_no_trace_event(self, tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 
 from repro.camera.path import random_path
 from repro.camera.sampling import SamplingConfig
-from repro.runtime import run_budgeted
 from repro.runtime import run_baseline
 from repro.experiments.runner import ExperimentSetup
 from repro.runtime import run_with_prefetcher
@@ -122,14 +121,3 @@ class TestEventStream:
         run_baseline(context, hierarchy, tracer=tracer)
         evicts = sum(1 for e in tracer.events() if e.kind == "evict")
         assert evicts == sum(s.evictions for s in hierarchy.stats().levels.values())
-
-    def test_budgeted_replay_traces(self, setup, context):
-        tracer = Tracer(capacity=200_000)
-        result = run_budgeted(
-            context, setup.hierarchy("lru"), io_budget_s=0.05, tracer=tracer,
-        )
-        kinds = {e.kind for e in tracer.events()}
-        assert "render" in kinds and ("fetch" in kinds or "hit" in kinds)
-        summary = aggregate(tracer.events())
-        assert summary.n_events == len(tracer.events())
-        assert len(result.steps) == len(context.visible_sets)
