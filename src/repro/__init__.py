@@ -88,7 +88,6 @@ from repro.core import (
     collect_demand_trace,
     RunResult,
     StepMetrics,
-    run_temporal,
     OutOfCoreSession,
 )
 from repro.prefetch import (
@@ -194,7 +193,6 @@ __all__ = [
     "collect_demand_trace",
     "RunResult",
     "StepMetrics",
-    "run_temporal",
     "OutOfCoreSession",
     # prefetch
     "Prefetcher",

@@ -20,13 +20,11 @@ from repro.runtime.config import OptimizerConfig
 from repro.runtime.drivers import (
     AppAwareOptimizer,
     run_baseline,
-    run_temporal,
 )
 from repro.core.session import OutOfCoreSession
 from repro.core.results_io import run_to_dict, save_run_json, save_steps_csv, load_run_json
 
 __all__ = [
-    "run_temporal",
     "OutOfCoreSession",
     "run_to_dict",
     "save_run_json",

@@ -4,7 +4,6 @@ Each returns :class:`FigureResult` panels (an x-axis and named series)
 whose shapes the benches assert:
 
 - :func:`prefetch_strategies` — table vs motion vs Markov vs none;
-- :func:`temporal` — next-timestep prefetch on time-varying climate;
 - :func:`multires_tradeoff` — LoD bytes vs data-dependent accuracy;
 - :func:`layout_locality` — Z-order vs row-major file locality;
 - :func:`scheduling` — analytic vs event-driven total-time accounting;
@@ -26,7 +25,7 @@ from repro.camera.path import random_path, spherical_path
 from repro.camera.sampling import SamplingConfig
 from repro.core.pipeline import PipelineContext
 from repro.core.schedule import event_driven_total_time
-from repro.runtime.drivers import run_baseline, run_temporal
+from repro.runtime.drivers import run_baseline
 from repro.experiments.report import format_series
 from repro.experiments.runner import ExperimentSetup, compare_policies
 from repro.prefetch import (
@@ -39,12 +38,10 @@ from repro.prefetch import (
 from repro.render.isosurface import isosurface_blocks
 from repro.render.query import BlockRangeIndex, RangeQuery, evaluate_query
 from repro.storage.hierarchy import make_standard_hierarchy
-from repro.tables.builder import build_visible_table
 from repro.volume.blocks import BlockGrid
 from repro.volume.layout import morton_layout, row_major_layout
 from repro.volume.multires import MipPyramid, select_levels_by_distance
 from repro.volume.synthetic import combustion_field
-from repro.volume.timeseries import make_time_varying_climate
 from repro.volume.volume import Volume
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "iso_sweep",
     "multinode",
     "prefetch_strategies",
-    "temporal",
     "multires_tradeoff",
     "layout_locality",
     "scheduling",
@@ -122,61 +118,6 @@ def prefetch_strategies(full: bool = False, seed: int = 0) -> List[FigureResult]
             "strategy",
             labels,
             {"miss_rate": miss, "io_s": io_s, "prefetch_s": prefetch_s, "total_s": total_s},
-        )
-    ]
-
-
-def temporal(full: bool = False, seed: int = 11) -> List[FigureResult]:
-    """Next-timestep prefetch on time-varying climate data."""
-    shape = (74, 64, 24) if full else (48, 40, 16)
-    n_timesteps = 8 if full else 4
-    n_path = 160 if full else 48
-    series = make_time_varying_climate(shape=shape, n_timesteps=n_timesteps, seed=seed)
-    grid = BlockGrid.with_target_blocks(series.shape, 512 if full else 64)
-    path = spherical_path(
-        n_positions=n_path, degrees_per_step=4.0, distance=2.5,
-        view_angle_deg=_EXT_VIEW, seed=seed,
-    )
-    context = PipelineContext.create(path, grid)
-    sampling = SamplingConfig(
-        n_directions=256 if full else 64, n_distances=2, distance_range=(2.3, 2.7)
-    )
-    vtable = build_visible_table(grid, sampling, _EXT_VIEW, seed=0)
-    itable = series.temporal_importance(grid)
-    sigma = itable.threshold_for_percentile(0.25)
-    steps_per_timestep = n_path // n_timesteps
-
-    def hierarchy():
-        return make_standard_hierarchy(
-            n_blocks=series.n_total_blocks(grid),
-            block_nbytes=grid.uniform_block_nbytes(),
-        )
-
-    on = run_temporal(
-        context, series, hierarchy(), steps_per_timestep=steps_per_timestep,
-        visible_table=vtable, importance=itable, sigma=sigma,
-    )
-    off = run_temporal(
-        context, series, hierarchy(), steps_per_timestep=steps_per_timestep,
-        visible_table=vtable, importance=itable, sigma=sigma,
-        prefetch_next_timestep=False,
-    )
-    boundary = steps_per_timestep
-    return [
-        FigureResult(
-            "ext_temporal",
-            f"temporal replay ({n_timesteps} timesteps, {n_path} views)",
-            "variant",
-            ["temporal prefetch", "no prefetch"],
-            {
-                "miss_rate": [on.total_miss_rate, off.total_miss_rate],
-                "boundary_misses": [
-                    on.steps[boundary].n_fast_misses,
-                    off.steps[boundary].n_fast_misses,
-                ],
-                "total_s": [on.total_time_s, off.total_time_s],
-            },
-            meta={"steps_per_timestep": steps_per_timestep},
         )
     ]
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.experiments.runner import ExperimentSetup, fresh_hierarchy
 from repro.runtime.context import RunContext
 from repro.runtime.sessions import SessionSpec, run_sessions
-from repro.utils.validation import is_finite_number
+from repro.utils.validation import check_camera_motion, is_finite_number
 
 __all__ = [
     "SERVE_SCHEMA_VERSION",
@@ -78,17 +78,7 @@ class LoadGenConfig:
             raise ValueError(f"mix must be 3 finite non-negative weights, got {self.mix}")
         if not math.isfinite(self.arrival_rate_hz):
             raise ValueError(f"arrival_rate_hz must be finite, got {self.arrival_rate_hz}")
-        if not (is_finite_number(self.distance) and self.distance > 0):
-            raise ValueError(f"distance must be positive and finite, got {self.distance!r}")
-        if (
-            len(self.degrees) != 2
-            or not all(is_finite_number(v) for v in self.degrees)
-            or not 0 <= self.degrees[0] <= self.degrees[1]
-        ):
-            raise ValueError(
-                f"degrees must be a finite (lo, hi) pair with 0 <= lo <= hi, "
-                f"got {self.degrees!r}"
-            )
+        check_camera_motion(self.degrees, self.distance)
         for name in ("scale", "cache_ratio"):
             value = getattr(self, name)
             if value is not None and not is_finite_number(value):

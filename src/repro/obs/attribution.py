@@ -71,7 +71,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.runtime.engine import Collector
 from repro.trace.events import (
     EVENT_KINDS,
     KIND_CODES,
@@ -84,7 +83,6 @@ __all__ = [
     "ATTRIBUTION_SCHEMA_VERSION",
     "FrameAttribution",
     "AttributionReport",
-    "AttributionCollector",
     "attribute_run",
     "attribute_frames",
 ]
@@ -696,48 +694,3 @@ def attribute_run(
         all_steps, cols, frame, [ledgers.get(s) for s in all_steps], drop_stats,
         drop_stats is not None and drop_stats.get("n_dropped", 0) > 0,
     )
-
-
-# -- engine integration --------------------------------------------------------
-
-
-class AttributionCollector(Collector):
-    """Wraps any :class:`~repro.runtime.engine.Collector` and attributes
-    each frame as it completes.
-
-    The engine calls ``collect`` after every stage wrote the frame, so
-    slicing the tracer between consecutive collects yields exactly the
-    events charged to that frame.  ``finish`` returns the inner
-    collector's result unchanged and leaves the report on ``.report``
-    — strictly observational, like the forensics hooks.
-    """
-
-    def __init__(self, inner: Collector) -> None:
-        self.inner = inner
-        self.report: Optional[AttributionReport] = None
-        self._rows: List[Tuple[int, TraceColumns, Tuple[float, float, float, float]]] = []
-        self._seq = 0
-        self._incomplete = False
-
-    def start(self, engine) -> None:
-        self.inner.start(engine)
-        tracer = engine.ctx.tracer
-        self._rows = []
-        self._seq = tracer.n_recorded
-        self._incomplete = not tracer.enabled
-
-    def collect(self, engine, frame) -> None:
-        self.inner.collect(engine, frame)
-        tracer = engine.ctx.tracer
-        row, dropped = frame_row(tracer, self._seq, frame)
-        self._incomplete |= dropped
-        self._seq = tracer.n_recorded
-        self._rows.append(row)
-
-    def finish(self, engine):
-        result = self.inner.finish(engine)
-        tracer = engine.ctx.tracer
-        self.report = attribute_frames(
-            self._rows, drop_stats=tracer.drop_stats(), incomplete=self._incomplete
-        )
-        return result

@@ -1,8 +1,8 @@
 """Unified replay runtime: one engine, one context, pluggable stages.
 
 This package replaces the hand-rolled replay loops that used to live
-in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/temporal.py`` and
-``core/optimizer.py`` with a single composable :class:`SimulationEngine`:
+in ``core/pipeline.py``, ``prefetch/driver.py`` and ``core/optimizer.py``
+with a single composable :class:`SimulationEngine`:
 
 - :class:`RunConfig` — frozen, schema-validated description of a run
   (dataset/workload/policy/faults/shards), round-
@@ -14,7 +14,7 @@ in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/temporal.py`` and
   (demand fetch → render → overlap prefetch → bookkeeping) as an ordered
   stage recipe, rowed by :class:`StepMetricsCollector` into a
   :class:`~repro.core.metrics.RunResult`;
-- :mod:`~repro.runtime.drivers` — the four historical drivers, each now a
+- :mod:`~repro.runtime.drivers` — the three historical drivers, each now a
   ~20-line recipe that fetches each frame with one ``fetch_many``;
 - :mod:`~repro.runtime.registries` — stage/prefetcher/workload/policy
   registries, so new behaviours are registered rather than threaded;
@@ -37,7 +37,6 @@ from repro.runtime.context import RunContext
 from repro.runtime.drivers import (
     AppAwareOptimizer,
     run_baseline,
-    run_temporal,
     run_with_prefetcher,
 )
 from repro.runtime.engine import (
@@ -69,8 +68,6 @@ from repro.runtime.stages import (
     Stage,
     StrategyPrefetchStage,
     TablePrefetchStage,
-    TemporalPrefetchStage,
-    TemporalRemapStage,
 )
 
 __all__ = [
@@ -86,7 +83,6 @@ __all__ = [
     "movement_extras",
     "run_baseline",
     "run_with_prefetcher",
-    "run_temporal",
     "run_sessions",
     "SessionSpec",
     "SessionsResult",
@@ -99,8 +95,6 @@ __all__ = [
     "StrategyPrefetchStage",
     "TablePrefetchStage",
     "AdaptiveSigmaStage",
-    "TemporalRemapStage",
-    "TemporalPrefetchStage",
     "SigmaState",
     "Registry",
     "STAGES",

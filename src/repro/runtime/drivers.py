@@ -31,14 +31,11 @@ from repro.runtime.stages import (
     Stage,
     StrategyPrefetchStage,
     TablePrefetchStage,
-    TemporalPrefetchStage,
-    TemporalRemapStage,
 )
 
 __all__ = [
     "run_baseline",
     "run_with_prefetcher",
-    "run_temporal",
     "AppAwareOptimizer",
     "OptimizerConfig",
 ]
@@ -82,8 +79,6 @@ def run_baseline(
         name=name or f"baseline-{policy_name}",
         policy=policy_name,
         overlap_prefetch=False,
-        observe="serial",
-        charge=("io", "render"),
         extras_fn=movement_extras,
     )
     stages: List[Stage] = [
@@ -129,8 +124,6 @@ def run_with_prefetcher(
         name=name or f"prefetch-{prefetcher.name}",
         policy=f"prefetch-{prefetcher.name}",
         overlap_prefetch=True,
-        observe="overlapped",
-        charge=("io", "lookup", "prefetch", "render"),
         extras_fn=movement_extras,
     )
     stages: List[Stage] = []
@@ -142,77 +135,6 @@ def run_with_prefetcher(
         StrategyPrefetchStage(prefetcher, max_prefetch_per_step=max_prefetch_per_step),
     ]
     ctx = _resolve_ctx(ctx, tracer, registry, profiler)
-    return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
-
-
-def run_temporal(
-    context: PipelineContext,
-    series,
-    hierarchy,
-    steps_per_timestep: int,
-    visible_table=None,
-    importance=None,
-    sigma: float = float("-inf"),
-    prefetch_next_timestep: bool = True,
-    lookup_cost=None,
-    name: str = "temporal",
-    ctx: Optional[RunContext] = None,
-) -> "RunResult":
-    """Replay a camera path over a time-varying volume.
-
-    As the user orbits, the simulation time also advances, so the working
-    set is the *visible blocks of the current timestep*.  Extends
-    Algorithm 1 with temporal prefetch: during rendering it prefetches the
-    predicted visible set of the **next timestep** — the same spatial
-    prediction, shifted one step forward in time.
-
-    Parameters
-    ----------
-    context:
-        The spatial replay context (path + grid + visible sets).
-    series:
-        The time-varying volume; timestep at path step ``i`` is
-        ``min(i // steps_per_timestep, n_timesteps - 1)``.
-    hierarchy:
-        Must be sized for the *temporal* id space
-        (``series.n_total_blocks(grid)`` blocks).
-    visible_table, importance, sigma:
-        The paper's tables; when given, prefetch pulls the σ-filtered
-        predicted set of the next timestep during rendering.
-    prefetch_next_timestep:
-        Turn the temporal prefetch off to measure its contribution.
-    """
-    from repro.tables.visible_table import LookupCostModel
-
-    lookup_cost = lookup_cost or LookupCostModel()
-    remap = TemporalRemapStage(series, steps_per_timestep)
-    collector = StepMetricsCollector(
-        name=name,
-        policy="temporal-app-aware" if prefetch_next_timestep else "temporal-lru",
-        overlap_prefetch=True,
-        observe=None,
-        charge=(),
-        extras_fn=lambda engine: {
-            "n_timesteps": float(series.n_timesteps),
-            "backing_bytes": float(engine.hierarchy.backing_bytes),
-        },
-        fault_extras=False,
-        metrics=False,
-    )
-    stages: List[Stage] = []
-    if importance is not None:
-        stages.append(PreloadStage(lambda: [int(b) for b in importance.ids_above(sigma)]))
-    stages += [
-        remap,
-        DemandFetchStage(protect=True),
-        RenderStage(count="visible", span=False, emit_trace=False),
-    ]
-    if prefetch_next_timestep:
-        stages.append(
-            TemporalPrefetchStage(
-                remap, visible_table, importance=importance, sigma=sigma, lookup_cost=lookup_cost
-            )
-        )
     return SimulationEngine(context, hierarchy, stages, collector, ctx=ctx).run()
 
 
@@ -277,8 +199,6 @@ class AppAwareOptimizer:
             name=name,
             policy="app-aware",
             overlap_prefetch=True,
-            observe="overlapped",
-            charge=("io", "lookup", "prefetch", "render"),
             extras_fn=lambda engine: {
                 "sigma": self.sigma,
                 "final_sigma": sigma_state.sigma,

@@ -5,9 +5,9 @@ one pass over a camera path's visible sets, calling an ordered list of
 :class:`~repro.runtime.stages.Stage` objects per view point and handing the
 finished :class:`~repro.runtime.stages.Frame` to a *collector*.  Every
 recipe's collector is a :class:`StepMetricsCollector`, which rows the
-frames into a :class:`~repro.core.metrics.RunResult` (a caller that wants
-per-frame attribution wraps it in
-:class:`~repro.obs.attribution.AttributionCollector`).
+frames into a :class:`~repro.core.metrics.RunResult`; per-frame
+attribution is :func:`~repro.obs.attribution.attribute_run` over the
+run's trace (or, per tenant, ``run_sessions(attribution=True)``).
 A legacy driver is now a *recipe* — a particular stage list plus
 collector — built by :mod:`repro.runtime.drivers`.
 
@@ -20,7 +20,7 @@ trace stream are pinned against frozen copies of the pre-runtime drivers
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import RunResult, StepMetrics
 from repro.runtime.context import RunContext
@@ -33,12 +33,11 @@ __all__ = [
     "movement_extras",
 ]
 
-#: sim-clock channel -> StepMetrics field, for end-of-run charge_sim.
-_CHANNEL_FIELDS = {
-    "io": "io_time_s",
-    "lookup": "lookup_time_s",
-    "prefetch": "prefetch_time_s",
-    "render": "render_time_s",
+#: overlap_prefetch -> the sim-clock channels charged on the profiler at
+#: run end (a serial step has no lookup or prefetch time).
+_CHARGED: Dict[bool, Tuple[str, ...]] = {
+    True: ("io", "lookup", "prefetch", "render"),
+    False: ("io", "render"),
 }
 
 
@@ -137,23 +136,17 @@ class StepMetricsCollector(Collector):
     Parameters
     ----------
     name, policy, overlap_prefetch:
-        The result's identity fields.
-    observe:
-        What the per-step ``frame_time_seconds`` histogram sees:
-        ``"serial"`` (``io + lookup + render``), ``"overlapped"``
-        (``io + lookup + max(prefetch, render)``), or ``None``.
-    charge:
-        Sim-clock channels charged on the profiler at run end, in order
-        (subset of ``io``/``lookup``/``prefetch``/``render``).
+        The result's identity fields.  ``overlap_prefetch`` also sets what
+        the per-step ``frame_time_seconds`` histogram sees — ``io + lookup
+        + max(prefetch, render)`` with overlap, ``io + lookup + render``
+        without — and which sim-clock channels are charged on the profiler
+        at run end: ``io``/``lookup``/``prefetch``/``render`` with overlap,
+        ``io``/``render`` without.
     extras_fn:
-        ``engine -> dict`` of result extras (ordering preserved).
-    fault_extras:
-        Append dropped-block/degraded-frame/fault-stats extras when the
-        hierarchy carries a fault injector (gated so fault-free summaries
-        stay byte-identical to pre-fault snapshots).
-    metrics:
-        ``False`` skips the frame-time histogram entirely (the temporal
-        driver's historical behaviour).
+        ``engine -> dict`` of result extras (ordering preserved).  When the
+        hierarchy carries a fault injector, the dropped-block,
+        degraded-frame and fault-stats extras follow them (so fault-free
+        summaries stay byte-identical to pre-fault snapshots).
     """
 
     def __init__(
@@ -161,25 +154,12 @@ class StepMetricsCollector(Collector):
         name: str,
         policy: str,
         overlap_prefetch: bool,
-        observe: Optional[str] = "serial",
-        charge: Sequence[str] = ("io", "render"),
-        extras_fn: Optional[Callable[..., Dict[str, float]]] = movement_extras,
-        fault_extras: bool = True,
-        metrics: bool = True,
+        extras_fn: Callable[..., Dict[str, float]] = movement_extras,
     ) -> None:
-        if observe not in (None, "serial", "overlapped"):
-            raise ValueError(f"observe must be None, 'serial' or 'overlapped', got {observe!r}")
-        unknown = [ch for ch in charge if ch not in _CHANNEL_FIELDS]
-        if unknown:
-            raise ValueError(f"unknown sim channels {unknown}; known: {sorted(_CHANNEL_FIELDS)}")
         self.name = name
         self.policy = policy
         self.overlap_prefetch = overlap_prefetch
-        self.observe = observe
-        self.charge = tuple(charge)
         self.extras_fn = extras_fn
-        self.fault_extras = fault_extras
-        self.metrics = metrics
         self.steps: List[StepMetrics] = []
         self.dropped_blocks = 0
         self.degraded_frames = 0
@@ -191,8 +171,7 @@ class StepMetricsCollector(Collector):
         self.dropped_blocks = 0
         self.degraded_frames = 0
         self._faulty = engine.hierarchy.fault_injector is not None
-        if self.metrics:
-            self._frame_hist = engine.ctx.registry.histogram("frame_time_seconds", kind="sim")
+        self._frame_hist = engine.ctx.registry.histogram("frame_time_seconds", kind="sim")
 
     def collect(self, engine, frame: Frame) -> None:
         row = StepMetrics(
@@ -210,23 +189,22 @@ class StepMetricsCollector(Collector):
             # the storage stack could not deliver.
             self.dropped_blocks += frame.n_dropped
             self.degraded_frames += 1
-        if self.metrics and engine.ctx.registry.enabled and self.observe is not None:
-            value = (
-                row.step_total_serial_s
-                if self.observe == "serial"
-                else row.step_total_overlapped_s
+        if engine.ctx.registry.enabled:
+            self._frame_hist.observe(
+                row.step_total_overlapped_s
+                if self.overlap_prefetch
+                else row.step_total_serial_s
             )
-            self._frame_hist.observe(value)
         self.steps.append(row)
 
     def finish(self, engine) -> RunResult:
         profiler = engine.ctx.profiler
         if profiler.enabled:
-            for channel in self.charge:
-                field = _CHANNEL_FIELDS[channel]
+            for channel in _CHARGED[self.overlap_prefetch]:
+                field = f"{channel}_time_s"
                 profiler.charge_sim(channel, sum(getattr(s, field) for s in self.steps))
-        extras = dict(self.extras_fn(engine)) if self.extras_fn is not None else {}
-        if self.fault_extras and self._faulty:
+        extras = dict(self.extras_fn(engine))
+        if self._faulty:
             # Added only under fault injection so fault-free summaries stay
             # byte-identical to pre-faults snapshots.
             extras["dropped_blocks"] = float(self.dropped_blocks)

@@ -50,8 +50,6 @@ from repro.runtime.stages import (
     Stage,
     StrategyPrefetchStage,
     TablePrefetchStage,
-    TemporalPrefetchStage,
-    TemporalRemapStage,
 )
 
 __all__ = [
@@ -110,8 +108,6 @@ for _cls in (
     StrategyPrefetchStage,
     TablePrefetchStage,
     AdaptiveSigmaStage,
-    TemporalRemapStage,
-    TemporalPrefetchStage,
 ):
     STAGES.register(_cls.name, _cls)
 

@@ -34,6 +34,7 @@ to the single-stream driver's (pinned by the test suite).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -50,6 +51,7 @@ from repro.runtime.engine import (
 from repro.runtime.registries import WORKLOADS
 from repro.runtime.stages import DemandFetchStage, Frame, RenderStage, Stage
 from repro.utils.rng import SeedLike
+from repro.utils.validation import check_camera_motion
 
 __all__ = ["SessionSpec", "SessionsResult", "run_sessions"]
 
@@ -79,8 +81,9 @@ class SessionSpec:
             )
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.arrival_s < 0:
-            raise ValueError(f"arrival_s must be >= 0, got {self.arrival_s}")
+        check_camera_motion(self.degrees, self.distance)
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
+            raise ValueError(f"arrival_s must be finite and >= 0, got {self.arrival_s!r}")
 
     @property
     def tenant_label(self) -> str:
@@ -244,8 +247,6 @@ def run_sessions(
             name=spec.session_id,
             policy=policy_name,
             overlap_prefetch=False,
-            observe="serial",
-            charge=("io", "render"),
             extras_fn=movement_extras,
         )
         stages: List[Stage] = [

@@ -10,10 +10,10 @@ view point (in recipe order), and ``finish(engine)`` once after the loop.
 A recipe is an ordered list of stages plus a *collector* (the bookkeeping
 stage that rows up :class:`~repro.core.metrics.StepMetrics` and builds the
 result).  Every frame's demand fetch is one ``fetch_many`` and its
-prefetch one ``prefetch_many``.  The stages below reproduce the four
-legacy drivers exactly — byte ledger, time ledger, cache stats, and trace
-stream are pinned against frozen copies of the seed loops by
-``tests/runtime/test_equivalence.py``.
+prefetch one ``prefetch_many``, over the visible set the frame starts
+with.  The stages below reproduce the three legacy drivers exactly — byte
+ledger, time ledger, cache stats, and trace stream are pinned against
+frozen copies of the seed loops by ``tests/runtime/test_equivalence.py``.
 
 Write a custom stage by subclassing :class:`Stage` and registering it with
 :func:`repro.runtime.registries.register_stage`; see ``docs/TUTORIAL.md``
@@ -36,8 +36,6 @@ __all__ = [
     "StrategyPrefetchStage",
     "TablePrefetchStage",
     "AdaptiveSigmaStage",
-    "TemporalRemapStage",
-    "TemporalPrefetchStage",
     "SigmaState",
 ]
 
@@ -46,10 +44,9 @@ __all__ = [
 class Frame:
     """Mutable per-step state the stages read and write.
 
-    ``ids`` starts as the step's visible block ids; a remapping stage
-    (e.g. temporal) may replace it before the demand fetch.  Timing fields
-    accumulate simulated seconds; the collector snapshots them into the
-    immutable result row at the end of the step.
+    ``ids`` is the step's visible block ids; no stage rewrites it.  Timing
+    fields accumulate simulated seconds; the collector snapshots them into
+    the immutable result row at the end of the step.
     """
 
     step: int
@@ -145,42 +142,18 @@ class DemandFetchStage(Stage):
 class RenderStage(Stage):
     """Charge the render cost model for the blocks that actually arrived.
 
-    ``count`` selects what the renderer sees: ``"visible-minus-dropped"``
-    (graceful degradation — fault-dropped blocks are holes) or
-    ``"visible"`` (ignore drops; the temporal driver's historical
-    behaviour).
+    Fault-dropped blocks are holes (graceful degradation): the renderer
+    sees ``n_visible - n_dropped`` blocks.
     """
 
     name = "render"
 
-    _COUNTS = ("visible-minus-dropped", "visible")
-
-    def __init__(
-        self,
-        count: str = "visible-minus-dropped",
-        span: bool = True,
-        emit_trace: bool = True,
-    ) -> None:
-        if count not in self._COUNTS:
-            raise ValueError(f"count must be one of {self._COUNTS}, got {count!r}")
-        self.count = count
-        self.span = span
-        self.emit_trace = emit_trace
-
-    def _n_blocks(self, frame: Frame) -> int:
-        if self.count == "visible":
-            return frame.n_visible
-        return frame.n_visible - frame.n_dropped
-
     def step(self, engine, frame: Frame) -> None:
         model = engine.context.render_model
-        if self.span:
-            with engine.ctx.profiler.span("render"):
-                render = model.render_time(self._n_blocks(frame))
-        else:
-            render = model.render_time(self._n_blocks(frame))
+        with engine.ctx.profiler.span("render"):
+            render = model.render_time(frame.n_visible - frame.n_dropped)
         frame.render_time_s = render
-        if self.emit_trace and engine.ctx.tracer.enabled:
+        if engine.ctx.tracer.enabled:
             engine.ctx.tracer.record("render", frame.step, time_s=render)
 
 
@@ -281,28 +254,6 @@ class StrategyPrefetchStage(_OverlapPrefetchBase):
             self._issue(engine, frame, candidates)
 
 
-class _BatchedTableLookupMixin:
-    """Resolve every frame's nearest ``T_visible`` key in ONE KD-tree query.
-
-    The per-point results are bit-identical to single-frame
-    :meth:`VisibleTable.lookup` calls (same tree, same metric), and the
-    simulated lookup cost is still charged per frame — so the ledger is
-    byte-identical to the per-frame seed drivers (tested).  Stages mix
-    this in and call :meth:`_predicted` instead of ``lookup``.
-    """
-
-    _path_keys: Optional[np.ndarray] = None
-
-    def _reset_path_keys(self) -> None:
-        self._path_keys = None
-
-    def _predicted(self, engine, step: int) -> np.ndarray:
-        table = self.visible_table
-        if self._path_keys is None:
-            self._path_keys, _ = table.nearest_entries(engine.context.path.positions)
-        return table.entry(int(self._path_keys[step]))
-
-
 class SigmaState:
     """Mutable σ shared between the table prefetch stage and the adaptive
     controller (the paper fixes σ; the controller tunes it online)."""
@@ -314,7 +265,7 @@ class SigmaState:
         self.percentile = float(percentile)
 
 
-class TablePrefetchStage(_BatchedTableLookupMixin, _OverlapPrefetchBase):
+class TablePrefetchStage(_OverlapPrefetchBase):
     """Algorithm 1 lines 20-22: ``T_visible`` lookup, σ-filter, prefetch.
 
     The whole predict-filter-issue sequence shares one ``prefetch``
@@ -322,6 +273,13 @@ class TablePrefetchStage(_BatchedTableLookupMixin, _OverlapPrefetchBase):
     the lookup cost model charges the simulated table-query time.
     ``enabled=False`` keeps the usefulness scoreboard (and its metrics)
     alive while skipping the issuance — the ``prefetch=False`` ablation.
+
+    Every frame's nearest ``T_visible`` key is resolved in ONE KD-tree
+    query at the first step.  The per-point results are bit-identical to
+    single-frame :meth:`VisibleTable.lookup` calls (same tree, same
+    metric), and the simulated lookup cost is still charged per frame —
+    so the ledger is byte-identical to the per-frame seed drivers
+    (tested).
     """
 
     name = "table-prefetch"
@@ -343,9 +301,10 @@ class TablePrefetchStage(_BatchedTableLookupMixin, _OverlapPrefetchBase):
         self.lookup_cost = lookup_cost
         self.use_importance_filter = use_importance_filter
         self.enabled = enabled
+        self._path_keys: Optional[np.ndarray] = None
 
     def start(self, engine) -> None:
-        self._reset_path_keys()
+        self._path_keys = None
         super().start(engine)
 
     def step(self, engine, frame: Frame) -> None:
@@ -353,9 +312,12 @@ class TablePrefetchStage(_BatchedTableLookupMixin, _OverlapPrefetchBase):
         if not self.enabled:
             return
         registry = engine.ctx.registry
+        table = self.visible_table
         with engine.ctx.profiler.span("prefetch"):
-            predicted = self._predicted(engine, frame.step)
-            frame.lookup_time_s = self.lookup_cost.query_time(self.visible_table.n_entries)
+            if self._path_keys is None:
+                self._path_keys, _ = table.nearest_entries(engine.context.path.positions)
+            predicted = table.entry(int(self._path_keys[frame.step]))
+            frame.lookup_time_s = self.lookup_cost.query_time(table.n_entries)
             if self.use_importance_filter:
                 candidates = self.importance_table.filter_and_rank(
                     predicted, self.sigma_state.sigma
@@ -388,77 +350,3 @@ class AdaptiveSigmaStage(Stage):
         elif frame.prefetch_time_s < 0.5 * frame.render_time_s:
             state.percentile = max(lo, state.percentile - cfg.sigma_step)
         state.sigma = self.importance_table.threshold_for_percentile(state.percentile)
-
-
-# ---------------------------------------------------------------------------
-# temporal
-
-
-class TemporalRemapStage(Stage):
-    """Map the step's spatial visible set into the current timestep's id
-    space (time-varying data: the working set is the visible blocks *of
-    the current timestep*)."""
-
-    name = "temporal-remap"
-
-    def __init__(self, series, steps_per_timestep: int) -> None:
-        if steps_per_timestep < 1:
-            raise ValueError(f"steps_per_timestep must be >= 1, got {steps_per_timestep}")
-        self.series = series
-        self.steps_per_timestep = int(steps_per_timestep)
-
-    def timestep(self, step: int) -> int:
-        return min(step // self.steps_per_timestep, self.series.n_timesteps - 1)
-
-    def step(self, engine, frame: Frame) -> None:
-        t = self.timestep(frame.step)
-        frame.ids = self.series.temporal_visible_ids(frame.ids, t, engine.context.grid)
-
-
-class TemporalPrefetchStage(_BatchedTableLookupMixin, Stage):
-    """Temporal extension of Algorithm 1's prefetch: pull the predicted
-    visible set of the **next timestep** during rendering — the same
-    spatial prediction, shifted one step forward in time."""
-
-    name = "temporal-prefetch"
-
-    def __init__(
-        self,
-        remap: TemporalRemapStage,
-        visible_table,
-        importance=None,
-        sigma: float = float("-inf"),
-        lookup_cost=None,
-    ) -> None:
-        self.remap = remap
-        self.visible_table = visible_table
-        self.importance = importance
-        self.sigma = float(sigma)
-        self.lookup_cost = lookup_cost
-
-    def start(self, engine) -> None:
-        self._reset_path_keys()
-
-    def step(self, engine, frame: Frame) -> None:
-        if self.visible_table is None:
-            return
-        hierarchy = engine.hierarchy
-        series = self.remap.series
-        n_spatial = engine.context.grid.n_blocks
-        i = frame.step
-        t_next = min((i + 1) // self.remap.steps_per_timestep, series.n_timesteps - 1)
-        with engine.ctx.profiler.span("prefetch"):
-            predicted = self._predicted(engine, i)
-            frame.lookup_time_s = self.lookup_cost.query_time(self.visible_table.n_entries)
-            if self.importance is not None:
-                # Importance is over the temporal id space; rank the
-                # predicted spatial set within the *next* timestep.
-                shifted = np.asarray(predicted, dtype=np.int64) + t_next * n_spatial
-                candidates = self.importance.filter_and_rank(shifted, self.sigma)
-            else:
-                candidates = np.asarray(predicted, dtype=np.int64) + t_next * n_spatial
-            issued, prefetch_time = hierarchy.prefetch_many(
-                candidates, i, min_free_step=i, max_fetch=hierarchy.fastest.capacity
-            )
-        frame.prefetch_time_s = prefetch_time
-        frame.n_prefetched = len(issued)

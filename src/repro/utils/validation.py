@@ -16,6 +16,7 @@ __all__ = [
     "check_in_range",
     "check_shape_3d",
     "check_probability",
+    "check_camera_motion",
 ]
 
 
@@ -52,6 +53,23 @@ def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
 def check_probability(name: str, value: float) -> float:
     """Require ``0 <= value <= 1``; return it for chaining."""
     return check_in_range(name, value, 0.0, 1.0)
+
+
+def check_camera_motion(degrees: Any, distance: Any) -> None:
+    """Require a camera path's per-step turn range ``degrees`` to be a
+    finite ``(lo, hi)`` pair with ``0 <= lo <= hi`` and its ``distance`` to
+    be positive and finite."""
+    if not (is_finite_number(distance) and distance > 0):
+        raise ValueError(f"distance must be positive and finite, got {distance!r}")
+    if (
+        not isinstance(degrees, (tuple, list))
+        or len(degrees) != 2
+        or not all(is_finite_number(v) for v in degrees)
+        or not 0 <= degrees[0] <= degrees[1]
+    ):
+        raise ValueError(
+            f"degrees must be a finite (lo, hi) pair with 0 <= lo <= hi, got {degrees!r}"
+        )
 
 
 def check_shape_3d(name: str, shape: Sequence[int]) -> Tuple[int, int, int]:

@@ -27,12 +27,6 @@ from repro.volume.layout import (
     mean_seek_distance,
 )
 from repro.volume.multires import MipPyramid, downsample2, select_levels_by_distance
-from repro.volume.timeseries import (
-    TimeVaryingVolume,
-    make_time_varying_climate,
-    temporal_block_id,
-    split_temporal_id,
-)
 
 __all__ = [
     "Volume",
@@ -55,8 +49,4 @@ __all__ = [
     "MipPyramid",
     "downsample2",
     "select_levels_by_distance",
-    "TimeVaryingVolume",
-    "make_time_varying_climate",
-    "temporal_block_id",
-    "split_temporal_id",
 ]

@@ -1,9 +1,8 @@
 """Smoke tests for the cheap extension experiments.
 
-The expensive ones (prefetch sweep, interactive quality, temporal,
-scheduling) run in the benchmark suite; the two sub-second ones are
-exercised here so the extensions module has test coverage in the unit
-suite too.
+The expensive ones (prefetch sweep, scheduling, iso sweep, multinode)
+run in the benchmark suite; the two sub-second ones are exercised here so
+the extensions module has test coverage in the unit suite too.
 """
 
 from repro.experiments import extensions

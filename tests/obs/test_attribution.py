@@ -22,13 +22,8 @@ from repro.camera.path import random_path
 from repro.core.pipeline import PipelineContext
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import attribution
-from repro.obs.attribution import (
-    AttributionCollector,
-    attribute_frames,
-    attribute_run,
-)
+from repro.obs.attribution import attribute_frames, attribute_run
 from repro.runtime import run_baseline, run_with_prefetcher
-from repro.runtime.stages import Stage
 from repro.prefetch.strategies import MarkovPrefetcher
 from repro.storage.hierarchy import make_standard_hierarchy
 from repro.trace import TraceEvent, Tracer
@@ -84,16 +79,6 @@ def _run(context, grid, replay, faults, prefetch=False):
     else:
         result = run_baseline(context, hierarchy, tracer=tracer)
     return tracer, result
-
-
-class _PerBlockFetchStage(Stage):
-    """A custom demand stage: one ``hierarchy.fetch`` per visible block."""
-
-    def step(self, engine, frame):
-        for b in frame.ids.tolist():
-            r = engine.hierarchy.fetch(b, frame.step, min_free_step=frame.step)
-            frame.io_time_s += r.time_s
-            frame.n_dropped += int(r.dropped)
 
 
 def _assert_partition_exact(report):
@@ -271,41 +256,6 @@ class TestIncompleteAndInexact:
         assert report.drop_stats["n_dropped"] == tracer.n_dropped
         assert report.as_dict()["incomplete"] is True
 
-    def test_collector_ring_holding_every_frame_is_complete(self, attr_context):
-        """A ring that wraps between frames but holds each frame's events
-        when the collector slices them loses nothing."""
-        grid, context = attr_context
-        full = Tracer()
-        run_baseline(context, _hierarchy(grid, "none"), tracer=full)
-        per_frame = max(sum(e.step == s for e in full.events()) for s in range(10))
-        tracer = Tracer(capacity=per_frame + 1)
-        report = self._collect(context, grid, tracer)
-        assert tracer.n_dropped > 0
-        assert report.incomplete is False
-        assert report.reconciled is True
-        tiny = Tracer(capacity=per_frame // 2)
-        assert self._collect(context, grid, tiny).incomplete is True
-
-    @staticmethod
-    def _collect(context, grid, tracer):
-        from repro.runtime.context import RunContext
-        from repro.runtime.engine import (
-            SimulationEngine,
-            StepMetricsCollector,
-            movement_extras,
-        )
-        from repro.runtime.stages import DemandFetchStage, RenderStage
-
-        collector = AttributionCollector(StepMetricsCollector(
-            name="ring-test", policy="lru", overlap_prefetch=False,
-            observe="serial", charge=("io", "render"), extras_fn=movement_extras,
-        ))
-        SimulationEngine(
-            context, _hierarchy(grid, "none"), [DemandFetchStage(), RenderStage()],
-            collector, ctx=RunContext(tracer=tracer),
-        ).run()
-        return collector.report
-
     def test_mismatched_ledger_fails_reconciliation(self):
         events = [TraceEvent(0, "fetch", 0, "hdd", 1, 4096, 0.5)]
         report = attribute_frames([(0, events, (0.25, 0.0, 0.0, 0.0))])
@@ -350,55 +300,6 @@ class TestOrphanGroups:
         frame = report.frames[0]
         assert frame.reconciled is True
         assert frame.prefetch_components["fault_penalty"] == pytest.approx(0.3)
-
-
-class TestAttributionCollector:
-    @pytest.mark.parametrize("replay", REPLAYS)
-    def test_wraps_engine_collector(self, attr_context, replay):
-        from repro.runtime.engine import (
-            SimulationEngine,
-            StepMetricsCollector,
-            movement_extras,
-        )
-        from repro.runtime.context import RunContext
-        from repro.runtime.stages import DemandFetchStage, RenderStage
-
-        grid, context = attr_context
-        inner = StepMetricsCollector(
-            name="collector-test", policy="lru", overlap_prefetch=False,
-            observe="serial", charge=("io", "render"), extras_fn=movement_extras,
-        )
-        collector = AttributionCollector(inner)
-        ctx = RunContext(tracer=Tracer())
-        fetch = DemandFetchStage() if replay == "batched" else _PerBlockFetchStage()
-        result = SimulationEngine(
-            context, _hierarchy(grid, "none"), [fetch, RenderStage()], collector, ctx=ctx
-        ).run()
-        assert collector.report is not None
-        assert collector.report.reconciled is True
-        assert len(collector.report.frames) == len(result.steps)
-        _assert_partition_exact(collector.report)
-
-    def test_disabled_tracer_marks_incomplete(self, attr_context):
-        from repro.runtime.engine import (
-            SimulationEngine,
-            StepMetricsCollector,
-            movement_extras,
-        )
-        from repro.runtime.stages import DemandFetchStage, RenderStage
-
-        grid, context = attr_context
-        inner = StepMetricsCollector(
-            name="collector-test", policy="lru", overlap_prefetch=False,
-            observe="serial", charge=("io", "render"), extras_fn=movement_extras,
-        )
-        collector = AttributionCollector(inner)
-        SimulationEngine(
-            context, _hierarchy(grid, "none"),
-            [DemandFetchStage(), RenderStage()],
-            collector,
-        ).run()
-        assert collector.report.incomplete
 
 
 class TestSessionsAttribution:

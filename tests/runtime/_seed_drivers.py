@@ -2,8 +2,8 @@
 
 These are byte-for-byte transplants of the driver loops as they stood at
 commit 7e556e0 (the last PR before the `repro.runtime` consolidation): the
-baseline, prefetcher, temporal and optimizer loops (the budgeted loop went
-with its driver).
+baseline, prefetcher and optimizer loops (the budgeted and temporal loops
+went with their drivers).
 The equivalence suite replays identical inputs through these oracles and
 through the `SimulationEngine` recipes and asserts the byte ledger, time
 ledger, cache stats, and aggregated trace match exactly.
@@ -25,8 +25,6 @@ from repro.prefetch.base import Prefetcher
 from repro.storage.hierarchy import MemoryHierarchy
 from repro.tables.importance_table import ImportanceTable
 from repro.tables.visible_table import LookupCostModel, VisibleTable
-from repro.volume.blocks import BlockGrid
-from repro.volume.timeseries import TimeVaryingVolume
 
 #: Replay fast-path choices of the seed drivers' ``engine`` argument.
 REPLAY_ENGINES = ("batched", "scalar")
@@ -327,110 +325,6 @@ def seed_run_with_prefetcher(
         steps=steps,
         hierarchy_stats=hierarchy.stats(),
         extras=extras,
-    )
-
-
-def seed_run_temporal(
-    context: PipelineContext,
-    series: TimeVaryingVolume,
-    hierarchy: MemoryHierarchy,
-    steps_per_timestep: int,
-    visible_table: Optional[VisibleTable] = None,
-    importance: Optional[ImportanceTable] = None,
-    sigma: float = float("-inf"),
-    prefetch_next_timestep: bool = True,
-    lookup_cost: Optional[LookupCostModel] = None,
-    name: str = "temporal",
-) -> RunResult:
-    """Replay a camera path over a time-varying volume.
-
-    Parameters
-    ----------
-    context:
-        The spatial replay context (path + grid + visible sets).
-    series:
-        The time-varying volume; timestep at path step ``i`` is
-        ``min(i // steps_per_timestep, n_timesteps - 1)``.
-    hierarchy:
-        Must be sized for the *temporal* id space
-        (``series.n_total_blocks(grid)`` blocks).
-    visible_table, importance, sigma:
-        The paper's tables; when given, prefetch pulls the σ-filtered
-        predicted set of the next timestep during rendering.
-    prefetch_next_timestep:
-        Turn the temporal prefetch off to measure its contribution.
-    """
-    grid: BlockGrid = context.grid
-    if steps_per_timestep < 1:
-        raise ValueError(f"steps_per_timestep must be >= 1, got {steps_per_timestep}")
-    lookup_cost = lookup_cost or LookupCostModel()
-
-    if importance is not None:
-        hierarchy.preload([int(b) for b in importance.ids_above(sigma)])
-
-    fastest = hierarchy.fastest
-    steps: List[StepMetrics] = []
-    positions = context.path.positions
-    n_spatial = grid.n_blocks
-
-    for i, spatial_ids in enumerate(context.visible_sets):
-        t = min(i // steps_per_timestep, series.n_timesteps - 1)
-        ids = series.temporal_visible_ids(spatial_ids, t, grid)
-
-        io = 0.0
-        fast_misses_before = fastest.stats.misses
-        for b in ids:
-            io += hierarchy.fetch(int(b), i, min_free_step=i).time_s
-        n_fast_misses = fastest.stats.misses - fast_misses_before
-
-        render = context.render_model.render_time(len(ids))
-
-        lookup_time = 0.0
-        prefetch_time = 0.0
-        n_prefetched = 0
-        t_next = min((i + 1) // steps_per_timestep, series.n_timesteps - 1)
-        if prefetch_next_timestep and visible_table is not None:
-            _, predicted = visible_table.lookup(positions[i])
-            lookup_time = lookup_cost.query_time(visible_table.n_entries)
-            if importance is not None:
-                # Importance is over the temporal id space; rank the
-                # predicted spatial set within the *next* timestep.
-                shifted = np.asarray(predicted, dtype=np.int64) + t_next * n_spatial
-                candidates = importance.filter_and_rank(shifted, sigma)
-            else:
-                candidates = np.asarray(predicted, dtype=np.int64) + t_next * n_spatial
-            for b in candidates:
-                if n_prefetched >= fastest.capacity:
-                    break
-                b = int(b)
-                if hierarchy.contains_fast(b):
-                    continue
-                prefetch_time += hierarchy.fetch(b, i, prefetch=True, min_free_step=i).time_s
-                n_prefetched += 1
-
-        steps.append(
-            StepMetrics(
-                step=i,
-                n_visible=len(ids),
-                n_fast_misses=n_fast_misses,
-                io_time_s=io,
-                lookup_time_s=lookup_time,
-                prefetch_time_s=prefetch_time,
-                render_time_s=render,
-                n_prefetched=n_prefetched,
-            )
-        )
-
-    return RunResult(
-        name=name,
-        policy="temporal-app-aware" if prefetch_next_timestep else "temporal-lru",
-        overlap_prefetch=True,
-        steps=steps,
-        hierarchy_stats=hierarchy.stats(),
-        extras={
-            "n_timesteps": float(series.n_timesteps),
-            "backing_bytes": float(hierarchy.backing_bytes),
-        },
     )
 
 

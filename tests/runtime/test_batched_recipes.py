@@ -22,14 +22,12 @@ from repro.runtime import (
     SessionSpec,
     run_baseline,
     run_sessions,
-    run_temporal,
     run_with_prefetcher,
 )
 from repro.storage.hierarchy import MemoryHierarchy, make_standard_hierarchy
 from repro.tables.builder import build_importance_table, build_visible_table
 from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
-from repro.volume.timeseries import make_time_varying_climate
 from repro.volume.volume import Volume
 
 VIEW = 10.0
@@ -49,18 +47,6 @@ def ball():
     return grid, context, vtable, itable
 
 
-@pytest.fixture(scope="module")
-def climate():
-    series = make_time_varying_climate(shape=(24, 24, 12), n_timesteps=3, seed=5)
-    grid = BlockGrid(series.shape, (8, 8, 6))
-    path = spherical_path(
-        n_positions=10, degrees_per_step=5.0, distance=2.5, view_angle_deg=VIEW, seed=1
-    )
-    context = PipelineContext.create(path, grid)
-    vtable = build_visible_table(grid, SAMPLING, VIEW, seed=0)
-    return series, grid, context, vtable, series.temporal_importance(grid)
-
-
 def _hierarchy(n_blocks, block_nbytes, faults):
     h = make_standard_hierarchy(n_blocks=n_blocks, block_nbytes=block_nbytes, cache_ratio=0.5)
     if faults:
@@ -68,41 +54,32 @@ def _hierarchy(n_blocks, block_nbytes, faults):
     return h
 
 
-def _baseline(ball, climate, faults):
+def _baseline(ball, faults):
     grid, context, _vt, _it = ball
     h = _hierarchy(grid.n_blocks, grid.uniform_block_nbytes(), faults)
     return h, [run_baseline(context, h)]
 
 
-def _table_prefetcher(ball, climate, faults):
+def _table_prefetcher(ball, faults):
     grid, context, vtable, itable = ball
     h = _hierarchy(grid.n_blocks, grid.uniform_block_nbytes(), faults)
     prefetcher = TableLookupPrefetcher(vtable, importance=itable)
     return h, [run_with_prefetcher(context, h, prefetcher, preload_importance=itable)]
 
 
-def _markov_prefetcher(ball, climate, faults):
+def _markov_prefetcher(ball, faults):
     grid, context, _vt, _it = ball
     h = _hierarchy(grid.n_blocks, grid.uniform_block_nbytes(), faults)
     return h, [run_with_prefetcher(context, h, MarkovPrefetcher())]
 
 
-def _optimizer(ball, climate, faults):
+def _optimizer(ball, faults):
     grid, context, vtable, itable = ball
     h = _hierarchy(grid.n_blocks, grid.uniform_block_nbytes(), faults)
     return h, [AppAwareOptimizer(vtable, itable, OptimizerConfig()).run(context, h)]
 
 
-def _temporal(ball, climate, faults):
-    series, grid, context, vtable, itable = climate
-    h = _hierarchy(series.n_total_blocks(grid), grid.uniform_block_nbytes(), faults)
-    result = run_temporal(
-        context, series, h, steps_per_timestep=4, visible_table=vtable, importance=itable
-    )
-    return h, [result]
-
-
-def _sessions(ball, climate, faults):
+def _sessions(ball, faults):
     grid, _ctx, _vt, _it = ball
     h = _hierarchy(grid.n_blocks, grid.uniform_block_nbytes(), faults)
     specs = [
@@ -118,14 +95,13 @@ RECIPES = {
     "run_with_prefetcher[table]": _table_prefetcher,
     "run_with_prefetcher[markov]": _markov_prefetcher,
     "AppAwareOptimizer.run": _optimizer,
-    "run_temporal": _temporal,
     "run_sessions": _sessions,
 }
 
 
 @pytest.mark.parametrize("faults", (False, True), ids=("fault-free", "flaky-hdd"))
 @pytest.mark.parametrize("recipe", list(RECIPES))
-def test_recipe_makes_no_per_block_fetch(recipe, faults, ball, climate, monkeypatch):
+def test_recipe_makes_no_per_block_fetch(recipe, faults, ball, monkeypatch):
     calls = {"fetch": 0, "_fetch_one": 0}
     for name in calls:
         wrapped = getattr(MemoryHierarchy, name)
@@ -135,7 +111,7 @@ def test_recipe_makes_no_per_block_fetch(recipe, faults, ball, climate, monkeypa
             return _wrapped(self, *args, **kwargs)
 
         monkeypatch.setattr(MemoryHierarchy, name, counted)
-    h, results = RECIPES[recipe](ball, climate, faults)
+    h, results = RECIPES[recipe](ball, faults)
     assert calls["fetch"] == 0
     # Fault-free every frame takes the level cascade, so the per-block body
     # never runs; under flaky-hdd the batched calls run it in their

@@ -19,15 +19,14 @@ path records each group of equal fetch latencies with one
 ``observe_many(t, c)`` where the per-block loop adds ``c`` separate
 ``observe(t)`` calls, so the two sums differ in the last bits.  The grid
 is the baseline, prefetcher and optimizer drivers x 2 seed modes x 2 fault
-regimes (fault-free, and the ``chaos`` profile with a fixed seed), plus
-temporal's option grid.
+regimes (fault-free, and the ``chaos`` profile with a fixed seed).
 """
 
 import dataclasses
 
 import pytest
 
-from repro.camera.path import random_path, spherical_path
+from repro.camera.path import random_path
 from repro.camera.sampling import SamplingConfig
 from repro.core.pipeline import PipelineContext
 from repro.faults import FaultInjector, FaultPlan
@@ -38,7 +37,6 @@ from repro.runtime import (
     AppAwareOptimizer,
     OptimizerConfig,
     run_baseline,
-    run_temporal,
     run_with_prefetcher,
 )
 from repro.storage.hierarchy import make_standard_hierarchy
@@ -46,14 +44,12 @@ from repro.tables.builder import build_importance_table, build_visible_table
 from repro.trace import Tracer
 from repro.volume.blocks import BlockGrid
 from repro.volume.synthetic import ball_field
-from repro.volume.timeseries import make_time_varying_climate
 from repro.volume.volume import Volume
 
 from tests.runtime._seed_drivers import (
     SeedAppAwareOptimizer,
     SeedOptimizerConfig,
     seed_run_baseline,
-    seed_run_temporal,
     seed_run_with_prefetcher,
 )
 
@@ -246,38 +242,3 @@ def test_baseline_arc(eq_setup, seed_mode, protect):
     _run_results_equal(got, want)
     _surfaces_equal(got_obs, want_obs, seed_mode)
     assert got.hierarchy_stats.levels["dram"].evictions > 0
-
-
-@pytest.mark.parametrize("prefetch_next", (True, False))
-@pytest.mark.parametrize("with_tables", (True, False))
-class TestTemporalEquivalence:
-    """Temporal is per-block only in the seed; sweep its own option grid."""
-
-    def test_temporal(self, prefetch_next, with_tables):
-        series = make_time_varying_climate(shape=(24, 24, 12), n_timesteps=3, seed=5)
-        grid = BlockGrid(series.shape, (8, 8, 6))
-        path = spherical_path(
-            n_positions=12, degrees_per_step=5.0, distance=2.5,
-            view_angle_deg=VIEW, seed=1,
-        )
-        context = PipelineContext.create(path, grid)
-        sampling = SamplingConfig(
-            n_directions=16, n_distances=2, distance_range=(2.3, 2.7)
-        )
-        vtable = build_visible_table(grid, sampling, VIEW, seed=0) if with_tables else None
-        itable = series.temporal_importance(grid) if with_tables else None
-
-        def hierarchy():
-            return make_standard_hierarchy(
-                n_blocks=series.n_total_blocks(grid),
-                block_nbytes=grid.uniform_block_nbytes(),
-                cache_ratio=0.5,
-            )
-
-        kw = dict(
-            steps_per_timestep=4, visible_table=vtable, importance=itable,
-            sigma=float("-inf"), prefetch_next_timestep=prefetch_next,
-        )
-        got = run_temporal(context, series, hierarchy(), **kw)
-        want = seed_run_temporal(context, series, hierarchy(), **kw)
-        _run_results_equal(got, want)

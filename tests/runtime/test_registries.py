@@ -101,7 +101,6 @@ class TestCustomStage:
         )
         collector = StepMetricsCollector(
             name="custom", policy="lru", overlap_prefetch=False,
-            observe="serial", charge=("io", "render"),
             extras_fn=movement_extras,
         )
         result = SimulationEngine(
@@ -135,7 +134,7 @@ class TestCustomStage:
         )
         collector = StepMetricsCollector(
             name="charged", policy="lru", overlap_prefetch=False,
-            observe="serial", charge=("io", "render"), extras_fn=movement_extras,
+            extras_fn=movement_extras,
         )
         profiler = PhaseProfiler()
         SimulationEngine(

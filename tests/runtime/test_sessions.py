@@ -1,6 +1,7 @@
 """The multi-tenant session scheduler: determinism, quotas, equivalence."""
 
 import json
+import math
 
 import pytest
 
@@ -54,6 +55,27 @@ class TestSessionSpec:
     def test_negative_arrival(self):
         with pytest.raises(ValueError, match="arrival_s"):
             SessionSpec(session_id="a", arrival_s=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_s", math.nan),
+            ("arrival_s", math.inf),
+            ("distance", math.inf),
+            ("distance", math.nan),
+            ("distance", 0.0),
+            ("degrees", (5.0, math.inf)),
+            ("degrees", (math.nan, 5.0)),
+            ("degrees", (10.0, 5.0)),
+            ("degrees", (-1.0, 5.0)),
+            ("degrees", (5.0,)),
+        ],
+    )
+    def test_bad_numbers_rejected(self, field, value):
+        """The checks LoadGenConfig makes: nothing non-finite reaches a
+        camera path or the end times."""
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            SessionSpec(session_id="a", **{field: value})
 
     def test_tenant_defaults_to_session_id(self):
         assert SessionSpec(session_id="a").tenant_label == "a"

@@ -1,6 +1,7 @@
 """The documented public API: everything in __all__ imports and works."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestPublicAPI:
         import repro.prefetch
         import repro.runtime
 
-        for name in ("run_baseline", "run_temporal", "AppAwareOptimizer"):
+        for name in ("run_baseline", "AppAwareOptimizer"):
             assert getattr(repro, name) is getattr(repro.runtime, name)
             assert getattr(repro.core, name) is getattr(repro.runtime, name)
         assert repro.prefetch.run_with_prefetcher is repro.runtime.run_with_prefetcher
@@ -69,20 +70,32 @@ class TestPublicAPI:
         assert not hasattr(importlib.import_module("repro.core.pipeline"), "run_baseline")
 
     def test_budgeted_replay_is_gone(self):
-        """The frame-deadline replay went with its modules; no package
-        re-exports any of its names."""
-        for module in ("repro.core.interactive", "repro.render.image"):
+        """The frame-deadline and temporal replays went with their modules,
+        and the unused attribution collector with them; no package
+        re-exports any of their names."""
+        for module in ("repro.core.interactive", "repro.render.image",
+                       "repro.volume.timeseries"):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
         gone = (
             "run_budgeted", "render_quality_series", "BudgetedResult", "BudgetedStep",
             "BudgetedCollector", "BudgetedFetchStage", "BudgetedPrefetchStage",
             "mse", "psnr", "mean_abs_error", "interactive_quality",
+            "run_temporal", "TemporalRemapStage", "TemporalPrefetchStage",
+            "TimeVaryingVolume", "temporal_block_id", "split_temporal_id",
+            "make_time_varying_climate", "temporal", "AttributionCollector",
         )
         for pkg in ("repro", "repro.core", "repro.runtime", "repro.runtime.engine",
                     "repro.runtime.stages", "repro.runtime.drivers", "repro.render",
+                    "repro.volume", "repro.obs", "repro.obs.attribution",
                     "repro.experiments.extensions"):
             module = importlib.import_module(pkg)
             assert not [n for n in gone if hasattr(module, n)], pkg
-        assert "budgeted-fetch" not in repro.runtime.STAGES
-        assert "budgeted-prefetch" not in repro.runtime.STAGES
+        for stage in ("budgeted-fetch", "budgeted-prefetch",
+                      "temporal-remap", "temporal-prefetch"):
+            assert stage not in repro.runtime.STAGES
+        # The knobs only those replays set are gone too.
+        assert list(inspect.signature(repro.runtime.RenderStage).parameters) == []
+        assert list(inspect.signature(repro.runtime.StepMetricsCollector).parameters) == [
+            "name", "policy", "overlap_prefetch", "extras_fn",
+        ]
